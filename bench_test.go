@@ -173,6 +173,37 @@ func BenchmarkIdentifySlot(b *testing.B) { benchIdentifySlot(b, false) }
 // pruning speedup (the two are bit-identical).
 func BenchmarkIdentifySlotBrute(b *testing.B) { benchIdentifySlot(b, true) }
 
+// BenchmarkCandidateTracks times the §4 candidate stage on its own:
+// the Iowa terminal's field of view over a precomputed snapshot, every
+// in-view satellite sampled across the slot and projected onto the
+// plot plane. It goes through the public CandidateTracksFromSnapshot,
+// the entry point of live captures and traced replays; the campaign
+// engine runs the same kernel over its indexed field of view with
+// per-worker buffers (pinned at 0 allocs by TestCandidateTracksZeroAlloc).
+func BenchmarkCandidateTracks(b *testing.B) {
+	env, _, _ := benchSetup(b)
+	vp := env.Terminals[0].VantagePoint
+	for _, t := range env.Terminals {
+		if t.Name == "Iowa" {
+			vp = t.VantagePoint
+		}
+	}
+	slotStart := env.Start().Add(scheduler.Period)
+	snap := env.Cons.Snapshot(slotStart)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var cands []dtw.Candidate
+	for i := 0; i < b.N; i++ {
+		cands, _ = env.Ident.CandidateTracksFromSnapshot(snap, vp, slotStart)
+	}
+	samples := 0
+	for _, c := range cands {
+		samples += len(c.Track)
+	}
+	b.ReportMetric(float64(len(cands)), "cands")
+	b.ReportMetric(float64(samples), "samples")
+}
+
 // benchCampaign times the full non-oracle campaign loop (paint → XOR
 // → DTW per terminal per slot) at a given worker-pool size.
 func benchCampaign(b *testing.B, workers int) {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/astro"
 	"repro/internal/constellation"
 	"repro/internal/dtw"
 	"repro/internal/obstruction"
@@ -200,9 +201,37 @@ func RunCampaign(ctx context.Context, cfg CampaignConfig) (*CampaignResult, erro
 
 // slotScratch is per-worker reusable buffer space for the slot loop:
 // the field-of-view sweep appends into fov instead of growing a fresh
-// slice per (slot, terminal) cell. Owned by exactly one goroutine.
+// slice per (slot, terminal) cell, and the candidate-track kernel
+// samples into the remaining buffers. Owned by exactly one goroutine.
 type slotScratch struct {
 	fov []constellation.Visible
+
+	// frames holds the TEME→ECEF frame at every sample instant of the
+	// slot starting at framesAt, spaced framesStep apart.
+	framesAt   time.Time
+	framesStep time.Duration
+	frames     []astro.Frame
+
+	sky    []obstruction.PolarPoint // one satellite's samples
+	points []dtw.Point              // backing store the candidate tracks are carved from
+	cands  []dtw.Candidate
+}
+
+// framesFor returns the rotation frame of each sample instant
+// slotStart + k·step, k = 0..Period/step. The table depends only on
+// the slot, so it is rebuilt only when the slot or step changes and
+// every terminal a worker handles in one slot shares it.
+func (sc *slotScratch) framesFor(slotStart time.Time, step time.Duration) []astro.Frame {
+	if sc.frames != nil && sc.framesStep == step && sc.framesAt.Equal(slotStart) {
+		return sc.frames
+	}
+	n := int(scheduler.Period/step) + 1
+	sc.frames = sc.frames[:0]
+	for k := 0; k < n; k++ {
+		sc.frames = append(sc.frames, astro.FrameAt(slotStart.Add(time.Duration(k)*step)))
+	}
+	sc.framesAt, sc.framesStep = slotStart, step
+	return sc.frames
 }
 
 // runSlotTerminal produces the record for one (slot, terminal) cell.
@@ -244,11 +273,14 @@ func runSlotTerminal(cfg *CampaignConfig, term scheduler.Terminal, m *obstructio
 		}
 	default:
 		prev := m.Clone()
-		if err := cfg.Identifier.PaintServingTrack(m, alloc.SatID, term.VantagePoint, slotStart); err != nil {
+		if err := cfg.Identifier.paintServingTrack(scratch, m, alloc.SatID, term.VantagePoint, slotStart); err != nil {
 			rec.SkipReason = err.Error()
 			break
 		}
-		ident, err := cfg.Identifier.IdentifyFromMapsMatcher(prev, m, term.VantagePoint, slotStart, shared.States, matcher)
+		// Identify over the field of view already in scratch.fov: by
+		// the SnapshotIndex contract it is IdentifyFromMapsMatcher's
+		// linear scan of shared.States, set, order and floats.
+		ident, err := cfg.Identifier.identify(scratch, prev, m, term.VantagePoint, slotStart, matcher)
 		if err != nil {
 			rec.SkipReason = err.Error()
 			*failed++

@@ -9,7 +9,6 @@ import (
 	"repro/internal/dtw"
 	"repro/internal/geo"
 	"repro/internal/obstruction"
-	"repro/internal/scheduler"
 )
 
 // Identifier implements the paper's §4 technique: isolate the newest
@@ -21,7 +20,7 @@ type Identifier struct {
 	// MinElevationDeg is the visibility mask (default 25).
 	MinElevationDeg float64
 	// SampleStep spaces the candidate-track samples (default 1s, 16
-	// points per 15-second slot).
+	// points per 15-second slot; values <= 0 select the default).
 	SampleStep time.Duration
 	// UseNaiveMatcher switches to the nearest-endpoint ablation
 	// baseline instead of DTW.
@@ -60,26 +59,100 @@ func (id *Identifier) CandidateTracks(vp geo.VantagePoint, slotStart time.Time) 
 }
 
 // CandidateTracksFromSnapshot is CandidateTracks over a precomputed
-// constellation snapshot for slotStart. The campaign engine shares one
-// snapshot per slot across terminals and workers, which removes the
-// full-constellation re-propagation from the hot identification loop;
-// the output is identical to CandidateTracks.
+// constellation snapshot for slotStart: the linear field-of-view scan
+// of snap, then the same kernel the campaign engine runs over its
+// indexed field of view. The output is identical to CandidateTracks
+// and owned by the caller.
 func (id *Identifier) CandidateTracksFromSnapshot(snap []constellation.SatState, vp geo.VantagePoint, slotStart time.Time) ([]dtw.Candidate, int) {
-	fov := constellation.ObserveFrom(vp.Location, snap, id.MinElevationDeg)
-	cands := make([]dtw.Candidate, 0, len(fov))
+	sc := slotScratch{fov: constellation.ObserveFrom(vp.Location, snap, id.MinElevationDeg)}
+	return id.candidateTracks(&sc, vp, slotStart)
+}
+
+// candidateTracks is the candidate-track kernel: it samples every
+// satellite of the slot's field of view, sc.fov (above the mask at
+// slotStart, in ObserveFrom order), across the slot and projects the
+// above-mask samples onto the plot plane. Everything that does not
+// vary per satellite is hoisted: the rotation frame of each sample
+// instant (shared by every terminal sc sees in the slot), the
+// observer's local frame, and the dt = 0 sample, which is the field of
+// view's own look angle. The tracks are carved from sc.points and stay
+// valid until the next call on sc; in steady state the kernel does not
+// allocate.
+func (id *Identifier) candidateTracks(sc *slotScratch, vp geo.VantagePoint, slotStart time.Time) ([]dtw.Candidate, int) {
+	step := id.sampleStep()
+	frames := sc.framesFor(slotStart, step)
+	o := astro.NewObserver(vp.Location)
+	// Reserving every sample up front means the carved tracks never
+	// see their backing array regrow.
+	if need := len(sc.fov) * len(frames); cap(sc.points) < need {
+		sc.points = make([]dtw.Point, 0, need)
+	}
+	if cap(sc.cands) < len(sc.fov) {
+		sc.cands = make([]dtw.Candidate, 0, len(sc.fov))
+	}
+	pts, cands := sc.points[:0], sc.cands[:0]
 	dropped := 0
-	for _, v := range fov {
-		track, err := id.sampleTrack(v.Sat, vp.Location, slotStart)
+	for i := range sc.fov {
+		v := &sc.fov[i]
+		sky, err := sampleSky(sc.sky[:0], v.Sat, &o, frames, slotStart, step, &v.Look)
+		sc.sky = sky
 		if err != nil {
 			dropped++
 			continue
 		}
-		if len(track) == 0 {
+		first := len(pts)
+		for _, p := range sky {
+			if p.ElevationDeg < id.MinElevationDeg {
+				continue
+			}
+			pts = append(pts, dtw.FromPolar(p))
+		}
+		if len(pts) == first {
 			continue // below the mask for the whole slot
 		}
-		cands = append(cands, dtw.Candidate{ID: v.Sat.ID, Track: track})
+		cands = append(cands, dtw.Candidate{ID: v.Sat.ID, Track: pts[first:len(pts):len(pts)]})
 	}
+	sc.points, sc.cands = pts, cands
 	return cands, dropped
+}
+
+// sampleStep resolves SampleStep: values <= 0 select the 1 s default.
+func (id *Identifier) sampleStep() time.Duration {
+	if id.SampleStep <= 0 {
+		return time.Second
+	}
+	return id.SampleStep
+}
+
+// sampleSky is the one track sampler behind candidate tracks, the
+// polar candidate tracks and the painted serving track. It appends
+// sat's look angles from o at each of the slot's sample instants,
+// frames[k] being the rotation at slotStart + k·step, below-mask
+// samples included. A non-nil look0 is the satellite's look angle at
+// slotStart from a field-of-view query over the slot's snapshot and
+// stands in for the dt = 0 propagation: the snapshot rotates the same
+// SGP4 state with the same frame and the query observes it with the
+// same observer terms, so the two are bit-identical. A propagation
+// error aborts the track and is returned unwrapped: the caller decides
+// whether that means "drop the candidate" or "fail the call", and a
+// transient SGP4 failure mid-slot must never be conflated with "below
+// the mask all slot".
+func sampleSky(dst []obstruction.PolarPoint, sat *constellation.Satellite, o *astro.Observer,
+	frames []astro.Frame, slotStart time.Time, step time.Duration, look0 *astro.LookAngles) ([]obstruction.PolarPoint, error) {
+	k := 0
+	if look0 != nil {
+		dst = append(dst, obstruction.PolarPoint{ElevationDeg: look0.ElevationDeg, AzimuthDeg: look0.AzimuthDeg})
+		k = 1
+	}
+	for ; k < len(frames); k++ {
+		st, err := sat.Propagator.PropagateAt(slotStart.Add(time.Duration(k) * step))
+		if err != nil {
+			return dst, err
+		}
+		la := o.Observe(frames[k].ToECEF(st.Pos))
+		dst = append(dst, obstruction.PolarPoint{ElevationDeg: la.ElevationDeg, AzimuthDeg: la.AzimuthDeg})
+	}
+	return dst, nil
 }
 
 // CandidatePolarTracks returns every in-view satellite's sky-track
@@ -90,17 +163,20 @@ func (id *Identifier) CandidatePolarTracks(vp geo.VantagePoint, slotStart time.T
 }
 
 // CandidatePolarTracksFromSnapshot is CandidatePolarTracks over a
-// precomputed constellation snapshot for slotStart, mirroring the rest
-// of the identify path: the field of view comes from the shared
-// snapshot and each in-view satellite is propagated across the slot
-// exactly once, instead of re-propagating the full constellation in
-// FieldOfView and then each satellite again through ServingTrack's
-// ID lookup. The output is identical to CandidatePolarTracks.
+// precomputed constellation snapshot for slotStart, sampled by the
+// same sampler as the candidate tracks. The output is identical to
+// CandidatePolarTracks.
 func (id *Identifier) CandidatePolarTracksFromSnapshot(snap []constellation.SatState, vp geo.VantagePoint, slotStart time.Time) map[int][]obstruction.PolarPoint {
 	fov := constellation.ObserveFrom(vp.Location, snap, id.MinElevationDeg)
+	step := id.sampleStep()
+	var sc slotScratch
+	frames := sc.framesFor(slotStart, step)
+	o := astro.NewObserver(vp.Location)
 	out := make(map[int][]obstruction.PolarPoint, len(fov))
-	for _, v := range fov {
-		pts, err := id.samplePolarTrack(v.Sat, vp.Location, slotStart)
+	for i := range fov {
+		v := &fov[i]
+		pts, err := sampleSky(sc.sky[:0], v.Sat, &o, frames, slotStart, step, &v.Look)
+		sc.sky = pts
 		if err != nil {
 			continue
 		}
@@ -115,54 +191,6 @@ func (id *Identifier) CandidatePolarTracksFromSnapshot(snap []constellation.SatS
 		}
 	}
 	return out
-}
-
-// samplePolarTrack samples one satellite's look angles across the
-// slot, below-mask points included. A propagation error aborts the
-// track: the caller decides whether that means "drop the candidate"
-// or "fail the call".
-func (id *Identifier) samplePolarTrack(sat *constellation.Satellite, obs astro.Geodetic, slotStart time.Time) ([]obstruction.PolarPoint, error) {
-	var pts []obstruction.PolarPoint
-	for dt := time.Duration(0); dt <= scheduler.Period; dt += id.SampleStep {
-		t := slotStart.Add(dt)
-		st, err := sat.Propagator.PropagateAt(t)
-		if err != nil {
-			return nil, fmt.Errorf("core: propagate %d: %w", sat.ID, err)
-		}
-		posECEF, _ := astro.TEMEToECEF(st.Pos, st.Vel, t)
-		la := astro.Observe(obs, posECEF)
-		pts = append(pts, obstruction.PolarPoint{
-			ElevationDeg: la.ElevationDeg,
-			AzimuthDeg:   la.AzimuthDeg,
-		})
-	}
-	return pts, nil
-}
-
-// sampleTrack samples one satellite's look angles across the slot and
-// projects the above-mask points onto the plot plane. A propagation
-// error is surfaced, not conflated with "below the mask all slot": a
-// transient SGP4 failure mid-slot must not silently delete a possibly
-// true serving satellite from the candidate set.
-func (id *Identifier) sampleTrack(sat *constellation.Satellite, obs astro.Geodetic, slotStart time.Time) ([]dtw.Point, error) {
-	var out []dtw.Point
-	for dt := time.Duration(0); dt <= scheduler.Period; dt += id.SampleStep {
-		t := slotStart.Add(dt)
-		st, err := sat.Propagator.PropagateAt(t)
-		if err != nil {
-			return nil, fmt.Errorf("core: propagate %d: %w", sat.ID, err)
-		}
-		posECEF, _ := astro.TEMEToECEF(st.Pos, st.Vel, t)
-		la := astro.Observe(obs, posECEF)
-		if la.ElevationDeg < id.MinElevationDeg {
-			continue
-		}
-		out = append(out, dtw.FromPolar(obstruction.PolarPoint{
-			ElevationDeg: la.ElevationDeg,
-			AzimuthDeg:   la.AzimuthDeg,
-		}))
-	}
-	return out, nil
 }
 
 // Identification is the outcome of one slot's §4 matching.
@@ -200,17 +228,24 @@ func (id *Identifier) IdentifyFromMapsSnapshot(prev, cur *obstruction.Map, vp ge
 // every choice of matcher, including the brute-force path selected by
 // DisablePruning.
 func (id *Identifier) IdentifyFromMapsMatcher(prev, cur *obstruction.Map, vp geo.VantagePoint, slotStart time.Time, snap []constellation.SatState, matcher *dtw.Matcher) (Identification, error) {
-	diff := obstruction.XOR(prev, cur)
-	track := diff.Track()
+	if snap == nil {
+		snap = id.cons.Snapshot(slotStart)
+	}
+	sc := slotScratch{fov: constellation.ObserveFrom(vp.Location, snap, id.MinElevationDeg)}
+	return id.identify(&sc, prev, cur, vp, slotStart, matcher)
+}
+
+// identify is the §4 pipeline over the slot's field of view, sc.fov:
+// the XOR-isolated track is matched against the candidate tracks the
+// kernel samples through sc.
+func (id *Identifier) identify(sc *slotScratch, prev, cur *obstruction.Map, vp geo.VantagePoint, slotStart time.Time, matcher *dtw.Matcher) (Identification, error) {
+	track := obstruction.XOR(prev, cur).Track()
 	if len(track) < 2 {
 		return Identification{}, fmt.Errorf("core: slot %v at %s: XOR diff has %d points (satellite unchanged or overlapping trajectory)",
 			slotStart, vp.Name, len(track))
 	}
 	observed := dtw.FromPolarTrack(track)
-	if snap == nil {
-		snap = id.cons.Snapshot(slotStart)
-	}
-	cands, dropped := id.CandidateTracksFromSnapshot(snap, vp, slotStart)
+	cands, dropped := id.candidateTracks(sc, vp, slotStart)
 	if len(cands) == 0 {
 		return Identification{}, fmt.Errorf("core: slot %v at %s: no candidate satellites in view (%d dropped by propagation errors)", slotStart, vp.Name, dropped)
 	}
@@ -248,17 +283,35 @@ func (id *Identifier) IdentifyFromMapsMatcher(prev, cur *obstruction.Map, vp geo
 // the way dish firmware records it: look angles sampled along the
 // slot, including below-mask points (PaintTrack clips them).
 func (id *Identifier) ServingTrack(satID int, vp geo.VantagePoint, slotStart time.Time) ([]obstruction.PolarPoint, error) {
+	return id.servingTrack(&slotScratch{}, satID, vp, slotStart)
+}
+
+// servingTrack is ServingTrack sampling through sc; the track aliases
+// sc.sky and stays valid until the next sampling call on sc.
+func (id *Identifier) servingTrack(sc *slotScratch, satID int, vp geo.VantagePoint, slotStart time.Time) ([]obstruction.PolarPoint, error) {
 	sat := id.cons.ByID(satID)
 	if sat == nil {
 		return nil, fmt.Errorf("core: unknown satellite %d", satID)
 	}
-	return id.samplePolarTrack(sat, vp.Location, slotStart)
+	step := id.sampleStep()
+	o := astro.NewObserver(vp.Location)
+	pts, err := sampleSky(sc.sky[:0], sat, &o, sc.framesFor(slotStart, step), slotStart, step, nil)
+	sc.sky = pts
+	if err != nil {
+		return nil, fmt.Errorf("core: propagate %d: %w", sat.ID, err)
+	}
+	return pts, nil
 }
 
 // PaintServingTrack renders the serving satellite's sky-track for a
 // slot into the map, drawn as a connected stroke.
 func (id *Identifier) PaintServingTrack(m *obstruction.Map, satID int, vp geo.VantagePoint, slotStart time.Time) error {
-	pts, err := id.ServingTrack(satID, vp, slotStart)
+	return id.paintServingTrack(&slotScratch{}, m, satID, vp, slotStart)
+}
+
+// paintServingTrack is PaintServingTrack sampling through sc.
+func (id *Identifier) paintServingTrack(sc *slotScratch, m *obstruction.Map, satID int, vp geo.VantagePoint, slotStart time.Time) error {
+	pts, err := id.servingTrack(sc, satID, vp, slotStart)
 	if err != nil {
 		return err
 	}

@@ -207,20 +207,18 @@ func dirFromLook(la astro.LookAngles) units.Vec3 {
 }
 
 // Excluded reports whether a satellite seen at the given look angles
-// falls inside the protected zone around the GSO arc.
+// falls inside the protected zone around the GSO arc: its separation
+// from the belt is below the protection angle. A site that sees no
+// belt point (separation +Inf) excludes nothing.
 func (g *GSOExclusion) Excluded(azDeg, elevDeg float64) bool {
-	if len(g.beltDirs) == 0 {
-		return false
-	}
-	d := dirFromLook(astro.LookAngles{ElevationDeg: elevDeg, AzimuthDeg: azDeg})
-	min := math.Pi
-	for _, b := range g.beltDirs {
-		if a := d.AngleBetween(b); a < min {
-			min = a
-		}
-	}
-	return units.Rad2Deg(min) < g.protectionDeg
+	return g.MinSeparationDeg(azDeg, elevDeg) < g.protectionDeg
 }
+
+// ProtectionDeg returns the discrimination half-angle in degrees.
+// Callers that also need the separation itself test
+// MinSeparationDeg(az, el) < ProtectionDeg(), which is Excluded
+// without a second walk of the belt.
+func (g *GSOExclusion) ProtectionDeg() float64 { return g.protectionDeg }
 
 // MinSeparationDeg returns the angular distance from the given
 // direction to the nearest visible GSO belt point, in degrees. Returns

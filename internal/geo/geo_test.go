@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/astro"
+	"repro/internal/units"
 )
 
 func TestStudyVantagePoints(t *testing.T) {
@@ -159,5 +160,58 @@ func TestGSOExclusionCustomAngle(t *testing.T) {
 	}
 	if !wide.Excluded(180, 52) {
 		t.Error("wide zone should exclude 10 deg off the belt")
+	}
+}
+
+// excludedByBeltWalk is the reference exclusion test: its own walk of
+// the sampled belt, independent of MinSeparationDeg.
+func excludedByBeltWalk(g *GSOExclusion, azDeg, elevDeg float64) bool {
+	if len(g.beltDirs) == 0 {
+		return false
+	}
+	d := dirFromLook(astro.LookAngles{ElevationDeg: elevDeg, AzimuthDeg: azDeg})
+	min := math.Pi
+	for _, b := range g.beltDirs {
+		if a := d.AngleBetween(b); a < min {
+			min = a
+		}
+	}
+	return units.Rad2Deg(min) < g.protectionDeg
+}
+
+// TestGSOExcludedMatchesSeparation: over a 2° az × el grid of the
+// sky, Excluded agrees with both the reference belt walk and the
+// MinSeparationDeg < ProtectionDeg test the scheduler uses, at every
+// study and southern site and at a polar site that sees no belt point.
+func TestGSOExcludedMatchesSeparation(t *testing.T) {
+	sites := append(StudyVantagePoints(), SouthernVantagePoints()...)
+	sites = append(sites, VantagePoint{Name: "polar", Location: astro.Geodetic{LatDeg: 85, LonDeg: 20}})
+	for _, vp := range sites {
+		g := NewGSOExclusion(vp.Location, 0)
+		if vp.Name == "polar" && len(g.beltDirs) != 0 {
+			t.Fatalf("polar site sees %d belt points, want none", len(g.beltDirs))
+		}
+		excluded := 0
+		for el := 0.0; el <= 90; el += 2 {
+			for az := 0.0; az < 360; az += 2 {
+				got := g.Excluded(az, el)
+				if want := excludedByBeltWalk(g, az, el); got != want {
+					t.Fatalf("%s az=%v el=%v: Excluded %v, belt walk %v", vp.Name, az, el, got, want)
+				}
+				sep := g.MinSeparationDeg(az, el)
+				if want := sep < g.ProtectionDeg(); got != want {
+					t.Fatalf("%s az=%v el=%v: Excluded %v, separation %v° vs %v°", vp.Name, az, el, got, sep, g.ProtectionDeg())
+				}
+				if len(g.beltDirs) == 0 && !math.IsInf(sep, 1) {
+					t.Fatalf("%s: separation %v with no belt in view, want +Inf", vp.Name, sep)
+				}
+				if got {
+					excluded++
+				}
+			}
+		}
+		if (excluded > 0) != (len(g.beltDirs) > 0) {
+			t.Errorf("%s: %d excluded grid points with %d belt points in view", vp.Name, excluded, len(g.beltDirs))
+		}
 	}
 }

@@ -418,6 +418,10 @@ func (g *Global) appendCandidates(fovBuf []constellation.Visible, cands []Candid
 	if recencyDen <= 0 {
 		recencyDen = 1
 	}
+	var gso *geo.GSOExclusion
+	if !g.noGSO {
+		gso = g.gso[term.Name]
+	}
 	for _, v := range fov {
 		if g.gsVisible != nil && !g.gsVisible[v.Sat.ID] {
 			continue // bent-pipe: no gateway in view
@@ -425,8 +429,14 @@ func (g *Global) appendCandidates(fovBuf []constellation.Visible, cands []Candid
 		if term.Mask.Blocked(v.Look.AzimuthDeg, v.Look.ElevationDeg) {
 			continue
 		}
-		if !g.noGSO && g.gso[term.Name].Excluded(v.Look.AzimuthDeg, v.Look.ElevationDeg) {
-			continue
+		// One belt walk serves both the exclusion test (exactly
+		// GSOExclusion.Excluded) and the clearance term below.
+		sep := math.Inf(1)
+		if gso != nil {
+			sep = gso.MinSeparationDeg(v.Look.AzimuthDeg, v.Look.ElevationDeg)
+			if sep < gso.ProtectionDeg() {
+				continue
+			}
 		}
 		c := Candidate{Sat: v.Sat, Sunlit: v.Sunlit}
 		c.Look.ElevationDeg = v.Look.ElevationDeg
@@ -438,11 +448,8 @@ func (g *Global) appendCandidates(fovBuf []constellation.Visible, cands []Candid
 		// belt is due south, so clearance grows toward the north — the
 		// mechanism behind the paper's Figure 5 skew.
 		clearance := 0.0
-		if !g.noGSO {
-			sep := g.gso[term.Name].MinSeparationDeg(v.Look.AzimuthDeg, v.Look.ElevationDeg)
-			if !math.IsInf(sep, 1) {
-				clearance = units.Clamp(sep/90, 0, 1)
-			}
+		if !math.IsInf(sep, 1) {
+			clearance = units.Clamp(sep/90, 0, 1)
 		}
 		recency := v.Sat.Launch.Sub(g.oldest).Hours() / recencyDen
 		sunlit := 0.0

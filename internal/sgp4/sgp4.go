@@ -271,9 +271,10 @@ func (p *Propagator) Propagate(tsince float64) (State, error) {
 		templ += p.t3cof*t3 + t4*(p.t4cof+t*p.t5cof)
 	}
 
-	nm := p.noUnkozai
-	am := math.Pow(xke/nm, 2.0/3.0) * tempa * tempa
-	nm = xke / math.Pow(am, 1.5)
+	// p.ao is (xke/noUnkozai)^(2/3), the same Pow New evaluates, so
+	// reusing it is bit-identical and saves one Pow per call.
+	am := p.ao * tempa * tempa
+	nm := xke / math.Pow(am, 1.5)
 	em := p.ecco - tempe
 	if em >= 1.0 || em < -0.001 {
 		return State{}, fmt.Errorf("sgp4: mean eccentricity %v out of range at t=%v min", em, t)
