@@ -24,6 +24,7 @@ import (
 	"repro/internal/ml"
 	"repro/internal/obstruction"
 	"repro/internal/pipeline"
+	"repro/internal/scenario"
 	"repro/internal/scheduler"
 	"repro/internal/telemetry"
 )
@@ -36,25 +37,53 @@ var (
 	bEnv      *experiments.Env
 	bObs      []core.Observation
 	bData     *ml.Dataset
+	// bFig3 holds the Figure 3 maps, computed once: Fig3 advances the
+	// stateful scheduler, so benchmarks that each called it would time
+	// different slots.
+	bFig3 *experiments.Fig3Result
 )
+
+// starlinkEnv builds the starlink-baseline environment at the given
+// density and seed, with edit applied to the spec first (nil: none).
+func starlinkEnv(tb testing.TB, scale string, seed int64, edit func(*scenario.Spec)) *experiments.Env {
+	tb.Helper()
+	spec, err := scenario.Starlink(scale, seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if edit != nil {
+		edit(spec)
+	}
+	built, err := spec.Build(scenario.BuildOptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return built.Env
+}
 
 func benchSetup(b *testing.B) (*experiments.Env, []core.Observation, *ml.Dataset) {
 	b.Helper()
 	benchOnce.Do(func() {
-		bEnv, benchErr = experiments.NewEnv(experiments.Config{Scale: experiments.Medium, Seed: 7})
-		if benchErr != nil {
-			return
-		}
+		bEnv = starlinkEnv(b, "medium", 7, nil)
 		bObs, benchErr = bEnv.Observations(400)
 		if benchErr != nil {
 			return
 		}
-		bData, benchErr = core.BuildDataset(bObs)
+		if bData, benchErr = core.BuildDataset(bObs); benchErr != nil {
+			return
+		}
+		bFig3, benchErr = bEnv.Fig3("Iowa")
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
 	}
 	return bEnv, bObs, bData
+}
+
+// benchFig3 returns the shared environment's Figure 3 maps.
+func benchFig3(b *testing.B) (*experiments.Env, *experiments.Fig3Result) {
+	env, _, _ := benchSetup(b)
+	return env, bFig3
 }
 
 // BenchmarkFig2RTTTrace regenerates the Figure 2 artifact: a 2-minute
@@ -97,11 +126,7 @@ func BenchmarkStatWindows(b *testing.B) {
 // BenchmarkObstructionXOR regenerates the Figure 3 step: XOR two full
 // obstruction-map snapshots and recover the isolated track.
 func BenchmarkObstructionXOR(b *testing.B) {
-	env, _, _ := benchSetup(b)
-	fig3, err := env.Fig3("Iowa")
-	if err != nil {
-		b.Fatal(err)
-	}
+	_, fig3 := benchFig3(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var track int
@@ -134,11 +159,7 @@ func BenchmarkIdentification(b *testing.B) {
 // campaign engine invokes it: constellation snapshot precomputed and
 // a per-worker matcher reused across iterations.
 func benchIdentifySlot(b *testing.B, brute bool) {
-	env, _, _ := benchSetup(b)
-	fig3, err := env.Fig3("Iowa")
-	if err != nil {
-		b.Fatal(err)
-	}
+	env, fig3 := benchFig3(b)
 	var vp = env.Terminals[0].VantagePoint
 	for _, t := range env.Terminals {
 		if t.Name == "Iowa" {
@@ -154,6 +175,7 @@ func benchIdentifySlot(b *testing.B, brute bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	var ident core.Identification
+	var err error
 	for i := 0; i < b.N; i++ {
 		ident, err = env.Ident.IdentifyFromMapsMatcher(fig3.Prev, fig3.Cur, vp, slotStart, snap, matcher)
 		if err != nil {
@@ -390,10 +412,7 @@ func BenchmarkAblationMatcher(b *testing.B) {
 // constellation propagated with the two-body+J2 baseline instead of
 // SGP4.
 func BenchmarkAblationPropagator(b *testing.B) {
-	env, err := experiments.NewEnv(experiments.Config{Scale: experiments.Small, Seed: 7, UseKeplerJ2: true})
-	if err != nil {
-		b.Fatal(err)
-	}
+	env := starlinkEnv(b, "small", 7, func(s *scenario.Spec) { s.Constellation.UseKeplerJ2 = true })
 	b.ReportAllocs()
 	b.ResetTimer()
 	var acc float64

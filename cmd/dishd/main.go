@@ -26,7 +26,7 @@ import (
 	"time"
 
 	"repro/internal/dishrpc"
-	"repro/internal/experiments"
+	"repro/internal/scenario"
 	"repro/internal/scheduler"
 	"repro/internal/telemetry"
 )
@@ -35,7 +35,7 @@ func main() {
 	var (
 		listen   = flag.String("listen", "127.0.0.1:9200", "dishrpc listen address")
 		terminal = flag.String("terminal", "Iowa", "terminal to simulate")
-		scale    = flag.String("scale", "small", "constellation scale: small|medium|full")
+		scale    = flag.String("scale", "small", "constellation density of the starlink-baseline preset: small|medium|full")
 		seed     = flag.Int64("seed", 7, "deterministic seed")
 		speedup  = flag.Float64("speedup", 60, "simulated seconds per wall second")
 		teleAdr  = flag.String("telemetry-addr", "", "serve /metrics and /debug/vars on this address")
@@ -55,10 +55,15 @@ func run(listen, terminal, scale string, seed int64, speedup float64, teleAdr st
 	if teleAdr != "" {
 		reg = telemetry.NewRegistry()
 	}
-	env, err := experiments.NewEnv(experiments.Config{Scale: experiments.Scale(scale), Seed: seed, Telemetry: reg})
+	spec, err := scenario.Starlink(scale, seed)
 	if err != nil {
 		return err
 	}
+	built, err := spec.Build(scenario.BuildOptions{Telemetry: reg})
+	if err != nil {
+		return err
+	}
+	env := built.Env
 	var term scheduler.Terminal
 	found := false
 	for _, t := range env.Terminals {

@@ -27,9 +27,9 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/experiments"
 	"repro/internal/irtt"
 	"repro/internal/netsim"
+	"repro/internal/scenario"
 )
 
 func main() {
@@ -38,7 +38,7 @@ func main() {
 		listen   = flag.String("listen", "127.0.0.1:9300", "server: listen address")
 		simulate = flag.Bool("simulate", false, "server: inject the simulated Starlink path delay")
 		terminal = flag.String("terminal", "Madrid", "server: simulated terminal")
-		scale    = flag.String("scale", "small", "server: constellation scale")
+		scale    = flag.String("scale", "small", "server: constellation density of the starlink-baseline preset")
 		seed     = flag.Int64("seed", 7, "server: simulation seed")
 		addr     = flag.String("addr", "127.0.0.1:9300", "client: server address")
 		interval = flag.Duration("interval", 20*time.Millisecond, "client: probe interval")
@@ -62,10 +62,15 @@ func main() {
 func runServer(listen string, simulate bool, terminal, scale string, seed int64) error {
 	var delay irtt.DelayFunc
 	if simulate {
-		env, err := experiments.NewEnv(experiments.Config{Scale: experiments.Scale(scale), Seed: seed})
+		spec, err := scenario.Starlink(scale, seed)
 		if err != nil {
 			return err
 		}
+		built, err := spec.Build(scenario.BuildOptions{})
+		if err != nil {
+			return err
+		}
+		env := built.Env
 		var path *netsim.Path
 		for _, t := range env.Terminals {
 			if t.Name == terminal {

@@ -14,7 +14,7 @@
 //
 //	-scenario file|name         run a declarative scenario (JSON file or embedded preset)
 //	-list-scenarios             list the embedded scenario presets and exit
-//	-scale   small|medium|full  constellation density (default medium)
+//	-scale   small|medium|full  starlink-baseline constellation density (default medium)
 //	-seed    int                deterministic seed (default 7)
 //	-slots   int                campaign length in 15s slots (default 500)
 //	-workers int                campaign + model-training worker pool (default 0 = GOMAXPROCS)
@@ -90,7 +90,7 @@ func main() {
 	var opt options
 	flag.StringVar(&opt.scenario, "scenario", "", "run a declarative scenario: a JSON file path or an embedded preset name")
 	flag.BoolVar(&opt.listScenarios, "list-scenarios", false, "list the embedded scenario presets and exit")
-	flag.StringVar(&opt.scale, "scale", "medium", "constellation scale: small|medium|full")
+	flag.StringVar(&opt.scale, "scale", "medium", "constellation density of the starlink-baseline preset: small|medium|full")
 	flag.Int64Var(&opt.seed, "seed", 7, "deterministic seed")
 	flag.IntVar(&opt.slots, "slots", 500, "campaign length in 15-second slots")
 	flag.IntVar(&opt.workers, "workers", 0, "worker pool size for campaigns and fig8 model training (0 = GOMAXPROCS, 1 = serial)")
@@ -188,25 +188,19 @@ func runWorker(ctx context.Context, opt options) error {
 // runDist shards the campaign across external worker processes and
 // prints the sha256 of the merged JSONL stream. With no -coord-workers
 // it runs the identical campaign single-process — producing the golden
-// hash a distributed run must match. A non-nil scn replaces the
-// (scale, seed) Starlink description: workers rebuild the scenario's
-// environment — constellation geometry, terminal placement, scheduler
-// config — from the spec shipped inside the campaign description.
+// hash a distributed run must match. Workers rebuild the environment —
+// constellation geometry, terminal placement, scheduler config — from
+// the spec shipped inside the campaign description.
 func runDist(ctx context.Context, opt options, reg *telemetry.Registry, scn *scenario.Spec) error {
-	spec := coord.CampaignSpec{Scale: opt.scale, Seed: opt.seed, Slots: opt.slots, Oracle: true,
-		SnapshotWorkers: opt.snapWorkers}
-	if scn != nil {
-		spec = coord.CampaignSpec{
-			Scenario:        scn,
-			Seed:            scn.Seed,
-			Slots:           scn.Campaign.Slots,
-			Oracle:          scn.Campaign.Oracle,
-			ResetEvery:      scn.Campaign.ResetEvery,
-			SnapshotWorkers: opt.snapWorkers,
-		}
-		if spec.SnapshotWorkers == 0 {
-			spec.SnapshotWorkers = scn.Campaign.SnapshotWorkers
-		}
+	spec := coord.CampaignSpec{
+		Scenario:        scn,
+		Slots:           scn.Campaign.Slots,
+		Oracle:          scn.Campaign.Oracle,
+		ResetEvery:      scn.Campaign.ResetEvery,
+		SnapshotWorkers: opt.snapWorkers,
+	}
+	if spec.SnapshotWorkers == 0 {
+		spec.SnapshotWorkers = scn.Campaign.SnapshotWorkers
 	}
 	h := sha256.New()
 	var out io.Writer = h
@@ -283,6 +277,38 @@ func sumSkips(skips map[string]int) int {
 	return n
 }
 
+// loadSpec resolves the run's environment description: the -scenario
+// file or preset, else the starlink-baseline preset at -scale density
+// with -seed and -slots.
+func loadSpec(what string, opt options) (*scenario.Spec, error) {
+	if opt.scenario == "" {
+		scn, err := scenario.Starlink(opt.scale, opt.seed)
+		if err != nil {
+			return nil, err
+		}
+		scn.Campaign.Slots = opt.slots
+		return scn, nil
+	}
+	scn, err := scenario.Resolve(opt.scenario)
+	if err != nil {
+		return nil, err
+	}
+	// Explicitly-set flags beat the spec file; the defaults (seed 7,
+	// slots 500) must not clobber what the scenario asked for.
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "slots":
+			scn.Campaign.Slots = opt.slots
+		case "seed":
+			scn.Seed = opt.seed
+		}
+	})
+	if what != "" && what != "dist" {
+		return nil, fmt.Errorf("-scenario runs its own pipeline; it combines only with the dist experiment (got %q)", what)
+	}
+	return scn, nil
+}
+
 func run(ctx context.Context, what string, opt options) error {
 	// The registry exists only when something consumes it: the HTTP
 	// endpoint, the -v summary, or a decision dump. Otherwise every
@@ -291,28 +317,9 @@ func run(ctx context.Context, what string, opt options) error {
 	if opt.telemetryAddr != "" || opt.verbose {
 		reg = telemetry.NewRegistry()
 	}
-	// Resolve the scenario first: it replaces (scale, seed, slots) as
-	// the experiment description, and dist ships it to the workers.
-	var scn *scenario.Spec
-	if opt.scenario != "" {
-		var err error
-		scn, err = scenario.Resolve(opt.scenario)
-		if err != nil {
-			return err
-		}
-		// Explicitly-set flags beat the spec file; the defaults (seed 7,
-		// slots 500) must not clobber what the scenario asked for.
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "slots":
-				scn.Campaign.Slots = opt.slots
-			case "seed":
-				scn.Seed = opt.seed
-			}
-		})
-		if what != "" && what != "dist" {
-			return fmt.Errorf("-scenario runs its own pipeline; it combines only with the dist experiment (got %q)", what)
-		}
+	scn, err := loadSpec(what, opt)
+	if err != nil {
+		return err
 	}
 	// dist never touches the local constellation — workers build their
 	// own environment from the spec — so it skips env construction
@@ -336,163 +343,11 @@ func run(ctx context.Context, what string, opt options) error {
 		}
 		return nil
 	}
-	if scn != nil {
-		return runScenario(ctx, scn, opt, reg)
-	}
 	traceDepth := opt.traceDepth
 	if traceDepth == 0 && opt.traceOut != "" {
 		traceDepth = 4096
 	}
-	env, err := experiments.NewEnv(experiments.Config{
-		Scale: experiments.Scale(opt.scale), Seed: opt.seed, Workers: opt.workers,
-		SnapshotWorkers: opt.snapWorkers,
-		Telemetry:       reg, TraceDecisions: traceDepth, DisableIndex: opt.noIndex,
-	})
-	if err != nil {
-		return err
-	}
-	env.Ctx = ctx
-	if opt.telemetryAddr != "" {
-		srv, err := telemetry.StartServer(ctx, opt.telemetryAddr, reg, env.Trace())
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "repro: telemetry on http://%s/metrics\n", srv.Addr())
-	}
-	fmt.Printf("# constellation: %d satellites (scale=%s seed=%d)\n\n", env.Cons.Len(), opt.scale, opt.seed)
-	slots, dir, fullGrid := opt.slots, opt.dir, opt.fullGrid
-	saveObs, loadObs, saveMdl, pcapPath := opt.saveObs, opt.loadObs, opt.saveMdl, opt.pcapPath
-
-	var obs []core.Observation
-	needObs := func() error {
-		if obs != nil {
-			return nil
-		}
-		if loadObs != "" {
-			f, err := os.Open(loadObs)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			// Replay the trace record by record: a multi-gigabyte capture
-			// decodes in O(1) memory beyond the collected rows themselves.
-			collect := &pipeline.CollectObservations{}
-			counts := &pipeline.CountSkips{}
-			p := &pipeline.Pipeline{
-				Source: pipeline.ObservationReplay{R: f},
-				Sinks:  []pipeline.Sink{counts, pipeline.Where(pipeline.ChosenOnly(), collect)},
-			}
-			if err := p.Run(ctx); err != nil {
-				return err
-			}
-			obs = collect.Obs
-			fmt.Printf("# loaded %d observations from %s (%d records, %d without a chosen satellite)\n\n",
-				len(obs), loadObs, counts.Total, counts.Total-counts.Served)
-			return nil
-		}
-		fmt.Printf("# running %d-slot oracle campaign over %d terminals...\n", slots, len(env.Terminals))
-		start := time.Now()
-		collect := &pipeline.CollectObservations{}
-		sinks := []pipeline.Sink{collect}
-		if saveObs != "" {
-			f, err := os.Create(saveObs)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			// The file fills as the campaign runs — one pass, no buffering
-			// of the whole trace.
-			sinks = append(sinks, pipeline.WriteObservations(f))
-		}
-		before := takeSkips(env.Telemetry)
-		st, err := env.StreamObservations(slots, sinks...)
-		if err != nil {
-			return err
-		}
-		obs = collect.Obs
-		fmt.Printf("# %d observations in %.1fs\n", len(obs), time.Since(start).Seconds())
-		printCampaignStats(st, env.Telemetry, before)
-		fmt.Println()
-		if saveObs != "" {
-			fmt.Printf("# wrote observations to %s\n\n", saveObs)
-		}
-		return nil
-	}
-
-	experimentsToRun := []string{what}
-	if what == "all" {
-		experimentsToRun = []string{"fig2", "stats", "fig3", "ident", "fig4", "fig5", "fig6", "fig7", "fig8", "stream", "ext"}
-	}
-	for _, ex := range experimentsToRun {
-		fmt.Printf("==== %s ====\n", ex)
-		switch ex {
-		case "fig2":
-			err = runFig2(env, pcapPath)
-		case "stats":
-			err = runStats(env)
-		case "fig3":
-			err = runFig3(env, dir)
-		case "ident":
-			err = runIdent(env, dir)
-		case "fig4":
-			if err = needObs(); err == nil {
-				err = runFig4(env, obs)
-			}
-		case "fig5":
-			if err = needObs(); err == nil {
-				err = runFig5(env, obs)
-			}
-		case "fig6":
-			if err = needObs(); err == nil {
-				err = runFig6(env, obs)
-			}
-		case "fig7":
-			if err = needObs(); err == nil {
-				err = runFig7(env, obs)
-			}
-		case "fig8":
-			if err = needObs(); err == nil {
-				err = runFig8(env, obs, fullGrid, saveMdl)
-			}
-		case "stream":
-			err = runStream(env, slots)
-		case "drift":
-			err = runDriftExperiment(opt, reg)
-		case "ext":
-			err = runExtensions(env, slots)
-		default:
-			return fmt.Errorf("unknown experiment %q", ex)
-		}
-		if err != nil {
-			return fmt.Errorf("%s: %w", ex, err)
-		}
-		fmt.Println()
-	}
-	if opt.traceOut != "" {
-		if err := dumpTrace(env, opt.traceOut); err != nil {
-			return err
-		}
-	}
-	if opt.verbose {
-		printPropagationSkips(env)
-		printTelemetry(reg)
-	}
-	return nil
-}
-
-// runScenario executes a declarative scenario end to end: build the
-// environment from the spec, validate identification (§4), run one
-// oracle campaign, and feed the collected observations through every
-// enabled analysis — the §5 behavioral suite, the §6 forest, and the
-// planted-preference recovery experiment. The output carries no
-// wall-clock timings on purpose: two runs of the same scenario must
-// be byte-identical, which is what the CI smoke job asserts.
-func runScenario(ctx context.Context, spec *scenario.Spec, opt options, reg *telemetry.Registry) error {
-	traceDepth := opt.traceDepth
-	if traceDepth == 0 && opt.traceOut != "" {
-		traceDepth = 4096
-	}
-	built, err := spec.Build(scenario.BuildOptions{
+	built, err := scn.Build(scenario.BuildOptions{
 		Telemetry:       reg,
 		TraceDecisions:  traceDepth,
 		DisableIndex:    opt.noIndex,
@@ -511,6 +366,165 @@ func runScenario(ctx context.Context, spec *scenario.Spec, opt options, reg *tel
 		}
 		fmt.Fprintf(os.Stderr, "repro: telemetry on http://%s/metrics\n", srv.Addr())
 	}
+	if opt.scenario != "" {
+		err = runScenario(ctx, built, opt)
+	} else {
+		err = runExperiments(ctx, what, built, opt, reg)
+	}
+	if err != nil {
+		return err
+	}
+	if opt.traceOut != "" {
+		if err := dumpTrace(env, opt.traceOut); err != nil {
+			return err
+		}
+	}
+	if opt.verbose {
+		printPropagationSkips(env)
+		printTelemetry(reg)
+	}
+	return nil
+}
+
+// observations is the observation stage both run modes share: replay
+// -load-obs when load is set, else stream one oracle campaign of slots
+// into the collected rows (and into save as they arrive). st is nil for
+// a replay; before is the skip-counter snapshot printCampaignStats
+// diffs against.
+func observations(ctx context.Context, env *experiments.Env, slots int, load, save string) (obs []core.Observation, st *core.CampaignStats, before map[string]int64, err error) {
+	collect := &pipeline.CollectObservations{}
+	if load != "" {
+		f, err := os.Open(load)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		defer f.Close()
+		// Replay the trace record by record: a multi-gigabyte capture
+		// decodes in O(1) memory beyond the collected rows themselves.
+		counts := &pipeline.CountSkips{}
+		p := &pipeline.Pipeline{
+			Source: pipeline.ObservationReplay{R: f},
+			Sinks:  []pipeline.Sink{counts, pipeline.Where(pipeline.ChosenOnly(), collect)},
+		}
+		if err := p.Run(ctx); err != nil {
+			return nil, nil, nil, err
+		}
+		fmt.Printf("# loaded %d observations from %s (%d records, %d without a chosen satellite)\n\n",
+			len(collect.Obs), load, counts.Total, counts.Total-counts.Served)
+		return collect.Obs, nil, nil, nil
+	}
+	sinks := []pipeline.Sink{collect}
+	if save != "" {
+		f, err := os.Create(save)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		defer f.Close()
+		// The file fills as the campaign runs — one pass, no buffering
+		// of the whole trace.
+		sinks = append(sinks, pipeline.WriteObservations(f))
+	}
+	before = takeSkips(env.Telemetry)
+	st, err = env.StreamObservations(slots, sinks...)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return collect.Obs, st, before, nil
+}
+
+// runExperiments runs the per-figure experiment list over the
+// starlink-baseline environment the -scale/-seed flags select.
+func runExperiments(ctx context.Context, what string, built *scenario.Built, opt options, reg *telemetry.Registry) error {
+	env := built.Env
+	fmt.Printf("# constellation: %d satellites (scale=%s seed=%d)\n\n", env.Cons.Len(), opt.scale, opt.seed)
+	slots := opt.slots
+	var obs []core.Observation
+	needObs := func() error {
+		if obs != nil {
+			return nil
+		}
+		if opt.loadObs == "" {
+			fmt.Printf("# running %d-slot oracle campaign over %d terminals...\n", slots, len(env.Terminals))
+		}
+		start := time.Now()
+		var st *core.CampaignStats
+		var before map[string]int64
+		var err error
+		obs, st, before, err = observations(ctx, env, slots, opt.loadObs, opt.saveObs)
+		if err != nil || st == nil {
+			return err
+		}
+		fmt.Printf("# %d observations in %.1fs\n", len(obs), time.Since(start).Seconds())
+		printCampaignStats(st, env.Telemetry, before)
+		fmt.Println()
+		if opt.saveObs != "" {
+			fmt.Printf("# wrote observations to %s\n\n", opt.saveObs)
+		}
+		return nil
+	}
+
+	experimentsToRun := []string{what}
+	if what == "all" {
+		experimentsToRun = []string{"fig2", "stats", "fig3", "ident", "fig4", "fig5", "fig6", "fig7", "fig8", "stream", "ext"}
+	}
+	for _, ex := range experimentsToRun {
+		fmt.Printf("==== %s ====\n", ex)
+		var err error
+		switch ex {
+		case "fig2":
+			err = runFig2(env, opt.pcapPath)
+		case "stats":
+			err = runStats(env)
+		case "fig3":
+			err = runFig3(env, opt.dir)
+		case "ident":
+			err = runIdent(env, opt.dir)
+		case "fig4":
+			if err = needObs(); err == nil {
+				err = runFig4(env, obs)
+			}
+		case "fig5":
+			if err = needObs(); err == nil {
+				err = runFig5(env, obs)
+			}
+		case "fig6":
+			if err = needObs(); err == nil {
+				err = runFig6(env, obs)
+			}
+		case "fig7":
+			if err = needObs(); err == nil {
+				err = runFig7(env, obs)
+			}
+		case "fig8":
+			if err = needObs(); err == nil {
+				err = runFig8(env, obs, opt.fullGrid, opt.saveMdl)
+			}
+		case "stream":
+			err = runStream(env, slots)
+		case "drift":
+			err = runDriftExperiment(built.Spec, opt, reg)
+		case "ext":
+			err = runExtensions(env, slots)
+		default:
+			return fmt.Errorf("unknown experiment %q", ex)
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", ex, err)
+		}
+		fmt.Println()
+	}
+	return nil
+}
+
+// runScenario executes a declarative scenario end to end: validate
+// identification (§4), run one oracle campaign, and feed the collected
+// observations through every enabled analysis — the §5 behavioral
+// suite, the §6 forest, and the planted-preference recovery
+// experiment. The output carries no wall-clock timings on purpose: two
+// runs of the same scenario must be byte-identical, which is what the
+// CI smoke job asserts.
+func runScenario(ctx context.Context, built *scenario.Built, opt options) error {
+	spec, env := built.Spec, built.Env
 	fmt.Printf("==== scenario %s ====\n", spec.Name)
 	if spec.Description != "" {
 		fmt.Printf("# %s\n", spec.Description)
@@ -531,123 +545,64 @@ func runScenario(ctx context.Context, spec *scenario.Spec, opt options, reg *tel
 
 	// Every remaining stage consumes the same observation set, so the
 	// campaign runs exactly once no matter how many are enabled.
-	needObs := spec.Outputs.Observations != "" || opt.saveObs != ""
-	for _, a := range []string{"aoe", "azimuth", "launch", "sunlit", "model", "recovery"} {
-		needObs = needObs || spec.AnalysisEnabled(a)
+	var obs []core.Observation
+	stages := []struct {
+		name string
+		run  func() error
+	}{
+		{"aoe", func() error { return runFig4(env, obs) }},
+		{"azimuth", func() error { return runFig5(env, obs) }},
+		{"launch", func() error { return runFig6(env, obs) }},
+		{"sunlit", func() error { return runFig7(env, obs) }},
+		{"model", func() error { return runFig8(env, obs, opt.fullGrid, opt.saveMdl) }},
+		{"recovery", func() error { return runRecovery(ctx, spec, obs) }},
 	}
-	if !needObs {
-		return finishScenario(env, opt, reg)
-	}
-	collect := &pipeline.CollectObservations{}
-	sinks := []pipeline.Sink{collect}
 	savePath := spec.Outputs.Observations
 	if opt.saveObs != "" {
 		savePath = opt.saveObs
 	}
-	if savePath != "" {
-		f, err := os.Create(savePath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		sinks = append(sinks, pipeline.WriteObservations(f))
+	needObs := savePath != ""
+	for _, st := range stages {
+		needObs = needObs || spec.AnalysisEnabled(st.name)
 	}
-	before := takeSkips(env.Telemetry)
-	st, err := env.StreamObservations(built.Slots, sinks...)
+	if !needObs {
+		return nil
+	}
+	obs, st, before, err := observations(ctx, env, built.Slots, opt.loadObs, savePath)
 	if err != nil {
 		return err
 	}
-	obs := collect.Obs
-	fmt.Printf("\n# %d observations from the %d-slot oracle campaign\n", len(obs), built.Slots)
-	printCampaignStats(st, env.Telemetry, before)
-	if savePath != "" {
-		fmt.Printf("# wrote observations to %s\n", savePath)
-	}
-
-	stage := func(name string, f func() error) error {
-		if !spec.AnalysisEnabled(name) {
-			return nil
+	if st != nil {
+		fmt.Printf("\n# %d observations from the %d-slot oracle campaign\n", len(obs), built.Slots)
+		printCampaignStats(st, env.Telemetry, before)
+		if savePath != "" {
+			fmt.Printf("# wrote observations to %s\n", savePath)
 		}
-		fmt.Printf("\n---- %s ----\n", name)
-		if err := f(); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		return nil
 	}
-	if err := stage("aoe", func() error {
-		a, err := env.Fig4(obs)
-		if err != nil {
-			return err
+	for _, stage := range stages {
+		if !spec.AnalysisEnabled(stage.name) {
+			continue
 		}
-		printAOE(a)
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := stage("azimuth", func() error {
-		a, err := env.Fig5(obs)
-		if err != nil {
-			return err
+		fmt.Printf("\n---- %s ----\n", stage.name)
+		if err := stage.run(); err != nil {
+			return fmt.Errorf("%s: %w", stage.name, err)
 		}
-		printAzimuth(a)
-		return nil
-	}); err != nil {
-		return err
 	}
-	if err := stage("launch", func() error {
-		a, err := env.Fig6(obs)
-		if err != nil {
-			return err
-		}
-		printLaunch(a)
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := stage("sunlit", func() error {
-		a, err := env.Fig7(obs)
-		if err != nil {
-			return err
-		}
-		printSunlit(a)
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := stage("model", func() error {
-		return runFig8(env, obs, opt.fullGrid, opt.saveMdl)
-	}); err != nil {
-		return err
-	}
-	if err := stage("recovery", func() error {
-		planted, ok := spec.PlantedWeights()
-		if !ok {
-			return fmt.Errorf("no planted scheduler weights in the spec")
-		}
-		res, err := scenario.RunPreferenceRecovery(ctx, obs, planted, experiments.QuickModelConfig(spec.Seed))
-		if err != nil {
-			return err
-		}
-		printRecovery(res)
-		return nil
-	}); err != nil {
-		return err
-	}
-	return finishScenario(env, opt, reg)
+	return nil
 }
 
-// finishScenario mirrors the non-scenario run epilogue: decision-ring
-// dump and the -v telemetry summary.
-func finishScenario(env *experiments.Env, opt options, reg *telemetry.Registry) error {
-	if opt.traceOut != "" {
-		if err := dumpTrace(env, opt.traceOut); err != nil {
-			return err
-		}
+// runRecovery runs the planted-preference recovery experiment on the
+// scenario's observations.
+func runRecovery(ctx context.Context, spec *scenario.Spec, obs []core.Observation) error {
+	planted, ok := spec.PlantedWeights()
+	if !ok {
+		return fmt.Errorf("no planted scheduler weights in the spec")
 	}
-	if opt.verbose {
-		printPropagationSkips(env)
-		printTelemetry(reg)
+	res, err := scenario.RunPreferenceRecovery(ctx, obs, planted, experiments.QuickModelConfig(spec.Seed))
+	if err != nil {
+		return err
 	}
+	printRecovery(res)
 	return nil
 }
 
@@ -997,7 +952,7 @@ func runStream(env *experiments.Env, slots int) error {
 // detection and recovery. With -predict-addr the slot stream feeds a
 // running predictd over dishrpc; otherwise a synchronous in-process
 // service keeps the output deterministic.
-func runDriftExperiment(opt options, reg *telemetry.Registry) error {
+func runDriftExperiment(spec *scenario.Spec, opt options, reg *telemetry.Registry) error {
 	var scorer pipeline.OnlineScorer
 	if opt.predictAddr != "" {
 		c, err := predict.Dial(opt.predictAddr)
@@ -1011,7 +966,7 @@ func runDriftExperiment(opt options, reg *telemetry.Registry) error {
 		svc, err := predict.NewService(predict.Config{
 			Window: 512, RefitEvery: 128, MinFit: 256,
 			Trees: 20, MaxDepth: 10,
-			Seed: opt.seed, Workers: opt.workers,
+			Seed: spec.Seed, Workers: opt.workers,
 			Synchronous: true, Registry: reg,
 		})
 		if err != nil {
@@ -1020,8 +975,7 @@ func runDriftExperiment(opt options, reg *telemetry.Registry) error {
 		scorer = svc
 	}
 	res, err := scenario.RunDrift(scenario.DriftConfig{
-		Scale:           experiments.Scale(opt.scale),
-		Seed:            opt.seed,
+		Spec:            spec,
 		Slots:           opt.slots,
 		Scorer:          scorer,
 		Offline:         opt.predictAddr == "", // remote runs skip the batch cross-check

@@ -25,7 +25,7 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/experiments"
+	"repro/internal/scenario"
 	"repro/internal/scheduler"
 	"repro/internal/telemetry"
 	"repro/internal/traceio"
@@ -33,7 +33,7 @@ import (
 
 func main() {
 	var (
-		scale   = flag.String("scale", "medium", "constellation scale: small|medium|full")
+		scale   = flag.String("scale", "medium", "constellation density of the starlink-baseline preset: small|medium|full")
 		seed    = flag.Int64("seed", 7, "deterministic seed")
 		slots   = flag.Int("slots", 40, "slots to simulate (15 s each)")
 		tlePath = flag.String("tle", "", "also write the constellation TLEs to this file")
@@ -53,10 +53,15 @@ func run(ctx context.Context, scale string, seed int64, slots int, tlePath, tele
 	if teleAdr != "" {
 		reg = telemetry.NewRegistry()
 	}
-	env, err := experiments.NewEnv(experiments.Config{Scale: experiments.Scale(scale), Seed: seed, Telemetry: reg})
+	spec, err := scenario.Starlink(scale, seed)
 	if err != nil {
 		return err
 	}
+	built, err := spec.Build(scenario.BuildOptions{Telemetry: reg})
+	if err != nil {
+		return err
+	}
+	env := built.Env
 	var srv *telemetry.Server
 	if teleAdr != "" {
 		if srv, err = telemetry.StartServer(ctx, teleAdr, reg, env.Trace()); err != nil {

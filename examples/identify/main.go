@@ -16,17 +16,22 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/obstruction"
+	"repro/internal/scenario"
 	"repro/internal/scheduler"
 	"repro/internal/skyplot"
 )
 
 func main() {
-	env, err := experiments.NewEnv(experiments.Config{Scale: experiments.Small, Seed: 11})
+	spec, err := scenario.Starlink("small", 11)
 	if err != nil {
 		log.Fatal(err)
 	}
+	built, err := spec.Build(scenario.BuildOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	env := built.Env
 	iowa := env.Terminals[0]
 	fmt.Printf("terminal: %s; %d satellites in the constellation\n\n", iowa.Name, env.Cons.Len())
 

@@ -13,18 +13,23 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/experiments"
 	"repro/internal/irtt"
 	"repro/internal/netsim"
+	"repro/internal/scenario"
 	"repro/internal/scheduler"
 	"repro/internal/stats"
 )
 
 func main() {
-	env, err := experiments.NewEnv(experiments.Config{Scale: experiments.Small, Seed: 33})
+	spec, err := scenario.Starlink("small", 33)
 	if err != nil {
 		log.Fatal(err)
 	}
+	built, err := spec.Build(scenario.BuildOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	env := built.Env
 	term := env.Terminals[0]
 	path, err := netsim.NewPath(netsim.Config{
 		Constellation: env.Cons,

@@ -14,13 +14,19 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/features"
+	"repro/internal/scenario"
 )
 
 func main() {
-	env, err := experiments.NewEnv(experiments.Config{Scale: experiments.Medium, Seed: 21})
+	spec, err := scenario.Starlink("medium", 21)
 	if err != nil {
 		log.Fatal(err)
 	}
+	built, err := spec.Build(scenario.BuildOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	env := built.Env
 	fmt.Printf("constellation: %d satellites\n", env.Cons.Len())
 
 	fmt.Println("collecting observations (350 slots x 4 terminals)...")
@@ -37,8 +43,8 @@ func main() {
 	for i, a := range o.Available {
 		sats[i] = features.Sat{AzimuthDeg: a.AzimuthDeg, ElevationDeg: a.ElevationDeg, AgeYears: a.AgeYears, Sunlit: a.Sunlit}
 	}
-	slot, err := features.Cluster(sats)
-	if err != nil {
+	var slot features.Slot
+	if err := features.ClusterInto(&slot, sats); err != nil {
 		log.Fatal(err)
 	}
 	chosen, _ := o.Chosen()

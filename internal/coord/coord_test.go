@@ -20,7 +20,11 @@ import (
 // testSpec is small and oracle-mode so a full campaign runs in
 // milliseconds per worker while still exercising every layer.
 func testSpec(slots int) CampaignSpec {
-	return CampaignSpec{Scale: "small", Seed: 41, Slots: slots, Oracle: true}
+	scn, err := scenario.Starlink("small", 41)
+	if err != nil {
+		panic(err)
+	}
+	return CampaignSpec{Scenario: scn, Slots: slots, Oracle: true}
 }
 
 // serialBytes runs the spec single-process and returns the traceio
@@ -323,7 +327,7 @@ func TestCoordinatorScenarioSpec(t *testing.T) {
 	if err := scn.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	spec := CampaignSpec{Scenario: scn, Seed: scn.Seed, Slots: scn.Campaign.Slots, Oracle: true}
+	spec := CampaignSpec{Scenario: scn, Slots: scn.Campaign.Slots, Oracle: true}
 	golden := serialBytes(t, spec)
 	if len(golden) == 0 {
 		t.Fatal("empty golden scenario stream")

@@ -3,7 +3,7 @@
 // single-process run would produce.
 //
 // The design leans on one property of the ground-truth scheduler: it
-// is deterministic from (scale, seed) but stateful across slots, so it
+// is deterministic from its scenario spec but stateful across slots, so it
 // cannot be split — every worker runs the FULL scheduler from slot 0
 // and computes records only for its contiguous terminal shard
 // (core.CampaignConfig.Shard). The coordinator fetches each shard's
@@ -32,7 +32,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dishrpc"
-	"repro/internal/experiments"
 	"repro/internal/scenario"
 )
 
@@ -40,19 +39,14 @@ import (
 // every worker. Workers rebuild the identical environment from it, so
 // the spec must pin everything determinism depends on.
 type CampaignSpec struct {
-	// Scale is the constellation density (experiments.Scale). Ignored
-	// when Scenario is set.
-	Scale string `json:"scale"`
-	Seed  int64  `json:"seed"`
-	Slots int    `json:"slots"`
-	// Scenario, when non-nil, carries a full declarative scenario —
-	// constellation design (including non-Starlink Walker-star
-	// geometry), terminal placement, scheduler config — and each
-	// worker rebuilds its environment from it instead of assuming the
-	// Starlink shells. The coordinator-level campaign shape (Slots,
-	// Oracle, ResetEvery, SnapshotWorkers) stays authoritative here:
-	// the merge loop and shard journals are keyed on it.
-	Scenario *scenario.Spec `json:"scenario,omitempty"`
+	// Scenario is the declarative environment — constellation design
+	// (including non-Starlink Walker-star geometry), seed, terminal
+	// placement, scheduler config — each worker rebuilds. The
+	// coordinator-level campaign shape (Slots, Oracle, ResetEvery,
+	// SnapshotWorkers) stays authoritative here: the merge loop and
+	// shard journals are keyed on it.
+	Scenario *scenario.Spec `json:"scenario"`
+	Slots    int            `json:"slots"`
 	// Oracle labels slots with scheduler ground truth instead of running
 	// obstruction-map identification.
 	Oracle bool `json:"oracle"`
@@ -70,28 +64,17 @@ type CampaignSpec struct {
 type Builder func(CampaignSpec) (core.CampaignConfig, error)
 
 // BuildCampaign is the default Builder: a full experiments environment
-// from the scenario spec when one is attached, else from (scale,
-// seed) — exactly what cmd/repro runs single-process.
+// lowered from the scenario spec — exactly what cmd/repro runs
+// single-process.
 func BuildCampaign(spec CampaignSpec) (core.CampaignConfig, error) {
-	var env *experiments.Env
-	var err error
-	if spec.Scenario != nil {
-		var built *scenario.Built
-		built, err = spec.Scenario.Build(scenario.BuildOptions{SnapshotWorkers: spec.SnapshotWorkers})
-		if err != nil {
-			return core.CampaignConfig{}, err
-		}
-		env = built.Env
-	} else {
-		env, err = experiments.NewEnv(experiments.Config{
-			Scale:           experiments.Scale(spec.Scale),
-			Seed:            spec.Seed,
-			SnapshotWorkers: spec.SnapshotWorkers,
-		})
-		if err != nil {
-			return core.CampaignConfig{}, err
-		}
+	if spec.Scenario == nil {
+		return core.CampaignConfig{}, fmt.Errorf("coord: campaign spec has no scenario")
 	}
+	built, err := spec.Scenario.Build(scenario.BuildOptions{SnapshotWorkers: spec.SnapshotWorkers})
+	if err != nil {
+		return core.CampaignConfig{}, err
+	}
+	env := built.Env
 	return core.CampaignConfig{
 		Scheduler:       env.Sched,
 		Identifier:      env.Ident,

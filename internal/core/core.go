@@ -64,15 +64,9 @@ func AvailableSet(snap []constellation.SatState, vp geo.VantagePoint, slotStart 
 	return availFromFov(constellation.ObserveFrom(vp.Location, snap, minElevDeg), slotStart)
 }
 
-// AvailableSetIndexed is AvailableSet answered through a spatial index
-// over the same snapshot — identical output (set, order, floats) in
-// near-O(visible) instead of O(constellation).
-func AvailableSetIndexed(ix *constellation.SnapshotIndex, vp geo.VantagePoint, slotStart time.Time, minElevDeg float64) []SatObs {
-	return availFromFov(ix.ObserveFrom(vp.Location, minElevDeg), slotStart)
-}
-
 // availFromFov converts a sorted field-of-view into the observation
-// rows — the single conversion both AvailableSet paths share.
+// rows — the single conversion AvailableSet and the campaign's
+// indexed path share.
 func availFromFov(fov []constellation.Visible, slotStart time.Time) []SatObs {
 	out := make([]SatObs, 0, len(fov))
 	for _, v := range fov {

@@ -19,6 +19,7 @@ import (
 type DatasetBuilder struct {
 	d    *ml.Dataset
 	sats []features.Sat // scratch, reused across Adds
+	slot features.Slot  // scratch, reused across Adds
 }
 
 // NewDatasetBuilder returns an empty builder.
@@ -40,15 +41,18 @@ func (b *DatasetBuilder) Add(o Observation) error {
 			Sunlit:       a.Sunlit,
 		})
 	}
-	slot, err := features.Cluster(b.sats)
+	if err := features.ClusterInto(&b.slot, b.sats); err != nil {
+		return fmt.Errorf("core: slot %v at %s: %w", o.SlotStart, o.Terminal, err)
+	}
+	key, err := b.slot.KeyOf(o.ChosenIdx)
 	if err != nil {
 		return fmt.Errorf("core: slot %v at %s: %w", o.SlotStart, o.Terminal, err)
 	}
-	key, err := slot.KeyOf(o.ChosenIdx)
-	if err != nil {
-		return fmt.Errorf("core: slot %v at %s: %w", o.SlotStart, o.Terminal, err)
+	x := make([]float64, features.VectorLen) // the row the dataset keeps
+	if err := b.slot.VectorInto(o.LocalHour, x); err != nil {
+		return err
 	}
-	b.d.X = append(b.d.X, slot.Vector(o.LocalHour))
+	b.d.X = append(b.d.X, x)
 	b.d.Y = append(b.d.Y, key.Index())
 	return nil
 }
@@ -239,11 +243,15 @@ func PredictAllocation(forest *ml.Forest, o *Observation) ([]features.Key, error
 			Sunlit:       a.Sunlit,
 		}
 	}
-	slot, err := features.Cluster(sats)
-	if err != nil {
+	var slot features.Slot
+	if err := features.ClusterInto(&slot, sats); err != nil {
 		return nil, err
 	}
-	ranked, err := ml.ForestRanker{Forest: forest}.RankClasses(slot.Vector(o.LocalHour))
+	x := make([]float64, features.VectorLen)
+	if err := slot.VectorInto(o.LocalHour, x); err != nil {
+		return nil, err
+	}
+	ranked, err := ml.ForestRanker{Forest: forest}.RankClasses(x)
 	if err != nil {
 		return nil, err
 	}

@@ -24,53 +24,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Scale selects constellation density. The analyses' shapes are stable
-// across scales; Full matches the 2023 Starlink constellation count
-// and the paper's ~40 satellites in view.
-type Scale string
-
-// Scales.
-const (
-	// Small: ~700 satellites, a few in view. Fast smoke tests.
-	Small Scale = "small"
-	// Medium: ~1800 satellites, ~15 in view. Default: paper-shaped
-	// results in seconds.
-	Medium Scale = "medium"
-	// Full: ~4400 satellites, ~40 in view, matches the paper's density.
-	Full Scale = "full"
-)
-
-func shellsFor(s Scale) ([]constellation.Shell, error) {
-	switch s {
-	case Small:
-		return []constellation.Shell{
-			{Name: "s1", AltitudeKm: 550, InclinationDeg: 53, Planes: 30, SatsPerPlane: 18, PhasingF: 13},
-			{Name: "s3", AltitudeKm: 570, InclinationDeg: 70, Planes: 12, SatsPerPlane: 12, PhasingF: 5},
-		}, nil
-	case Medium, "":
-		return []constellation.Shell{
-			{Name: "s1", AltitudeKm: 550, InclinationDeg: 53, Planes: 48, SatsPerPlane: 20, PhasingF: 17},
-			{Name: "s2", AltitudeKm: 540, InclinationDeg: 53.2, Planes: 40, SatsPerPlane: 18, PhasingF: 13},
-			{Name: "s3", AltitudeKm: 570, InclinationDeg: 70, Planes: 14, SatsPerPlane: 14, PhasingF: 5},
-		}, nil
-	case Full:
-		return constellation.StarlinkShells(), nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown scale %q (want small|medium|full)", s)
-	}
-}
-
-// ShellsFor exposes the scale→shell-design mapping to spec-driven
-// callers (internal/scenario lowers constellation presets through it).
-func ShellsFor(s Scale) ([]constellation.Shell, error) { return shellsFor(s) }
-
-// Config assembles an environment.
+// Config assembles an environment. scenario.Spec lowers into it
+// (Spec.EnvConfig); build environments from a spec, not by hand.
 type Config struct {
-	Scale Scale
-	Seed  int64
-	// Shells overrides Scale with an explicit constellation design
-	// (the scenario engine's non-Starlink geometries). Scale is
-	// ignored when set.
+	Seed int64
+	// Shells is the constellation design (required).
 	Shells []constellation.Shell
 	// NamePrefix names synthetic satellites "<prefix>-<n>"; empty
 	// keeps the STARLINK catalog naming.
@@ -152,6 +110,9 @@ type Env struct {
 	// DisableIndex forces linear visibility scans everywhere (ablation;
 	// results are identical, only slower).
 	DisableIndex bool
+	// cfg is the Config this environment was built from; the §8
+	// sibling environments are copies of it.
+	cfg Config
 }
 
 // Trace returns the decision-trace ring, nil when tracing is off.
@@ -173,15 +134,11 @@ func (e *Env) ctx() context.Context {
 // NewEnv builds the constellation, terminals, scheduler, and
 // identifier.
 func NewEnv(cfg Config) (*Env, error) {
-	shells := cfg.Shells
-	if len(shells) == 0 {
-		var err error
-		if shells, err = shellsFor(cfg.Scale); err != nil {
-			return nil, err
-		}
+	if len(cfg.Shells) == 0 {
+		return nil, fmt.Errorf("experiments: no constellation shells")
 	}
 	cons, err := constellation.New(constellation.Config{
-		Shells:      shells,
+		Shells:      cfg.Shells,
 		Seed:        cfg.Seed,
 		UseKeplerJ2: cfg.UseKeplerJ2,
 		NamePrefix:  cfg.NamePrefix,
@@ -231,7 +188,7 @@ func NewEnv(cfg Config) (*Env, error) {
 	}
 	e := &Env{Cons: cons, Sched: sched, Ident: ident, Terminals: terms, Seed: cfg.Seed,
 		Workers: cfg.Workers, Telemetry: cfg.Telemetry,
-		Snaps: snaps, DisableIndex: cfg.DisableIndex}
+		Snaps: snaps, DisableIndex: cfg.DisableIndex, cfg: cfg}
 	e.Metrics = core.NewCampaignMetrics(cfg.Telemetry)
 	if cfg.TraceDecisions > 0 {
 		if e.Metrics == nil {

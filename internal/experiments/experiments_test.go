@@ -1,4 +1,4 @@
-package experiments
+package experiments_test
 
 import (
 	"sync"
@@ -6,21 +6,38 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/experiments"
+	"repro/internal/scenario"
 )
 
 var (
 	envOnce sync.Once
-	envS    *Env
+	envS    *experiments.Env
 	envObs  []core.Observation
 )
 
-func smallEnv(t testing.TB) (*Env, []core.Observation) {
+// starlinkEnv builds the starlink-baseline environment at the given
+// density and seed, with edit applied to the spec first (nil: none).
+func starlinkEnv(t testing.TB, scale string, seed int64, edit func(*scenario.Spec)) *experiments.Env {
+	t.Helper()
+	spec, err := scenario.Starlink(scale, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if edit != nil {
+		edit(spec)
+	}
+	built, err := spec.Build(scenario.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return built.Env
+}
+
+func smallEnv(t testing.TB) (*experiments.Env, []core.Observation) {
 	t.Helper()
 	envOnce.Do(func() {
-		e, err := NewEnv(Config{Scale: Small, Seed: 3})
-		if err != nil {
-			panic(err)
-		}
+		e := starlinkEnv(t, "small", 3, nil)
 		obs, err := e.Observations(200)
 		if err != nil {
 			panic(err)
@@ -31,18 +48,19 @@ func smallEnv(t testing.TB) (*Env, []core.Observation) {
 	return envS, envObs
 }
 
+// TestNewEnvScales: every -scale density lowers to a working
+// environment; an unknown density, or a Config without shells, does not.
 func TestNewEnvScales(t *testing.T) {
-	for _, s := range []Scale{Small, Medium} {
-		e, err := NewEnv(Config{Scale: s, Seed: 1})
-		if err != nil {
-			t.Fatalf("%s: %v", s, err)
-		}
-		if e.Cons.Len() == 0 {
+	for _, s := range []string{"small", "medium"} {
+		if e := starlinkEnv(t, s, 1, nil); e.Cons.Len() == 0 {
 			t.Fatalf("%s: empty constellation", s)
 		}
 	}
-	if _, err := NewEnv(Config{Scale: "bogus"}); err == nil {
+	if _, err := scenario.Starlink("bogus", 1); err == nil {
 		t.Error("bogus scale accepted")
+	}
+	if _, err := experiments.NewEnv(experiments.Config{Seed: 1}); err == nil {
+		t.Error("environment without constellation shells accepted")
 	}
 }
 
@@ -168,7 +186,7 @@ func TestFig8QuickModel(t *testing.T) {
 	if len(obs) < 100 {
 		t.Skip("not enough observations")
 	}
-	res, err := e.Fig8(obs, QuickModelConfig(5))
+	res, err := e.Fig8(obs, experiments.QuickModelConfig(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,17 +200,11 @@ func TestFig8QuickModel(t *testing.T) {
 
 func TestAblationEnvs(t *testing.T) {
 	// The ablation switches must produce working environments.
-	kep, err := NewEnv(Config{Scale: Small, Seed: 4, UseKeplerJ2: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	kep := starlinkEnv(t, "small", 4, func(s *scenario.Spec) { s.Constellation.UseKeplerJ2 = true })
 	if _, err := kep.Observations(10); err != nil {
 		t.Fatal(err)
 	}
-	noGSO, err := NewEnv(Config{Scale: Small, Seed: 4, GSOProtectionDeg: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	noGSO := starlinkEnv(t, "small", 4, func(s *scenario.Spec) { s.Scheduler.DisableGSO = true })
 	if _, err := noGSO.Observations(10); err != nil {
 		t.Fatal(err)
 	}

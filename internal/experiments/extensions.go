@@ -56,11 +56,7 @@ func (e *Env) HemisphereComparison(slots int) (*HemisphereResult, error) {
 	if slots == 0 {
 		slots = 200
 	}
-	south, err := NewEnv(Config{
-		Scale:         scaleOf(e),
-		Seed:          e.Seed,
-		VantagePoints: geo.SouthernVantagePoints(),
-	})
+	south, err := e.sibling(southernSites)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: southern env: %w", err)
 	}
@@ -103,17 +99,40 @@ func (e *Env) HemisphereComparison(slots int) (*HemisphereResult, error) {
 	return res, nil
 }
 
-// scaleOf recovers the scale used to build an Env by satellite count —
-// good enough for spawning a sibling environment.
-func scaleOf(e *Env) Scale {
-	switch n := e.Cons.Len(); {
-	case n <= 900:
-		return Small
-	case n <= 2500:
-		return Medium
-	default:
-		return Full
+// sibling builds a §8 ablation twin of e: a copy of the Config e was
+// built from with edit applied, and no registry or decision ring, so
+// the twin's campaigns stay out of the parent's counters and trace.
+func (e *Env) sibling(edit func(*Config)) (*Env, error) {
+	cfg := e.cfg
+	cfg.Telemetry, cfg.TraceDecisions = nil, 0
+	edit(&cfg)
+	s, err := NewEnv(cfg)
+	if err != nil {
+		return nil, err
 	}
+	s.Ctx = e.Ctx
+	return s, nil
+}
+
+// The §8 sibling edits: each changes only the ablated field.
+func southernSites(c *Config) { c.VantagePoints = geo.SouthernVantagePoints() }
+
+func withoutGSO(c *Config) { c.GSOProtectionDeg = -1 }
+
+// withoutLoad zeroes the hidden load term of the effective weights.
+func withoutLoad(c *Config) {
+	if c.Weights == (scheduler.Weights{}) {
+		c.Weights = scheduler.DefaultWeights()
+	}
+	c.Weights.Load = 0
+}
+
+// deterministic also removes the score noise and the battery term,
+// which is as unobservable as load.
+func deterministic(c *Config) {
+	withoutLoad(c)
+	c.Weights.NoiseStd = 1e-9
+	c.Weights.Charge = 0
 }
 
 // LoadSensitivityResult is the §8 load-hypothesis test.
@@ -144,16 +163,11 @@ func (e *Env) LoadSensitivity(slots int) (*LoadSensitivityResult, error) {
 	if slots == 0 {
 		slots = 400
 	}
-	noLoad := scheduler.DefaultWeights()
-	noLoad.Load = 0
-	quiet, err := NewEnv(Config{Scale: scaleOf(e), Seed: e.Seed, Weights: noLoad})
+	quiet, err := e.sibling(withoutLoad)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: no-load env: %w", err)
 	}
-	det := noLoad
-	det.NoiseStd = 1e-9
-	det.Charge = 0 // battery state is as unobservable as load
-	deterministic, err := NewEnv(Config{Scale: scaleOf(e), Seed: e.Seed, Weights: det})
+	det, err := e.sibling(deterministic)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: deterministic env: %w", err)
 	}
@@ -165,7 +179,7 @@ func (e *Env) LoadSensitivity(slots int) (*LoadSensitivityResult, error) {
 	}{
 		{e, &out.WithHiddenLoad, &out.WithHiddenLoadTop1},
 		{quiet, &out.WithoutHiddenLoad, &out.WithoutHiddenLoadTop1},
-		{deterministic, &out.Deterministic, &out.DeterministicTop1},
+		{det, &out.Deterministic, &out.DeterministicTop1},
 	} {
 		obs, err := pair.env.Observations(slots)
 		if err != nil {
@@ -204,7 +218,7 @@ func (e *Env) GSOAblation(slots int) (*GSOAblationResult, error) {
 	if slots == 0 {
 		slots = 200
 	}
-	noGSO, err := NewEnv(Config{Scale: scaleOf(e), Seed: e.Seed, GSOProtectionDeg: -1})
+	noGSO, err := e.sibling(withoutGSO)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: no-GSO env: %w", err)
 	}

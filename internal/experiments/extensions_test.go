@@ -1,6 +1,113 @@
-package experiments
+package experiments_test
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/experiments"
+	"repro/internal/geo"
+	"repro/internal/scenario"
+	"repro/internal/scheduler"
+	"repro/internal/telemetry"
+)
+
+// TestSiblingsKeepParentEnvironment: a §8 sibling is its parent's
+// environment with only the ablated field changed, also when the parent
+// is not a Starlink density. A OneWeb parent's siblings keep its
+// constellation, terminals, masks, scheduler switches and planted
+// weights, and stay out of its registry and decision ring.
+func TestSiblingsKeepParentEnvironment(t *testing.T) {
+	spec, err := scenario.LoadPreset("oneweb-star")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	built, err := spec.Build(scenario.BuildOptions{Telemetry: reg, TraceDecisions: 16, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent := built.Env
+	if parent.Trace() == nil || parent.Telemetry == nil {
+		t.Fatal("parent built without registry or trace ring")
+	}
+	planted, ok := spec.PlantedWeights()
+	if !ok {
+		t.Fatal("oneweb-star plants no weights")
+	}
+	noLoad := planted
+	noLoad.Load = 0
+	det := noLoad
+	det.NoiseStd, det.Charge = 1e-9, 0
+	var southern []string
+	for _, vp := range geo.SouthernVantagePoints() {
+		southern = append(southern, vp.Name)
+	}
+	pcfg := parent.BuiltFrom()
+	for _, tc := range []struct {
+		name      string
+		edit      func(*experiments.Config)
+		weights   scheduler.Weights
+		terminals []string // nil: the parent's terminals
+	}{
+		{"southern", experiments.SouthernSites, planted, southern},
+		{"no-gso", experiments.WithoutGSO, planted, nil},
+		{"no-load", experiments.WithoutLoad, noLoad, nil},
+		{"deterministic", experiments.Deterministic, det, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sib, err := parent.Sibling(tc.edit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sib.Cons.Fingerprint() != parent.Cons.Fingerprint() {
+				t.Errorf("constellation fingerprint differs from the parent's (%d vs %d sats)", sib.Cons.Len(), parent.Cons.Len())
+			}
+			if tc.terminals == nil {
+				if !reflect.DeepEqual(sib.Terminals, parent.Terminals) {
+					t.Error("terminals or masks differ from the parent's")
+				}
+			} else {
+				var names []string
+				for _, term := range sib.Terminals {
+					names = append(names, term.Name)
+				}
+				if !reflect.DeepEqual(names, tc.terminals) {
+					t.Errorf("terminals %v, want %v", names, tc.terminals)
+				}
+			}
+			cfg := sib.BuiltFrom()
+			if cfg.GSOProtectionDeg != -1 || !cfg.DisableGroundStations || !cfg.DisableBattery || sib.Sched.Fleet() != nil {
+				t.Errorf("scheduler switches lost: gso %v, ground stations off %v, battery off %v (fleet %v)",
+					cfg.GSOProtectionDeg, cfg.DisableGroundStations, cfg.DisableBattery, sib.Sched.Fleet() != nil)
+			}
+			if cfg.MinElevationDeg != pcfg.MinElevationDeg || cfg.GSMinElevationDeg != pcfg.GSMinElevationDeg || cfg.Seed != pcfg.Seed {
+				t.Error("elevation masks or seed differ from the parent's")
+			}
+			if cfg.Weights != tc.weights {
+				t.Errorf("weights %+v, want %+v", cfg.Weights, tc.weights)
+			}
+			if sib.Telemetry != nil || sib.Metrics != nil || sib.Trace() != nil {
+				t.Error("sibling shares the parent's registry or trace ring")
+			}
+		})
+	}
+}
+
+// TestLoadSiblingUsesEffectiveWeights: a parent on the default
+// weights (zero Weights) gets a no-load sibling on the defaults minus
+// Load, not on all-zero weights.
+func TestLoadSiblingUsesEffectiveWeights(t *testing.T) {
+	e, _ := smallEnv(t)
+	sib, err := e.Sibling(experiments.WithoutLoad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := scheduler.DefaultWeights()
+	want.Load = 0
+	if got := sib.BuiltFrom().Weights; got != want {
+		t.Errorf("no-load sibling weights %+v, want %+v", got, want)
+	}
+}
 
 func TestHemisphereComparison(t *testing.T) {
 	e, _ := smallEnv(t)

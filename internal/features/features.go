@@ -15,8 +15,6 @@ package features
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/stats"
 )
 
 // ZRange clamps rounded z-scores to [-ZRange, +ZRange]. With ±2 the
@@ -110,47 +108,6 @@ type Slot struct {
 	AzMean, AzStd   float64
 	ElMean, ElStd   float64
 	AgeMean, AgeStd float64
-}
-
-// Cluster assigns each available satellite to its z-score cluster.
-func Cluster(sats []Sat) (*Slot, error) {
-	if len(sats) == 0 {
-		return nil, fmt.Errorf("features: empty available set")
-	}
-	az := make([]float64, len(sats))
-	el := make([]float64, len(sats))
-	age := make([]float64, len(sats))
-	for i, s := range sats {
-		az[i] = s.AzimuthDeg
-		el[i] = s.ElevationDeg
-		age[i] = s.AgeYears
-	}
-	sl := &Slot{Keys: make([]Key, len(sats))}
-	sl.AzMean, sl.AzStd = stats.MeanStd(az)
-	sl.ElMean, sl.ElStd = stats.MeanStd(el)
-	sl.AgeMean, sl.AgeStd = stats.MeanStd(age)
-	for i, s := range sats {
-		k := Key{
-			AzZ:    clampZ(s.AzimuthDeg, sl.AzMean, sl.AzStd),
-			ElZ:    clampZ(s.ElevationDeg, sl.ElMean, sl.ElStd),
-			AgeZ:   clampZ(s.AgeYears, sl.AgeMean, sl.AgeStd),
-			Sunlit: s.Sunlit,
-		}
-		sl.Keys[i] = k
-		sl.Counts[k.Index()]++
-	}
-	return sl, nil
-}
-
-// Vector renders the model input: local hour (0-23) followed by the
-// per-cluster availability counts.
-func (sl *Slot) Vector(localHour int) []float64 {
-	v := make([]float64, VectorLen)
-	v[0] = float64(localHour)
-	for i, c := range sl.Counts {
-		v[1+i] = float64(c)
-	}
-	return v
 }
 
 // KeyOf returns the cluster key of input satellite i.

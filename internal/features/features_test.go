@@ -6,6 +6,24 @@ import (
 	"testing/quick"
 )
 
+// cluster runs the featurizer into a fresh Slot.
+func cluster(sats []Sat) (*Slot, error) {
+	var sl Slot
+	if err := ClusterInto(&sl, sats); err != nil {
+		return nil, err
+	}
+	return &sl, nil
+}
+
+// vector renders sl's model input into a fresh vector.
+func vector(sl *Slot, localHour int) []float64 {
+	v := make([]float64, VectorLen)
+	if err := sl.VectorInto(localHour, v); err != nil {
+		panic(err)
+	}
+	return v
+}
+
 func TestKeyIndexRoundTrip(t *testing.T) {
 	for i := 0; i < NumClusters; i++ {
 		k, err := KeyFromIndex(i)
@@ -58,7 +76,7 @@ func TestClusterBasics(t *testing.T) {
 		{AzimuthDeg: 90, ElevationDeg: 50, AgeYears: 2, Sunlit: true},
 		{AzimuthDeg: 180, ElevationDeg: 70, AgeYears: 3, Sunlit: false},
 	}
-	sl, err := Cluster(sats)
+	sl, err := cluster(sats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +102,7 @@ func TestClusterBasics(t *testing.T) {
 }
 
 func TestClusterEmpty(t *testing.T) {
-	if _, err := Cluster(nil); err == nil {
+	if _, err := cluster(nil); err == nil {
 		t.Error("empty set accepted")
 	}
 }
@@ -95,7 +113,7 @@ func TestClusterConstantFeature(t *testing.T) {
 		{AzimuthDeg: 10, ElevationDeg: 40, AgeYears: 2, Sunlit: false},
 		{AzimuthDeg: 10, ElevationDeg: 40, AgeYears: 2, Sunlit: false},
 	}
-	sl, err := Cluster(sats)
+	sl, err := cluster(sats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +134,7 @@ func TestClusterClamping(t *testing.T) {
 		{AzimuthDeg: 3, ElevationDeg: 30, AgeYears: 0, Sunlit: true},
 		{AzimuthDeg: 359, ElevationDeg: 30, AgeYears: 0, Sunlit: true},
 	}
-	sl, err := Cluster(sats)
+	sl, err := cluster(sats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,11 +145,11 @@ func TestClusterClamping(t *testing.T) {
 
 func TestVector(t *testing.T) {
 	sats := []Sat{{AzimuthDeg: 5, ElevationDeg: 45, AgeYears: 1, Sunlit: true}}
-	sl, err := Cluster(sats)
+	sl, err := cluster(sats)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := sl.Vector(14)
+	v := vector(sl, 14)
 	if len(v) != VectorLen {
 		t.Fatalf("vector length %d", len(v))
 	}
@@ -171,11 +189,11 @@ func TestVectorCountsProperty(t *testing.T) {
 				Sunlit:       rng.Intn(2) == 0,
 			}
 		}
-		sl, err := Cluster(sats)
+		sl, err := cluster(sats)
 		if err != nil {
 			return false
 		}
-		v := sl.Vector(0)
+		v := vector(sl, 0)
 		sum := 0.0
 		for _, x := range v[1:] {
 			sum += x

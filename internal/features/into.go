@@ -1,13 +1,12 @@
 package features
 
-// Zero-allocation variants of Cluster/Vector for the online serving
-// path (internal/predict): the batch entry points allocate a Slot, a
-// key slice, and three moment slices per call, which is fine for
-// training sweeps but would put a model-serving hot loop at the
-// allocator's mercy. ClusterInto reuses the caller's Slot and computes
-// the moments by direct accumulation — the same sums in the same
-// order as stats.MeanStd, so the clusters (and every float) are
-// bit-identical to the batch path.
+// The featurizer: ClusterInto assigns each available satellite to its
+// z-score cluster and VectorInto renders the model input, both into
+// caller-owned scratch, so training sweeps and the online serving path
+// (internal/predict) share one implementation that allocates nothing
+// once the Slot's key slice has grown. The moments are accumulated in
+// the same order as stats.MeanStd; the tests hold the result
+// bit-identical to a straightforward allocating reference.
 
 import (
 	"fmt"
@@ -17,7 +16,7 @@ import (
 // meanStdSats accumulates one feature's mean and population std
 // straight off the satellite slice, mirroring stats.MeanStd's
 // arithmetic (serial sum for the mean, then a serial sum of squared
-// deviations) so the results match Cluster bit for bit.
+// deviations).
 func meanStdSats(sats []Sat, get func(*Sat) float64) (mean, std float64) {
 	s := 0.0
 	for i := range sats {
@@ -32,10 +31,9 @@ func meanStdSats(sats []Sat, get func(*Sat) float64) (mean, std float64) {
 	return mean, math.Sqrt(s / float64(len(sats)))
 }
 
-// ClusterInto is Cluster without the allocations: the Slot's key slice
-// is reused (growing its backing array only while the available set
-// does) and the counts are zeroed in place. The populated Slot is
-// bit-identical to Cluster's on the same input.
+// ClusterInto assigns each available satellite to its z-score cluster.
+// The Slot's key slice is reused (growing its backing array only while
+// the available set does) and the counts are zeroed in place.
 func ClusterInto(sl *Slot, sats []Sat) error {
 	if len(sats) == 0 {
 		return fmt.Errorf("features: empty available set")
@@ -60,7 +58,8 @@ func ClusterInto(sl *Slot, sats []Sat) error {
 }
 
 // VectorInto renders the model input into caller scratch of length
-// VectorLen — Vector without the per-call allocation.
+// VectorLen: local hour (0-23) followed by the per-cluster
+// availability counts.
 func (sl *Slot) VectorInto(localHour int, v []float64) error {
 	if len(v) != VectorLen {
 		return fmt.Errorf("features: vector scratch length %d, want %d", len(v), VectorLen)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/pipeline"
+	"repro/internal/scenario"
 )
 
 // goldenEnv builds a small fixed-seed environment. Each campaign needs
@@ -17,15 +18,15 @@ import (
 // identical state.
 func goldenEnv(t *testing.T, workers int) *experiments.Env {
 	t.Helper()
-	env, err := experiments.NewEnv(experiments.Config{
-		Scale:   experiments.Small,
-		Seed:    7,
-		Workers: workers,
-	})
+	spec, err := scenario.Starlink("small", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return env
+	built, err := spec.Build(scenario.BuildOptions{Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return built.Env
 }
 
 func goldenCfg(env *experiments.Env, slots, workers int, oracle bool) core.CampaignConfig {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/obstruction"
 	"repro/internal/pipeline"
+	"repro/internal/scenario"
 	"repro/internal/scheduler"
 )
 
@@ -44,12 +45,16 @@ func (d *simDish) ObstructionMap() (*obstruction.Map, error) {
 
 func liveEnv(t *testing.T) *experiments.Env {
 	t.Helper()
-	env, err := experiments.NewEnv(experiments.Config{
-		Scale:         experiments.Small,
-		Seed:          11,
-		Workers:       1,
-		VantagePoints: geo.StudyVantagePoints()[:1],
-	})
+	spec, err := scenario.Starlink("small", 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := spec.EnvConfig(scenario.BuildOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.VantagePoints = geo.StudyVantagePoints()[:1]
+	env, err := experiments.NewEnv(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

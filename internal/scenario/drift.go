@@ -36,9 +36,10 @@ func FlippedWeights() scheduler.Weights {
 
 // DriftConfig shapes a RunDrift campaign.
 type DriftConfig struct {
-	// Scale and Seed size the constellation (defaults: Small, 1).
-	Scale experiments.Scale
-	Seed  int64
+	// Spec describes the environment both phases share; the post-flip
+	// phase lowers the same spec with only the weights replaced. Nil
+	// uses Starlink("small", 1).
+	Spec *Spec
 	// Slots is the total campaign length; FlipAt is the slot index at
 	// which the scheduler weights change (defaults 600, Slots/2).
 	Slots  int
@@ -130,7 +131,7 @@ func (d *driftTracker) observe(rec *pipeline.Record, up pipeline.ScoreUpdate) {
 }
 
 // RunDrift executes the two-phase campaign against cfg.Scorer. Both
-// phases share one constellation (same scale and seed), and phase two
+// phases share one constellation (same spec), and phase two
 // starts exactly FlipAt periods after phase one's epoch, so the stream
 // the scorer sees is one continuous campaign whose only discontinuity
 // is the scheduler's weights. (The post-flip scheduler restarts its
@@ -140,11 +141,11 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 	if cfg.Scorer == nil {
 		return nil, fmt.Errorf("scenario: drift needs an online scorer")
 	}
-	if cfg.Scale == "" {
-		cfg.Scale = experiments.Small
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
+	if cfg.Spec == nil {
+		var err error
+		if cfg.Spec, err = Starlink("small", 1); err != nil {
+			return nil, err
+		}
 	}
 	if cfg.Slots == 0 {
 		cfg.Slots = 600
@@ -160,12 +161,13 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 		post = *cfg.PostWeights
 	}
 
-	base := experiments.Config{
-		Scale:           cfg.Scale,
-		Seed:            cfg.Seed,
+	base, err := cfg.Spec.EnvConfig(BuildOptions{
+		Telemetry:       cfg.Telemetry,
 		Workers:         cfg.Workers,
 		SnapshotWorkers: cfg.SnapshotWorkers,
-		Telemetry:       cfg.Telemetry,
+	})
+	if err != nil {
+		return nil, err
 	}
 	envA, err := experiments.NewEnv(base)
 	if err != nil {
@@ -222,7 +224,7 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 	res.PostStats = src.Stats
 
 	if cfg.Offline {
-		mres, err := envA.Fig8(collect.Obs, experiments.QuickModelConfig(cfg.Seed))
+		mres, err := envA.Fig8(collect.Obs, experiments.QuickModelConfig(cfg.Spec.Seed))
 		if err != nil {
 			return nil, fmt.Errorf("scenario: drift offline comparison: %w", err)
 		}

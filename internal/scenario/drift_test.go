@@ -22,8 +22,12 @@ func TestRunDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	spec, err := Starlink("small", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := RunDrift(DriftConfig{
-		Seed: 3, Slots: 600, FlipAt: 300,
+		Spec: spec, Slots: 600, FlipAt: 300,
 		Scorer:  svc,
 		Offline: true,
 		Workers: 4,

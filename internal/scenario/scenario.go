@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/astro"
 	"repro/internal/constellation"
-	"repro/internal/experiments"
 	"repro/internal/geo"
 	"repro/internal/scheduler"
 	"repro/scenarios"
@@ -52,7 +51,7 @@ type Spec struct {
 // or explicit shells (exactly one).
 type ConstellationSpec struct {
 	// Preset names a built-in design: starlink-small, starlink-medium,
-	// starlink-full (the experiments scales), oneweb, iridium-next,
+	// starlink-full (the -scale densities), oneweb, iridium-next,
 	// kepler (Walker-star presets).
 	Preset string `json:"preset,omitempty"`
 	// Shells is an explicit design; overridden by nothing, mutually
@@ -260,8 +259,8 @@ type OutputsSpec struct {
 	Analyses []string `json:"analyses,omitempty"`
 }
 
-// KnownAnalyses lists the valid Outputs.Analyses entries in run order.
-var KnownAnalyses = []string{"ident", "aoe", "azimuth", "launch", "sunlit", "model", "recovery"}
+// knownAnalyses lists the valid Outputs.Analyses entries in run order.
+var knownAnalyses = []string{"ident", "aoe", "azimuth", "launch", "sunlit", "model", "recovery"}
 
 // AnalysisEnabled reports whether the named stage should run: listed,
 // or no list given (then "recovery" requires planted weights).
@@ -327,6 +326,22 @@ func LoadPreset(name string) (*Spec, error) {
 	return s, nil
 }
 
+// Starlink is the starlink-baseline preset at constellation density
+// scale (small|medium|full, lowered to the starlink-<scale> preset)
+// with the given seed: what the `-scale s -seed n` flags select.
+func Starlink(scale string, seed int64) (*Spec, error) {
+	s, err := LoadPreset("starlink-baseline")
+	if err != nil {
+		return nil, err
+	}
+	s.Seed = seed
+	s.Constellation.Preset = "starlink-" + scale
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
 // Resolve loads arg as a file path, falling back to an embedded
 // preset name (with or without the .json suffix) when no such file
 // exists. This is what `repro -scenario` accepts.
@@ -378,15 +393,24 @@ func ValidateAll() error {
 	return nil
 }
 
-// constellationPresets maps preset names to shell designs.
+// constellationPreset maps preset names to shell designs. The
+// starlink-* densities keep the analyses' shapes: small (~700
+// satellites, a few in view) for smoke tests, medium (~1800, ~15 in
+// view) for paper-shaped results in seconds, full (~4400, ~40 in view)
+// for the paper's 2023 density.
 func constellationPreset(name string) ([]constellation.Shell, bool) {
 	switch name {
 	case "starlink-small":
-		sh, _ := experiments.ShellsFor(experiments.Small)
-		return sh, true
+		return []constellation.Shell{
+			{Name: "s1", AltitudeKm: 550, InclinationDeg: 53, Planes: 30, SatsPerPlane: 18, PhasingF: 13},
+			{Name: "s3", AltitudeKm: 570, InclinationDeg: 70, Planes: 12, SatsPerPlane: 12, PhasingF: 5},
+		}, true
 	case "starlink-medium":
-		sh, _ := experiments.ShellsFor(experiments.Medium)
-		return sh, true
+		return []constellation.Shell{
+			{Name: "s1", AltitudeKm: 550, InclinationDeg: 53, Planes: 48, SatsPerPlane: 20, PhasingF: 17},
+			{Name: "s2", AltitudeKm: 540, InclinationDeg: 53.2, Planes: 40, SatsPerPlane: 18, PhasingF: 13},
+			{Name: "s3", AltitudeKm: 570, InclinationDeg: 70, Planes: 14, SatsPerPlane: 14, PhasingF: 5},
+		}, true
 	case "starlink-full":
 		return constellation.StarlinkShells(), true
 	case "oneweb":
@@ -399,9 +423,9 @@ func constellationPreset(name string) ([]constellation.Shell, bool) {
 	return nil, false
 }
 
-// ConstellationPresetNames lists the valid ConstellationSpec.Preset
+// constellationPresetNames lists the valid ConstellationSpec.Preset
 // values.
-func ConstellationPresetNames() []string {
+func constellationPresetNames() []string {
 	return []string{"starlink-small", "starlink-medium", "starlink-full", "oneweb", "iridium-next", "kepler"}
 }
 
@@ -414,7 +438,7 @@ func (s *Spec) Shells() ([]constellation.Shell, error) {
 	case c.Preset != "":
 		sh, ok := constellationPreset(c.Preset)
 		if !ok {
-			return nil, fmt.Errorf("scenario: unknown constellation preset %q (have %s)", c.Preset, strings.Join(ConstellationPresetNames(), ", "))
+			return nil, fmt.Errorf("scenario: unknown constellation preset %q (have %s)", c.Preset, strings.Join(constellationPresetNames(), ", "))
 		}
 		return sh, nil
 	case len(c.Shells) > 0:
@@ -629,13 +653,13 @@ func (s *Spec) Validate() error {
 	seenA := make(map[string]bool)
 	for _, a := range s.Outputs.Analyses {
 		known := false
-		for _, k := range KnownAnalyses {
+		for _, k := range knownAnalyses {
 			if a == k {
 				known = true
 			}
 		}
 		if !known {
-			bad("unknown analysis %q (want %s)", a, strings.Join(KnownAnalyses, ", "))
+			bad("unknown analysis %q (want %s)", a, strings.Join(knownAnalyses, ", "))
 		}
 		if seenA[a] {
 			bad("duplicate analysis %q", a)

@@ -3,13 +3,14 @@ package scenario_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/scenario"
 	"repro/internal/traceio"
 )
@@ -158,9 +159,16 @@ func streamBytes(t *testing.T, cfg core.CampaignConfig) []byte {
 	return buf.Bytes()
 }
 
+// starlinkBaselineSHA256 is the sha256 of the 12-slot serial record
+// stream of the default environment (medium Starlink density, seed 7)
+// as the retired per-scale construction built it. Pinning it keeps
+// starlink-baseline identical to that path.
+const starlinkBaselineSHA256 = "09eed1bd6678b9101eb41a81446820dadf3954f97c1f508844a43d21dfd38b2c"
+
 // TestStarlinkBaselineBitIdentical proves the scenario path subsumes
-// the existing Starlink path: the starlink-baseline preset's campaign
-// stream is byte-identical to the default experiments environment's.
+// the original Starlink path: the starlink-baseline preset's campaign
+// stream hashes to the pinned default-environment stream, and the
+// -scale flags' helper lowers to the same environment.
 func TestStarlinkBaselineBitIdentical(t *testing.T) {
 	spec, err := scenario.LoadPreset("starlink-baseline")
 	if err != nil {
@@ -174,20 +182,21 @@ func TestStarlinkBaselineBitIdentical(t *testing.T) {
 	}
 	fromScenario := streamBytes(t, built.CampaignConfig())
 
-	env, err := experiments.NewEnv(experiments.Config{Scale: experiments.Medium, Seed: 7, Workers: 1, SnapshotWorkers: 1})
+	if got := fmt.Sprintf("%x", sha256.Sum256(fromScenario)); got != starlinkBaselineSHA256 {
+		t.Fatalf("starlink-baseline stream (%d bytes) hashes to %s, want the default campaign's %s", len(fromScenario), got, starlinkBaselineSHA256)
+	}
+
+	flags, err := scenario.Starlink("medium", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromDefault := streamBytes(t, env.CampaignSource(slots, true).Config)
-
-	if built.Env.Cons.Fingerprint() != env.Cons.Fingerprint() {
-		t.Fatal("scenario constellation fingerprint differs from the default environment's")
+	flags.Campaign.Slots = slots
+	fromFlags, err := flags.Build(scenario.BuildOptions{Workers: 1, SnapshotWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(fromScenario, fromDefault) {
-		t.Fatalf("starlink-baseline stream differs from the default campaign:\nscenario %d bytes, default %d bytes", len(fromScenario), len(fromDefault))
-	}
-	if len(fromScenario) == 0 {
-		t.Fatal("empty golden stream")
+	if !bytes.Equal(streamBytes(t, fromFlags.CampaignConfig()), fromScenario) {
+		t.Fatal("Starlink(medium, 7) stream differs from the starlink-baseline preset's")
 	}
 }
 
@@ -210,11 +219,15 @@ func TestWalkerStarPresetBuilds(t *testing.T) {
 	if !strings.HasPrefix(cons.Sats[0].Name, "ONEWEB-") {
 		t.Fatalf("satellite name %q, want ONEWEB- prefix", cons.Sats[0].Name)
 	}
-	env, err := experiments.NewEnv(experiments.Config{Scale: experiments.Medium, Seed: 7})
+	starlink, err := scenario.LoadPreset("starlink-baseline")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cons.Fingerprint() == env.Cons.Fingerprint() {
+	env, err := starlink.Build(scenario.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cons.Fingerprint() == env.Env.Cons.Fingerprint() {
 		t.Fatal("OneWeb fingerprint collides with Starlink medium")
 	}
 	if got := streamBytes(t, built.CampaignConfig()); len(got) == 0 {
