@@ -177,7 +177,7 @@ func benchIdentifySlot(b *testing.B, brute bool) {
 	var ident core.Identification
 	var err error
 	for i := 0; i < b.N; i++ {
-		ident, err = env.Ident.IdentifyFromMapsMatcher(fig3.Prev, fig3.Cur, vp, slotStart, snap, matcher)
+		ident, err = env.Ident.IdentifyFromMaps(fig3.Prev, fig3.Cur, vp, slotStart, snap, matcher)
 		if err != nil {
 			b.Fatal(err)
 		}

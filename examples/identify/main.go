@@ -61,7 +61,7 @@ func main() {
 		}
 
 		// §4: XOR + pixel decode + DTW match, using only public data.
-		ident, err := env.Ident.IdentifyFromMaps(prev, dish, iowa.VantagePoint, slot)
+		ident, err := env.Ident.IdentifyFromMaps(prev, dish, iowa.VantagePoint, slot, nil, nil)
 		if err != nil {
 			fmt.Printf("slot %2d: identification failed: %v\n", i, err)
 			continue
@@ -112,12 +112,9 @@ func main() {
 
 	// The packaged campaign runs the same loop at scale, with 10-minute
 	// resets, and reports the §4 validation numbers.
-	res, err := core.RunCampaign(context.Background(), core.CampaignConfig{
-		Scheduler:  env.Sched,
-		Identifier: env.Ident,
-		Start:      start.Add(time.Hour),
-		Slots:      50,
-	})
+	cfg := env.CampaignConfig(50, false)
+	cfg.Start = start.Add(time.Hour)
+	res, err := core.RunCampaign(context.Background(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -66,25 +66,18 @@ type Builder func(CampaignSpec) (core.CampaignConfig, error)
 // BuildCampaign is the default Builder: a full experiments environment
 // lowered from the scenario spec — exactly what cmd/repro runs
 // single-process.
-func BuildCampaign(spec CampaignSpec) (core.CampaignConfig, error) {
+func BuildCampaign(spec CampaignSpec) (cfg core.CampaignConfig, err error) {
 	if spec.Scenario == nil {
-		return core.CampaignConfig{}, fmt.Errorf("coord: campaign spec has no scenario")
+		return cfg, fmt.Errorf("coord: campaign spec has no scenario")
 	}
 	built, err := spec.Scenario.Build(scenario.BuildOptions{SnapshotWorkers: spec.SnapshotWorkers})
 	if err != nil {
-		return core.CampaignConfig{}, err
+		return cfg, err
 	}
-	env := built.Env
-	return core.CampaignConfig{
-		Scheduler:       env.Sched,
-		Identifier:      env.Ident,
-		Start:           env.Start(),
-		Slots:           spec.Slots,
-		Oracle:          spec.Oracle,
-		ResetEvery:      spec.ResetEvery,
-		SnapshotWorkers: spec.SnapshotWorkers,
-		Snapshots:       env.Snaps,
-	}, nil
+	cfg = built.Env.CampaignConfig(spec.Slots, spec.Oracle)
+	cfg.ResetEvery = spec.ResetEvery
+	cfg.SnapshotWorkers = spec.SnapshotWorkers
+	return cfg, nil
 }
 
 // Protocol messages. The transport is the dishrpc length-prefixed

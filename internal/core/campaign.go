@@ -278,7 +278,7 @@ func runSlotTerminal(cfg *CampaignConfig, term scheduler.Terminal, m *obstructio
 			break
 		}
 		// Identify over the field of view already in scratch.fov: by
-		// the SnapshotIndex contract it is IdentifyFromMapsMatcher's
+		// the SnapshotIndex contract it is IdentifyFromMaps's
 		// linear scan of shared.States, set, order and floats.
 		ident, err := cfg.Identifier.identify(scratch, prev, m, term.VantagePoint, slotStart, matcher)
 		if err != nil {

@@ -48,21 +48,15 @@ func (id *Identifier) Snapshot(t time.Time) []constellation.SatState {
 	return id.cons.Snapshot(t)
 }
 
-// CandidateTracks samples the projected sky-track of every satellite
-// in the terminal's field of view over the slot. The second return is
-// the number of in-view candidates dropped because propagation failed
-// mid-slot; a dropped candidate is distinguishable from one that was
-// simply below the mask all slot, because the (possibly true) serving
-// satellite may be among the dropped.
-func (id *Identifier) CandidateTracks(vp geo.VantagePoint, slotStart time.Time) ([]dtw.Candidate, int) {
-	return id.CandidateTracksFromSnapshot(id.cons.Snapshot(slotStart), vp, slotStart)
-}
-
-// CandidateTracksFromSnapshot is CandidateTracks over a precomputed
-// constellation snapshot for slotStart: the linear field-of-view scan
-// of snap, then the same kernel the campaign engine runs over its
-// indexed field of view. The output is identical to CandidateTracks
-// and owned by the caller.
+// CandidateTracksFromSnapshot samples the projected sky-track of
+// every satellite in the terminal's field of view over the slot, given
+// the constellation snapshot for slotStart: the linear field-of-view
+// scan of snap, then the same kernel the campaign engine runs over its
+// indexed field of view. The second return is the number of in-view
+// candidates dropped because propagation failed mid-slot; a dropped
+// candidate is distinguishable from one that was simply below the mask
+// all slot, because the (possibly true) serving satellite may be among
+// the dropped. The output is owned by the caller.
 func (id *Identifier) CandidateTracksFromSnapshot(snap []constellation.SatState, vp geo.VantagePoint, slotStart time.Time) ([]dtw.Candidate, int) {
 	sc := slotScratch{fov: constellation.ObserveFrom(vp.Location, snap, id.MinElevationDeg)}
 	return id.candidateTracks(&sc, vp, slotStart)
@@ -156,18 +150,11 @@ func sampleSky(dst []obstruction.PolarPoint, sat *constellation.Satellite, o *as
 }
 
 // CandidatePolarTracks returns every in-view satellite's sky-track
-// over the slot in polar form, keyed by satellite ID — the input for
+// over the slot in polar form, keyed by satellite ID and sampled by the
+// same sampler as the candidate tracks — the input for
 // skyplot.Validation, the §4 manual-check rendering.
 func (id *Identifier) CandidatePolarTracks(vp geo.VantagePoint, slotStart time.Time) map[int][]obstruction.PolarPoint {
-	return id.CandidatePolarTracksFromSnapshot(id.cons.Snapshot(slotStart), vp, slotStart)
-}
-
-// CandidatePolarTracksFromSnapshot is CandidatePolarTracks over a
-// precomputed constellation snapshot for slotStart, sampled by the
-// same sampler as the candidate tracks. The output is identical to
-// CandidatePolarTracks.
-func (id *Identifier) CandidatePolarTracksFromSnapshot(snap []constellation.SatState, vp geo.VantagePoint, slotStart time.Time) map[int][]obstruction.PolarPoint {
-	fov := constellation.ObserveFrom(vp.Location, snap, id.MinElevationDeg)
+	fov := constellation.ObserveFrom(vp.Location, id.cons.Snapshot(slotStart), id.MinElevationDeg)
 	step := id.sampleStep()
 	var sc slotScratch
 	frames := sc.framesFor(slotStart, step)
@@ -209,25 +196,13 @@ type Identification struct {
 }
 
 // IdentifyFromMaps runs the full §4 pipeline on two consecutive
-// obstruction-map snapshots.
-func (id *Identifier) IdentifyFromMaps(prev, cur *obstruction.Map, vp geo.VantagePoint, slotStart time.Time) (Identification, error) {
-	return id.IdentifyFromMapsSnapshot(prev, cur, vp, slotStart, nil)
-}
-
-// IdentifyFromMapsSnapshot is IdentifyFromMaps with an optional
-// precomputed constellation snapshot for slotStart (nil propagates one
-// internally). Results are identical either way.
-func (id *Identifier) IdentifyFromMapsSnapshot(prev, cur *obstruction.Map, vp geo.VantagePoint, slotStart time.Time, snap []constellation.SatState) (Identification, error) {
-	return id.IdentifyFromMapsMatcher(prev, cur, vp, slotStart, snap, nil)
-}
-
-// IdentifyFromMapsMatcher is IdentifyFromMapsSnapshot with an optional
-// reusable dtw.Matcher (nil uses a fresh one). The campaign engine
-// passes one matcher per worker so its scratch buffers and pruning
-// bars amortize across the whole run; results are bit-identical at
-// every choice of matcher, including the brute-force path selected by
-// DisablePruning.
-func (id *Identifier) IdentifyFromMapsMatcher(prev, cur *obstruction.Map, vp geo.VantagePoint, slotStart time.Time, snap []constellation.SatState, matcher *dtw.Matcher) (Identification, error) {
+// obstruction-map snapshots. snap is the constellation snapshot for
+// slotStart (nil propagates one internally) and matcher a reusable
+// dtw.Matcher (nil uses a fresh one), so callers that identify many
+// slots amortize propagation and the matcher's scratch buffers and
+// pruning bars. Results are bit-identical at every choice of either,
+// including the brute-force path selected by DisablePruning.
+func (id *Identifier) IdentifyFromMaps(prev, cur *obstruction.Map, vp geo.VantagePoint, slotStart time.Time, snap []constellation.SatState, matcher *dtw.Matcher) (Identification, error) {
 	if snap == nil {
 		snap = id.cons.Snapshot(slotStart)
 	}

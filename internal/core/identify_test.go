@@ -73,33 +73,50 @@ func TestCampaignMatcherBruteIdentical(t *testing.T) {
 
 // TestCandidateTracksSnapshotReuse: feeding a precomputed snapshot
 // must be indistinguishable from letting the identifier propagate the
-// constellation itself, for both the Cartesian and the polar track
-// paths.
+// constellation itself. The polar candidate tracks, which propagate
+// their own snapshot, must be the Cartesian candidate tracks of the
+// given snapshot point for point, and IdentifyFromMaps must return the
+// same identification with and without the snapshot and matcher.
 func TestCandidateTracksSnapshotReuse(t *testing.T) {
 	setupFixture(t)
 	vp := fixture.sched.Terminals()[0].VantagePoint
 	start := scheduler.EpochStart(fixture.cons.Epoch.Add(3 * time.Hour))
 	snap := fixture.cons.Snapshot(start)
 
-	plain, droppedPlain := fixture.ident.CandidateTracks(vp, start)
-	fromSnap, droppedSnap := fixture.ident.CandidateTracksFromSnapshot(snap, vp, start)
-	if droppedPlain != droppedSnap {
-		t.Errorf("dropped: plain %d != snapshot %d", droppedPlain, droppedSnap)
-	}
-	if len(plain) == 0 {
+	cands, _ := fixture.ident.CandidateTracksFromSnapshot(snap, vp, start)
+	if len(cands) == 0 {
 		t.Fatal("no candidates in view at the probe slot")
 	}
-	if !reflect.DeepEqual(plain, fromSnap) {
-		t.Error("CandidateTracksFromSnapshot differs from CandidateTracks")
+	polar := fixture.ident.CandidatePolarTracks(vp, start)
+	if len(polar) != len(cands) {
+		t.Fatalf("%d polar tracks, %d candidate tracks", len(polar), len(cands))
+	}
+	for _, c := range cands {
+		pts := polar[c.ID]
+		if len(pts) != len(c.Track) {
+			t.Fatalf("satellite %d: %d polar points, %d candidate points", c.ID, len(pts), len(c.Track))
+		}
+		for k, p := range pts {
+			if dtw.FromPolar(p) != c.Track[k] {
+				t.Fatalf("satellite %d point %d: polar %v, candidate %v", c.ID, k, dtw.FromPolar(p), c.Track[k])
+			}
+		}
 	}
 
-	polarPlain := fixture.ident.CandidatePolarTracks(vp, start)
-	polarSnap := fixture.ident.CandidatePolarTracksFromSnapshot(snap, vp, start)
-	if len(polarPlain) == 0 {
-		t.Fatal("no polar candidate tracks at the probe slot")
+	prev, cur := obstruction.New(), obstruction.New()
+	if err := fixture.ident.PaintServingTrack(cur, cands[0].ID, vp, start); err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(polarPlain, polarSnap) {
-		t.Error("CandidatePolarTracksFromSnapshot differs from CandidatePolarTracks")
+	reused, err := fixture.ident.IdentifyFromMaps(prev, cur, vp, start, snap, &dtw.Matcher{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, err := fixture.ident.IdentifyFromMaps(prev, cur, vp, start, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(reused, own) {
+		t.Errorf("identification with a precomputed snapshot %+v, without %+v", reused, own)
 	}
 }
 
@@ -215,7 +232,7 @@ func TestDroppedCandidatesSurfaced(t *testing.T) {
 		})
 	}
 	cur.PaintTrack(fake)
-	_, err = ident.IdentifyFromMapsSnapshot(prev, cur, vp, slotStart, snap)
+	_, err = ident.IdentifyFromMaps(prev, cur, vp, slotStart, snap, nil)
 	if err == nil {
 		t.Fatal("identification succeeded with every candidate dropped")
 	}
@@ -397,7 +414,7 @@ func TestCandidateTracksMatchOracle(t *testing.T) {
 		}
 
 		// The polar candidate tracks of the fused site.
-		gotPolar := id.CandidatePolarTracksFromSnapshot(snap, fused, slotStart)
+		gotPolar := id.CandidatePolarTracks(fused, slotStart)
 		wantPolar := map[int][]obstruction.PolarPoint{}
 		for _, v := range constellation.ObserveFrom(fused.Location, snap, id.MinElevationDeg) {
 			pts, err := oracleSky(v.Sat, fused.Location, slotStart, step)

@@ -415,16 +415,8 @@ func (e *Env) IdentValidation(slots int, naive bool) (*IdentResult, error) {
 	}
 	ident := *e.Ident
 	ident.UseNaiveMatcher = naive
-	src := &pipeline.Campaign{Config: core.CampaignConfig{
-		Scheduler:    e.Sched,
-		Identifier:   &ident,
-		Start:        e.Start(),
-		Slots:        slots,
-		Workers:      e.Workers,
-		Metrics:      e.Metrics,
-		Snapshots:    e.Snaps,
-		DisableIndex: e.DisableIndex,
-	}}
+	src := &pipeline.Campaign{Config: e.CampaignConfig(slots, false)}
+	src.Config.Identifier = &ident
 	var margins []float64
 	p := &pipeline.Pipeline{
 		Source:  src,
@@ -451,14 +443,13 @@ func (e *Env) IdentValidation(slots int, naive bool) (*IdentResult, error) {
 	return out, nil
 }
 
-// CampaignSource returns a pipeline source for one of this
-// environment's campaigns, ready to wire into arbitrary stages and
-// sinks. slots 0 defaults to 500.
-func (e *Env) CampaignSource(slots int, oracle bool) *pipeline.Campaign {
-	if slots == 0 {
-		slots = 500
-	}
-	return &pipeline.Campaign{Config: core.CampaignConfig{
+// CampaignConfig is the campaign engine config for one of this
+// environment's campaigns: its scheduler, identifier, start, worker
+// pool, metrics, snapshot cache and index setting. Callers change only
+// what differs from the environment (Start, ResetEvery,
+// SnapshotWorkers, a modified Identifier copy).
+func (e *Env) CampaignConfig(slots int, oracle bool) core.CampaignConfig {
+	return core.CampaignConfig{
 		Scheduler:    e.Sched,
 		Identifier:   e.Ident,
 		Start:        e.Start(),
@@ -468,7 +459,17 @@ func (e *Env) CampaignSource(slots int, oracle bool) *pipeline.Campaign {
 		Metrics:      e.Metrics,
 		Snapshots:    e.Snaps,
 		DisableIndex: e.DisableIndex,
-	}}
+	}
+}
+
+// CampaignSource returns a pipeline source for one of this
+// environment's campaigns, ready to wire into arbitrary stages and
+// sinks. slots 0 defaults to 500.
+func (e *Env) CampaignSource(slots int, oracle bool) *pipeline.Campaign {
+	if slots == 0 {
+		slots = 500
+	}
+	return &pipeline.Campaign{Config: e.CampaignConfig(slots, oracle)}
 }
 
 // StreamObservations drives one oracle campaign through the pipeline,

@@ -67,7 +67,7 @@ func (l *Live) Stream(ctx context.Context, emit func(Record) error) error {
 	}
 	wait := l.WaitSlot
 	if wait == nil {
-		wait = WaitUntil
+		wait = waitUntil
 	}
 
 	vp := l.Terminal.VantagePoint
@@ -102,7 +102,7 @@ func (l *Live) Stream(ctx context.Context, emit func(Record) error) error {
 				ChosenIdx: -1,
 			},
 		}
-		ident, err := l.Ident.IdentifyFromMapsSnapshot(prev, cur, vp, slotStart, snap)
+		ident, err := l.Ident.IdentifyFromMaps(prev, cur, vp, slotStart, snap, nil)
 		if err != nil {
 			rec.SkipReason = err.Error()
 		} else {
@@ -121,9 +121,9 @@ func (l *Live) Stream(ctx context.Context, emit func(Record) error) error {
 	return nil
 }
 
-// WaitUntil sleeps until t or ctx cancellation — the default live
+// waitUntil sleeps until t or ctx cancellation — the default live
 // pacing. Times already past return immediately.
-func WaitUntil(ctx context.Context, t time.Time) error {
+func waitUntil(ctx context.Context, t time.Time) error {
 	d := time.Until(t)
 	if d <= 0 {
 		return ctx.Err()

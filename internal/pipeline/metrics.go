@@ -2,21 +2,16 @@ package pipeline
 
 import "repro/internal/telemetry"
 
-// Metrics is the pipeline's telemetry bundle: record flow counters,
-// stage/sink latency histograms, and how long the source spent blocked
-// on the hand-off channel (the backpressure signal — a rising value
-// means the sinks, not the source, bound throughput). A nil bundle
-// (the default) keeps Run on its untimed path.
+// Metrics is the pipeline's telemetry bundle: record flow counters
+// and stage/sink latency histograms. A nil bundle (the default) keeps
+// Run on its untimed path.
 type Metrics struct {
-	// In counts records the consumer received from the source; Out
-	// counts records that cleared the stages and reached the sinks;
-	// Dropped counts records a stage filtered out.
+	// In counts records the source emitted; Out counts records that
+	// cleared the stages and reached the sinks; Dropped counts records a
+	// stage filtered out.
 	In      *telemetry.Counter
 	Out     *telemetry.Counter
 	Dropped *telemetry.Counter
-	// SourceBlockedNanos accumulates time the source spent blocked
-	// pushing into the full hand-off channel.
-	SourceBlockedNanos *telemetry.Counter
 	// StageSeconds and SinkSeconds observe the per-record latency of the
 	// whole stage chain and the whole sink chain respectively.
 	StageSeconds *telemetry.Histogram
@@ -30,16 +25,15 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		return nil
 	}
 	return &Metrics{
-		In:                 reg.Counter("pipeline_records_in_total", "records received from the source"),
-		Out:                reg.Counter("pipeline_records_out_total", "records that cleared the stages and reached the sinks"),
-		Dropped:            reg.Counter("pipeline_records_dropped_total", "records filtered out by a stage"),
-		SourceBlockedNanos: reg.Counter("pipeline_source_blocked_nanos_total", "time the source spent blocked on the hand-off channel"),
-		StageSeconds:       reg.Histogram("pipeline_stage_seconds", "per-record latency of the stage chain", nil),
-		SinkSeconds:        reg.Histogram("pipeline_sink_seconds", "per-record latency of the sink chain", nil),
+		In:           reg.Counter("pipeline_records_in_total", "records received from the source"),
+		Out:          reg.Counter("pipeline_records_out_total", "records that cleared the stages and reached the sinks"),
+		Dropped:      reg.Counter("pipeline_records_dropped_total", "records filtered out by a stage"),
+		StageSeconds: reg.Histogram("pipeline_stage_seconds", "per-record latency of the stage chain", nil),
+		SinkSeconds:  reg.Histogram("pipeline_sink_seconds", "per-record latency of the sink chain", nil),
 	}
 }
 
-// in/out/dropped are the consumer loop's nil-safe record-flow marks.
+// in/out/dropped are push's nil-safe record-flow marks.
 func (m *Metrics) in() {
 	if m != nil {
 		m.In.Inc()

@@ -12,7 +12,7 @@ import (
 // a known stream with a dropping stage.
 func TestPipelineMetricsFlow(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	src := SourceFunc(func(ctx context.Context, emit func(Record) error) error {
+	src := sourceFunc(func(ctx context.Context, emit func(Record) error) error {
 		for i := 0; i < 10; i++ {
 			rec := Record{}
 			if i%2 == 0 {
@@ -66,7 +66,7 @@ func TestPipelineMetricsNil(t *testing.T) {
 	if NewMetrics(telemetry.Nop) != nil {
 		t.Fatal("NewMetrics(Nop) must return nil")
 	}
-	src := SourceFunc(func(ctx context.Context, emit func(Record) error) error {
+	src := sourceFunc(func(ctx context.Context, emit func(Record) error) error {
 		return emit(Record{Observation: core.Observation{Terminal: "x"}})
 	})
 	n := 0

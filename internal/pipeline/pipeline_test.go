@@ -4,13 +4,36 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 )
+
+// records replays an in-memory record slice in order.
+type records []core.SlotRecord
+
+func (s records) Stream(ctx context.Context, emit func(Record) error) error {
+	for i := range s {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := emit(s[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sourceFunc adapts a function to Source.
+type sourceFunc func(ctx context.Context, emit func(Record) error) error
+
+func (f sourceFunc) Stream(ctx context.Context, emit func(Record) error) error { return f(ctx, emit) }
+
+// terminalA keeps records from terminal "A".
+func terminalA(rec *Record) bool { return rec.Terminal == "A" }
 
 // fakeRecords fabricates a deterministic mixed stream: two terminals,
 // every third record skipped.
@@ -49,8 +72,8 @@ func TestRunOrderAndStages(t *testing.T) {
 	}
 	collect := &Collect{}
 	p := &Pipeline{
-		Source: Records(recs),
-		Stages: []Stage{Terminals("A"), ChosenOnly()},
+		Source: records(recs),
+		Stages: []Stage{terminalA, ChosenOnly()},
 		Sinks:  []Sink{collect},
 	}
 	if err := p.Run(context.Background()); err != nil {
@@ -67,7 +90,7 @@ func TestWhereGatesOneSink(t *testing.T) {
 	chosen := &CollectObservations{}
 	counts := &CountSkips{}
 	p := &Pipeline{
-		Source: Records(recs),
+		Source: records(recs),
 		Sinks:  []Sink{all, Where(ChosenOnly(), chosen), counts},
 	}
 	if err := p.Run(context.Background()); err != nil {
@@ -93,36 +116,50 @@ func TestWhereGatesOneSink(t *testing.T) {
 	}
 }
 
-func TestLimitStopsSourceEarly(t *testing.T) {
-	emitted := 0
-	src := SourceFunc(func(ctx context.Context, emit func(Record) error) error {
-		for i := 0; i < 1000; i++ {
-			emitted++
-			if err := emit(Record{}); err != nil {
-				return err
+// TestRunInline: stages and sinks run inside emit on the source's own
+// goroutine, and once a sink has failed no later record reaches any
+// sink, even from a source that ignores emit's error. The stream is
+// longer than any plausible hand-off buffer, so a source running on a
+// goroutine of its own would still be alive when the sinks run.
+func TestRunInline(t *testing.T) {
+	before := runtime.NumGoroutine()
+	sentinel := errors.New("sink failed")
+	var seen, after, ignored int
+	src := sourceFunc(func(ctx context.Context, emit func(Record) error) error {
+		for _, rec := range fakeRecords(200) {
+			if err := emit(rec); err != nil {
+				if err != sentinel {
+					t.Errorf("emit returned %v, want the sink's error", err)
+				}
+				ignored++
 			}
 		}
 		return nil
 	})
-	collect := &Collect{}
-	flushed := &flushRecorder{}
 	p := &Pipeline{
 		Source: src,
-		Stages: []Stage{Limit(10)},
-		Sinks:  []Sink{collect, flushed},
-		Buffer: 1,
+		Sinks: []Sink{
+			SinkFunc(func(*Record) error {
+				if n := runtime.NumGoroutine(); n != before {
+					t.Errorf("sink sees %d goroutines, %d before Run", n, before)
+				}
+				seen++
+				if seen == 3 {
+					return sentinel
+				}
+				return nil
+			}),
+			SinkFunc(func(*Record) error { after++; return nil }),
+		},
 	}
-	if err := p.Run(context.Background()); err != nil {
-		t.Fatal(err)
+	if err := p.Run(context.Background()); err != sentinel {
+		t.Fatalf("Run = %v, want the sink's error", err)
 	}
-	if len(collect.Records) != 10 {
-		t.Errorf("collected %d records, want 10", len(collect.Records))
+	if seen != 3 || after != 2 {
+		t.Errorf("sinks saw %d and %d records, want 3 and 2", seen, after)
 	}
-	if emitted >= 1000 {
-		t.Error("source ran to completion; Limit should have cancelled it")
-	}
-	if !flushed.flushed {
-		t.Error("sinks not flushed after a clean ErrStop")
+	if ignored != 198 {
+		t.Errorf("emit failed %d times, want 198 (the failing record and every later one)", ignored)
 	}
 }
 
@@ -144,7 +181,7 @@ func TestSinkErrorAbortsWithoutFlush(t *testing.T) {
 	})
 	flushed := &flushRecorder{}
 	p := &Pipeline{
-		Source: Records(fakeRecords(50)),
+		Source: records(fakeRecords(50)),
 		Sinks:  []Sink{failing, flushed},
 	}
 	if err := p.Run(context.Background()); err != sentinel {
@@ -155,22 +192,9 @@ func TestSinkErrorAbortsWithoutFlush(t *testing.T) {
 	}
 }
 
-func TestStageErrorAborts(t *testing.T) {
-	sentinel := errors.New("stage exploded")
-	bad := Stage(func(rec *Record) (bool, error) { return false, sentinel })
-	p := &Pipeline{
-		Source: Records(fakeRecords(5)),
-		Stages: []Stage{bad},
-		Sinks:  []Sink{&Collect{}},
-	}
-	if err := p.Run(context.Background()); err != sentinel {
-		t.Fatalf("err = %v, want the stage's error", err)
-	}
-}
-
 func TestSourceErrorPropagates(t *testing.T) {
 	sentinel := errors.New("source died")
-	src := SourceFunc(func(ctx context.Context, emit func(Record) error) error {
+	src := sourceFunc(func(ctx context.Context, emit func(Record) error) error {
 		for i := 0; i < 3; i++ {
 			if err := emit(Record{}); err != nil {
 				return err
@@ -191,7 +215,7 @@ func TestSourceErrorPropagates(t *testing.T) {
 func TestCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	p := &Pipeline{Source: Records(fakeRecords(5)), Sinks: []Sink{&Collect{}}}
+	p := &Pipeline{Source: records(fakeRecords(5)), Sinks: []Sink{&Collect{}}}
 	if err := p.Run(ctx); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -201,28 +225,8 @@ func TestRunValidation(t *testing.T) {
 	if err := (&Pipeline{Sinks: []Sink{&Collect{}}}).Run(context.Background()); err == nil {
 		t.Error("nil source accepted")
 	}
-	if err := (&Pipeline{Source: Records(nil)}).Run(context.Background()); err == nil {
+	if err := (&Pipeline{Source: records(nil)}).Run(context.Background()); err == nil {
 		t.Error("no sinks accepted")
-	}
-}
-
-// TestRecordReplayRoundTrip: WriteRecords output replayed through
-// RecordReplay reproduces the stream exactly — the persistence leg of
-// the pipeline is lossless.
-func TestRecordReplayRoundTrip(t *testing.T) {
-	recs := fakeRecords(25)
-	var buf bytes.Buffer
-	p := &Pipeline{Source: Records(recs), Sinks: []Sink{WriteRecords(&buf)}}
-	if err := p.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	collect := &Collect{}
-	p = &Pipeline{Source: RecordReplay{R: &buf}, Sinks: []Sink{collect}}
-	if err := p.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(collect.Records, recs) {
-		t.Fatal("record replay diverges from the written stream")
 	}
 }
 
@@ -231,7 +235,7 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 func TestObservationReplayRoundTrip(t *testing.T) {
 	recs := fakeRecords(25)
 	var buf bytes.Buffer
-	p := &Pipeline{Source: Records(recs), Sinks: []Sink{WriteObservations(&buf)}}
+	p := &Pipeline{Source: records(recs), Sinks: []Sink{WriteObservations(&buf)}}
 	if err := p.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -255,31 +259,11 @@ func TestObservationReplayRoundTrip(t *testing.T) {
 // through Run.
 func TestReplayDecodeError(t *testing.T) {
 	p := &Pipeline{
-		Source: RecordReplay{R: bytes.NewReader([]byte("{broken"))},
+		Source: ObservationReplay{R: bytes.NewReader([]byte("{broken"))},
 		Sinks:  []Sink{&Collect{}},
 	}
 	if err := p.Run(context.Background()); err == nil {
 		t.Fatal("corrupt trace replayed without error")
-	}
-}
-
-// TestObservationsSourceWrap: in-memory observations stream as bare
-// records.
-func TestObservationsSourceWrap(t *testing.T) {
-	recs := fakeRecords(6)
-	obs := make([]core.Observation, len(recs))
-	for i := range recs {
-		obs[i] = recs[i].Observation
-	}
-	collect := &Collect{}
-	p := &Pipeline{Source: Observations(obs), Sinks: []Sink{collect}}
-	if err := p.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	for i := range obs {
-		if !reflect.DeepEqual(collect.Records[i], Record{Observation: obs[i]}) {
-			t.Fatalf("record %d: not a bare wrap", i)
-		}
 	}
 }
 
@@ -295,7 +279,7 @@ func TestFeedAccumulator(t *testing.T) {
 	}
 	acc := core.NewAOEAccumulator(5)
 	p := &Pipeline{
-		Source: Records(recs),
+		Source: records(recs),
 		Stages: []Stage{ChosenOnly()},
 		Sinks:  []Sink{Feed(acc)},
 	}
@@ -312,27 +296,5 @@ func TestFeedAccumulator(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("fed accumulator diverges from batch analyzer")
-	}
-}
-
-// TestLimitExample documents composition: campaign-shaped source,
-// limit, terminal filter, two sinks — nothing blocks, nothing leaks.
-func TestLimitExample(t *testing.T) {
-	for _, buffer := range []int{1, 64} {
-		t.Run(fmt.Sprintf("buffer=%d", buffer), func(t *testing.T) {
-			counts := &CountSkips{}
-			p := &Pipeline{
-				Source: Records(fakeRecords(200)),
-				Stages: []Stage{Terminals("B"), Limit(30)},
-				Sinks:  []Sink{counts, SinkFunc(func(rec *Record) error { return nil })},
-				Buffer: buffer,
-			}
-			if err := p.Run(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			if counts.Total != 30 {
-				t.Fatalf("limited stream = %d records, want 30", counts.Total)
-			}
-		})
 	}
 }

@@ -1,8 +1,7 @@
 package pipeline
 
 // Online-inference plumbing: the predict service (internal/predict)
-// implements OnlineScorer, and campaigns hang it off a stream either
-// as a pass-through stage (score everything, keep flowing) or as a
+// implements OnlineScorer, and campaigns hang it off a stream as a
 // sink with a per-record callback (drift experiments that watch the
 // windowed accuracy slot by slot). The pipeline package stays
 // dependency-light — it sees only the interface, never the model.
@@ -39,18 +38,6 @@ type ScoreUpdate struct {
 // row. Implementations decide their own refit cadence.
 type OnlineScorer interface {
 	ObserveRecord(rec *Record) (ScoreUpdate, error)
-}
-
-// PredictStage feeds every record through the scorer and passes it on
-// unchanged — the fire-and-forget form for campaigns that only want
-// the scorer's metrics.
-func PredictStage(s OnlineScorer) Stage {
-	return func(rec *Record) (bool, error) {
-		if _, err := s.ObserveRecord(rec); err != nil {
-			return false, err
-		}
-		return true, nil
-	}
 }
 
 // ScoreSink feeds records through the scorer and hands each update to

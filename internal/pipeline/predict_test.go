@@ -6,44 +6,20 @@ import (
 	"testing"
 )
 
-// fakeScorer counts observations and replays a scripted update.
+// fakeScorer replays a scripted update.
 type fakeScorer struct {
-	seen []string
-	up   ScoreUpdate
-	err  error
+	up  ScoreUpdate
+	err error
 }
 
-func (f *fakeScorer) ObserveRecord(rec *Record) (ScoreUpdate, error) {
-	f.seen = append(f.seen, rec.Terminal)
-	return f.up, f.err
-}
-
-func TestPredictStagePassesThrough(t *testing.T) {
-	recs := fakeRecords(9)
-	sc := &fakeScorer{up: ScoreUpdate{Scored: true, Rank: 1}}
-	collect := &Collect{}
-	p := &Pipeline{
-		Source: Records(recs),
-		Stages: []Stage{PredictStage(sc)},
-		Sinks:  []Sink{collect},
-	}
-	if err := p.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if len(sc.seen) != len(recs) {
-		t.Fatalf("scorer saw %d records, want %d", len(sc.seen), len(recs))
-	}
-	if len(collect.Records) != len(recs) {
-		t.Fatalf("stage dropped records: %d of %d survived", len(collect.Records), len(recs))
-	}
-}
+func (f *fakeScorer) ObserveRecord(*Record) (ScoreUpdate, error) { return f.up, f.err }
 
 func TestScoreSinkDeliversUpdates(t *testing.T) {
 	recs := fakeRecords(6)
 	sc := &fakeScorer{up: ScoreUpdate{Scored: true, Rank: 2, RecentTop1: 0.5}}
 	var got []ScoreUpdate
 	p := &Pipeline{
-		Source: Records(recs),
+		Source: records(recs),
 		Sinks: []Sink{ScoreSink(sc, func(rec *Record, up ScoreUpdate) {
 			got = append(got, up)
 		})},
@@ -63,15 +39,8 @@ func TestScoreSinkDeliversUpdates(t *testing.T) {
 
 func TestPredictErrorStopsRun(t *testing.T) {
 	boom := errors.New("model exploded")
-	for _, tc := range []struct {
-		name string
-		p    *Pipeline
-	}{
-		{"stage", &Pipeline{Source: Records(fakeRecords(3)), Stages: []Stage{PredictStage(&fakeScorer{err: boom})}, Sinks: []Sink{&Collect{}}}},
-		{"sink", &Pipeline{Source: Records(fakeRecords(3)), Sinks: []Sink{ScoreSink(&fakeScorer{err: boom}, nil)}}},
-	} {
-		if err := tc.p.Run(context.Background()); !errors.Is(err, boom) {
-			t.Errorf("%s: Run = %v, want scorer error", tc.name, err)
-		}
+	p := &Pipeline{Source: records(fakeRecords(3)), Sinks: []Sink{ScoreSink(&fakeScorer{err: boom}, nil)}}
+	if err := p.Run(context.Background()); !errors.Is(err, boom) {
+		t.Errorf("Run = %v, want scorer error", err)
 	}
 }

@@ -30,8 +30,7 @@ func (f SinkFunc) Consume(rec *Record) error { return f(rec) }
 func (f SinkFunc) Flush() error { return nil }
 
 // Where gates one sink behind a stage, leaving the rest of the
-// pipeline untouched. The stage should filter, not mutate: a mutation
-// here would leak to sinks listed after this one.
+// pipeline untouched.
 func Where(st Stage, s Sink) Sink { return whereSink{st, s} }
 
 type whereSink struct {
@@ -40,9 +39,8 @@ type whereSink struct {
 }
 
 func (w whereSink) Consume(rec *Record) error {
-	keep, err := w.st(rec)
-	if err != nil || !keep {
-		return err
+	if !w.st(rec) {
+		return nil
 	}
 	return w.s.Consume(rec)
 }
@@ -78,15 +76,6 @@ func (c *CollectObservations) Consume(rec *Record) error {
 
 // Flush implements Sink.
 func (c *CollectObservations) Flush() error { return nil }
-
-// WriteRecords streams full records to w as JSON Lines — the format
-// RecordReplay reads back. Buffered output lands on Flush.
-func WriteRecords(w io.Writer) Sink { return recordWriter{traceio.NewRecordEncoder(w)} }
-
-type recordWriter struct{ enc *traceio.RecordEncoder }
-
-func (s recordWriter) Consume(rec *Record) error { return s.enc.Encode(rec) }
-func (s recordWriter) Flush() error              { return s.enc.Flush() }
 
 // WriteObservations streams the observation half to w as JSON Lines —
 // the -save-obs format ObservationReplay and traceio.ReadObservations

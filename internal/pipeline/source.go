@@ -30,102 +30,6 @@ func (c *Campaign) Stream(ctx context.Context, emit func(Record) error) error {
 	return nil
 }
 
-// Records replays an in-memory record slice in order.
-type Records []core.SlotRecord
-
-// Stream implements Source.
-func (s Records) Stream(ctx context.Context, emit func(Record) error) error {
-	for i := range s {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := emit(s[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Observations replays in-memory observations, each wrapped in a bare
-// record (no ground truth or identification metadata).
-type Observations []core.Observation
-
-// Stream implements Source.
-func (s Observations) Stream(ctx context.Context, emit func(Record) error) error {
-	for i := range s {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := emit(Record{Observation: s[i]}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RecordReplay streams a JSONL campaign trace (the WriteRecords /
-// traceio.RecordEncoder format) record by record — the O(1)-memory
-// replay path for full campaign outputs.
-type RecordReplay struct{ R io.Reader }
-
-// Stream implements Source.
-func (r RecordReplay) Stream(ctx context.Context, emit func(Record) error) error {
-	dec := traceio.NewRecordDecoder(r.R)
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		rec, err := dec.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := emit(rec); err != nil {
-			return err
-		}
-	}
-}
-
-// JournalReplay streams a shard journal: RecordReplay, but tolerant
-// of a truncated final line — the state a crash mid-append leaves
-// behind. After a successful Stream, Truncated reports whether a
-// partial tail was dropped and Offset the byte position an appender
-// can resume from (the coordinator truncates the journal there before
-// handing the shard to a new worker).
-type JournalReplay struct {
-	R io.Reader
-	// Truncated and Offset are populated by Stream.
-	Truncated bool
-	Offset    int64
-}
-
-// Stream implements Source.
-func (r *JournalReplay) Stream(ctx context.Context, emit func(Record) error) error {
-	dec := traceio.NewRecordDecoder(r.R)
-	dec.TolerateTruncatedTail()
-	defer func() {
-		r.Truncated = dec.Truncated()
-		r.Offset = dec.Offset()
-	}()
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		rec, err := dec.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := emit(rec); err != nil {
-			return err
-		}
-	}
-}
-
 // ObservationReplay streams a JSONL observation trace (the -save-obs /
 // traceio.ObservationEncoder format), wrapping each observation in a
 // bare record.

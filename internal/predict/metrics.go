@@ -6,19 +6,19 @@ import "repro/internal/telemetry"
 // with no registry the handles are nil and every update is a no-op, so
 // the serve path never branches on "telemetry enabled".
 type metrics struct {
-	requests    *telemetry.Counter   // RPC calls handled
-	observed    *telemetry.Counter   // records folded in (incl. unusable)
-	scored      *telemetry.Counter   // records predicted and ranked
-	refits      *telemetry.Counter   // models trained and published
-	refitErrors *telemetry.Counter   // background refits that failed
-	driftEvents *telemetry.Counter   // drift rising edges
-	driftActive *telemetry.Gauge     // 1 while the drift flag is raised
-	modelVersion *telemetry.Gauge    // serving model's publication number
-	windowRows  *telemetry.Gauge     // rows in the last refit's window
-	recentTop1  *telemetry.FloatGauge
-	recentTopK  *telemetry.FloatGauge
-	refTop1     *telemetry.FloatGauge
-	serve       *telemetry.Histogram // RPC predict/topk latency, seconds
+	requests     *telemetry.Counter // RPC calls handled
+	observed     *telemetry.Counter // records folded in (incl. unusable)
+	scored       *telemetry.Counter // records predicted and ranked
+	refits       *telemetry.Counter // models trained and published
+	refitErrors  *telemetry.Counter // background refits that failed
+	driftEvents  *telemetry.Counter // drift rising edges
+	driftActive  *telemetry.Gauge   // 1 while the drift flag is raised
+	modelVersion *telemetry.Gauge   // serving model's publication number
+	windowRows   *telemetry.Gauge   // rows in the last refit's window
+	recentTop1   *telemetry.FloatGauge
+	recentTopK   *telemetry.FloatGauge
+	refTop1      *telemetry.FloatGauge
+	serve        *telemetry.Histogram // RPC predict/topk latency, seconds
 }
 
 func newMetrics(r *telemetry.Registry) *metrics {

@@ -124,20 +124,11 @@ func (s *Spec) Build(opt BuildOptions) (*Built, error) {
 }
 
 // CampaignConfig lowers the built scenario into the campaign engine's
-// config — the same construction Env.CampaignSource uses, so a
+// config — Env.CampaignConfig plus the spec's reset cadence, so a
 // scenario that mirrors the default environment produces a
 // bit-identical record stream.
 func (b *Built) CampaignConfig() core.CampaignConfig {
-	return core.CampaignConfig{
-		Scheduler:    b.Env.Sched,
-		Identifier:   b.Env.Ident,
-		Start:        b.Env.Start(),
-		Slots:        b.Slots,
-		Oracle:       b.Oracle,
-		ResetEvery:   b.ResetEvery,
-		Workers:      b.Env.Workers,
-		Metrics:      b.Env.Metrics,
-		Snapshots:    b.Env.Snaps,
-		DisableIndex: b.Env.DisableIndex,
-	}
+	cfg := b.Env.CampaignConfig(b.Slots, b.Oracle)
+	cfg.ResetEvery = b.ResetEvery
+	return cfg
 }

@@ -202,16 +202,8 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 	tr.post = true
 	tr.lastSlot = time.Time{}
 	tr.slotIdx = 0
-	src := &pipeline.Campaign{Config: core.CampaignConfig{
-		Scheduler:  envB.Sched,
-		Identifier: envB.Ident,
-		Start:      envA.Start().Add(time.Duration(cfg.FlipAt) * scheduler.Period),
-		Slots:      cfg.Slots - cfg.FlipAt,
-		Oracle:     true,
-		Workers:    envB.Workers,
-		Metrics:    envB.Metrics,
-		Snapshots:  envB.Snaps,
-	}}
+	src := &pipeline.Campaign{Config: envB.CampaignConfig(cfg.Slots-cfg.FlipAt, true)}
+	src.Config.Start = envA.Start().Add(time.Duration(cfg.FlipAt) * scheduler.Period)
 	p := &pipeline.Pipeline{
 		Source:  src,
 		Stages:  []pipeline.Stage{pipeline.ChosenOnly()},
