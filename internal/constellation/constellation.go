@@ -165,7 +165,18 @@ type Satellite struct {
 	LaunchIdx  int       // index of the launch batch, 0 = oldest
 	TLE        *tle.TLE
 	Propagator sgp4.Ephemeris
+
+	pos int // index in the owning Constellation's Sats (see Pos)
 }
+
+// Pos returns the satellite's index in its constellation's Sats, the
+// key dense per-satellite state (the scheduler's hidden load, the
+// battery fleet) is kept under. The constellation assigns it once:
+// New does, and a hand-built Constellation does on its first
+// snapshot, which is where every consumer of that state meets the
+// satellite. Constellations with equal fingerprints list the same
+// satellites in the same order, so their positions agree too.
+func (s *Satellite) Pos() int { return s.pos }
 
 // AgeYears returns the satellite age in years at time t.
 func (s *Satellite) AgeYears(t time.Time) float64 {
@@ -187,6 +198,8 @@ type Constellation struct {
 	// Fingerprint cache (see Fingerprint).
 	fpOnce sync.Once
 	fp     uint64
+
+	posOnce sync.Once // see assignPositions
 
 	// Propagation-skip accounting (see Snapshot / PropagationSkips).
 	// Touched only on the failure path, so healthy constellations never
@@ -325,7 +338,18 @@ func New(cfg Config) (*Constellation, error) {
 	for _, s := range all {
 		c.byID[s.ID] = s
 	}
+	c.assignPositions()
 	return c, nil
+}
+
+// assignPositions numbers every satellite by its index in c.Sats,
+// once (see Satellite.Pos).
+func (c *Constellation) assignPositions() {
+	c.posOnce.Do(func() {
+		for i, s := range c.Sats {
+			s.pos = i
+		}
+	})
 }
 
 // assignLaunchBatches spreads launch dates across the constellation.
@@ -451,6 +475,7 @@ type snapSkip struct {
 // so states, order, skip counts, and per-satellite first-error text
 // are byte-identical at every worker count.
 func (c *Constellation) SnapshotInto(dst []SatState, t time.Time, workers int) ([]SatState, int) {
+	c.assignPositions()
 	n := len(c.Sats)
 	frame := astro.FrameAt(t)
 	shadow := astro.NewShadow(astro.SunPositionECI(t))

@@ -237,11 +237,12 @@ func (ix *SnapshotIndex) AppendObserveFrom(dst []Visible, obs astro.Geodetic, mi
 	return dst
 }
 
-// MarkVisibleIDs sets set[id] = true for every satellite at or above
-// minElevDeg from obs. Order-free (it fills a set), so no sort is paid;
+// MarkVisible sets visible[s.Pos()] = true for every satellite s at or
+// above minElevDeg from obs; visible needs one entry per satellite of
+// the constellation. Order-free (it fills a set), so no sort is paid;
 // used for the scheduler's gateway-visibility pass.
-func (ix *SnapshotIndex) MarkVisibleIDs(obs astro.Geodetic, minElevDeg float64, set map[int]bool) {
+func (ix *SnapshotIndex) MarkVisible(obs astro.Geodetic, minElevDeg float64, visible []bool) {
 	ix.query(obs, minElevDeg, func(st *SatState, _ astro.LookAngles) {
-		set[st.Sat.ID] = true
+		visible[st.Sat.pos] = true
 	})
 }

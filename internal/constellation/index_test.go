@@ -25,7 +25,7 @@ func randomSnapshot(rng *rand.Rand, n int) []SatState {
 		r := units.EarthRadiusKm + 400 + rng.Float64()*800
 		xy := math.Sqrt(1 - z*z)
 		snap = append(snap, SatState{
-			Sat: &Satellite{ID: 1000 + i},
+			Sat: &Satellite{ID: 1000 + i, pos: i},
 			ECEF: units.Vec3{
 				X: r * xy * math.Cos(theta),
 				Y: r * xy * math.Sin(theta),
@@ -123,23 +123,26 @@ func TestIndexMatchesLinearScanWalker(t *testing.T) {
 	}
 }
 
-// TestMarkVisibleIDsMatchesScan checks the set-only query against the
-// brute-force definition.
+// TestMarkVisibleIDsMatchesScan checks the set-only query, which marks
+// satellites by constellation position, against the brute-force
+// definition.
 func TestMarkVisibleIDsMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	snap := randomSnapshot(rng, 800)
 	ix := NewSnapshotIndex(snap)
 	obs := astro.Geodetic{LatDeg: 33, LonDeg: -97}
 
-	got := map[int]bool{}
-	ix.MarkVisibleIDs(obs, 25, got)
+	got := make([]bool, len(snap))
+	ix.MarkVisible(obs, 25, got)
 
-	want := map[int]bool{}
+	want := make([]bool, len(snap))
+	n := 0
 	for _, v := range ObserveFrom(obs, snap, 25) {
-		want[v.Sat.ID] = true
+		want[v.Sat.Pos()] = true
+		n++
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("MarkVisibleIDs = %d sats, scan = %d sats", len(got), len(want))
+	if n == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("MarkVisible and the scan disagree (scan sees %d sats)", n)
 	}
 }
 

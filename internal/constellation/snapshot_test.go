@@ -182,3 +182,28 @@ func TestSnapshotIndexRebuildReusesCells(t *testing.T) {
 		}
 	}
 }
+
+// TestSatellitePositions checks that every satellite's Pos is its
+// index in Sats: assigned by New, and by the first snapshot of a
+// hand-built constellation, whatever order its IDs come in.
+func TestSatellitePositions(t *testing.T) {
+	built, err := New(parallelConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range built.Sats {
+		if s.Pos() != i {
+			t.Fatalf("New: satellite %d at index %d has Pos %d", s.ID, i, s.Pos())
+		}
+	}
+	var sats []*Satellite
+	for _, id := range []int{900, 100, 500} {
+		sats = append(sats, &Satellite{ID: id, Propagator: built.Sats[0].Propagator})
+	}
+	hand := &Constellation{Sats: sats, Epoch: built.Epoch}
+	for i, st := range hand.Snapshot(built.Epoch) {
+		if st.Sat.Pos() != i {
+			t.Fatalf("hand-built: satellite %d at index %d has Pos %d", st.Sat.ID, i, st.Sat.Pos())
+		}
+	}
+}

@@ -10,7 +10,6 @@ package power
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/units"
@@ -90,80 +89,76 @@ func (b *Battery) Step(dt time.Duration, sunlit bool, util float64) {
 	b.soc = units.Clamp(b.soc+deltaWh/b.cfg.CapacityWh, b.cfg.MinSoC, 1)
 }
 
-// Fleet tracks one battery per satellite ID.
+// Fleet tracks one battery per satellite, held densely by
+// constellation position: battery i belongs to the satellite at index
+// i of the ID list NewFleet was given.
 type Fleet struct {
-	cfg  BatteryConfig
-	bats map[int]*Battery
-	ids  []int // sorted, for deterministic iteration
+	bats []Battery
 }
 
-// NewFleet builds batteries for every ID.
+// NewFleet builds one battery per entry of ids, in that order, so
+// callers address them by position. Duplicate IDs are rejected.
 func NewFleet(ids []int, cfg BatteryConfig) (*Fleet, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	f := &Fleet{cfg: cfg, bats: make(map[int]*Battery, len(ids))}
-	for _, id := range ids {
-		if _, dup := f.bats[id]; dup {
+	seen := make(map[int]bool, len(ids))
+	f := &Fleet{bats: make([]Battery, len(ids))}
+	for i, id := range ids {
+		if seen[id] {
 			return nil, fmt.Errorf("power: duplicate satellite id %d", id)
 		}
-		b, err := NewBattery(cfg)
-		if err != nil {
-			return nil, err
-		}
-		f.bats[id] = b
-		f.ids = append(f.ids, id)
+		seen[id] = true
+		f.bats[i] = Battery{cfg: cfg, soc: cfg.InitialSoC}
 	}
-	sort.Ints(f.ids)
 	return f, nil
 }
 
-// SoC returns a satellite's state of charge (1.0 for unknown IDs, so
-// absent telemetry never penalizes a candidate).
-func (f *Fleet) SoC(id int) float64 {
-	if b, ok := f.bats[id]; ok {
-		return b.SoC()
+// SoC returns the state of charge of the battery at position pos (1.0
+// for positions outside the fleet, so absent telemetry never
+// penalizes a candidate).
+func (f *Fleet) SoC(pos int) float64 {
+	if pos < 0 || pos >= len(f.bats) {
+		return 1
 	}
-	return 1
+	return f.bats[pos].SoC()
 }
 
-// Constrained reports the protection-floor flag for a satellite.
-func (f *Fleet) Constrained(id int) bool {
-	if b, ok := f.bats[id]; ok {
-		return b.Constrained()
+// Constrained reports the protection-floor flag of the battery at
+// position pos (false outside the fleet).
+func (f *Fleet) Constrained(pos int) bool {
+	if pos < 0 || pos >= len(f.bats) {
+		return false
 	}
-	return false
+	return f.bats[pos].Constrained()
 }
 
-// Step advances every battery by dt. sunlit and util report each
-// satellite's state; missing entries default to sunlit idle.
-func (f *Fleet) Step(dt time.Duration, sunlit map[int]bool, util map[int]float64) {
-	for _, id := range f.ids {
-		s, ok := sunlit[id]
-		if !ok {
-			s = true
-		}
-		f.bats[id].Step(dt, s, util[id])
+// Step advances every battery by dt. sunlit[i] and util[i] are the
+// state of the satellite at position i; both need one entry per
+// battery.
+func (f *Fleet) Step(dt time.Duration, sunlit []bool, util []float64) {
+	for i := range f.bats {
+		f.bats[i].Step(dt, sunlit[i], util[i])
 	}
 }
 
 // MeanSoC returns the fleet-average state of charge.
 func (f *Fleet) MeanSoC() float64 {
-	if len(f.ids) == 0 {
+	if len(f.bats) == 0 {
 		return math.NaN()
 	}
 	sum := 0.0
-	for _, id := range f.ids {
-		sum += f.bats[id].SoC()
+	for i := range f.bats {
+		sum += f.bats[i].SoC()
 	}
-	return sum / float64(len(f.ids))
+	return sum / float64(len(f.bats))
 }
 
 // ConstrainedCount returns how many batteries sit at the floor.
 func (f *Fleet) ConstrainedCount() int {
 	n := 0
-	for _, id := range f.ids {
-		if f.bats[id].Constrained() {
+	for i := range f.bats {
+		if f.bats[i].Constrained() {
 			n++
 		}
 	}

@@ -114,6 +114,7 @@ func TestBatteryOrbitEquilibrium(t *testing.T) {
 }
 
 func TestFleet(t *testing.T) {
+	// Positions 0, 1, 2 hold satellites 3, 1, 2.
 	f, err := NewFleet([]int{3, 1, 2}, DefaultBatteryConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -122,14 +123,15 @@ func TestFleet(t *testing.T) {
 		t.Error("initial SoC")
 	}
 	if f.SoC(999) != 1 {
-		t.Error("unknown id should report full charge")
+		t.Error("unknown position should report full charge")
 	}
 	if f.Constrained(999) {
-		t.Error("unknown id constrained")
+		t.Error("unknown position constrained")
 	}
-	// Eclipse satellite 1 under load; keep 2 sunlit.
+	// Eclipse satellite 1 (position 1) under load; keep 2 (position 2)
+	// sunlit and idle.
 	for i := 0; i < 12; i++ {
-		f.Step(15*time.Second, map[int]bool{1: false, 2: true, 3: true}, map[int]float64{1: 1})
+		f.Step(15*time.Second, []bool{true, false, true}, []float64{0, 1, 0})
 	}
 	if !(f.SoC(1) < f.SoC(2)) {
 		t.Errorf("loaded+eclipsed %v not below sunlit idle %v", f.SoC(1), f.SoC(2))
@@ -153,7 +155,7 @@ func TestFleetConstrainedCount(t *testing.T) {
 	if f.ConstrainedCount() != 0 {
 		t.Error("fresh fleet constrained")
 	}
-	f.Step(10*time.Hour, map[int]bool{1: false, 2: true}, map[int]float64{1: 1})
+	f.Step(10*time.Hour, []bool{false, true}, []float64{1, 0})
 	if f.ConstrainedCount() != 1 {
 		t.Errorf("constrained count = %d", f.ConstrainedCount())
 	}

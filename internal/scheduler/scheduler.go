@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -173,22 +174,29 @@ type Global struct {
 	snaps   *constellation.SnapshotCache
 	noIndex bool
 
-	// load is hidden per-satellite background utilization in [0,1],
-	// re-drawn smoothly each slot. It is intentionally unobservable to
-	// the inference pipeline (the paper §6 "Limitations").
-	load     map[int]float64
-	loadIDs  []int // sorted, for deterministic RNG consumption
-	loadSlot int64
+	// Per-satellite state is dense, indexed by constellation position
+	// (constellation.Satellite.Pos) and reused across slots.
+	//
+	// load is hidden background utilization in [0,1], re-drawn
+	// smoothly each slot. It is intentionally unobservable to the
+	// inference pipeline (the paper §6 "Limitations").
+	load      []float64
+	loadOrder []int // positions in ascending-ID order: the RNG draw order
 
 	// fleet is the hidden satellite energy state (nil when the battery
-	// model is disabled).
-	fleet *power.Fleet
+	// model is disabled); sunlit is its per-slot input.
+	fleet  *power.Fleet
+	sunlit []bool
 
-	// Bent-pipe constraint state.
+	// Bent-pipe constraint state: gsVisible marks the satellites that
+	// see a gateway this slot (unused when there are no gateways).
 	groundStations []astro.Geodetic
 	gsMinElev      float64
-	gsVisible      map[int]bool // per-slot cache
-	gsSlot         int64
+	gsVisible      []bool
+
+	// slot is the slot the state above was last advanced to (-1 before
+	// the first).
+	slot int64
 
 	// launch window bounds for recency normalization.
 	oldest, newest time.Time
@@ -227,7 +235,6 @@ func NewGlobal(cfg Config) (*Global, error) {
 		minElev: minElev,
 		gso:     make(map[string]*geo.GSOExclusion, len(cfg.Terminals)),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		load:    make(map[int]float64, cfg.Constellation.Len()),
 		metrics: NewMetrics(cfg.Telemetry),
 		snaps:   cfg.Snapshots,
 		noIndex: cfg.DisableIndex,
@@ -243,9 +250,14 @@ func NewGlobal(cfg Config) (*Global, error) {
 			g.gso[t.Name] = geo.NewGSOExclusion(t.Location, cfg.GSOProtectionDeg)
 		}
 	}
-	for _, s := range cfg.Constellation.Sats {
-		g.load[s.ID] = g.rng.Float64() * 0.5
-		g.loadIDs = append(g.loadIDs, s.ID)
+	sats := cfg.Constellation.Sats
+	g.load = make([]float64, len(sats))
+	g.loadOrder = make([]int, len(sats))
+	ids := make([]int, len(sats))
+	for i, s := range sats {
+		g.load[i] = g.rng.Float64() * 0.5
+		g.loadOrder[i] = i
+		ids[i] = s.ID
 		if s.Launch.Before(g.oldest) || g.oldest.IsZero() {
 			g.oldest = s.Launch
 		}
@@ -253,20 +265,20 @@ func NewGlobal(cfg Config) (*Global, error) {
 			g.newest = s.Launch
 		}
 	}
-	sort.Ints(g.loadIDs)
+	slices.SortFunc(g.loadOrder, func(a, b int) int { return ids[a] - ids[b] })
 	if !cfg.DisableBattery {
 		bcfg := power.DefaultBatteryConfig()
 		if cfg.Battery != nil {
 			bcfg = *cfg.Battery
 		}
-		fleet, err := power.NewFleet(g.loadIDs, bcfg)
+		fleet, err := power.NewFleet(ids, bcfg)
 		if err != nil {
 			return nil, fmt.Errorf("scheduler: battery fleet: %w", err)
 		}
 		g.fleet = fleet
+		g.sunlit = make([]bool, len(sats))
 	}
-	g.loadSlot = -1
-	g.gsSlot = -1
+	g.slot = -1
 	if cfg.GroundStations == nil {
 		for _, p := range geo.StudyPoPs() {
 			g.groundStations = append(g.groundStations, p.Location)
@@ -278,30 +290,49 @@ func NewGlobal(cfg Config) (*Global, error) {
 	if g.gsMinElev == 0 {
 		g.gsMinElev = 25
 	}
+	if len(g.groundStations) > 0 {
+		g.gsVisible = make([]bool, len(sats))
+	}
 	return g, nil
 }
 
 // Terminals returns the scheduled terminals.
 func (g *Global) Terminals() []Terminal { return g.terms }
 
-// stepLoad advances the hidden load random walk to the given slot.
-// Loads evolve smoothly so consecutive slots are correlated, like real
-// utilization.
-func (g *Global) stepLoad(slot int64) {
-	if slot == g.loadSlot {
+// advance moves the hidden per-satellite state to the given slot: the
+// load walk, then the battery fleet and the gateway-visibility set
+// from the slot's snapshot. Allocate and CandidatesAt both reach a
+// slot through here, so whichever comes first steps all of it exactly
+// once.
+func (g *Global) advance(slot int64, shared *constellation.SharedSnapshot) {
+	if slot == g.slot {
 		return
 	}
-	steps := slot - g.loadSlot
-	if g.loadSlot < 0 || steps < 0 || steps > 240 {
+	steps := slot - g.slot
+	if g.slot < 0 || steps < 0 || steps > 240 {
 		steps = 1 // (re)initialize with a single step
 	}
+	g.slot = slot
+	// Loads evolve smoothly so consecutive slots are correlated, like
+	// real utilization.
 	for i := int64(0); i < steps; i++ {
-		for _, id := range g.loadIDs {
-			v := g.load[id] + g.rng.NormFloat64()*0.05
-			g.load[id] = units.Clamp(v, 0, 1)
+		for _, p := range g.loadOrder {
+			v := g.load[p] + g.rng.NormFloat64()*0.05
+			g.load[p] = units.Clamp(v, 0, 1)
 		}
 	}
-	g.loadSlot = slot
+	if g.fleet != nil {
+		// A satellite missing from the snapshot (failed propagation)
+		// steps as sunlit.
+		for i := range g.sunlit {
+			g.sunlit[i] = true
+		}
+		for i := range shared.States {
+			g.sunlit[shared.States[i].Sat.Pos()] = shared.States[i].Sunlit
+		}
+		g.fleet.Step(Period, g.sunlit, g.load)
+	}
+	g.markGatewayVisible(shared)
 }
 
 // Candidate is one eligible satellite with its observables and the
@@ -320,19 +351,9 @@ type Candidate struct {
 // (the load walk advances per slot).
 func (g *Global) Allocate(t time.Time) []Allocation {
 	slotStart := EpochStart(t)
-	advanced := SlotIndex(t) != g.loadSlot
-	g.stepLoad(SlotIndex(t))
 	shared := g.snaps.Acquire(g.cons, slotStart)
 	defer shared.Release()
-	snap := shared.States
-	if g.fleet != nil && advanced {
-		sunlit := make(map[int]bool, len(snap))
-		for _, st := range snap {
-			sunlit[st.Sat.ID] = st.Sunlit
-		}
-		g.fleet.Step(Period, sunlit, g.load)
-	}
-	g.refreshGSVisibility(SlotIndex(t), shared)
+	g.advance(SlotIndex(t), shared)
 
 	out := make([]Allocation, 0, len(g.terms))
 	for _, term := range g.terms {
@@ -363,26 +384,20 @@ func (g *Global) Allocate(t time.Time) []Allocation {
 	return out
 }
 
-// refreshGSVisibility recomputes which satellites currently see a
-// ground station (bent-pipe eligibility), once per slot.
-func (g *Global) refreshGSVisibility(slot int64, shared *constellation.SharedSnapshot) {
-	if slot == g.gsSlot {
-		return
-	}
-	g.gsSlot = slot
+// markGatewayVisible recomputes which satellites currently see a
+// ground station (bent-pipe eligibility).
+func (g *Global) markGatewayVisible(shared *constellation.SharedSnapshot) {
 	if len(g.groundStations) == 0 {
-		g.gsVisible = nil // constraint disabled
-		return
+		return // constraint disabled
 	}
-	snap := shared.States
-	g.gsVisible = make(map[int]bool, len(snap))
+	clear(g.gsVisible)
 	if !g.noIndex {
 		// Set semantics make per-gateway index queries equivalent to the
 		// satellite-outer scan: a satellite is marked iff some gateway
 		// sees it above the mask.
 		ix := shared.Index()
 		for _, gs := range g.groundStations {
-			ix.MarkVisibleIDs(gs, g.gsMinElev, g.gsVisible)
+			ix.MarkVisible(gs, g.gsMinElev, g.gsVisible)
 		}
 		return
 	}
@@ -390,10 +405,10 @@ func (g *Global) refreshGSVisibility(slot int64, shared *constellation.SharedSna
 	for i, gs := range g.groundStations {
 		observers[i] = astro.NewObserver(gs)
 	}
-	for _, st := range snap {
+	for _, st := range shared.States {
 		for i := range observers {
 			if observers[i].Observe(st.ECEF).ElevationDeg >= g.gsMinElev {
-				g.gsVisible[st.Sat.ID] = true
+				g.gsVisible[st.Sat.Pos()] = true
 				break
 			}
 		}
@@ -423,7 +438,8 @@ func (g *Global) appendCandidates(fovBuf []constellation.Visible, cands []Candid
 		gso = g.gso[term.Name]
 	}
 	for _, v := range fov {
-		if g.gsVisible != nil && !g.gsVisible[v.Sat.ID] {
+		pos := v.Sat.Pos()
+		if g.gsVisible != nil && !g.gsVisible[pos] {
 			continue // bent-pipe: no gateway in view
 		}
 		if term.Mask.Blocked(v.Look.AzimuthDeg, v.Look.ElevationDeg) {
@@ -456,18 +472,18 @@ func (g *Global) appendCandidates(fovBuf []constellation.Visible, cands []Candid
 		if v.Sunlit {
 			sunlit = 1
 		}
-		if g.fleet != nil && g.fleet.Constrained(v.Sat.ID) {
+		if g.fleet != nil && g.fleet.Constrained(pos) {
 			continue // battery at the protection floor: ineligible
 		}
 		charge := 1.0
 		if g.fleet != nil {
-			charge = g.fleet.SoC(v.Sat.ID)
+			charge = g.fleet.SoC(pos)
 		}
 		c.Score = g.w.Elevation*elevNorm +
 			g.w.GSOClearance*clearance +
 			g.w.Recency*recency +
 			g.w.Sunlit*sunlit -
-			g.w.Load*g.load[v.Sat.ID] -
+			g.w.Load*g.load[pos] -
 			g.w.Charge*(1-charge) +
 			g.rng.NormFloat64()*g.w.NoiseStd
 		cands = append(cands, c)
@@ -479,10 +495,9 @@ func (g *Global) appendCandidates(fovBuf []constellation.Visible, cands []Candid
 // The returned slice is freshly allocated (it escapes to the caller),
 // never the Allocate scratch.
 func (g *Global) CandidatesAt(term Terminal, t time.Time) []Candidate {
-	g.stepLoad(SlotIndex(t))
 	shared := g.snaps.Acquire(g.cons, EpochStart(t))
 	defer shared.Release()
-	g.refreshGSVisibility(SlotIndex(t), shared)
+	g.advance(SlotIndex(t), shared)
 	_, cands := g.appendCandidates(nil, nil, term, shared)
 	return cands
 }

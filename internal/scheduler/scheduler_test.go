@@ -396,7 +396,7 @@ func TestConstrainedSatellitesExcluded(t *testing.T) {
 				continue
 			}
 			picks++
-			if g.Fleet().Constrained(a.SatID) {
+			if g.Fleet().Constrained(cons.ByID(a.SatID).Pos()) {
 				t.Fatalf("slot %d: constrained satellite %d was chosen", i, a.SatID)
 			}
 		}

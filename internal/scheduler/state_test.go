@@ -1,0 +1,147 @@
+package scheduler
+
+import (
+	"errors"
+	"math"
+	"testing"
+	"time"
+
+	"repro/internal/astro"
+	"repro/internal/constellation"
+	"repro/internal/geo"
+	"repro/internal/power"
+	"repro/internal/sgp4"
+	"repro/internal/units"
+)
+
+// failingEph is a propagator whose every propagation fails, so its
+// satellite drops out of every snapshot.
+type failingEph struct{ epoch time.Time }
+
+var errStale = errors.New("stale elements")
+
+func (f failingEph) Epoch() time.Time { return f.epoch }
+func (f failingEph) Propagate(float64) (sgp4.State, error) {
+	return sgp4.State{}, errStale
+}
+func (f failingEph) PropagateAt(time.Time) (sgp4.State, error) {
+	return sgp4.State{}, errStale
+}
+
+// TestCandidatesAtStepsBattery is the regression test for the slot
+// advance: CandidatesAt reaching a slot first must step the battery
+// fleet together with the load walk, so a later Allocate for the same
+// slot leaves every satellite's state of charge where Allocate alone
+// leaves it.
+func TestCandidatesAtStepsBattery(t *testing.T) {
+	cons := testConstellation(t)
+	build := func() *Global {
+		g, err := NewGlobal(Config{Constellation: cons, Terminals: testTerminals(), Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	at := cons.Epoch.Add(20 * time.Minute)
+	probed, plain := build(), build()
+	probed.CandidatesAt(probed.Terminals()[0], at)
+	probed.Allocate(at)
+	plain.Allocate(at)
+	for i := 0; i < cons.Len(); i++ {
+		if a, b := probed.Fleet().SoC(i), plain.Fleet().SoC(i); a != b {
+			t.Fatalf("satellite at position %d: SoC %v after CandidatesAt+Allocate, %v after Allocate", i, a, b)
+		}
+	}
+	if plain.Fleet().SoC(0) == power.DefaultBatteryConfig().InitialSoC {
+		t.Fatal("Allocate did not step the fleet; the comparison is vacuous")
+	}
+}
+
+// TestAllocateSkippedSatelliteStaysSunlit pins the dense state to the
+// map semantics it replaced: a satellite whose propagation fails is
+// missing from the snapshot, and its battery keeps stepping as sunlit,
+// at its hidden load.
+func TestAllocateSkippedSatelliteStaysSunlit(t *testing.T) {
+	epoch := time.Date(2023, 6, 1, 0, 0, 0, 0, time.UTC)
+	start := EpochStart(epoch.Add(time.Hour))
+	// Two healthy satellites over the terminal, and one in the middle
+	// that never propagates: a hand-built constellation, so positions
+	// come from its first snapshot.
+	pos := units.Vec3{X: units.EarthRadiusKm + 550}
+	sats := []*constellation.Satellite{
+		{ID: 300, Launch: epoch, Propagator: fixedEph{pos: pos, epoch: epoch}},
+		{ID: 100, Launch: epoch, Propagator: failingEph{epoch: epoch}},
+		{ID: 200, Launch: epoch, Propagator: fixedEph{pos: pos, epoch: epoch}},
+	}
+	cons := &constellation.Constellation{Sats: sats, Epoch: epoch, SnapshotWorkers: 1}
+	ecef, _ := astro.TEMEToECEF(pos, units.Vec3{}, start)
+	sub := astro.ECEFToGeodetic(ecef)
+	term := Terminal{VantagePoint: geo.VantagePoint{
+		Name:     "term",
+		Location: astro.Geodetic{LatDeg: sub.LatDeg, LonDeg: sub.LonDeg},
+	}, Priority: 1}
+	g, err := NewGlobal(Config{
+		Constellation:    cons,
+		Terminals:        []Terminal{term},
+		GSOProtectionDeg: -1,
+		GroundStations:   []astro.Geodetic{},
+		Seed:             9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := power.NewBattery(power.DefaultBatteryConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for slot := 0; slot < 8; slot++ {
+		allocs := g.Allocate(start.Add(time.Duration(slot) * Period))
+		if allocs[0].Candidates != 2 {
+			t.Fatalf("slot %d: %d candidates, want the 2 healthy satellites", slot, allocs[0].Candidates)
+		}
+		// The load the fleet stepped with is the walk's value for this
+		// slot, which Allocate leaves in place.
+		ref.Step(Period, true, g.load[1])
+		if got := g.Fleet().SoC(1); math.Float64bits(got) != math.Float64bits(ref.SoC()) {
+			t.Fatalf("slot %d: skipped satellite SoC %v, want %v (sunlit at its load)", slot, got, ref.SoC())
+		}
+	}
+	if total, _ := cons.PropagationSkips(); total != 8 {
+		t.Fatalf("propagation skips = %d, want one per slot", total)
+	}
+}
+
+// TestAllocateWarmPathAllocs pins Allocate's steady state, the slot's
+// snapshot already held and indexed by the caller as the campaign
+// engine holds it, to the one allocation of the returned slice: the
+// load walk, battery step, gateway set and candidate sweep all reuse
+// dense per-satellite buffers.
+func TestAllocateWarmPathAllocs(t *testing.T) {
+	cons := testConstellation(t)
+	cons.SnapshotWorkers = 1 // no snapshot fan-out goroutines
+	cache := constellation.NewSnapshotCache(64, nil)
+	g, err := NewGlobal(Config{Constellation: cons, Terminals: testTerminals(), Seed: 7, Snapshots: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const warm, runs = 10, 20
+	var slots []time.Time
+	for i := 0; i < warm+runs+1; i++ {
+		at := EpochStart(cons.Epoch.Add(time.Duration(i) * Period))
+		shared := cache.Acquire(cons, at)
+		defer shared.Release()
+		shared.Index()
+		slots = append(slots, at)
+	}
+	for _, at := range slots[:warm] {
+		g.Allocate(at)
+	}
+	next := warm
+	allocs := testing.AllocsPerRun(runs, func() {
+		g.Allocate(slots[next])
+		next++
+	})
+	if allocs > 1 {
+		t.Fatalf("Allocate warm path: %v allocs per slot, want at most 1 (the returned slice)", allocs)
+	}
+}

@@ -10,7 +10,8 @@
 // reproduction; the constructor error keeps misuse loud.
 //
 // The propagator is immutable after construction and safe for
-// concurrent use; Propagate allocates nothing.
+// concurrent use; Propagate allocates nothing and evaluates each
+// transcendental once (math.Sincos for every sine/cosine pair).
 package sgp4
 
 import (
@@ -240,6 +241,19 @@ func (p *Propagator) PropagateAtInto(t time.Time, st *State) error {
 	return nil
 }
 
+// pow15 returns math.Pow(x, 1.5) bit for bit, without Pow's Modf,
+// Frexp and Ldexp bookkeeping. For y = 1.5 Pow computes
+// Exp(0.5*Log(x)), multiplies it by x's mantissa and rescales by x's
+// exponent; multiplying by x directly rounds the same product, and the
+// rescale is exact while x and the result stay far from the subnormal
+// and overflow ranges. Outside that range Pow itself answers.
+func pow15(x float64) float64 {
+	if x > 0x1p-600 && x < 0x1p600 {
+		return math.Exp(0.5*math.Log(x)) * x
+	}
+	return math.Pow(x, 1.5)
+}
+
 // Propagate advances the mean elements tsince minutes past the epoch
 // (negative values propagate backwards) and returns the osculating
 // TEME state.
@@ -260,7 +274,12 @@ func (p *Propagator) Propagate(tsince float64) (State, error) {
 
 	if !p.isimp {
 		delomg := p.omgcof * t
-		delm := p.xmcof * (math.Pow(1+p.eta*math.Cos(xmdf), 3) - p.delmo)
+		// x*x*x is Pow(x, 3) bit for bit: Pow multiplies the same
+		// mantissas and rescales by a power of two, which is exact. The
+		// conversion rounds the cube before the subtraction, as the call
+		// did, so no platform fuses the two into a multiply-add.
+		x := 1 + p.eta*math.Cos(xmdf)
+		delm := p.xmcof * (float64(x*x*x) - p.delmo)
 		temp := delomg + delm
 		mm = xmdf + temp
 		argpm = argpdf - temp
@@ -274,7 +293,7 @@ func (p *Propagator) Propagate(tsince float64) (State, error) {
 	// p.ao is (xke/noUnkozai)^(2/3), the same Pow New evaluates, so
 	// reusing it is bit-identical and saves one Pow per call.
 	am := p.ao * tempa * tempa
-	nm := xke / math.Pow(am, 1.5)
+	nm := xke / pow15(am)
 	em := p.ecco - tempe
 	if em >= 1.0 || em < -0.001 {
 		return State{}, fmt.Errorf("sgp4: mean eccentricity %v out of range at t=%v min", em, t)
@@ -291,9 +310,10 @@ func (p *Propagator) Propagate(tsince float64) (State, error) {
 
 	// Long-period periodics.
 	sinip, cosip := p.sinio, p.cosio
-	axnl := em * math.Cos(argpm)
+	sinargp, cosargp := math.Sincos(argpm)
+	axnl := em * cosargp
 	temp := 1 / (am * (1 - em*em))
-	aynl := em*math.Sin(argpm) + temp*p.aycof
+	aynl := em*sinargp + temp*p.aycof
 	xl := mm + argpm + nodem + temp*p.xlcof*axnl
 
 	// Kepler's equation for the longitude-form anomaly.
@@ -301,8 +321,7 @@ func (p *Propagator) Propagate(tsince float64) (State, error) {
 	eo1 := u
 	var sineo1, coseo1 float64
 	for ktr := 0; ktr < 10; ktr++ {
-		sineo1 = math.Sin(eo1)
-		coseo1 = math.Cos(eo1)
+		sineo1, coseo1 = math.Sincos(eo1)
 		tem5 := (u - aynl*coseo1 + axnl*sineo1 - eo1) /
 			(1 - coseo1*axnl - sineo1*aynl)
 		if math.Abs(tem5) >= 0.95 {
@@ -349,9 +368,9 @@ func (p *Propagator) Propagate(tsince float64) (State, error) {
 	rvdot := rvdotl + nm*temp1*(p.x1mth2*cos2u+1.5*p.x3thm1)/xke
 
 	// Orientation vectors and state.
-	sinsu, cossu := math.Sin(su), math.Cos(su)
-	snod, cnod := math.Sin(xnode), math.Cos(xnode)
-	sini, cosi := math.Sin(xinc), math.Cos(xinc)
+	sinsu, cossu := math.Sincos(su)
+	snod, cnod := math.Sincos(xnode)
+	sini, cosi := math.Sincos(xinc)
 	xmx := -snod * cosi
 	xmy := cnod * cosi
 	ux := xmx*sinsu + cnod*cossu

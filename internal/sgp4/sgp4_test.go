@@ -2,7 +2,9 @@ package sgp4
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -385,6 +387,199 @@ func BenchmarkKeplerJ2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := k.Propagate(float64(i % 1440)); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// referencePropagate is the SGP4 kernel as it stood before Propagate
+// was rewritten to evaluate each transcendental once: a separate
+// math.Sin and math.Cos per angle, math.Pow for the cube and the 1.5
+// power, and the math.Mod angle wrap. It is the oracle Propagate must
+// match bit for bit.
+func referencePropagate(p *Propagator, tsince float64) (State, error) {
+	t := tsince
+
+	// Secular gravity and drag.
+	xmdf := p.mo + p.mdot*t
+	argpdf := p.argpo + p.argpdot*t
+	nodedf := p.nodeo + p.nodedot*t
+	argpm := argpdf
+	mm := xmdf
+	t2 := t * t
+	nodem := nodedf + p.nodecf*t2
+	tempa := 1 - p.c1*t
+	tempe := p.bstar * p.c4 * t
+	templ := p.t2cof * t2
+
+	if !p.isimp {
+		delomg := p.omgcof * t
+		delm := p.xmcof * (math.Pow(1+p.eta*math.Cos(xmdf), 3) - p.delmo)
+		temp := delomg + delm
+		mm = xmdf + temp
+		argpm = argpdf - temp
+		t3 := t2 * t
+		t4 := t3 * t
+		tempa = tempa - p.d2*t2 - p.d3*t3 - p.d4*t4
+		tempe += p.bstar * p.c5 * (math.Sin(mm) - p.sinmao)
+		templ += p.t3cof*t3 + t4*(p.t4cof+t*p.t5cof)
+	}
+
+	am := p.ao * tempa * tempa
+	nm := xke / math.Pow(am, 1.5)
+	em := p.ecco - tempe
+	if em >= 1.0 || em < -0.001 {
+		return State{}, fmt.Errorf("sgp4: mean eccentricity %v out of range at t=%v min", em, t)
+	}
+	if em < 1e-6 {
+		em = 1e-6
+	}
+	mm += p.noUnkozai * templ
+	xlm := mm + argpm + nodem
+	nodem = wrapRadTwoPiMod(nodem)
+	argpm = wrapRadTwoPiMod(argpm)
+	xlm = wrapRadTwoPiMod(xlm)
+	mm = wrapRadTwoPiMod(xlm - argpm - nodem)
+
+	// Long-period periodics.
+	sinip, cosip := p.sinio, p.cosio
+	axnl := em * math.Cos(argpm)
+	temp := 1 / (am * (1 - em*em))
+	aynl := em*math.Sin(argpm) + temp*p.aycof
+	xl := mm + argpm + nodem + temp*p.xlcof*axnl
+
+	// Kepler's equation for the longitude-form anomaly.
+	u := wrapRadTwoPiMod(xl - nodem)
+	eo1 := u
+	var sineo1, coseo1 float64
+	for ktr := 0; ktr < 10; ktr++ {
+		sineo1 = math.Sin(eo1)
+		coseo1 = math.Cos(eo1)
+		tem5 := (u - aynl*coseo1 + axnl*sineo1 - eo1) /
+			(1 - coseo1*axnl - sineo1*aynl)
+		if math.Abs(tem5) >= 0.95 {
+			if tem5 > 0 {
+				tem5 = 0.95
+			} else {
+				tem5 = -0.95
+			}
+		}
+		eo1 += tem5
+		if math.Abs(tem5) < 1e-12 {
+			break
+		}
+	}
+
+	// Short-period preliminary quantities.
+	ecose := axnl*coseo1 + aynl*sineo1
+	esine := axnl*sineo1 - aynl*coseo1
+	el2 := axnl*axnl + aynl*aynl
+	pl := am * (1 - el2)
+	if pl < 0 {
+		return State{}, fmt.Errorf("sgp4: semi-latus rectum %v negative at t=%v min", pl, t)
+	}
+	rl := am * (1 - ecose)
+	rdotl := math.Sqrt(am) * esine / rl
+	rvdotl := math.Sqrt(pl) / rl
+	betal := math.Sqrt(1 - el2)
+	temp = esine / (1 + betal)
+	sinu := am / rl * (sineo1 - aynl - axnl*temp)
+	cosu := am / rl * (coseo1 - axnl + aynl*temp)
+	su := math.Atan2(sinu, cosu)
+	sin2u := (cosu + cosu) * sinu
+	cos2u := 1 - 2*sinu*sinu
+	temp = 1 / pl
+	temp1 := 0.5 * j2 * temp
+	temp2 := temp1 * temp
+
+	// Short-period periodics.
+	mrt := rl*(1-1.5*temp2*betal*p.x3thm1) + 0.5*temp1*p.x1mth2*cos2u
+	su -= 0.25 * temp2 * p.x7thm1 * sin2u
+	xnode := nodem + 1.5*temp2*cosip*sin2u
+	xinc := p.inclo + 1.5*temp2*cosip*sinip*cos2u
+	mvt := rdotl - nm*temp1*p.x1mth2*sin2u/xke
+	rvdot := rvdotl + nm*temp1*(p.x1mth2*cos2u+1.5*p.x3thm1)/xke
+
+	// Orientation vectors and state.
+	sinsu, cossu := math.Sin(su), math.Cos(su)
+	snod, cnod := math.Sin(xnode), math.Cos(xnode)
+	sini, cosi := math.Sin(xinc), math.Cos(xinc)
+	xmx := -snod * cosi
+	xmy := cnod * cosi
+	ux := xmx*sinsu + cnod*cossu
+	uy := xmy*sinsu + snod*cossu
+	uz := sini * sinsu
+	vx := xmx*cossu - cnod*sinsu
+	vy := xmy*cossu - snod*sinsu
+	vz := sini * cossu
+
+	if mrt < 1 {
+		return State{}, fmt.Errorf("%w (mrt=%v at t=%v min)", ErrDecayed, mrt, t)
+	}
+
+	return State{
+		Pos: units.Vec3{
+			X: mrt * ux * earthRadiusKm,
+			Y: mrt * uy * earthRadiusKm,
+			Z: mrt * uz * earthRadiusKm,
+		},
+		Vel: units.Vec3{
+			X: (mvt*ux + rvdot*vx) * vkmps,
+			Y: (mvt*uy + rvdot*vy) * vkmps,
+			Z: (mvt*uz + rvdot*vz) * vkmps,
+		},
+	}, nil
+}
+
+// wrapRadTwoPiMod is units.WrapRadTwoPi as it stood before its fast
+// paths: every input through math.Mod.
+func wrapRadTwoPiMod(rad float64) float64 {
+	r := math.Mod(rad, 2*math.Pi)
+	if r < 0 {
+		r += 2 * math.Pi
+	}
+	return r
+}
+
+// matchesReference propagates p to tsince with both Propagate and
+// referencePropagate and reports any difference: in the bits of Pos
+// and Vel, in whether an error occurred, in its text, or in whether it
+// is ErrDecayed.
+func matchesReference(p *Propagator, tsince float64) error {
+	got, gerr := p.Propagate(tsince)
+	want, werr := referencePropagate(p, tsince)
+	if (gerr == nil) != (werr == nil) {
+		return fmt.Errorf("t=%v min: error %v, reference error %v", tsince, gerr, werr)
+	}
+	if gerr != nil {
+		if gerr.Error() != werr.Error() || errors.Is(gerr, ErrDecayed) != errors.Is(werr, ErrDecayed) {
+			return fmt.Errorf("t=%v min: error %q, reference error %q", tsince, gerr, werr)
+		}
+		return nil
+	}
+	if !sameBits(got.Pos, want.Pos) || !sameBits(got.Vel, want.Vel) {
+		return fmt.Errorf("t=%v min: state %+v, reference %+v", tsince, got, want)
+	}
+	return nil
+}
+
+func sameBits(a, b units.Vec3) bool {
+	return math.Float64bits(a.X) == math.Float64bits(b.X) &&
+		math.Float64bits(a.Y) == math.Float64bits(b.Y) &&
+		math.Float64bits(a.Z) == math.Float64bits(b.Z)
+}
+
+func TestPow15MatchesPow(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	xs := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, 2, 0x1p-600, 0x1p600,
+		math.Nextafter(0x1p-600, 1), math.Nextafter(0x1p600, 0), 0x1p-1074, math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN()}
+	for i := 0; i < 20000; i++ {
+		xs = append(xs, math.Ldexp(1+rng.Float64(), rng.Intn(2200)-1100), 0.8+rng.Float64()*0.6)
+	}
+	for _, x := range xs {
+		got, want := pow15(x), math.Pow(x, 1.5)
+		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("pow15(%v) = %v, math.Pow = %v", x, got, want)
 		}
 	}
 }

@@ -59,10 +59,25 @@ func WrapDeg180(deg float64) float64 {
 }
 
 // WrapRadTwoPi wraps an angle in radians into [0, 2π).
+//
+// Angles within one turn of the target range take a fast path that
+// returns exactly what the math.Mod path does: Mod returns rad itself
+// for |rad| < 2π, and rad − 2π for rad in [2π, 4π), a subtraction
+// that is exact by Sterbenz's lemma. Every other input goes through
+// Mod.
 func WrapRadTwoPi(rad float64) float64 {
-	r := math.Mod(rad, 2*math.Pi)
+	const twoPi = 2 * math.Pi
+	switch {
+	case rad >= 0 && rad < twoPi:
+		return rad
+	case rad < 0 && rad > -twoPi:
+		return rad + twoPi
+	case rad >= twoPi && rad < 2*twoPi:
+		return rad - twoPi
+	}
+	r := math.Mod(rad, twoPi)
 	if r < 0 {
-		r += 2 * math.Pi
+		r += twoPi
 	}
 	return r
 }

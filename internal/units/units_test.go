@@ -2,6 +2,7 @@ package units
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -62,6 +63,36 @@ func TestWrapRadPropertyRange(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestWrapRadTwoPiMatchesMod pins WrapRadTwoPi's fast paths to the
+// math.Mod definition bit for bit: at the path boundaries (±0, ±2π,
+// ±4π) and their float neighbours, at random angles in ±1e4, and at
+// ±Inf and NaN.
+func TestWrapRadTwoPiMatchesMod(t *testing.T) {
+	mod := func(rad float64) float64 {
+		r := math.Mod(rad, 2*math.Pi)
+		if r < 0 {
+			r += 2 * math.Pi
+		}
+		return r
+	}
+	var xs []float64
+	for _, b := range []float64{0, math.Copysign(0, -1), 2 * math.Pi, -2 * math.Pi, 4 * math.Pi, -4 * math.Pi} {
+		xs = append(xs, b, math.Nextafter(b, math.Inf(1)), math.Nextafter(b, math.Inf(-1)))
+	}
+	xs = append(xs, math.Inf(1), math.Inf(-1), math.NaN())
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100000; i++ {
+		xs = append(xs, (rng.Float64()*2-1)*1e4, (rng.Float64()*2-1)*5*math.Pi)
+	}
+	for _, x := range xs {
+		got, want := WrapRadTwoPi(x), mod(x)
+		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("WrapRadTwoPi(%v) = %v (%#x), math.Mod path = %v (%#x)",
+				x, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
 	}
 }
 
