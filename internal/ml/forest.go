@@ -112,7 +112,7 @@ func FitForestCtx(ctx context.Context, d *Dataset, cfg ForestConfig) (*Forest, e
 			if err != nil {
 				return nil, fmt.Errorf("ml: tree %d: %w", i, err)
 			}
-			cfg.Metrics.treeFitted(b.extract)
+			cfg.Metrics.treeFitted()
 			f.trees[i] = t
 		}
 		if cfg.Metrics != nil {
@@ -139,7 +139,7 @@ func FitForestCtx(ctx context.Context, d *Dataset, cfg ForestConfig) (*Forest, e
 					errs[i] = err
 					return
 				}
-				cfg.Metrics.treeFitted(b.extract)
+				cfg.Metrics.treeFitted()
 				f.trees[i] = t
 			}
 		}()

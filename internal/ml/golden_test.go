@@ -22,7 +22,7 @@ func forestFingerprint(t *testing.T, f *Forest) string {
 }
 
 // TestForestGoldenFingerprint pins the exact forests the seed's serial
-// trainer produced. The parallel/presorted engine must keep every one
+// trainer produced. The parallel rank-bucket engine must keep every one
 // of these hashes: they cover feature subsampling (sqrt default), full
 // features, depth limits, leaf-size limits, and multiclass leaves.
 func TestForestGoldenFingerprint(t *testing.T) {

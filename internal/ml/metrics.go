@@ -6,17 +6,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Metrics is the learning engine's telemetry bundle: trees fitted,
-// which exact split-search strategy each tree's builder chose (the
-// perf-only extraction-vs-partition decision in treeBuilder.reset), and
-// end-to-end forest fit duration. The strategy counters are label
-// handles pre-resolved at construction, so the per-tree record is two
-// atomic increments.
+// Metrics is the learning engine's telemetry bundle: trees fitted and
+// end-to-end forest fit duration.
 type Metrics struct {
-	TreesFitted    *telemetry.Counter
-	SplitExtract   *telemetry.Counter
-	SplitPartition *telemetry.Counter
-	FitSeconds     *telemetry.Histogram
+	TreesFitted *telemetry.Counter
+	FitSeconds  *telemetry.Histogram
 }
 
 // NewMetrics registers the training metric families. Returns nil on a
@@ -25,26 +19,17 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 	if reg == nil {
 		return nil
 	}
-	strategy := reg.CounterVec("ml_split_strategy_total", "trees fitted, by split-search strategy", "strategy")
 	return &Metrics{
-		TreesFitted:    reg.Counter("ml_trees_fitted_total", "decision trees fitted"),
-		SplitExtract:   strategy.With("extract"),
-		SplitPartition: strategy.With("partition"),
-		FitSeconds:     reg.Histogram("ml_fit_seconds", "end-to-end forest fit duration", nil),
+		TreesFitted: reg.Counter("ml_trees_fitted_total", "decision trees fitted"),
+		FitSeconds:  reg.Histogram("ml_fit_seconds", "end-to-end forest fit duration", nil),
 	}
 }
 
-// treeFitted records one finished tree and its builder's strategy.
-// Safe for concurrent use (workers call it as trees complete).
-func (m *Metrics) treeFitted(extract bool) {
-	if m == nil {
-		return
-	}
-	m.TreesFitted.Inc()
-	if extract {
-		m.SplitExtract.Inc()
-	} else {
-		m.SplitPartition.Inc()
+// treeFitted records one finished tree. Safe for concurrent use
+// (workers call it as trees complete).
+func (m *Metrics) treeFitted() {
+	if m != nil {
+		m.TreesFitted.Inc()
 	}
 }
 

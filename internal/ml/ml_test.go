@@ -3,6 +3,7 @@ package ml
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -59,6 +60,34 @@ func TestDatasetValidate(t *testing.T) {
 		if err := d.Validate(); err == nil {
 			t.Errorf("case %d validated", i)
 		}
+	}
+}
+
+// TestDatasetValidateRejectsNonFinite: NaN and ±Inf features are
+// rejected with the row and feature named, by Validate and by both fit
+// entry points.
+func TestDatasetValidateRejectsNonFinite(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		d := gaussDataset(30, 8)
+		d.X[7][2] = v
+		err := d.Validate()
+		if err == nil {
+			t.Fatalf("%v: validated", v)
+		}
+		if !strings.Contains(err.Error(), "row 7 feature 2") {
+			t.Errorf("%v: error %q does not name row 7 feature 2", v, err)
+		}
+		if _, err := FitTree(d, TreeConfig{}, nil); err == nil {
+			t.Errorf("%v: FitTree accepted", v)
+		}
+		if _, err := FitForest(d, ForestConfig{NumTrees: 2, Seed: 1}); err == nil {
+			t.Errorf("%v: FitForest accepted", v)
+		}
+	}
+	// Extreme finite values and signed zeros stay valid.
+	d := &Dataset{X: [][]float64{{math.MaxFloat64}, {-math.MaxFloat64}, {math.Copysign(0, -1)}}, Y: []int{0, 1, 0}, NumClasses: 2}
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -459,6 +488,20 @@ func benchForestFitWorkers(b *testing.B, workers int) {
 
 func BenchmarkForestFitSerial(b *testing.B)   { benchForestFitWorkers(b, 1) }
 func BenchmarkForestFitParallel(b *testing.B) { benchForestFitWorkers(b, 0) }
+
+// BenchmarkForestFitFeatureShape fits one serial online refit at the
+// §6 shape: ~1,550 window rows, 251 sparse count columns, 250 classes
+// with ~30 present, 30 trees of depth 10.
+func BenchmarkForestFitFeatureShape(b *testing.B) {
+	d := featureShapeDataset(rand.New(rand.NewSource(18)), 1550)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := FitForest(d, ForestConfig{NumTrees: 30, Tree: TreeConfig{MaxDepth: 10}, Seed: int64(i), Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 func BenchmarkForestPredict(b *testing.B) {
 	d := gaussDataset(300, 19)

@@ -11,7 +11,7 @@ import (
 
 // ---------------------------------------------------------------------
 // Reference engine: the seed's sort-per-node CART builder, transcribed
-// verbatim. The presorted production engine must reproduce its trees
+// verbatim. The production rank-bucket engine must reproduce its trees
 // bit for bit; these tests hold the two together on randomized inputs.
 // ---------------------------------------------------------------------
 
@@ -69,7 +69,7 @@ func (b *refBuilder) grow(idx []int, depth int) int32 {
 
 	if len(idx) < b.cfg.MinSamplesSplit ||
 		(b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth) ||
-		pure(counts) {
+		refPure(counts) {
 		return makeLeaf()
 	}
 
@@ -102,7 +102,7 @@ func (b *refBuilder) grow(idx []int, depth int) int32 {
 }
 
 func (b *refBuilder) bestSplit(idx []int, parentCounts []float64, n float64) (int, float64, float64) {
-	parentGini := gini(parentCounts, n)
+	parentGini := refGini(parentCounts, n)
 	bestFeature := -1
 	bestThreshold := 0.0
 	bestGain := 1e-12
@@ -138,7 +138,7 @@ func (b *refBuilder) bestSplit(idx []int, parentCounts []float64, n float64) (in
 			if int(nl) < b.cfg.MinSamplesLeaf || int(nr) < b.cfg.MinSamplesLeaf {
 				continue
 			}
-			g := parentGini - (nl/n)*gini(leftCounts, nl) - (nr/n)*gini(rightCounts, nr)
+			g := parentGini - (nl/n)*refGini(leftCounts, nl) - (nr/n)*refGini(rightCounts, nr)
 			if g > bestGain {
 				bestGain = g
 				bestFeature = f
@@ -147,6 +147,32 @@ func (b *refBuilder) bestSplit(idx []int, parentCounts []float64, n float64) (in
 		}
 	}
 	return bestFeature, bestThreshold, bestGain
+}
+
+// refGini is the seed's impurity: every class, ascending.
+func refGini(counts []float64, n float64) float64 {
+	if n == 0 {
+		return 0
+	}
+	g := 1.0
+	for _, c := range counts {
+		p := c / n
+		g -= p * p
+	}
+	return g
+}
+
+func refPure(counts []float64) bool {
+	seen := false
+	for _, c := range counts {
+		if c > 0 {
+			if seen {
+				return false
+			}
+			seen = true
+		}
+	}
+	return true
 }
 
 func (b *refBuilder) sampleFeatures() []int {
@@ -162,8 +188,8 @@ func (b *refBuilder) sampleFeatures() []int {
 }
 
 // randomDataset draws a tie-heavy random dataset: values rounded to one
-// decimal so equal feature values (the delicate case for the presorted
-// scan) occur constantly.
+// decimal so equal feature values (several samples in one rank bucket)
+// occur constantly.
 func randomDataset(rng *rand.Rand, n, nf, nc int) *Dataset {
 	d := &Dataset{NumClasses: nc}
 	for i := 0; i < n; i++ {
@@ -197,9 +223,10 @@ func treesEqual(t *testing.T, got, want *Tree) {
 	}
 }
 
-// TestBestSplitPresortIdentical holds the presorted split finder to the
-// sort-per-node reference at the root of randomized, tie-heavy
-// datasets: same (feature, threshold, gain) bit for bit.
+// TestBestSplitPresortIdentical holds the rank-bucket split finder
+// (ranks from the once-per-fit presort, one counting sort per node and
+// feature) to the sort-per-node reference at the root of randomized,
+// tie-heavy datasets: same (feature, threshold, gain) bit for bit.
 func TestBestSplitPresortIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 200; trial++ {
@@ -232,7 +259,8 @@ func TestBestSplitPresortIdentical(t *testing.T) {
 
 // TestFitTreePresortIdentical grows whole trees both ways — including
 // feature subsampling fed by identical rng streams — and requires
-// node-for-node equality.
+// node-for-node equality on narrow data, where most features are
+// sampled at every node.
 func TestFitTreePresortIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 60; trial++ {
@@ -526,12 +554,10 @@ func TestArgsortDescMatchesStableSort(t *testing.T) {
 	}
 }
 
-// TestFitTreeExtractionIdentical pins the wide-data extraction
-// strategy — membership-only recursion with sampled-feature segments
-// derived on demand — to the sort-per-node reference. Feature counts
-// far above MaxFeatures force the extraction path, and the node-size
-// mix inside each tree exercises both the dense-node filter route and
-// the small-node sort route.
+// TestFitTreeExtractionIdentical pins wide data — feature counts far
+// above MaxFeatures, the §6 regime, where each node counting-sorts only
+// the few features it samples — to the sort-per-node reference, over
+// the whole mix of node sizes inside each tree.
 func TestFitTreeExtractionIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for trial := 0; trial < 40; trial++ {
@@ -559,8 +585,8 @@ func TestFitTreeExtractionIdentical(t *testing.T) {
 
 // TestForestExtractionIdentical replays FitForestCtx's exact draw
 // order (per tree: n bootstrap draws, then a tree seed) through the
-// reference engine, covering the extraction strategy under bootstrap
-// sampling — the shape §6 training actually runs.
+// reference engine, covering wide data under bootstrap sampling, where
+// a row drawn several times puts several samples in one rank bucket.
 func TestForestExtractionIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	d := randomDataset(rng, 150, 30, 4)
@@ -583,4 +609,165 @@ func TestForestExtractionIdentical(t *testing.T) {
 		}
 		treesEqual(t, got.trees[i], want)
 	}
+}
+
+// featureShapeDataset draws data at the §6 production shape: 251
+// columns — the local hour (0–23), then sparse small-integer cluster
+// counts, a quarter of them never populated — and 250 label classes of
+// which only 30 occur.
+func featureShapeDataset(rng *rand.Rand, n int) *Dataset {
+	const numFeatures, numClasses = 251, 250
+	labels := rng.Perm(numClasses)[:30]
+	d := &Dataset{NumClasses: numClasses}
+	for i := 0; i < n; i++ {
+		row := make([]float64, numFeatures)
+		row[0] = float64(rng.Intn(24))
+		for f := 1; f < numFeatures*3/4; f++ {
+			if rng.Intn(8) == 0 {
+				row[f] = float64(1 + rng.Intn(3))
+			}
+		}
+		d.X = append(d.X, row)
+		d.Y = append(d.Y, labels[rng.Intn(len(labels))])
+	}
+	return d
+}
+
+// TestForestFeatureShapeMatchesReference holds a forest at the
+// production shape to the reference: 250 classes wide but only ~30
+// present, so every gini, count reset and count copy runs over the
+// classes a node holds, not the label space.
+func TestForestFeatureShapeMatchesReference(t *testing.T) {
+	d := featureShapeDataset(rand.New(rand.NewSource(61)), 300)
+	seen := map[int]bool{}
+	for _, y := range d.Y {
+		seen[y] = true
+	}
+	if len(d.X[0]) != 251 || d.NumClasses != 250 || len(seen) < 25 || len(seen) > 30 {
+		t.Fatalf("shape %d features, %d classes, %d present", len(d.X[0]), d.NumClasses, len(seen))
+	}
+	cfg := ForestConfig{NumTrees: 8, Tree: TreeConfig{MaxFeatures: -1}, Seed: 17}
+	got, err := FitForestCtx(context.Background(), d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	draw := rand.New(rand.NewSource(cfg.Seed))
+	n := len(d.X)
+	for i := 0; i < cfg.NumTrees; i++ {
+		boot := make([]int, n)
+		for j := range boot {
+			boot[j] = draw.Intn(n)
+		}
+		treeSeed := draw.Int63()
+		want, err := refFitTree(d.Subset(boot), cfg.Tree, rand.New(rand.NewSource(treeSeed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.nodes) < 31 {
+			t.Fatalf("tree %d has %d nodes; the shape test needs deep trees", i, len(want.nodes))
+		}
+		treesEqual(t, got.trees[i], want)
+	}
+}
+
+// TestSampleFeaturesMatchesPerm: the in-place draw returns the prefix
+// of rng.Perm(nf), leaves the rng exactly where Perm leaves it, and
+// allocates nothing once the builder is warm.
+func TestSampleFeaturesMatchesPerm(t *testing.T) {
+	for _, tc := range []struct{ nf, k int }{{2, 1}, {4, 2}, {9, 3}, {30, 29}, {251, 15}, {251, 1}} {
+		want := rand.New(rand.NewSource(int64(tc.nf*1000 + tc.k)))
+		b := &treeBuilder{
+			fc:  &fitContext{numFeatures: tc.nf},
+			cfg: TreeConfig{MaxFeatures: tc.k},
+			rng: rand.New(rand.NewSource(int64(tc.nf*1000 + tc.k))),
+		}
+		for round := 0; round < 3; round++ {
+			perm := want.Perm(tc.nf)[:tc.k]
+			if got := b.sampleFeatures(); !reflect.DeepEqual(got, perm) {
+				t.Fatalf("nf=%d k=%d round %d: sampled %v, Perm prefix %v", tc.nf, tc.k, round, got, perm)
+			}
+			if g, w := b.rng.Int63(), want.Int63(); g != w {
+				t.Fatalf("nf=%d k=%d round %d: next rng value %d, after Perm %d", tc.nf, tc.k, round, g, w)
+			}
+		}
+		if allocs := testing.AllocsPerRun(50, func() { b.sampleFeatures() }); allocs != 0 {
+			t.Errorf("nf=%d k=%d: %v allocs per draw, want 0", tc.nf, tc.k, allocs)
+		}
+	}
+}
+
+// fuzzStream hands out the fuzz input byte by byte, then bytes from a
+// seeded rng once the input runs out.
+type fuzzStream struct {
+	data []byte
+	rng  *rand.Rand
+}
+
+func (s *fuzzStream) next() int {
+	if len(s.data) == 0 {
+		return s.rng.Intn(256)
+	}
+	c := s.data[0]
+	s.data = s.data[1:]
+	return int(c)
+}
+
+// nearOne holds values whose midpoints round: (1-2^-53 + 1)/2 rounds
+// onto 1, so the partition must compare values, not ranks. Signed
+// zeros share one rank.
+var nearOne = []float64{1 - 0x1p-53, 1, 1 + 0x1p-52, 0, math.Copysign(0, -1)}
+
+// FuzzFitTreeMatchesReference decodes a small dataset — each column low
+// cardinality, high cardinality or rounding-prone — plus a TreeConfig,
+// and requires FitTree to grow the reference engine's tree.
+func FuzzFitTreeMatchesReference(f *testing.F) {
+	f.Add([]byte{40, 3, 2, 0, 0, 0, 0, 1, 2}, int64(1))
+	f.Add([]byte{90, 7, 4, 5, 1, 2, 2, 2, 2, 0, 1}, int64(7))
+	f.Add([]byte{200, 5, 250, 9, 3, 5, 1, 0, 2}, int64(42))
+	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
+		s := &fuzzStream{data: data, rng: rand.New(rand.NewSource(seed))}
+		n := 2 + s.next()%120
+		nf := 1 + s.next()%8
+		nc := 1 + s.next()%6
+		cfg := TreeConfig{
+			MaxDepth:        s.next() % 10,
+			MinSamplesLeaf:  s.next() % 4,
+			MinSamplesSplit: s.next() % 6,
+		}
+		switch k := s.next() % (nf + 2); k {
+		case nf:
+			cfg.MaxFeatures = -1
+		default:
+			cfg.MaxFeatures = k // 0 = all
+		}
+		kinds := make([]int, nf)
+		for c := range kinds {
+			kinds[c] = s.next() % 3
+		}
+		d := &Dataset{NumClasses: nc}
+		for i := 0; i < n; i++ {
+			row := make([]float64, nf)
+			for c, kind := range kinds {
+				switch kind {
+				case 0:
+					row[c] = float64(s.next() % 3)
+				case 1:
+					row[c] = float64(int16(s.next()<<8|s.next())) / 64
+				default:
+					row[c] = nearOne[s.next()%len(nearOne)]
+				}
+			}
+			d.X = append(d.X, row)
+			d.Y = append(d.Y, s.next()%nc)
+		}
+		want, err := refFitTree(d, cfg, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := FitTree(d, cfg, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		treesEqual(t, got, want)
+	})
 }

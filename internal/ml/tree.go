@@ -7,9 +7,9 @@
 //
 // Training is built for throughput without giving up reproducibility:
 // forests train on a bounded worker pool with every random draw made
-// serially up front, split search runs over presorted per-feature
-// index arrays partitioned down the recursion instead of re-sorting at
-// every node, and the batch prediction path is allocation-free. All of
+// serially up front, each column is ranked once per fit so a node's
+// split search is a counting sort over ranks instead of a comparison
+// sort, and the batch prediction path is allocation-free. All of
 // it is bit-identical to the straightforward serial implementation —
 // see README "Learning engine internals".
 package ml
@@ -17,8 +17,8 @@ package ml
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
+	"slices"
 )
 
 // Dataset is a supervised classification dataset. Rows of X are
@@ -29,7 +29,9 @@ type Dataset struct {
 	NumClasses int
 }
 
-// Validate checks shape invariants.
+// Validate checks shape invariants and that every feature is finite:
+// the split search orders values, which NaN has no place in, and an
+// infinite midpoint threshold would be meaningless.
 func (d *Dataset) Validate() error {
 	if len(d.X) == 0 {
 		return fmt.Errorf("ml: empty dataset")
@@ -44,6 +46,11 @@ func (d *Dataset) Validate() error {
 	for i, row := range d.X {
 		if len(row) != width {
 			return fmt.Errorf("ml: row %d has %d features, row 0 has %d", i, len(row), width)
+		}
+		for f, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("ml: row %d feature %d is %v, want a finite value", i, f, v)
+			}
 		}
 	}
 	for i, y := range d.Y {
@@ -121,64 +128,74 @@ type Tree struct {
 	leafProbs []float64
 }
 
-// fitContext is the per-dataset presort shared by every tree of a fit:
-// a column-major copy of X plus, per feature, the row indices sorted
-// ascending by that feature's value. Columns that are constant across
-// the dataset (most of the §6 cluster-count features are) can never
-// host a split, so they are flagged and never sorted, materialized, or
-// partitioned. Immutable after construction; concurrent tree builders
-// share one instance.
+// fitContext is the per-dataset presort shared by every tree of a fit.
+// Each varying column is reduced to ranks: rank[f][row] is the row's
+// index among the column's distinct values vals[f] (ascending), so a
+// node can bucket its samples by value in O(node + distinct values),
+// and vals[f][rank[f][row]] reads the row's value back exactly.
+// Columns that are constant across the dataset (most of the §6
+// cluster-count features are) can never host a split; they have no
+// ranks and no values. Immutable after construction; concurrent tree
+// builders share one instance.
 type fitContext struct {
 	d           *Dataset
 	numFeatures int
-	cols        [][]float64 // cols[f][row] = X[row][f]
-	order       [][]int32   // order[f] = rows sorted ascending by cols[f]; nil when constant
-	constant    []bool      // constant[f]: column f has a single value
+	y           []int32     // y[row] = d.Y[row]
+	rank        [][]int32   // rank[f][row]; nil when column f is constant
+	vals        [][]float64 // distinct values of column f, ascending; nil when constant
+	maxDistinct int         // longest vals[f]: the bin count of one counting sort
 }
 
-// newFitContext builds the column store and sorts each varying feature
-// column once. O(active features * n log n), paid once per
-// FitForest/FitTree call instead of once per node as the sort-per-node
-// engine did.
+// newFitContext sorts each varying column once — O(active features *
+// n log n), paid once per FitForest/FitTree call — and keeps only the
+// ranks and distinct values the sort yields.
 func newFitContext(d *Dataset) *fitContext {
 	n := len(d.X)
 	nf := len(d.X[0])
-	fc := &fitContext{d: d, numFeatures: nf}
-	colsFlat := make([]float64, nf*n)
-	fc.cols = make([][]float64, nf)
-	fc.order = make([][]int32, nf)
-	fc.constant = make([]bool, nf)
-	for f := 0; f < nf; f++ {
-		col := colsFlat[f*n : (f+1)*n : (f+1)*n]
-		constant := true
-		for r, row := range d.X {
-			col[r] = row[f]
-			if row[f] != col[0] {
-				constant = false
+	fc := &fitContext{
+		d:           d,
+		numFeatures: nf,
+		y:           make([]int32, n),
+		rank:        make([][]int32, nf),
+		vals:        make([][]float64, nf),
+	}
+	for r, y := range d.Y {
+		fc.y[r] = int32(y)
+	}
+	varying := make([]bool, nf)
+	active := 0
+	for _, row := range d.X {
+		for f, v := range row {
+			if v != d.X[0][f] && !varying[f] {
+				varying[f] = true
+				active++
 			}
 		}
-		fc.cols[f] = col
-		fc.constant[f] = constant
 	}
-	active := 0
+	rankFlat := make([]int32, active*n)
+	col := make([]float64, n)
+	ord := make([]int32, n)
+	var distinct []float64
 	for f := 0; f < nf; f++ {
-		if !fc.constant[f] {
-			active++
-		}
-	}
-	ordFlat := make([]int32, active*n)
-	k := 0
-	for f := 0; f < nf; f++ {
-		if fc.constant[f] {
+		if !varying[f] {
 			continue
 		}
-		ord := ordFlat[k*n : (k+1)*n : (k+1)*n]
-		k++
-		for r := range ord {
+		for r, row := range d.X {
+			col[r] = row[f]
 			ord[r] = int32(r)
 		}
-		sortIdxByKey(fc.cols[f], ord)
-		fc.order[f] = ord
+		sortIdxByKey(col, ord)
+		rank := rankFlat[:n:n]
+		rankFlat = rankFlat[n:]
+		distinct = distinct[:0]
+		for _, r := range ord {
+			if v := col[r]; len(distinct) == 0 || v != distinct[len(distinct)-1] {
+				distinct = append(distinct, v)
+			}
+			rank[r] = int32(len(distinct) - 1)
+		}
+		fc.rank[f], fc.vals[f] = rank, slices.Clone(distinct)
+		fc.maxDistinct = max(fc.maxDistinct, len(distinct))
 	}
 	return fc
 }
@@ -187,7 +204,7 @@ func newFitContext(d *Dataset) *fitContext {
 // (three-way) quicksort: no closure dispatch, and duplicate-heavy
 // columns — the common case for cluster-count features — collapse in
 // one partition pass. Equal keys land in arbitrary order, which the
-// split scan is insensitive to.
+// rank assignment is insensitive to.
 func sortIdxByKey(key []float64, idx []int32) {
 	for len(idx) > 16 {
 		a, b, c := key[idx[0]], key[idx[len(idx)/2]], key[idx[len(idx)-1]]
@@ -240,6 +257,10 @@ func FitTree(d *Dataset, cfg TreeConfig, rng *rand.Rand) (*Tree, error) {
 	return b.fitTree(newFitContext(d), cfg, rng, nil)
 }
 
+// sample is one sample position of a tree: its dataset row (the
+// bootstrap draw) and that row's label.
+type sample struct{ row, y int32 }
+
 // treeBuilder grows trees from a fitContext. All of its buffers are
 // reused across trees, so a worker that fits many trees allocates the
 // scratch once. Not safe for concurrent use; the pool gives each
@@ -252,44 +273,18 @@ type treeBuilder struct {
 	n     int
 	total float64
 
-	cols [][]float64 // per-tree column store: cols[f][pos] over sample positions
-	y    []int32     // label per sample position
-	ord  [][]int32   // per-feature positions sorted by value, partitioned in place
-	pos  []int32     // membership order: the node's positions, partitioned with ord
-	tmp  []int32     // stable-partition scratch (right-child spill)
-	mark []bool      // per-position left/right marks for the current split
+	members []sample // sample positions; each node owns a range, partitioned in place
+	sorted  []int32  // one (node, feature)'s labels in ascending value order
+	bins    []int32  // counting-sort bin offsets by rank; all zero between uses
 
-	// Features constant within this tree's sample can never host a split
-	// (the scan skipped them via its equal-endpoints check), so only the
-	// active remainder is sorted, stored, and partitioned.
-	activeMask []bool
-	activeList []int32
+	classes    []int32   // classes present in the tree's sample, ascending
+	present    []int32   // classes present in the current node, ascending
+	counts     []float64 // class counts of the current node
+	leftCounts []float64 // class counts left of the scanned boundary
 
-	// extract switches the engine between its two exact strategies.
-	// Narrow data (active features ≲ features sampled per split) keeps
-	// every feature's order array partitioned down the recursion; wide
-	// data (the §6 shape: ~200 varying columns, ~15 sampled per node)
-	// maintains only the membership array and derives each sampled
-	// feature's sorted segment on demand — by filtering the global value
-	// order for dense nodes or sorting the node's positions for small
-	// ones. Both orderings visit identical split candidates, so the
-	// choice never changes the tree.
-	extract  bool
-	identity bool    // boot was nil: positions are dataset rows
-	invPos   []int32 // invPos[pos] = current index of pos in b.pos
-	segBuf   []int32 // extraction scratch for one feature's sorted segment
-
-	rowCnt   []int32 // bootstrap multiplicity per dataset row
-	rowStart []int32 // prefix offsets into posByRow
-	posByRow []int32 // sample positions grouped by dataset row
-
-	counts      []float64 // class counts of the current node
-	leftCounts  []float64
-	rightCounts []float64
-	allFeatures []int // identity feature list when MaxFeatures >= numFeatures
-
-	colsFlat []float64
-	ordFlat  []int32
+	leafProbs   []float64 // the growing tree's leaf distributions, in node order
+	features    []int     // sampleFeatures' draw buffer
+	allFeatures []int     // identity feature list when MaxFeatures >= numFeatures
 }
 
 // fitTree grows one tree over the sample positions boot (nil = the
@@ -313,8 +308,9 @@ func (b *treeBuilder) fitTree(fc *fitContext, cfg TreeConfig, rng *rand.Rand, bo
 	b.n, b.total = n, float64(n)
 	b.reset(boot)
 	b.grow(0, int32(n), 0)
-	// The backing array is final now, so leaf views are stable: hand
-	// each leaf its numClasses-wide block in node (= DFS) order.
+	// One exact-size copy of the leaves grown in reused scratch; every
+	// leaf views its numClasses-wide block in node (= DFS) order.
+	t.leafProbs = slices.Clone(b.leafProbs)
 	off := 0
 	for i := range t.nodes {
 		if t.nodes[i].feature < 0 {
@@ -325,227 +321,90 @@ func (b *treeBuilder) fitTree(fc *fitContext, cfg TreeConfig, rng *rand.Rand, bo
 	return t, nil
 }
 
-// reset sizes the scratch for the current (fc, boot) pair, materializes
-// the per-tree column store, and derives each feature's presorted
-// position list from the fitContext's global order in O(n) per feature:
-// bucket the bootstrap positions by row (a counting sort), then walk
-// the globally sorted rows emitting each row's positions.
+// reset sizes the scratch for the current (fc, boot) pair, lays out the
+// sample positions and lists the classes the sample holds.
 func (b *treeBuilder) reset(boot []int) {
-	n, nf, nc := b.n, b.fc.numFeatures, b.fc.d.NumClasses
-	nRows := len(b.fc.d.X)
-	if cap(b.colsFlat) < nf*n {
-		b.colsFlat = make([]float64, nf*n)
+	n, nc := b.n, b.fc.d.NumClasses
+	if cap(b.members) < n {
+		b.members = make([]sample, n)
+		b.sorted = make([]int32, n)
 	}
-	if len(b.cols) != nf {
-		b.cols = make([][]float64, nf)
-		b.ord = make([][]int32, nf)
+	b.members, b.sorted = b.members[:n], b.sorted[:n]
+	b.leafProbs = b.leafProbs[:0]
+	if len(b.bins) < b.fc.maxDistinct {
+		b.bins = make([]int32, b.fc.maxDistinct)
 	}
-	if cap(b.tmp) < n {
-		b.tmp = make([]int32, n)
-		b.mark = make([]bool, n)
-		b.posByRow = make([]int32, n)
-		b.pos = make([]int32, n)
-	}
-	if len(b.activeMask) != nf {
-		b.activeMask = make([]bool, nf)
-		b.activeList = make([]int32, 0, nf)
-	}
-	b.activeList = b.activeList[:0]
-	if cap(b.rowCnt) < nRows+1 {
-		b.rowCnt = make([]int32, nRows+1)
-		b.rowStart = make([]int32, nRows+1)
-	}
-	if cap(b.counts) < nc {
+	if len(b.counts) != nc {
 		b.counts = make([]float64, nc)
 		b.leftCounts = make([]float64, nc)
-		b.rightCounts = make([]float64, nc)
 	}
-	b.counts = b.counts[:nc]
-	b.leftCounts = b.leftCounts[:nc]
-	b.rightCounts = b.rightCounts[:nc]
-	if cap(b.y) < n {
-		b.y = make([]int32, n)
-	}
-	b.y = b.y[:n]
-	if len(b.allFeatures) != nf {
-		b.allFeatures = make([]int, nf)
-		for f := range b.allFeatures {
-			b.allFeatures[f] = f
-		}
-	}
-
-	b.identity = boot == nil
-	if b.identity {
-		// Identity sample: positions are rows; the global order is the
-		// tree's order.
-		for pos := 0; pos < n; pos++ {
-			b.y[pos] = int32(b.fc.d.Y[pos])
-		}
-		for f := 0; f < nf; f++ {
-			if b.fc.constant[f] {
-				b.activeMask[f] = false
-				b.cols[f], b.ord[f] = nil, nil
-				continue
-			}
-			b.activeMask[f] = true
-			b.activeList = append(b.activeList, int32(f))
-			b.cols[f] = b.fc.cols[f]
+	if boot == nil {
+		for r := range b.members {
+			b.members[r] = sample{row: int32(r), y: b.fc.y[r]}
 		}
 	} else {
-		cnt := b.rowCnt[:nRows]
-		for i := range cnt {
-			cnt[i] = 0
-		}
-		for _, r := range boot {
-			cnt[r]++
-		}
-		start := b.rowStart[:nRows+1]
-		var acc int32
-		for r, c := range cnt {
-			start[r] = acc
-			acc += c
-		}
-		start[nRows] = acc
-		// Group positions by row, keeping ascending position order within
-		// a row (ties within equal feature values are order-insensitive
-		// for split search, but a fixed order keeps the layout
-		// deterministic).
-		next := cnt // reuse as cursor: next[r] = start[r] while filling
-		copy(next, start[:nRows])
-		byRow := b.posByRow[:n]
 		for pos, r := range boot {
-			byRow[next[r]] = int32(pos)
-			next[r]++
-		}
-		for pos, r := range boot {
-			b.y[pos] = int32(b.fc.d.Y[r])
-		}
-		slot := 0
-		for f := 0; f < nf; f++ {
-			if b.fc.constant[f] {
-				b.activeMask[f] = false
-				b.cols[f], b.ord[f] = nil, nil
-				continue
-			}
-			col := b.colsFlat[slot*n : (slot+1)*n : (slot+1)*n]
-			src := b.fc.cols[f]
-			constant := true
-			for pos, r := range boot {
-				col[pos] = src[r]
-				if src[r] != col[0] {
-					constant = false
-				}
-			}
-			if constant {
-				// Varies in the dataset but not in this bootstrap sample;
-				// the slot is reused by the next feature.
-				b.activeMask[f] = false
-				b.cols[f], b.ord[f] = nil, nil
-				continue
-			}
-			b.activeMask[f] = true
-			b.activeList = append(b.activeList, int32(f))
-			b.cols[f] = col
-			slot++
+			b.members[pos] = sample{row: int32(r), y: b.fc.y[r]}
 		}
 	}
-
-	// Strategy choice (perf-only; both paths grow identical trees): when
-	// far more features vary than each split samples, maintaining every
-	// order array down the recursion costs more than deriving the few
-	// sampled segments on demand.
-	b.extract = len(b.activeList) > 4*b.cfg.MaxFeatures
-	if b.extract || len(b.activeList) == 0 {
-		// The membership array is only maintained in extraction mode; the
-		// partitioned engine reads membership off its first active
-		// feature's order array (any feature's segment holds the node's
-		// position set). The all-constant case keeps it as a fallback.
-		b.pos = b.pos[:n]
-		for i := range b.pos {
-			b.pos[i] = int32(i)
-		}
+	clear(b.counts)
+	for _, s := range b.members {
+		b.counts[s.y]++
 	}
-	if b.extract {
-		if cap(b.invPos) < n {
-			b.invPos = make([]int32, n)
-			b.segBuf = make([]int32, n)
+	b.classes = b.classes[:0]
+	for c, k := range b.counts {
+		if k > 0 {
+			b.classes = append(b.classes, int32(c))
 		}
-		b.invPos = b.invPos[:n]
-		for i := range b.invPos {
-			b.invPos[i] = int32(i)
-		}
-		return
-	}
-
-	if cap(b.ordFlat) < nf*n {
-		b.ordFlat = make([]int32, nf*n)
-	}
-	for slot, fi := range b.activeList {
-		f := int(fi)
-		ord := b.ordFlat[slot*n : (slot+1)*n : (slot+1)*n]
-		if b.identity {
-			copy(ord, b.fc.order[f])
-		} else {
-			start, byRow := b.rowStart[:nRows+1], b.posByRow[:n]
-			k := 0
-			for _, r := range b.fc.order[f] {
-				for i := start[r]; i < start[r+1]; i++ {
-					ord[k] = byRow[i]
-					k++
-				}
-			}
-		}
-		b.ord[f] = ord
 	}
 }
 
-func gini(counts []float64, n float64) float64 {
-	if n == 0 {
-		return 0
-	}
+// gini is the impurity of a node holding counts over n > 0 samples.
+// Only the listed classes (ascending) may be non-zero; an absent class
+// would subtract an exact zero, so the sum equals the all-classes one
+// bit for bit.
+func gini(counts []float64, classes []int32, n float64) float64 {
 	g := 1.0
-	for _, c := range counts {
-		p := c / n
+	for _, c := range classes {
+		p := counts[c] / n
 		g -= p * p
 	}
 	return g
 }
 
-func pure(counts []float64) bool {
-	seen := false
-	for _, c := range counts {
-		if c > 0 {
-			if seen {
-				return false
-			}
-			seen = true
-		}
+// giniSplit is gini of both sides of a boundary: left holds nl of the
+// node's samples, and the right side's counts are node - left (exact:
+// the counts are integers).
+func giniSplit(node, left []float64, classes []int32, nl, nr float64) (gl, gr float64) {
+	gl, gr = 1.0, 1.0
+	for _, c := range classes {
+		l := left[c]
+		pl, pr := l/nl, (node[c]-l)/nr
+		gl -= pl * pl
+		gr -= pr * pr
 	}
-	return true
+	return gl, gr
 }
 
-// grow builds the subtree over the position range [lo, hi) — the same
-// contiguous segment of every feature's presorted order — and returns
-// its node index.
+// grow builds the subtree over the sample positions [lo, hi) and
+// returns its node index.
 func (b *treeBuilder) grow(lo, hi int32, depth int) int32 {
-	var seg []int32
-	if b.extract || len(b.activeList) == 0 {
-		seg = b.pos[lo:hi]
-	} else {
-		seg = b.ord[b.activeList[0]][lo:hi]
-	}
+	seg := b.members[lo:hi]
 	counts := b.counts
-	for i := range counts {
-		counts[i] = 0
+	for _, c := range b.classes {
+		counts[c] = 0
 	}
-	for _, pos := range seg {
-		counts[b.y[pos]]++
+	for _, s := range seg {
+		counts[s.y]++
 	}
 	n := float64(hi - lo)
 
 	makeLeaf := func() int32 {
-		for _, c := range counts {
-			b.t.leafProbs = append(b.t.leafProbs, c/n)
+		off := len(b.leafProbs)
+		b.leafProbs = append(b.leafProbs, make([]float64, b.t.numClasses)...)
+		probs := b.leafProbs[off:]
+		for _, c := range b.classes {
+			probs[c] = counts[c] / n
 		}
 		b.t.nodes = append(b.t.nodes, node{feature: -1})
 		return int32(len(b.t.nodes) - 1)
@@ -553,7 +412,7 @@ func (b *treeBuilder) grow(lo, hi int32, depth int) int32 {
 
 	if int(hi-lo) < b.cfg.MinSamplesSplit ||
 		(b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth) ||
-		pure(counts) {
+		counts[seg[0].y] == n { // pure
 		return makeLeaf()
 	}
 
@@ -562,17 +421,21 @@ func (b *treeBuilder) grow(lo, hi int32, depth int) int32 {
 		return makeLeaf()
 	}
 
-	// Mark each position's side once; every feature's segment is then
-	// partitioned by the marks.
-	nLeft := int32(0)
-	col := b.cols[feature]
-	for _, pos := range seg {
-		left := col[pos] <= threshold
-		b.mark[pos] = left
-		if left {
-			nLeft++
+	// Partition by the real value, never the rank: the midpoint
+	// threshold can round onto the upper value, which then goes left.
+	// The order within each side is irrelevant — every scan below
+	// counting-sorts its node afresh.
+	rank, vals := b.fc.rank[feature], b.fc.vals[feature]
+	i, j := 0, len(seg)
+	for i < j {
+		if vals[rank[seg[i].row]] <= threshold {
+			i++
+		} else {
+			j--
+			seg[i], seg[j] = seg[j], seg[i]
 		}
 	}
+	nLeft := int32(i)
 	nRight := (hi - lo) - nLeft
 	if int(nLeft) < b.cfg.MinSamplesLeaf || int(nRight) < b.cfg.MinSamplesLeaf {
 		return makeLeaf()
@@ -581,44 +444,6 @@ func (b *treeBuilder) grow(lo, hi int32, depth int) int32 {
 	// Importance: impurity decrease weighted by the node's share of
 	// training samples (scikit-learn's convention).
 	b.t.importance[feature] += n / b.total * gain
-
-	// Stable partition keeps each child's segment sorted per feature:
-	// left positions compact forward, right positions spill to scratch
-	// and append behind. Extraction mode only carries the membership
-	// array (plus its inverse) down the recursion; the partitioned
-	// engine carries every active feature's order array, the first of
-	// which doubles as membership.
-	if b.extract {
-		k, m := 0, 0
-		for _, pos := range seg {
-			if b.mark[pos] {
-				seg[k] = pos
-				k++
-			} else {
-				b.tmp[m] = pos
-				m++
-			}
-		}
-		copy(seg[k:], b.tmp[:m])
-		for i := lo; i < hi; i++ {
-			b.invPos[b.pos[i]] = i
-		}
-	} else {
-		for _, fi := range b.activeList {
-			fseg := b.ord[fi][lo:hi]
-			k, m := 0, 0
-			for _, pos := range fseg {
-				if b.mark[pos] {
-					fseg[k] = pos
-					k++
-				} else {
-					b.tmp[m] = pos
-					m++
-				}
-			}
-			copy(fseg[k:], b.tmp[:m])
-		}
-	}
 
 	// Reserve this node's slot before growing children.
 	me := int32(len(b.t.nodes))
@@ -633,107 +458,108 @@ func (b *treeBuilder) grow(lo, hi int32, depth int) int32 {
 // bestSplit searches the sampled features for the gini-optimal
 // threshold. Returns feature -1 when no split improves impurity.
 //
-// Each feature's candidate scan walks its presorted segment directly —
-// O(n) per feature — instead of sorting (value, label) pairs per node.
-// The scan visits the same value boundaries with the same class counts
-// as a freshly sorted copy would (equal-value runs contribute no
-// candidates), so the chosen split is bit-identical to the
-// sort-per-node engine's; TestBestSplitPresortIdentical holds the two
-// together.
+// Each feature counting-sorts the node's labels into one bin per
+// distinct value, O(node + distinct values), then scans the bins in
+// value order. A candidate sits between two consecutive non-empty bins,
+// with threshold (vals[r] + vals[next non-empty])/2: exactly the
+// boundaries, class counts and midpoints a sorted (value, label) scan
+// visits, in the same order, so the chosen split is bit-identical to
+// the sort-per-node engine's (TestBestSplitPresortIdentical).
 func (b *treeBuilder) bestSplit(lo, hi int32, parentCounts []float64, n float64) (int, float64, float64) {
-	parentGini := gini(parentCounts, n)
+	present := b.present[:0]
+	for _, c := range b.classes {
+		if parentCounts[c] > 0 {
+			present = append(present, c)
+		}
+	}
+	b.present = present
+	parentGini := gini(parentCounts, present, n)
 	bestFeature := -1
 	bestThreshold := 0.0
 	bestGain := 1e-12 // require a strictly positive gain
 
-	leftCounts, rightCounts := b.leftCounts, b.rightCounts
+	seg, m := b.members[lo:hi], hi-lo
+	minLeaf := b.cfg.MinSamplesLeaf
+	leftCounts := b.leftCounts
 	for _, f := range b.sampleFeatures() {
-		if !b.activeMask[f] {
-			continue // constant across the tree's sample
+		vals := b.fc.vals[f]
+		if vals == nil {
+			continue // constant across the dataset
 		}
-		var seg []int32
-		if b.extract {
-			seg = b.extractSeg(f, lo, hi)
-		} else {
-			seg = b.ord[f][lo:hi]
+		rank := b.fc.rank[f]
+		bins := b.bins[:len(vals)]
+		for _, s := range seg {
+			bins[rank[s.row]]++
 		}
-		col := b.cols[f]
-		if col[seg[0]] == col[seg[len(seg)-1]] {
-			continue // constant within this node
+		var acc int32
+		for r, c := range bins {
+			bins[r] = acc
+			acc += c
 		}
-		for i := range leftCounts {
-			leftCounts[i] = 0
+		for _, s := range seg {
+			r := rank[s.row]
+			b.sorted[bins[r]] = s.y
+			bins[r]++
 		}
-		copy(rightCounts, parentCounts)
-		for i := 0; i < len(seg)-1; i++ {
-			yi := b.y[seg[i]]
-			leftCounts[yi]++
-			rightCounts[yi]--
-			v := col[seg[i]]
-			if v == col[seg[i+1]] {
-				continue // can't split between equal values
+		// bins[r] is now the end of bin r in sorted.
+		for _, c := range present {
+			leftCounts[c] = 0
+		}
+		done, prev := int32(0), 0
+		for r, end := range bins {
+			if end == done {
+				continue // empty bin
 			}
-			nl := float64(i + 1)
-			nr := n - nl
-			if int(nl) < b.cfg.MinSamplesLeaf || int(nr) < b.cfg.MinSamplesLeaf {
-				continue
+			if done > 0 {
+				nl := float64(done)
+				nr := n - nl
+				if int(nl) >= minLeaf && int(nr) >= minLeaf {
+					gl, gr := giniSplit(parentCounts, leftCounts, present, nl, nr)
+					g := parentGini - (nl/n)*gl - (nr/n)*gr
+					if g > bestGain {
+						bestGain = g
+						bestFeature = f
+						bestThreshold = (vals[prev] + vals[r]) / 2
+					}
+				}
 			}
-			g := parentGini - (nl/n)*gini(leftCounts, nl) - (nr/n)*gini(rightCounts, nr)
-			if g > bestGain {
-				bestGain = g
-				bestFeature = f
-				bestThreshold = (v + col[seg[i+1]]) / 2
+			if end == m {
+				break // last non-empty bin
 			}
+			for _, y := range b.sorted[done:end] {
+				leftCounts[y]++
+			}
+			done, prev = end, r
 		}
+		clear(bins)
 	}
 	return bestFeature, bestThreshold, bestGain
 }
 
-// extractSeg returns the node's positions sorted ascending by feature
-// f's value, derived on demand in extraction mode. Dense nodes filter
-// the fitContext's global value order by membership in [lo, hi) — O(n)
-// regardless of node size — while small nodes sort their positions
-// directly. Ties land in arbitrary order either way, which the split
-// scan is insensitive to, so both routes match the partitioned engine
-// bit for bit.
-func (b *treeBuilder) extractSeg(f int, lo, hi int32) []int32 {
-	s := int(hi - lo)
-	seg := b.segBuf[:s]
-	if s*bits.Len(uint(s)) <= 3*b.n {
-		copy(seg, b.pos[lo:hi])
-		sortIdxByKey(b.cols[f], seg)
-		return seg
-	}
-	k := 0
-	if b.identity {
-		for _, r := range b.fc.order[f] {
-			if ip := b.invPos[r]; ip >= lo && ip < hi {
-				seg[k] = r
-				k++
-			}
-		}
-		return seg
-	}
-	start, byRow := b.rowStart, b.posByRow
-	for _, r := range b.fc.order[f] {
-		for i := start[r]; i < start[r+1]; i++ {
-			p := byRow[i]
-			if ip := b.invPos[p]; ip >= lo && ip < hi {
-				seg[k] = p
-				k++
-			}
-		}
-	}
-	return seg
-}
-
-// sampleFeatures picks cfg.MaxFeatures distinct feature indices.
+// sampleFeatures picks cfg.MaxFeatures distinct feature indices: the
+// prefix of rng.Perm(numFeatures), drawn with Perm's exact sequence into
+// a reused buffer.
 func (b *treeBuilder) sampleFeatures() []int {
 	nf := b.fc.numFeatures
 	if b.cfg.MaxFeatures >= nf {
+		if len(b.allFeatures) != nf {
+			b.allFeatures = make([]int, nf)
+			for f := range b.allFeatures {
+				b.allFeatures[f] = f
+			}
+		}
 		return b.allFeatures
 	}
-	return b.rng.Perm(nf)[:b.cfg.MaxFeatures]
+	if cap(b.features) < nf {
+		b.features = make([]int, nf)
+	}
+	m := b.features[:nf]
+	for i := range m {
+		j := b.rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m[:b.cfg.MaxFeatures]
 }
 
 // leaf descends to the leaf for x without width validation; callers
