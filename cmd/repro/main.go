@@ -1,36 +1,53 @@
-// Command repro regenerates every table and figure from "Making Sense
-// of Constellations" (CoNEXT Companion '23) against the simulated
-// Starlink substrate.
+// Command repro regenerates the tables and figures of "Making Sense of
+// Constellations" (CoNEXT Companion '23) on a simulated constellation.
 //
 // Usage:
 //
-//	repro [flags] <experiment>
-//	repro -scenario <file-or-preset> [dist]
+//	repro [flags] <analysis|figN|all|dist>
+//	repro [flags] -scenario <file-or-preset> [analysis|figN|all|dist]
+//	repro -worker-listen <addr>
 //	repro -list-scenarios
 //
-// Experiments: fig2 stats fig3 ident fig4 fig5 fig6 fig7 fig8 stream drift all
+// Every run is a scenario.Spec: the starlink-baseline preset at -scale
+// density with -seed and -slots, or the spec -scenario names (a JSON
+// file or an embedded preset). Its analyses run from one stage table,
+// in this order:
 //
-// Flags:
+//	fig2      §3 RTT trace of the Madrid terminal (Figure 2)
+//	stats     §3 Mann-Whitney U between consecutive 15 s windows
+//	fig3      §4 obstruction maps and the recovered polar-plot geometry
+//	ident     §4 DTW identification vs ground truth, sky plot, naive-matcher ablation
+//	aoe       §5 angle of elevation, available vs chosen (Figure 4)
+//	azimuth   §5 azimuth, available vs chosen (Figure 5)
+//	launch    §5 launch-date preference (Figure 6)
+//	sunlit    §5.3 sunlit vs dark satellites (Figure 7)
+//	model     §6 random forest vs the most-populated-cluster baseline (Figure 8)
+//	recovery  planted-preference recovery (specs with planted weights)
+//	stream    the §5 analyses and the §6 dataset in one streaming pass
+//	ext       §8 extensions: hemispheres, GSO, load, handover, motion
+//	drift     online inference under a mid-campaign scheduler update
 //
-//	-scenario file|name         run a declarative scenario (JSON file or embedded preset)
-//	-list-scenarios             list the embedded scenario presets and exit
-//	-scale   small|medium|full  starlink-baseline constellation density (default medium)
-//	-seed    int                deterministic seed (default 7)
-//	-slots   int                campaign length in 15s slots (default 500)
-//	-workers int                campaign + model-training worker pool (default 0 = GOMAXPROCS)
-//	-snapshot-workers int       per-slot propagation fan-out (default 0 = GOMAXPROCS)
-//	-dir     string             where fig3 writes PNGs (default ".")
-//	-full-grid                  fig8: run the full hyperparameter grid
-//	-telemetry-addr addr        serve /metrics, /debug/vars, /debug/pprof on addr
-//	-trace-decisions n          keep the last n campaign decisions in a ring
-//	-trace-out file             dump the decision ring as JSONL on exit
-//	-predict-addr addr          drift: stream slots to a running predictd instead of an in-process model
-//	-v                          print the telemetry counter summary on exit
+// aoe through recovery share one oracle observation campaign, run once
+// before the first of them or replayed from -load-obs. fig4 to fig8
+// name aoe to model; all runs fig2 through ext except recovery; a spec
+// that lists no analyses runs ident through recovery. dist hashes the
+// campaign's record stream, run here or sharded across -worker-listen
+// processes.
+//
+// Flags, by what they act on (repro -h describes each):
+//
+//	environment  -scenario -list-scenarios -scale -seed -slots
+//	machine      -workers -snapshot-workers -no-index
+//	outputs      -dir -save-obs -load-obs -save-model -full-grid
+//	telemetry    -telemetry-addr -trace-decisions -trace-out -v
+//	drift        -predict-addr
+//	dist         -worker-listen -record-delay -coord-workers -coord-shards -coord-journal -coord-out
 package main
 
 import (
 	"context"
 	"crypto/sha256"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -41,8 +58,6 @@ import (
 	"strings"
 	"syscall"
 	"time"
-
-	"repro/internal/capture"
 
 	"repro/internal/coord"
 	"repro/internal/core"
@@ -71,7 +86,6 @@ type options struct {
 	saveObs       string
 	loadObs       string
 	saveMdl       string
-	pcapPath      string
 	telemetryAddr string
 	traceDepth    int
 	traceOut      string
@@ -84,23 +98,24 @@ type options struct {
 	coordShards   int
 	coordJournal  string
 	coordOut      string
+	// set holds the names of the flags given on the command line.
+	set map[string]bool
 }
 
 func main() {
 	var opt options
-	flag.StringVar(&opt.scenario, "scenario", "", "run a declarative scenario: a JSON file path or an embedded preset name")
+	flag.StringVar(&opt.scenario, "scenario", "", "run this spec, a JSON file path or an embedded preset name, instead of starlink-baseline")
 	flag.BoolVar(&opt.listScenarios, "list-scenarios", false, "list the embedded scenario presets and exit")
-	flag.StringVar(&opt.scale, "scale", "medium", "constellation density of the starlink-baseline preset: small|medium|full")
+	flag.StringVar(&opt.scale, "scale", "medium", "constellation density of the starlink-baseline preset: small|medium|full (not with -scenario)")
 	flag.Int64Var(&opt.seed, "seed", 7, "deterministic seed")
 	flag.IntVar(&opt.slots, "slots", 500, "campaign length in 15-second slots")
-	flag.IntVar(&opt.workers, "workers", 0, "worker pool size for campaigns and fig8 model training (0 = GOMAXPROCS, 1 = serial)")
+	flag.IntVar(&opt.workers, "workers", 0, "worker pool size for campaigns and model training (0 = GOMAXPROCS, 1 = serial)")
 	flag.IntVar(&opt.snapWorkers, "snapshot-workers", 0, "fan-out for the per-slot constellation propagation sweep (0 = GOMAXPROCS, 1 = serial; byte-identical output at every value)")
-	flag.StringVar(&opt.dir, "dir", ".", "output directory for fig3 PNGs")
-	flag.BoolVar(&opt.fullGrid, "full-grid", false, "fig8: search the full hyperparameter grid")
+	flag.StringVar(&opt.dir, "dir", ".", "output directory for the fig3 and ident PNGs")
+	flag.BoolVar(&opt.fullGrid, "full-grid", false, "model: search the full hyperparameter grid")
 	flag.StringVar(&opt.saveObs, "save-obs", "", "write campaign observations as JSONL to this file")
 	flag.StringVar(&opt.loadObs, "load-obs", "", "re-analyze saved observations instead of running a campaign")
-	flag.StringVar(&opt.saveMdl, "save-model", "", "fig8: write the trained forest as JSON to this file")
-	flag.StringVar(&opt.pcapPath, "pcap", "", "fig2: also export the probe trace as a pcap file")
+	flag.StringVar(&opt.saveMdl, "save-model", "", "model: write the trained forest as JSON to this file")
 	flag.StringVar(&opt.telemetryAddr, "telemetry-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
 	flag.IntVar(&opt.traceDepth, "trace-decisions", 0, "keep the last n campaign scheduling decisions in a ring")
 	flag.StringVar(&opt.traceOut, "trace-out", "", "write the decision ring as JSONL to this file on exit")
@@ -114,38 +129,34 @@ func main() {
 	flag.StringVar(&opt.coordJournal, "coord-journal", "", "dist: per-shard journal directory (default: a temp dir)")
 	flag.StringVar(&opt.coordOut, "coord-out", "", "dist: write the merged record stream as JSONL to this file")
 	flag.Parse()
+	opt.set = make(map[string]bool)
+	flag.Visit(func(f *flag.Flag) { opt.set[f.Name] = true })
 	// Ctrl-C aborts the campaign loop cleanly: the context threads down
 	// into core.RunCampaign, which discards the partial run and returns.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if opt.workerListen != "" {
-		if err := runWorker(ctx, opt); err != nil {
-			fmt.Fprintln(os.Stderr, "repro:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if opt.listScenarios {
-		if err := listScenarios(); err != nil {
-			fmt.Fprintln(os.Stderr, "repro:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	// A scenario is itself a full experiment run, so the positional
-	// experiment argument becomes optional (only dist combines with it).
-	what := ""
+	// A scenario carries its own analyses, so with -scenario the
+	// positional argument is optional.
+	var err error
 	switch {
+	case opt.workerListen != "":
+		err = runWorker(ctx, opt)
+	case opt.listScenarios:
+		err = listScenarios()
 	case flag.NArg() == 1:
-		what = flag.Arg(0)
+		err = run(ctx, flag.Arg(0), opt)
 	case flag.NArg() == 0 && opt.scenario != "":
+		err = run(ctx, "", opt)
 	default:
-		fmt.Fprintln(os.Stderr, "usage: repro [flags] fig2|stats|fig3|ident|fig4|fig5|fig6|fig7|fig8|stream|drift|ext|dist|all")
-		fmt.Fprintln(os.Stderr, "       repro -scenario <file-or-preset> [dist]")
-		os.Exit(2)
+		err = usageError("usage: repro [flags] [-scenario file-or-preset] <analysis|fig4..fig8|all|dist>\nanalyses: " +
+			strings.Join(scenario.Analyses, " "))
 	}
-	if err := run(ctx, what, opt); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "repro:", err)
+		var usage usageError
+		if errors.As(err, &usage) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
@@ -277,72 +288,107 @@ func sumSkips(skips map[string]int) int {
 	return n
 }
 
+// figures maps the paper's figure names to the analyses that draw them.
+var figures = map[string]string{"fig4": "aoe", "fig5": "azimuth", "fig6": "launch", "fig7": "sunlit", "fig8": "model"}
+
+// everything is what `repro all` runs.
+var everything = []string{"fig2", "stats", "fig3", "ident", "aoe", "azimuth", "launch", "sunlit", "model", "stream", "ext"}
+
+// usageError is a flag combination rejected before anything runs; main
+// exits 2 for it, as for a malformed command line.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
 // loadSpec resolves the run's environment description: the -scenario
 // file or preset, else the starlink-baseline preset at -scale density
-// with -seed and -slots.
+// with -seed and -slots. A positional analysis, figure name or "all"
+// replaces the spec's analyses; "dist" and no argument keep them.
 func loadSpec(what string, opt options) (*scenario.Spec, error) {
+	var scn *scenario.Spec
+	var err error
 	if opt.scenario == "" {
-		scn, err := scenario.Starlink(opt.scale, opt.seed)
-		if err != nil {
+		if scn, err = scenario.Starlink(opt.scale, opt.seed); err != nil {
 			return nil, err
 		}
 		scn.Campaign.Slots = opt.slots
-		return scn, nil
-	}
-	scn, err := scenario.Resolve(opt.scenario)
-	if err != nil {
-		return nil, err
-	}
-	// Explicitly-set flags beat the spec file; the defaults (seed 7,
-	// slots 500) must not clobber what the scenario asked for.
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "slots":
+	} else {
+		if opt.set["scale"] {
+			return nil, usageError("-scale picks the starlink-baseline density; it does not combine with -scenario")
+		}
+		if scn, err = scenario.Resolve(opt.scenario); err != nil {
+			return nil, err
+		}
+		// Explicitly-set flags beat the spec file; the defaults (seed 7,
+		// slots 500) must not clobber what the scenario asked for.
+		if opt.set["slots"] {
 			scn.Campaign.Slots = opt.slots
-		case "seed":
+		}
+		if opt.set["seed"] {
 			scn.Seed = opt.seed
 		}
-	})
-	if what != "" && what != "dist" {
-		return nil, fmt.Errorf("-scenario runs its own pipeline; it combines only with the dist experiment (got %q)", what)
 	}
-	return scn, nil
+	if opt.loadObs != "" && (opt.saveObs != "" || scn.Outputs.Observations != "") {
+		return nil, usageError("-load-obs replays saved observations; it does not combine with -save-obs or a spec's outputs.observations")
+	}
+	switch {
+	case what == "all":
+		scn.Outputs.Analyses = everything
+	case figures[what] != "":
+		scn.Outputs.Analyses = []string{figures[what]}
+	case what != "" && what != "dist":
+		scn.Outputs.Analyses = []string{what}
+	}
+	return scn, scn.Validate()
 }
 
 func run(ctx context.Context, what string, opt options) error {
-	// The registry exists only when something consumes it: the HTTP
-	// endpoint, the -v summary, or a decision dump. Otherwise every
-	// instrumented path stays on its nil fast branch.
-	var reg *telemetry.Registry
-	if opt.telemetryAddr != "" || opt.verbose {
-		reg = telemetry.NewRegistry()
-	}
 	scn, err := loadSpec(what, opt)
 	if err != nil {
 		return err
 	}
-	// dist never touches the local constellation — workers build their
-	// own environment from the spec — so it skips env construction
-	// entirely and the coordinator host stays lightweight.
+	// The registry exists only when something consumes it: the HTTP
+	// endpoint, the -v summary, a decision dump, or the dist
+	// coordinator. Otherwise every instrumented path stays on its nil
+	// fast branch.
+	var reg *telemetry.Registry
+	if opt.telemetryAddr != "" || opt.verbose || what == "dist" {
+		reg = telemetry.NewRegistry()
+	}
 	if what == "dist" {
-		if reg == nil {
-			reg = telemetry.NewRegistry()
-		}
-		if opt.telemetryAddr != "" {
-			srv, err := telemetry.StartServer(ctx, opt.telemetryAddr, reg, nil)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "repro: telemetry on http://%s/metrics\n", srv.Addr())
+		// dist never touches the local constellation — workers build
+		// their own environment from the spec — so it skips env
+		// construction and the coordinator host stays lightweight.
+		if err := serveTelemetry(ctx, opt, reg, nil); err != nil {
+			return err
 		}
 		if err := runDist(ctx, opt, reg, scn); err != nil {
 			return fmt.Errorf("dist: %w", err)
 		}
-		if opt.verbose {
-			printTelemetry(reg)
-		}
+	} else if err := analyze(ctx, scn, opt, reg); err != nil {
+		return err
+	}
+	if opt.verbose {
+		printTelemetry(reg)
+	}
+	return nil
+}
+
+// serveTelemetry starts the -telemetry-addr endpoint when one is set.
+func serveTelemetry(ctx context.Context, opt options, reg *telemetry.Registry, trace *telemetry.DecisionTrace) error {
+	if opt.telemetryAddr == "" {
 		return nil
 	}
+	srv, err := telemetry.StartServer(ctx, opt.telemetryAddr, reg, trace)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "repro: telemetry on http://%s/metrics\n", srv.Addr())
+	return nil
+}
+
+// analyze builds the spec's environment and runs its analyses.
+func analyze(ctx context.Context, scn *scenario.Spec, opt options, reg *telemetry.Registry) error {
 	traceDepth := opt.traceDepth
 	if traceDepth == 0 && opt.traceOut != "" {
 		traceDepth = 4096
@@ -359,19 +405,14 @@ func run(ctx context.Context, what string, opt options) error {
 	}
 	env := built.Env
 	env.Ctx = ctx
-	if opt.telemetryAddr != "" {
-		srv, err := telemetry.StartServer(ctx, opt.telemetryAddr, reg, env.Trace())
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "repro: telemetry on http://%s/metrics\n", srv.Addr())
+	if err := serveTelemetry(ctx, opt, reg, env.Trace()); err != nil {
+		return err
 	}
-	if opt.scenario != "" {
-		err = runScenario(ctx, built, opt)
-	} else {
-		err = runExperiments(ctx, what, built, opt, reg)
+	r := &runner{ctx: ctx, opt: opt, reg: reg, built: built, env: env, save: opt.saveObs}
+	if r.save == "" {
+		r.save = scn.Outputs.Observations
 	}
-	if err != nil {
+	if err := r.analyses(); err != nil {
 		return err
 	}
 	if opt.traceOut != "" {
@@ -381,22 +422,106 @@ func run(ctx context.Context, what string, opt options) error {
 	}
 	if opt.verbose {
 		printPropagationSkips(env)
-		printTelemetry(reg)
 	}
 	return nil
 }
 
-// observations is the observation stage both run modes share: replay
-// -load-obs when load is set, else stream one oracle campaign of slots
-// into the collected rows (and into save as they arrive). st is nil for
-// a replay; before is the skip-counter snapshot printCampaignStats
-// diffs against.
-func observations(ctx context.Context, env *experiments.Env, slots int, load, save string) (obs []core.Observation, st *core.CampaignStats, before map[string]int64, err error) {
+// runner carries one run's state through the stage table.
+type runner struct {
+	ctx   context.Context
+	opt   options
+	reg   *telemetry.Registry
+	built *scenario.Built
+	env   *experiments.Env
+	// save is where the observation campaign is written: -save-obs,
+	// else the spec's outputs.observations.
+	save string
+	// obs is the shared oracle observation set, collected by observe
+	// before the first stage that reads it.
+	obs      []core.Observation
+	observed bool
+}
+
+// stage is one analysis. Stages with obs set read runner.obs.
+type stage struct {
+	obs bool
+	run func(*runner) error
+}
+
+// stages is the one analysis table, keyed by the spec's analysis
+// names; scenario.Analyses gives the run order.
+var stages = map[string]stage{
+	"fig2":     {false, (*runner).fig2},
+	"stats":    {false, (*runner).stats},
+	"fig3":     {false, (*runner).fig3},
+	"ident":    {false, (*runner).ident},
+	"aoe":      {true, func(r *runner) error { return printed(printAOE)(r.env.Fig4(r.obs)) }},
+	"azimuth":  {true, func(r *runner) error { return printed(printAzimuth)(r.env.Fig5(r.obs)) }},
+	"launch":   {true, func(r *runner) error { return printed(printLaunch)(r.env.Fig6(r.obs)) }},
+	"sunlit":   {true, func(r *runner) error { return printed(printSunlit)(r.env.Fig7(r.obs)) }},
+	"model":    {true, (*runner).model},
+	"recovery": {true, (*runner).recovery},
+	"stream":   {false, (*runner).stream},
+	"ext":      {false, (*runner).ext},
+	"drift":    {false, (*runner).drift},
+}
+
+// printed adapts a figure printer to a stage body.
+func printed[T any](print func(T)) func(T, error) error {
+	return func(a T, err error) error {
+		if err == nil {
+			print(a)
+		}
+		return err
+	}
+}
+
+// analyses prints the run banner and runs the spec's analyses in run
+// order. The output carries no wall-clock figures outside the stream
+// stage: two runs of the same spec print the same bytes.
+func (r *runner) analyses() error {
+	spec := r.built.Spec
+	fmt.Printf("==== scenario %s ====\n", spec.Name)
+	if spec.Description != "" {
+		fmt.Printf("# %s\n", spec.Description)
+	}
+	preset := ""
+	if spec.Constellation.Preset != "" {
+		preset = spec.Constellation.Preset + ", "
+	}
+	fmt.Printf("# constellation: %s%d satellites; terminals: %d; seed %d; %d slots\n",
+		preset, r.env.Cons.Len(), len(r.env.Terminals), spec.Seed, r.built.Slots)
+	for _, name := range scenario.Analyses {
+		if !spec.AnalysisEnabled(name) {
+			continue
+		}
+		st := stages[name]
+		if st.obs && !r.observed {
+			if err := r.observe(); err != nil {
+				return err
+			}
+		}
+		fmt.Printf("\n---- %s ----\n", name)
+		if err := st.run(r); err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+	}
+	if !r.observed && r.save != "" {
+		return r.observe()
+	}
+	return nil
+}
+
+// observe collects the shared observation set: replay -load-obs, else
+// stream one oracle campaign into the collected rows (and into the save
+// file as they arrive).
+func (r *runner) observe() error {
+	r.observed = true
 	collect := &pipeline.CollectObservations{}
-	if load != "" {
+	if load := r.opt.loadObs; load != "" {
 		f, err := os.Open(load)
 		if err != nil {
-			return nil, nil, nil, err
+			return err
 		}
 		defer f.Close()
 		// Replay the trace record by record: a multi-gigabyte capture
@@ -406,222 +531,65 @@ func observations(ctx context.Context, env *experiments.Env, slots int, load, sa
 			Source: pipeline.ObservationReplay{R: f},
 			Sinks:  []pipeline.Sink{counts, pipeline.Where(pipeline.ChosenOnly(), collect)},
 		}
-		if err := p.Run(ctx); err != nil {
-			return nil, nil, nil, err
+		if err := p.Run(r.ctx); err != nil {
+			return err
 		}
-		fmt.Printf("# loaded %d observations from %s (%d records, %d without a chosen satellite)\n\n",
-			len(collect.Obs), load, counts.Total, counts.Total-counts.Served)
-		return collect.Obs, nil, nil, nil
+		r.obs = collect.Obs
+		fmt.Printf("\n# loaded %d observations from %s (%d records, %d without a chosen satellite)\n",
+			len(r.obs), load, counts.Total, counts.Total-counts.Served)
+		return nil
 	}
 	sinks := []pipeline.Sink{collect}
-	if save != "" {
-		f, err := os.Create(save)
+	if r.save != "" {
+		f, err := os.Create(r.save)
 		if err != nil {
-			return nil, nil, nil, err
+			return err
 		}
 		defer f.Close()
 		// The file fills as the campaign runs — one pass, no buffering
 		// of the whole trace.
 		sinks = append(sinks, pipeline.WriteObservations(f))
 	}
-	before = takeSkips(env.Telemetry)
-	st, err = env.StreamObservations(slots, sinks...)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return collect.Obs, st, before, nil
-}
-
-// runExperiments runs the per-figure experiment list over the
-// starlink-baseline environment the -scale/-seed flags select.
-func runExperiments(ctx context.Context, what string, built *scenario.Built, opt options, reg *telemetry.Registry) error {
-	env := built.Env
-	fmt.Printf("# constellation: %d satellites (scale=%s seed=%d)\n\n", env.Cons.Len(), opt.scale, opt.seed)
-	slots := opt.slots
-	var obs []core.Observation
-	needObs := func() error {
-		if obs != nil {
-			return nil
-		}
-		if opt.loadObs == "" {
-			fmt.Printf("# running %d-slot oracle campaign over %d terminals...\n", slots, len(env.Terminals))
-		}
-		start := time.Now()
-		var st *core.CampaignStats
-		var before map[string]int64
-		var err error
-		obs, st, before, err = observations(ctx, env, slots, opt.loadObs, opt.saveObs)
-		if err != nil || st == nil {
-			return err
-		}
-		fmt.Printf("# %d observations in %.1fs\n", len(obs), time.Since(start).Seconds())
-		printCampaignStats(st, env.Telemetry, before)
-		fmt.Println()
-		if opt.saveObs != "" {
-			fmt.Printf("# wrote observations to %s\n\n", opt.saveObs)
-		}
-		return nil
-	}
-
-	experimentsToRun := []string{what}
-	if what == "all" {
-		experimentsToRun = []string{"fig2", "stats", "fig3", "ident", "fig4", "fig5", "fig6", "fig7", "fig8", "stream", "ext"}
-	}
-	for _, ex := range experimentsToRun {
-		fmt.Printf("==== %s ====\n", ex)
-		var err error
-		switch ex {
-		case "fig2":
-			err = runFig2(env, opt.pcapPath)
-		case "stats":
-			err = runStats(env)
-		case "fig3":
-			err = runFig3(env, opt.dir)
-		case "ident":
-			err = runIdent(env, opt.dir)
-		case "fig4":
-			if err = needObs(); err == nil {
-				err = runFig4(env, obs)
-			}
-		case "fig5":
-			if err = needObs(); err == nil {
-				err = runFig5(env, obs)
-			}
-		case "fig6":
-			if err = needObs(); err == nil {
-				err = runFig6(env, obs)
-			}
-		case "fig7":
-			if err = needObs(); err == nil {
-				err = runFig7(env, obs)
-			}
-		case "fig8":
-			if err = needObs(); err == nil {
-				err = runFig8(env, obs, opt.fullGrid, opt.saveMdl)
-			}
-		case "stream":
-			err = runStream(env, slots)
-		case "drift":
-			err = runDriftExperiment(built.Spec, opt, reg)
-		case "ext":
-			err = runExtensions(env, slots)
-		default:
-			return fmt.Errorf("unknown experiment %q", ex)
-		}
-		if err != nil {
-			return fmt.Errorf("%s: %w", ex, err)
-		}
-		fmt.Println()
-	}
-	return nil
-}
-
-// runScenario executes a declarative scenario end to end: validate
-// identification (§4), run one oracle campaign, and feed the collected
-// observations through every enabled analysis — the §5 behavioral
-// suite, the §6 forest, and the planted-preference recovery
-// experiment. The output carries no wall-clock timings on purpose: two
-// runs of the same scenario must be byte-identical, which is what the
-// CI smoke job asserts.
-func runScenario(ctx context.Context, built *scenario.Built, opt options) error {
-	spec, env := built.Spec, built.Env
-	fmt.Printf("==== scenario %s ====\n", spec.Name)
-	if spec.Description != "" {
-		fmt.Printf("# %s\n", spec.Description)
-	}
-	fmt.Printf("# constellation: %d satellites; terminals: %d; seed %d; %d slots\n",
-		env.Cons.Len(), len(env.Terminals), spec.Seed, built.Slots)
-
-	if spec.AnalysisEnabled("ident") {
-		fmt.Println("\n---- ident ----")
-		fmt.Printf("§4 identification validation over %d slots (DTW vs ground truth)\n", built.IdentSlots)
-		res, err := env.IdentValidation(built.IdentSlots, false)
-		if err != nil {
-			return fmt.Errorf("ident: %w", err)
-		}
-		fmt.Printf("attempted=%d correct=%d failed=%d accuracy=%.1f%% median_margin=%.2f\n",
-			res.Attempted, res.Correct, res.Failed, res.Accuracy*100, res.MedianMargin)
-	}
-
-	// Every remaining stage consumes the same observation set, so the
-	// campaign runs exactly once no matter how many are enabled.
-	var obs []core.Observation
-	stages := []struct {
-		name string
-		run  func() error
-	}{
-		{"aoe", func() error { return runFig4(env, obs) }},
-		{"azimuth", func() error { return runFig5(env, obs) }},
-		{"launch", func() error { return runFig6(env, obs) }},
-		{"sunlit", func() error { return runFig7(env, obs) }},
-		{"model", func() error { return runFig8(env, obs, opt.fullGrid, opt.saveMdl) }},
-		{"recovery", func() error { return runRecovery(ctx, spec, obs) }},
-	}
-	savePath := spec.Outputs.Observations
-	if opt.saveObs != "" {
-		savePath = opt.saveObs
-	}
-	needObs := savePath != ""
-	for _, st := range stages {
-		needObs = needObs || spec.AnalysisEnabled(st.name)
-	}
-	if !needObs {
-		return nil
-	}
-	obs, st, before, err := observations(ctx, env, built.Slots, opt.loadObs, savePath)
+	st, err := r.env.StreamObservations(r.built.Slots, sinks...)
 	if err != nil {
 		return err
 	}
-	if st != nil {
-		fmt.Printf("\n# %d observations from the %d-slot oracle campaign\n", len(obs), built.Slots)
-		printCampaignStats(st, env.Telemetry, before)
-		if savePath != "" {
-			fmt.Printf("# wrote observations to %s\n", savePath)
-		}
-	}
-	for _, stage := range stages {
-		if !spec.AnalysisEnabled(stage.name) {
-			continue
-		}
-		fmt.Printf("\n---- %s ----\n", stage.name)
-		if err := stage.run(); err != nil {
-			return fmt.Errorf("%s: %w", stage.name, err)
-		}
+	r.obs = collect.Obs
+	fmt.Printf("\n# %d observations from the %d-slot oracle campaign\n", len(r.obs), r.built.Slots)
+	printCampaignStats(st)
+	if r.save != "" {
+		fmt.Printf("# wrote observations to %s\n", r.save)
 	}
 	return nil
 }
 
-// runRecovery runs the planted-preference recovery experiment on the
-// scenario's observations.
-func runRecovery(ctx context.Context, spec *scenario.Spec, obs []core.Observation) error {
+// recovery runs the planted-preference recovery experiment on the
+// spec's observations and reports the planted ordering vs what the
+// behavioral effects and the forest recovered, with a PASS/FAIL
+// verdict.
+func (r *runner) recovery() error {
+	spec := r.built.Spec
 	planted, ok := spec.PlantedWeights()
 	if !ok {
 		return fmt.Errorf("no planted scheduler weights in the spec")
 	}
-	res, err := scenario.RunPreferenceRecovery(ctx, obs, planted, experiments.QuickModelConfig(spec.Seed))
+	res, err := scenario.RunPreferenceRecovery(r.ctx, r.obs, planted, experiments.QuickModelConfig(spec.Seed))
 	if err != nil {
 		return err
 	}
-	printRecovery(res)
-	return nil
-}
-
-// printRecovery reports the planted-preference recovery experiment:
-// planted ordering vs what the behavioral effects and the forest
-// recovered, with an explicit PASS/FAIL verdict.
-func printRecovery(r *scenario.RecoveryResult) {
 	fmt.Println("planted-preference recovery: §5 effects + §6 forest vs the planted weights")
 	fmt.Printf("planted weights: elevation=%.2f sunlit=%.2f recency=%.2f (order %s)\n",
-		r.Planted.Elevation, r.Planted.Sunlit, r.Planted.Recency, strings.Join(r.PlantedOrder, " > "))
+		res.Planted.Elevation, res.Planted.Sunlit, res.Planted.Recency, strings.Join(res.PlantedOrder, " > "))
 	fmt.Println("axis\tobserved_effect\tforest_effect")
 	for _, ax := range scenario.RecoveryAxes {
-		fmt.Printf("%s\t%+.3f\t%+.3f\n", ax, r.ObservedEffects[ax], r.ForestEffects[ax])
+		fmt.Printf("%s\t%+.3f\t%+.3f\n", ax, res.ObservedEffects[ax], res.ForestEffects[ax])
 	}
-	fmt.Printf("behavioral order: %s [%s]\n", strings.Join(r.ObservedOrder, " > "), passFail(r.ObservedOrderRecovered))
-	fmt.Printf("forest order:     %s [%s]\n", strings.Join(r.ForestOrder, " > "), passFail(r.OrderRecovered))
-	fmt.Printf("model top-1 %.3f vs baseline %.3f [%s]\n", r.ModelTop1, r.BaselineTop1, passFail(r.ModelBeatsBaseline))
-	fmt.Printf("recovery over %d rows: %s\n", r.Rows,
-		passFail(r.ObservedOrderRecovered && r.OrderRecovered && r.ModelBeatsBaseline))
+	fmt.Printf("behavioral order: %s [%s]\n", strings.Join(res.ObservedOrder, " > "), passFail(res.ObservedOrderRecovered))
+	fmt.Printf("forest order:     %s [%s]\n", strings.Join(res.ForestOrder, " > "), passFail(res.OrderRecovered))
+	fmt.Printf("model top-1 %.3f vs baseline %.3f [%s]\n", res.ModelTop1, res.BaselineTop1, passFail(res.ModelBeatsBaseline))
+	fmt.Printf("recovery over %d rows: %s\n", res.Rows,
+		passFail(res.ObservedOrderRecovered && res.OrderRecovered && res.ModelBeatsBaseline))
+	return nil
 }
 
 func passFail(ok bool) string {
@@ -698,22 +666,10 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-func runFig2(env *experiments.Env, pcapPath string) error {
-	res, err := env.Fig2("Madrid", 2*time.Minute)
+func (r *runner) fig2() error {
+	res, err := r.env.Fig2("Madrid", 2*time.Minute)
 	if err != nil {
 		return err
-	}
-	if pcapPath != "" {
-		f, err := os.Create(pcapPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		n, err := capture.Export(f, res.Samples, capture.Config{})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("wrote %d frames to %s\n", n, pcapPath)
 	}
 	fmt.Printf("Figure 2: RTT trace, %s terminal, 1 probe / 20 ms, 2 minutes\n", res.Terminal)
 	fmt.Printf("slot boundaries at seconds past the minute: %v (paper: [12 27 42 57])\n", res.BoundarySeconds)
@@ -737,8 +693,8 @@ func runFig2(env *experiments.Env, pcapPath string) error {
 	return nil
 }
 
-func runStats(env *experiments.Env) error {
-	res, err := env.WindowStats(5 * time.Minute)
+func (r *runner) stats() error {
+	res, err := r.env.WindowStats(5 * time.Minute)
 	if err != nil {
 		return err
 	}
@@ -750,36 +706,21 @@ func runStats(env *experiments.Env) error {
 	return nil
 }
 
-func runFig3(env *experiments.Env, dir string) error {
-	res, err := env.Fig3("Iowa")
+func (r *runner) fig3() error {
+	res, err := r.env.Fig3("Iowa")
 	if err != nil {
 		return err
 	}
 	fmt.Println("Figure 3: obstruction maps (written as PNGs)")
-	write := func(name string, m *obstruction.Map) error {
-		path := filepath.Join(dir, name)
-		f, err := os.Create(path)
+	for _, m := range []struct {
+		name string
+		m    *obstruction.Map
+	}{{"fig3b_prev.png", res.Prev}, {"fig3c_cur.png", res.Cur}, {"fig3d_xor.png", res.Diff}, {"fig3e_filled.png", res.Filled}} {
+		path, err := r.writePNG(m.name, m.m)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		if err := m.EncodePNG(f); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d painted pixels)\n", path, m.Count())
-		return nil
-	}
-	if err := write("fig3b_prev.png", res.Prev); err != nil {
-		return err
-	}
-	if err := write("fig3c_cur.png", res.Cur); err != nil {
-		return err
-	}
-	if err := write("fig3d_xor.png", res.Diff); err != nil {
-		return err
-	}
-	if err := write("fig3e_filled.png", res.Filled); err != nil {
-		return err
+		fmt.Printf("wrote %s (%d painted pixels)\n", path, m.m.Count())
 	}
 	fmt.Printf("recovered polar-plot parameters: center=(%.1f, %.1f) radius=%.1f px\n",
 		res.Recovered.CenterX, res.Recovered.CenterY, res.Recovered.RadiusPx)
@@ -787,8 +728,26 @@ func runFig3(env *experiments.Env, dir string) error {
 	return nil
 }
 
-func runIdent(env *experiments.Env, dir string) error {
-	fmt.Println("§4 identification validation (DTW vs ground truth; paper pilot: >99% of 500)")
+// writePNG writes one image into -dir and returns its path.
+func (r *runner) writePNG(name string, img interface{ EncodePNG(io.Writer) error }) (string, error) {
+	path := filepath.Join(r.opt.dir, name)
+	f, err := os.Create(path)
+	if err != nil {
+		return "", err
+	}
+	if err := img.EncodePNG(f); err != nil {
+		f.Close()
+		return "", err
+	}
+	return path, f.Close()
+}
+
+// ident validates §4 identification over the spec's ident slots: one
+// sky-plot PNG, the DTW matcher against ground truth, and the naive
+// matcher as an ablation.
+func (r *runner) ident() error {
+	env, slots := r.env, r.built.IdentSlots
+	fmt.Printf("§4 identification validation over %d slots (DTW vs ground truth; paper pilot: >99%% of 500)\n", slots)
 	// Render one manual-validation sky plot (the paper's pilot-study
 	// view): observed trajectory over all candidates, winner highlighted.
 	term := env.Terminals[0]
@@ -806,39 +765,24 @@ func runIdent(env *experiments.Env, dir string) error {
 		if err != nil {
 			return err
 		}
-		path := filepath.Join(dir, "ident_validation.png")
-		f, err := os.Create(path)
+		path, err := r.writePNG("ident_validation.png", plot)
 		if err != nil {
 			return err
 		}
-		if err := plot.EncodePNG(f); err != nil {
-			f.Close()
-			return err
-		}
-		f.Close()
 		fmt.Printf("wrote %s (%d candidate tracks, winner %d highlighted)\n", path, len(cands), a.SatID)
 	}
-	res, err := env.IdentValidation(125, false)
+	res, err := env.IdentValidation(slots, false)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("DTW matcher:   attempted=%d correct=%d failed=%d accuracy=%.1f%% median_margin=%.2f\n",
 		res.Attempted, res.Correct, res.Failed, res.Accuracy*100, res.MedianMargin)
-	naive, err := env.IdentValidation(125, true)
+	naive, err := env.IdentValidation(slots, true)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("naive matcher: attempted=%d correct=%d accuracy=%.1f%% (ablation)\n",
 		naive.Attempted, naive.Correct, naive.Accuracy*100)
-	return nil
-}
-
-func runFig4(env *experiments.Env, obs []core.Observation) error {
-	a, err := env.Fig4(obs)
-	if err != nil {
-		return err
-	}
-	printAOE(a)
 	return nil
 }
 
@@ -848,15 +792,6 @@ func printAOE(a *core.AOEAnalysis) {
 	fmt.Printf("chosen with AOE in [45,90]: %.0f%% (paper: 80%%); available: %.0f%% (paper: 30%%)\n",
 		a.HighBandChosenFrac*100, a.HighBandAvailableFrac*100)
 	printCDFs(a.PerTerminal, "aoe_deg")
-}
-
-func runFig5(env *experiments.Env, obs []core.Observation) error {
-	a, err := env.Fig5(obs)
-	if err != nil {
-		return err
-	}
-	printAzimuth(a)
-	return nil
 }
 
 func printAzimuth(a *core.AzimuthAnalysis) {
@@ -869,15 +804,6 @@ func printAzimuth(a *core.AzimuthAnalysis) {
 	}
 	fmt.Println("(paper: north chosen 82% vs available 58%; Ithaca NW 9.7% vs 55.4% elsewhere)")
 	printCDFs(a.PerTerminal, "azimuth_deg")
-}
-
-func runFig6(env *experiments.Env, obs []core.Observation) error {
-	a, err := env.Fig6(obs)
-	if err != nil {
-		return err
-	}
-	printLaunch(a)
-	return nil
 }
 
 func printLaunch(a *core.LaunchAnalysis) {
@@ -903,15 +829,6 @@ func printLaunch(a *core.LaunchAnalysis) {
 	}
 }
 
-func runFig7(env *experiments.Env, obs []core.Observation) error {
-	a, err := env.Fig7(obs)
-	if err != nil {
-		return err
-	}
-	printSunlit(a)
-	return nil
-}
-
 func printSunlit(a *core.SunlitAnalysis) {
 	fmt.Println("Figure 7 / §5.3: sunlit vs dark satellites")
 	fmt.Printf("mixed slots (>=1 sunlit and >=1 dark): %d\n", a.MixedSlots)
@@ -922,20 +839,20 @@ func printSunlit(a *core.SunlitAnalysis) {
 	fmt.Printf("median chosen-dark AOE minus chosen-sunlit: %.1f deg (paper: ~29)\n", a.DarkChosenAOELiftDeg)
 }
 
-// runStream regenerates every §5 analysis in one pass of the streaming
+// stream regenerates every §5 analysis in one pass of the streaming
 // pipeline: campaign records flow straight into the incremental
 // accumulators, so no observation slice ever materializes. Outputs are
 // bit-identical to the fig4–fig7 batch path over the same campaign.
-func runStream(env *experiments.Env, slots int) error {
+func (r *runner) stream() error {
+	env, slots := r.env, r.built.Slots
 	fmt.Printf("streaming pipeline: one-pass §5 analyses + §6 dataset over a %d-slot campaign\n", slots)
 	start := time.Now()
-	before := takeSkips(env.Telemetry)
 	res, err := env.StreamAnalyses(slots)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("single pass in %.1fs; dataset rows: %d\n", time.Since(start).Seconds(), len(res.Dataset.X))
-	printCampaignStats(res.Stats, env.Telemetry, before)
+	printCampaignStats(res.Stats)
 	fmt.Println()
 	printAOE(res.AOE)
 	fmt.Println()
@@ -947,12 +864,13 @@ func runStream(env *experiments.Env, slots int) error {
 	return nil
 }
 
-// runDriftExperiment runs the online-inference drift campaign: learn
+// drift runs the online-inference drift campaign: learn
 // the default scheduler, flip the weights at mid-campaign, and report
 // detection and recovery. With -predict-addr the slot stream feeds a
 // running predictd over dishrpc; otherwise a synchronous in-process
 // service keeps the output deterministic.
-func runDriftExperiment(spec *scenario.Spec, opt options, reg *telemetry.Registry) error {
+func (r *runner) drift() error {
+	spec, opt := r.built.Spec, r.opt
 	var scorer pipeline.OnlineScorer
 	if opt.predictAddr != "" {
 		c, err := predict.Dial(opt.predictAddr)
@@ -967,7 +885,7 @@ func runDriftExperiment(spec *scenario.Spec, opt options, reg *telemetry.Registr
 			Window: 512, RefitEvery: 128, MinFit: 256,
 			Trees: 20, MaxDepth: 10,
 			Seed: spec.Seed, Workers: opt.workers,
-			Synchronous: true, Registry: reg,
+			Synchronous: true, Registry: r.reg,
 		})
 		if err != nil {
 			return err
@@ -976,12 +894,12 @@ func runDriftExperiment(spec *scenario.Spec, opt options, reg *telemetry.Registr
 	}
 	res, err := scenario.RunDrift(scenario.DriftConfig{
 		Spec:            spec,
-		Slots:           opt.slots,
+		Slots:           r.built.Slots,
 		Scorer:          scorer,
 		Offline:         opt.predictAddr == "", // remote runs skip the batch cross-check
 		Workers:         opt.workers,
 		SnapshotWorkers: opt.snapWorkers,
-		Telemetry:       reg,
+		Telemetry:       r.reg,
 	})
 	if err != nil {
 		return err
@@ -1011,62 +929,29 @@ func runDriftExperiment(spec *scenario.Spec, opt options, reg *telemetry.Registr
 	return nil
 }
 
-// skipPrefix is the canonical key prefix of the labeled skip-reason
-// counters in the telemetry registry.
-const skipPrefix = `campaign_skips_total{reason="`
-
-// takeSkips snapshots the skip-reason counters before a campaign so
-// the summary after it can print this run's deltas — the registry is
-// shared across every campaign an `all` invocation runs. Nil-safe.
-func takeSkips(reg *telemetry.Registry) map[string]int64 {
-	keys, vals := reg.Snapshot().CountersWithPrefix(skipPrefix)
-	m := make(map[string]int64, len(keys))
-	for i, k := range keys {
-		m[k] = vals[i]
-	}
-	return m
-}
-
 // printCampaignStats surfaces what the campaign dropped on the way to
-// the analyses — previously discarded silently. With telemetry enabled
-// the skip reasons come from the registry snapshot (as deltas against
-// `before`); otherwise from the engine's own tally.
-func printCampaignStats(st *core.CampaignStats, reg *telemetry.Registry, before map[string]int64) {
+// the analyses, by skip reason.
+func printCampaignStats(st *core.CampaignStats) {
 	fmt.Printf("# campaign: %d records (%d slots x %d terminals), %d served, %d dropped\n",
 		st.Records, st.Slots, st.Terminals, st.Served, st.Dropped())
 	if st.PropagationSkips > 0 {
 		fmt.Printf("#   %6d satellite-slots lost to propagation failures\n", st.PropagationSkips)
 	}
-	if reg != nil {
-		keys, vals := reg.Snapshot().CountersWithPrefix(skipPrefix)
-		for i, k := range keys {
-			if d := vals[i] - before[k]; d > 0 {
-				reason := strings.TrimSuffix(strings.TrimPrefix(k, skipPrefix), `"}`)
-				fmt.Printf("#   %6d x %s\n", d, reason)
-			}
-		}
-		return
-	}
-	reasons := make([]string, 0, len(st.Skips))
-	for r := range st.Skips {
-		reasons = append(reasons, r)
-	}
-	sort.Strings(reasons)
-	for _, r := range reasons {
+	for _, r := range sortedKeys(st.Skips) {
 		fmt.Printf("#   %6d x %s\n", st.Skips[r], r)
 	}
 }
 
-func runFig8(env *experiments.Env, obs []core.Observation, fullGrid bool, saveMdl string) error {
-	cfg := experiments.QuickModelConfig(env.Seed + 1)
-	if fullGrid {
-		cfg = core.ModelConfig{Seed: env.Seed + 1} // defaults = full protocol
+func (r *runner) model() error {
+	cfg := experiments.QuickModelConfig(r.env.Seed + 1)
+	if r.opt.fullGrid {
+		cfg = core.ModelConfig{Seed: r.env.Seed + 1} // defaults = full protocol
 	}
-	res, err := env.Fig8(obs, cfg)
+	res, err := r.env.Fig8(r.obs, cfg)
 	if err != nil {
 		return err
 	}
-	if saveMdl != "" {
+	if saveMdl := r.opt.saveMdl; saveMdl != "" {
 		f, err := os.Create(saveMdl)
 		if err != nil {
 			return err
@@ -1095,7 +980,8 @@ func runFig8(env *experiments.Env, obs []core.Observation, fullGrid bool, saveMd
 	return nil
 }
 
-func runExtensions(env *experiments.Env, slots int) error {
+func (r *runner) ext() error {
+	env, slots := r.env, r.built.Slots
 	fmt.Println("§8 extensions: hemisphere generalization, GSO ablation, load hypothesis")
 
 	hemi, err := env.HemisphereComparison(slots / 2)

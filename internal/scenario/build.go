@@ -108,10 +108,7 @@ func (s *Spec) Build(opt BuildOptions) (*Built, error) {
 	}
 	identSlots := s.Campaign.IdentSlots
 	if identSlots == 0 {
-		identSlots = s.Campaign.Slots
-		if identSlots > 125 {
-			identSlots = 125 // the study's 500-identification budget
-		}
+		identSlots = 125 // the study's 500-identification budget
 	}
 	return &Built{
 		Spec:       s,

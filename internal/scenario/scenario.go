@@ -15,6 +15,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -238,7 +239,7 @@ type CampaignSpec struct {
 	// separately via IdentSlots).
 	Oracle bool `json:"oracle"`
 	// IdentSlots bounds the §4 identification-validation campaign; 0
-	// uses min(Slots, 125).
+	// uses 125, the study's 500 identifications over four terminals.
 	IdentSlots int `json:"ident_slots,omitempty"`
 	// ResetEvery clears dish state every N slots (0 keeps 40).
 	ResetEvery int `json:"reset_every,omitempty"`
@@ -253,30 +254,32 @@ type OutputsSpec struct {
 	// Observations, when set, saves the chosen-only observation
 	// stream as JSONL to this path.
 	Observations string `json:"observations,omitempty"`
-	// Analyses selects pipeline stages: ident, aoe, azimuth, launch,
-	// sunlit, model, recovery. Empty runs all of them ("recovery"
-	// only when weights are planted).
+	// Analyses selects what `repro` runs, by the names in Analyses
+	// (fig2, stats, fig3, ident, aoe, azimuth, launch, sunlit, model,
+	// recovery, stream, ext, drift); they run in that order whatever
+	// the order listed. Empty runs ident, aoe, azimuth, launch, sunlit
+	// and model, plus recovery when weights are planted.
 	Analyses []string `json:"analyses,omitempty"`
 }
 
-// knownAnalyses lists the valid Outputs.Analyses entries in run order.
-var knownAnalyses = []string{"ident", "aoe", "azimuth", "launch", "sunlit", "model", "recovery"}
+// Analyses lists every valid Outputs.Analyses entry in run order.
+var Analyses = []string{"fig2", "stats", "fig3", "ident", "aoe", "azimuth", "launch", "sunlit", "model", "recovery", "stream", "ext", "drift"}
 
-// AnalysisEnabled reports whether the named stage should run: listed,
-// or no list given (then "recovery" requires planted weights).
+// defaultAnalyses is what a spec that lists none runs.
+var defaultAnalyses = []string{"ident", "aoe", "azimuth", "launch", "sunlit", "model", "recovery"}
+
+// AnalysisEnabled reports whether the named analysis should run:
+// listed, or in the default set when none are listed (then "recovery"
+// requires planted weights).
 func (s *Spec) AnalysisEnabled(name string) bool {
-	if len(s.Outputs.Analyses) == 0 {
-		if name == "recovery" {
-			return s.Scheduler.Weights != nil
+	list := s.Outputs.Analyses
+	if len(list) == 0 {
+		if name == "recovery" && s.Scheduler.Weights == nil {
+			return false
 		}
-		return true
+		list = defaultAnalyses
 	}
-	for _, a := range s.Outputs.Analyses {
-		if a == name {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(list, name)
 }
 
 // Parse reads one spec from r. Decoding is strict — unknown or
@@ -652,14 +655,8 @@ func (s *Spec) Validate() error {
 	// Outputs.
 	seenA := make(map[string]bool)
 	for _, a := range s.Outputs.Analyses {
-		known := false
-		for _, k := range knownAnalyses {
-			if a == k {
-				known = true
-			}
-		}
-		if !known {
-			bad("unknown analysis %q (want %s)", a, strings.Join(knownAnalyses, ", "))
+		if !slices.Contains(Analyses, a) {
+			bad("unknown analysis %q (want %s)", a, strings.Join(Analyses, ", "))
 		}
 		if seenA[a] {
 			bad("duplicate analysis %q", a)

@@ -268,3 +268,40 @@ func TestScenarioTerminalPlacement(t *testing.T) {
 		}
 	}
 }
+
+// TestAnalysisSelection pins what a spec runs: the seven-analysis
+// default set when none are listed (recovery only with planted
+// weights), exactly the listed ones otherwise, and no unknown names.
+func TestAnalysisSelection(t *testing.T) {
+	enabled := func(s *scenario.Spec) []string {
+		var on []string
+		for _, a := range scenario.Analyses {
+			if s.AnalysisEnabled(a) {
+				on = append(on, a)
+			}
+		}
+		return on
+	}
+	s, err := scenario.LoadPreset("starlink-baseline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(enabled(s), " "), "ident aoe azimuth launch sunlit model"; got != want {
+		t.Errorf("default analyses %q, want %q", got, want)
+	}
+	s.Scheduler.Weights = &scenario.WeightsSpec{Elevation: 1}
+	if got, want := strings.Join(enabled(s), " "), "ident aoe azimuth launch sunlit model recovery"; got != want {
+		t.Errorf("default analyses with planted weights %q, want %q", got, want)
+	}
+	s.Outputs.Analyses = []string{"drift", "fig2"}
+	if got, want := strings.Join(enabled(s), " "), "fig2 drift"; got != want {
+		t.Errorf("listed analyses run as %q, want %q", got, want)
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	s.Outputs.Analyses = []string{"fig9"}
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), `unknown analysis "fig9"`) {
+		t.Fatalf("fig9 validated: %v", err)
+	}
+}
