@@ -200,6 +200,58 @@ func TestStarlinkBaselineBitIdentical(t *testing.T) {
 	}
 }
 
+// TestPresetStreamsBitIdentical pins the 12-slot serial record stream
+// of every other embedded preset, plus one spec that sets each
+// remaining lowered field (Kepler-J2 propagator, epoch, jitter, GSO
+// half-angle, explicit gateways and their mask), so a change in how a
+// spec becomes an environment cannot pass unseen.
+func TestPresetStreamsBitIdentical(t *testing.T) {
+	for _, tc := range []struct {
+		preset string
+		edit   func(*scenario.Spec)
+		sha256 string
+	}{
+		{"oneweb-star", nil, "57106fd802cacce1dc81bec46cdaa74a041c6e5654c0204a738c9e06d3b65345"},
+		{"iridium-next", nil, "b2d535517d85f2a8b8a70fa23c4e23bc0442ceed508d63e08404c92280b8665f"},
+		{"kepler", nil, "3803978c2b707adf75f8bc88a1b7d70c644d08df690bae8a488608bf5cda7a68"},
+		{"smoke", nil, "0a9e2063fca75d4bd88db1ec9d871e59e6fa4161449c2b75701155d35a893176"},
+		{"starlink-baseline", func(s *scenario.Spec) {
+			s.Name = "every-field"
+			s.Constellation.Preset = "starlink-small"
+			s.Constellation.UseKeplerJ2 = true
+			s.Constellation.Epoch = "2023-06-01T00:00:00Z"
+			s.Constellation.JitterDeg = 0.3
+			s.Scheduler.GSOProtectionDeg = 12
+			s.Scheduler.GroundStations = []scenario.LocationSpec{{LatDeg: 41.9, LonDeg: -87.6}, {LatDeg: 51.5, LonDeg: -0.1, AltKm: 0.05}}
+			s.Scheduler.GSMinElevationDeg = 20
+			s.Scheduler.MinElevationDeg = 30
+		}, "f876f880448d876daba968f5471a308357cf368741b199903f7b22fa12a1cfb2"},
+	} {
+		name := tc.preset
+		if tc.edit != nil {
+			name = "every-field"
+		}
+		t.Run(name, func(t *testing.T) {
+			spec, err := scenario.LoadPreset(tc.preset)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.edit != nil {
+				tc.edit(spec)
+			}
+			spec.Campaign.Slots = 12
+			built, err := spec.Build(scenario.BuildOptions{Workers: 1, SnapshotWorkers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stream := streamBytes(t, built.CampaignConfig())
+			if got := fmt.Sprintf("%x", sha256.Sum256(stream)); got != tc.sha256 {
+				t.Fatalf("%s stream (%d bytes) hashes to %s, want %s", name, len(stream), got, tc.sha256)
+			}
+		})
+	}
+}
+
 // TestWalkerStarPresetBuilds exercises a non-Starlink build end to
 // end: OneWeb geometry, renamed satellites, distinct fingerprint.
 func TestWalkerStarPresetBuilds(t *testing.T) {
