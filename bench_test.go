@@ -34,6 +34,7 @@ import (
 var (
 	benchOnce sync.Once
 	benchErr  error
+	bBuilt    *scenario.Built
 	bEnv      *experiments.Env
 	bObs      []core.Observation
 	bData     *ml.Dataset
@@ -43,9 +44,9 @@ var (
 	bFig3 *experiments.Fig3Result
 )
 
-// starlinkEnv builds the starlink-baseline environment at the given
+// starlinkBuilt builds the starlink-baseline scenario at the given
 // density and seed, with edit applied to the spec first (nil: none).
-func starlinkEnv(tb testing.TB, scale string, seed int64, edit func(*scenario.Spec)) *experiments.Env {
+func starlinkBuilt(tb testing.TB, scale string, seed int64, edit func(*scenario.Spec)) *scenario.Built {
 	tb.Helper()
 	spec, err := scenario.Starlink(scale, seed)
 	if err != nil {
@@ -58,13 +59,14 @@ func starlinkEnv(tb testing.TB, scale string, seed int64, edit func(*scenario.Sp
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return built.Env
+	return built
 }
 
 func benchSetup(b *testing.B) (*experiments.Env, []core.Observation, *ml.Dataset) {
 	b.Helper()
 	benchOnce.Do(func() {
-		bEnv = starlinkEnv(b, "medium", 7, nil)
+		bBuilt = starlinkBuilt(b, "medium", 7, nil)
+		bEnv = bBuilt.Env
 		bObs, benchErr = bEnv.Observations(400)
 		if benchErr != nil {
 			return
@@ -412,7 +414,7 @@ func BenchmarkAblationMatcher(b *testing.B) {
 // constellation propagated with the two-body+J2 baseline instead of
 // SGP4.
 func BenchmarkAblationPropagator(b *testing.B) {
-	env := starlinkEnv(b, "small", 7, func(s *scenario.Spec) { s.Constellation.UseKeplerJ2 = true })
+	env := starlinkBuilt(b, "small", 7, func(s *scenario.Spec) { s.Constellation.UseKeplerJ2 = true }).Env
 	b.ReportAllocs()
 	b.ResetTimer()
 	var acc float64
@@ -670,11 +672,11 @@ func BenchmarkSchedulerAllocate(b *testing.B) {
 // BenchmarkExtHemisphere regenerates the §8 hemisphere-generalization
 // experiment, reporting Sydney's (negative) north skew.
 func BenchmarkExtHemisphere(b *testing.B) {
-	env, _, _ := benchSetup(b)
+	benchSetup(b)
 	b.ReportAllocs()
 	var sydney float64
 	for i := 0; i < b.N; i++ {
-		res, err := env.HemisphereComparison(60)
+		res, err := bBuilt.HemisphereComparison(60)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -690,11 +692,11 @@ func BenchmarkExtHemisphere(b *testing.B) {
 // BenchmarkExtGSOAblation measures how much of the north preference
 // the exclusion zone explains.
 func BenchmarkExtGSOAblation(b *testing.B) {
-	env, _, _ := benchSetup(b)
+	benchSetup(b)
 	b.ReportAllocs()
 	var with, without float64
 	for i := 0; i < b.N; i++ {
-		res, err := env.GSOAblation(60)
+		res, err := bBuilt.GSOAblation(60)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -707,11 +709,11 @@ func BenchmarkExtGSOAblation(b *testing.B) {
 // BenchmarkExtLoadHypothesis runs the §8 load-bound test: model
 // accuracy against the default vs fully deterministic scheduler.
 func BenchmarkExtLoadHypothesis(b *testing.B) {
-	env, _, _ := benchSetup(b)
+	benchSetup(b)
 	b.ReportAllocs()
 	var def, det float64
 	for i := 0; i < b.N; i++ {
-		res, err := env.LoadSensitivity(200)
+		res, err := bBuilt.LoadSensitivity(200)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -42,6 +42,10 @@
 //	telemetry    -telemetry-addr -trace-decisions -trace-out -v
 //	drift        -predict-addr
 //	dist         -worker-listen -record-delay -coord-workers -coord-shards -coord-journal -coord-out
+//
+// -dir, -load-obs, -save-model, -full-grid and -predict-addr are read
+// only by some analyses; naming one when none of them runs is a usage
+// error (exit 2).
 package main
 
 import (
@@ -54,6 +58,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"syscall"
@@ -339,6 +344,14 @@ func loadSpec(what string, opt options) (*scenario.Spec, error) {
 	case what != "" && what != "dist":
 		scn.Outputs.Analyses = []string{what}
 	}
+	// A flag that only some analyses read must have one of them
+	// selected; dist runs none.
+	for _, f := range sortedKeys(opt.set) {
+		names := readers(f)
+		if len(names) > 0 && (what == "dist" || !slices.ContainsFunc(names, scn.AnalysisEnabled)) {
+			return nil, usageError(fmt.Sprintf("-%s: no selected analysis reads it (%s do)", f, strings.Join(names, ", ")))
+		}
+	}
 	return scn, scn.Validate()
 }
 
@@ -442,28 +455,42 @@ type runner struct {
 	observed bool
 }
 
-// stage is one analysis. Stages with obs set read runner.obs.
+// stage is one analysis. Stages with obs set read runner.obs; flags
+// are the flags the stage reads that not every analysis reads.
 type stage struct {
-	obs bool
-	run func(*runner) error
+	obs   bool
+	flags []string
+	run   func(*runner) error
 }
 
 // stages is the one analysis table, keyed by the spec's analysis
 // names; scenario.Analyses gives the run order.
 var stages = map[string]stage{
-	"fig2":     {false, (*runner).fig2},
-	"stats":    {false, (*runner).stats},
-	"fig3":     {false, (*runner).fig3},
-	"ident":    {false, (*runner).ident},
-	"aoe":      {true, func(r *runner) error { return printed(printAOE)(r.env.Fig4(r.obs)) }},
-	"azimuth":  {true, func(r *runner) error { return printed(printAzimuth)(r.env.Fig5(r.obs)) }},
-	"launch":   {true, func(r *runner) error { return printed(printLaunch)(r.env.Fig6(r.obs)) }},
-	"sunlit":   {true, func(r *runner) error { return printed(printSunlit)(r.env.Fig7(r.obs)) }},
-	"model":    {true, (*runner).model},
-	"recovery": {true, (*runner).recovery},
-	"stream":   {false, (*runner).stream},
-	"ext":      {false, (*runner).ext},
-	"drift":    {false, (*runner).drift},
+	"fig2":     {false, nil, (*runner).fig2},
+	"stats":    {false, nil, (*runner).stats},
+	"fig3":     {false, []string{"dir"}, (*runner).fig3},
+	"ident":    {false, []string{"dir"}, (*runner).ident},
+	"aoe":      {true, []string{"load-obs"}, func(r *runner) error { return printed(printAOE)(r.env.Fig4(r.obs)) }},
+	"azimuth":  {true, []string{"load-obs"}, func(r *runner) error { return printed(printAzimuth)(r.env.Fig5(r.obs)) }},
+	"launch":   {true, []string{"load-obs"}, func(r *runner) error { return printed(printLaunch)(r.env.Fig6(r.obs)) }},
+	"sunlit":   {true, []string{"load-obs"}, func(r *runner) error { return printed(printSunlit)(r.env.Fig7(r.obs)) }},
+	"model":    {true, []string{"load-obs", "save-model", "full-grid"}, (*runner).model},
+	"recovery": {true, []string{"load-obs"}, (*runner).recovery},
+	"stream":   {false, nil, (*runner).stream},
+	"ext":      {false, nil, (*runner).ext},
+	"drift":    {false, []string{"predict-addr"}, (*runner).drift},
+}
+
+// readers lists, in run order, the analyses that read flag; none means
+// every run reads it.
+func readers(flag string) []string {
+	var names []string
+	for _, name := range scenario.Analyses {
+		if slices.Contains(stages[name].flags, flag) {
+			names = append(names, name)
+		}
+	}
+	return names
 }
 
 // printed adapts a figure printer to a stage body.
@@ -981,10 +1008,10 @@ func (r *runner) model() error {
 }
 
 func (r *runner) ext() error {
-	env, slots := r.env, r.built.Slots
+	slots := r.built.Slots
 	fmt.Println("§8 extensions: hemisphere generalization, GSO ablation, load hypothesis")
 
-	hemi, err := env.HemisphereComparison(slots / 2)
+	hemi, err := r.built.HemisphereComparison(slots / 2)
 	if err != nil {
 		return err
 	}
@@ -996,14 +1023,14 @@ func (r *runner) ext() error {
 	fmt.Println("(expected: positive at unobstructed >40N sites, negative at Sydney, ~0 at the equator;")
 	fmt.Println(" Punta Arenas sits at the 53-degree shell's coverage edge, where the elevation preference dominates)")
 
-	gso, err := env.GSOAblation(slots / 2)
+	gso, err := r.built.GSOAblation(slots / 2)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("\nGSO ablation: chosen-north fraction %.2f with the exclusion zone, %.2f without (%d slots)\n",
 		gso.NorthFracWithGSO, gso.NorthFracWithoutGSO, gso.Slots)
 
-	load, err := env.LoadSensitivity(slots)
+	load, err := r.built.LoadSensitivity(slots)
 	if err != nil {
 		return err
 	}
@@ -1013,14 +1040,14 @@ func (r *runner) ext() error {
 		load.WithHiddenLoadTop1*100, load.WithoutHiddenLoadTop1*100, load.DeterministicTop1*100)
 	fmt.Println("(the paper predicts unobservable factors bound the model; removing them should help)")
 
-	ho, err := env.HandoverAnalysis("Iowa", 10*time.Minute)
+	ho, err := r.env.HandoverAnalysis("Iowa", 10*time.Minute)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("\nhandover loss: %.1f%% in the first 300 ms of a slot vs %.1f%% steady state (%d probes)\n",
 		ho.EarlyLoss*100, ho.SteadyLoss*100, ho.Probes)
 
-	mo, err := env.MotionVsReallocation("Iowa", slots/2)
+	mo, err := r.env.MotionVsReallocation("Iowa", slots/2)
 	if err != nil {
 		return err
 	}

@@ -158,11 +158,17 @@ func TestAnalysisOnForeignSpecFails(t *testing.T) {
 }
 
 // TestStageTable checks that every analysis a spec can name has a
-// stage, and that the CLI shorthands name analyses.
+// stage, that every stage reading the observation set reads the
+// -load-obs that replaces it, and that the CLI shorthands name
+// analyses.
 func TestStageTable(t *testing.T) {
 	for _, name := range scenario.Analyses {
-		if stages[name].run == nil {
+		st := stages[name]
+		if st.run == nil {
 			t.Errorf("analysis %q has no stage", name)
+		}
+		if st.obs && !slices.Contains(st.flags, "load-obs") {
+			t.Errorf("analysis %q reads the observation set but not -load-obs", name)
 		}
 	}
 	if len(stages) != len(scenario.Analyses) {
@@ -181,7 +187,9 @@ func TestStageTable(t *testing.T) {
 }
 
 // TestFlagConflicts: flag combinations that would be dropped silently
-// are usage errors (exit 2), and their neighbours still resolve.
+// are usage errors (exit 2), and their neighbours still resolve. Each
+// flag that only some analyses read is rejected without them and
+// accepted with one of them.
 func TestFlagConflicts(t *testing.T) {
 	dir := t.TempDir()
 	spec, err := scenario.LoadPreset("smoke")
@@ -198,23 +206,46 @@ func TestFlagConflicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := options{scale: "medium", seed: 7, slots: 500}
+	given := func(flags ...string) map[string]bool {
+		set := make(map[string]bool)
+		for _, f := range flags {
+			set[f] = true
+		}
+		return set
+	}
 	for _, tc := range []struct {
 		name  string
+		what  string // positional argument; empty runs the spec's analyses
 		edit  func(*options)
 		usage bool
 	}{
-		{"scale with scenario", func(o *options) { o.scenario, o.set = "smoke", map[string]bool{"scale": true} }, true},
-		{"load-obs with save-obs", func(o *options) { o.loadObs, o.saveObs = "in.jsonl", "out.jsonl" }, true},
-		{"load-obs with outputs.observations", func(o *options) { o.scenario, o.loadObs = saving, "in.jsonl" }, true},
-		{"scale alone", func(o *options) { o.set = map[string]bool{"scale": true} }, false},
-		{"scenario with slots and seed", func(o *options) { o.scenario, o.set = "smoke", map[string]bool{"slots": true, "seed": true} }, false},
-		{"load-obs alone", func(o *options) { o.loadObs = "in.jsonl" }, false},
-		{"save-obs with outputs.observations", func(o *options) { o.scenario, o.saveObs = saving, "out.jsonl" }, false},
+		{"scale with scenario", "aoe", func(o *options) { o.scenario, o.set = "smoke", given("scale") }, true},
+		{"load-obs with save-obs", "aoe", func(o *options) { o.loadObs, o.saveObs = "in.jsonl", "out.jsonl" }, true},
+		{"load-obs with outputs.observations", "aoe", func(o *options) { o.scenario, o.loadObs = saving, "in.jsonl" }, true},
+		{"scale alone", "aoe", func(o *options) { o.set = given("scale") }, false},
+		{"scenario with slots and seed", "aoe", func(o *options) { o.scenario, o.set = "smoke", given("slots", "seed") }, false},
+		{"load-obs alone", "aoe", func(o *options) { o.loadObs, o.set = "in.jsonl", given("load-obs") }, false},
+		{"save-obs with outputs.observations", "aoe", func(o *options) { o.scenario, o.saveObs = saving, "out.jsonl" }, false},
+		{"load-obs with fig2", "fig2", func(o *options) { o.loadObs, o.set = "in.jsonl", given("load-obs") }, true},
+		{"load-obs with dist", "dist", func(o *options) { o.loadObs, o.set = "in.jsonl", given("load-obs") }, true},
+		{"load-obs with fig8", "fig8", func(o *options) { o.loadObs, o.set = "in.jsonl", given("load-obs") }, false},
+		{"load-obs with recovery", "recovery", func(o *options) { o.scenario, o.loadObs, o.set = "oneweb-star", "in.jsonl", given("load-obs") }, false},
+		{"load-obs with a spec's aoe", "", func(o *options) { o.scenario, o.loadObs, o.set = "smoke", "in.jsonl", given("load-obs") }, false},
+		{"save-model without model", "aoe", func(o *options) { o.saveMdl, o.set = "m.json", given("save-model") }, true},
+		{"save-model with a spec without model", "", func(o *options) { o.scenario, o.saveMdl, o.set = "smoke", "m.json", given("save-model") }, true},
+		{"save-model with fig8", "fig8", func(o *options) { o.saveMdl, o.set = "m.json", given("save-model") }, false},
+		{"full-grid without model", "stream", func(o *options) { o.fullGrid, o.set = true, given("full-grid") }, true},
+		{"full-grid with all", "all", func(o *options) { o.fullGrid, o.set = true, given("full-grid") }, false},
+		{"predict-addr without drift", "ext", func(o *options) { o.predictAddr, o.set = "127.0.0.1:1", given("predict-addr") }, true},
+		{"predict-addr with drift", "drift", func(o *options) { o.predictAddr, o.set = "127.0.0.1:1", given("predict-addr") }, false},
+		{"dir without a PNG", "aoe", func(o *options) { o.dir, o.set = "out", given("dir") }, true},
+		{"dir with fig3", "fig3", func(o *options) { o.dir, o.set = "out", given("dir") }, false},
+		{"dir with a spec's ident", "", func(o *options) { o.scenario, o.dir, o.set = "smoke", "out", given("dir") }, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := base
 			tc.edit(&opt)
-			_, err := loadSpec("aoe", opt)
+			_, err := loadSpec(tc.what, opt)
 			var usage usageError
 			if got := errors.As(err, &usage); got != tc.usage {
 				t.Fatalf("loadSpec: %v (usage error %v, want %v)", err, got, tc.usage)
@@ -224,7 +255,12 @@ func TestFlagConflicts(t *testing.T) {
 			}
 		})
 	}
-	if _, stderr, code := repro(t, dir, "-scenario", "smoke", "-scale", "small"); code != 2 {
-		t.Fatalf("repro -scenario smoke -scale small: exit %d, stderr:\n%s", code, stderr)
+	for _, args := range [][]string{
+		{"-scenario", "smoke", "-scale", "small"},
+		{"-scale", "small", "-save-model", "m.json", "fig4"},
+	} {
+		if _, stderr, code := repro(t, dir, args...); code != 2 {
+			t.Fatalf("repro %v: exit %d, stderr:\n%s", args, code, stderr)
+		}
 	}
 }

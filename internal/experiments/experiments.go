@@ -1,9 +1,11 @@
-// Package experiments wires the full reproduction together: one
-// environment (constellation + terminals + ground-truth scheduler +
-// identification pipeline) and one entry point per paper figure or
-// table. cmd/repro renders these results as text; bench_test.go times
-// them; EXPERIMENTS.md records paper-vs-measured numbers from the same
-// code paths.
+// Package experiments holds the analyses of one environment: one
+// entry point per paper figure or table that needs a single
+// constellation, terminal set and ground-truth scheduler. The
+// environment (Env) is built by scenario.Spec.Build, its only
+// constructor; analyses that compare several environments (the §8
+// siblings, drift) live in scenario. cmd/repro renders these results
+// as text; bench_test.go times them; EXPERIMENTS.md records
+// paper-vs-measured numbers from the same code paths.
 package experiments
 
 import (
@@ -11,10 +13,8 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/astro"
 	"repro/internal/constellation"
 	"repro/internal/core"
-	"repro/internal/geo"
 	"repro/internal/ml"
 	"repro/internal/netsim"
 	"repro/internal/obstruction"
@@ -24,68 +24,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Config assembles an environment. scenario.Spec lowers into it
-// (Spec.EnvConfig); build environments from a spec, not by hand.
-type Config struct {
-	Seed int64
-	// Shells is the constellation design (required).
-	Shells []constellation.Shell
-	// NamePrefix names synthetic satellites "<prefix>-<n>"; empty
-	// keeps the STARLINK catalog naming.
-	NamePrefix string
-	// Epoch overrides the constellation TLE epoch (zero keeps the
-	// 2023-03-01 study epoch).
-	Epoch time.Time
-	// JitterDeg overrides the constellation's orbital-element jitter
-	// sigma (0 keeps the 0.15° default).
-	JitterDeg float64
-	// UseKeplerJ2 swaps the ablation propagator into the constellation.
-	UseKeplerJ2 bool
-	// Weights overrides the scheduler's preferences (ablations); zero
-	// value uses the defaults.
-	Weights scheduler.Weights
-	// MinElevationDeg overrides the terminal hardware mask for both
-	// the scheduler and the identifier's available sets (0 keeps the
-	// study's 25°).
-	MinElevationDeg float64
-	// GSOProtectionDeg < 0 disables the exclusion zone (ablation).
-	GSOProtectionDeg float64
-	// GroundStations overrides the gateway sites for the bent-pipe
-	// constraint; nil keeps the study PoPs' co-located gateways.
-	GroundStations []astro.Geodetic
-	// DisableGroundStations removes the bent-pipe constraint entirely
-	// (lowered to scheduler.Config's explicit empty slice).
-	DisableGroundStations bool
-	// GSMinElevationDeg is the gateway visibility mask (0 keeps 25°).
-	GSMinElevationDeg float64
-	// DisableBattery removes the satellite energy model (ablation).
-	DisableBattery bool
-	// VantagePoints overrides the study's four sites (e.g. the §8
-	// southern-hemisphere generalization, or scenario placements).
-	VantagePoints []geo.VantagePoint
-	// Workers bounds the campaign worker pool (see
-	// core.CampaignConfig.Workers). 0 uses all CPUs; 1 forces the
-	// serial engine.
-	Workers int
-	// SnapshotWorkers is the fan-out for the per-slot constellation
-	// propagation sweep (see core.CampaignConfig.SnapshotWorkers). 0
-	// selects GOMAXPROCS; 1 forces the serial sweep. Byte-identical
-	// output at every value.
-	SnapshotWorkers int
-	// Telemetry, when non-nil, wires the environment's scheduler,
-	// campaigns, pipelines, and model training into the registry. Nil
-	// (the default) keeps every hot path on its uninstrumented branch.
-	Telemetry *telemetry.Registry
-	// TraceDecisions, when > 0, records the last N campaign decisions
-	// into a telemetry.DecisionTrace ring (Env.Trace).
-	TraceDecisions int
-	// DisableIndex forces linear visibility scans instead of the
-	// spatial index (ablation / equivalence checks). Results are
-	// identical either way.
-	DisableIndex bool
-}
-
-// Env is a ready-to-run reproduction environment.
+// Env is a ready-to-run reproduction environment, built by
+// scenario.Spec.Build.
 type Env struct {
 	Cons      *constellation.Constellation
 	Sched     *scheduler.Global
@@ -110,9 +50,6 @@ type Env struct {
 	// DisableIndex forces linear visibility scans everywhere (ablation;
 	// results are identical, only slower).
 	DisableIndex bool
-	// cfg is the Config this environment was built from; the §8
-	// sibling environments are copies of it.
-	cfg Config
 }
 
 // Trace returns the decision-trace ring, nil when tracing is off.
@@ -131,76 +68,6 @@ func (e *Env) ctx() context.Context {
 	return context.Background()
 }
 
-// NewEnv builds the constellation, terminals, scheduler, and
-// identifier.
-func NewEnv(cfg Config) (*Env, error) {
-	if len(cfg.Shells) == 0 {
-		return nil, fmt.Errorf("experiments: no constellation shells")
-	}
-	cons, err := constellation.New(constellation.Config{
-		Shells:      cfg.Shells,
-		Seed:        cfg.Seed,
-		UseKeplerJ2: cfg.UseKeplerJ2,
-		NamePrefix:  cfg.NamePrefix,
-		Epoch:       cfg.Epoch,
-		JitterDeg:   cfg.JitterDeg,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: build constellation: %w", err)
-	}
-	vps := cfg.VantagePoints
-	if len(vps) == 0 {
-		vps = geo.StudyVantagePoints()
-	}
-	var terms []scheduler.Terminal
-	for _, vp := range vps {
-		terms = append(terms, scheduler.Terminal{VantagePoint: vp, Priority: 1})
-	}
-	gs := cfg.GroundStations
-	if cfg.DisableGroundStations {
-		gs = []astro.Geodetic{} // non-nil empty = constraint off
-	}
-	snaps := constellation.NewSnapshotCache(0, cfg.Telemetry)
-	snaps.SetSnapshotWorkers(cfg.SnapshotWorkers)
-	sched, err := scheduler.NewGlobal(scheduler.Config{
-		Constellation:     cons,
-		Terminals:         terms,
-		Weights:           cfg.Weights,
-		MinElevationDeg:   cfg.MinElevationDeg,
-		GSOProtectionDeg:  cfg.GSOProtectionDeg,
-		GroundStations:    gs,
-		GSMinElevationDeg: cfg.GSMinElevationDeg,
-		DisableBattery:    cfg.DisableBattery,
-		Seed:              cfg.Seed,
-		Telemetry:         cfg.Telemetry,
-		Snapshots:         snaps,
-		DisableIndex:      cfg.DisableIndex,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: build scheduler: %w", err)
-	}
-	ident, err := core.NewIdentifier(cons)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.MinElevationDeg != 0 {
-		ident.MinElevationDeg = cfg.MinElevationDeg
-	}
-	e := &Env{Cons: cons, Sched: sched, Ident: ident, Terminals: terms, Seed: cfg.Seed,
-		Workers: cfg.Workers, Telemetry: cfg.Telemetry,
-		Snaps: snaps, DisableIndex: cfg.DisableIndex, cfg: cfg}
-	e.Metrics = core.NewCampaignMetrics(cfg.Telemetry)
-	if cfg.TraceDecisions > 0 {
-		if e.Metrics == nil {
-			// Tracing without a registry: an otherwise-empty bundle still
-			// carries the ring (all metric handles nil-safe no-ops).
-			e.Metrics = &core.CampaignMetrics{}
-		}
-		e.Metrics.Trace = telemetry.NewDecisionTrace(cfg.TraceDecisions)
-	}
-	return e, nil
-}
-
 // Start returns the campaign start time (one hour past the TLE epoch,
 // aligned to the allocation grid).
 func (e *Env) Start() time.Time {
@@ -217,6 +84,32 @@ func (e *Env) terminal(name string) (scheduler.Terminal, error) {
 	return scheduler.Terminal{}, fmt.Errorf("experiments: unknown terminal %q", name)
 }
 
+// trace probes one terminal's path from the campaign start for dur, one
+// probe per 20 ms.
+func (e *Env) trace(term scheduler.Terminal, dur time.Duration) ([]netsim.Sample, error) {
+	path, err := netsim.NewPath(netsim.Config{
+		Constellation: e.Cons,
+		Scheduler:     e.Sched,
+		Terminal:      term,
+		Seed:          e.Seed,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return path.Trace(e.Start(), dur, 20*time.Millisecond)
+}
+
+// allocation is the scheduler's allocation for the named terminal in
+// the slot at t (SatID 0 when unserved).
+func (e *Env) allocation(name string, t time.Time) scheduler.Allocation {
+	for _, a := range e.Sched.Allocate(t) {
+		if a.Terminal == name {
+			return a
+		}
+	}
+	return scheduler.Allocation{}
+}
+
 // Fig2Result is the Figure 2 artifact: a two-minute high-frequency RTT
 // trace from one terminal with per-slot statistics.
 type Fig2Result struct {
@@ -230,29 +123,14 @@ type Fig2Result struct {
 	WindowMedians []float64
 }
 
-// Fig2 generates the Figure 2 trace (default: EU terminal = Madrid,
-// 2 minutes at 1 probe / 20 ms).
+// Fig2 generates the Figure 2 trace: dur of one terminal's RTT at 1
+// probe / 20 ms (the paper: the EU terminal, Madrid, for 2 minutes).
 func (e *Env) Fig2(terminalName string, dur time.Duration) (*Fig2Result, error) {
-	if terminalName == "" {
-		terminalName = "Madrid"
-	}
-	if dur == 0 {
-		dur = 2 * time.Minute
-	}
 	term, err := e.terminal(terminalName)
 	if err != nil {
 		return nil, err
 	}
-	path, err := netsim.NewPath(netsim.Config{
-		Constellation: e.Cons,
-		Scheduler:     e.Sched,
-		Terminal:      term,
-		Seed:          e.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	samples, err := path.Trace(e.Start(), dur, 20*time.Millisecond)
+	samples, err := e.trace(term, dur)
 	if err != nil {
 		return nil, err
 	}
@@ -282,21 +160,9 @@ type WindowStatsResult struct {
 // WindowStats runs the §3 test over a trace of the given duration for
 // every terminal.
 func (e *Env) WindowStats(dur time.Duration) ([]WindowStatsResult, error) {
-	if dur == 0 {
-		dur = 5 * time.Minute
-	}
 	var out []WindowStatsResult
 	for _, term := range e.Terminals {
-		path, err := netsim.NewPath(netsim.Config{
-			Constellation: e.Cons,
-			Scheduler:     e.Sched,
-			Terminal:      term,
-			Seed:          e.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		samples, err := path.Trace(e.Start(), dur, 20*time.Millisecond)
+		samples, err := e.trace(term, dur)
 		if err != nil {
 			return nil, err
 		}
@@ -338,46 +204,25 @@ type Fig3Result struct {
 
 // Fig3 reproduces the §4 obstruction-map methodology for one terminal.
 func (e *Env) Fig3(terminalName string) (*Fig3Result, error) {
-	if terminalName == "" {
-		terminalName = "Iowa"
-	}
 	term, err := e.terminal(terminalName)
 	if err != nil {
 		return nil, err
 	}
-	start := e.Start()
 	// Slot t-1 and t: paint the true serving satellite's track.
 	m := obstruction.New()
-	allocs := e.Sched.Allocate(start)
-	var a0 scheduler.Allocation
-	for _, a := range allocs {
-		if a.Terminal == term.Name {
-			a0 = a
+	var maps [2]*obstruction.Map
+	for i := range maps {
+		t := e.Start().Add(time.Duration(i) * scheduler.Period)
+		a := e.allocation(term.Name, t)
+		if a.SatID == 0 {
+			return nil, fmt.Errorf("experiments: no allocation for %s in slot %d", term.Name, i+1)
 		}
-	}
-	if a0.SatID == 0 {
-		return nil, fmt.Errorf("experiments: no allocation for %s", term.Name)
-	}
-	if err := e.Ident.PaintServingTrack(m, a0.SatID, term.VantagePoint, start); err != nil {
-		return nil, err
-	}
-	prev := m.Clone()
-
-	next := start.Add(scheduler.Period)
-	allocs = e.Sched.Allocate(next)
-	var a1 scheduler.Allocation
-	for _, a := range allocs {
-		if a.Terminal == term.Name {
-			a1 = a
+		if err := e.Ident.PaintServingTrack(m, a.SatID, term.VantagePoint, t); err != nil {
+			return nil, err
 		}
+		maps[i] = m.Clone()
 	}
-	if a1.SatID == 0 {
-		return nil, fmt.Errorf("experiments: no allocation for %s in second slot", term.Name)
-	}
-	if err := e.Ident.PaintServingTrack(m, a1.SatID, term.VantagePoint, next); err != nil {
-		return nil, err
-	}
-	cur := m.Clone()
+	prev, cur := maps[0], maps[1]
 
 	// "Two days without reset": fill the plot disk by sweeping the sky.
 	filled := obstruction.New()
@@ -410,9 +255,6 @@ type IdentResult struct {
 // folded into the margin series as they arrive and never materialize.
 // naive switches to the nearest-endpoint ablation.
 func (e *Env) IdentValidation(slots int, naive bool) (*IdentResult, error) {
-	if slots == 0 {
-		slots = 125 // 125 slots x 4 terminals = 500 identifications
-	}
 	ident := *e.Ident
 	ident.UseNaiveMatcher = naive
 	src := &pipeline.Campaign{Config: e.CampaignConfig(slots, false)}
@@ -462,22 +304,12 @@ func (e *Env) CampaignConfig(slots int, oracle bool) core.CampaignConfig {
 	}
 }
 
-// CampaignSource returns a pipeline source for one of this
-// environment's campaigns, ready to wire into arbitrary stages and
-// sinks. slots 0 defaults to 500.
-func (e *Env) CampaignSource(slots int, oracle bool) *pipeline.Campaign {
-	if slots == 0 {
-		slots = 500
-	}
-	return &pipeline.Campaign{Config: e.CampaignConfig(slots, oracle)}
-}
-
 // StreamObservations drives one oracle campaign through the pipeline,
 // feeding every sink the chosen-only observation stream (the §5/§6
 // input rows), and returns the campaign's O(1)-memory summary —
 // including how many records were dropped on the way and why.
 func (e *Env) StreamObservations(slots int, sinks ...pipeline.Sink) (*core.CampaignStats, error) {
-	src := e.CampaignSource(slots, true)
+	src := &pipeline.Campaign{Config: e.CampaignConfig(slots, true)}
 	p := &pipeline.Pipeline{
 		Source:  src,
 		Stages:  []pipeline.Stage{pipeline.ChosenOnly()},
@@ -493,20 +325,11 @@ func (e *Env) StreamObservations(slots int, sinks ...pipeline.Sink) (*core.Campa
 // Observations runs an oracle campaign and returns the §5/§6 inputs
 // (batch wrapper over StreamObservations).
 func (e *Env) Observations(slots int) ([]core.Observation, error) {
-	obs, _, err := e.ObservationsWithStats(slots)
-	return obs, err
-}
-
-// ObservationsWithStats is Observations plus the campaign summary:
-// record and served-row totals and the skip-reason histogram behind
-// every dropped slot.
-func (e *Env) ObservationsWithStats(slots int) ([]core.Observation, *core.CampaignStats, error) {
 	collect := &pipeline.CollectObservations{}
-	st, err := e.StreamObservations(slots, collect)
-	if err != nil {
-		return nil, nil, err
+	if _, err := e.StreamObservations(slots, collect); err != nil {
+		return nil, err
 	}
-	return collect.Obs, st, nil
+	return collect.Obs, nil
 }
 
 // StreamResult is one single-pass run of every §5 analysis and the §6

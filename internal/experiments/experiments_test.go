@@ -48,8 +48,8 @@ func smallEnv(t testing.TB) (*experiments.Env, []core.Observation) {
 	return envS, envObs
 }
 
-// TestNewEnvScales: every -scale density lowers to a working
-// environment; an unknown density, or a Config without shells, does not.
+// TestNewEnvScales: every -scale density builds a working
+// environment; an unknown density, or a spec without shells, does not.
 func TestNewEnvScales(t *testing.T) {
 	for _, s := range []string{"small", "medium"} {
 		if e := starlinkEnv(t, s, 1, nil); e.Cons.Len() == 0 {
@@ -59,7 +59,12 @@ func TestNewEnvScales(t *testing.T) {
 	if _, err := scenario.Starlink("bogus", 1); err == nil {
 		t.Error("bogus scale accepted")
 	}
-	if _, err := experiments.NewEnv(experiments.Config{Seed: 1}); err == nil {
+	noShells := &scenario.Spec{
+		Version: scenario.SpecVersion, Name: "no-shells", Seed: 1,
+		Terminals: scenario.TerminalsSpec{Preset: "study"},
+		Campaign:  scenario.CampaignSpec{Slots: 1},
+	}
+	if _, err := noShells.Build(scenario.BuildOptions{}); err == nil {
 		t.Error("environment without constellation shells accepted")
 	}
 }

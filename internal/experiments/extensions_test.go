@@ -1,203 +1,6 @@
 package experiments_test
 
-import (
-	"reflect"
-	"testing"
-
-	"repro/internal/experiments"
-	"repro/internal/geo"
-	"repro/internal/scenario"
-	"repro/internal/scheduler"
-	"repro/internal/telemetry"
-)
-
-// TestSiblingsKeepParentEnvironment: a §8 sibling is its parent's
-// environment with only the ablated field changed, also when the parent
-// is not a Starlink density. A OneWeb parent's siblings keep its
-// constellation, terminals, masks, scheduler switches and planted
-// weights, and stay out of its registry and decision ring.
-func TestSiblingsKeepParentEnvironment(t *testing.T) {
-	spec, err := scenario.LoadPreset("oneweb-star")
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := telemetry.NewRegistry()
-	built, err := spec.Build(scenario.BuildOptions{Telemetry: reg, TraceDecisions: 16, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parent := built.Env
-	if parent.Trace() == nil || parent.Telemetry == nil {
-		t.Fatal("parent built without registry or trace ring")
-	}
-	planted, ok := spec.PlantedWeights()
-	if !ok {
-		t.Fatal("oneweb-star plants no weights")
-	}
-	noLoad := planted
-	noLoad.Load = 0
-	det := noLoad
-	det.NoiseStd, det.Charge = 1e-9, 0
-	var southern []string
-	for _, vp := range geo.SouthernVantagePoints() {
-		southern = append(southern, vp.Name)
-	}
-	pcfg := parent.BuiltFrom()
-	for _, tc := range []struct {
-		name      string
-		edit      func(*experiments.Config)
-		weights   scheduler.Weights
-		terminals []string // nil: the parent's terminals
-	}{
-		{"southern", experiments.SouthernSites, planted, southern},
-		{"no-gso", experiments.WithoutGSO, planted, nil},
-		{"no-load", experiments.WithoutLoad, noLoad, nil},
-		{"deterministic", experiments.Deterministic, det, nil},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			sib, err := parent.Sibling(tc.edit)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sib.Cons.Fingerprint() != parent.Cons.Fingerprint() {
-				t.Errorf("constellation fingerprint differs from the parent's (%d vs %d sats)", sib.Cons.Len(), parent.Cons.Len())
-			}
-			if tc.terminals == nil {
-				if !reflect.DeepEqual(sib.Terminals, parent.Terminals) {
-					t.Error("terminals or masks differ from the parent's")
-				}
-			} else {
-				var names []string
-				for _, term := range sib.Terminals {
-					names = append(names, term.Name)
-				}
-				if !reflect.DeepEqual(names, tc.terminals) {
-					t.Errorf("terminals %v, want %v", names, tc.terminals)
-				}
-			}
-			cfg := sib.BuiltFrom()
-			if cfg.GSOProtectionDeg != -1 || !cfg.DisableGroundStations || !cfg.DisableBattery || sib.Sched.Fleet() != nil {
-				t.Errorf("scheduler switches lost: gso %v, ground stations off %v, battery off %v (fleet %v)",
-					cfg.GSOProtectionDeg, cfg.DisableGroundStations, cfg.DisableBattery, sib.Sched.Fleet() != nil)
-			}
-			if cfg.MinElevationDeg != pcfg.MinElevationDeg || cfg.GSMinElevationDeg != pcfg.GSMinElevationDeg || cfg.Seed != pcfg.Seed {
-				t.Error("elevation masks or seed differ from the parent's")
-			}
-			if cfg.Weights != tc.weights {
-				t.Errorf("weights %+v, want %+v", cfg.Weights, tc.weights)
-			}
-			if sib.Telemetry != nil || sib.Metrics != nil || sib.Trace() != nil {
-				t.Error("sibling shares the parent's registry or trace ring")
-			}
-		})
-	}
-}
-
-// TestLoadSiblingUsesEffectiveWeights: a parent on the default
-// weights (zero Weights) gets a no-load sibling on the defaults minus
-// Load, not on all-zero weights.
-func TestLoadSiblingUsesEffectiveWeights(t *testing.T) {
-	e, _ := smallEnv(t)
-	sib, err := e.Sibling(experiments.WithoutLoad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := scheduler.DefaultWeights()
-	want.Load = 0
-	if got := sib.BuiltFrom().Weights; got != want {
-		t.Errorf("no-load sibling weights %+v, want %+v", got, want)
-	}
-}
-
-func TestHemisphereComparison(t *testing.T) {
-	e, _ := smallEnv(t)
-	res, err := e.HemisphereComparison(150)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Northern) == 0 || len(res.Southern) == 0 {
-		t.Fatalf("sites: %d northern, %d southern", len(res.Northern), len(res.Southern))
-	}
-	// Relative to what the sky offers, unobstructed northern (>40N)
-	// sites skew their picks north (New York's NW tree mask suppresses
-	// its skew, as the paper found for Ithaca).
-	for _, s := range res.Northern {
-		if s.Terminal == "New York" {
-			continue
-		}
-		if s.NorthSkew() <= 0 {
-			t.Errorf("%s (lat %.0f): north skew %.2f (picked %.2f vs available %.2f), want positive",
-				s.Terminal, s.LatDeg, s.NorthSkew(), s.NorthFrac, s.AvailNorthFrac)
-		}
-	}
-	// The mid-latitude southern site mirrors the preference: the GSO
-	// belt is in its northern sky, so picks skew south. (Punta Arenas,
-	// at the 53°-shell coverage edge, is dominated by the elevation
-	// preference — nearly all high-elevation satellites there culminate
-	// north of the site — so it carries no directional assertion; the
-	// equatorial site sees the belt near zenith and shows no skew.)
-	for _, s := range res.Southern {
-		switch s.Terminal {
-		case "Sydney":
-			if s.NorthSkew() >= 0 {
-				t.Errorf("Sydney: north skew %.2f (picked %.2f vs available %.2f), want negative (belt is north)",
-					s.NorthSkew(), s.NorthFrac, s.AvailNorthFrac)
-			}
-		case "Quito":
-			if s.NorthSkew() > 0.15 || s.NorthSkew() < -0.15 {
-				t.Errorf("Quito: |north skew| = %.2f, want ~0 at the equator", s.NorthSkew())
-			}
-		}
-	}
-}
-
-func TestGSOAblation(t *testing.T) {
-	e, _ := smallEnv(t)
-	res, err := e.GSOAblation(120)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Slots == 0 {
-		t.Fatal("no slots analyzed")
-	}
-	// Removing the exclusion zone must not increase the north skew.
-	if res.NorthFracWithoutGSO > res.NorthFracWithGSO {
-		t.Errorf("north fraction rose without GSO: %.2f -> %.2f",
-			res.NorthFracWithGSO, res.NorthFracWithoutGSO)
-	}
-}
-
-func TestLoadSensitivity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("model training is slow")
-	}
-	e, _ := smallEnv(t)
-	res, err := e.LoadSensitivity(250)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rows == 0 {
-		t.Fatal("no rows")
-	}
-	// The paper's hypothesis: the unobservable terms bound model
-	// accuracy. Removing load alone may be inside evaluation noise, but
-	// the fully deterministic scheduler must be clearly easier to
-	// predict.
-	if res.WithoutHiddenLoad < res.WithHiddenLoad-0.05 {
-		t.Errorf("accuracy without hidden load (%.2f) below with (%.2f)",
-			res.WithoutHiddenLoad, res.WithHiddenLoad)
-	}
-	if res.Deterministic < res.WithHiddenLoad-0.02 {
-		t.Errorf("deterministic-scheduler top-5 (%.2f) below default (%.2f)",
-			res.Deterministic, res.WithHiddenLoad)
-	}
-	// Top-1 is where determinism must show: identical features now map
-	// to one deterministic choice.
-	if res.DeterministicTop1 < res.WithHiddenLoadTop1+0.03 {
-		t.Errorf("deterministic-scheduler top-1 (%.2f) not clearly above default (%.2f)",
-			res.DeterministicTop1, res.WithHiddenLoadTop1)
-	}
-}
+import "testing"
 
 func TestHandoverAnalysis(t *testing.T) {
 	e, _ := smallEnv(t)

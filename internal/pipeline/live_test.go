@@ -43,22 +43,24 @@ func (d *simDish) ObstructionMap() (*obstruction.Map, error) {
 	return d.m.Clone(), nil
 }
 
+// liveEnv builds the starlink-small environment (seed 11) with one
+// terminal, the study's Iowa site.
 func liveEnv(t *testing.T) *experiments.Env {
 	t.Helper()
 	spec, err := scenario.Starlink("small", 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := spec.EnvConfig(scenario.BuildOptions{Workers: 1})
+	utcOffset := -6
+	spec.Terminals = scenario.TerminalsSpec{Sites: []scenario.SiteSpec{{
+		Name: "Iowa", LatDeg: 41.661, LonDeg: -91.530, AltKm: 0.20,
+		UTCOffsetHours: &utcOffset, PoP: "chicago",
+	}}}
+	built, err := spec.Build(scenario.BuildOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.VantagePoints = geo.StudyVantagePoints()[:1]
-	env, err := experiments.NewEnv(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return env
+	return built.Env
 }
 
 // TestLiveMatchesCampaign runs a live capture against a simulated dish

@@ -1,11 +1,14 @@
 package scenario
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"repro/internal/astro"
+	"repro/internal/constellation"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/scheduler"
 	"repro/internal/telemetry"
 )
 
@@ -37,29 +40,56 @@ type Built struct {
 	IdentSlots int
 	Oracle     bool
 	ResetEvery int
+	// opt is what Build was given; the §8 siblings reuse its machine
+	// shape.
+	opt BuildOptions
 }
 
-// EnvConfig lowers the spec into an experiments.Config. Host-side
-// knobs (telemetry, tracing, worker overrides) come from opt.
-func (s *Spec) EnvConfig(opt BuildOptions) (experiments.Config, error) {
+// Build validates the spec and constructs its environment: the
+// constellation, the terminals, the ground-truth scheduler, the
+// identifier, and the snapshot cache and campaign metrics they share.
+// It is the only constructor of an experiments.Env.
+func (s *Spec) Build(opt BuildOptions) (*Built, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
 	shells, err := s.Shells()
 	if err != nil {
-		return experiments.Config{}, err
+		return nil, err
 	}
 	vps, err := s.VantagePoints()
 	if err != nil {
-		return experiments.Config{}, err
+		return nil, err
 	}
 	epoch, err := s.epoch()
 	if err != nil {
-		return experiments.Config{}, err
+		return nil, err
 	}
-	gsoProtection := s.Scheduler.GSOProtectionDeg
-	if s.Scheduler.DisableGSO {
+	cons, err := constellation.New(constellation.Config{
+		Shells:      shells,
+		Seed:        s.Seed,
+		UseKeplerJ2: s.Constellation.UseKeplerJ2,
+		NamePrefix:  s.Constellation.NamePrefix,
+		Epoch:       epoch,
+		JitterDeg:   s.Constellation.JitterDeg,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("scenario %s: build constellation: %w", s.Name, err)
+	}
+	terms := make([]scheduler.Terminal, len(vps))
+	for i, vp := range vps {
+		terms[i] = scheduler.Terminal{VantagePoint: vp, Priority: 1}
+	}
+	sc := &s.Scheduler
+	gsoProtection := sc.GSOProtectionDeg
+	if sc.DisableGSO {
 		gsoProtection = -1
 	}
 	var gs []astro.Geodetic
-	for _, g := range s.Scheduler.GroundStations {
+	if sc.DisableGroundStations {
+		gs = []astro.Geodetic{} // non-nil empty = constraint off
+	}
+	for _, g := range sc.GroundStations {
 		gs = append(gs, astro.Geodetic{LatDeg: g.LatDeg, LonDeg: g.LonDeg, AltKm: g.AltKm})
 	}
 	workers := s.Campaign.Workers
@@ -70,53 +100,57 @@ func (s *Spec) EnvConfig(opt BuildOptions) (experiments.Config, error) {
 	if opt.SnapshotWorkers != 0 {
 		snapWorkers = opt.SnapshotWorkers
 	}
-	return experiments.Config{
-		Seed:                  s.Seed,
-		Shells:                shells,
-		NamePrefix:            s.Constellation.NamePrefix,
-		Epoch:                 epoch,
-		JitterDeg:             s.Constellation.JitterDeg,
-		UseKeplerJ2:           s.Constellation.UseKeplerJ2,
-		Weights:               s.Scheduler.Weights.weights(),
-		MinElevationDeg:       s.Scheduler.MinElevationDeg,
-		GSOProtectionDeg:      gsoProtection,
-		GroundStations:        gs,
-		DisableGroundStations: s.Scheduler.DisableGroundStations,
-		GSMinElevationDeg:     s.Scheduler.GSMinElevationDeg,
-		DisableBattery:        s.Scheduler.DisableBattery,
-		VantagePoints:         vps,
-		Workers:               workers,
-		SnapshotWorkers:       snapWorkers,
-		Telemetry:             opt.Telemetry,
-		TraceDecisions:        opt.TraceDecisions,
-		DisableIndex:          opt.DisableIndex,
-	}, nil
-}
-
-// Build validates the spec and lowers it into a ready environment.
-func (s *Spec) Build(opt BuildOptions) (*Built, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	cfg, err := s.EnvConfig(opt)
+	snaps := constellation.NewSnapshotCache(0, opt.Telemetry)
+	snaps.SetSnapshotWorkers(snapWorkers)
+	sched, err := scheduler.NewGlobal(scheduler.Config{
+		Constellation:     cons,
+		Terminals:         terms,
+		Weights:           sc.Weights.weights(),
+		MinElevationDeg:   sc.MinElevationDeg,
+		GSOProtectionDeg:  gsoProtection,
+		GroundStations:    gs,
+		GSMinElevationDeg: sc.GSMinElevationDeg,
+		DisableBattery:    sc.DisableBattery,
+		Seed:              s.Seed,
+		Telemetry:         opt.Telemetry,
+		Snapshots:         snaps,
+		DisableIndex:      opt.DisableIndex,
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("scenario %s: build scheduler: %w", s.Name, err)
 	}
-	env, err := experiments.NewEnv(cfg)
+	ident, err := core.NewIdentifier(cons)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
+	}
+	if sc.MinElevationDeg != 0 {
+		ident.MinElevationDeg = sc.MinElevationDeg
+	}
+	metrics := core.NewCampaignMetrics(opt.Telemetry)
+	if opt.TraceDecisions > 0 {
+		if metrics == nil {
+			// Tracing without a registry: an otherwise-empty bundle still
+			// carries the ring (all metric handles nil-safe no-ops).
+			metrics = &core.CampaignMetrics{}
+		}
+		metrics.Trace = telemetry.NewDecisionTrace(opt.TraceDecisions)
 	}
 	identSlots := s.Campaign.IdentSlots
 	if identSlots == 0 {
 		identSlots = 125 // the study's 500-identification budget
 	}
 	return &Built{
-		Spec:       s,
-		Env:        env,
+		Spec: s,
+		Env: &experiments.Env{
+			Cons: cons, Sched: sched, Ident: ident, Terminals: terms, Seed: s.Seed,
+			Workers: workers, Telemetry: opt.Telemetry, Metrics: metrics,
+			Snaps: snaps, DisableIndex: opt.DisableIndex,
+		},
 		Slots:      s.Campaign.Slots,
 		IdentSlots: identSlots,
 		Oracle:     s.Campaign.Oracle,
 		ResetEvery: s.Campaign.ResetEvery,
+		opt:        opt,
 	}, nil
 }
 
@@ -128,4 +162,29 @@ func (b *Built) CampaignConfig() core.CampaignConfig {
 	cfg := b.Env.CampaignConfig(b.Slots, b.Oracle)
 	cfg.ResetEvery = b.ResetEvery
 	return cfg
+}
+
+// clone returns a deep copy of s. The JSON form is the whole spec (the
+// coordinator ships specs to workers the same way), so the copy shares
+// no pointer or slice with s.
+func (s *Spec) clone() (*Spec, error) {
+	b, err := json.Marshal(s)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %s: copy: %w", s.Name, err)
+	}
+	c := new(Spec)
+	if err := json.Unmarshal(b, c); err != nil {
+		return nil, fmt.Errorf("scenario %s: copy: %w", s.Name, err)
+	}
+	return c, nil
+}
+
+// setWeights plants w, or restores the defaults when w is zero (the
+// scheduler's reading of zero weights).
+func (s *Spec) setWeights(w scheduler.Weights) {
+	s.Scheduler.Weights = nil
+	if w != (scheduler.Weights{}) {
+		ws := WeightsSpec(w)
+		s.Scheduler.Weights = &ws
+	}
 }

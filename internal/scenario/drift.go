@@ -37,7 +37,7 @@ func FlippedWeights() scheduler.Weights {
 // DriftConfig shapes a RunDrift campaign.
 type DriftConfig struct {
 	// Spec describes the environment both phases share; the post-flip
-	// phase lowers the same spec with only the weights replaced. Nil
+	// phase builds a copy of it with only the weights replaced. Nil
 	// uses Starlink("small", 1).
 	Spec *Spec
 	// Slots is the total campaign length; FlipAt is the slot index at
@@ -156,26 +156,24 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 	if cfg.FlipAt <= 0 || cfg.FlipAt >= cfg.Slots {
 		return nil, fmt.Errorf("scenario: flip slot %d outside campaign of %d slots", cfg.FlipAt, cfg.Slots)
 	}
-	post := FlippedWeights()
-	if cfg.PostWeights != nil {
-		post = *cfg.PostWeights
+	flipped, err := cfg.Spec.clone()
+	if err != nil {
+		return nil, err
 	}
-
-	base, err := cfg.Spec.EnvConfig(BuildOptions{
+	flipped.setWeights(FlippedWeights())
+	if cfg.PostWeights != nil {
+		flipped.setWeights(*cfg.PostWeights)
+	}
+	opt := BuildOptions{
 		Telemetry:       cfg.Telemetry,
 		Workers:         cfg.Workers,
 		SnapshotWorkers: cfg.SnapshotWorkers,
-	})
+	}
+	pre, err := cfg.Spec.Build(opt)
 	if err != nil {
 		return nil, err
 	}
-	envA, err := experiments.NewEnv(base)
-	if err != nil {
-		return nil, err
-	}
-	postCfg := base
-	postCfg.Weights = post
-	envB, err := experiments.NewEnv(postCfg)
+	post, err := flipped.Build(opt)
 	if err != nil {
 		return nil, err
 	}
@@ -192,7 +190,7 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 	if cfg.Offline {
 		sinks = append(sinks, collect)
 	}
-	res.PreStats, err = envA.StreamObservations(cfg.FlipAt, sinks...)
+	res.PreStats, err = pre.Env.StreamObservations(cfg.FlipAt, sinks...)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: drift pre-flip phase: %w", err)
 	}
@@ -202,8 +200,8 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 	tr.post = true
 	tr.lastSlot = time.Time{}
 	tr.slotIdx = 0
-	src := &pipeline.Campaign{Config: envB.CampaignConfig(cfg.Slots-cfg.FlipAt, true)}
-	src.Config.Start = envA.Start().Add(time.Duration(cfg.FlipAt) * scheduler.Period)
+	src := &pipeline.Campaign{Config: post.Env.CampaignConfig(cfg.Slots-cfg.FlipAt, true)}
+	src.Config.Start = pre.Env.Start().Add(time.Duration(cfg.FlipAt) * scheduler.Period)
 	p := &pipeline.Pipeline{
 		Source:  src,
 		Stages:  []pipeline.Stage{pipeline.ChosenOnly()},
@@ -216,7 +214,7 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 	res.PostStats = src.Stats
 
 	if cfg.Offline {
-		mres, err := envA.Fig8(collect.Obs, experiments.QuickModelConfig(cfg.Spec.Seed))
+		mres, err := pre.Env.Fig8(collect.Obs, experiments.QuickModelConfig(cfg.Spec.Seed))
 		if err != nil {
 			return nil, fmt.Errorf("scenario: drift offline comparison: %w", err)
 		}

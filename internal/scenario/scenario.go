@@ -1,11 +1,17 @@
 // Package scenario is the declarative front door to the reproduction:
 // a versioned JSON spec describing constellation design, terminal
-// placement, scheduler configuration, campaign shape, and outputs,
-// lowered into a ready experiments.Env / core.CampaignConfig. The
-// paper's methodology — identification (§4) plus preference inference
-// (§5–§6) — is constellation-agnostic; the spec makes the subject of
-// study (Starlink Walker-delta, OneWeb/Iridium/Kepler Walker-star,
-// or anything expressible as shells) data instead of code.
+// placement, scheduler configuration, campaign shape, and outputs.
+// Spec.Build is the one constructor of an environment: it builds the
+// constellation, scheduler, identifier and snapshot cache an
+// experiments.Env holds. The analyses that compare environments live
+// here too — the §8 siblings (hemispheres, GSO ablation, load
+// sensitivity) and the drift experiment, each building every
+// environment from an edited copy of one spec — next to the
+// planted-preference recovery check. The paper's
+// methodology — identification (§4) plus preference inference (§5–§6)
+// — is constellation-agnostic; the spec makes the subject of study
+// (Starlink Walker-delta, OneWeb/Iridium/Kepler Walker-star, or
+// anything expressible as shells) data instead of code.
 package scenario
 
 import (
@@ -186,7 +192,8 @@ type SchedulerSpec struct {
 	DisableBattery bool `json:"disable_battery,omitempty"`
 }
 
-// WeightsSpec mirrors scheduler.Weights in spec form.
+// WeightsSpec mirrors scheduler.Weights in spec form: the same fields
+// in the same order, so each converts to the other.
 type WeightsSpec struct {
 	Elevation    float64 `json:"elevation"`
 	GSOClearance float64 `json:"gso_clearance"`
@@ -202,15 +209,7 @@ func (w *WeightsSpec) weights() scheduler.Weights {
 	if w == nil {
 		return scheduler.Weights{} // zero value selects the defaults
 	}
-	return scheduler.Weights{
-		Elevation:    w.Elevation,
-		GSOClearance: w.GSOClearance,
-		Recency:      w.Recency,
-		Sunlit:       w.Sunlit,
-		Load:         w.Load,
-		Charge:       w.Charge,
-		NoiseStd:     w.NoiseStd,
-	}
+	return scheduler.Weights(*w)
 }
 
 // PlantedWeights returns the spec's explicit scheduler weights, false
