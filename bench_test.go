@@ -256,7 +256,7 @@ func BenchmarkCampaignSerial(b *testing.B) { benchCampaign(b, 1) }
 
 // BenchmarkCampaignParallel runs the same campaign on the worker pool
 // (4 workers = one per study terminal). Output is byte-identical to
-// the serial engine; compare ns/op against BenchmarkCampaignSerial
+// the one-worker run; compare ns/op against BenchmarkCampaignSerial
 // for the speedup.
 func BenchmarkCampaignParallel(b *testing.B) { benchCampaign(b, 4) }
 
@@ -468,8 +468,9 @@ func sampleLiveHeap(base uint64, peak *uint64) {
 // observation the way CampaignResult does. Both sample the live heap
 // (forced GC) at the same fixed cadence as records flow and once
 // after the run with results still reachable. final_live_MB is the
-// headline: flat across the 10× jump for stream — it holds a reorder
-// window, not the campaign — and linear in slots for batch. Record
+// headline: flat across the 10× jump for stream — it holds one slot of
+// records and two snapshots, not the campaign — and linear in slots
+// for batch. Record
 // with scripts/bench.sh (BENCH_PR4.json).
 func BenchmarkCampaignMemory(b *testing.B) {
 	for _, tc := range []struct {

@@ -1009,9 +1009,10 @@ func (r *runner) model() error {
 
 func (r *runner) ext() error {
 	slots := r.built.Slots
+	half := (slots + 1) / 2 // rounded up: -slots 1 runs one slot, not zero
 	fmt.Println("§8 extensions: hemisphere generalization, GSO ablation, load hypothesis")
 
-	hemi, err := r.built.HemisphereComparison(slots / 2)
+	hemi, err := r.built.HemisphereComparison(half)
 	if err != nil {
 		return err
 	}
@@ -1023,7 +1024,7 @@ func (r *runner) ext() error {
 	fmt.Println("(expected: positive at unobstructed >40N sites, negative at Sydney, ~0 at the equator;")
 	fmt.Println(" Punta Arenas sits at the 53-degree shell's coverage edge, where the elevation preference dominates)")
 
-	gso, err := r.built.GSOAblation(slots / 2)
+	gso, err := r.built.GSOAblation(half)
 	if err != nil {
 		return err
 	}
@@ -1047,7 +1048,7 @@ func (r *runner) ext() error {
 	fmt.Printf("\nhandover loss: %.1f%% in the first 300 ms of a slot vs %.1f%% steady state (%d probes)\n",
 		ho.EarlyLoss*100, ho.SteadyLoss*100, ho.Probes)
 
-	mo, err := r.env.MotionVsReallocation("Iowa", slots/2)
+	mo, err := r.env.MotionVsReallocation("Iowa", half)
 	if err != nil {
 		return err
 	}

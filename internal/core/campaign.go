@@ -34,10 +34,11 @@ type CampaignConfig struct {
 	Oracle bool
 	// Workers bounds the worker pool for per-terminal slot processing
 	// (track painting, XOR diffing, DTW identification). 0 selects
-	// runtime.GOMAXPROCS(0); 1 forces the serial engine. Results are
-	// byte-identical at every worker count: each terminal's dish state
-	// is owned by exactly one worker and records merge back in
-	// deterministic (slot, terminal) order.
+	// runtime.GOMAXPROCS(0); 1 runs every terminal on the calling
+	// goroutine. Results are byte-identical at every worker count,
+	// shard and resume slot: each terminal's dish state is owned by
+	// exactly one worker, and records are emitted in deterministic
+	// (slot, terminal) order.
 	Workers int
 	// SnapshotWorkers is the fan-out for the per-slot constellation
 	// propagation sweep (orthogonal to Workers, which shards
@@ -67,15 +68,15 @@ type CampaignConfig struct {
 	// happen only inside the range. Concatenating the emissions of a
 	// partition of shards slot by slot in shard order reproduces the
 	// unsharded stream byte for byte. The zero value means all
-	// terminals. A sharded run forces the serial engine.
+	// terminals. The pool runs the shard's terminals over Workers.
 	Shard ShardRange
 	// EmitFromSlot suppresses emission for slots below it — the journal
 	// replay knob. The engine still processes every slot from 0 (dish
 	// obstruction state and identification tallies accumulate across
 	// slots), so Attempted/Correct/Failed cover the whole campaign, but
 	// records, Records/Served/Skips stats, and the emit callback only
-	// see slots >= EmitFromSlot. A resumed run forces the serial
-	// engine.
+	// see slots >= EmitFromSlot. Replayed slots run over Workers like
+	// emitted ones.
 	EmitFromSlot int
 }
 
@@ -235,13 +236,11 @@ func (sc *slotScratch) framesFor(slotStart time.Time, step time.Duration) []astr
 }
 
 // runSlotTerminal produces the record for one (slot, terminal) cell.
-// It is the single slot-processing body shared by the serial and
-// parallel engines, so the two cannot drift apart. m is the terminal's
-// dish state; the caller guarantees exclusive ownership. matcher and
-// scratch are the caller's reusable per-worker buffers, likewise owned
-// exclusively; results are bit-identical at any matcher because
-// pruning is exact, and the fov scratch never escapes (availFromFov
-// copies into the record).
+// m is the terminal's dish state; the caller guarantees exclusive
+// ownership. matcher and scratch are the caller's reusable per-worker
+// buffers, likewise owned exclusively; results are bit-identical at
+// any matcher because pruning is exact, and the fov scratch never
+// escapes (availFromFov copies into the record).
 func runSlotTerminal(cfg *CampaignConfig, term scheduler.Terminal, m *obstruction.Map,
 	matcher *dtw.Matcher, scratch *slotScratch, slotStart time.Time, shared *constellation.SharedSnapshot,
 	alloc scheduler.Allocation, attempted, correct, failed *int) SlotRecord {
@@ -298,14 +297,6 @@ func runSlotTerminal(cfg *CampaignConfig, term scheduler.Terminal, m *obstructio
 		}
 	}
 	return rec
-}
-
-// slotItem is one slot's ground-truth inputs, produced serially and
-// fanned out to every worker.
-type slotItem struct {
-	slot      int
-	slotStart time.Time
-	allocs    []scheduler.Allocation
 }
 
 // allocFor picks terminal ti's allocation from a slot's Allocate

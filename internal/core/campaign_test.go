@@ -60,8 +60,9 @@ func TestParallelCampaignMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestCampaignCancellation checks ctx threading in both engines: a
-// pre-canceled context aborts promptly with the context's error.
+// TestCampaignCancellation checks ctx threading at one and four
+// workers: a pre-canceled context aborts promptly with the context's
+// error.
 func TestCampaignCancellation(t *testing.T) {
 	setupFixture(t)
 	for _, workers := range []int{1, 4} {
@@ -77,8 +78,8 @@ func TestCampaignCancellation(t *testing.T) {
 	}
 }
 
-// TestCampaignMidRunCancellation cancels while the parallel engine is
-// in flight; the run must stop and report the cancellation.
+// TestCampaignMidRunCancellation cancels while a four-worker campaign
+// is in flight; the run must stop and report the cancellation.
 func TestCampaignMidRunCancellation(t *testing.T) {
 	setupFixture(t)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -122,7 +122,7 @@ func (b brokenEph) PropagateAt(time.Time) (sgp4.State, error) {
 // TestCampaignStatsPropagationSkips checks the bugfix for silently
 // shrinking snapshots: a failing satellite must be counted in
 // CampaignStats (once per slot) and in the constellation's per-sat
-// accounting, on both engines.
+// accounting, at one and three workers.
 func TestCampaignStatsPropagationSkips(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		cons, err := constellation.New(constellation.Config{

@@ -10,7 +10,7 @@ import (
 
 // CampaignMetrics is the campaign engine's telemetry bundle. All
 // handles are resolved once at construction, the observation points sit
-// on the single-goroutine paths (producer and emitter), and a nil
+// on the engine goroutine (slot preparation and emission), and a nil
 // bundle — the default — disables everything at the cost of one branch
 // per call site, so the uninstrumented engine stays at Nop speed.
 type CampaignMetrics struct {
@@ -18,14 +18,13 @@ type CampaignMetrics struct {
 	Records     *telemetry.Counter
 	Served      *telemetry.Counter
 	Skips       *telemetry.CounterVec
-	QueueDepth  *telemetry.Gauge
 	SlotsPerSec *telemetry.FloatGauge
 	Matcher     *dtw.Metrics
 
 	// Trace, when non-nil, records one Decision per emitted record —
 	// the chosen satellite plus the top rejected candidates — into a
 	// bounded ring for §5-style offline audits. Recording happens on the
-	// emitter goroutine in deterministic (slot, terminal) order.
+	// engine goroutine in deterministic (slot, terminal) order.
 	Trace *telemetry.DecisionTrace
 	// TraceRejects bounds the rejected candidates kept per decision.
 	// 0 selects 3.
@@ -43,32 +42,22 @@ func NewCampaignMetrics(reg *telemetry.Registry) *CampaignMetrics {
 		Records:     reg.Counter("campaign_records_total", "slot x terminal records emitted"),
 		Served:      reg.Counter("campaign_served_total", "emitted records with a valid chosen satellite"),
 		Skips:       reg.CounterVec("campaign_skips_total", "emitted records skipped, by reason", "reason"),
-		QueueDepth:  reg.Gauge("campaign_queue_depth", "slots in flight between producer and emitter"),
 		SlotsPerSec: reg.FloatGauge("campaign_slots_per_second", "slot throughput of the most recent campaign"),
 		Matcher:     dtw.NewMetrics(reg),
 	}
 }
 
-// slotProduced marks one slot dispatched into the engine.
-func (m *CampaignMetrics) slotProduced() {
+// slotDispatched marks one slot handed to the worker pool.
+func (m *CampaignMetrics) slotDispatched() {
 	if m == nil {
 		return
 	}
 	m.Slots.Inc()
-	m.QueueDepth.Add(1)
 }
 
-// slotEmitted marks one slot fully drained by the emitter.
-func (m *CampaignMetrics) slotEmitted() {
-	if m == nil {
-		return
-	}
-	m.QueueDepth.Add(-1)
-}
-
-// observeRecord folds one emitted record in. Called from exactly one
-// goroutine (the serial loop or the parallel emitter), in emission
-// order — the same contract as CampaignStats.observe.
+// observeRecord folds one emitted record in. Called on the engine
+// goroutine, in emission order — the same contract as
+// CampaignStats.observe.
 func (m *CampaignMetrics) observeRecord(rec *SlotRecord) {
 	if m == nil {
 		return
@@ -130,8 +119,8 @@ func (m *CampaignMetrics) decision(rec *SlotRecord) telemetry.Decision {
 	return d
 }
 
-// flushMatcher folds one worker's matcher counters in (atomic adds —
-// workers flush concurrently at exit).
+// flushMatcher folds one worker's matcher counters in when the
+// campaign ends.
 func (m *CampaignMetrics) flushMatcher(s dtw.MatcherStats) {
 	if m == nil {
 		return

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"repro/internal/constellation"
 )
 
 // TestStreamMatchesBatch is the streaming engine's core contract: the
@@ -63,11 +65,16 @@ func TestStreamMatchesBatch(t *testing.T) {
 // determinism contract: partition the fleet into contiguous terminal
 // shards, run each shard as its own campaign (fresh same-seed
 // scheduler, as a worker process would), merge slot by slot in shard
-// order — and the merged stream must equal the unsharded run record
-// for record, with the identification tallies summing across shards.
+// order — and the merged stream must equal the unsharded one-worker
+// run record for record, with the identification tallies summing
+// across shards, at one and four workers per shard.
 func TestShardedCampaignMatchesSerial(t *testing.T) {
 	setupFixture(t)
-	for _, oracle := range []bool{true, false} {
+	for _, tc := range []struct {
+		oracle  bool
+		workers int
+	}{{true, 1}, {true, 4}, {false, 1}, {false, 4}} {
+		oracle, workers := tc.oracle, tc.workers
 		full, err := RunCampaign(context.Background(), campaignCfg(t, 77, 1, oracle))
 		if err != nil {
 			t.Fatal(err)
@@ -82,7 +89,7 @@ func TestShardedCampaignMatchesSerial(t *testing.T) {
 			for s := 0; s < shards; s++ {
 				lo := s * nTerms / shards
 				hi := (s + 1) * nTerms / shards
-				cfg := campaignCfg(t, 77, 4, oracle) // Workers>1: shard must force serial
+				cfg := campaignCfg(t, 77, workers, oracle)
 				cfg.Shard = ShardRange{Lo: lo, Hi: hi}
 				stats, err := RunCampaignStream(context.Background(), cfg, func(rec SlotRecord) error {
 					perShard[s] = append(perShard[s], rec)
@@ -110,17 +117,18 @@ func TestShardedCampaignMatchesSerial(t *testing.T) {
 				}
 			}
 			if len(merged) != len(full.Records) {
-				t.Fatalf("oracle=%v shards=%d: merged %d records, want %d", oracle, shards, len(merged), len(full.Records))
+				t.Fatalf("oracle=%v workers=%d shards=%d: merged %d records, want %d",
+					oracle, workers, shards, len(merged), len(full.Records))
 			}
 			for i := range merged {
 				if !reflect.DeepEqual(merged[i], full.Records[i]) {
-					t.Fatalf("oracle=%v shards=%d: merged record %d differs:\nshard: %+v\nfull:  %+v",
-						oracle, shards, i, merged[i], full.Records[i])
+					t.Fatalf("oracle=%v workers=%d shards=%d: merged record %d differs:\nshard: %+v\nfull:  %+v",
+						oracle, workers, shards, i, merged[i], full.Records[i])
 				}
 			}
 			if attempted != full.Attempted || correct != full.Correct || failed != full.Failed {
-				t.Errorf("oracle=%v shards=%d: summed counters (%d,%d,%d) != full (%d,%d,%d)",
-					oracle, shards, attempted, correct, failed, full.Attempted, full.Correct, full.Failed)
+				t.Errorf("oracle=%v workers=%d shards=%d: summed counters (%d,%d,%d) != full (%d,%d,%d)",
+					oracle, workers, shards, attempted, correct, failed, full.Attempted, full.Correct, full.Failed)
 			}
 		}
 	}
@@ -128,18 +136,23 @@ func TestShardedCampaignMatchesSerial(t *testing.T) {
 
 // TestEmitFromSlotResume is the journal-replay contract: a run resumed
 // at slot k re-walks the campaign state from slot 0 but emits exactly
-// the records the original run emitted from slot k on, with complete
-// whole-campaign identification tallies.
+// the records the original one-worker run emitted from slot k on, with
+// complete whole-campaign identification tallies, at one and four
+// workers.
 func TestEmitFromSlotResume(t *testing.T) {
 	setupFixture(t)
-	for _, oracle := range []bool{true, false} {
+	for _, tc := range []struct {
+		oracle  bool
+		workers int
+	}{{true, 1}, {true, 4}, {false, 1}, {false, 4}} {
+		oracle, workers := tc.oracle, tc.workers
 		full, err := RunCampaign(context.Background(), campaignCfg(t, 78, 1, oracle))
 		if err != nil {
 			t.Fatal(err)
 		}
 		nTerms := len(full.Records) / 24
 		for _, resume := range []int{1, 13, 24} {
-			cfg := campaignCfg(t, 78, 2, oracle)
+			cfg := campaignCfg(t, 78, workers, oracle)
 			cfg.EmitFromSlot = resume
 			var got []SlotRecord
 			stats, err := RunCampaignStream(context.Background(), cfg, func(rec SlotRecord) error {
@@ -151,27 +164,29 @@ func TestEmitFromSlotResume(t *testing.T) {
 			}
 			want := full.Records[resume*nTerms:]
 			if len(got) != len(want) {
-				t.Fatalf("oracle=%v resume=%d: emitted %d records, want %d", oracle, resume, len(got), len(want))
+				t.Fatalf("oracle=%v workers=%d resume=%d: emitted %d records, want %d",
+					oracle, workers, resume, len(got), len(want))
 			}
 			for i := range got {
 				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Fatalf("oracle=%v resume=%d: record %d differs", oracle, resume, i)
+					t.Fatalf("oracle=%v workers=%d resume=%d: record %d differs", oracle, workers, resume, i)
 				}
 			}
 			if stats.Records != len(want) {
-				t.Errorf("oracle=%v resume=%d: stats.Records = %d, want %d", oracle, resume, stats.Records, len(want))
+				t.Errorf("oracle=%v workers=%d resume=%d: stats.Records = %d, want %d",
+					oracle, workers, resume, stats.Records, len(want))
 			}
 			// Tallies cover the whole campaign, not just the emitted tail.
 			if stats.Attempted != full.Attempted || stats.Correct != full.Correct || stats.Failed != full.Failed {
-				t.Errorf("oracle=%v resume=%d: counters (%d,%d,%d) != full (%d,%d,%d)",
-					oracle, resume, stats.Attempted, stats.Correct, stats.Failed,
+				t.Errorf("oracle=%v workers=%d resume=%d: counters (%d,%d,%d) != full (%d,%d,%d)",
+					oracle, workers, resume, stats.Attempted, stats.Correct, stats.Failed,
 					full.Attempted, full.Correct, full.Failed)
 			}
 		}
 		// Sharded resume: the reassigned-worker path replays one shard
 		// from a mid-campaign slot.
 		if nTerms >= 2 {
-			cfg := campaignCfg(t, 78, 1, oracle)
+			cfg := campaignCfg(t, 78, workers, oracle)
 			cfg.Shard = ShardRange{Lo: 1, Hi: nTerms}
 			cfg.EmitFromSlot = 7
 			var got []SlotRecord
@@ -186,7 +201,8 @@ func TestEmitFromSlotResume(t *testing.T) {
 				want = append(want, full.Records[slot*nTerms+1:(slot+1)*nTerms]...)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("oracle=%v: sharded resume diverged (%d vs %d records)", oracle, len(got), len(want))
+				t.Errorf("oracle=%v workers=%d: sharded resume diverged (%d vs %d records)",
+					oracle, workers, len(got), len(want))
 			}
 		}
 	}
@@ -215,7 +231,7 @@ func TestShardValidation(t *testing.T) {
 }
 
 // TestStreamEmitErrorAborts proves an emit error stops the campaign —
-// serial and parallel — and surfaces verbatim.
+// at one and four workers — and surfaces verbatim.
 func TestStreamEmitErrorAborts(t *testing.T) {
 	setupFixture(t)
 	sentinel := fmt.Errorf("sink full")
@@ -254,6 +270,53 @@ func TestStreamCancellation(t *testing.T) {
 		}
 		if stats != nil {
 			t.Errorf("workers=%d: canceled stream returned stats", workers)
+		}
+	}
+}
+
+// TestCampaignLeavesNothingPinned: the engine holds the next slot's
+// snapshot while the pool runs the current one, so every exit path — a
+// clean run, an emit error, a cancel from inside emit — must hand every
+// snapshot back to the caller's cache.
+func TestCampaignLeavesNothingPinned(t *testing.T) {
+	setupFixture(t)
+	sentinel := fmt.Errorf("sink full")
+	for _, workers := range []int{1, 4} {
+		for _, tc := range []struct {
+			name    string
+			wantErr error
+			emit    func(n int, cancel context.CancelFunc) error
+		}{
+			{"clean", nil, func(int, context.CancelFunc) error { return nil }},
+			{"emit error", sentinel, func(n int, _ context.CancelFunc) error {
+				if n == 10 {
+					return sentinel
+				}
+				return nil
+			}},
+			{"cancel in emit", context.Canceled, func(n int, cancel context.CancelFunc) error {
+				if n == 10 {
+					cancel()
+				}
+				return nil
+			}},
+		} {
+			ctx, cancel := context.WithCancel(context.Background())
+			cache := constellation.NewSnapshotCache(0, nil)
+			cfg := campaignCfg(t, 46, workers, true)
+			cfg.Snapshots = cache
+			n := 0
+			_, err := RunCampaignStream(ctx, cfg, func(SlotRecord) error {
+				n++
+				return tc.emit(n, cancel)
+			})
+			cancel()
+			if err != tc.wantErr {
+				t.Errorf("workers=%d %s: err = %v, want %v", workers, tc.name, err, tc.wantErr)
+			}
+			if p := cache.Pinned(); p != 0 {
+				t.Errorf("workers=%d %s: %d snapshots still pinned", workers, tc.name, p)
+			}
 		}
 	}
 }

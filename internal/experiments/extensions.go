@@ -105,8 +105,8 @@ type MotionResult struct {
 // MotionVsReallocation measures propagation-only RTT (no jitter, no
 // MAC) at both edges of every slot for one terminal.
 func (e *Env) MotionVsReallocation(terminalName string, slots int) (*MotionResult, error) {
-	if slots == 0 {
-		slots = 200
+	if slots < 1 {
+		return nil, fmt.Errorf("experiments: motion analysis needs slots > 0, got %d", slots)
 	}
 	term, err := e.terminal(terminalName)
 	if err != nil {

@@ -1,6 +1,9 @@
 package experiments_test
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestHandoverAnalysis(t *testing.T) {
 	e, _ := smallEnv(t)
@@ -46,5 +49,19 @@ func TestMotionVsReallocation(t *testing.T) {
 	}
 	if _, err := e.MotionVsReallocation("Atlantis", 10); err == nil {
 		t.Error("unknown terminal accepted")
+	}
+	// Slot counts are taken as given: 0 is an error, and one slot has
+	// one served slot and no handover to measure.
+	for _, tc := range []struct {
+		slots   int
+		wantErr string
+	}{
+		{0, "needs slots > 0, got 0"},
+		{1, "needs served slots (1) and handovers (0)"},
+	} {
+		_, err := e.MotionVsReallocation("Iowa", tc.slots)
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%d slots: err = %v, want %q", tc.slots, err, tc.wantErr)
+		}
 	}
 }

@@ -10,7 +10,7 @@
 // goroutine the source emits from; Run adds no goroutine and no
 // buffer. Emit returns only once every sink has taken the record, so a
 // slow sink backpressures the source directly, and the campaign
-// engine's bounded reorder window is the only buffering on the path.
+// engine's one slot of records is the only buffering on the path.
 // Every shipped source and sink holds O(1) state in the record count,
 // so a campaign millions of slots long runs, persists, and re-analyzes
 // in constant memory.

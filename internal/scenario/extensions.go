@@ -99,8 +99,8 @@ type HemisphereResult struct {
 // HemisphereComparison runs two campaigns — the scenario's sites and
 // the §8 southern sites — and measures where each site's picks point.
 func (b *Built) HemisphereComparison(slots int) (*HemisphereResult, error) {
-	if slots == 0 {
-		slots = 200
+	if slots < 1 {
+		return nil, fmt.Errorf("scenario: hemisphere comparison needs slots > 0, got %d", slots)
 	}
 	south, err := b.sibling(southernSites)
 	if err != nil {
@@ -169,8 +169,8 @@ type LoadSensitivityResult struct {
 // unobservables are what bound model accuracy; Deterministic should
 // clearly exceed WithHiddenLoad.
 func (b *Built) LoadSensitivity(slots int) (*LoadSensitivityResult, error) {
-	if slots == 0 {
-		slots = 400
+	if slots < 1 {
+		return nil, fmt.Errorf("scenario: load sensitivity needs slots > 0, got %d", slots)
 	}
 	quiet, err := b.sibling(withoutLoad)
 	if err != nil {
@@ -220,7 +220,8 @@ func (b *Built) LoadSensitivity(slots int) (*LoadSensitivityResult, error) {
 type GSOAblationResult struct {
 	NorthFracWithGSO    float64
 	NorthFracWithoutGSO float64
-	Slots               int
+	// Slots is the length of each of the two campaigns.
+	Slots int
 }
 
 // GSOAblation measures how much of the scheduler's north preference
@@ -228,14 +229,14 @@ type GSOAblationResult struct {
 // residual preference without the zone comes from the explicit north
 // weight alone.
 func (b *Built) GSOAblation(slots int) (*GSOAblationResult, error) {
-	if slots == 0 {
-		slots = 200
+	if slots < 1 {
+		return nil, fmt.Errorf("scenario: GSO ablation needs slots > 0, got %d", slots)
 	}
 	noGSO, err := b.sibling(withoutGSO)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: no-GSO env: %w", err)
 	}
-	out := &GSOAblationResult{}
+	out := &GSOAblationResult{Slots: slots}
 	for _, pair := range []struct {
 		env  *experiments.Env
 		frac *float64
@@ -254,7 +255,6 @@ func (b *Built) GSOAblation(slots int) (*GSOAblationResult, error) {
 			return nil, fmt.Errorf("scenario: no picks in GSO ablation")
 		}
 		*pair.frac = stats.Proportion(az, isNorth)
-		out.Slots = len(az)
 	}
 	return out, nil
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -140,6 +141,51 @@ func TestLoadSiblingUsesEffectiveWeights(t *testing.T) {
 	want.Load = 0
 	if got, ok := sib.Spec.PlantedWeights(); !ok || got != want {
 		t.Errorf("no-load sibling weights %+v (planted %v), want %+v", got, ok, want)
+	}
+}
+
+// TestExtensionSlotCounts: each §8 extension runs the slot count it is
+// given, one slot included, and rejects a count below one without
+// running anything. The parent's campaign counter sees each run; the
+// siblings count into their own registries.
+func TestExtensionSlotCounts(t *testing.T) {
+	spec, err := Starlink("small", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	b, err := spec.Build(BuildOptions{Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(slots int) error
+	}{
+		{"hemisphere", func(n int) error { _, err := b.HemisphereComparison(n); return err }},
+		{"GSO ablation", func(n int) error {
+			res, err := b.GSOAblation(n)
+			if err == nil && res.Slots != n {
+				return fmt.Errorf("reports %d slots", res.Slots)
+			}
+			return err
+		}},
+		{"load sensitivity", func(n int) error { _, err := b.LoadSensitivity(n); return err }},
+	} {
+		for _, slots := range []int{0, 1} {
+			before := reg.Snapshot().Counter("campaign_slots_total")
+			err := tc.run(slots)
+			ran := reg.Snapshot().Counter("campaign_slots_total") - before
+			switch {
+			case slots == 0 && err == nil:
+				t.Errorf("%s: 0 slots accepted", tc.name)
+			case slots > 0 && err != nil:
+				t.Errorf("%s: %d slots: %v", tc.name, slots, err)
+			}
+			if ran != int64(slots) {
+				t.Errorf("%s: asked for %d slots, ran %d", tc.name, slots, ran)
+			}
+		}
 	}
 }
 
