@@ -23,10 +23,10 @@ import (
 	"repro/internal/geo"
 	"repro/internal/ml"
 	"repro/internal/obstruction"
-	"repro/internal/pipeline"
 	"repro/internal/scenario"
 	"repro/internal/scheduler"
 	"repro/internal/telemetry"
+	"repro/internal/traceio"
 )
 
 // benchEnv lazily builds one shared environment + observation set so
@@ -461,11 +461,12 @@ func sampleLiveHeap(base uint64, peak *uint64) {
 }
 
 // BenchmarkCampaignMemory is the O(1)-memory claim for the streaming
-// pipeline, measured. An oracle campaign runs source → stage → sink
-// at 60 slots and at 10× that, in two sink configurations: "stream"
-// encodes observations record-at-a-time to a discarded JSONL stream
-// and keeps only skip counters, "batch" materializes every record and
-// observation the way CampaignResult does. Both sample the live heap
+// campaign engine, measured. An oracle campaign runs through
+// core.RunCampaignStream at 60 slots and at 10× that, in two emit
+// configurations: "stream" encodes served observations
+// record-at-a-time to a discarded JSONL stream and keeps only the
+// engine's stats, "batch" materializes every record and observation
+// the way CampaignResult does. Both sample the live heap
 // (forced GC) at the same fixed cadence as records flow and once
 // after the run with results still reachable. final_live_MB is the
 // headline: flat across the 10× jump for stream — it holds one slot of
@@ -509,38 +510,38 @@ func BenchmarkCampaignMemory(b *testing.B) {
 					every = 1
 				}
 				n := 0
-				sample := pipeline.SinkFunc(func(rec *pipeline.Record) error {
+				var recs []core.SlotRecord
+				var obs []core.Observation
+				enc := traceio.NewObservationEncoder(io.Discard)
+				st, err := core.RunCampaignStream(context.Background(), cfg, func(rec core.SlotRecord) error {
 					if n++; n%every == 0 {
 						sampleLiveHeap(base.HeapAlloc, &peak)
 					}
-					return nil
+					if tc.mode == "batch" {
+						recs = append(recs, rec)
+						if rec.ChosenIdx >= 0 {
+							obs = append(obs, rec.Observation)
+						}
+						return nil
+					}
+					if rec.ChosenIdx < 0 {
+						return nil
+					}
+					return enc.Encode(&rec.Observation)
 				})
-
-				src := &pipeline.Campaign{Config: cfg}
-				counts := &pipeline.CountSkips{}
-				collect := &pipeline.Collect{}
-				obs := &pipeline.CollectObservations{}
-				sinks := []pipeline.Sink{sample}
-				if tc.mode == "batch" {
-					sinks = append(sinks, collect, pipeline.Where(pipeline.ChosenOnly(), obs))
-				} else {
-					sinks = append(sinks, counts, pipeline.Where(pipeline.ChosenOnly(), pipeline.WriteObservations(io.Discard)))
+				if err != nil {
+					b.Fatal(err)
 				}
-				p := &pipeline.Pipeline{Source: src, Sinks: sinks}
-				if err := p.Run(context.Background()); err != nil {
+				if err := enc.Flush(); err != nil {
 					b.Fatal(err)
 				}
 				sampleLiveHeap(base.HeapAlloc, &final)
 				if final > peak {
 					peak = final
 				}
-				runtime.KeepAlive(collect)
+				runtime.KeepAlive(recs)
 				runtime.KeepAlive(obs)
-				if tc.mode == "batch" {
-					served = len(obs.Obs)
-				} else {
-					served = counts.Served
-				}
+				served = st.Served
 			}
 			b.ReportMetric(float64(peak)/(1<<20), "peak_live_MB")
 			b.ReportMetric(float64(final)/(1<<20), "final_live_MB")

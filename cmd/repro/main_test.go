@@ -157,6 +157,35 @@ func TestAnalysisOnForeignSpecFails(t *testing.T) {
 	}
 }
 
+// TestShortExtCompletes: a run too short for a handover at Iowa
+// reports the motion comparison as not computable and exits 0, after
+// every other §8 line.
+func TestShortExtCompletes(t *testing.T) {
+	out, stderr, code := repro(t, t.TempDir(), "-scale", "small", "-slots", "2", "ext")
+	if code != 0 {
+		t.Fatalf("repro -slots 2 ext: exit %d, stderr:\n%s", code, stderr)
+	}
+	for _, want := range []string{"GSO ablation:", "load hypothesis:", "handover loss:",
+		"motion vs reallocation (§3 argument): not computable (1 served slots, 0 handovers at Iowa)"} {
+		if !bytes.Contains(out, []byte(want)) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestLoadObsCorruptTrace: a corrupt -load-obs trace fails the run
+// with the decoder's error instead of analysing a partial set.
+func TestLoadObsCorruptTrace(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "bad.jsonl"), []byte("{broken"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, stderr, code := repro(t, dir, "-scale", "small", "-load-obs", "bad.jsonl", "fig4")
+	if code != 1 || len(stderr) == 0 || bytes.Contains(stderr, []byte("panic")) || bytes.Contains(out, []byte("---- aoe ----")) {
+		t.Fatalf("repro -load-obs corrupt fig4: exit %d, stdout:\n%s\nstderr:\n%s", code, out, stderr)
+	}
+}
+
 // TestStageTable checks that every analysis a spec can name has a
 // stage, that every stage reading the observation set reads the
 // -load-obs that replaces it, and that the CLI shorthands name

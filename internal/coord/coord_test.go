@@ -366,3 +366,37 @@ func TestCoordinatorScenarioSpec(t *testing.T) {
 		t.Fatalf("distributed scenario stream differs from serial (%d vs %d bytes)", out.Len(), len(golden))
 	}
 }
+
+// TestCoordinatorRejectsInvalidSpec: a spec without a scenario, or one
+// that fails validation, errors before any shard starts — no worker
+// receives a shard and no journal directory is created.
+func TestCoordinatorRejectsInvalidSpec(t *testing.T) {
+	bad := testSpec(2)
+	bad.Scenario.Version = 0
+	for name, spec := range map[string]CampaignSpec{
+		"no scenario": {Slots: 2, Oracle: true},
+		"invalid":     bad,
+	} {
+		w := &Worker{}
+		srv, err := NewWorkerServer("127.0.0.1:0", w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve(context.Background())
+		journal := filepath.Join(t.TempDir(), "journal")
+		c := &Coordinator{Workers: []string{srv.Addr().String()}, Spec: spec, JournalDir: journal}
+		if _, err := c.Run(context.Background()); err == nil {
+			t.Errorf("%s: run accepted the spec", name)
+		}
+		srv.Close()
+		w.mu.Lock()
+		started := len(w.shards)
+		w.mu.Unlock()
+		if started != 0 {
+			t.Errorf("%s: %d shards started", name, started)
+		}
+		if _, err := os.Stat(journal); !os.IsNotExist(err) {
+			t.Errorf("%s: journal dir created (stat err %v)", name, err)
+		}
+	}
+}

@@ -129,6 +129,21 @@ func (c *Coordinator) Run(ctx context.Context) (*Result, error) {
 	if c.JournalDir == "" {
 		return nil, fmt.Errorf("coord: journal dir required")
 	}
+	// The spec's placement gives the fleet size: an invalid spec fails
+	// here, before any shard starts, and the coordinator never builds
+	// the constellation itself.
+	scn := c.Spec.Scenario
+	if scn == nil {
+		return nil, fmt.Errorf("coord: campaign spec has no scenario")
+	}
+	if err := scn.Validate(); err != nil {
+		return nil, err
+	}
+	vps, err := scn.VantagePoints()
+	if err != nil {
+		return nil, err
+	}
+	nTerms := len(vps)
 	if err := os.MkdirAll(c.JournalDir, 0o755); err != nil {
 		return nil, fmt.Errorf("coord: journal dir: %w", err)
 	}
@@ -153,10 +168,6 @@ func (c *Coordinator) Run(ctx context.Context) (*Result, error) {
 		nShards = len(c.Workers)
 	}
 
-	nTerms, err := c.fleetSize(callTimeout)
-	if err != nil {
-		return nil, err
-	}
 	if nShards > nTerms {
 		nShards = nTerms
 	}
@@ -250,33 +261,6 @@ func (c *Coordinator) Run(ctx context.Context) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// fleetSize asks any reachable worker for the terminal count of the
-// spec's environment — the coordinator never builds the constellation
-// itself.
-func (c *Coordinator) fleetSize(callTimeout time.Duration) (int, error) {
-	var lastErr error
-	for _, addr := range c.Workers {
-		client, err := dishrpc.Dial(addr)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		client.SetCallTimeout(callTimeout)
-		var info infoResult
-		err = client.Call("coord_info", c.Spec, &info)
-		client.Close()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if info.Terminals <= 0 {
-			return 0, fmt.Errorf("coord: worker %s reports %d terminals", addr, info.Terminals)
-		}
-		return info.Terminals, nil
-	}
-	return 0, fmt.Errorf("coord: no worker reachable for fleet info: %w", lastErr)
 }
 
 // openJournal opens (creating if needed) a shard's journal and replays

@@ -58,14 +58,11 @@ type CampaignSpec struct {
 	SnapshotWorkers int `json:"snapshot_workers,omitempty"`
 }
 
-// Builder turns a spec into a runnable campaign config. The returned
-// config must be freshly built on every call: the scheduler is
-// stateful, and a reassigned shard restarts it from slot 0.
-type Builder func(CampaignSpec) (core.CampaignConfig, error)
-
-// BuildCampaign is the default Builder: a full experiments environment
-// lowered from the scenario spec — exactly what cmd/repro runs
-// single-process.
+// BuildCampaign turns a spec into a runnable campaign config: a full
+// experiments environment lowered from the scenario spec — exactly
+// what cmd/repro runs single-process. Every call builds afresh: the
+// scheduler is stateful, and a reassigned shard restarts it from
+// slot 0.
 func BuildCampaign(spec CampaignSpec) (cfg core.CampaignConfig, err error) {
 	if spec.Scenario == nil {
 		return cfg, fmt.Errorf("coord: campaign spec has no scenario")
@@ -104,16 +101,10 @@ type fetchResult struct {
 	Stats *core.CampaignStats `json:"stats,omitempty"`
 }
 
-type infoResult struct {
-	Terminals int `json:"terminals"`
-}
-
 // Worker executes shard campaigns on behalf of a coordinator. One
 // worker can hold several shards at once — after a peer dies, its
 // shards land on the survivors.
 type Worker struct {
-	// Builder constructs campaigns from specs; nil uses BuildCampaign.
-	Builder Builder
 	// RecordDelay throttles record production (test and fault-injection
 	// hook: a campaign slow enough to kill a worker in the middle of).
 	RecordDelay time.Duration
@@ -154,16 +145,6 @@ func (w *Worker) Handle(method string, params json.RawMessage) (any, error) {
 	switch method {
 	case "coord_ping":
 		return "ok", nil
-	case "coord_info":
-		var spec CampaignSpec
-		if err := json.Unmarshal(params, &spec); err != nil {
-			return nil, fmt.Errorf("bad spec: %v", err)
-		}
-		cfg, err := w.builder()(spec)
-		if err != nil {
-			return nil, err
-		}
-		return infoResult{Terminals: len(cfg.Scheduler.Terminals())}, nil
 	case "coord_start":
 		var p startParams
 		if err := json.Unmarshal(params, &p); err != nil {
@@ -181,19 +162,12 @@ func (w *Worker) Handle(method string, params json.RawMessage) (any, error) {
 	}
 }
 
-func (w *Worker) builder() Builder {
-	if w.Builder != nil {
-		return w.Builder
-	}
-	return BuildCampaign
-}
-
 // start launches (or relaunches) a shard campaign. A relaunch cancels
 // the previous run of the same shard id: the coordinator only
 // restarts a shard it has given up on, and stale records must not mix
 // with the replay.
 func (w *Worker) start(p startParams) error {
-	cfg, err := w.builder()(p.Spec)
+	cfg, err := BuildCampaign(p.Spec)
 	if err != nil {
 		return err
 	}

@@ -12,8 +12,9 @@ import (
 // and the batch functions below, which are thin wrappers feeding a
 // slice through the matching accumulator. The wrappers exist for
 // callers that already hold all observations; anything operating at
-// campaign scale should push into the accumulators directly (e.g.
-// through internal/pipeline) and never materialize the slice.
+// campaign scale should push into the accumulators directly (from
+// RunCampaignStream's emit, as experiments.StreamAnalyses does) and
+// never materialize the slice.
 
 // TerminalCDF pairs the available-vs-chosen empirical CDFs for one
 // terminal — the solid and dotted line of one color in Figures 4/5/7.

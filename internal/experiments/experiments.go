@@ -18,7 +18,6 @@ import (
 	"repro/internal/ml"
 	"repro/internal/netsim"
 	"repro/internal/obstruction"
-	"repro/internal/pipeline"
 	"repro/internal/scheduler"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -250,34 +249,30 @@ type IdentResult struct {
 	MedianMargin               float64
 }
 
-// IdentValidation runs a measured (non-oracle) campaign through the
-// streaming pipeline and scores the identifications — records are
-// folded into the margin series as they arrive and never materialize.
-// naive switches to the nearest-endpoint ablation.
+// IdentValidation runs a measured (non-oracle) campaign and scores the
+// identifications — records are folded into the margin series as they
+// arrive and never materialize. naive switches to the nearest-endpoint
+// ablation.
 func (e *Env) IdentValidation(slots int, naive bool) (*IdentResult, error) {
 	ident := *e.Ident
 	ident.UseNaiveMatcher = naive
-	src := &pipeline.Campaign{Config: e.CampaignConfig(slots, false)}
-	src.Config.Identifier = &ident
+	cfg := e.CampaignConfig(slots, false)
+	cfg.Identifier = &ident
 	var margins []float64
-	p := &pipeline.Pipeline{
-		Source:  src,
-		Metrics: pipeline.NewMetrics(e.Telemetry),
-		Sinks: []pipeline.Sink{pipeline.SinkFunc(func(rec *pipeline.Record) error {
-			if rec.SkipReason == "" && rec.Margin > 0 {
-				margins = append(margins, rec.Margin)
-			}
-			return nil
-		})},
-	}
-	if err := p.Run(e.ctx()); err != nil {
+	st, err := core.RunCampaignStream(e.ctx(), cfg, func(rec core.SlotRecord) error {
+		if rec.SkipReason == "" && rec.Margin > 0 {
+			margins = append(margins, rec.Margin)
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	out := &IdentResult{
-		Attempted: src.Stats.Attempted,
-		Correct:   src.Stats.Correct,
-		Failed:    src.Stats.Failed,
-		Accuracy:  src.Stats.Accuracy(),
+		Attempted: st.Attempted,
+		Correct:   st.Correct,
+		Failed:    st.Failed,
+		Accuracy:  st.Accuracy(),
 	}
 	if len(margins) > 0 {
 		out.MedianMargin = stats.Median(margins)
@@ -304,32 +299,37 @@ func (e *Env) CampaignConfig(slots int, oracle bool) core.CampaignConfig {
 	}
 }
 
-// StreamObservations drives one oracle campaign through the pipeline,
-// feeding every sink the chosen-only observation stream (the §5/§6
-// input rows), and returns the campaign's O(1)-memory summary —
-// including how many records were dropped on the way and why.
-func (e *Env) StreamObservations(slots int, sinks ...pipeline.Sink) (*core.CampaignStats, error) {
-	src := &pipeline.Campaign{Config: e.CampaignConfig(slots, true)}
-	p := &pipeline.Pipeline{
-		Source:  src,
-		Stages:  []pipeline.Stage{pipeline.ChosenOnly()},
-		Sinks:   sinks,
-		Metrics: pipeline.NewMetrics(e.Telemetry),
-	}
-	if err := p.Run(e.ctx()); err != nil {
-		return nil, err
-	}
-	return src.Stats, nil
+// StreamObservations runs one oracle campaign and hands every
+// observation with a chosen satellite (the §5/§6 input rows) to each
+// consumer in turn — a core.ObservationConsumer's Add, or any closure —
+// as the engine emits it. It returns the campaign's O(1)-memory
+// summary, including how many records were dropped on the way and why.
+// The first consumer error aborts the campaign and is returned.
+func (e *Env) StreamObservations(slots int, consumers ...func(core.Observation) error) (*core.CampaignStats, error) {
+	return core.RunCampaignStream(e.ctx(), e.CampaignConfig(slots, true), func(rec core.SlotRecord) error {
+		if rec.ChosenIdx < 0 {
+			return nil
+		}
+		for _, add := range consumers {
+			if err := add(rec.Observation); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // Observations runs an oracle campaign and returns the §5/§6 inputs
 // (batch wrapper over StreamObservations).
 func (e *Env) Observations(slots int) ([]core.Observation, error) {
-	collect := &pipeline.CollectObservations{}
-	if _, err := e.StreamObservations(slots, collect); err != nil {
+	var obs []core.Observation
+	if _, err := e.StreamObservations(slots, func(o core.Observation) error {
+		obs = append(obs, o)
+		return nil
+	}); err != nil {
 		return nil, err
 	}
-	return collect.Obs, nil
+	return obs, nil
 }
 
 // StreamResult is one single-pass run of every §5 analysis and the §6
@@ -348,16 +348,16 @@ type StreamResult struct {
 // StreamAnalyses runs one oracle campaign and computes every §5
 // analysis plus the §6 dataset in a single streaming pass. The outputs
 // are bit-identical to running Observations and the batch analyzers
-// (the pipeline golden tests hold this), at O(1) memory in the slot
-// count.
+// over a campaign from the same scheduler state
+// (TestStreamMatchesBatchGolden holds this), at O(1) memory in the
+// slot count.
 func (e *Env) StreamAnalyses(slots int) (*StreamResult, error) {
 	aoe := core.NewAOEAccumulator(27)
 	az := core.NewAzimuthAccumulator(27)
 	la := core.NewLaunchAccumulator("New York")
 	su := core.NewSunlitAccumulator(27)
 	ds := core.NewDatasetBuilder()
-	st, err := e.StreamObservations(slots,
-		pipeline.Feed(aoe), pipeline.Feed(az), pipeline.Feed(la), pipeline.Feed(su), pipeline.Feed(ds))
+	st, err := e.StreamObservations(slots, aoe.Add, az.Add, la.Add, su.Add, ds.Add)
 	if err != nil {
 		return nil, err
 	}

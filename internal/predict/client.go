@@ -5,12 +5,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dishrpc"
-	"repro/internal/pipeline"
 )
 
 // Client is a typed dishrpc client for predictd. Like the transport it
-// wraps, it is not safe for concurrent use; the pipeline feeds it
-// serially.
+// wraps, it is not safe for concurrent use; a campaign stream feeds
+// it serially.
 type Client struct {
 	c *dishrpc.Client
 }
@@ -63,11 +62,11 @@ func (c *Client) Stats() (Stats, error) {
 	return res, err
 }
 
-// observeRecord rebuilds the pipeline record an ObserveRequest
+// observeRecord rebuilds the campaign record an ObserveRequest
 // describes, so the RPC path and the in-process path share one
 // ObserveRecord implementation.
-func observeRecord(req *ObserveRequest) *pipeline.Record {
-	rec := &pipeline.Record{Observation: core.Observation{
+func observeRecord(req *ObserveRequest) *core.SlotRecord {
+	rec := &core.SlotRecord{Observation: core.Observation{
 		Terminal:  req.Terminal,
 		LocalHour: req.LocalHour,
 		ChosenIdx: req.ChosenIdx,
@@ -84,7 +83,7 @@ func observeRecord(req *ObserveRequest) *pipeline.Record {
 	return rec
 }
 
-// RemoteScorer adapts a predictd endpoint to pipeline.OnlineScorer:
+// RemoteScorer adapts a predictd endpoint to scenario.OnlineScorer:
 // campaigns stream revealed slots to a shared service over the wire
 // instead of holding the model in-process (cmd/repro -predict-addr).
 type RemoteScorer struct {
@@ -96,7 +95,7 @@ func NewRemoteScorer(c *Client) *RemoteScorer { return &RemoteScorer{c: c} }
 
 // ObserveRecord ships the record's observation to the remote service
 // and maps the answer back onto a ScoreUpdate.
-func (r *RemoteScorer) ObserveRecord(rec *pipeline.Record) (pipeline.ScoreUpdate, error) {
+func (r *RemoteScorer) ObserveRecord(rec *core.SlotRecord) (ScoreUpdate, error) {
 	req := ObserveRequest{
 		Terminal:  rec.Terminal,
 		LocalHour: rec.LocalHour,
@@ -113,9 +112,9 @@ func (r *RemoteScorer) ObserveRecord(rec *pipeline.Record) (pipeline.ScoreUpdate
 	}
 	res, err := r.c.Observe(req)
 	if err != nil {
-		return pipeline.ScoreUpdate{}, err
+		return ScoreUpdate{}, err
 	}
-	return pipeline.ScoreUpdate{
+	return ScoreUpdate{
 		Scored:       res.Scored,
 		Rank:         res.Rank,
 		RecentTop1:   res.RecentTop1,

@@ -12,7 +12,6 @@ import (
 	"repro/internal/dishrpc"
 	"repro/internal/features"
 	"repro/internal/ml"
-	"repro/internal/pipeline"
 	"repro/internal/telemetry"
 )
 
@@ -22,9 +21,9 @@ import (
 // rule quickly. Regime "high" picks the max-elevation satellite (the
 // default scheduler's bias); "low" picks the minimum — the adversarial
 // weight flip in miniature.
-func regimeStream(rng *rand.Rand, n, nSats int, high bool) []pipeline.Record {
+func regimeStream(rng *rand.Rand, n, nSats int, high bool) []core.SlotRecord {
 	base := time.Date(2023, 3, 1, 0, 0, 12, 0, time.UTC)
-	out := make([]pipeline.Record, n)
+	out := make([]core.SlotRecord, n)
 	for i := range out {
 		avail := make([]core.SatObs, nSats)
 		best := 0
@@ -38,7 +37,7 @@ func regimeStream(rng *rand.Rand, n, nSats int, high bool) []pipeline.Record {
 				best = j
 			}
 		}
-		out[i] = pipeline.Record{Observation: core.Observation{
+		out[i] = core.SlotRecord{Observation: core.Observation{
 			Terminal:  "T",
 			SlotStart: base.Add(time.Duration(i) * 15 * time.Second),
 			LocalHour: (i / 4) % 24,
@@ -49,9 +48,9 @@ func regimeStream(rng *rand.Rand, n, nSats int, high bool) []pipeline.Record {
 	return out
 }
 
-func feed(t *testing.T, s *Service, recs []pipeline.Record) []pipeline.ScoreUpdate {
+func feed(t *testing.T, s *Service, recs []core.SlotRecord) []ScoreUpdate {
 	t.Helper()
-	ups := make([]pipeline.ScoreUpdate, len(recs))
+	ups := make([]ScoreUpdate, len(recs))
 	for i := range recs {
 		up, err := s.ObserveRecord(&recs[i])
 		if err != nil {

@@ -83,7 +83,7 @@ func (o *ObserveRequest) validate() error {
 	return nil
 }
 
-// ObserveResult mirrors pipeline.ScoreUpdate across the wire.
+// ObserveResult mirrors ScoreUpdate across the wire.
 type ObserveResult struct {
 	Scored       bool    `json:"scored"`
 	Rank         int     `json:"rank"`

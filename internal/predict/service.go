@@ -15,9 +15,9 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/ml"
-	"repro/internal/pipeline"
 	"repro/internal/telemetry"
 )
 
@@ -131,7 +131,7 @@ func (r *hitRing) acc() float64 {
 // Service is the online scorer/server. Serving reads the model
 // wait-free through an atomic swap; the learning state (window, rings,
 // refit cadence) sits behind one mutex. It implements
-// pipeline.OnlineScorer.
+// scenario.OnlineScorer.
 type Service struct {
 	cfg Config
 	m   *metrics
@@ -265,17 +265,44 @@ func (s *Service) Rank(localHour int, sats []features.Sat, sc *Scratch) (int64, 
 	return s.swap.Version(), nil
 }
 
+// ScoreUpdate is one record's outcome through an online scorer: was it
+// scored at all (records with no chosen satellite, or arriving before
+// the first model is fit, are observed but not scored), where the true
+// allocation ranked, and the scorer's windowed health after folding
+// the outcome in.
+type ScoreUpdate struct {
+	// Scored reports whether a prediction was made and ranked against
+	// the revealed allocation.
+	Scored bool
+	// Rank is the 1-based position of the true cluster in the model's
+	// ranking (1 = top-1 hit). 0 when !Scored.
+	Rank int
+	// RecentTop1/RecentTopK are the short-window accuracies; RefTop1 is
+	// the long reference window the drift detector compares against.
+	RecentTop1 float64
+	RecentTopK float64
+	RefTop1    float64
+	// Drift reports whether the detector currently considers the model
+	// stale; DriftEvents counts rising edges so far.
+	Drift       bool
+	DriftEvents int
+	// Refits counts models trained so far; ModelVersion is the serving
+	// model's publication number (0 = still on baseline/none).
+	Refits       int
+	ModelVersion int64
+}
+
 // ObserveRecord folds one revealed slot into the service: rank ahead
 // of the reveal (when a model is serving), score the ranking against
 // the scheduler's actual choice, slide the window, and refit on
-// cadence or drift. Implements pipeline.OnlineScorer.
-func (s *Service) ObserveRecord(rec *pipeline.Record) (pipeline.ScoreUpdate, error) {
+// cadence or drift. Implements scenario.OnlineScorer.
+func (s *Service) ObserveRecord(rec *core.SlotRecord) (ScoreUpdate, error) {
 	s.m.observed.Add(1)
 	obs := &rec.Observation
 	if _, ok := obs.Chosen(); !ok {
 		s.mu.Lock()
 		s.observed++
-		up := s.snapshotLocked(pipeline.ScoreUpdate{})
+		up := s.snapshotLocked(ScoreUpdate{})
 		s.mu.Unlock()
 		return up, nil
 	}
@@ -292,15 +319,15 @@ func (s *Service) ObserveRecord(rec *pipeline.Record) (pipeline.ScoreUpdate, err
 		})
 	}
 	if err := features.ClusterInto(&sc.slot, sc.sats); err != nil {
-		return pipeline.ScoreUpdate{}, fmt.Errorf("predict: slot %v at %s: %w", obs.SlotStart, obs.Terminal, err)
+		return ScoreUpdate{}, fmt.Errorf("predict: slot %v at %s: %w", obs.SlotStart, obs.Terminal, err)
 	}
 	key, err := sc.slot.KeyOf(obs.ChosenIdx)
 	if err != nil {
-		return pipeline.ScoreUpdate{}, fmt.Errorf("predict: slot %v at %s: %w", obs.SlotStart, obs.Terminal, err)
+		return ScoreUpdate{}, fmt.Errorf("predict: slot %v at %s: %w", obs.SlotStart, obs.Terminal, err)
 	}
 	label := key.Index()
 	if err := sc.slot.VectorInto(obs.LocalHour, sc.vec); err != nil {
-		return pipeline.ScoreUpdate{}, err
+		return ScoreUpdate{}, err
 	}
 
 	// Predict before learning: the model must not see the answer first.
@@ -308,7 +335,7 @@ func (s *Service) ObserveRecord(rec *pipeline.Record) (pipeline.ScoreUpdate, err
 	f := s.swap.Load()
 	if f != nil {
 		if err := (ml.ForestRanker{Forest: f}).RankClassesInto(sc.vec, sc.probs, sc.idx); err != nil {
-			return pipeline.ScoreUpdate{}, err
+			return ScoreUpdate{}, err
 		}
 		for i, c := range sc.idx {
 			if c == label {
@@ -321,7 +348,7 @@ func (s *Service) ObserveRecord(rec *pipeline.Record) (pipeline.ScoreUpdate, err
 	var fit *ml.WindowFit
 	s.mu.Lock()
 	s.observed++
-	up := pipeline.ScoreUpdate{}
+	up := ScoreUpdate{}
 	if f != nil {
 		s.scored++
 		s.sinceFit++
@@ -420,7 +447,7 @@ func (s *Service) runRefit(fit *ml.WindowFit) error {
 }
 
 // snapshotLocked fills the windowed-health fields of an update.
-func (s *Service) snapshotLocked(up pipeline.ScoreUpdate) pipeline.ScoreUpdate {
+func (s *Service) snapshotLocked(up ScoreUpdate) ScoreUpdate {
 	up.RecentTop1 = s.recent1.acc()
 	up.RecentTopK = s.recentK.acc()
 	up.RefTop1 = s.ref1.acc()
@@ -431,7 +458,7 @@ func (s *Service) snapshotLocked(up pipeline.ScoreUpdate) pipeline.ScoreUpdate {
 	return up
 }
 
-func (s *Service) publishAccuracy(up pipeline.ScoreUpdate) {
+func (s *Service) publishAccuracy(up ScoreUpdate) {
 	s.m.recentTop1.Set(up.RecentTop1)
 	s.m.recentTopK.Set(up.RecentTopK)
 	s.m.refTop1.Set(up.RefTop1)

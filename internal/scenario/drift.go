@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/pipeline"
+	"repro/internal/predict"
 	"repro/internal/scheduler"
 	"repro/internal/telemetry"
 )
@@ -49,7 +49,7 @@ type DriftConfig struct {
 	// Scorer is the online service under test (required). Use a
 	// Synchronous predict.Service for deterministic output, or a
 	// predict.RemoteScorer to drive a live predictd.
-	Scorer pipeline.OnlineScorer
+	Scorer OnlineScorer
 	// Offline also trains the §6 offline model on the pre-flip
 	// observations (cfg from experiments.QuickModelConfig) so the
 	// stationary online accuracy can be compared against Figure 8.
@@ -85,22 +85,32 @@ type DriftResult struct {
 	OfflineTop1, OfflineBaselineTop1 float64
 }
 
-// driftTracker folds ScoreUpdates into the result, counting slots by
-// SlotStart transitions (each slot yields one record per terminal).
+// OnlineScorer folds one revealed slot into an online model: predict
+// before looking at the answer, score the prediction, learn from the
+// row. Implementations decide their own refit cadence;
+// predict.Service runs in process and predict.RemoteScorer drives a
+// predictd over dishrpc, both through the same Service.ObserveRecord.
+type OnlineScorer interface {
+	ObserveRecord(rec *core.SlotRecord) (predict.ScoreUpdate, error)
+}
+
+// driftTracker feeds records to the scorer and folds its updates into
+// the result, counting slots by SlotStart transitions (each slot
+// yields one record per terminal).
 type driftTracker struct {
 	res      *DriftResult
-	sc       pipeline.OnlineScorer
+	sc       OnlineScorer
 	lastSlot time.Time
 	slotIdx  int // 0-based within the current phase
 	post     bool
 	sawDrift bool
 }
 
-func (d *driftTracker) sink() pipeline.Sink {
-	return pipeline.ScoreSink(d.sc, d.observe)
-}
-
-func (d *driftTracker) observe(rec *pipeline.Record, up pipeline.ScoreUpdate) {
+func (d *driftTracker) observe(rec *core.SlotRecord) error {
+	up, err := d.sc.ObserveRecord(rec)
+	if err != nil {
+		return err
+	}
 	if !rec.SlotStart.Equal(d.lastSlot) {
 		if !d.lastSlot.IsZero() {
 			d.slotIdx++
@@ -115,7 +125,7 @@ func (d *driftTracker) observe(rec *pipeline.Record, up pipeline.ScoreUpdate) {
 	r.Refits = up.Refits
 	if !d.post {
 		r.PreTop1, r.PreTopK = up.RecentTop1, up.RecentTopK
-		return
+		return nil
 	}
 	if up.Scored && up.RecentTop1 < r.MinPostTop1 {
 		r.MinPostTop1 = up.RecentTop1
@@ -128,6 +138,7 @@ func (d *driftTracker) observe(rec *pipeline.Record, up pipeline.ScoreUpdate) {
 		r.ClearSlots = d.slotIdx
 	}
 	r.FinalTop1 = up.RecentTop1
+	return nil
 }
 
 // RunDrift executes the two-phase campaign against cfg.Scorer. Both
@@ -184,13 +195,22 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 	}
 	tr := &driftTracker{res: res, sc: cfg.Scorer}
 
-	// Phase one: learn the default policy.
-	collect := &pipeline.CollectObservations{}
-	sinks := []pipeline.Sink{tr.sink()}
-	if cfg.Offline {
-		sinks = append(sinks, collect)
+	// Both phases feed the scorer every record with a chosen
+	// satellite; phase one also keeps them for the offline cross-check.
+	var offline []core.Observation
+	emit := func(rec core.SlotRecord) error {
+		if rec.ChosenIdx < 0 {
+			return nil
+		}
+		if cfg.Offline && !tr.post {
+			offline = append(offline, rec.Observation)
+		}
+		return tr.observe(&rec)
 	}
-	res.PreStats, err = pre.Env.StreamObservations(cfg.FlipAt, sinks...)
+	ctx := context.Background()
+
+	// Phase one: learn the default policy.
+	res.PreStats, err = core.RunCampaignStream(ctx, pre.Env.CampaignConfig(cfg.FlipAt, true), emit)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: drift pre-flip phase: %w", err)
 	}
@@ -200,21 +220,15 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 	tr.post = true
 	tr.lastSlot = time.Time{}
 	tr.slotIdx = 0
-	src := &pipeline.Campaign{Config: post.Env.CampaignConfig(cfg.Slots-cfg.FlipAt, true)}
-	src.Config.Start = pre.Env.Start().Add(time.Duration(cfg.FlipAt) * scheduler.Period)
-	p := &pipeline.Pipeline{
-		Source:  src,
-		Stages:  []pipeline.Stage{pipeline.ChosenOnly()},
-		Sinks:   []pipeline.Sink{tr.sink()},
-		Metrics: pipeline.NewMetrics(cfg.Telemetry),
-	}
-	if err := p.Run(context.Background()); err != nil {
+	postCfg := post.Env.CampaignConfig(cfg.Slots-cfg.FlipAt, true)
+	postCfg.Start = pre.Env.Start().Add(time.Duration(cfg.FlipAt) * scheduler.Period)
+	res.PostStats, err = core.RunCampaignStream(ctx, postCfg, emit)
+	if err != nil {
 		return nil, fmt.Errorf("scenario: drift post-flip phase: %w", err)
 	}
-	res.PostStats = src.Stats
 
 	if cfg.Offline {
-		mres, err := pre.Env.Fig8(collect.Obs, experiments.QuickModelConfig(cfg.Spec.Seed))
+		mres, err := pre.Env.Fig8(offline, experiments.QuickModelConfig(cfg.Spec.Seed))
 		if err != nil {
 			return nil, fmt.Errorf("scenario: drift offline comparison: %w", err)
 		}

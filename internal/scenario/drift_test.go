@@ -1,9 +1,11 @@
 package scenario
 
 import (
+	"errors"
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/predict"
 )
 
@@ -91,5 +93,68 @@ func TestRunDriftValidation(t *testing.T) {
 	}
 	if _, err := RunDrift(DriftConfig{Scorer: svc, Slots: 10, FlipAt: 10}); err == nil {
 		t.Error("flip at campaign end accepted")
+	}
+}
+
+// fakeScorer replays a scripted update and records what it was fed.
+type fakeScorer struct {
+	up   predict.ScoreUpdate
+	err  error
+	seen []core.SlotRecord
+}
+
+func (f *fakeScorer) ObserveRecord(rec *core.SlotRecord) (predict.ScoreUpdate, error) {
+	f.seen = append(f.seen, *rec)
+	return f.up, f.err
+}
+
+// TestDriftFeedsScorer: both phases hand the scorer every record with a
+// chosen satellite, in stream order, and the scorer's updates reach the
+// result.
+func TestDriftFeedsScorer(t *testing.T) {
+	spec, err := Starlink("small", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := &fakeScorer{up: predict.ScoreUpdate{Scored: true, Rank: 2, RecentTop1: 0.5, Refits: 3}}
+	res, err := RunDrift(DriftConfig{Spec: spec, Slots: 20, FlipAt: 10, Scorer: sc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.PreStats.Dropped() == 0 || res.PostStats.Dropped() == 0 {
+		t.Fatalf("both phases must drop a record for the check to bite: %d, %d",
+			res.PreStats.Dropped(), res.PostStats.Dropped())
+	}
+	served := res.PreStats.Served + res.PostStats.Served
+	if served == 0 || len(sc.seen) != served || res.Scored != served {
+		t.Fatalf("scorer saw %d records, result scored %d, campaigns served %d", len(sc.seen), res.Scored, served)
+	}
+	for i, rec := range sc.seen {
+		if rec.ChosenIdx < 0 {
+			t.Fatalf("record %d has no chosen satellite", i)
+		}
+		if i > 0 && rec.SlotStart.Before(sc.seen[i-1].SlotStart) {
+			t.Fatalf("record %d at %v arrives after a later slot", i, rec.SlotStart)
+		}
+	}
+	if res.PreTop1 != 0.5 || res.FinalTop1 != 0.5 || res.MinPostTop1 != 0.5 || res.Refits != 3 {
+		t.Errorf("scripted update not folded in: %+v", res)
+	}
+}
+
+// TestDriftScorerErrorStops: a scorer error aborts the campaign at the
+// first record and surfaces from RunDrift.
+func TestDriftScorerErrorStops(t *testing.T) {
+	spec, err := Starlink("small", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("model exploded")
+	sc := &fakeScorer{err: boom}
+	if _, err := RunDrift(DriftConfig{Spec: spec, Slots: 8, FlipAt: 4, Scorer: sc}); !errors.Is(err, boom) {
+		t.Errorf("RunDrift = %v, want the scorer's error", err)
+	}
+	if len(sc.seen) != 1 {
+		t.Errorf("scorer called %d times after its error, want 1", len(sc.seen))
 	}
 }

@@ -8,8 +8,8 @@
 //
 // The paper's whole method is watching an opaque scheduler from the
 // outside; this package makes our own reproduction watchable from the
-// inside. Every instrumented layer (campaign engine, streaming
-// pipeline, DTW matcher, learning engine, ground-truth scheduler)
+// inside. Every instrumented layer (campaign engine, DTW matcher,
+// learning engine, ground-truth scheduler, online predictor)
 // accepts nil handles: a nil *Registry hands out nil metrics, and every
 // record method is a nil-safe no-op, so the uninstrumented path costs
 // one predictable branch — the telemetry.Nop contract, held by
