@@ -944,7 +944,7 @@ func (r *runner) drift() error {
 		}
 		scorer = svc
 	}
-	res, err := scenario.RunDrift(scenario.DriftConfig{
+	res, err := scenario.RunDrift(r.ctx, scenario.DriftConfig{
 		Spec:            spec,
 		Slots:           r.built.Slots,
 		Scorer:          scorer,

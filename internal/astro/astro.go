@@ -35,12 +35,11 @@ func GMST(t time.Time) float64 {
 }
 
 // Frame is the TEME→ECEF rotation at one instant, with the sidereal
-// angle's sine and cosine precomputed. A snapshot sweep over thousands
-// of satellites shares one instant, so hoisting FrameAt out of the
-// per-satellite loop removes the repeated Julian-date reduction and
-// trig from the hot path. Frame.ToECEF and Frame.ToECEFVel are
-// bit-identical to TEMEToECEF at the same instant: the same operations
-// in the same order on the same rotation terms.
+// angle's sine and cosine precomputed: it grounds SGP4 output (TEME)
+// in the Earth-fixed frame by the GMST rotation about the Z axis. A
+// snapshot sweep over thousands of satellites shares one instant, so
+// hoisting FrameAt out of the per-satellite loop removes the repeated
+// Julian-date reduction and trig from the hot path.
 type Frame struct {
 	cosTheta, sinTheta float64
 }
@@ -52,9 +51,7 @@ func FrameAt(t time.Time) Frame {
 	return Frame{cosTheta: math.Cos(theta), sinTheta: math.Sin(theta)}
 }
 
-// ToECEF rotates a TEME position into the Earth-fixed frame. Use this
-// when the velocity is not needed: it skips the Earth-rotation terms
-// entirely.
+// ToECEF rotates a TEME position into the Earth-fixed frame.
 func (f Frame) ToECEF(posTEME units.Vec3) units.Vec3 {
 	c, s := f.cosTheta, f.sinTheta
 	return units.Vec3{
@@ -62,36 +59,6 @@ func (f Frame) ToECEF(posTEME units.Vec3) units.Vec3 {
 		Y: -s*posTEME.X + c*posTEME.Y,
 		Z: posTEME.Z,
 	}
-}
-
-// ToECEFVel rotates a TEME position and velocity into the Earth-fixed
-// frame, applying the Earth-rotation term to the velocity.
-func (f Frame) ToECEFVel(posTEME, velTEME units.Vec3) (posECEF, velECEF units.Vec3) {
-	c, s := f.cosTheta, f.sinTheta
-	posECEF = f.ToECEF(posTEME)
-	// Earth rotation rate, rad/s.
-	const omegaEarth = 7.29211514670698e-5
-	velRot := units.Vec3{
-		X: c*velTEME.X + s*velTEME.Y,
-		Y: -s*velTEME.X + c*velTEME.Y,
-		Z: velTEME.Z,
-	}
-	// Subtract ω × r in the rotating frame.
-	velECEF = units.Vec3{
-		X: velRot.X + omegaEarth*posECEF.Y,
-		Y: velRot.Y - omegaEarth*posECEF.X,
-		Z: velRot.Z,
-	}
-	return posECEF, velECEF
-}
-
-// TEMEToECEF rotates a position (and optional velocity) vector from
-// the TEME frame (SGP4 output) to the Earth-fixed ECEF frame at time
-// t. It applies the GMST rotation about the Z axis; velocity
-// additionally receives the Earth-rotation term. Loops over many
-// satellites at one instant should hoist FrameAt(t) instead.
-func TEMEToECEF(posTEME, velTEME units.Vec3, t time.Time) (posECEF, velECEF units.Vec3) {
-	return FrameAt(t).ToECEFVel(posTEME, velTEME)
 }
 
 // Geodetic is a position on (or above) the WGS-84 ellipsoid.
@@ -236,8 +203,7 @@ func SunPositionECI(t time.Time) units.Vec3 {
 // SunPositionECEF returns the Sun position rotated into the
 // Earth-fixed frame at time t.
 func SunPositionECEF(t time.Time) units.Vec3 {
-	p, _ := TEMEToECEF(SunPositionECI(t), units.Vec3{}, t)
-	return p
+	return FrameAt(t).ToECEF(SunPositionECI(t))
 }
 
 // IsSunlit reports whether a satellite at the given ECI position (km)

@@ -214,7 +214,7 @@ func TestTEMEToECEFPreservesNorm(t *testing.T) {
 	tm := time.Date(2023, 5, 1, 6, 30, 0, 0, time.UTC)
 	for i := 0; i < 100; i++ {
 		p := units.Vec3{X: rng.NormFloat64() * 7000, Y: rng.NormFloat64() * 7000, Z: rng.NormFloat64() * 7000}
-		q, _ := TEMEToECEF(p, units.Vec3{}, tm)
+		q := FrameAt(tm).ToECEF(p)
 		if math.Abs(q.Norm()-p.Norm()) > 1e-6*math.Max(p.Norm(), 1) {
 			t.Fatalf("rotation changed norm: %v -> %v", p.Norm(), q.Norm())
 		}
@@ -291,6 +291,15 @@ func TestShadowCrossCheck(t *testing.T) {
 	}
 }
 
+// referenceTEMEToECEF is the TEME→ECEF position rotation written out in
+// full at one instant, the oracle Frame must match bit for bit: GMST,
+// then its cosine and sine, then the rotation about Z.
+func referenceTEMEToECEF(pos units.Vec3, t time.Time) units.Vec3 {
+	theta := GMST(t)
+	c, s := math.Cos(theta), math.Sin(theta)
+	return units.Vec3{X: c*pos.X + s*pos.Y, Y: -s*pos.X + c*pos.Y, Z: pos.Z}
+}
+
 func TestFrameMatchesTEMEToECEF(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, tm := range []time.Time{
@@ -300,14 +309,8 @@ func TestFrameMatchesTEMEToECEF(t *testing.T) {
 		f := FrameAt(tm)
 		for i := 0; i < 500; i++ {
 			pos := units.Vec3{X: rng.NormFloat64() * 7000, Y: rng.NormFloat64() * 7000, Z: rng.NormFloat64() * 7000}
-			vel := units.Vec3{X: rng.NormFloat64() * 8, Y: rng.NormFloat64() * 8, Z: rng.NormFloat64() * 8}
-			wantP, wantV := TEMEToECEF(pos, vel, tm)
-			gotP, gotV := f.ToECEFVel(pos, vel)
-			if gotP != wantP || gotV != wantV {
-				t.Fatalf("Frame rotation diverged from TEMEToECEF: got (%v, %v), want (%v, %v)", gotP, gotV, wantP, wantV)
-			}
-			if only := f.ToECEF(pos); only != wantP {
-				t.Fatalf("Frame.ToECEF = %v, want %v", only, wantP)
+			if got, want := f.ToECEF(pos), referenceTEMEToECEF(pos, tm); got != want {
+				t.Fatalf("Frame.ToECEF diverged from the reference rotation: got %v, want %v", got, want)
 			}
 		}
 	}

@@ -57,16 +57,9 @@ func (o *Observation) Chosen() (SatObs, bool) {
 	return o.Available[o.ChosenIdx], true
 }
 
-// AvailableSet computes the publicly derivable available set for a
-// terminal and slot from a constellation snapshot: every satellite
-// above the 25° mask with its look angles, age, and sunlit state.
-func AvailableSet(snap []constellation.SatState, vp geo.VantagePoint, slotStart time.Time, minElevDeg float64) []SatObs {
-	return availFromFov(constellation.ObserveFrom(vp.Location, snap, minElevDeg), slotStart)
-}
-
 // availFromFov converts a sorted field-of-view into the observation
-// rows — the single conversion AvailableSet and the campaign's
-// indexed path share.
+// rows: every satellite above the mask with its look angles, age, and
+// sunlit state.
 func availFromFov(fov []constellation.Visible, slotStart time.Time) []SatObs {
 	out := make([]SatObs, 0, len(fov))
 	for _, v := range fov {

@@ -41,13 +41,6 @@ func NewIdentifier(cons *constellation.Constellation) (*Identifier, error) {
 	return &Identifier{cons: cons, MinElevationDeg: 25, SampleStep: time.Second}, nil
 }
 
-// Snapshot propagates the identifier's constellation to t. Live
-// captures share one snapshot per slot between the available-set
-// computation and identification, exactly like the campaign engines.
-func (id *Identifier) Snapshot(t time.Time) []constellation.SatState {
-	return id.cons.Snapshot(t)
-}
-
 // CandidateTracksFromSnapshot samples the projected sky-track of
 // every satellite in the terminal's field of view over the slot, given
 // the constellation snapshot for slotStart: the linear field-of-view

@@ -243,8 +243,8 @@ func TestDroppedCandidatesSurfaced(t *testing.T) {
 
 // oracleSky is the scalar track sampler the candidate-track kernel
 // replaced, kept as its bit-identity oracle: every sample instant,
-// dt = 0 included, is propagated afresh, rotated by the scalar
-// astro.TEMEToECEF (one GMST per call) and observed by the
+// dt = 0 included, is propagated afresh, rotated by its own
+// astro.FrameAt (one GMST per call) and observed by the
 // package-level astro.Observe (one observer per call).
 func oracleSky(sat *constellation.Satellite, obs astro.Geodetic, slotStart time.Time, step time.Duration) ([]obstruction.PolarPoint, error) {
 	var pts []obstruction.PolarPoint
@@ -254,7 +254,7 @@ func oracleSky(sat *constellation.Satellite, obs astro.Geodetic, slotStart time.
 		if err != nil {
 			return nil, err
 		}
-		posECEF, _ := astro.TEMEToECEF(st.Pos, st.Vel, t)
+		posECEF := astro.FrameAt(t).ToECEF(st.Pos)
 		la := astro.Observe(obs, posECEF)
 		pts = append(pts, obstruction.PolarPoint{ElevationDeg: la.ElevationDeg, AzimuthDeg: la.AzimuthDeg})
 	}

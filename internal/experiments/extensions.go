@@ -131,7 +131,7 @@ func (e *Env) MotionVsReallocation(terminalName string, slots int) (*MotionResul
 		if err != nil {
 			return 0, err
 		}
-		ecef, _ := astro.TEMEToECEF(st.Pos, st.Vel, t)
+		ecef := astro.FrameAt(t).ToECEF(st.Pos)
 		up := ecef.Sub(term.Location.ToECEF()).Norm()
 		down := ecef.Sub(pop.Location.ToECEF()).Norm()
 		return 2 * (up + down) / units.SpeedOfLightKmPerSec * 1000, nil

@@ -180,7 +180,7 @@ func (p *Path) Probe(t time.Time) (Sample, error) {
 	if err != nil {
 		return s, fmt.Errorf("netsim: propagate %d: %w", sat.ID, err)
 	}
-	satECEF, _ := astro.TEMEToECEF(st.Pos, st.Vel, t)
+	satECEF := astro.FrameAt(t).ToECEF(st.Pos)
 
 	upKm := satECEF.Sub(p.cfg.Terminal.Location.ToECEF()).Norm()
 	downKm := satECEF.Sub(p.cfg.PoP.Location.ToECEF()).Norm()

@@ -147,8 +147,9 @@ func (d *driftTracker) observe(rec *core.SlotRecord) error {
 // the scorer sees is one continuous campaign whose only discontinuity
 // is the scheduler's weights. (The post-flip scheduler restarts its
 // load/recency bookkeeping — the real analogue is a scheduler redeploy,
-// which also resets in-memory state.)
-func RunDrift(cfg DriftConfig) (*DriftResult, error) {
+// which also resets in-memory state.) Cancelling ctx stops either
+// phase, and the offline cross-check, with ctx's error.
+func RunDrift(ctx context.Context, cfg DriftConfig) (*DriftResult, error) {
 	if cfg.Scorer == nil {
 		return nil, fmt.Errorf("scenario: drift needs an online scorer")
 	}
@@ -188,6 +189,7 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	pre.Env.Ctx, post.Env.Ctx = ctx, ctx
 
 	res := &DriftResult{
 		Slots: cfg.Slots, FlipAt: cfg.FlipAt,
@@ -207,7 +209,6 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 		}
 		return tr.observe(&rec)
 	}
-	ctx := context.Background()
 
 	// Phase one: learn the default policy.
 	res.PreStats, err = core.RunCampaignStream(ctx, pre.Env.CampaignConfig(cfg.FlipAt, true), emit)

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -28,7 +29,7 @@ func TestRunDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunDrift(DriftConfig{
+	res, err := RunDrift(context.Background(), DriftConfig{
 		Spec: spec, Slots: 600, FlipAt: 300,
 		Scorer:  svc,
 		Offline: true,
@@ -84,14 +85,14 @@ func TestRunDrift(t *testing.T) {
 
 // TestRunDriftValidation covers the config gates.
 func TestRunDriftValidation(t *testing.T) {
-	if _, err := RunDrift(DriftConfig{}); err == nil {
+	if _, err := RunDrift(context.Background(), DriftConfig{}); err == nil {
 		t.Error("nil scorer accepted")
 	}
 	svc, err := predict.NewService(predict.Config{Synchronous: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunDrift(DriftConfig{Scorer: svc, Slots: 10, FlipAt: 10}); err == nil {
+	if _, err := RunDrift(context.Background(), DriftConfig{Scorer: svc, Slots: 10, FlipAt: 10}); err == nil {
 		t.Error("flip at campaign end accepted")
 	}
 }
@@ -117,7 +118,7 @@ func TestDriftFeedsScorer(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := &fakeScorer{up: predict.ScoreUpdate{Scored: true, Rank: 2, RecentTop1: 0.5, Refits: 3}}
-	res, err := RunDrift(DriftConfig{Spec: spec, Slots: 20, FlipAt: 10, Scorer: sc})
+	res, err := RunDrift(context.Background(), DriftConfig{Spec: spec, Slots: 20, FlipAt: 10, Scorer: sc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,10 +152,54 @@ func TestDriftScorerErrorStops(t *testing.T) {
 	}
 	boom := errors.New("model exploded")
 	sc := &fakeScorer{err: boom}
-	if _, err := RunDrift(DriftConfig{Spec: spec, Slots: 8, FlipAt: 4, Scorer: sc}); !errors.Is(err, boom) {
+	if _, err := RunDrift(context.Background(), DriftConfig{Spec: spec, Slots: 8, FlipAt: 4, Scorer: sc}); !errors.Is(err, boom) {
 		t.Errorf("RunDrift = %v, want the scorer's error", err)
 	}
 	if len(sc.seen) != 1 {
 		t.Errorf("scorer called %d times after its error, want 1", len(sc.seen))
+	}
+}
+
+// cancelScorer is a fakeScorer that cancels the run's context when it
+// is handed its nth record.
+type cancelScorer struct {
+	fakeScorer
+	n      int
+	cancel context.CancelFunc
+}
+
+func (c *cancelScorer) ObserveRecord(rec *core.SlotRecord) (predict.ScoreUpdate, error) {
+	up, err := c.fakeScorer.ObserveRecord(rec)
+	if len(c.seen) == c.n {
+		c.cancel()
+	}
+	return up, err
+}
+
+// TestRunDriftHonoursCancel: cancelling the context mid-campaign stops
+// RunDrift with context.Canceled well before the campaign's last
+// record, the way Ctrl-C stops `repro drift`.
+func TestRunDriftHonoursCancel(t *testing.T) {
+	spec, err := Starlink("small", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DriftConfig{Spec: spec, Slots: 20, FlipAt: 10}
+	full := &fakeScorer{}
+	cfg.Scorer = full
+	if _, err := RunDrift(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sc := &cancelScorer{n: 5, cancel: cancel}
+	cfg.Scorer = sc
+	_, err = RunDrift(ctx, cfg)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunDrift after cancel = %v, want context.Canceled", err)
+	}
+	if len(sc.seen) >= len(full.seen) {
+		t.Errorf("scorer saw %d of the campaign's %d records: cancel did not stop it", len(sc.seen), len(full.seen))
 	}
 }

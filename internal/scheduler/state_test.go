@@ -74,7 +74,7 @@ func TestAllocateSkippedSatelliteStaysSunlit(t *testing.T) {
 		{ID: 200, Launch: epoch, Propagator: fixedEph{pos: pos, epoch: epoch}},
 	}
 	cons := &constellation.Constellation{Sats: sats, Epoch: epoch, SnapshotWorkers: 1}
-	ecef, _ := astro.TEMEToECEF(pos, units.Vec3{}, start)
+	ecef := astro.FrameAt(start).ToECEF(pos)
 	sub := astro.ECEFToGeodetic(ecef)
 	term := Terminal{VantagePoint: geo.VantagePoint{
 		Name:     "term",

@@ -51,7 +51,7 @@ func TestAllocateScoreTieBreak(t *testing.T) {
 		// Place the terminal at the shared sub-satellite point so both
 		// satellites sit at the zenith: identical elevation, identical
 		// score terms. Zero noise, no GSO/battery/bent-pipe terms.
-		ecef, _ := astro.TEMEToECEF(pos, units.Vec3{}, slot)
+		ecef := astro.FrameAt(slot).ToECEF(pos)
 		sub := astro.ECEFToGeodetic(ecef)
 		term := Terminal{VantagePoint: geo.VantagePoint{
 			Name:     "tie-term",

@@ -42,9 +42,6 @@ func Variance(xs []float64) float64 {
 	return s / float64(len(xs)-1)
 }
 
-// StdDev returns the sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // MeanStd returns mean and population standard deviation in one pass —
 // the normalization the paper's feature clustering uses. For n = 1 the
 // std is 0.

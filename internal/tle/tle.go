@@ -258,11 +258,6 @@ func (t *TLE) FormatLines() []string {
 	return []string{l1, l2}
 }
 
-// EpochJulian returns the TLE epoch as a Julian date (UTC).
-func (t *TLE) EpochJulian() float64 {
-	return JulianDate(t.Epoch)
-}
-
 // JulianDate converts a time to a Julian date. Works for the Gregorian
 // calendar era relevant here (1957+).
 func JulianDate(tm time.Time) float64 {

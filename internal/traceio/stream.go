@@ -1,10 +1,15 @@
+// Package traceio persists and reloads the reproduction's data
+// artifacts — allocation logs, slot observations and full campaign
+// records — so campaigns can be captured once and re-analyzed offline,
+// mirroring the paper's released model-and-data bundle.
+//
+// Every codec is record-at-a-time: each encoder/decoder holds O(1)
+// state, so a multi-million-slot campaign can be persisted while it
+// runs and replayed without ever materializing the trace. Allocation
+// logs are TSV with a header row (they are flat and meant for shell
+// tooling); observations and records are JSON Lines (each slot
+// carries a nested available-satellite list).
 package traceio
-
-// Record-at-a-time codecs: the streaming counterparts of the batch
-// helpers in traceio.go. Each encoder/decoder holds O(1) state, so a
-// multi-million-slot campaign can be persisted while it runs and
-// replayed without ever materializing the trace. The batch helpers
-// are thin wrappers over these, so the two formats cannot drift.
 
 import (
 	"bufio"
@@ -13,10 +18,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/scheduler"
 )
+
+// timeLayout is RFC3339 with nanoseconds, lossless for our clocks.
+const timeLayout = time.RFC3339Nano
 
 // ErrTruncatedTail reports a JSONL stream whose final line is
 // incomplete — the signature a crash mid-append leaves behind. Strict
@@ -190,9 +199,6 @@ func (d *ObservationDecoder) Next() (core.Observation, error) {
 	return o, nil
 }
 
-// Decoded reports how many records have been decoded successfully.
-func (d *ObservationDecoder) Decoded() int { return d.n }
-
 // RecordEncoder streams full campaign SlotRecords (observation plus
 // ground truth, identification answer, margin, and skip reason) as
 // JSON Lines. Sync/Close force durability on destinations that support
@@ -272,9 +278,6 @@ func (d *RecordDecoder) Next() (core.SlotRecord, error) {
 	}
 	return rec, nil
 }
-
-// Decoded reports how many records have been decoded successfully.
-func (d *RecordDecoder) Decoded() int { return d.n }
 
 // AllocationWriter streams an allocation log as TSV one row at a
 // time. The header row is emitted on construction; Flush finishes the

@@ -2,95 +2,45 @@ package traceio
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/netsim"
-	"repro/internal/scheduler"
 )
 
-func sampleAllocations() []scheduler.Allocation {
-	t0 := time.Date(2023, 3, 1, 1, 0, 12, 0, time.UTC)
-	return []scheduler.Allocation{
-		{
-			Terminal: "Iowa", SlotStart: t0, SatID: 44714,
-			ElevationDeg: 63.25, AzimuthDeg: 342.1, RangeKm: 612.4,
-			Sunlit: true, LaunchDate: time.Date(2021, 5, 1, 0, 0, 0, 0, time.UTC),
-			Candidates: 17,
-		},
-		{Terminal: "Madrid", SlotStart: t0, SatID: 0, Candidates: 0}, // outage row
-	}
-}
-
-func TestAllocationsRoundTrip(t *testing.T) {
-	in := sampleAllocations()
+// encodeObservations writes obs through the streaming encoder, the
+// way `repro -save-obs` does.
+func encodeObservations(t *testing.T, obs []core.Observation) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteAllocations(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ReadAllocations(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("%d rows, want %d", len(out), len(in))
-	}
-	for i := range in {
-		if !out[i].SlotStart.Equal(in[i].SlotStart) ||
-			out[i].Terminal != in[i].Terminal ||
-			out[i].SatID != in[i].SatID ||
-			out[i].ElevationDeg != in[i].ElevationDeg ||
-			out[i].Sunlit != in[i].Sunlit ||
-			!out[i].LaunchDate.Equal(in[i].LaunchDate) ||
-			out[i].Candidates != in[i].Candidates {
-			t.Errorf("row %d: %+v != %+v", i, out[i], in[i])
+	enc := NewObservationEncoder(&buf)
+	for i := range obs {
+		if err := enc.Encode(&obs[i]); err != nil {
+			t.Fatal(err)
 		}
 	}
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
-func TestReadAllocationsErrors(t *testing.T) {
-	cases := []string{
-		"header\nnot\tenough\tfields\n",
-		"header\nbad-time\tIowa\t1\t2\t3\t4\t1\t\t5\n",
-		"header\n2023-03-01T00:00:00Z\tIowa\tNaNid\t2\t3\t4\t1\t\t5\n",
-	}
-	for i, c := range cases {
-		if _, err := ReadAllocations(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d accepted", i)
+// decodeObservations drains an observation decoder over r, the way
+// `repro -load-obs` does.
+func decodeObservations(r io.Reader) ([]core.Observation, error) {
+	dec := NewObservationDecoder(r)
+	var out []core.Observation
+	for {
+		o, err := dec.Next()
+		if err == io.EOF {
+			return out, nil
 		}
-	}
-}
-
-func TestSamplesRoundTrip(t *testing.T) {
-	t0 := time.Date(2023, 3, 1, 1, 0, 12, 345678000, time.UTC)
-	in := []netsim.Sample{
-		{T: t0, RTTms: 31.75, SatID: 44714},
-		{T: t0.Add(20 * time.Millisecond), Lost: true},
-	}
-	var buf bytes.Buffer
-	if err := WriteSamples(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ReadSamples(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 {
-		t.Fatalf("%d rows", len(out))
-	}
-	if !out[0].T.Equal(in[0].T) || out[0].RTTms != 31.75 || out[0].SatID != 44714 {
-		t.Errorf("row 0: %+v", out[0])
-	}
-	if !out[1].Lost {
-		t.Error("lost flag dropped")
-	}
-}
-
-func TestReadSamplesErrors(t *testing.T) {
-	if _, err := ReadSamples(strings.NewReader("h\nx\ty\n")); err == nil {
-		t.Error("short row accepted")
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, o)
 	}
 }
 
@@ -114,11 +64,7 @@ func TestObservationsRoundTrip(t *testing.T) {
 			ChosenIdx: -1, // identification failed
 		},
 	}
-	var buf bytes.Buffer
-	if err := WriteObservations(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ReadObservations(&buf)
+	out, err := decodeObservations(bytes.NewReader(encodeObservations(t, in)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,13 +85,13 @@ func TestObservationsRoundTrip(t *testing.T) {
 
 func TestReadObservationsValidation(t *testing.T) {
 	bad := `{"Terminal":"x","Available":[{"ID":1}],"ChosenIdx":5}`
-	if _, err := ReadObservations(strings.NewReader(bad)); err == nil {
+	if _, err := decodeObservations(strings.NewReader(bad)); err == nil {
 		t.Error("out-of-range chosen index accepted")
 	}
-	if _, err := ReadObservations(strings.NewReader("{broken")); err == nil {
+	if _, err := decodeObservations(strings.NewReader("{broken")); err == nil {
 		t.Error("broken json accepted")
 	}
-	out, err := ReadObservations(strings.NewReader(""))
+	out, err := decodeObservations(strings.NewReader(""))
 	if err != nil || len(out) != 0 {
 		t.Errorf("empty input: %v, %d", err, len(out))
 	}
@@ -172,11 +118,7 @@ func TestEndToEndReanalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteObservations(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ReadObservations(&buf)
+	out, err := decodeObservations(bytes.NewReader(encodeObservations(t, in)))
 	if err != nil {
 		t.Fatal(err)
 	}
