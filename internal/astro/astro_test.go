@@ -41,7 +41,7 @@ func TestGeodeticECEFRoundTrip(t *testing.T) {
 		if math.Abs(back.LatDeg-g.LatDeg) > 1e-6 {
 			t.Fatalf("lat %v -> %v", g.LatDeg, back.LatDeg)
 		}
-		if units.AngularDistDeg(back.LonDeg, g.LonDeg) > 1e-6 {
+		if angularDistDeg(back.LonDeg, g.LonDeg) > 1e-6 {
 			t.Fatalf("lon %v -> %v", g.LonDeg, back.LonDeg)
 		}
 		if math.Abs(back.AltKm-g.AltKm) > 1e-5 {
@@ -169,7 +169,7 @@ func TestIsSunlitGeometry(t *testing.T) {
 		t.Error("satellite in Earth shadow should be dark")
 	}
 	// Satellite behind Earth but displaced far off-axis: sunlit.
-	perp := sunDir.Cross(units.Vec3{Z: 1}).Unit()
+	perp := cross(sunDir, units.Vec3{Z: 1}).Unit()
 	sat = sunDir.Scale(-(units.EarthRadiusKm + 550)).Add(perp.Scale(3 * units.EarthRadiusKm))
 	if !IsSunlit(sat, tm) {
 		t.Error("off-axis satellite should be sunlit")
@@ -313,5 +313,20 @@ func TestFrameMatchesTEMEToECEF(t *testing.T) {
 				t.Fatalf("Frame.ToECEF diverged from the reference rotation: got %v, want %v", got, want)
 			}
 		}
+	}
+}
+
+// angularDistDeg returns the smallest absolute separation between two
+// angles in degrees, in [0, 180].
+func angularDistDeg(a, b float64) float64 {
+	return math.Abs(units.WrapDeg180(a - b))
+}
+
+// cross returns the cross product v×w.
+func cross(v, w units.Vec3) units.Vec3 {
+	return units.Vec3{
+		X: v.Y*w.Z - v.Z*w.Y,
+		Y: v.Z*w.X - v.X*w.Z,
+		Z: v.X*w.Y - v.Y*w.X,
 	}
 }

@@ -288,17 +288,17 @@ func TestWalkerPlaneGeometry(t *testing.T) {
 	for p := 0; p < 8; p++ {
 		sat := c.Sats[p*5]
 		wantRAAN := 360.0 * float64(p) / 8
-		if units.AngularDistDeg(sat.TLE.RAANDeg, wantRAAN) > 1e-6 {
+		if angularDistDeg(sat.TLE.RAANDeg, wantRAAN) > 1e-6 {
 			t.Errorf("plane %d RAAN %v, want %v", p, sat.TLE.RAANDeg, wantRAAN)
 		}
 		wantMA := 360.0 * 3 * float64(p) / 40 // F*360/(P*S) per plane
-		if units.AngularDistDeg(sat.TLE.MeanAnomalyDeg, wantMA) > 1e-6 {
+		if angularDistDeg(sat.TLE.MeanAnomalyDeg, wantMA) > 1e-6 {
 			t.Errorf("plane %d first-slot MA %v, want %v", p, sat.TLE.MeanAnomalyDeg, wantMA)
 		}
 	}
 	// Slots within a plane are evenly spaced.
 	for s := 1; s < 5; s++ {
-		d := units.AngularDistDeg(c.Sats[s].TLE.MeanAnomalyDeg, c.Sats[s-1].TLE.MeanAnomalyDeg)
+		d := angularDistDeg(c.Sats[s].TLE.MeanAnomalyDeg, c.Sats[s-1].TLE.MeanAnomalyDeg)
 		if math.Abs(d-72) > 1e-6 {
 			t.Errorf("slot spacing %v, want 72", d)
 		}
@@ -323,16 +323,16 @@ func TestWalkerStarPlaneGeometry(t *testing.T) {
 	for p := 0; p < 8; p++ {
 		sat := c.Sats[p*5]
 		wantRAAN := 180.0 * float64(p) / 8
-		if units.AngularDistDeg(sat.TLE.RAANDeg, wantRAAN) > 1e-6 {
+		if angularDistDeg(sat.TLE.RAANDeg, wantRAAN) > 1e-6 {
 			t.Errorf("plane %d RAAN %v, want %v", p, sat.TLE.RAANDeg, wantRAAN)
 		}
 		wantMA := 360.0 * 3 * float64(p) / 40 // F*360/(P*S) per plane
-		if units.AngularDistDeg(sat.TLE.MeanAnomalyDeg, wantMA) > 1e-6 {
+		if angularDistDeg(sat.TLE.MeanAnomalyDeg, wantMA) > 1e-6 {
 			t.Errorf("plane %d first-slot MA %v, want %v", p, sat.TLE.MeanAnomalyDeg, wantMA)
 		}
 	}
 	for s := 1; s < 5; s++ {
-		d := units.AngularDistDeg(c.Sats[s].TLE.MeanAnomalyDeg, c.Sats[s-1].TLE.MeanAnomalyDeg)
+		d := angularDistDeg(c.Sats[s].TLE.MeanAnomalyDeg, c.Sats[s-1].TLE.MeanAnomalyDeg)
 		if math.Abs(d-72) > 1e-6 {
 			t.Errorf("slot spacing %v, want 72", d)
 		}
@@ -419,4 +419,10 @@ func TestNamePrefix(t *testing.T) {
 	if got := d.Sats[0].Name; got != "STARLINK-1000" {
 		t.Errorf("default first satellite named %q, want STARLINK-1000", got)
 	}
+}
+
+// angularDistDeg returns the smallest absolute separation between two
+// angles in degrees, in [0, 180].
+func angularDistDeg(a, b float64) float64 {
+	return math.Abs(units.WrapDeg180(a - b))
 }

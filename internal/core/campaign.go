@@ -213,9 +213,11 @@ type slotScratch struct {
 	framesStep time.Duration
 	frames     []astro.Frame
 
-	sky    []obstruction.PolarPoint // one satellite's samples
-	points []dtw.Point              // backing store the candidate tracks are carved from
-	cands  []dtw.Candidate
+	sky     []obstruction.PolarPoint // one satellite's samples
+	points  []dtw.Point              // backing store the candidate tracks are carved from
+	cands   []dtw.Candidate
+	pre     []float64 // the field of view's pre-bounds
+	sampler candidateSampler
 }
 
 // framesFor returns the rotation frame of each sample instant

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/astro"
@@ -9,6 +10,8 @@ import (
 	"repro/internal/dtw"
 	"repro/internal/geo"
 	"repro/internal/obstruction"
+	"repro/internal/sgp4"
+	"repro/internal/units"
 )
 
 // Identifier implements the paper's §4 technique: isolate the newest
@@ -44,8 +47,11 @@ func NewIdentifier(cons *constellation.Constellation) (*Identifier, error) {
 // CandidateTracksFromSnapshot samples the projected sky-track of
 // every satellite in the terminal's field of view over the slot, given
 // the constellation snapshot for slotStart: the linear field-of-view
-// scan of snap, then the same kernel the campaign engine runs over its
-// indexed field of view. The second return is the number of in-view
+// scan of snap, then the candidate sampler the campaign engine runs
+// over its indexed field of view. Unlike the engine's identification,
+// which samples only the candidates its pre-bounds cannot rule out, it
+// samples every one; perfbench's traced replay times the candidate
+// stage through it. The second return is the number of in-view
 // candidates dropped because propagation failed mid-slot; a dropped
 // candidate is distinguishable from one that was simply below the mask
 // all slot, because the (possibly true) serving satellite may be among
@@ -55,52 +61,156 @@ func (id *Identifier) CandidateTracksFromSnapshot(snap []constellation.SatState,
 	return id.candidateTracks(&sc, vp, slotStart)
 }
 
-// candidateTracks is the candidate-track kernel: it samples every
-// satellite of the slot's field of view, sc.fov (above the mask at
-// slotStart, in ObserveFrom order), across the slot and projects the
-// above-mask samples onto the plot plane. Everything that does not
-// vary per satellite is hoisted: the rotation frame of each sample
-// instant (shared by every terminal sc sees in the slot), the
-// observer's local frame, and the dt = 0 sample, which is the field of
-// view's own look angle. The tracks are carved from sc.points and stay
-// valid until the next call on sc; in steady state the kernel does not
+// candidateTracks samples every satellite of the slot's field of view,
+// sc.fov, in order. The tracks are carved from sc.points and stay
+// valid until the next call on sc; in steady state it does not
 // allocate.
 func (id *Identifier) candidateTracks(sc *slotScratch, vp geo.VantagePoint, slotStart time.Time) ([]dtw.Candidate, int) {
-	step := id.sampleStep()
-	frames := sc.framesFor(slotStart, step)
-	o := astro.NewObserver(vp.Location)
-	// Reserving every sample up front means the carved tracks never
-	// see their backing array regrow.
-	if need := len(sc.fov) * len(frames); cap(sc.points) < need {
-		sc.points = make([]dtw.Point, 0, need)
-	}
+	smp := id.newSampler(sc, vp, slotStart)
 	if cap(sc.cands) < len(sc.fov) {
 		sc.cands = make([]dtw.Candidate, 0, len(sc.fov))
 	}
-	pts, cands := sc.points[:0], sc.cands[:0]
-	dropped := 0
+	cands := sc.cands[:0]
 	for i := range sc.fov {
-		v := &sc.fov[i]
-		sky, err := sampleSky(sc.sky[:0], v.Sat, &o, frames, slotStart, step, &v.Look)
-		sc.sky = sky
-		if err != nil {
-			dropped++
+		if c, ok := smp.Candidate(i); ok {
+			cands = append(cands, c)
+		}
+	}
+	sc.cands = cands
+	return cands, smp.dropped
+}
+
+// speedBounder is the optional interface of an sgp4.Ephemeris that
+// bounds how fast its satellite moves: SpeedBoundKmS returns an upper
+// bound, in km/s, on the speed of its Earth-fixed position over the
+// minutes around t, or +Inf. Both built-in propagators implement it;
+// a candidate whose ephemeris does not gets no finite pre-bound
+// radius.
+type speedBounder interface {
+	SpeedBoundKmS(t time.Time) float64
+}
+
+var (
+	_ speedBounder = (*sgp4.Propagator)(nil)
+	_ speedBounder = (*sgp4.KeplerJ2)(nil)
+)
+
+// candidateSampler is the candidate-track kernel of one (slot,
+// terminal) cell: it samples a satellite of the field of view, sc.fov
+// (above the mask at slotStart, in ObserveFrom order), across the slot
+// and projects the above-mask samples onto the plot plane. Everything
+// that does not vary per satellite is hoisted: the rotation frame of
+// each sample instant (shared by every terminal sc sees in the slot),
+// the observer's local frame, and the dt = 0 sample, which is the
+// field of view's own look angle. It is the dtw.TrackSource of the
+// pruned identification, which samples candidates on demand, and
+// candidateTracks drives it over every candidate.
+type candidateSampler struct {
+	id        *Identifier
+	sc        *slotScratch
+	o         astro.Observer
+	frames    []astro.Frame
+	slotStart time.Time
+	step      time.Duration
+	// dropped counts sampled candidates lost to propagation errors;
+	// kept counts those with a track.
+	dropped, kept int
+}
+
+// newSampler readies sc's sampler for the slot. Reserving every
+// sample up front means the carved tracks never see their backing
+// array regrow.
+func (id *Identifier) newSampler(sc *slotScratch, vp geo.VantagePoint, slotStart time.Time) *candidateSampler {
+	step := id.sampleStep()
+	frames := sc.framesFor(slotStart, step)
+	if need := len(sc.fov) * len(frames); cap(sc.points) < need {
+		sc.points = make([]dtw.Point, 0, need)
+	}
+	sc.points = sc.points[:0]
+	sc.sampler = candidateSampler{id: id, sc: sc, o: astro.NewObserver(vp.Location), frames: frames, slotStart: slotStart, step: step}
+	return &sc.sampler
+}
+
+// Candidate samples field-of-view entry i (dtw.TrackSource). ok is
+// false when propagation fails mid-slot (counted in dropped) or when
+// no sample is above the mask.
+func (s *candidateSampler) Candidate(i int) (dtw.Candidate, bool) {
+	v := &s.sc.fov[i]
+	sky, err := sampleSky(s.sc.sky[:0], v.Sat, &s.o, s.frames, s.slotStart, s.step, &v.Look)
+	s.sc.sky = sky
+	if err != nil {
+		s.dropped++
+		return dtw.Candidate{}, false
+	}
+	pts := s.sc.points
+	first := len(pts)
+	for _, p := range sky {
+		if p.ElevationDeg < s.id.MinElevationDeg {
 			continue
 		}
-		first := len(pts)
-		for _, p := range sky {
-			if p.ElevationDeg < id.MinElevationDeg {
-				continue
-			}
-			pts = append(pts, dtw.FromPolar(p))
-		}
-		if len(pts) == first {
-			continue // below the mask for the whole slot
-		}
-		cands = append(cands, dtw.Candidate{ID: v.Sat.ID, Track: pts[first:len(pts):len(pts)]})
+		pts = append(pts, dtw.FromPolar(p))
 	}
-	sc.points, sc.cands = pts, cands
-	return cands, dropped
+	s.sc.points = pts
+	if len(pts) == first {
+		return dtw.Candidate{}, false // below the mask for the whole slot
+	}
+	s.kept++
+	return dtw.Candidate{ID: v.Sat.ID, Track: pts[first:len(pts):len(pts)]}, true
+}
+
+// preBounds fills sc.pre with each field-of-view candidate's
+// dtw.DiscBound against observed: its dt = 0 plot point is known
+// without propagation, and discRadius bounds how far the rest of its
+// track can stray from it.
+func (s *candidateSampler) preBounds(observed []dtw.Point) []float64 {
+	pre := s.sc.pre[:0]
+	for i := range s.sc.fov {
+		v := &s.sc.fov[i]
+		c0 := dtw.FromPolar(obstruction.PolarPoint{ElevationDeg: v.Look.ElevationDeg, AzimuthDeg: v.Look.AzimuthDeg})
+		radius, full := s.discRadius(v)
+		pre = append(pre, dtw.DiscBound(observed, c0, radius, len(s.frames), full))
+	}
+	s.sc.pre = pre
+	return pre
+}
+
+// discRadius bounds, in plot-plane degrees, the distance from v's
+// dt = 0 plot point to any of its above-mask samples in the slot, and
+// reports whether every sample is sure to clear the mask.
+//
+// The satellite moves at most reach = speed·span km in the Earth-fixed
+// frame, so its range stays above range0 − reach, and its direction
+// from the observer turns at most θ = reach / (range0 − reach) radians
+// (the integral of speed/range, ln(range0/(range0 − reach)), is
+// smaller). Elevation therefore stays within θ of its start. On the
+// polar plot, whose radius is the zenith distance z, a sky arc of
+// angle θ maps to a path no longer than θ·z/sin z at the arc's largest
+// z, which is at most z0 + θ and, for above-mask endpoints, at most
+// the mask's zenith distance. An ephemeris without a speed bound gets
+// radius +Inf.
+func (s *candidateSampler) discRadius(v *constellation.Visible) (radius float64, full bool) {
+	sb, ok := v.Sat.Propagator.(speedBounder)
+	if !ok {
+		return math.Inf(1), false
+	}
+	span := float64(len(s.frames)-1) * s.step.Seconds()
+	reach := sb.SpeedBoundKmS(s.slotStart) * span
+	if !(reach < v.Look.RangeKm) {
+		return math.Inf(1), false
+	}
+	theta := reach / (v.Look.RangeKm - reach)
+	z := units.Deg2Rad(90-v.Look.ElevationDeg) + theta
+	if zMask := units.Deg2Rad(90 - s.id.MinElevationDeg); zMask <= math.Pi/2 && zMask < z {
+		z = zMask
+	}
+	if !(z < math.Pi) {
+		return math.Inf(1), false
+	}
+	stretch := 1.0
+	if z > 0 {
+		stretch = z / math.Sin(z)
+	}
+	return units.Rad2Deg(theta * stretch), v.Look.ElevationDeg-units.Rad2Deg(theta) > s.id.MinElevationDeg
 }
 
 // sampleStep resolves SampleStep: values <= 0 select the 1 s default.
@@ -182,9 +292,12 @@ type Identification struct {
 	Margin    float64 // runner-up distance minus winner distance
 	// TrackLen is the number of sky points recovered from the XOR diff.
 	TrackLen int
-	// Dropped is the number of in-view candidates lost to propagation
+	// Dropped is the number of sampled candidates lost to propagation
 	// errors mid-slot. Non-zero means the candidate set was incomplete
-	// and the identification should be treated with suspicion.
+	// and the identification should be treated with suspicion. The
+	// pruned matcher samples only the candidates its pre-bounds cannot
+	// rule out, so a failing satellite it never sampled is not counted;
+	// the naive and brute-force paths sample, and count, every one.
 	Dropped int
 }
 
@@ -213,38 +326,49 @@ func (id *Identifier) identify(sc *slotScratch, prev, cur *obstruction.Map, vp g
 			slotStart, vp.Name, len(track))
 	}
 	observed := dtw.FromPolarTrack(track)
-	cands, dropped := id.candidateTracks(sc, vp, slotStart)
-	if len(cands) == 0 {
-		return Identification{}, fmt.Errorf("core: slot %v at %s: no candidate satellites in view (%d dropped by propagation errors)", slotStart, vp.Name, dropped)
-	}
-	out := Identification{Terminal: vp.Name, SlotStart: slotStart, TrackLen: len(track), Dropped: dropped}
-	if id.UseNaiveMatcher {
-		m, err := dtw.NaiveNearestEndpoint(observed, cands)
-		if err != nil {
-			return Identification{}, fmt.Errorf("core: naive match at %s: %w", vp.Name, err)
-		}
-		out.SatID = m.ID
-		out.Distance = m.Distance
-		return out, nil
-	}
+	out := Identification{Terminal: vp.Name, SlotStart: slotStart, TrackLen: len(track)}
 	var best dtw.Match
-	var margin float64
 	var err error
-	if id.DisablePruning {
-		best, margin, err = dtw.Identify(observed, cands)
+	if id.UseNaiveMatcher || id.DisablePruning {
+		var cands []dtw.Candidate
+		cands, out.Dropped = id.candidateTracks(sc, vp, slotStart)
+		if len(cands) == 0 {
+			return Identification{}, noCandidates(vp, slotStart, out.Dropped)
+		}
+		if id.UseNaiveMatcher {
+			if best, err = dtw.NaiveNearestEndpoint(observed, cands); err != nil {
+				return Identification{}, fmt.Errorf("core: naive match at %s: %w", vp.Name, err)
+			}
+			out.SatID = best.ID
+			out.Distance = best.Distance
+			return out, nil
+		}
+		best, out.Margin, err = dtw.Identify(observed, cands)
 	} else {
 		if matcher == nil {
 			matcher = &dtw.Matcher{}
 		}
-		best, margin, err = matcher.Identify(observed, cands)
+		smp := id.newSampler(sc, vp, slotStart)
+		best, out.Margin, err = matcher.Scan(observed, len(sc.fov), smp.preBounds(observed), smp)
+		out.Dropped = smp.dropped
+		if smp.kept == 0 {
+			// Nothing is pruned before two candidates have distances,
+			// so every candidate was sampled and dropped counts them all.
+			return Identification{}, noCandidates(vp, slotStart, out.Dropped)
+		}
 	}
 	if err != nil {
 		return Identification{}, fmt.Errorf("core: dtw match at %s: %w", vp.Name, err)
 	}
 	out.SatID = best.ID
 	out.Distance = best.Distance
-	out.Margin = margin
 	return out, nil
+}
+
+// noCandidates is the identification error for a slot whose candidate
+// set came out empty.
+func noCandidates(vp geo.VantagePoint, slotStart time.Time, dropped int) error {
+	return fmt.Errorf("core: slot %v at %s: no candidate satellites in view (%d dropped by propagation errors)", slotStart, vp.Name, dropped)
 }
 
 // ServingTrack samples the serving satellite's sky-track for a slot

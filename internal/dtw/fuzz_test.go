@@ -96,3 +96,43 @@ func FuzzMatcherExactness(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPresampleBound checks DiscBound's contract on arbitrary plot-
+// range inputs: for an observed track, a disc (c0, radius) and a
+// candidate track that starts at c0 and keeps every point inside the
+// disc, the bound never exceeds the exact ReverseInsensitiveDistance,
+// whether the track has the full maxLen points or fewer.
+func FuzzPresampleBound(f *testing.F) {
+	f.Add(make([]byte, 200), 5.0, uint8(0))
+	f.Add([]byte{0x40, 0x59, 0, 0, 0, 0, 0, 0, 0x40, 0x24, 0, 0, 0, 0, 0, 0, 0xc0, 0x3e, 0, 0, 0, 0, 0, 0, 0x40, 0x10, 0, 0, 0, 0, 0, 0}, 0.0, uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, radius float64, missing uint8) {
+		if math.IsNaN(radius) || math.IsInf(radius, 0) {
+			return
+		}
+		radius = math.Mod(math.Abs(radius), 200)
+		obs, rest := fuzzPoints(data, 10)
+		pts, rest := fuzzPoints(rest, 16)
+		if len(obs) == 0 || len(rest) < 16 {
+			return
+		}
+		plot := func(p Point) Point { return Point{math.Mod(p.X, 100), math.Mod(p.Y, 100)} }
+		for i := range obs {
+			obs[i] = plot(obs[i])
+		}
+		c0 := plot(Point{math.Float64frombits(binary.LittleEndian.Uint64(rest)), math.Float64frombits(binary.LittleEndian.Uint64(rest[8:]))})
+		if math.IsNaN(c0.X) || math.IsNaN(c0.Y) {
+			return
+		}
+		track := []Point{c0}
+		for _, p := range pts {
+			if p = plot(p); dist(p, c0) <= radius {
+				track = append(track, p)
+			}
+		}
+		maxLen := len(track) + int(missing%4)
+		lb := DiscBound(obs, c0, radius, maxLen, maxLen == len(track))
+		if d := ReverseInsensitiveDistance(obs, track); lb > d {
+			t.Fatalf("DiscBound %v > exact distance %v (radius %v, %d of %d points)", lb, d, radius, len(track), maxLen)
+		}
+	})
+}

@@ -9,8 +9,12 @@ import (
 // lifetime. The counters are diagnostic only; they never influence
 // results.
 type MatcherStats struct {
-	// Candidates is the number of candidate tracks scored.
+	// Candidates is the number of candidates that entered a scan,
+	// built or not.
 	Candidates int
+	// PresamplePruned counts candidates dropped on their pre-bound
+	// alone, so their tracks were never built (see Scan).
+	PresamplePruned int
 	// EmptyTracks counts candidates with no points (distance +Inf by
 	// definition, no DTW needed).
 	EmptyTracks int
@@ -57,7 +61,10 @@ type MatcherStats struct {
 //     lower-bound order, so the winner and runner-up are found early,
 //     the bar tightens immediately, and — the bounds being sorted —
 //     the first candidate whose bound exceeds the bar proves every
-//     remaining candidate can be dropped in one step.
+//     remaining candidate can be dropped in one step. Scan runs the
+//     same scan one stage earlier as well: a candidate whose track is
+//     built on demand carries a pre-bound, and is built only once its
+//     pre-bound comes up below the bar.
 //  4. Early-abandoning DTW: every warping path crosses every row of
 //     the cost matrix, so once a completed row's minimum (normalized
 //     by n+m) exceeds the bar, the final distance cannot come back
@@ -91,18 +98,30 @@ type Matcher struct {
 	prev, cur []float64
 	// rev is the scratch buffer for reversed candidate tracks.
 	rev []Point
-	// order is the scratch slice of per-candidate bounds.
-	order []candBound
+	// pending and order are the scan's scratch lists of unbuilt and
+	// built candidates.
+	pending []preBound
+	order   []candBound
+	// slice is Identify's candidate slice, served as a TrackSource.
+	slice sliceSource
+}
+
+// preBound is an unbuilt candidate's position and pre-bound.
+type preBound struct {
+	idx int
+	lb  float64
 }
 
 // candBound carries one candidate's precomputed lower bounds through
 // the bound-ordered scan. All values are normalized by (n+m) and
 // pre-scaled by lbSafety so they compare directly against the bar.
 type candBound struct {
-	idx        int     // position in the caller's candidate slice
+	idx        int     // position in the caller's candidate list
 	lb         float64 // overall bound: max(envelope, min(kimF, kimR))
 	kimF, kimR float64 // per-direction endpoint bounds
 	kimOnly    bool    // the endpoint bound alone equals lb
+	id         int     // the built candidate's ID and track
+	track      []Point
 }
 
 // lbSafety shaves a relative hair off every lower bound before it is
@@ -114,56 +133,99 @@ type candBound struct {
 // magnitude larger).
 const lbSafety = 1 - 1e-12
 
+// TrackSource hands Matcher.Scan its candidates one at a time, so a
+// caller can defer building a track until the scan needs it.
+// Candidate(i) returns candidate i of the scan's k; ok false means
+// the candidate does not exist after all (its track could not be
+// built) and is left out exactly as if it had never been listed. A
+// returned track must stay valid until Scan returns.
+type TrackSource interface {
+	Candidate(i int) (c Candidate, ok bool)
+}
+
+// sliceSource serves an already-built candidate slice.
+type sliceSource []Candidate
+
+func (s *sliceSource) Candidate(i int) (Candidate, bool) { return (*s)[i], true }
+
 // Identify scores every candidate against the observed track and
 // returns the best match plus the margin to the runner-up, exactly as
 // the package-level Identify does (same winner, same distance bits,
 // same margin bits, same errors) but with the pruning cascade applied.
+// It is Scan with every pre-bound 0.
 func (mt *Matcher) Identify(observed []Point, cands []Candidate) (Match, float64, error) {
+	mt.slice = cands
+	defer func() { mt.slice = nil }()
+	return mt.Scan(observed, len(cands), nil, &mt.slice)
+}
+
+// Scan identifies the observed track among k candidates that src
+// builds on demand. pre, when non-nil, holds a lower bound on each
+// candidate's ReverseInsensitiveDistance that is known before its
+// track is (see DiscBound); nil means no such bound, and a pre-bound
+// that is not positive, NaN included, counts as 0. Candidates are
+// fetched from src in ascending pre-bound order, and fetching stops as
+// soon as the next pre-bound strictly exceeds the exact runner-up
+// distance, so a candidate whose pre-bound clears the bar is never
+// built. The result is the brute-force Identify over the candidates
+// src returns ok for, in index order — winner, distance bits, margin
+// bits and errors — because a candidate is dropped only when a proven
+// bound puts it behind the runner-up, and such a candidate moves
+// neither the winner nor the runner-up. (Margin 0 for a single
+// candidate stays exact too: dropping needs a finite runner-up, which
+// takes two built candidates.)
+func (mt *Matcher) Scan(observed []Point, k int, pre []float64, src TrackSource) (Match, float64, error) {
 	if len(observed) == 0 {
 		return Match{}, 0, fmt.Errorf("dtw: empty observed track")
 	}
-	if len(cands) == 0 {
+	if k == 0 {
 		return Match{}, 0, fmt.Errorf("dtw: no candidates")
 	}
 	n := len(observed)
 	qlo, qhi := boundingBox(observed) // query envelope, shared by all candidates and both directions
 
-	// Pass 1: O(points) lower bounds for every candidate, kept sorted
-	// ascending (insertion sort: the slice is small, the scratch is
-	// reused, and stability keeps the scan deterministic).
-	mt.order = mt.order[:0]
-	for i, c := range cands {
+	// pending lists the unbuilt candidates in ascending pre-bound order
+	// (insertion sort: the slice is small, the scratch is reused, and
+	// stability keeps the scan deterministic).
+	mt.pending = mt.pending[:0]
+	for i := 0; i < k; i++ {
 		mt.Stats.Candidates++
-		m := len(c.Track)
-		if m == 0 {
-			mt.Stats.EmptyTracks++
-			continue // distance +Inf: never displaces best or runner-up
+		pb := preBound{idx: i}
+		if pre != nil && pre[i] > 0 {
+			pb.lb = pre[i]
 		}
-		nm := float64(n + m)
-		kimF := lbKim(observed, c.Track, false) * lbSafety / nm
-		kimR := lbKim(observed, c.Track, true) * lbSafety / nm
-		kim := math.Min(kimF, kimR)
-		clo, chi := boundingBox(c.Track)
-		env := math.Max(envelopeSum(c.Track, qlo, qhi), envelopeSum(observed, clo, chi)) * lbSafety / nm
-		cb := candBound{idx: i, lb: math.Max(env, kim), kimF: kimF, kimR: kimR, kimOnly: kim >= env}
-		j := len(mt.order)
-		mt.order = append(mt.order, cb)
-		for j > 0 && mt.order[j-1].lb > cb.lb {
-			mt.order[j] = mt.order[j-1]
+		j := len(mt.pending)
+		mt.pending = append(mt.pending, pb)
+		for j > 0 && mt.pending[j-1].lb > pb.lb {
+			mt.pending[j] = mt.pending[j-1]
 			j--
 		}
-		mt.order[j] = cb
+		mt.pending[j] = pb
 	}
 
-	// Pass 2: bound-ordered scan with exact top-2 tracking.
+	// order lists the built candidates in ascending order of their
+	// post-build bound; order[next:] are those not yet scored. The
+	// scan always takes the smaller of the two heads (an unbuilt
+	// candidate on a tie), so with every pre-bound 0 every candidate is
+	// built before any is scored.
+	mt.order = mt.order[:0]
+	next, built := 0, 0
 	best := Match{Distance: math.Inf(1)}
 	bestIdx := -1
 	second := math.Inf(1) // exact runner-up distance: the pruning bar
-	for oi, cb := range mt.order {
-		if cb.lb > second {
-			// Bounds are sorted and the bar only tightens: every
+	for p := 0; p < len(mt.pending) || next < len(mt.order); {
+		pendLB, readyLB := math.Inf(1), math.Inf(1)
+		if p < len(mt.pending) {
+			pendLB = mt.pending[p].lb
+		}
+		if next < len(mt.order) {
+			readyLB = mt.order[next].lb
+		}
+		if math.Min(pendLB, readyLB) > second {
+			// Both lists are sorted and the bar only tightens: every
 			// remaining candidate is proven worse than the runner-up.
-			for _, rest := range mt.order[oi:] {
+			mt.Stats.PresamplePruned += len(mt.pending) - p
+			for _, rest := range mt.order[next:] {
 				if rest.kimOnly {
 					mt.Stats.KimPruned++
 				} else {
@@ -172,13 +234,37 @@ func (mt *Matcher) Identify(observed []Point, cands []Candidate) (Match, float64
 			}
 			break
 		}
-		c := cands[cb.idx]
-		m := len(c.Track)
-		nm := float64(n + m)
+		if p < len(mt.pending) && pendLB <= readyLB {
+			cb := candBound{idx: mt.pending[p].idx}
+			p++
+			c, ok := src.Candidate(cb.idx)
+			if !ok {
+				continue
+			}
+			built++
+			m := len(c.Track)
+			if m == 0 {
+				mt.Stats.EmptyTracks++
+				continue // distance +Inf: never displaces best or runner-up
+			}
+			nm := float64(n + m)
+			cb.id, cb.track = c.ID, c.Track
+			cb.kimF = lbKim(observed, c.Track, false) * lbSafety / nm
+			cb.kimR = lbKim(observed, c.Track, true) * lbSafety / nm
+			kim := math.Min(cb.kimF, cb.kimR)
+			clo, chi := boundingBox(c.Track)
+			env := math.Max(envelopeSum(c.Track, qlo, qhi), envelopeSum(observed, clo, chi)) * lbSafety / nm
+			cb.lb, cb.kimOnly = math.Max(env, kim), kim >= env
+			mt.order = insertBound(mt.order, next, cb)
+			continue
+		}
 
+		cb := mt.order[next]
+		next++
+		nm := float64(n + len(cb.track))
 		d := math.Inf(1)
 		if cb.kimF <= second {
-			if raw, ok := mt.abandoningDistance(observed, c.Track, second); ok {
+			if raw, ok := mt.abandoningDistance(observed, cb.track, second); ok {
 				d = raw / nm
 			}
 		} else {
@@ -188,7 +274,7 @@ func (mt *Matcher) Identify(observed []Point, cands []Candidate) (Match, float64
 		// reversed pass's bar tightens to the forward result.
 		bar := math.Min(second, d)
 		if cb.kimR <= bar {
-			if raw, ok := mt.abandoningDistance(observed, mt.reversed(c.Track), bar); ok {
+			if raw, ok := mt.abandoningDistance(observed, mt.reversed(cb.track), bar); ok {
 				if rd := raw / nm; rd < d {
 					d = rd
 				}
@@ -202,17 +288,20 @@ func (mt *Matcher) Identify(observed []Point, cands []Candidate) (Match, float64
 		// the winner.
 		if d < best.Distance || (d == best.Distance && cb.idx < bestIdx) {
 			second = best.Distance
-			best = Match{ID: c.ID, Distance: d}
+			best = Match{ID: cb.id, Distance: d}
 			bestIdx = cb.idx
 		} else if d < second {
 			second = d
 		}
 	}
+	if built == 0 {
+		return Match{}, 0, fmt.Errorf("dtw: no candidates")
+	}
 	if math.IsInf(best.Distance, 1) {
 		return Match{}, 0, fmt.Errorf("dtw: all candidate tracks empty")
 	}
 	margin := 0.0
-	if len(cands) > 1 {
+	if built > 1 {
 		if math.IsInf(second, 1) {
 			margin = math.Inf(1)
 		} else {
@@ -220,6 +309,19 @@ func (mt *Matcher) Identify(observed []Point, cands []Candidate) (Match, float64
 		}
 	}
 	return best, margin, nil
+}
+
+// insertBound inserts cb into the ascending run list[from:], after any
+// equal bounds, and returns the grown list.
+func insertBound(list []candBound, from int, cb candBound) []candBound {
+	j := len(list)
+	list = append(list, cb)
+	for j > from && list[j-1].lb > cb.lb {
+		list[j] = list[j-1]
+		j--
+	}
+	list[j] = cb
+	return list
 }
 
 // reversed copies track back to front into the matcher's scratch
@@ -280,20 +382,25 @@ func boundingBox(pts []Point) (lo, hi Point) {
 func envelopeSum(pts []Point, lo, hi Point) float64 {
 	s := 0.0
 	for _, p := range pts {
-		var dx, dy float64
-		if p.X < lo.X {
-			dx = lo.X - p.X
-		} else if p.X > hi.X {
-			dx = p.X - hi.X
-		}
-		if p.Y < lo.Y {
-			dy = lo.Y - p.Y
-		} else if p.Y > hi.Y {
-			dy = p.Y - hi.Y
-		}
-		s += math.Sqrt(dx*dx + dy*dy)
+		s += boxDist(p, lo, hi)
 	}
 	return s
+}
+
+// boxDist is the distance from p to the box [lo, hi] (0 inside it).
+func boxDist(p, lo, hi Point) float64 {
+	var dx, dy float64
+	if p.X < lo.X {
+		dx = lo.X - p.X
+	} else if p.X > hi.X {
+		dx = p.X - hi.X
+	}
+	if p.Y < lo.Y {
+		dy = lo.Y - p.Y
+	} else if p.Y > hi.Y {
+		dy = p.Y - hi.Y
+	}
+	return math.Sqrt(dx*dx + dy*dy)
 }
 
 // abandoningDistance runs the DTW recurrence of Distance over a and b,
@@ -368,4 +475,45 @@ func (mt *Matcher) abandoningDistance(a, b []Point, bar float64) (raw float64, o
 	}
 	mt.prev, mt.cur = prev, cur
 	return prev[m], true
+}
+
+// DiscBound lower-bounds ReverseInsensitiveDistance(observed, b) for
+// every track b that starts at c0, has at most maxLen points (exactly
+// maxLen when full is set), and keeps every point within radius of
+// c0: the pre-bound of a candidate whose first point is known but
+// whose track is not built yet. It is scaled like the matcher's other
+// bounds, so it compares directly against the bar.
+//
+// Proof sketch. A forward warping path matches observed[0] with c0 and
+// crosses every later row i on a cell of its own, whose cost is at
+// least |observed[i]−c0| − radius by the triangle inequality. The
+// reversed alignment ends on c0 instead, so its exact term moves to
+// the last observed point. When the track is full, each of its maxLen
+// points also sits on a cell of its own, at least dist(c0, bbox) −
+// radius from the observed track's bounding box (the envelope bound
+// with the candidate's box replaced by the disc). Dividing by
+// n+maxLen, the largest path-length normalizer b can have, keeps the
+// bound below the normalized distance. radius +Inf leaves only the
+// exact endpoint terms.
+func DiscBound(observed []Point, c0 Point, radius float64, maxLen int, full bool) float64 {
+	n := len(observed)
+	// The slack covers the float rounding of the triangle inequality
+	// when an observed point sits on the disc's rim.
+	r := radius * (1 + 1e-9)
+	fwd, rev := dist(observed[0], c0), dist(observed[n-1], c0)
+	for i, p := range observed {
+		t := math.Max(0, dist(p, c0)-r)
+		if i > 0 {
+			fwd += t
+		}
+		if i < n-1 {
+			rev += t
+		}
+	}
+	lb := math.Min(fwd, rev)
+	if full {
+		lo, hi := boundingBox(observed)
+		lb = math.Max(lb, float64(maxLen)*math.Max(0, boxDist(c0, lo, hi)-r))
+	}
+	return lb * lbSafety / float64(n+maxLen)
 }

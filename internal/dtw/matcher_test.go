@@ -283,3 +283,110 @@ func BenchmarkMatcherIdentify(b *testing.B) {
 		}
 	}
 }
+
+// lazySource serves a candidate slice through Scan, counting builds
+// and dropping the candidates marked in drop, the way a propagation
+// failure drops a satellite.
+type lazySource struct {
+	cands []Candidate
+	drop  []bool
+	built []bool
+}
+
+func (s *lazySource) Candidate(i int) (Candidate, bool) {
+	s.built[i] = true
+	return s.cands[i], !s.drop[i]
+}
+
+// discPreBounds gives every candidate the DiscBound of the smallest
+// disc around its first point that holds its track, normalized for a
+// longest track of maxLen points; an empty track gets 0.
+func discPreBounds(obs []Point, cands []Candidate, maxLen int) []float64 {
+	pre := make([]float64, len(cands))
+	for i, c := range cands {
+		if len(c.Track) == 0 {
+			continue
+		}
+		r := 0.0
+		for _, p := range c.Track {
+			r = math.Max(r, dist(p, c.Track[0]))
+		}
+		pre[i] = DiscBound(obs, c.Track[0], r, maxLen, len(c.Track) == maxLen)
+	}
+	return pre
+}
+
+// TestScanMatchesIdentify: Scan over disc pre-bounds and a lazy source
+// that drops some candidates returns bit for bit the brute-force
+// Identify over the candidates it keeps, leaves unbuilt only
+// candidates whose pre-bound clears the runner-up, and accounts for
+// every candidate as built or pre-pruned.
+func TestScanMatchesIdentify(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	mt := &Matcher{}
+	for i := 0; i < 3000; i++ {
+		obs, cands := randCase(rng)
+		maxLen := 0
+		for _, c := range cands {
+			maxLen = max(maxLen, len(c.Track))
+		}
+		src := &lazySource{cands: cands, drop: make([]bool, len(cands)), built: make([]bool, len(cands))}
+		var kept []Candidate
+		for j := range cands {
+			src.drop[j] = rng.Float64() < 0.1
+			if !src.drop[j] {
+				kept = append(kept, cands[j])
+			}
+		}
+		pre := discPreBounds(obs, cands, maxLen)
+		before := mt.Stats
+		gotBest, gotMargin, gotErr := mt.Scan(obs, len(cands), pre, src)
+		wantBest, wantMargin, wantErr := Identify(obs, kept)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("case %d: scan err %v, brute err %v", i, gotErr, wantErr)
+		}
+		built := 0
+		for _, b := range src.built {
+			if b {
+				built++
+			}
+		}
+		if got := mt.Stats.PresamplePruned - before.PresamplePruned; built+got != len(cands) {
+			t.Fatalf("case %d: %d built + %d pre-pruned != %d candidates", i, built, got, len(cands))
+		}
+		if gotErr != nil {
+			continue
+		}
+		if gotBest.ID != wantBest.ID || !sameBits(gotBest.Distance, wantBest.Distance) || !sameBits(gotMargin, wantMargin) {
+			t.Fatalf("case %d: scan (%v, %v) != brute (%v, %v)", i, gotBest, gotMargin, wantBest, wantMargin)
+		}
+		// The scan stops only once every unbuilt pre-bound clears the
+		// runner-up distance, best + margin up to its rounding.
+		bar := wantBest.Distance + wantMargin
+		for j, b := range src.built {
+			if !b && pre[j] < bar*(1-1e-12) {
+				t.Fatalf("case %d: candidate %d unbuilt with pre-bound %v under the runner-up %v", i, j, pre[j], bar)
+			}
+		}
+	}
+	if mt.Stats.PresamplePruned == 0 {
+		t.Error("no candidate was pruned before it was built: the test is not exercising the pre-bounds")
+	}
+}
+
+// TestDiscBoundUnboundedRadius: with radius +Inf only the exact
+// endpoint terms remain, normalized by n + maxLen.
+func TestDiscBoundUnboundedRadius(t *testing.T) {
+	obs := []Point{{0, 0}, {3, 4}, {6, 8}}
+	c0 := Point{0, 10}
+	got := DiscBound(obs, c0, math.Inf(1), 5, false)
+	want := math.Min(dist(obs[0], c0), dist(obs[2], c0)) * lbSafety / 8
+	if !sameBits(got, want) {
+		t.Errorf("DiscBound(+Inf) = %v, want %v", got, want)
+	}
+	if full := DiscBound(obs, c0, math.Inf(1), 5, true); !sameBits(full, want) {
+		t.Errorf("full DiscBound(+Inf) = %v, want %v", full, want)
+	}
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }

@@ -11,6 +11,7 @@ import "repro/internal/telemetry"
 type Metrics struct {
 	Candidates      *telemetry.Counter
 	EmptyTracks     *telemetry.Counter
+	PresamplePruned *telemetry.Counter
 	KimPruned       *telemetry.Counter
 	EnvelopePruned  *telemetry.Counter
 	PassesRun       *telemetry.Counter
@@ -26,8 +27,9 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		return nil
 	}
 	return &Metrics{
-		Candidates:      reg.Counter("dtw_candidates_total", "candidate tracks scored by the matcher"),
+		Candidates:      reg.Counter("dtw_candidates_total", "candidates entering the matcher's scan, built or not"),
 		EmptyTracks:     reg.Counter("dtw_empty_tracks_total", "candidates with no points (distance +Inf, no DTW)"),
+		PresamplePruned: reg.Counter("dtw_presample_pruned_total", "candidates dropped on their pre-bound before their track was built"),
 		KimPruned:       reg.Counter("dtw_kim_pruned_total", "candidates dropped by the O(1) endpoint bound alone"),
 		EnvelopePruned:  reg.Counter("dtw_envelope_pruned_total", "candidates whose drop needed the envelope bound"),
 		PassesRun:       reg.Counter("dtw_passes_run_total", "DTW passes started (up to two per candidate)"),
@@ -45,6 +47,7 @@ func (m *Metrics) AddStats(s MatcherStats) {
 	}
 	m.Candidates.Add(int64(s.Candidates))
 	m.EmptyTracks.Add(int64(s.EmptyTracks))
+	m.PresamplePruned.Add(int64(s.PresamplePruned))
 	m.KimPruned.Add(int64(s.KimPruned))
 	m.EnvelopePruned.Add(int64(s.EnvelopePruned))
 	m.PassesRun.Add(int64(s.PassesRun))

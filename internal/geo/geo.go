@@ -170,8 +170,10 @@ const (
 type GSOExclusion struct {
 	protectionDeg float64
 	// beltDirs are unit vectors (ENU frame) toward sampled GSO belt
-	// positions visible from the site.
-	beltDirs []units.Vec3
+	// positions visible from the site, and beltNorms their computed
+	// lengths (1 up to rounding).
+	beltDirs  []units.Vec3
+	beltNorms []float64
 }
 
 // NewGSOExclusion samples the GSO belt as seen from obs. protectionDeg
@@ -183,13 +185,21 @@ func NewGSOExclusion(obs astro.Geodetic, protectionDeg float64) *GSOExclusion {
 	g := &GSOExclusion{protectionDeg: protectionDeg}
 	// Sample the belt every degree of longitude; keep points above the
 	// horizon.
+	var dirs []units.Vec3
 	for lon := -180.0; lon < 180; lon++ {
 		beltPoint := astro.Geodetic{LatDeg: 0, LonDeg: lon, AltKm: GSOAltKm}
 		la := astro.Observe(obs, beltPoint.ToECEF())
 		if la.ElevationDeg < 0 {
 			continue
 		}
-		g.beltDirs = append(g.beltDirs, dirFromLook(la))
+		dirs = append(dirs, dirFromLook(la))
+	}
+	// The exclusion lives as long as its scheduler, so it keeps
+	// exact-size copies rather than append's spare capacity.
+	g.beltDirs = make([]units.Vec3, len(dirs))
+	g.beltNorms = make([]float64, len(dirs))
+	for i, b := range dirs {
+		g.beltDirs[i], g.beltNorms[i] = b, b.Norm()
 	}
 	return g
 }
@@ -223,16 +233,23 @@ func (g *GSOExclusion) ProtectionDeg() float64 { return g.protectionDeg }
 // MinSeparationDeg returns the angular distance from the given
 // direction to the nearest visible GSO belt point, in degrees. Returns
 // +Inf when no belt point is above the horizon (polar sites).
+//
+// Acos is monotone, so the nearest belt point is the one of largest
+// cosine: one pass over the belt takes the largest clamped cosine,
+// with the belt's norms computed at construction, and a single Acos
+// ends it. The result is bit for bit the minimum of the per-point
+// angles.
 func (g *GSOExclusion) MinSeparationDeg(azDeg, elevDeg float64) float64 {
 	if len(g.beltDirs) == 0 {
 		return math.Inf(1)
 	}
 	d := dirFromLook(astro.LookAngles{ElevationDeg: elevDeg, AzimuthDeg: azDeg})
-	min := math.Pi
-	for _, b := range g.beltDirs {
-		if a := d.AngleBetween(b); a < min {
-			min = a
+	nd := d.Norm()
+	best := -1.0 // Acos(-1) = π, the largest separation
+	for i, b := range g.beltDirs {
+		if c := units.Clamp(d.Dot(b)/(nd*g.beltNorms[i]), -1, 1); c > best {
+			best = c
 		}
 	}
-	return units.Rad2Deg(min)
+	return units.Rad2Deg(math.Acos(best))
 }

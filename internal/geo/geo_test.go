@@ -2,6 +2,7 @@ package geo
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/astro"
@@ -163,20 +164,112 @@ func TestGSOExclusionCustomAngle(t *testing.T) {
 	}
 }
 
-// excludedByBeltWalk is the reference exclusion test: its own walk of
-// the sampled belt, independent of MinSeparationDeg.
-func excludedByBeltWalk(g *GSOExclusion, azDeg, elevDeg float64) bool {
+// angleBetween returns the angle between v and w in radians, in
+// [0, π], 0 when either is the zero vector.
+func angleBetween(v, w units.Vec3) float64 {
+	nv, nw := v.Norm(), w.Norm()
+	if nv == 0 || nw == 0 {
+		return 0
+	}
+	c := units.Clamp(v.Dot(w)/(nv*nw), -1, 1)
+	return math.Acos(c)
+}
+
+// minSeparationByWalk is the belt walk MinSeparationDeg replaced, kept
+// as its bit-identity oracle: the angle to every belt point, two norms
+// and an Acos each, and the smallest of them.
+func minSeparationByWalk(g *GSOExclusion, azDeg, elevDeg float64) float64 {
 	if len(g.beltDirs) == 0 {
-		return false
+		return math.Inf(1)
 	}
 	d := dirFromLook(astro.LookAngles{ElevationDeg: elevDeg, AzimuthDeg: azDeg})
 	min := math.Pi
 	for _, b := range g.beltDirs {
-		if a := d.AngleBetween(b); a < min {
+		if a := angleBetween(d, b); a < min {
 			min = a
 		}
 	}
-	return units.Rad2Deg(min) < g.protectionDeg
+	return units.Rad2Deg(min)
+}
+
+// excludedByBeltWalk is the reference exclusion test: the oracle walk
+// of the sampled belt, independent of MinSeparationDeg.
+func excludedByBeltWalk(g *GSOExclusion, azDeg, elevDeg float64) bool {
+	return minSeparationByWalk(g, azDeg, elevDeg) < g.protectionDeg
+}
+
+// gsoSites are the study and southern sites plus a polar site that
+// sees no belt point.
+func gsoSites() []VantagePoint {
+	sites := append(StudyVantagePoints(), SouthernVantagePoints()...)
+	return append(sites, VantagePoint{Name: "polar", Location: astro.Geodetic{LatDeg: 85, LonDeg: 20}})
+}
+
+// beltLook returns the look angles of g's i-th belt point.
+func beltLook(g *GSOExclusion, i int) (azDeg, elevDeg float64) {
+	b := g.beltDirs[i]
+	return units.WrapDeg360(units.Rad2Deg(math.Atan2(b.X, b.Y))), units.Rad2Deg(math.Asin(units.Clamp(b.Z, -1, 1)))
+}
+
+// sameSeparation reports whether MinSeparationDeg and the oracle walk
+// agree bit for bit at (az, el).
+func sameSeparation(g *GSOExclusion, azDeg, elevDeg float64) (got, want float64, ok bool) {
+	got, want = g.MinSeparationDeg(azDeg, elevDeg), minSeparationByWalk(g, azDeg, elevDeg)
+	return got, want, math.Float64bits(got) == math.Float64bits(want)
+}
+
+// TestMinSeparationMatchesWalk pins MinSeparationDeg bit for bit to
+// the belt walk it replaced: on a 1° sky grid, at 20,000 random
+// directions and at every belt point itself (separation 0 up to
+// rounding), at every site, including the polar one that sees no belt.
+func TestMinSeparationMatchesWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, vp := range gsoSites() {
+		g := NewGSOExclusion(vp.Location, 0)
+		check := func(az, el float64) {
+			if got, want, ok := sameSeparation(g, az, el); !ok {
+				t.Fatalf("%s az=%v el=%v: MinSeparationDeg %v, belt walk %v", vp.Name, az, el, got, want)
+			}
+		}
+		for el := -10.0; el <= 90; el++ {
+			for az := 0.0; az < 360; az++ {
+				check(az, el)
+			}
+		}
+		for i := 0; i < 20000; i++ {
+			check(rng.Float64()*360, rng.Float64()*100-10)
+		}
+		for i := range g.beltDirs {
+			az, el := beltLook(g, i)
+			check(az, el)
+			if sep := g.MinSeparationDeg(az, el); sep > 1e-6 {
+				t.Fatalf("%s: belt point %d (az=%v el=%v) is %v° from the belt", vp.Name, i, az, el, sep)
+			}
+		}
+	}
+}
+
+// FuzzMinSeparationMatchesWalk is TestMinSeparationMatchesWalk over
+// arbitrary directions (non-finite ones included) and belt points.
+func FuzzMinSeparationMatchesWalk(f *testing.F) {
+	f.Add(uint8(0), 180.0, 40.0, int16(-1))
+	f.Add(uint8(6), 0.0, 90.0, int16(-1))
+	f.Add(uint8(2), 0.0, 0.0, int16(30))
+	f.Add(uint8(len(gsoSites())-1), 10.0, 30.0, int16(0))
+	sites := gsoSites()
+	excl := make([]*GSOExclusion, len(sites))
+	for i, vp := range sites {
+		excl[i] = NewGSOExclusion(vp.Location, 0)
+	}
+	f.Fuzz(func(t *testing.T, site uint8, az, el float64, belt int16) {
+		g := excl[int(site)%len(excl)]
+		if belt >= 0 && len(g.beltDirs) > 0 {
+			az, el = beltLook(g, int(belt)%len(g.beltDirs))
+		}
+		if got, want, ok := sameSeparation(g, az, el); !ok {
+			t.Fatalf("az=%v el=%v: MinSeparationDeg %v, belt walk %v", az, el, got, want)
+		}
+	})
 }
 
 // TestGSOExcludedMatchesSeparation: over a 2° az × el grid of the

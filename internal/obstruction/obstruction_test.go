@@ -30,7 +30,7 @@ func TestPixelSkyRoundTrip(t *testing.T) {
 			}
 			r := (90 - el) / 65 * PlotRadius
 			azTol := units.Rad2Deg(1.5 / math.Max(r, 1))
-			if d := units.AngularDistDeg(sky.AzimuthDeg, az); d > math.Max(azTol, 2) {
+			if d := angularDistDeg(sky.AzimuthDeg, az); d > math.Max(azTol, 2) {
 				t.Errorf("el %v az %v -> %v (tol %v)", el, az, sky.AzimuthDeg, azTol)
 			}
 		}
@@ -305,4 +305,10 @@ func TestSetOutOfRangeIgnored(t *testing.T) {
 	if m.At(-1, 0) || m.At(0, Size) {
 		t.Error("out-of-range At returned true")
 	}
+}
+
+// angularDistDeg returns the smallest absolute separation between two
+// angles in degrees, in [0, 180].
+func angularDistDeg(a, b float64) float64 {
+	return math.Abs(units.WrapDeg180(a - b))
 }

@@ -150,6 +150,34 @@ type ScratchEphemeris interface {
 	PropagateAtInto(t time.Time, st *State) error
 }
 
+// earthRotationRadS is the Earth's sidereal rotation rate, the rate of
+// the TEME→Earth-fixed rotation.
+const earthRotationRadS = 7.2921158553e-5
+
+// speedBoundMargin covers what the mean elements leave out of a
+// state's speed: the periodic perturbations, of order J2 ≈ 1e-3 in
+// relative speed, and the drift of the elements within minutes.
+const speedBoundMargin = 1.02
+
+// speedBound bounds the Earth-fixed speed of a satellite on the orbit
+// of semi-major axis a (earth radii) and eccentricity e: the inertial
+// speed at perigee (vis-viva) plus the Earth's rotation carrying a
+// point at apogee radius, with speedBoundMargin on both. Elements with
+// no bound orbit give +Inf.
+func speedBound(a, e float64) float64 {
+	if !(a > 0) || !(e >= 0 && e < 1) {
+		return math.Inf(1)
+	}
+	aKm := a * earthRadiusKm
+	vPerigee := math.Sqrt(mu / aKm * (1 + e) / (1 - e))
+	return speedBoundMargin * (vPerigee + earthRotationRadS*aKm*(1+e))
+}
+
+// SpeedBoundKmS returns an upper bound, in km/s, on the speed of the
+// satellite's Earth-fixed position. The orbit has no drag, so the
+// bound holds at every t.
+func (k *KeplerJ2) SpeedBoundKmS(time.Time) float64 { return speedBound(k.a, k.ecc) }
+
 var (
 	_ Ephemeris        = (*Propagator)(nil)
 	_ Ephemeris        = (*KeplerJ2)(nil)

@@ -241,6 +241,30 @@ func (p *Propagator) PropagateAtInto(t time.Time, st *State) error {
 	return nil
 }
 
+// SpeedBoundKmS returns an upper bound, in km/s, on the speed of the
+// satellite's Earth-fixed position over the minutes around t, or +Inf
+// when the mean orbit at t has decayed. The bound uses the
+// drag-decayed semi-major axis at t and the largest eccentricity the
+// drag and the long-period J3 terms can reach.
+func (p *Propagator) SpeedBoundKmS(t time.Time) float64 {
+	ts := t.Sub(p.epoch).Minutes()
+	tempa := 1 - p.c1*ts
+	de := math.Abs(p.bstar * p.c4 * ts)
+	if !p.isimp {
+		tempa -= (p.d2 + (p.d3+p.d4*ts)*ts) * ts * ts
+		de += 2 * math.Abs(p.bstar*p.c5)
+	}
+	if !(tempa > 0) {
+		return math.Inf(1) // the mean orbit has decayed
+	}
+	am := p.ao * tempa * tempa
+	em := p.ecco + de
+	if !(em < 1) {
+		return math.Inf(1)
+	}
+	return speedBound(am, em+math.Abs(p.aycof)/(am*(1-em*em)))
+}
+
 // pow15 returns math.Pow(x, 1.5) bit for bit, without Pow's Modf,
 // Frexp and Ldexp bookkeeping. For y = 1.5 Pow computes
 // Exp(0.5*Log(x)), multiplies it by x's mantissa and rescales by x's

@@ -96,7 +96,7 @@ func TestPropagatePeriod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ang := s0.Pos.AngleBetween(sh.Pos); ang < 2.8 {
+	if ang := angleBetween(s0.Pos, sh.Pos); ang < 2.8 {
 		t.Errorf("angle after half period = %v rad, want ~pi", ang)
 	}
 }
@@ -352,14 +352,14 @@ func TestAngularMomentumDirectionStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	s0, _ := p.Propagate(0)
-	h0 := s0.Pos.Cross(s0.Vel).Unit()
+	h0 := cross(s0.Pos, s0.Vel).Unit()
 	for m := 1.0; m < 96; m += 5 {
 		st, err := p.Propagate(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := st.Pos.Cross(st.Vel).Unit()
-		if ang := units.Rad2Deg(h0.AngleBetween(h)); ang > 0.3 {
+		h := cross(st.Pos, st.Vel).Unit()
+		if ang := units.Rad2Deg(angleBetween(h0, h)); ang > 0.3 {
 			t.Errorf("t=%v: orbit normal moved %v deg", m, ang)
 		}
 	}
@@ -581,5 +581,86 @@ func TestPow15MatchesPow(t *testing.T) {
 		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
 			t.Fatalf("pow15(%v) = %v, math.Pow = %v", x, got, want)
 		}
+	}
+}
+
+// angleBetween returns the angle between v and w in radians, in
+// [0, π], 0 when either is the zero vector.
+func angleBetween(v, w units.Vec3) float64 {
+	nv, nw := v.Norm(), w.Norm()
+	if nv == 0 || nw == 0 {
+		return 0
+	}
+	return math.Acos(units.Clamp(v.Dot(w)/(nv*nw), -1, 1))
+}
+
+// cross returns the cross product v×w.
+func cross(v, w units.Vec3) units.Vec3 {
+	return units.Vec3{
+		X: v.Y*w.Z - v.Z*w.Y,
+		Y: v.Z*w.X - v.X*w.Z,
+		Z: v.X*w.Y - v.Y*w.X,
+	}
+}
+
+// TestSpeedBoundCoversState: both propagators' SpeedBoundKmS is at
+// least the Earth-fixed speed bound of every state they return, |v| +
+// ω|r| (the inertial speed plus the Earth's rotation carrying the
+// position), sampled each minute over four hours at the epoch and ten
+// days on, for a Starlink orbit, the same orbit under heavy drag, an
+// eccentric orbit and the ISS; and it stays within 10% of the fastest
+// of them, so it is not vacuous. A mean orbit that has decayed gives
+// +Inf.
+func TestSpeedBoundCoversState(t *testing.T) {
+	draggy := starlinkTLE()
+	draggy.BStar = 0.01
+	iss, err := tle.Parse(
+		"1 25544U 98067A   08264.51782528 -.00002182  00000-0 -11606-4 0  2927",
+		"2 25544  51.6416 247.4627 0006703 130.5360 325.0288 15.72125391563537")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, el := range map[string]*tle.TLE{
+		"starlink": starlinkTLE(), "drag": draggy, "eccentric": mustTLE(63.4, 40, 0.1, 270, 0, 13.0, 0), "iss": iss,
+	} {
+		sgp, err := New(el)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kep, err := NewKeplerJ2(el)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, eph := range []interface {
+			Ephemeris
+			SpeedBoundKmS(time.Time) float64
+		}{sgp, kep} {
+			for _, start := range []float64{0, 10 * 1440} {
+				fastest, loosest := 0.0, 0.0
+				for m := start; m < start+240; m++ {
+					at := el.Epoch.Add(time.Duration(m * float64(time.Minute)))
+					st, err := eph.PropagateAt(at)
+					if err != nil {
+						t.Fatal(err)
+					}
+					v := st.Vel.Norm() + earthRotationRadS*st.Pos.Norm()
+					bound := eph.SpeedBoundKmS(at)
+					if bound < v {
+						t.Fatalf("%s %T at %v min: bound %v km/s under the state's Earth-fixed speed bound %v", name, eph, m, bound, v)
+					}
+					fastest, loosest = math.Max(fastest, v), math.Max(loosest, bound)
+				}
+				if loosest > 1.1*fastest {
+					t.Errorf("%s %T from %v min: bound up to %v km/s, fastest state %v", name, eph, start, loosest, fastest)
+				}
+			}
+		}
+	}
+	p, err := New(draggy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := p.SpeedBoundKmS(draggy.Epoch.AddDate(10, 0, 0)); !math.IsInf(b, 1) {
+		t.Errorf("decayed orbit: bound %v, want +Inf", b)
 	}
 }

@@ -82,21 +82,6 @@ func WrapRadTwoPi(rad float64) float64 {
 	return r
 }
 
-// WrapRadPi wraps an angle in radians into [-π, π).
-func WrapRadPi(rad float64) float64 {
-	r := WrapRadTwoPi(rad)
-	if r >= math.Pi {
-		r -= 2 * math.Pi
-	}
-	return r
-}
-
-// AngularDistDeg returns the smallest absolute separation between two
-// angles in degrees, in [0, 180].
-func AngularDistDeg(a, b float64) float64 {
-	return math.Abs(WrapDeg180(a - b))
-}
-
 // Clamp limits v to the closed interval [lo, hi].
 func Clamp(v, lo, hi float64) float64 {
 	if v < lo {
@@ -125,15 +110,6 @@ func (v Vec3) Scale(s float64) Vec3 { return Vec3{v.X * s, v.Y * s, v.Z * s} }
 // Dot returns the dot product v·w.
 func (v Vec3) Dot(w Vec3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
 
-// Cross returns the cross product v×w.
-func (v Vec3) Cross(w Vec3) Vec3 {
-	return Vec3{
-		X: v.Y*w.Z - v.Z*w.Y,
-		Y: v.Z*w.X - v.X*w.Z,
-		Z: v.X*w.Y - v.Y*w.X,
-	}
-}
-
 // Norm returns the Euclidean length of v.
 func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
 
@@ -145,14 +121,4 @@ func (v Vec3) Unit() Vec3 {
 		return v
 	}
 	return v.Scale(1.0 / n)
-}
-
-// AngleBetween returns the angle between v and w in radians, in [0, π].
-func (v Vec3) AngleBetween(w Vec3) float64 {
-	nv, nw := v.Norm(), w.Norm()
-	if nv == 0 || nw == 0 {
-		return 0
-	}
-	c := Clamp(v.Dot(w)/(nv*nw), -1, 1)
-	return math.Acos(c)
 }

@@ -58,8 +58,7 @@ func TestWrapRadPropertyRange(t *testing.T) {
 			return true
 		}
 		r := WrapRadTwoPi(x)
-		p := WrapRadPi(x)
-		return r >= 0 && r < 2*math.Pi && p >= -math.Pi && p < math.Pi
+		return r >= 0 && r < 2*math.Pi
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -96,29 +95,6 @@ func TestWrapRadTwoPiMatchesMod(t *testing.T) {
 	}
 }
 
-func TestAngularDistDeg(t *testing.T) {
-	cases := []struct{ a, b, want float64 }{
-		{0, 0, 0}, {0, 90, 90}, {350, 10, 20}, {10, 350, 20}, {0, 180, 180}, {90, 270, 180},
-	}
-	for _, c := range cases {
-		if got := AngularDistDeg(c.a, c.b); !almostEqual(got, c.want, 1e-9) {
-			t.Errorf("AngularDistDeg(%v,%v) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestAngularDistSymmetric(t *testing.T) {
-	f := func(a, b float64) bool {
-		if math.IsNaN(a) || math.IsNaN(b) || math.Abs(a) > 1e9 || math.Abs(b) > 1e9 {
-			return true
-		}
-		return almostEqual(AngularDistDeg(a, b), AngularDistDeg(b, a), 1e-6)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestClamp(t *testing.T) {
 	if Clamp(5, 0, 10) != 5 || Clamp(-1, 0, 10) != 0 || Clamp(11, 0, 10) != 10 {
 		t.Error("Clamp broken")
@@ -142,41 +118,6 @@ func TestVec3Basics(t *testing.T) {
 	}
 }
 
-func TestVec3Cross(t *testing.T) {
-	x := Vec3{1, 0, 0}
-	y := Vec3{0, 1, 0}
-	z := x.Cross(y)
-	if z != (Vec3{0, 0, 1}) {
-		t.Errorf("x cross y = %v, want z", z)
-	}
-	// Anti-commutative.
-	if y.Cross(x) != (Vec3{0, 0, -1}) {
-		t.Error("cross not anti-commutative")
-	}
-}
-
-func TestVec3CrossOrthogonal(t *testing.T) {
-	f := func(a, b, c, d, e, g float64) bool {
-		for _, v := range []float64{a, b, c, d, e, g} {
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e6 {
-				return true
-			}
-		}
-		v := Vec3{a, b, c}
-		w := Vec3{d, e, g}
-		x := v.Cross(w)
-		// Cross product is orthogonal to both inputs.
-		scale := v.Norm() * w.Norm() * x.Norm()
-		if scale == 0 {
-			return true
-		}
-		return math.Abs(x.Dot(v))/scale < 1e-9 && math.Abs(x.Dot(w))/scale < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestVec3Unit(t *testing.T) {
 	v := Vec3{3, 4, 0}
 	u := v.Unit()
@@ -186,19 +127,5 @@ func TestVec3Unit(t *testing.T) {
 	zero := Vec3{}
 	if zero.Unit() != zero {
 		t.Error("unit of zero should be zero")
-	}
-}
-
-func TestAngleBetween(t *testing.T) {
-	x := Vec3{1, 0, 0}
-	y := Vec3{0, 1, 0}
-	if got := x.AngleBetween(y); !almostEqual(got, math.Pi/2, 1e-12) {
-		t.Errorf("angle = %v", got)
-	}
-	if got := x.AngleBetween(x.Scale(5)); !almostEqual(got, 0, 1e-6) {
-		t.Errorf("angle with self = %v", got)
-	}
-	if got := x.AngleBetween(x.Scale(-2)); !almostEqual(got, math.Pi, 1e-6) {
-		t.Errorf("angle with negated self = %v", got)
 	}
 }
