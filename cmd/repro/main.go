@@ -208,14 +208,9 @@ func runWorker(ctx context.Context, opt options) error {
 // the spec shipped inside the campaign description.
 func runDist(ctx context.Context, opt options, reg *telemetry.Registry, scn *scenario.Spec) error {
 	spec := coord.CampaignSpec{
-		Scenario:        scn,
-		Slots:           scn.Campaign.Slots,
-		Oracle:          scn.Campaign.Oracle,
-		ResetEvery:      scn.Campaign.ResetEvery,
-		SnapshotWorkers: opt.snapWorkers,
-	}
-	if spec.SnapshotWorkers == 0 {
-		spec.SnapshotWorkers = scn.Campaign.SnapshotWorkers
+		Scenario: scn,
+		Slots:    scn.Campaign.Slots,
+		Oracle:   scn.Campaign.Oracle,
 	}
 	h := sha256.New()
 	var out io.Writer = h
@@ -332,6 +327,13 @@ func loadSpec(what string, opt options) (*scenario.Spec, error) {
 			scn.Seed = opt.seed
 		}
 	}
+	// The worker counts change only the cost, never the output.
+	if opt.set["workers"] {
+		scn.Campaign.Workers = opt.workers
+	}
+	if opt.set["snapshot-workers"] {
+		scn.Campaign.SnapshotWorkers = opt.snapWorkers
+	}
 	if opt.loadObs != "" && (opt.saveObs != "" || scn.Outputs.Observations != "") {
 		return nil, usageError("-load-obs replays saved observations; it does not combine with -save-obs or a spec's outputs.observations")
 	}
@@ -406,11 +408,9 @@ func analyze(ctx context.Context, scn *scenario.Spec, opt options, reg *telemetr
 		traceDepth = 4096
 	}
 	built, err := scn.Build(scenario.BuildOptions{
-		Telemetry:       reg,
-		TraceDecisions:  traceDepth,
-		DisableIndex:    opt.noIndex,
-		Workers:         opt.workers,
-		SnapshotWorkers: opt.snapWorkers,
+		Telemetry:      reg,
+		TraceDecisions: traceDepth,
+		DisableIndex:   opt.noIndex,
 	})
 	if err != nil {
 		return err
@@ -936,7 +936,7 @@ func (r *runner) drift() error {
 		svc, err := predict.NewService(predict.Config{
 			Window: 512, RefitEvery: 128, MinFit: 256,
 			Trees: 20, MaxDepth: 10,
-			Seed: spec.Seed, Workers: opt.workers,
+			Seed: spec.Seed, Workers: r.env.Workers,
 			Synchronous: true, Registry: r.reg,
 		})
 		if err != nil {
@@ -945,13 +945,11 @@ func (r *runner) drift() error {
 		scorer = svc
 	}
 	res, err := scenario.RunDrift(r.ctx, scenario.DriftConfig{
-		Spec:            spec,
-		Slots:           r.built.Slots,
-		Scorer:          scorer,
-		Offline:         opt.predictAddr == "", // remote runs skip the batch cross-check
-		Workers:         opt.workers,
-		SnapshotWorkers: opt.snapWorkers,
-		Telemetry:       r.reg,
+		Spec:      spec,
+		Slots:     r.built.Slots,
+		Scorer:    scorer,
+		Offline:   opt.predictAddr == "", // remote runs skip the batch cross-check
+		Telemetry: r.reg,
 	})
 	if err != nil {
 		return err

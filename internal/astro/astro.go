@@ -84,35 +84,6 @@ func (g Geodetic) ToECEF() units.Vec3 {
 	}
 }
 
-// ECEFToGeodetic converts an ECEF position to geodetic coordinates
-// using Bowring's iterative method (converges in a few iterations for
-// any LEO altitude).
-func ECEFToGeodetic(p units.Vec3) Geodetic {
-	a := units.EarthRadiusWGS84Km
-	f := units.EarthFlatteningWGS84
-	e2 := f * (2 - f)
-	lon := math.Atan2(p.Y, p.X)
-	r := math.Hypot(p.X, p.Y)
-	lat := math.Atan2(p.Z, r*(1-e2)) // initial guess
-	var alt float64
-	for i := 0; i < 8; i++ {
-		sinLat := math.Sin(lat)
-		n := a / math.Sqrt(1-e2*sinLat*sinLat)
-		alt = r/math.Cos(lat) - n
-		newLat := math.Atan2(p.Z, r*(1-e2*n/(n+alt)))
-		if math.Abs(newLat-lat) < 1e-12 {
-			lat = newLat
-			break
-		}
-		lat = newLat
-	}
-	return Geodetic{
-		LatDeg: units.Rad2Deg(lat),
-		LonDeg: units.Rad2Deg(lon),
-		AltKm:  alt,
-	}
-}
-
 // LookAngles is a topocentric observation of a satellite from a ground
 // observer: angle of elevation above the horizon, azimuth clockwise
 // from true north, and slant range.
@@ -200,29 +171,11 @@ func SunPositionECI(t time.Time) units.Vec3 {
 	}
 }
 
-// SunPositionECEF returns the Sun position rotated into the
-// Earth-fixed frame at time t.
-func SunPositionECEF(t time.Time) units.Vec3 {
-	return FrameAt(t).ToECEF(SunPositionECI(t))
-}
-
-// IsSunlit reports whether a satellite at the given ECI position (km)
-// is illuminated by the Sun at time t, using a conical Earth shadow
-// model (umbra only). Positions just inside the penumbra count as
-// sunlit, matching the operational meaning ("solar panels produce
-// power").
-func IsSunlit(satECI units.Vec3, t time.Time) bool {
-	sh := NewShadow(SunPositionECI(t))
-	return sh.Sunlit(satECI)
-}
-
 // Shadow is the Earth's umbra cone for one Sun position, with the
 // shadow-axis direction and cone constants (apex distance, half-angle
-// tangent) hoisted out of the per-satellite test. It is the single
-// shadow geometry shared by astro.IsSunlit and the constellation
-// snapshot sweep, so the two can never drift; a full-constellation
-// snapshot computes the constants once and pays only a dot product, a
-// norm, and a multiply per satellite.
+// tangent) hoisted out of the per-satellite test. A
+// full-constellation snapshot computes the constants once and pays
+// only a dot product, a norm, and a multiply per satellite.
 type Shadow struct {
 	sunDir   units.Vec3 // unit vector toward the Sun
 	apexDist float64    // Earth center → umbra apex, km
@@ -260,12 +213,4 @@ func (sh *Shadow) Sunlit(sat units.Vec3) bool {
 	}
 	// Radius of the umbra at the satellite's along-axis distance.
 	return perp > (sh.apexDist-behind)*sh.tanAlpha
-}
-
-// SolarElevationDeg returns the Sun's elevation angle above the local
-// horizon for a geodetic observer — used to distinguish local day from
-// night in feature construction.
-func SolarElevationDeg(obs Geodetic, t time.Time) float64 {
-	sunECEF := SunPositionECEF(t)
-	return Observe(obs, sunECEF).ElevationDeg
 }

@@ -231,7 +231,7 @@ func TestNoonSunIsSouthAtNorthernLatitudes(t *testing.T) {
 	noonUTC := time.Date(2023, 3, 21, 18, 6, 0, 0, time.UTC)
 	sun := SunPositionECEF(noonUTC)
 	la := Observe(iowa, sun)
-	if math.Abs(units.WrapDeg180(la.AzimuthDeg-180)) > 5 {
+	if math.Abs(math.Remainder(la.AzimuthDeg-180, 360)) > 5 {
 		t.Errorf("noon sun azimuth = %v, want ~180", la.AzimuthDeg)
 	}
 	// Equinox noon elevation ~ 90 - |lat|.
@@ -319,7 +319,7 @@ func TestFrameMatchesTEMEToECEF(t *testing.T) {
 // angularDistDeg returns the smallest absolute separation between two
 // angles in degrees, in [0, 180].
 func angularDistDeg(a, b float64) float64 {
-	return math.Abs(units.WrapDeg180(a - b))
+	return math.Abs(math.Remainder(a-b, 360))
 }
 
 // cross returns the cross product v×w.
@@ -329,4 +329,56 @@ func cross(v, w units.Vec3) units.Vec3 {
 		Y: v.Z*w.X - v.X*w.Z,
 		Z: v.X*w.Y - v.Y*w.X,
 	}
+}
+
+// ECEFToGeodetic converts an ECEF position to geodetic coordinates
+// using Bowring's iterative method (converges in a few iterations for
+// any LEO altitude).
+func ECEFToGeodetic(p units.Vec3) Geodetic {
+	a := units.EarthRadiusWGS84Km
+	f := units.EarthFlatteningWGS84
+	e2 := f * (2 - f)
+	lon := math.Atan2(p.Y, p.X)
+	r := math.Hypot(p.X, p.Y)
+	lat := math.Atan2(p.Z, r*(1-e2)) // initial guess
+	var alt float64
+	for i := 0; i < 8; i++ {
+		sinLat := math.Sin(lat)
+		n := a / math.Sqrt(1-e2*sinLat*sinLat)
+		alt = r/math.Cos(lat) - n
+		newLat := math.Atan2(p.Z, r*(1-e2*n/(n+alt)))
+		if math.Abs(newLat-lat) < 1e-12 {
+			lat = newLat
+			break
+		}
+		lat = newLat
+	}
+	return Geodetic{
+		LatDeg: units.Rad2Deg(lat),
+		LonDeg: units.Rad2Deg(lon),
+		AltKm:  alt,
+	}
+}
+
+// SunPositionECEF returns the Sun position rotated into the
+// Earth-fixed frame at time t.
+func SunPositionECEF(t time.Time) units.Vec3 {
+	return FrameAt(t).ToECEF(SunPositionECI(t))
+}
+
+// IsSunlit reports whether a satellite at the given ECI position (km)
+// is illuminated by the Sun at time t, using a conical Earth shadow
+// model (umbra only). Positions just inside the penumbra count as
+// sunlit, matching the operational meaning ("solar panels produce
+// power").
+func IsSunlit(satECI units.Vec3, t time.Time) bool {
+	sh := NewShadow(SunPositionECI(t))
+	return sh.Sunlit(satECI)
+}
+
+// SolarElevationDeg returns the Sun's elevation angle above the local
+// horizon for a geodetic observer.
+func SolarElevationDeg(obs Geodetic, t time.Time) float64 {
+	sunECEF := SunPositionECEF(t)
+	return Observe(obs, sunECEF).ElevationDeg
 }

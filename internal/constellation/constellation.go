@@ -715,37 +715,6 @@ func (c *Constellation) FieldOfView(obs astro.Geodetic, t time.Time, minElevDeg 
 	return ObserveFrom(obs, c.Snapshot(t), minElevDeg)
 }
 
-// TrackPoint is a time-stamped topocentric sample of a satellite's
-// path across an observer's sky.
-type TrackPoint struct {
-	T    time.Time
-	Look astro.LookAngles
-}
-
-// Track samples the look angles of satellite id from obs over
-// [start, start+dur] at the given step. Samples below the horizon are
-// included (callers filter); a propagation error aborts.
-func (c *Constellation) Track(id int, obs astro.Geodetic, start time.Time, dur, step time.Duration) ([]TrackPoint, error) {
-	s := c.ByID(id)
-	if s == nil {
-		return nil, fmt.Errorf("constellation: no satellite %d", id)
-	}
-	if step <= 0 {
-		return nil, fmt.Errorf("constellation: non-positive step %v", step)
-	}
-	o := astro.NewObserver(obs)
-	end := start.Add(dur)
-	pts := make([]TrackPoint, 0, int(dur/step)+1)
-	var st sgp4.State
-	for t := start; !t.After(end); t = t.Add(step) {
-		if err := propagateInto(s, t, &st); err != nil {
-			return nil, fmt.Errorf("constellation: satellite %d at %v: %w", id, t, err)
-		}
-		pts = append(pts, TrackPoint{T: t, Look: o.Observe(astro.FrameAt(t).ToECEF(st.Pos))})
-	}
-	return pts, nil
-}
-
 // ExportTLEs renders the whole constellation in CelesTrak 3-line
 // format.
 func (c *Constellation) ExportTLEs() string {

@@ -1,12 +1,14 @@
 package constellation
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/astro"
+	"repro/internal/sgp4"
 	"repro/internal/tle"
 	"repro/internal/units"
 )
@@ -225,13 +227,19 @@ func TestExportTLEsParsesBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := c.ExportTLEs()
-	sets, err := tle.ParseFile(text)
-	if err != nil {
-		t.Fatalf("ParseFile: %v", err)
+	// ExportTLEs writes 3-line blocks: name, line 1, line 2.
+	lines := strings.Split(strings.TrimSuffix(c.ExportTLEs(), "\n"), "\n")
+	if len(lines) != 3*c.Len() {
+		t.Fatalf("exported %d lines, want 3 per satellite (%d)", len(lines), c.Len())
 	}
-	if len(sets) != c.Len() {
-		t.Fatalf("parsed %d sets, want %d", len(sets), c.Len())
+	sets := make([]*tle.TLE, 0, c.Len())
+	for i := 0; i < len(lines); i += 3 {
+		s, err := tle.Parse(lines[i+1], lines[i+2])
+		if err != nil {
+			t.Fatalf("element set %d: %v", i/3+1, err)
+		}
+		s.Name = lines[i]
+		sets = append(sets, s)
 	}
 	for i, s := range sets {
 		if !strings.HasPrefix(s.Name, "STARLINK-") {
@@ -424,5 +432,36 @@ func TestNamePrefix(t *testing.T) {
 // angularDistDeg returns the smallest absolute separation between two
 // angles in degrees, in [0, 180].
 func angularDistDeg(a, b float64) float64 {
-	return math.Abs(units.WrapDeg180(a - b))
+	return math.Abs(math.Remainder(a-b, 360))
+}
+
+// TrackPoint is a time-stamped topocentric sample of a satellite's
+// path across an observer's sky.
+type TrackPoint struct {
+	T    time.Time
+	Look astro.LookAngles
+}
+
+// Track samples the look angles of satellite id from obs over
+// [start, start+dur] at the given step. Samples below the horizon are
+// included (callers filter); a propagation error aborts.
+func (c *Constellation) Track(id int, obs astro.Geodetic, start time.Time, dur, step time.Duration) ([]TrackPoint, error) {
+	s := c.ByID(id)
+	if s == nil {
+		return nil, fmt.Errorf("constellation: no satellite %d", id)
+	}
+	if step <= 0 {
+		return nil, fmt.Errorf("constellation: non-positive step %v", step)
+	}
+	o := astro.NewObserver(obs)
+	end := start.Add(dur)
+	pts := make([]TrackPoint, 0, int(dur/step)+1)
+	var st sgp4.State
+	for t := start; !t.After(end); t = t.Add(step) {
+		if err := propagateInto(s, t, &st); err != nil {
+			return nil, fmt.Errorf("constellation: satellite %d at %v: %w", id, t, err)
+		}
+		pts = append(pts, TrackPoint{T: t, Look: o.Observe(astro.FrameAt(t).ToECEF(st.Pos))})
+	}
+	return pts, nil
 }

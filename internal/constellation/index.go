@@ -51,15 +51,6 @@ const indexMaskRefDeg = 25.0
 // geocentric vertical deflection (≤ ~0.2°); generously padded.
 const indexMarginDeg = 1.5
 
-// NewSnapshotIndex builds the grid over a propagated snapshot. Cost is
-// one pass over the snapshot; the snapshot slice is referenced, not
-// copied, and must not be mutated afterwards (snapshots never are).
-func NewSnapshotIndex(snap []SatState) *SnapshotIndex {
-	ix := &SnapshotIndex{}
-	ix.Rebuild(snap)
-	return ix
-}
-
 // Rebuild re-points the index at a new snapshot, reusing the per-cell
 // backing arrays from the previous build when the grid dimensions
 // match (they do whenever the highest shell is unchanged, i.e. every
@@ -103,12 +94,6 @@ func (ix *SnapshotIndex) Rebuild(snap []SatState) {
 
 // Len returns the number of satellites indexed.
 func (ix *SnapshotIndex) Len() int { return len(ix.snap) }
-
-// Snapshot returns the indexed snapshot (shared, read-only).
-func (ix *SnapshotIndex) Snapshot() []SatState { return ix.snap }
-
-// Cells reports the grid dimensions (lat bands × lon columns).
-func (ix *SnapshotIndex) Cells() (lat, lon int) { return ix.latCells, ix.lonCells }
 
 // capRadiusDeg returns the Earth-central half-angle of the visibility
 // cap for an observer at radius ro, satellites at radius rs, elevation
@@ -219,15 +204,10 @@ func (ix *SnapshotIndex) query(obs astro.Geodetic, minElevDeg float64, visit fun
 	}
 }
 
-// ObserveFrom answers the same question as the package-level
-// ObserveFrom over this index's snapshot — identical set, identical
-// order, identical floats — in near-O(visible).
-func (ix *SnapshotIndex) ObserveFrom(obs astro.Geodetic, minElevDeg float64) []Visible {
-	return ix.AppendObserveFrom(nil, obs, minElevDeg)
-}
-
-// AppendObserveFrom is ObserveFrom appending into dst, for callers
-// reusing a scratch slice across queries.
+// AppendObserveFrom answers the same question as the package-level
+// AppendObserveFrom over this index's snapshot — identical set,
+// identical order, identical floats — in near-O(visible), appending
+// into dst so callers can reuse a scratch slice across queries.
 func (ix *SnapshotIndex) AppendObserveFrom(dst []Visible, obs astro.Geodetic, minElevDeg float64) []Visible {
 	base := len(dst)
 	ix.query(obs, minElevDeg, func(st *SatState, la astro.LookAngles) {

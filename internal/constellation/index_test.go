@@ -313,3 +313,22 @@ func TestIndexNonStarlinkShellAltitudes(t *testing.T) {
 		}
 	}
 }
+
+// NewSnapshotIndex builds the grid over a propagated snapshot. Cost is
+// one pass over the snapshot; the snapshot slice is referenced, not
+// copied, and must not be mutated afterwards (snapshots never are).
+func NewSnapshotIndex(snap []SatState) *SnapshotIndex {
+	ix := &SnapshotIndex{}
+	ix.Rebuild(snap)
+	return ix
+}
+
+// ObserveFrom answers the same question as the package-level
+// ObserveFrom over this index's snapshot — identical set, identical
+// order, identical floats — in near-O(visible).
+func (ix *SnapshotIndex) ObserveFrom(obs astro.Geodetic, minElevDeg float64) []Visible {
+	return ix.AppendObserveFrom(nil, obs, minElevDeg)
+}
+
+// Cells reports the grid dimensions (lat bands × lon columns).
+func (ix *SnapshotIndex) Cells() (lat, lon int) { return ix.latCells, ix.lonCells }

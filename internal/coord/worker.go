@@ -41,21 +41,15 @@ import (
 type CampaignSpec struct {
 	// Scenario is the declarative environment — constellation design
 	// (including non-Starlink Walker-star geometry), seed, terminal
-	// placement, scheduler config — each worker rebuilds. The
-	// coordinator-level campaign shape (Slots, Oracle, ResetEvery,
-	// SnapshotWorkers) stays authoritative here: the merge loop and
+	// placement, scheduler config, reset cadence and worker counts —
+	// each worker rebuilds. The coordinator-level campaign shape
+	// (Slots, Oracle) stays authoritative here: the merge loop and
 	// shard journals are keyed on it.
 	Scenario *scenario.Spec `json:"scenario"`
 	Slots    int            `json:"slots"`
 	// Oracle labels slots with scheduler ground truth instead of running
 	// obstruction-map identification.
 	Oracle bool `json:"oracle"`
-	// ResetEvery is the terminal reset cadence in slots (0 = default).
-	ResetEvery int `json:"reset_every,omitempty"`
-	// SnapshotWorkers is the per-slot propagation fan-out (0 =
-	// GOMAXPROCS). Snapshots are byte-identical at every value, so this
-	// is safe to vary per worker host without breaking shard replay.
-	SnapshotWorkers int `json:"snapshot_workers,omitempty"`
 }
 
 // BuildCampaign turns a spec into a runnable campaign config: a full
@@ -67,14 +61,11 @@ func BuildCampaign(spec CampaignSpec) (cfg core.CampaignConfig, err error) {
 	if spec.Scenario == nil {
 		return cfg, fmt.Errorf("coord: campaign spec has no scenario")
 	}
-	built, err := spec.Scenario.Build(scenario.BuildOptions{SnapshotWorkers: spec.SnapshotWorkers})
+	built, err := spec.Scenario.Build(scenario.BuildOptions{})
 	if err != nil {
 		return cfg, err
 	}
-	cfg = built.Env.CampaignConfig(spec.Slots, spec.Oracle)
-	cfg.ResetEvery = spec.ResetEvery
-	cfg.SnapshotWorkers = spec.SnapshotWorkers
-	return cfg, nil
+	return built.Env.CampaignConfig(spec.Slots, spec.Oracle), nil
 }
 
 // Protocol messages. The transport is the dishrpc length-prefixed

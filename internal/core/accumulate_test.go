@@ -85,9 +85,6 @@ func TestAccumulatorsMatchBatch(t *testing.T) {
 	if !reflect.DeepEqual(dsS, dsB) {
 		t.Error("dataset builder diverges from batch")
 	}
-	if dsAcc.Rows() != len(dsB.X) {
-		t.Errorf("Rows() = %d, want %d", dsAcc.Rows(), len(dsB.X))
-	}
 }
 
 // TestAccumulatorErrorParity keeps the historical batch error messages

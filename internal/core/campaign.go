@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/astro"
@@ -40,12 +39,6 @@ type CampaignConfig struct {
 	// exactly one worker, and records are emitted in deterministic
 	// (slot, terminal) order.
 	Workers int
-	// SnapshotWorkers is the fan-out for the per-slot constellation
-	// propagation sweep (orthogonal to Workers, which shards
-	// terminals). 0 keeps the snapshot cache's current setting; <0
-	// selects GOMAXPROCS; 1 forces the serial sweep. Snapshots are
-	// byte-identical at every value.
-	SnapshotWorkers int
 	// Metrics, when non-nil, receives engine counters and the optional
 	// decision trace. Purely observational: record contents, ordering,
 	// and determinism are unaffected at any worker count.
@@ -146,9 +139,6 @@ type CampaignResult struct {
 	Attempted, Correct, Failed int
 	// Skips histograms the non-empty SkipReasons across Records.
 	Skips map[string]int
-
-	obsOnce sync.Once
-	obs     []Observation
 }
 
 // Accuracy returns the identification accuracy over attempted slots.
@@ -157,22 +147,6 @@ func (r *CampaignResult) Accuracy() float64 {
 		return 0
 	}
 	return float64(r.Correct) / float64(r.Attempted)
-}
-
-// Observations extracts the per-slot observations with a valid chosen
-// satellite, ready for the §5 analyses and §6 model. The slice is
-// built once and cached — repeated calls return the same backing
-// array, so treat it as read-only.
-func (r *CampaignResult) Observations() []Observation {
-	r.obsOnce.Do(func() {
-		r.obs = make([]Observation, 0, len(r.Records))
-		for _, rec := range r.Records {
-			if rec.ChosenIdx >= 0 {
-				r.obs = append(r.obs, rec.Observation)
-			}
-		}
-	})
-	return r.obs
 }
 
 // RunCampaign executes the campaign and materializes every record —

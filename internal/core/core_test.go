@@ -71,7 +71,7 @@ func setupFixture(t testing.TB) {
 		fixture.cons = cons
 		fixture.sched = sched
 		fixture.ident = ident
-		fixture.obs = res.Observations()
+		fixture.obs = servedObservations(res)
 	})
 	if len(fixture.obs) == 0 {
 		t.Skip("fixture produced no observations")
@@ -337,4 +337,16 @@ func TestPredictAllocation(t *testing.T) {
 	if _, err := PredictAllocation(res.Forest, &Observation{}); err == nil {
 		t.Error("empty observation accepted")
 	}
+}
+
+// servedObservations extracts the observations of the records with a
+// valid chosen satellite: the §5/§6 inputs of a batch run.
+func servedObservations(res *CampaignResult) []Observation {
+	var out []Observation
+	for _, rec := range res.Records {
+		if rec.ChosenIdx >= 0 {
+			out = append(out, rec.Observation)
+		}
+	}
+	return out
 }

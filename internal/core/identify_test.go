@@ -360,7 +360,8 @@ func TestCandidateTracksMatchOracle(t *testing.T) {
 		step := steps[slot%len(steps)]
 		id := &Identifier{cons: cons, MinElevationDeg: 25, SampleStep: step}
 		snap := cons.Snapshot(slotStart)
-		ix := constellation.NewSnapshotIndex(snap)
+		ix := new(constellation.SnapshotIndex)
+		ix.Rebuild(snap)
 
 		// Fuse the leading in-view satellites of one site, after the
 		// snapshot so they stay in the field of view: failing from the
@@ -369,7 +370,7 @@ func TestCandidateTracksMatchOracle(t *testing.T) {
 		last := int(scheduler.Period / step)
 		fuses := []time.Time{slotStart, slotStart.Add(time.Duration(last/2) * step), slotStart.Add(time.Duration(last) * step)}
 		var restore []func()
-		for k, v := range ix.ObserveFrom(fused.Location, id.MinElevationDeg) {
+		for k, v := range ix.AppendObserveFrom(nil, fused.Location, id.MinElevationDeg) {
 			if k == len(fuses) {
 				break
 			}
@@ -459,8 +460,8 @@ func TestCandidateTracksZeroAlloc(t *testing.T) {
 	vp := fixture.sched.Terminals()[0].VantagePoint
 	slotA := scheduler.EpochStart(fixture.cons.Epoch.Add(3 * time.Hour))
 	slotB := slotA.Add(scheduler.Period)
-	fovA := constellation.NewSnapshotIndex(fixture.cons.Snapshot(slotA)).ObserveFrom(vp.Location, id.MinElevationDeg)
-	fovB := constellation.NewSnapshotIndex(fixture.cons.Snapshot(slotB)).ObserveFrom(vp.Location, id.MinElevationDeg)
+	fovA := constellation.ObserveFrom(vp.Location, fixture.cons.Snapshot(slotA), id.MinElevationDeg)
+	fovB := constellation.ObserveFrom(vp.Location, fixture.cons.Snapshot(slotB), id.MinElevationDeg)
 	if len(fovA) == 0 || len(fovB) == 0 {
 		t.Fatal("no satellites in view at the probe slots")
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -39,25 +40,25 @@ func TestCampaignMetricsMatchStats(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := reg.Snapshot()
-		if got := s.Counter("campaign_slots_total"); got != int64(cfg.Slots) {
+		if got := s.Counters["campaign_slots_total"]; got != int64(cfg.Slots) {
 			t.Errorf("oracle=%v: slots counter = %d, want %d", oracle, got, cfg.Slots)
 		}
-		if got := s.Counter("campaign_records_total"); got != int64(stats.Records) {
+		if got := s.Counters["campaign_records_total"]; got != int64(stats.Records) {
 			t.Errorf("oracle=%v: records counter = %d, want %d", oracle, got, stats.Records)
 		}
-		if got := s.Counter("campaign_served_total"); got != int64(stats.Served) {
+		if got := s.Counters["campaign_served_total"]; got != int64(stats.Served) {
 			t.Errorf("oracle=%v: served counter = %d, want %d", oracle, got, stats.Served)
 		}
 		for reason, n := range stats.Skips {
 			key := `campaign_skips_total{reason="` + reason + `"}`
-			if got := s.Counter(key); got != int64(n) {
+			if got := s.Counters[key]; got != int64(n) {
 				t.Errorf("oracle=%v: %s = %d, want %d", oracle, key, got, n)
 			}
 		}
 		if cfg.Metrics.Trace.Len() != stats.Records {
 			t.Errorf("oracle=%v: trace holds %d decisions, want %d", oracle, cfg.Metrics.Trace.Len(), stats.Records)
 		}
-		if !oracle && s.Counter("dtw_candidates_total") == 0 {
+		if !oracle && s.Counters["dtw_candidates_total"] == 0 {
 			t.Error("measured run recorded no matcher candidates")
 		}
 	}
@@ -129,9 +130,13 @@ func TestDecisionTraceContent(t *testing.T) {
 	if err := cfg.Metrics.Trace.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := telemetry.ReadDecisions(&buf)
-	if err != nil {
-		t.Fatal(err)
+	var back []telemetry.Decision
+	for dec := json.NewDecoder(&buf); dec.More(); {
+		var d telemetry.Decision
+		if err := dec.Decode(&d); err != nil {
+			t.Fatal(err)
+		}
+		back = append(back, d)
 	}
 	if !reflect.DeepEqual(decisions, back) {
 		t.Fatal("campaign decision trace does not round-trip through JSONL")

@@ -57,9 +57,6 @@ func (b *DatasetBuilder) Add(o Observation) error {
 	return nil
 }
 
-// Rows reports how many usable observations have been folded in.
-func (b *DatasetBuilder) Rows() int { return len(b.d.X) }
-
 // Finalize returns the dataset. The builder must not be reused after.
 func (b *DatasetBuilder) Finalize() (*ml.Dataset, error) {
 	if len(b.d.X) == 0 {

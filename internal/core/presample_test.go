@@ -145,8 +145,8 @@ func TestCampaignMatcherBruteIdenticalHalfSecond(t *testing.T) {
 			t.Fatalf("workers=%d: %d records != brute %d", workers, len(got.Records), len(want.Records))
 		}
 		snap := reg.Snapshot()
-		if snap.Counter("dtw_presample_pruned_total") == 0 {
-			t.Errorf("workers=%d: no candidate pruned before sampling (%d candidates)", workers, snap.Counter("dtw_candidates_total"))
+		if snap.Counters["dtw_presample_pruned_total"] == 0 {
+			t.Errorf("workers=%d: no candidate pruned before sampling (%d candidates)", workers, snap.Counters["dtw_candidates_total"])
 		}
 	}
 }

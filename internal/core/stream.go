@@ -225,9 +225,6 @@ func prepareCampaign(cfg *CampaignConfig) (terms []scheduler.Terminal, lo, hi in
 	if cfg.Snapshots == nil {
 		cfg.Snapshots = constellation.NewSnapshotCache(0, nil)
 	}
-	if cfg.SnapshotWorkers != 0 {
-		cfg.Snapshots.SetSnapshotWorkers(cfg.SnapshotWorkers)
-	}
 	terms = cfg.Scheduler.Terminals()
 	for _, t := range terms {
 		if err := validateVantagePoint(t.VantagePoint); err != nil {

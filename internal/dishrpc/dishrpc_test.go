@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -69,7 +70,7 @@ func TestStatusAndMapOverLoopback(t *testing.T) {
 	}
 	want := obstruction.New()
 	want.PaintTrack(track())
-	if !m.Equal(want) {
+	if !reflect.DeepEqual(m, want) {
 		t.Error("fetched map differs from painted map")
 	}
 }
@@ -136,7 +137,7 @@ func TestPollingSequenceXORWorkflow(t *testing.T) {
 	diff := obstruction.XOR(prev, cur)
 	want := obstruction.New()
 	want.PaintTrack(trackB)
-	if !diff.Equal(want) {
+	if !reflect.DeepEqual(diff, want) {
 		t.Error("XOR over RPC snapshots did not isolate the new track")
 	}
 }

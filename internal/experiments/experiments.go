@@ -33,6 +33,9 @@ type Env struct {
 	Seed      int64
 	// Workers is passed to every campaign this environment runs.
 	Workers int
+	// ResetEvery is the terminal reset cadence, in slots, of every
+	// campaign this environment runs (0 keeps the engine's default).
+	ResetEvery int
 	// Ctx, when non-nil, cancels this environment's campaign loops
 	// (cmd/repro wires Ctrl-C here). Nil means context.Background().
 	Ctx context.Context
@@ -281,10 +284,10 @@ func (e *Env) IdentValidation(slots int, naive bool) (*IdentResult, error) {
 }
 
 // CampaignConfig is the campaign engine config for one of this
-// environment's campaigns: its scheduler, identifier, start, worker
-// pool, metrics, snapshot cache and index setting. Callers change only
-// what differs from the environment (Start, ResetEvery,
-// SnapshotWorkers, a modified Identifier copy).
+// environment's campaigns: its scheduler, identifier, start, reset
+// cadence, worker pool, metrics, snapshot cache and index setting.
+// Callers change only what differs from the environment (Start, a
+// modified Identifier copy).
 func (e *Env) CampaignConfig(slots int, oracle bool) core.CampaignConfig {
 	return core.CampaignConfig{
 		Scheduler:    e.Sched,
@@ -292,6 +295,7 @@ func (e *Env) CampaignConfig(slots int, oracle bool) core.CampaignConfig {
 		Start:        e.Start(),
 		Slots:        slots,
 		Oracle:       oracle,
+		ResetEvery:   e.ResetEvery,
 		Workers:      e.Workers,
 		Metrics:      e.Metrics,
 		Snapshots:    e.Snaps,

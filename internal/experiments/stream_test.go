@@ -23,7 +23,8 @@ func goldenEnv(t *testing.T, workers int) *experiments.Env {
 	if err != nil {
 		t.Fatal(err)
 	}
-	built, err := spec.Build(scenario.BuildOptions{Workers: workers})
+	spec.Campaign.Workers = workers
+	built, err := spec.Build(scenario.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestStreamMatchesBatchGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				obs := batch.Observations()
+				obs := servedObservations(batch)
 				if len(obs) == 0 {
 					t.Fatal("golden campaign produced no served observations; pick a different seed")
 				}
@@ -163,9 +164,9 @@ func assertStatsMatch(t *testing.T, st *core.CampaignStats, batch *core.Campaign
 	if !reflect.DeepEqual(st.Skips, batch.Skips) {
 		t.Errorf("stream skip histogram %v, batch %v", st.Skips, batch.Skips)
 	}
-	if st.Records != len(batch.Records) || st.Served != len(batch.Observations()) {
+	if st.Records != len(batch.Records) || st.Served != len(servedObservations(batch)) {
 		t.Errorf("stream saw %d records / %d served, batch %d / %d",
-			st.Records, st.Served, len(batch.Records), len(batch.Observations()))
+			st.Records, st.Served, len(batch.Records), len(servedObservations(batch)))
 	}
 }
 
@@ -217,7 +218,7 @@ func TestStreamObservationsConsumerOrder(t *testing.T) {
 	if _, err := goldenEnv(t, 4).StreamObservations(40, first, second); err != nil {
 		t.Fatal(err)
 	}
-	obs := want.Observations()
+	obs := servedObservations(want)
 	if len(obs) == 0 {
 		t.Fatal("campaign produced no served observations; pick a different seed")
 	}
@@ -274,5 +275,17 @@ func TestStreamObservationsFeedsAccumulator(t *testing.T) {
 	if _, err := goldenEnv(t, 1).StreamObservations(40, acc.Add); err != nil {
 		t.Fatal(err)
 	}
-	assertMatches(t, "fed AOE", acc.Finalize, func() (any, error) { return core.AnalyzeAOE(batch.Observations(), 5) })
+	assertMatches(t, "fed AOE", acc.Finalize, func() (any, error) { return core.AnalyzeAOE(servedObservations(batch), 5) })
+}
+
+// servedObservations extracts the observations of the records with a
+// valid chosen satellite: the §5/§6 inputs of a batch run.
+func servedObservations(res *core.CampaignResult) []core.Observation {
+	var out []core.Observation
+	for _, rec := range res.Records {
+		if rec.ChosenIdx >= 0 {
+			out = append(out, rec.Observation)
+		}
+	}
+	return out
 }

@@ -216,18 +216,9 @@ func dirFromLook(la astro.LookAngles) units.Vec3 {
 	}
 }
 
-// Excluded reports whether a satellite seen at the given look angles
-// falls inside the protected zone around the GSO arc: its separation
-// from the belt is below the protection angle. A site that sees no
-// belt point (separation +Inf) excludes nothing.
-func (g *GSOExclusion) Excluded(azDeg, elevDeg float64) bool {
-	return g.MinSeparationDeg(azDeg, elevDeg) < g.protectionDeg
-}
-
-// ProtectionDeg returns the discrimination half-angle in degrees.
-// Callers that also need the separation itself test
-// MinSeparationDeg(az, el) < ProtectionDeg(), which is Excluded
-// without a second walk of the belt.
+// ProtectionDeg returns the discrimination half-angle in degrees. A
+// satellite seen at (az, el) falls inside the protected zone around
+// the GSO arc when MinSeparationDeg(az, el) < ProtectionDeg().
 func (g *GSOExclusion) ProtectionDeg() float64 { return g.protectionDeg }
 
 // MinSeparationDeg returns the angular distance from the given

@@ -308,3 +308,11 @@ func TestGSOExcludedMatchesSeparation(t *testing.T) {
 		}
 	}
 }
+
+// Excluded reports whether a satellite seen at the given look angles
+// falls inside the protected zone around the GSO arc: its separation
+// from the belt is below the protection angle. A site that sees no
+// belt point (separation +Inf) excludes nothing.
+func (g *GSOExclusion) Excluded(azDeg, elevDeg float64) bool {
+	return g.MinSeparationDeg(azDeg, elevDeg) < g.protectionDeg
+}

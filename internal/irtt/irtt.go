@@ -134,13 +134,6 @@ func NewServer(addr string, delay DelayFunc) (*Server, error) {
 // Addr returns the bound address.
 func (s *Server) Addr() *net.UDPAddr { return s.conn.LocalAddr().(*net.UDPAddr) }
 
-// Stats returns how many probes were echoed and dropped.
-func (s *Server) Stats() (served, dropped uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.served, s.dropped
-}
-
 // Serve processes probes until ctx is canceled or the connection is
 // closed. It always returns a non-nil error (ctx.Err or a read error).
 // Replies still held by a DelayFunc when ctx is canceled are stopped,

@@ -398,3 +398,10 @@ func TestServerDelayedServedCount(t *testing.T) {
 		t.Errorf("served = %d < received = %d", served, received)
 	}
 }
+
+// Stats returns how many probes were echoed and dropped.
+func (s *Server) Stats() (served, dropped uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.served, s.dropped
+}

@@ -292,46 +292,9 @@ func splitWorkers(total, jobs int) (outer, inner int) {
 	return outer, inner
 }
 
-// CrossValidateForest trains on k-1 folds and evaluates top-k accuracy
-// on the held-out fold, returning the mean across folds weighted by
-// held-out fold size (folds are unequal when n % k != 0; an unweighted
-// mean would over-count the small folds).
-func CrossValidateForest(d *Dataset, cfg ForestConfig, folds [][]int, topK int) (float64, error) {
-	return CrossValidateForestCtx(context.Background(), d, cfg, folds, topK)
-}
-
-// CrossValidateForestCtx is CrossValidateForest on a bounded worker
-// pool: folds evaluate concurrently (cfg.Workers total parallelism,
-// shared between the fold pool and each fold's forest fit) with the
-// score identical at any worker count.
-func CrossValidateForestCtx(ctx context.Context, d *Dataset, cfg ForestConfig, folds [][]int, topK int) (float64, error) {
-	splits, err := splitFolds(d, folds)
-	if err != nil {
-		return 0, err
-	}
-	outer, inner := splitWorkers(cfg.Workers, len(splits))
-	fitCfg := cfg
-	fitCfg.Workers = inner
-	scores := make([]float64, len(splits))
-	err = runPool(ctx, len(splits), outer, func(i int) error {
-		forest, err := FitForestCtx(ctx, splits[i].train, fitCfg)
-		if err != nil {
-			return err
-		}
-		acc, err := TopKAccuracy(ForestRanker{forest}, splits[i].test, topK)
-		if err != nil {
-			return err
-		}
-		scores[i] = acc
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return weightedFoldMean(scores, splits), nil
-}
-
-// weightedFoldMean averages fold scores weighted by held-out size.
+// weightedFoldMean averages fold scores weighted by held-out size:
+// folds are unequal when n % k != 0, and an unweighted mean would
+// over-count the small folds.
 func weightedFoldMean(scores []float64, splits []foldSplit) float64 {
 	num, den := 0.0, 0.0
 	for i, s := range scores {
@@ -348,14 +311,10 @@ type GridPoint struct {
 	Score  float64
 }
 
-// GridSearch cross-validates every config and returns them sorted by
-// descending score (best first). Ties keep input order.
-func GridSearch(d *Dataset, configs []ForestConfig, numFolds, topK int, seed int64) ([]GridPoint, error) {
-	return GridSearchCtx(context.Background(), d, configs, numFolds, topK, seed, 0)
-}
-
-// GridSearchCtx is GridSearch fanned out over every (config, fold)
-// pair on a bounded worker pool of `workers` total parallelism (0 =
+// GridSearchCtx cross-validates every config over numFolds stratified
+// folds drawn from seed and returns them sorted by descending score
+// (best first; ties keep input order). It fans out over every
+// (config, fold) pair on a bounded worker pool of `workers` total parallelism (0 =
 // GOMAXPROCS, shared between the pair pool and each pair's forest
 // fit). Scores and ordering are identical at any worker count: every
 // pair's forest is deterministic in (config, fold), results land in

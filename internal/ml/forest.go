@@ -57,11 +57,6 @@ type Forest struct {
 	numFeatures int
 }
 
-// FitForest trains a bagged ensemble of CART trees.
-func FitForest(d *Dataset, cfg ForestConfig) (*Forest, error) {
-	return FitForestCtx(context.Background(), d, cfg)
-}
-
 // FitForestCtx trains a bagged ensemble of CART trees on a bounded
 // worker pool (cfg.Workers), honouring ctx cancellation between trees.
 //
@@ -206,25 +201,6 @@ func (f *Forest) PredictProba(x []float64) ([]float64, error) {
 	return out, nil
 }
 
-// Predict returns the most probable class.
-func (f *Forest) Predict(x []float64) (int, error) {
-	p, err := f.PredictProba(x)
-	if err != nil {
-		return 0, err
-	}
-	return argmax(p), nil
-}
-
-// TopK returns the k most probable classes, descending; ties break by
-// lower class index for determinism.
-func (f *Forest) TopK(x []float64, k int) ([]int, error) {
-	p, err := f.PredictProba(x)
-	if err != nil {
-		return nil, err
-	}
-	return TopKOf(p, k), nil
-}
-
 // TopKOf ranks a probability/count vector and returns the first k
 // indices (all of them when k <= 0 or k > len).
 func TopKOf(p []float64, k int) []int {
@@ -316,10 +292,4 @@ func (f *Forest) Importance() []float64 {
 		out[i] /= float64(len(f.trees))
 	}
 	return out
-}
-
-// ImportanceRanking returns feature indices sorted by descending
-// importance.
-func (f *Forest) ImportanceRanking() []int {
-	return TopKOf(f.Importance(), 0)
 }

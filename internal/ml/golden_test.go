@@ -2,6 +2,7 @@ package ml
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
@@ -53,7 +54,7 @@ func TestForestGoldenFingerprint(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			f, err := FitForest(tc.d, tc.cfg)
+			f, err := FitForestCtx(context.Background(), tc.d, tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

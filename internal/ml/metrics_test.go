@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -14,11 +15,11 @@ func TestForestMetrics(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		reg := telemetry.NewRegistry()
 		cfg := ForestConfig{NumTrees: 12, Seed: 5, Workers: workers, Metrics: NewMetrics(reg)}
-		if _, err := FitForest(d, cfg); err != nil {
+		if _, err := FitForestCtx(context.Background(), d, cfg); err != nil {
 			t.Fatal(err)
 		}
 		s := reg.Snapshot()
-		if got := s.Counter("ml_trees_fitted_total"); got != 12 {
+		if got := s.Counters["ml_trees_fitted_total"]; got != 12 {
 			t.Errorf("workers=%d: trees fitted = %d, want 12", workers, got)
 		}
 		if h := s.Histograms["ml_fit_seconds"]; h.Count != 1 {
@@ -33,7 +34,7 @@ func TestForestMetricsNil(t *testing.T) {
 		t.Fatal("NewMetrics(Nop) must return nil")
 	}
 	d := gaussDataset(80, 3)
-	if _, err := FitForest(d, ForestConfig{NumTrees: 3, Seed: 1, Workers: 2}); err != nil {
+	if _, err := FitForestCtx(context.Background(), d, ForestConfig{NumTrees: 3, Seed: 1, Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 }

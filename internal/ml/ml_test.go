@@ -1,6 +1,8 @@
 package ml
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -80,7 +82,7 @@ func TestDatasetValidateRejectsNonFinite(t *testing.T) {
 		if _, err := FitTree(d, TreeConfig{}, nil); err == nil {
 			t.Errorf("%v: FitTree accepted", v)
 		}
-		if _, err := FitForest(d, ForestConfig{NumTrees: 2, Seed: 1}); err == nil {
+		if _, err := FitForestCtx(context.Background(), d, ForestConfig{NumTrees: 2, Seed: 1}); err == nil {
 			t.Errorf("%v: FitForest accepted", v)
 		}
 	}
@@ -209,7 +211,7 @@ func TestTreeImportanceInformativeFeatures(t *testing.T) {
 func TestForestBeatsOrMatchesTreeOnGauss(t *testing.T) {
 	train := gaussDataset(500, 8)
 	test := gaussDataset(300, 9)
-	forest, err := FitForest(train, ForestConfig{NumTrees: 30, Tree: TreeConfig{MaxDepth: 6}, Seed: 1})
+	forest, err := FitForestCtx(context.Background(), train, ForestConfig{NumTrees: 30, Tree: TreeConfig{MaxDepth: 6}, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +229,7 @@ func TestForestBeatsOrMatchesTreeOnGauss(t *testing.T) {
 
 func TestForestProbaSumsToOne(t *testing.T) {
 	d := gaussDataset(200, 10)
-	forest, err := FitForest(d, ForestConfig{NumTrees: 10, Seed: 2})
+	forest, err := FitForestCtx(context.Background(), d, ForestConfig{NumTrees: 10, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,11 +253,11 @@ func TestForestProbaSumsToOne(t *testing.T) {
 
 func TestForestDeterministicWithSeed(t *testing.T) {
 	d := gaussDataset(200, 11)
-	f1, err := FitForest(d, ForestConfig{NumTrees: 5, Seed: 42})
+	f1, err := FitForestCtx(context.Background(), d, ForestConfig{NumTrees: 5, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := FitForest(d, ForestConfig{NumTrees: 5, Seed: 42})
+	f2, err := FitForestCtx(context.Background(), d, ForestConfig{NumTrees: 5, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +292,7 @@ func TestTopKOf(t *testing.T) {
 
 func TestTopKAccuracyMonotoneInK(t *testing.T) {
 	d := gaussDataset(300, 12)
-	forest, err := FitForest(d, ForestConfig{NumTrees: 10, Seed: 3})
+	forest, err := FitForestCtx(context.Background(), d, ForestConfig{NumTrees: 10, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +321,7 @@ func TestTopKAccuracyMonotoneInK(t *testing.T) {
 
 func TestTopKAccuracyErrors(t *testing.T) {
 	d := gaussDataset(50, 13)
-	forest, _ := FitForest(d, ForestConfig{NumTrees: 2, Seed: 1})
+	forest, _ := FitForestCtx(context.Background(), d, ForestConfig{NumTrees: 2, Seed: 1})
 	if _, err := TopKAccuracy(ForestRanker{forest}, d, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
@@ -389,18 +391,22 @@ func TestStratifiedKFold(t *testing.T) {
 
 func TestCrossValidateForest(t *testing.T) {
 	d := gaussDataset(150, 15)
-	rng := rand.New(rand.NewSource(6))
-	folds, err := StratifiedKFold(d, 3, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	score, err := CrossValidateForest(d, ForestConfig{NumTrees: 10, Tree: TreeConfig{MaxDepth: 5}, Seed: 7}, folds, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	score := crossValidate(t, d, ForestConfig{NumTrees: 10, Tree: TreeConfig{MaxDepth: 5}, Seed: 7}, 3, 6, 0)
 	if score < 0.85 {
 		t.Errorf("CV score = %v", score)
 	}
+}
+
+// crossValidate returns the top-1 cross-validated score of one forest
+// config over k stratified folds drawn from seed: a one-point
+// GridSearchCtx on a pool of the given size.
+func crossValidate(t *testing.T, d *Dataset, cfg ForestConfig, k int, seed int64, workers int) float64 {
+	t.Helper()
+	points, err := GridSearchCtx(context.Background(), d, []ForestConfig{cfg}, k, 1, seed, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return points[0].Score
 }
 
 func TestGridSearchPicksReasonableConfig(t *testing.T) {
@@ -409,7 +415,7 @@ func TestGridSearchPicksReasonableConfig(t *testing.T) {
 		{NumTrees: 1, Tree: TreeConfig{MaxDepth: 1}, Seed: 1},  // weak
 		{NumTrees: 15, Tree: TreeConfig{MaxDepth: 6}, Seed: 1}, // strong
 	}
-	points, err := GridSearch(d, grid, 3, 1, 99)
+	points, err := GridSearchCtx(context.Background(), d, grid, 3, 1, 99, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,14 +428,14 @@ func TestGridSearchPicksReasonableConfig(t *testing.T) {
 	if points[0].Config.NumTrees != 15 {
 		t.Errorf("grid search picked the weak config: %+v", points[0])
 	}
-	if _, err := GridSearch(d, nil, 3, 1, 0); err == nil {
+	if _, err := GridSearchCtx(context.Background(), d, nil, 3, 1, 0, 0); err == nil {
 		t.Error("empty grid accepted")
 	}
 }
 
 func TestForestImportanceSums(t *testing.T) {
 	d := gaussDataset(300, 17)
-	forest, err := FitForest(d, ForestConfig{NumTrees: 10, Tree: TreeConfig{MaxDepth: 5}, Seed: 8})
+	forest, err := FitForestCtx(context.Background(), d, ForestConfig{NumTrees: 10, Tree: TreeConfig{MaxDepth: 5}, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +450,7 @@ func TestForestImportanceSums(t *testing.T) {
 	if math.Abs(sum-1) > 1e-6 {
 		t.Errorf("forest importance sums to %v", sum)
 	}
-	ranking := forest.ImportanceRanking()
+	ranking := TopKOf(forest.Importance(), 0)
 	if ranking[0] != 0 && ranking[0] != 1 {
 		t.Errorf("most important feature = %d, want 0 or 1", ranking[0])
 	}
@@ -466,7 +472,7 @@ func BenchmarkForestFit(b *testing.B) {
 	d := gaussDataset(300, 18)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := FitForest(d, ForestConfig{NumTrees: 10, Tree: TreeConfig{MaxDepth: 6}, Seed: int64(i)}); err != nil {
+		if _, err := FitForestCtx(context.Background(), d, ForestConfig{NumTrees: 10, Tree: TreeConfig{MaxDepth: 6}, Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -480,7 +486,7 @@ func benchForestFitWorkers(b *testing.B, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := FitForest(d, ForestConfig{NumTrees: 100, Tree: TreeConfig{MaxDepth: 10}, Seed: 7, Workers: workers}); err != nil {
+		if _, err := FitForestCtx(context.Background(), d, ForestConfig{NumTrees: 100, Tree: TreeConfig{MaxDepth: 10}, Seed: 7, Workers: workers}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -497,7 +503,7 @@ func BenchmarkForestFitFeatureShape(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := FitForest(d, ForestConfig{NumTrees: 30, Tree: TreeConfig{MaxDepth: 10}, Seed: int64(i), Workers: 1}); err != nil {
+		if _, err := FitForestCtx(context.Background(), d, ForestConfig{NumTrees: 30, Tree: TreeConfig{MaxDepth: 10}, Seed: int64(i), Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -505,7 +511,7 @@ func BenchmarkForestFitFeatureShape(b *testing.B) {
 
 func BenchmarkForestPredict(b *testing.B) {
 	d := gaussDataset(300, 19)
-	forest, err := FitForest(d, ForestConfig{NumTrees: 50, Tree: TreeConfig{MaxDepth: 6}, Seed: 1})
+	forest, err := FitForestCtx(context.Background(), d, ForestConfig{NumTrees: 50, Tree: TreeConfig{MaxDepth: 6}, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -523,7 +529,7 @@ func BenchmarkForestPredict(b *testing.B) {
 // land in caller scratch (0 allocs/op).
 func BenchmarkForestPredictBatch(b *testing.B) {
 	d := gaussDataset(300, 19)
-	forest, err := FitForest(d, ForestConfig{NumTrees: 50, Tree: TreeConfig{MaxDepth: 6}, Seed: 1})
+	forest, err := FitForestCtx(context.Background(), d, ForestConfig{NumTrees: 50, Tree: TreeConfig{MaxDepth: 6}, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -537,4 +543,34 @@ func BenchmarkForestPredictBatch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// PredictProba returns the class distribution for one feature vector.
+func (t *Tree) PredictProba(x []float64) ([]float64, error) {
+	if len(x) != t.numFeatures {
+		return nil, fmt.Errorf("ml: input has %d features, tree trained on %d", len(x), t.numFeatures)
+	}
+	return t.leaf(x).probs, nil
+}
+
+// Predict returns the most probable class.
+func (t *Tree) Predict(x []float64) (int, error) {
+	p, err := t.PredictProba(x)
+	if err != nil {
+		return 0, err
+	}
+	return argmax(p), nil
+}
+
+// NumNodes reports tree size.
+func (t *Tree) NumNodes() int { return len(t.nodes) }
+
+func argmax(xs []float64) int {
+	best := 0
+	for i, x := range xs {
+		if x > xs[best] {
+			best = i
+		}
+	}
+	return best
 }

@@ -294,7 +294,7 @@ func TestFitTreePresortIdentical(t *testing.T) {
 func TestForestFitParallelIdentical(t *testing.T) {
 	d := gaussDataset(240, 21)
 	base := ForestConfig{NumTrees: 24, Tree: TreeConfig{MaxDepth: 9}, Seed: 5, Workers: 1}
-	want, err := FitForest(d, base)
+	want, err := FitForestCtx(context.Background(), d, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestForestFitParallelIdentical(t *testing.T) {
 	for _, workers := range []int{2, 4, 0} {
 		cfg := base
 		cfg.Workers = workers
-		got, err := FitForest(d, cfg)
+		got, err := FitForestCtx(context.Background(), d, cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -344,6 +344,7 @@ func TestFitForestCtxCancel(t *testing.T) {
 // that over-counted the 4-row folds.
 func TestCrossValidateForestWeightedMean(t *testing.T) {
 	d := gaussDataset(13, 23) // 13 % 3 != 0 forces unequal folds
+	// The folds GridSearchCtx draws from seed 9.
 	rng := rand.New(rand.NewSource(9))
 	folds, err := StratifiedKFold(d, 3, rng)
 	if err != nil {
@@ -364,7 +365,7 @@ func TestCrossValidateForestWeightedMean(t *testing.T) {
 				trainIdx = append(trainIdx, f...)
 			}
 		}
-		forest, err := FitForest(d.Subset(trainIdx), cfg)
+		forest, err := FitForestCtx(context.Background(), d.Subset(trainIdx), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -377,11 +378,7 @@ func TestCrossValidateForestWeightedMean(t *testing.T) {
 	}
 	want := num / den
 
-	got, err := CrossValidateForest(d, cfg, folds, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
+	if got := crossValidate(t, d, cfg, 3, 9, 1); got != want {
 		t.Errorf("CV score = %v, want fold-size-weighted %v", got, want)
 	}
 }
@@ -390,21 +387,10 @@ func TestCrossValidateForestWeightedMean(t *testing.T) {
 // change the score.
 func TestCrossValidateForestParallelIdentical(t *testing.T) {
 	d := gaussDataset(100, 24)
-	rng := rand.New(rand.NewSource(10))
-	folds, err := StratifiedKFold(d, 4, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want float64
-	for i, workers := range []int{1, 2, 4, 0} {
-		cfg := ForestConfig{NumTrees: 8, Tree: TreeConfig{MaxDepth: 5}, Seed: 11, Workers: workers}
-		got, err := CrossValidateForest(d, cfg, folds, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			want = got
-		} else if got != want {
+	cfg := ForestConfig{NumTrees: 8, Tree: TreeConfig{MaxDepth: 5}, Seed: 11}
+	want := crossValidate(t, d, cfg, 4, 10, 1)
+	for _, workers := range []int{2, 4, 0} {
+		if got := crossValidate(t, d, cfg, 4, 10, workers); got != want {
 			t.Errorf("workers=%d: score %v, want %v", workers, got, want)
 		}
 	}
@@ -449,7 +435,7 @@ func stripWorkers(points []GridPoint) []GridPoint {
 // nothing per row.
 func TestForestPredictProbaInto(t *testing.T) {
 	d := gaussDataset(150, 26)
-	forest, err := FitForest(d, ForestConfig{NumTrees: 12, Seed: 4})
+	forest, err := FitForestCtx(context.Background(), d, ForestConfig{NumTrees: 12, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +486,7 @@ func TestForestPredictProbaInto(t *testing.T) {
 // Ranker takes.
 func TestTopKEvalFastPathMatchesGeneric(t *testing.T) {
 	d := gaussDataset(200, 27)
-	forest, err := FitForest(d, ForestConfig{NumTrees: 10, Seed: 6})
+	forest, err := FitForestCtx(context.Background(), d, ForestConfig{NumTrees: 10, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,7 +577,7 @@ func TestForestExtractionIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	d := randomDataset(rng, 150, 30, 4)
 	cfg := ForestConfig{NumTrees: 12, Tree: TreeConfig{MaxDepth: 8, MaxFeatures: 2}, Seed: 13}
-	got, err := FitForest(d, cfg)
+	got, err := FitForestCtx(context.Background(), d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -770,4 +756,14 @@ func FuzzFitTreeMatchesReference(f *testing.F) {
 		}
 		treesEqual(t, got, want)
 	})
+}
+
+// FitTree grows a CART tree. The rng drives feature subsampling; pass
+// nil for deterministic all-features behaviour.
+func FitTree(d *Dataset, cfg TreeConfig, rng *rand.Rand) (*Tree, error) {
+	if err := d.Validate(); err != nil {
+		return nil, err
+	}
+	b := &treeBuilder{}
+	return b.fitTree(newFitContext(d), cfg, rng, nil)
 }

@@ -65,16 +65,11 @@ func (f *Forest) Save(w io.Writer) error {
 // instead of failing per-prediction at checkWidth time.
 var ErrModelShape = errors.New("ml: model shape mismatch")
 
-// LoadForest reads a forest written by Save and validates its
-// structure.
-func LoadForest(r io.Reader) (*Forest, error) {
-	return LoadForestFor(r, 0, 0)
-}
-
-// LoadForestFor is LoadForest plus a load-time schema gate: the
-// serialized header's format version, feature width, and class count
-// are checked before any tree decodes. wantFeatures/wantClasses of 0
-// skip that dimension (LoadForest's behaviour). A mismatch returns an
+// LoadForestFor reads a forest written by Save and validates its
+// structure, behind a load-time schema gate: the serialized header's
+// format version, feature width, and class count are checked before
+// any tree decodes. wantFeatures/wantClasses of 0 skip that
+// dimension. A mismatch returns an
 // error wrapping ErrModelShape that names both shapes, so "wrong model
 // file" fails at startup with a clear message rather than surfacing as
 // a per-input width error mid-serve.

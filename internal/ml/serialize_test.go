@@ -2,13 +2,14 @@ package ml
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestForestSaveLoadRoundTrip(t *testing.T) {
 	d := gaussDataset(200, 30)
-	f1, err := FitForest(d, ForestConfig{NumTrees: 8, Tree: TreeConfig{MaxDepth: 6}, Seed: 1})
+	f1, err := FitForestCtx(context.Background(), d, ForestConfig{NumTrees: 8, Tree: TreeConfig{MaxDepth: 6}, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -16,7 +17,7 @@ func TestForestSaveLoadRoundTrip(t *testing.T) {
 	if err := f1.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	f2, err := LoadForest(&buf)
+	f2, err := LoadForestFor(&buf, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestLoadForestRejectsGarbage(t *testing.T) {
 		`{"version":1,"num_classes":2,"num_features":2,"trees":[{"importance":[0],"nodes":[{"f":-1,"p":[1,0]}]}]}`,
 	}
 	for i, c := range cases {
-		if _, err := LoadForest(strings.NewReader(c)); err == nil {
+		if _, err := LoadForestFor(strings.NewReader(c), 0, 0); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
 	}
@@ -73,7 +74,7 @@ func TestLoadForestRejectsGarbage(t *testing.T) {
 
 func TestLoadedForestStillRanks(t *testing.T) {
 	d := gaussDataset(150, 31)
-	f, err := FitForest(d, ForestConfig{NumTrees: 5, Seed: 2})
+	f, err := FitForestCtx(context.Background(), d, ForestConfig{NumTrees: 5, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestLoadedForestStillRanks(t *testing.T) {
 	if err := f.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadForest(&buf)
+	loaded, err := LoadForestFor(&buf, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

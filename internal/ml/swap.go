@@ -1,9 +1,6 @@
 package ml
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
 	"sync/atomic"
 )
 
@@ -34,16 +31,3 @@ func (s *SwapForest) Store(f *Forest) int64 {
 
 // Version reports how many models have been published.
 func (s *SwapForest) Version() int64 { return s.version.Load() }
-
-// Fingerprint hashes the forest's serialized form: two forests share a
-// fingerprint iff every node's feature, threshold, children, leaf
-// distribution, and per-tree importance are bit-identical. It is the
-// identity the retrain-determinism contract is stated in (same window
-// contents => same fingerprint at any worker count).
-func Fingerprint(f *Forest) (string, error) {
-	h := sha256.New()
-	if err := f.Save(h); err != nil {
-		return "", fmt.Errorf("ml: fingerprint: %w", err)
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}

@@ -147,7 +147,7 @@ type fitContext struct {
 }
 
 // newFitContext sorts each varying column once — O(active features *
-// n log n), paid once per FitForest/FitTree call — and keeps only the
+// n log n), paid once per FitForestCtx call — and keeps only the
 // ranks and distinct values the sort yields.
 func newFitContext(d *Dataset) *fitContext {
 	n := len(d.X)
@@ -245,16 +245,6 @@ func sortIdxByKey(key []float64, idx []int32) {
 			idx[j], idx[j-1] = idx[j-1], idx[j]
 		}
 	}
-}
-
-// FitTree grows a CART tree. The rng drives feature subsampling; pass
-// nil for deterministic all-features behaviour.
-func FitTree(d *Dataset, cfg TreeConfig, rng *rand.Rand) (*Tree, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	b := &treeBuilder{}
-	return b.fitTree(newFitContext(d), cfg, rng, nil)
 }
 
 // sample is one sample position of a tree: its dataset row (the
@@ -579,26 +569,6 @@ func (t *Tree) leaf(x []float64) *node {
 	}
 }
 
-// PredictProba returns the class distribution for one feature vector.
-func (t *Tree) PredictProba(x []float64) ([]float64, error) {
-	if len(x) != t.numFeatures {
-		return nil, fmt.Errorf("ml: input has %d features, tree trained on %d", len(x), t.numFeatures)
-	}
-	return t.leaf(x).probs, nil
-}
-
-// Predict returns the most probable class.
-func (t *Tree) Predict(x []float64) (int, error) {
-	p, err := t.PredictProba(x)
-	if err != nil {
-		return 0, err
-	}
-	return argmax(p), nil
-}
-
-// NumNodes reports tree size.
-func (t *Tree) NumNodes() int { return len(t.nodes) }
-
 // Importance returns the normalized gini importance per feature
 // (sums to 1 when any split happened).
 func (t *Tree) Importance() []float64 {
@@ -618,14 +588,4 @@ func normalize(xs []float64) {
 	for i := range xs {
 		xs[i] /= s
 	}
-}
-
-func argmax(xs []float64) int {
-	best := 0
-	for i, x := range xs {
-		if x > xs[best] {
-			best = i
-		}
-	}
-	return best
 }

@@ -142,9 +142,3 @@ func (w *WindowTrainer) Plan() *WindowFit {
 	w.fits++
 	return p
 }
-
-// Fit is Plan().Fit(...) — the synchronous path for callers that hold
-// their lock across the refit (deterministic experiments).
-func (w *WindowTrainer) Fit(ctx context.Context, workers int) (*Forest, error) {
-	return w.Plan().Fit(ctx, workers)
-}

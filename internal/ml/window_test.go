@@ -46,15 +46,11 @@ func TestWindowRetrainDeterministic(t *testing.T) {
 		for i := range xs {
 			w.Add(xs[i], ys[i])
 			if w.Len() >= 64 && (i+1)%100 == 0 {
-				f, err := w.Fit(context.Background(), workers)
+				f, err := w.Plan().Fit(context.Background(), workers)
 				if err != nil {
 					t.Fatal(err)
 				}
-				fp, err := Fingerprint(f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				out = append(out, fp)
+				out = append(out, forestFingerprint(t, f))
 			}
 		}
 		return out
@@ -156,7 +152,7 @@ func TestSwapForestVersioning(t *testing.T) {
 func TestLoadForestForShapeGate(t *testing.T) {
 	xs, ys := windowRows(60, 7, 3, 5)
 	d := &Dataset{X: xs, Y: ys, NumClasses: 3}
-	f, err := FitForest(d, ForestConfig{NumTrees: 3, Tree: TreeConfig{MaxDepth: 3}, Seed: 1})
+	f, err := FitForestCtx(context.Background(), d, ForestConfig{NumTrees: 3, Tree: TreeConfig{MaxDepth: 3}, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

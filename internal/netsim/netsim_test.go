@@ -282,3 +282,17 @@ func TestTraceDeterministicWithSeed(t *testing.T) {
 		}
 	}
 }
+
+// LossRate returns the fraction of lost samples.
+func LossRate(samples []Sample) float64 {
+	if len(samples) == 0 {
+		return 0
+	}
+	lost := 0
+	for _, s := range samples {
+		if s.Lost {
+			lost++
+		}
+	}
+	return float64(lost) / float64(len(samples))
+}

@@ -88,9 +88,6 @@ func (m *Map) Count() int {
 	return n
 }
 
-// Equal reports pixel-exact equality.
-func (m *Map) Equal(o *Map) bool { return m.pix == o.pix }
-
 // PolarPoint is a sky direction in terminal-topocentric coordinates.
 type PolarPoint struct {
 	ElevationDeg float64
@@ -199,15 +196,6 @@ func XOR(prev, cur *Map) *Map {
 	out := &Map{}
 	for i := range out.pix {
 		out.pix[i] = prev.pix[i] != cur.pix[i]
-	}
-	return out
-}
-
-// Union returns the overlay of two snapshots.
-func Union(a, b *Map) *Map {
-	out := &Map{}
-	for i := range out.pix {
-		out.pix[i] = a.pix[i] || b.pix[i]
 	}
 	return out
 }
@@ -341,29 +329,6 @@ func (m *Map) EncodePNG(w io.Writer) error {
 		return fmt.Errorf("obstruction: encode png: %w", err)
 	}
 	return nil
-}
-
-// DecodePNG reads a map from PNG data produced by EncodePNG (or any
-// image of the right size; pixels with luma >= 128 count as painted).
-func DecodePNG(r io.Reader) (*Map, error) {
-	img, err := png.Decode(r)
-	if err != nil {
-		return nil, fmt.Errorf("obstruction: decode png: %w", err)
-	}
-	b := img.Bounds()
-	if b.Dx() != Size || b.Dy() != Size {
-		return nil, fmt.Errorf("obstruction: image is %dx%d, want %dx%d", b.Dx(), b.Dy(), Size, Size)
-	}
-	m := New()
-	for y := 0; y < Size; y++ {
-		for x := 0; x < Size; x++ {
-			c := color.GrayModel.Convert(img.At(b.Min.X+x, b.Min.Y+y)).(color.Gray)
-			if c.Y >= 128 {
-				m.Set(x, y)
-			}
-		}
-	}
-	return m, nil
 }
 
 // MarshalBinary implements a compact 1-bit wire encoding used by the

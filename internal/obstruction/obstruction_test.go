@@ -2,8 +2,11 @@ package obstruction
 
 import (
 	"bytes"
+	"fmt"
 	"image"
+	"image/color"
 	"image/png"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -310,5 +313,40 @@ func TestSetOutOfRangeIgnored(t *testing.T) {
 // angularDistDeg returns the smallest absolute separation between two
 // angles in degrees, in [0, 180].
 func angularDistDeg(a, b float64) float64 {
-	return math.Abs(units.WrapDeg180(a - b))
+	return math.Abs(math.Remainder(a-b, 360))
+}
+
+// Equal reports pixel-exact equality.
+func (m *Map) Equal(o *Map) bool { return m.pix == o.pix }
+
+// Union returns the overlay of two snapshots.
+func Union(a, b *Map) *Map {
+	out := &Map{}
+	for i := range out.pix {
+		out.pix[i] = a.pix[i] || b.pix[i]
+	}
+	return out
+}
+
+// DecodePNG reads a map from PNG data produced by EncodePNG (or any
+// image of the right size; pixels with luma >= 128 count as painted).
+func DecodePNG(r io.Reader) (*Map, error) {
+	img, err := png.Decode(r)
+	if err != nil {
+		return nil, fmt.Errorf("obstruction: decode png: %w", err)
+	}
+	b := img.Bounds()
+	if b.Dx() != Size || b.Dy() != Size {
+		return nil, fmt.Errorf("obstruction: image is %dx%d, want %dx%d", b.Dx(), b.Dy(), Size, Size)
+	}
+	m := New()
+	for y := 0; y < Size; y++ {
+		for x := 0; x < Size; x++ {
+			c := color.GrayModel.Convert(img.At(b.Min.X+x, b.Min.Y+y)).(color.Gray)
+			if c.Y >= 128 {
+				m.Set(x, y)
+			}
+		}
+	}
+	return m, nil
 }

@@ -9,7 +9,6 @@ package power
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/units"
@@ -60,14 +59,6 @@ func (c *BatteryConfig) validate() error {
 type Battery struct {
 	cfg BatteryConfig
 	soc float64
-}
-
-// NewBattery builds a battery at the configured initial state.
-func NewBattery(cfg BatteryConfig) (*Battery, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	return &Battery{cfg: cfg, soc: cfg.InitialSoC}, nil
 }
 
 // SoC returns the state of charge in [MinSoC, 1].
@@ -140,27 +131,4 @@ func (f *Fleet) Step(dt time.Duration, sunlit []bool, util []float64) {
 	for i := range f.bats {
 		f.bats[i].Step(dt, sunlit[i], util[i])
 	}
-}
-
-// MeanSoC returns the fleet-average state of charge.
-func (f *Fleet) MeanSoC() float64 {
-	if len(f.bats) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for i := range f.bats {
-		sum += f.bats[i].SoC()
-	}
-	return sum / float64(len(f.bats))
-}
-
-// ConstrainedCount returns how many batteries sit at the floor.
-func (f *Fleet) ConstrainedCount() int {
-	n := 0
-	for i := range f.bats {
-		if f.bats[i].Constrained() {
-			n++
-		}
-	}
-	return n
 }

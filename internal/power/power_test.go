@@ -160,3 +160,34 @@ func TestFleetConstrainedCount(t *testing.T) {
 		t.Errorf("constrained count = %d", f.ConstrainedCount())
 	}
 }
+
+// MeanSoC returns the fleet-average state of charge.
+func (f *Fleet) MeanSoC() float64 {
+	if len(f.bats) == 0 {
+		return math.NaN()
+	}
+	sum := 0.0
+	for i := range f.bats {
+		sum += f.bats[i].SoC()
+	}
+	return sum / float64(len(f.bats))
+}
+
+// ConstrainedCount returns how many batteries sit at the floor.
+func (f *Fleet) ConstrainedCount() int {
+	n := 0
+	for i := range f.bats {
+		if f.bats[i].Constrained() {
+			n++
+		}
+	}
+	return n
+}
+
+// NewBattery builds a battery at the configured initial state.
+func NewBattery(cfg BatteryConfig) (*Battery, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	return &Battery{cfg: cfg, soc: cfg.InitialSoC}, nil
+}

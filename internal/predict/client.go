@@ -26,13 +26,6 @@ func Dial(addr string) (*Client, error) {
 // Close tears down the connection.
 func (c *Client) Close() error { return c.c.Close() }
 
-// Predict returns the model's best cluster for the slot.
-func (c *Client) Predict(localHour int, sats []SatParam) (PredictResult, error) {
-	var res PredictResult
-	err := c.c.Call("predict", PredictRequest{LocalHour: localHour, Sats: sats}, &res)
-	return res, err
-}
-
 // TopK returns the top-k head of the ranking (k=0 uses the server's
 // configured horizon).
 func (c *Client) TopK(localHour int, sats []SatParam, k int) (PredictResult, error) {
@@ -45,20 +38,6 @@ func (c *Client) TopK(localHour int, sats []SatParam, k int) (PredictResult, err
 func (c *Client) Observe(req ObserveRequest) (ObserveResult, error) {
 	var res ObserveResult
 	err := c.c.Call("observe", req, &res)
-	return res, err
-}
-
-// ModelInfo describes the remote serving model.
-func (c *Client) ModelInfo() (ModelInfo, error) {
-	var res ModelInfo
-	err := c.c.Call("model_info", nil, &res)
-	return res, err
-}
-
-// Stats snapshots the remote service.
-func (c *Client) Stats() (Stats, error) {
-	var res Stats
-	err := c.c.Call("stats", nil, &res)
 	return res, err
 }
 

@@ -2,6 +2,8 @@ package predict
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"math/rand"
 	"sync"
@@ -11,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dishrpc"
 	"repro/internal/features"
-	"repro/internal/ml"
 	"repro/internal/telemetry"
 )
 
@@ -82,11 +83,11 @@ func TestServiceRetrainDeterministic(t *testing.T) {
 		if f == nil {
 			t.Fatal("no model after 200 slots")
 		}
-		fp, err := ml.Fingerprint(f)
-		if err != nil {
+		h := sha256.New()
+		if err := f.Save(h); err != nil {
 			t.Fatal(err)
 		}
-		return fp, s.Stats()
+		return hex.EncodeToString(h.Sum(nil)), s.Stats()
 	}
 	fp1, st1 := run(1)
 	fp4, st4 := run(4)
@@ -161,13 +162,13 @@ func TestDriftDetection(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	if snap.Counter("predict_drift_events_total") < 1 {
+	if snap.Counters["predict_drift_events_total"] < 1 {
 		t.Error("predict_drift_events_total not incremented")
 	}
-	if snap.Counter("predict_refits_total") < 2 {
-		t.Errorf("predict_refits_total = %d, want >= 2", snap.Counter("predict_refits_total"))
+	if snap.Counters["predict_refits_total"] < 2 {
+		t.Errorf("predict_refits_total = %d, want >= 2", snap.Counters["predict_refits_total"])
 	}
-	if snap.Counter("predict_scored_total") == 0 {
+	if snap.Counters["predict_scored_total"] == 0 {
 		t.Error("predict_scored_total stayed zero")
 	}
 }
@@ -319,7 +320,7 @@ func TestRPCRoundTrip(t *testing.T) {
 		t.Fatalf("connection unusable after unknown method: %v", err)
 	}
 
-	if reg.Snapshot().Counter("predict_requests_total") == 0 {
+	if reg.Snapshot().Counters["predict_requests_total"] == 0 {
 		t.Error("predict_requests_total not incremented")
 	}
 
@@ -339,4 +340,25 @@ func satFromObs(a core.SatObs) features.Sat {
 		AgeYears:     a.AgeYears,
 		Sunlit:       a.Sunlit,
 	}
+}
+
+// Predict returns the model's best cluster for the slot.
+func (c *Client) Predict(localHour int, sats []SatParam) (PredictResult, error) {
+	var res PredictResult
+	err := c.c.Call("predict", PredictRequest{LocalHour: localHour, Sats: sats}, &res)
+	return res, err
+}
+
+// ModelInfo describes the remote serving model.
+func (c *Client) ModelInfo() (ModelInfo, error) {
+	var res ModelInfo
+	err := c.c.Call("model_info", nil, &res)
+	return res, err
+}
+
+// Stats snapshots the remote service.
+func (c *Client) Stats() (Stats, error) {
+	var res Stats
+	err := c.c.Call("stats", nil, &res)
+	return res, err
 }

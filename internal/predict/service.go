@@ -235,10 +235,6 @@ func NewScratch() *Scratch {
 // call if it must survive.
 func (sc *Scratch) Ranked() []int { return sc.idx }
 
-// Probs exposes the probability for each cluster index (not ranking
-// order) from the last Rank call.
-func (sc *Scratch) Probs() []float64 { return sc.probs }
-
 // ErrNoModel is returned by Rank before any model has been fit or
 // installed.
 var ErrNoModel = fmt.Errorf("predict: no model fit yet")

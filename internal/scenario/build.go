@@ -13,7 +13,8 @@ import (
 )
 
 // BuildOptions carries host-side knobs that are not part of the spec:
-// instrumentation and machine-shape overrides. The zero value is a
+// instrumentation and the index ablation. Worker counts are the spec's
+// (campaign.workers, campaign.snapshot_workers). The zero value is a
 // plain build.
 type BuildOptions struct {
 	// Telemetry wires the environment into a registry (nil disables).
@@ -22,11 +23,6 @@ type BuildOptions struct {
 	TraceDecisions int
 	// DisableIndex forces linear visibility scans (ablation).
 	DisableIndex bool
-	// Workers / SnapshotWorkers override the spec's campaign values
-	// when non-zero (CLI flags beat the file; results are identical
-	// at every value, only the cost changes).
-	Workers         int
-	SnapshotWorkers int
 }
 
 // Built is a lowered scenario: the ready environment plus the
@@ -34,14 +30,15 @@ type BuildOptions struct {
 type Built struct {
 	Spec *Spec
 	Env  *experiments.Env
-	// Slots/Oracle/ResetEvery shape the main campaign; IdentSlots
-	// bounds the §4 identification-validation run.
+	// Slots/Oracle shape the main campaign; IdentSlots bounds the §4
+	// identification-validation run. ResetEvery is the spec's reset
+	// cadence, which Env.CampaignConfig applies to every campaign.
 	Slots      int
 	IdentSlots int
 	Oracle     bool
 	ResetEvery int
-	// opt is what Build was given; the §8 siblings reuse its machine
-	// shape.
+	// opt is what Build was given; the §8 siblings reuse its index
+	// setting.
 	opt BuildOptions
 }
 
@@ -92,16 +89,8 @@ func (s *Spec) Build(opt BuildOptions) (*Built, error) {
 	for _, g := range sc.GroundStations {
 		gs = append(gs, astro.Geodetic{LatDeg: g.LatDeg, LonDeg: g.LonDeg, AltKm: g.AltKm})
 	}
-	workers := s.Campaign.Workers
-	if opt.Workers != 0 {
-		workers = opt.Workers
-	}
-	snapWorkers := s.Campaign.SnapshotWorkers
-	if opt.SnapshotWorkers != 0 {
-		snapWorkers = opt.SnapshotWorkers
-	}
 	snaps := constellation.NewSnapshotCache(0, opt.Telemetry)
-	snaps.SetSnapshotWorkers(snapWorkers)
+	snaps.SetSnapshotWorkers(s.Campaign.SnapshotWorkers)
 	sched, err := scheduler.NewGlobal(scheduler.Config{
 		Constellation:     cons,
 		Terminals:         terms,
@@ -143,7 +132,8 @@ func (s *Spec) Build(opt BuildOptions) (*Built, error) {
 		Spec: s,
 		Env: &experiments.Env{
 			Cons: cons, Sched: sched, Ident: ident, Terminals: terms, Seed: s.Seed,
-			Workers: workers, Telemetry: opt.Telemetry, Metrics: metrics,
+			Workers: s.Campaign.Workers, ResetEvery: s.Campaign.ResetEvery,
+			Telemetry: opt.Telemetry, Metrics: metrics,
 			Snaps: snaps, DisableIndex: opt.DisableIndex,
 		},
 		Slots:      s.Campaign.Slots,
@@ -154,14 +144,10 @@ func (s *Spec) Build(opt BuildOptions) (*Built, error) {
 	}, nil
 }
 
-// CampaignConfig lowers the built scenario into the campaign engine's
-// config — Env.CampaignConfig plus the spec's reset cadence, so a
-// scenario that mirrors the default environment produces a
-// bit-identical record stream.
+// CampaignConfig lowers the built scenario's main campaign into the
+// campaign engine's config.
 func (b *Built) CampaignConfig() core.CampaignConfig {
-	cfg := b.Env.CampaignConfig(b.Slots, b.Oracle)
-	cfg.ResetEvery = b.ResetEvery
-	return cfg
+	return b.Env.CampaignConfig(b.Slots, b.Oracle)
 }
 
 // clone returns a deep copy of s. The JSON form is the whole spec (the

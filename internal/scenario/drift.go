@@ -54,11 +54,9 @@ type DriftConfig struct {
 	// observations (cfg from experiments.QuickModelConfig) so the
 	// stationary online accuracy can be compared against Figure 8.
 	Offline bool
-	// Workers / SnapshotWorkers / Telemetry are passed to both phases'
-	// environments.
-	Workers         int
-	SnapshotWorkers int
-	Telemetry       *telemetry.Registry
+	// Telemetry is passed to both phases' environments. Their worker
+	// counts are the spec's.
+	Telemetry *telemetry.Registry
 }
 
 // DriftResult summarizes the three acts.
@@ -176,11 +174,7 @@ func RunDrift(ctx context.Context, cfg DriftConfig) (*DriftResult, error) {
 	if cfg.PostWeights != nil {
 		flipped.setWeights(*cfg.PostWeights)
 	}
-	opt := BuildOptions{
-		Telemetry:       cfg.Telemetry,
-		Workers:         cfg.Workers,
-		SnapshotWorkers: cfg.SnapshotWorkers,
-	}
+	opt := BuildOptions{Telemetry: cfg.Telemetry}
 	pre, err := cfg.Spec.Build(opt)
 	if err != nil {
 		return nil, err

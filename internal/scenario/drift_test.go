@@ -29,11 +29,11 @@ func TestRunDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	spec.Campaign.Workers = 4
 	res, err := RunDrift(context.Background(), DriftConfig{
 		Spec: spec, Slots: 600, FlipAt: 300,
 		Scorer:  svc,
 		Offline: true,
-		Workers: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

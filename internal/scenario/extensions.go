@@ -25,21 +25,17 @@ import (
 //   - GSO ablation: disabling the exclusion zone should erase most of
 //     the north preference, confirming the paper's §5.1 rationale.
 
-// sibling builds a §8 ablation twin of b: a deep copy of b's spec with
-// edit applied, on b's worker pools and index setting but with no
-// registry or decision ring, so the twin's campaigns stay out of the
-// parent's counters and trace.
+// sibling builds a §8 ablation twin of b: a deep copy of b's spec
+// (worker pools included) with edit applied, on b's index setting but
+// with no registry or decision ring, so the twin's campaigns stay out
+// of the parent's counters and trace.
 func (b *Built) sibling(edit func(*Spec)) (*Built, error) {
 	s, err := b.Spec.clone()
 	if err != nil {
 		return nil, err
 	}
 	edit(s)
-	sib, err := s.Build(BuildOptions{
-		Workers:         b.opt.Workers,
-		SnapshotWorkers: b.opt.SnapshotWorkers,
-		DisableIndex:    b.opt.DisableIndex,
-	})
+	sib, err := s.Build(BuildOptions{DisableIndex: b.opt.DisableIndex})
 	if err != nil {
 		return nil, err
 	}

@@ -45,7 +45,8 @@ func TestSiblingsKeepParentEnvironment(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	parent, err := spec.Build(BuildOptions{Telemetry: reg, TraceDecisions: 16, Workers: 1, SnapshotWorkers: 2, DisableIndex: true})
+	spec.Campaign.Workers, spec.Campaign.SnapshotWorkers = 1, 2
+	parent, err := spec.Build(BuildOptions{Telemetry: reg, TraceDecisions: 16, DisableIndex: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestSiblingsKeepParentEnvironment(t *testing.T) {
 			if got, _ := sib.Spec.PlantedWeights(); got != tc.weights {
 				t.Errorf("weights %+v, want %+v", got, tc.weights)
 			}
-			if env.Workers != parent.Env.Workers || env.DisableIndex != parent.Env.DisableIndex || sib.opt.SnapshotWorkers != parent.opt.SnapshotWorkers {
+			if env.Workers != parent.Env.Workers || env.DisableIndex != parent.Env.DisableIndex || sib.Spec.Campaign.SnapshotWorkers != spec.Campaign.SnapshotWorkers {
 				t.Error("worker pools or index setting differ from the parent's")
 			}
 			if env.Ctx != parent.Env.Ctx {
@@ -173,9 +174,9 @@ func TestExtensionSlotCounts(t *testing.T) {
 		{"load sensitivity", func(n int) error { _, err := b.LoadSensitivity(n); return err }},
 	} {
 		for _, slots := range []int{0, 1} {
-			before := reg.Snapshot().Counter("campaign_slots_total")
+			before := reg.Snapshot().Counters["campaign_slots_total"]
 			err := tc.run(slots)
-			ran := reg.Snapshot().Counter("campaign_slots_total") - before
+			ran := reg.Snapshot().Counters["campaign_slots_total"] - before
 			switch {
 			case slots == 0 && err == nil:
 				t.Errorf("%s: 0 slots accepted", tc.name)

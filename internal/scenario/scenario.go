@@ -370,31 +370,6 @@ func PresetNames() []string {
 	return names
 }
 
-// ValidateAll parses and validates every embedded preset, and checks
-// each file is named after its spec. It backs the CI guarantee that
-// no checked-in preset can rot.
-func ValidateAll() error {
-	names := PresetNames()
-	if len(names) == 0 {
-		return fmt.Errorf("scenario: no embedded presets")
-	}
-	var errs []string
-	for _, n := range names {
-		s, err := LoadPreset(n)
-		if err != nil {
-			errs = append(errs, err.Error())
-			continue
-		}
-		if s.Name != n {
-			errs = append(errs, fmt.Sprintf("preset file %s.json names itself %q", n, s.Name))
-		}
-	}
-	if len(errs) > 0 {
-		return fmt.Errorf("scenario: %s", strings.Join(errs, "; "))
-	}
-	return nil
-}
-
 // constellationPreset maps preset names to shell designs. The
 // starlink-* densities keep the analyses' shapes: small (~700
 // satellites, a few in view) for smoke tests, medium (~1800, ~15 in

@@ -18,10 +18,17 @@ import (
 // TestValidateAllPresets backs the CI guarantee: every checked-in
 // preset parses strictly, validates, and is named after its file.
 func TestValidateAllPresets(t *testing.T) {
-	if err := scenario.ValidateAll(); err != nil {
-		t.Fatal(err)
-	}
 	names := scenario.PresetNames()
+	for _, n := range names {
+		s, err := scenario.LoadPreset(n)
+		if err != nil {
+			t.Error(err)
+			continue
+		}
+		if s.Name != n {
+			t.Errorf("preset file %s.json names itself %q", n, s.Name)
+		}
+	}
 	want := []string{"iridium-next", "kepler", "oneweb-star", "smoke", "starlink-baseline"}
 	if len(names) != len(want) {
 		t.Fatalf("presets %v, want %v", names, want)
@@ -176,7 +183,8 @@ func TestStarlinkBaselineBitIdentical(t *testing.T) {
 	}
 	const slots = 12 // full preset runs 500; identity holds per-slot
 	spec.Campaign.Slots = slots
-	built, err := spec.Build(scenario.BuildOptions{Workers: 1, SnapshotWorkers: 1})
+	spec.Campaign.Workers, spec.Campaign.SnapshotWorkers = 1, 1
+	built, err := spec.Build(scenario.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +199,8 @@ func TestStarlinkBaselineBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	flags.Campaign.Slots = slots
-	fromFlags, err := flags.Build(scenario.BuildOptions{Workers: 1, SnapshotWorkers: 1})
+	flags.Campaign.Workers, flags.Campaign.SnapshotWorkers = 1, 1
+	fromFlags, err := flags.Build(scenario.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +249,8 @@ func TestPresetStreamsBitIdentical(t *testing.T) {
 				tc.edit(spec)
 			}
 			spec.Campaign.Slots = 12
-			built, err := spec.Build(scenario.BuildOptions{Workers: 1, SnapshotWorkers: 1})
+			spec.Campaign.Workers, spec.Campaign.SnapshotWorkers = 1, 1
+			built, err := spec.Build(scenario.BuildOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -260,7 +270,8 @@ func TestWalkerStarPresetBuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec.Campaign.Slots = 2
-	built, err := spec.Build(scenario.BuildOptions{Workers: 1, SnapshotWorkers: 1})
+	spec.Campaign.Workers, spec.Campaign.SnapshotWorkers = 1, 1
+	built, err := spec.Build(scenario.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,5 +366,42 @@ func TestAnalysisSelection(t *testing.T) {
 	s.Outputs.Analyses = []string{"fig9"}
 	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), `unknown analysis "fig9"`) {
 		t.Fatalf("fig9 validated: %v", err)
+	}
+}
+
+// TestResetEveryReachesEveryCampaign: the spec's reset cadence shapes
+// every campaign its environment runs, not only the one
+// Built.CampaignConfig lowers. The §4 identification validation and
+// the engine on the spec's own campaign config are the same non-oracle
+// campaign over fresh builds, so they must score alike.
+func TestResetEveryReachesEveryCampaign(t *testing.T) {
+	const slots = 60
+	build := func() *scenario.Built {
+		t.Helper()
+		spec, err := scenario.Starlink("small", 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Campaign.Slots = slots
+		spec.Campaign.Oracle = false
+		spec.Campaign.ResetEvery = 2
+		built, err := spec.Build(scenario.BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return built
+	}
+	ident, err := build().Env.IdentValidation(slots, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine, err := core.RunCampaignStream(context.Background(), build().CampaignConfig(), func(core.SlotRecord) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := [3]int{ident.Attempted, ident.Correct, ident.Failed}
+	want := [3]int{engine.Attempted, engine.Correct, engine.Failed}
+	if got != want {
+		t.Errorf("IdentValidation scored %v (attempted, correct, failed), the spec's campaign %v", got, want)
 	}
 }

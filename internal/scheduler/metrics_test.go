@@ -29,10 +29,10 @@ func TestSchedulerMetrics(t *testing.T) {
 		}
 	}
 	s := reg.Snapshot()
-	if got := s.Counter("scheduler_allocations_total"); got != int64(served) {
+	if got := s.Counters["scheduler_allocations_total"]; got != int64(served) {
 		t.Errorf("allocations = %d, want %d", got, served)
 	}
-	if got := s.Counter("scheduler_unserved_total"); got != int64(unserved) {
+	if got := s.Counters["scheduler_unserved_total"]; got != int64(unserved) {
 		t.Errorf("unserved = %d, want %d", got, unserved)
 	}
 	if h := s.Histograms["scheduler_candidates"]; h.Count != uint64(decisions) {

@@ -50,11 +50,6 @@ func EpochStart(t time.Time) time.Time {
 	return base.Add(slots * Period)
 }
 
-// NextEpoch returns the first slot boundary strictly after t.
-func NextEpoch(t time.Time) time.Time {
-	return EpochStart(t).Add(Period)
-}
-
 // SlotIndex numbers a slot by its start time (seconds since Unix epoch
 // / 15); useful as a map key.
 func SlotIndex(t time.Time) int64 {
@@ -203,8 +198,8 @@ type Global struct {
 
 	// Allocate-only scratch for the per-terminal candidate sweep.
 	// Allocate is serial by contract (stateful load walk / RNG), so one
-	// buffer pair suffices; CandidatesAt must NOT use it — its result
-	// escapes to the caller.
+	// buffer pair suffices; a caller whose result escapes must not use
+	// it.
 	fovScratch  []constellation.Visible
 	candScratch []Candidate
 
@@ -301,9 +296,8 @@ func (g *Global) Terminals() []Terminal { return g.terms }
 
 // advance moves the hidden per-satellite state to the given slot: the
 // load walk, then the battery fleet and the gateway-visibility set
-// from the slot's snapshot. Allocate and CandidatesAt both reach a
-// slot through here, so whichever comes first steps all of it exactly
-// once.
+// from the slot's snapshot. Every caller reaches a slot through here,
+// so whichever comes first steps all of it exactly once.
 func (g *Global) advance(slot int64, shared *constellation.SharedSnapshot) {
 	if slot == g.slot {
 		return
@@ -445,8 +439,8 @@ func (g *Global) appendCandidates(fovBuf []constellation.Visible, cands []Candid
 		if term.Mask.Blocked(v.Look.AzimuthDeg, v.Look.ElevationDeg) {
 			continue
 		}
-		// One belt walk serves both the exclusion test (exactly
-		// GSOExclusion.Excluded) and the clearance term below.
+		// One belt walk serves both the exclusion test (separation
+		// below the protection angle) and the clearance term below.
 		sep := math.Inf(1)
 		if gso != nil {
 			sep = gso.MinSeparationDeg(v.Look.AzimuthDeg, v.Look.ElevationDeg)
@@ -489,17 +483,6 @@ func (g *Global) appendCandidates(fovBuf []constellation.Visible, cands []Candid
 		cands = append(cands, c)
 	}
 	return fov, cands
-}
-
-// CandidatesAt exposes the scored candidate set for ablation tests.
-// The returned slice is freshly allocated (it escapes to the caller),
-// never the Allocate scratch.
-func (g *Global) CandidatesAt(term Terminal, t time.Time) []Candidate {
-	shared := g.snaps.Acquire(g.cons, EpochStart(t))
-	defer shared.Release()
-	g.advance(SlotIndex(t), shared)
-	_, cands := g.appendCandidates(nil, nil, term, shared)
-	return cands
 }
 
 // MAC is the on-satellite medium access control scheduler: terminals
@@ -564,28 +547,6 @@ func (m *MAC) FrameDelay(terminal string, t time.Time) time.Duration {
 		}
 	}
 	return best
-}
-
-// RingSize returns the number of frame slots per cycle.
-func (m *MAC) RingSize() int { return len(m.ring) }
-
-// Bands returns the set of distinct frame-delay offsets (in
-// milliseconds) a terminal can observe — the parallel latency bands of
-// Figure 2.
-func (m *MAC) Bands(terminal string) []float64 {
-	slots := m.slotOf[terminal]
-	if len(slots) == 0 {
-		return nil
-	}
-	// A packet arriving uniformly at random waits anywhere in
-	// [0, ringSpan); sampled at a fixed probing cadence the delays
-	// cluster at multiples of the frame duration up to the gap between
-	// owned slots. Report the per-slot offsets.
-	out := make([]float64, 0, len(slots))
-	for _, s := range slots {
-		out = append(out, float64(time.Duration(s)*m.frame)/float64(time.Millisecond))
-	}
-	return out
 }
 
 // Fleet exposes the satellite energy model for telemetry and tests

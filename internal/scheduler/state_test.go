@@ -75,7 +75,9 @@ func TestAllocateSkippedSatelliteStaysSunlit(t *testing.T) {
 	}
 	cons := &constellation.Constellation{Sats: sats, Epoch: epoch, SnapshotWorkers: 1}
 	ecef := astro.FrameAt(start).ToECEF(pos)
-	sub := astro.ECEFToGeodetic(ecef)
+	// pos lies in the equatorial plane, so the sub-satellite point has
+	// latitude 0 and the longitude of ecef.
+	sub := astro.Geodetic{LonDeg: units.Rad2Deg(math.Atan2(ecef.Y, ecef.X))}
 	term := Terminal{VantagePoint: geo.VantagePoint{
 		Name:     "term",
 		Location: astro.Geodetic{LatDeg: sub.LatDeg, LonDeg: sub.LonDeg},
@@ -90,7 +92,7 @@ func TestAllocateSkippedSatelliteStaysSunlit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := power.NewBattery(power.DefaultBatteryConfig())
+	ref, err := power.NewFleet([]int{100}, power.DefaultBatteryConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,9 +103,9 @@ func TestAllocateSkippedSatelliteStaysSunlit(t *testing.T) {
 		}
 		// The load the fleet stepped with is the walk's value for this
 		// slot, which Allocate leaves in place.
-		ref.Step(Period, true, g.load[1])
-		if got := g.Fleet().SoC(1); math.Float64bits(got) != math.Float64bits(ref.SoC()) {
-			t.Fatalf("slot %d: skipped satellite SoC %v, want %v (sunlit at its load)", slot, got, ref.SoC())
+		ref.Step(Period, []bool{true}, []float64{g.load[1]})
+		if got := g.Fleet().SoC(1); math.Float64bits(got) != math.Float64bits(ref.SoC(0)) {
+			t.Fatalf("slot %d: skipped satellite SoC %v, want %v (sunlit at its load)", slot, got, ref.SoC(0))
 		}
 	}
 	if total, _ := cons.PropagationSkips(); total != 8 {

@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -52,7 +53,9 @@ func TestAllocateScoreTieBreak(t *testing.T) {
 		// satellites sit at the zenith: identical elevation, identical
 		// score terms. Zero noise, no GSO/battery/bent-pipe terms.
 		ecef := astro.FrameAt(slot).ToECEF(pos)
-		sub := astro.ECEFToGeodetic(ecef)
+		// pos lies in the equatorial plane, so the sub-satellite point has
+		// latitude 0 and the longitude of ecef.
+		sub := astro.Geodetic{LonDeg: units.Rad2Deg(math.Atan2(ecef.Y, ecef.X))}
 		term := Terminal{VantagePoint: geo.VantagePoint{
 			Name:     "tie-term",
 			Location: astro.Geodetic{LatDeg: sub.LatDeg, LonDeg: sub.LonDeg},

@@ -157,7 +157,7 @@ func TestPropagateRAANRegression(t *testing.T) {
 	}
 	node0 := ascendingNodeRA(t, p, 0)
 	node1 := ascendingNodeRA(t, p, 1440)
-	drift := units.WrapDeg180(node1 - node0)
+	drift := math.Remainder(node1-node0, 360)
 	if drift > -3 || drift < -8 {
 		t.Errorf("nodal drift = %v deg/day, want about -5", drift)
 	}

@@ -174,9 +174,6 @@ func (p *Plot) AddPoint(pt obstruction.PolarPoint, c color.RGBA) {
 	}
 }
 
-// Image exposes the rendered image.
-func (p *Plot) Image() *image.RGBA { return p.img }
-
 // EncodePNG writes the plot.
 func (p *Plot) EncodePNG(w io.Writer) error {
 	if err := png.Encode(w, p.img); err != nil {

@@ -2,6 +2,7 @@ package skyplot
 
 import (
 	"bytes"
+	"image"
 	"image/png"
 	"testing"
 
@@ -142,3 +143,6 @@ func mathAbs(v float64) float64 {
 	}
 	return v
 }
+
+// Image exposes the rendered image.
+func (p *Plot) Image() *image.RGBA { return p.img }

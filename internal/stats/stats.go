@@ -28,20 +28,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Variance returns the unbiased sample variance. NaN for n < 2.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs)-1)
-}
-
 // MeanStd returns mean and population standard deviation in one pass —
 // the normalization the paper's feature clustering uses. For n = 1 the
 // std is 0.
@@ -230,38 +216,6 @@ func (e *ECDF) Points(n int) [][2]float64 {
 		out[i] = [2]float64{x, e.At(x)}
 	}
 	return out
-}
-
-// Histogram bins values into equal-width bins over [lo, hi]; values
-// outside the range clamp into the edge bins. NaN values carry no
-// ordering information and float→int conversion of NaN is
-// implementation-defined in Go (bin 0 on amd64, unspecified
-// elsewhere), so they are never binned; the second return value
-// reports how many were skipped.
-func Histogram(xs []float64, lo, hi float64, bins int) (counts []int, skipped int, err error) {
-	if bins <= 0 {
-		return nil, 0, fmt.Errorf("stats: non-positive bin count %d", bins)
-	}
-	if hi <= lo {
-		return nil, 0, fmt.Errorf("stats: histogram range [%v, %v) is empty", lo, hi)
-	}
-	counts = make([]int, bins)
-	w := (hi - lo) / float64(bins)
-	for _, x := range xs {
-		if math.IsNaN(x) {
-			skipped++
-			continue
-		}
-		i := int((x - lo) / w)
-		if i < 0 {
-			i = 0
-		}
-		if i >= bins {
-			i = bins - 1
-		}
-		counts[i]++
-	}
-	return counts, skipped, nil
 }
 
 // Proportion returns the fraction of xs for which pred holds. NaN for

@@ -382,40 +382,6 @@ type HistogramSnapshot struct {
 	Sum    float64
 }
 
-// Quantile estimates the q-th quantile (0..1) from the bucketed
-// counts, interpolating linearly within the bucket that holds the
-// target rank — the usual Prometheus-style estimator. The lowest
-// bucket interpolates from zero; a rank landing in the +Inf bucket
-// clamps to the last finite bound. Returns 0 for an empty histogram.
-func (h HistogramSnapshot) Quantile(q float64) float64 {
-	if h.Count == 0 || len(h.Bounds) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	rank := q * float64(h.Count)
-	cum := 0.0
-	for i, c := range h.Counts {
-		prev := cum
-		cum += float64(c)
-		if cum < rank || c == 0 {
-			continue
-		}
-		if i >= len(h.Bounds) { // +Inf bucket: no upper bound to lerp to
-			return h.Bounds[len(h.Bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.Bounds[i-1]
-		}
-		return lo + (h.Bounds[i]-lo)*(rank-prev)/float64(c)
-	}
-	return h.Bounds[len(h.Bounds)-1]
-}
-
 // Snapshot is a point-in-time view of every metric, for tests and the
 // cmd-level summaries. Labeled counters appear under their canonical
 // name{label="value"} key.
@@ -425,9 +391,6 @@ type Snapshot struct {
 	FloatGauge map[string]float64
 	Histograms map[string]HistogramSnapshot
 }
-
-// Counter returns a counter's value by name (missing = 0).
-func (s Snapshot) Counter(name string) int64 { return s.Counters[name] }
 
 // CountersWithPrefix returns every counter whose key starts with
 // prefix, keys sorted — the deterministic iteration the cmd summaries

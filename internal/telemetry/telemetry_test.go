@@ -118,7 +118,7 @@ func TestCounterVecHandles(t *testing.T) {
 		t.Fatalf("Values() = %v", vals)
 	}
 	s := r.Snapshot()
-	if got := s.Counter(`skips_total{reason="no-sats"}`); got != 3 {
+	if got := s.Counters[`skips_total{reason="no-sats"}`]; got != 3 {
 		t.Fatalf("snapshot labeled counter = %d, want 3", got)
 	}
 }
@@ -595,5 +595,89 @@ func TestZeroAllocRecordPath(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(1000, func() { h.Observe(0.001) }); n != 0 {
 		t.Fatalf("Histogram.Observe allocates %v per op", n)
+	}
+}
+
+// Quantile estimates the q-th quantile (0..1) from the bucketed
+// counts, interpolating linearly within the bucket that holds the
+// target rank — the usual Prometheus-style estimator. The lowest
+// bucket interpolates from zero; a rank landing in the +Inf bucket
+// clamps to the last finite bound. Returns 0 for an empty histogram.
+func (h HistogramSnapshot) Quantile(q float64) float64 {
+	if h.Count == 0 || len(h.Bounds) == 0 {
+		return 0
+	}
+	if q < 0 {
+		q = 0
+	} else if q > 1 {
+		q = 1
+	}
+	rank := q * float64(h.Count)
+	cum := 0.0
+	for i, c := range h.Counts {
+		prev := cum
+		cum += float64(c)
+		if cum < rank || c == 0 {
+			continue
+		}
+		if i >= len(h.Bounds) { // +Inf bucket: no upper bound to lerp to
+			return h.Bounds[len(h.Bounds)-1]
+		}
+		lo := 0.0
+		if i > 0 {
+			lo = h.Bounds[i-1]
+		}
+		return lo + (h.Bounds[i]-lo)*(rank-prev)/float64(c)
+	}
+	return h.Bounds[len(h.Bounds)-1]
+}
+
+// DecisionDecoder reads a JSONL decision trace record by record.
+type DecisionDecoder struct {
+	sc   *bufio.Scanner
+	line int
+}
+
+// NewDecisionDecoder wraps r.
+func NewDecisionDecoder(r io.Reader) *DecisionDecoder {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	return &DecisionDecoder{sc: sc}
+}
+
+// Next returns the next decision, io.EOF at end of stream.
+func (d *DecisionDecoder) Next() (Decision, error) {
+	for d.sc.Scan() {
+		d.line++
+		b := bytes.TrimSpace(d.sc.Bytes())
+		if len(b) == 0 {
+			continue
+		}
+		var dec Decision
+		if err := json.Unmarshal(b, &dec); err != nil {
+			return Decision{}, fmt.Errorf("telemetry: decisions line %d: %w", d.line, err)
+		}
+		return dec, nil
+	}
+	if err := d.sc.Err(); err != nil {
+		return Decision{}, fmt.Errorf("telemetry: read decisions: %w", err)
+	}
+	return Decision{}, io.EOF
+}
+
+// ReadDecisions decodes a whole JSONL trace (batch wrapper over
+// DecisionDecoder).
+func ReadDecisions(r io.Reader) ([]Decision, error) {
+	dec := NewDecisionDecoder(r)
+	var out []Decision
+	for {
+		d, err := dec.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, d)
 	}
 }

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -116,8 +115,8 @@ func (t *DecisionTrace) Snapshot() []Decision {
 	return out
 }
 
-// WriteJSONL dumps the ring oldest-first as JSON Lines (the
-// DecisionDecoder format).
+// WriteJSONL dumps the ring oldest-first as JSON Lines, one Decision
+// per line.
 func (t *DecisionTrace) WriteJSONL(w io.Writer) error {
 	enc := NewDecisionEncoder(w)
 	for _, d := range t.Snapshot() {
@@ -152,53 +151,3 @@ func (e *DecisionEncoder) Encode(d *Decision) error {
 
 // Flush lands buffered output.
 func (e *DecisionEncoder) Flush() error { return e.bw.Flush() }
-
-// DecisionDecoder reads a JSONL decision trace record by record.
-type DecisionDecoder struct {
-	sc   *bufio.Scanner
-	line int
-}
-
-// NewDecisionDecoder wraps r.
-func NewDecisionDecoder(r io.Reader) *DecisionDecoder {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	return &DecisionDecoder{sc: sc}
-}
-
-// Next returns the next decision, io.EOF at end of stream.
-func (d *DecisionDecoder) Next() (Decision, error) {
-	for d.sc.Scan() {
-		d.line++
-		b := bytes.TrimSpace(d.sc.Bytes())
-		if len(b) == 0 {
-			continue
-		}
-		var dec Decision
-		if err := json.Unmarshal(b, &dec); err != nil {
-			return Decision{}, fmt.Errorf("telemetry: decisions line %d: %w", d.line, err)
-		}
-		return dec, nil
-	}
-	if err := d.sc.Err(); err != nil {
-		return Decision{}, fmt.Errorf("telemetry: read decisions: %w", err)
-	}
-	return Decision{}, io.EOF
-}
-
-// ReadDecisions decodes a whole JSONL trace (batch wrapper over
-// DecisionDecoder).
-func ReadDecisions(r io.Reader) ([]Decision, error) {
-	dec := NewDecisionDecoder(r)
-	var out []Decision
-	for {
-		d, err := dec.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, d)
-	}
-}

@@ -170,57 +170,6 @@ func Parse(line1, line2 string) (*TLE, error) {
 	return t, nil
 }
 
-// ParseLines decodes a TLE from a 2- or 3-line block (optional name
-// line first).
-func ParseLines(lines []string) (*TLE, error) {
-	var cleaned []string
-	for _, l := range lines {
-		if strings.TrimSpace(l) != "" {
-			cleaned = append(cleaned, l)
-		}
-	}
-	switch len(cleaned) {
-	case 2:
-		return Parse(cleaned[0], cleaned[1])
-	case 3:
-		t, err := Parse(cleaned[1], cleaned[2])
-		if err != nil {
-			return nil, err
-		}
-		t.Name = strings.TrimSpace(cleaned[0])
-		return t, nil
-	default:
-		return nil, fmt.Errorf("tle: want 2 or 3 non-empty lines, got %d", len(cleaned))
-	}
-}
-
-// ParseFile decodes a concatenation of 3-line (name + two lines) or
-// 2-line element sets, as distributed by CelesTrak-style feeds.
-func ParseFile(data string) ([]*TLE, error) {
-	var out []*TLE
-	var pending []string
-	lines := strings.Split(data, "\n")
-	for _, raw := range lines {
-		l := strings.TrimRight(raw, " \r")
-		if strings.TrimSpace(l) == "" {
-			continue
-		}
-		pending = append(pending, l)
-		if len(l) >= 1 && l[0] == '2' && len(pending) >= 2 {
-			t, err := ParseLines(pending)
-			if err != nil {
-				return out, fmt.Errorf("tle: element set %d: %w", len(out)+1, err)
-			}
-			out = append(out, t)
-			pending = pending[:0]
-		}
-	}
-	if len(pending) != 0 {
-		return out, fmt.Errorf("tle: %d trailing lines do not form an element set", len(pending))
-	}
-	return out, nil
-}
-
 // Format renders the TLE as its two 69-character lines with valid
 // checksums. The optional name line is not included; see FormatLines.
 func (t *TLE) Format() (line1, line2 string) {
@@ -274,40 +223,6 @@ func JulianDate(tm time.Time) float64 {
 	jd0 := math.Floor(365.25*float64(y+4716)) + math.Floor(30.6001*float64(m+1)) + float64(d) + float64(b) - 1524.5
 	secs := float64(tm.Hour())*3600 + float64(tm.Minute())*60 + float64(tm.Second()) + float64(tm.Nanosecond())*1e-9
 	return jd0 + secs/86400.0
-}
-
-// TimeFromJulian converts a Julian date back to a time.Time (UTC).
-func TimeFromJulian(jd float64) time.Time {
-	// Meeus inverse algorithm.
-	z := math.Floor(jd + 0.5)
-	f := jd + 0.5 - z
-	a := z
-	if z >= 2299161 {
-		alpha := math.Floor((z - 1867216.25) / 36524.25)
-		a = z + 1 + alpha - math.Floor(alpha/4)
-	}
-	b := a + 1524
-	c := math.Floor((b - 122.1) / 365.25)
-	d := math.Floor(365.25 * c)
-	e := math.Floor((b - d) / 30.6001)
-	day := b - d - math.Floor(30.6001*e) + f
-	var month int
-	if e < 14 {
-		month = int(e) - 1
-	} else {
-		month = int(e) - 13
-	}
-	var year int
-	if month > 2 {
-		year = int(c) - 4716
-	} else {
-		year = int(c) - 4715
-	}
-	dayInt := int(day)
-	frac := day - float64(dayInt)
-	nanos := int64(frac * 86400 * 1e9)
-	return time.Date(year, time.Month(month), dayInt, 0, 0, 0, 0, time.UTC).
-		Add(time.Duration(nanos))
 }
 
 func classOrDefault(c byte) byte {

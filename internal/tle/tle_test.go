@@ -1,6 +1,7 @@
 package tle
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -274,4 +275,89 @@ func TestEpochYearWindow(t *testing.T) {
 	if y := epochToTime(8, 1).Year(); y != 2008 {
 		t.Errorf("yy=08 -> %d", y)
 	}
+}
+
+// ParseLines decodes a TLE from a 2- or 3-line block (optional name
+// line first).
+func ParseLines(lines []string) (*TLE, error) {
+	var cleaned []string
+	for _, l := range lines {
+		if strings.TrimSpace(l) != "" {
+			cleaned = append(cleaned, l)
+		}
+	}
+	switch len(cleaned) {
+	case 2:
+		return Parse(cleaned[0], cleaned[1])
+	case 3:
+		t, err := Parse(cleaned[1], cleaned[2])
+		if err != nil {
+			return nil, err
+		}
+		t.Name = strings.TrimSpace(cleaned[0])
+		return t, nil
+	default:
+		return nil, fmt.Errorf("tle: want 2 or 3 non-empty lines, got %d", len(cleaned))
+	}
+}
+
+// ParseFile decodes a concatenation of 3-line (name + two lines) or
+// 2-line element sets, as distributed by CelesTrak-style feeds.
+func ParseFile(data string) ([]*TLE, error) {
+	var out []*TLE
+	var pending []string
+	lines := strings.Split(data, "\n")
+	for _, raw := range lines {
+		l := strings.TrimRight(raw, " \r")
+		if strings.TrimSpace(l) == "" {
+			continue
+		}
+		pending = append(pending, l)
+		if len(l) >= 1 && l[0] == '2' && len(pending) >= 2 {
+			t, err := ParseLines(pending)
+			if err != nil {
+				return out, fmt.Errorf("tle: element set %d: %w", len(out)+1, err)
+			}
+			out = append(out, t)
+			pending = pending[:0]
+		}
+	}
+	if len(pending) != 0 {
+		return out, fmt.Errorf("tle: %d trailing lines do not form an element set", len(pending))
+	}
+	return out, nil
+}
+
+// TimeFromJulian converts a Julian date back to a time.Time (UTC).
+func TimeFromJulian(jd float64) time.Time {
+	// Meeus inverse algorithm.
+	z := math.Floor(jd + 0.5)
+	f := jd + 0.5 - z
+	a := z
+	if z >= 2299161 {
+		alpha := math.Floor((z - 1867216.25) / 36524.25)
+		a = z + 1 + alpha - math.Floor(alpha/4)
+	}
+	b := a + 1524
+	c := math.Floor((b - 122.1) / 365.25)
+	d := math.Floor(365.25 * c)
+	e := math.Floor((b - d) / 30.6001)
+	day := b - d - math.Floor(30.6001*e) + f
+	var month int
+	if e < 14 {
+		month = int(e) - 1
+	} else {
+		month = int(e) - 13
+	}
+	var year int
+	if month > 2 {
+		year = int(c) - 4716
+	} else {
+		year = int(c) - 4715
+	}
+	dayInt := int(day)
+	frac := day - float64(dayInt)
+	nanos := int64(frac * 86400 * 1e9)
+	return time.Date(year, time.Month(month), dayInt, 0, 0, 0, 0, time.UTC).
+		Add(time.Duration(nanos))
 }

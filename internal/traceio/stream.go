@@ -31,8 +31,8 @@ const timeLayout = time.RFC3339Nano
 // incomplete — the signature a crash mid-append leaves behind. Strict
 // decoders wrap it in their error; tolerant decoders (see
 // TolerateTruncatedTail) swallow it, end the stream cleanly at the
-// last complete record, and report the cut through Truncated and the
-// resumable append point through Offset.
+// last complete record, and report the resumable append point through
+// Offset.
 var ErrTruncatedTail = errors.New("traceio: truncated journal tail")
 
 // syncer is the optional durability hook of an encoder's destination
@@ -162,19 +162,6 @@ func NewObservationDecoder(r io.Reader) *ObservationDecoder {
 	return &ObservationDecoder{r: newJSONLReader(r)}
 }
 
-// TolerateTruncatedTail switches the decoder to crash-replay mode: a
-// truncated final line ends the stream cleanly instead of failing.
-// After io.EOF, Truncated reports whether a tail was dropped and
-// Offset the byte position replay can resume appending from.
-func (d *ObservationDecoder) TolerateTruncatedTail() { d.r.tolerant = true }
-
-// Truncated reports whether the stream ended in a partial line.
-func (d *ObservationDecoder) Truncated() bool { return d.r.truncated }
-
-// Offset returns the byte offset just past the last complete line
-// consumed — the resumable append point of a truncated journal.
-func (d *ObservationDecoder) Offset() int64 { return d.r.off }
-
 // Next returns the next observation; io.EOF ends a well-formed
 // stream. Truncated or malformed input returns a decorated error —
 // never a panic — and the decoder is not usable afterwards (in
@@ -250,9 +237,6 @@ func NewRecordDecoder(r io.Reader) *RecordDecoder {
 // TolerateTruncatedTail switches the decoder to crash-replay mode: a
 // truncated final line ends the stream cleanly instead of failing.
 func (d *RecordDecoder) TolerateTruncatedTail() { d.r.tolerant = true }
-
-// Truncated reports whether the stream ended in a partial line.
-func (d *RecordDecoder) Truncated() bool { return d.r.truncated }
 
 // Offset returns the byte offset just past the last complete line
 // consumed — the resumable append point of a truncated journal.

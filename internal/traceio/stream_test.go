@@ -267,3 +267,19 @@ func TestAllocationWriterMatchesBatch(t *testing.T) {
 		}
 	}
 }
+
+// TolerateTruncatedTail switches the decoder to crash-replay mode: a
+// truncated final line ends the stream cleanly instead of failing.
+// After io.EOF, Truncated reports whether a tail was dropped and
+// Offset the byte position replay can resume appending from.
+func (d *ObservationDecoder) TolerateTruncatedTail() { d.r.tolerant = true }
+
+// Truncated reports whether the stream ended in a partial line.
+func (d *ObservationDecoder) Truncated() bool { return d.r.truncated }
+
+// Offset returns the byte offset just past the last complete line
+// consumed — the resumable append point of a truncated journal.
+func (d *ObservationDecoder) Offset() int64 { return d.r.off }
+
+// Truncated reports whether the stream ended in a partial line.
+func (d *RecordDecoder) Truncated() bool { return d.r.truncated }

@@ -49,15 +49,6 @@ func WrapDeg360(deg float64) float64 {
 	return d
 }
 
-// WrapDeg180 wraps an angle in degrees into [-180, 180).
-func WrapDeg180(deg float64) float64 {
-	d := WrapDeg360(deg)
-	if d >= 180.0 {
-		d -= 360.0
-	}
-	return d
-}
-
 // WrapRadTwoPi wraps an angle in radians into [0, 2π).
 //
 // Angles within one turn of the target range take a fast path that

@@ -129,3 +129,12 @@ func TestVec3Unit(t *testing.T) {
 		t.Error("unit of zero should be zero")
 	}
 }
+
+// WrapDeg180 wraps an angle in degrees into [-180, 180).
+func WrapDeg180(deg float64) float64 {
+	d := WrapDeg360(deg)
+	if d >= 180.0 {
+		d -= 360.0
+	}
+	return d
+}
