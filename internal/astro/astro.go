@@ -179,6 +179,7 @@ func SunPositionECI(t time.Time) units.Vec3 {
 type Shadow struct {
 	sunDir   units.Vec3 // unit vector toward the Sun
 	apexDist float64    // Earth center → umbra apex, km
+	alpha    float64    // umbra half-angle, radians
 	tanAlpha float64    // tangent of the umbra half-angle
 }
 
@@ -192,6 +193,7 @@ func NewShadow(sun units.Vec3) Shadow {
 		sunDir: sun.Unit(),
 		// Distance from Earth's center to the umbra apex.
 		apexDist: units.EarthRadiusKm / math.Sin(alpha),
+		alpha:    alpha,
 		tanAlpha: math.Tan(alpha),
 	}
 }
@@ -213,4 +215,29 @@ func (sh *Shadow) Sunlit(sat units.Vec3) bool {
 	}
 	// Radius of the umbra at the satellite's along-axis distance.
 	return perp > (sh.apexDist-behind)*sh.tanAlpha
+}
+
+// SunlitGapRad returns how far, in radians of arc, the direction of a
+// satellite at sat must turn about the Earth's center before Sunlit
+// could change, for any radius in [rLoKm, rHiKm]; 0 when no such
+// margin is proven. Sunlit's cone test is, in angles, "the angle ψ
+// between sat and the anti-solar axis is at most asin(R⊕/r) − α"
+// (r·sin(ψ+α) ≤ R⊕, for ψ < 90° and r short of the apex), so the
+// boundary sweeps [asin(R⊕/rHi) − α, asin(R⊕/rLo) − α] as the radius
+// varies, and the gap is the distance from ψ to the near end of that
+// band. Radii at or inside the umbra's radius at the Earth's center
+// (R⊕/cos α) or beyond its apex give 0.
+func (sh *Shadow) SunlitGapRad(sat units.Vec3, rLoKm, rHiKm float64) float64 {
+	r := sat.Norm()
+	if !(rLoKm > sh.apexDist*sh.tanAlpha) || !(rHiKm < sh.apexDist) || r == 0 {
+		return 0
+	}
+	psi := math.Acos(units.Clamp(-sat.Dot(sh.sunDir)/r, -1, 1))
+	inner := math.Asin(units.EarthRadiusKm/rHiKm) - sh.alpha
+	outer := math.Asin(units.EarthRadiusKm/rLoKm) - sh.alpha
+	gap := inner - psi // in the umbra: distance to its smallest edge
+	if sh.Sunlit(sat) {
+		gap = psi - outer
+	}
+	return math.Max(gap, 0)
 }

@@ -382,11 +382,13 @@ func (c *Constellation) ByID(id int) *Satellite { return c.byID[id] }
 func (c *Constellation) Len() int { return len(c.Sats) }
 
 // Visible is one satellite currently above an observer's horizon mask,
-// with its look angles and sunlit state at the query time.
+// with its look angles, sunlit state and Earth-fixed position (km) at
+// the query time.
 type Visible struct {
 	Sat    *Satellite
 	Look   astro.LookAngles
 	Sunlit bool
+	ECEF   units.Vec3
 }
 
 // SatState is one satellite's propagated state at a snapshot instant.
@@ -468,51 +470,111 @@ type snapSkip struct {
 
 // SnapshotInto is SnapshotSkipped writing into dst (grown as needed —
 // pass a recycled slice to make the steady-state slot loop
-// allocation-free) with an explicit worker count. The slot-invariant
-// work — the TEME→ECEF rotation frame and the Sun-shadow cone — is
-// hoisted out of the per-satellite loop, and with workers > 1 the
-// sweep fans out over a bounded pool that writes by satellite index,
-// so states, order, skip counts, and per-satellite first-error text
-// are byte-identical at every worker count.
+// allocation-free) with an explicit worker count. It is the sweep with
+// no validity windows: every satellite is propagated.
 func (c *Constellation) SnapshotInto(dst []SatState, t time.Time, workers int) ([]SatState, int) {
-	c.assignPositions()
-	n := len(c.Sats)
-	frame := astro.FrameAt(t)
-	shadow := astro.NewShadow(astro.SunPositionECI(t))
-	workers = resolveSnapshotWorkers(workers, n)
-
-	if workers == 1 {
-		out := growStates(dst, n)[:0]
-		skipped := 0
-		var st sgp4.State
-		for _, s := range c.Sats {
-			if err := propagateInto(s, t, &st); err != nil {
-				skipped++
-				c.recordSkip(s.ID, err.Error())
-				continue
-			}
-			out = append(out, SatState{
-				Sat:    s,
-				ECEF:   frame.ToECEF(st.Pos),
-				Sunlit: shadow.Sunlit(st.Pos),
-			})
-		}
-		return out, skipped
-	}
-	// The fan-out lives in its own function: its goroutine closures
-	// capture the hoisted frame/shadow, and sharing a stack frame with
-	// the serial loop would force those onto the heap there too.
-	return c.snapshotParallel(growStates(dst, n), t, workers, frame, shadow)
+	return c.sweep(dst, nil, t, workers, nil)
 }
 
-// snapshotParallel is SnapshotInto's worker pool: workers claim fixed
-// chunks off an atomic cursor and write each satellite's state at its
-// own index, so the filled slice is independent of scheduling.
-// Failures leave a nil-Sat hole and are batched per worker; the serial
-// fold below sorts them by constellation position, making the skip
-// accounting — totals and first-error text — identical to the serial
-// loop's.
-func (c *Constellation) snapshotParallel(full []SatState, t time.Time, workers int, frame astro.Frame, shadow astro.Shadow) ([]SatState, int) {
+// sweepJob is one snapshot sweep's inputs: the slot-invariant work —
+// the TEME→ECEF rotation frame and the Sun-shadow cone — hoisted out of
+// the per-satellite loop, and the buffers the loop writes by
+// satellite index.
+type sweepJob struct {
+	c      *Constellation
+	t      time.Time
+	unix   int64
+	frame  astro.Frame
+	shadow astro.Shadow
+	win    *windows   // nil: every satellite is propagated
+	full   []SatState // one entry per satellite; a nil Sat is a hole
+	sunlit []bool     // per-satellite sunlit state, or nil
+}
+
+// run sweeps satellites [lo, hi): a satellite inside its validity
+// window keeps its sunlit state and leaves a hole; any other is
+// propagated exactly, and its window reopened. Failures leave a hole
+// and are appended to skips.
+func (j *sweepJob) run(lo, hi int, skips []snapSkip) []snapSkip {
+	var st sgp4.State
+	for i := lo; i < hi; i++ {
+		s := j.c.Sats[i]
+		if j.win.carries(i, j.unix) {
+			j.full[i].Sat = nil
+			if j.sunlit != nil {
+				j.sunlit[i] = j.win.sunlit[i]
+			}
+			continue
+		}
+		if err := propagateInto(s, j.t, &st); err != nil {
+			j.full[i].Sat = nil
+			if j.sunlit != nil {
+				j.sunlit[i] = true // a satellite that failed to propagate counts as sunlit
+			}
+			j.win.shut(i)
+			skips = append(skips, snapSkip{idx: i, id: s.ID, msg: err.Error()})
+			continue
+		}
+		j.full[i] = SatState{
+			Sat:    s,
+			ECEF:   j.frame.ToECEF(st.Pos),
+			Sunlit: j.shadow.Sunlit(st.Pos),
+		}
+		if j.sunlit != nil {
+			j.sunlit[i] = j.full[i].Sunlit
+		}
+		j.win.open(i, s, j.unix, st.Pos, j.full[i].ECEF, j.full[i].Sunlit, &j.shadow)
+	}
+	return skips
+}
+
+// sweep is the one snapshot loop. Every satellite the windows w cannot
+// vouch for at t is propagated and lands in the returned states, in
+// constellation order; a nil w propagates all of them. sunlit, when
+// non-nil, receives every satellite's sunlit state. With workers > 1
+// the sweep fans out over a bounded pool that writes by satellite
+// index, so states, order, windows, skip counts and per-satellite
+// first-error text are byte-identical at every worker count.
+func (c *Constellation) sweep(dst []SatState, sunlit []bool, t time.Time, workers int, w *windows) ([]SatState, int) {
+	c.assignPositions()
+	n := len(c.Sats)
+	job := sweepJob{
+		c: c, t: t, unix: t.UnixNano(),
+		frame:  astro.FrameAt(t),
+		shadow: astro.NewShadow(astro.SunPositionECI(t)),
+		win:    w, full: growStates(dst, n), sunlit: sunlit,
+	}
+	var skips []snapSkip
+	if workers = resolveSnapshotWorkers(workers, n); workers == 1 {
+		skips = job.run(0, n, nil)
+	} else {
+		// The fan-out lives in its own function and takes the job by
+		// value: its goroutine closures capture the job, and sharing
+		// this frame's copy with them would move it to the heap on the
+		// serial path too.
+		skips = c.sweepParallel(job, workers)
+	}
+	for _, sk := range skips {
+		c.recordSkip(sk.id, sk.msg)
+	}
+	if len(skips) == 0 && w == nil {
+		return job.full, 0 // no holes
+	}
+	// Compact the holes in place, preserving constellation order.
+	out := job.full[:0]
+	for i := range job.full {
+		if job.full[i].Sat != nil {
+			out = append(out, job.full[i])
+		}
+	}
+	return out, len(skips)
+}
+
+// sweepParallel is sweep's worker pool: workers claim fixed chunks off
+// an atomic cursor and run them. Failures are batched per worker and
+// returned sorted by constellation position, so the skip accounting —
+// totals and first-error text — folds in the serial loop's order.
+func (c *Constellation) sweepParallel(job sweepJob, workers int) []snapSkip {
 	n := len(c.Sats)
 	skipLists := make([][]snapSkip, workers)
 	var cursor atomic.Int64
@@ -522,58 +584,24 @@ func (c *Constellation) snapshotParallel(full []SatState, t time.Time, workers i
 		go func(w int) {
 			defer wg.Done()
 			var local []snapSkip
-			var st sgp4.State
 			for {
 				hi := int(cursor.Add(snapshotChunk))
 				lo := hi - snapshotChunk
 				if lo >= n {
 					break
 				}
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					s := c.Sats[i]
-					if err := propagateInto(s, t, &st); err != nil {
-						full[i].Sat = nil
-						local = append(local, snapSkip{idx: i, id: s.ID, msg: err.Error()})
-						continue
-					}
-					full[i] = SatState{
-						Sat:    s,
-						ECEF:   frame.ToECEF(st.Pos),
-						Sunlit: shadow.Sunlit(st.Pos),
-					}
-				}
+				local = job.run(lo, min(hi, n), local)
 			}
 			skipLists[w] = local
 		}(w)
 	}
 	wg.Wait()
-
-	skipped := 0
-	for _, l := range skipLists {
-		skipped += len(l)
-	}
-	if skipped == 0 {
-		return full, 0
-	}
 	var skips []snapSkip
 	for _, l := range skipLists {
 		skips = append(skips, l...)
 	}
 	slices.SortFunc(skips, func(a, b snapSkip) int { return a.idx - b.idx })
-	for _, sk := range skips {
-		c.recordSkip(sk.id, sk.msg)
-	}
-	// Compact the holes in place, preserving constellation order.
-	out := full[:0]
-	for i := range full {
-		if full[i].Sat != nil {
-			out = append(out, full[i])
-		}
-	}
-	return out, skipped
+	return skips
 }
 
 // growStates returns dst resized to n entries, reusing its backing
@@ -686,7 +714,7 @@ func AppendObserveFrom(dst []Visible, obs astro.Geodetic, snap []SatState, minEl
 		if la.ElevationDeg < minElevDeg {
 			continue
 		}
-		dst = append(dst, Visible{Sat: snap[i].Sat, Look: la, Sunlit: snap[i].Sunlit})
+		dst = append(dst, Visible{Sat: snap[i].Sat, Look: la, Sunlit: snap[i].Sunlit, ECEF: snap[i].ECEF})
 	}
 	sortVisible(dst[start:])
 	return dst

@@ -41,6 +41,10 @@ type SnapshotIndex struct {
 	cells                  [][]int32 // snapshot indices per cell, snapshot order
 
 	maxRadiusKm float64 // largest geocentric satellite radius in the snapshot
+
+	// cover is the sight set of the cache whose snapshot this indexes
+	// (nil: every query is answerable).
+	cover coverage
 }
 
 // indexMaskRefDeg is the reference elevation mask the grid cell size is
@@ -133,11 +137,11 @@ func (ix *SnapshotIndex) cellAt(latDeg, lonDeg float64) int {
 	return lb*ix.lonCells + lc
 }
 
-// query is the shared cap→cells→exact-filter walk. For every satellite
-// in a cell the cap bound could contain, it computes the exact look
-// angles and calls visit for those at or above minElevDeg. Enumeration
-// order is grid order, NOT the deterministic output order — callers
-// that expose results must sort with sortVisible (ObserveFrom does).
+// query is the cap→cells→exact-filter walk. For every satellite in a
+// cell the cap bound could contain, it computes the exact look angles
+// and calls visit for those at or above minElevDeg. Enumeration order
+// is grid order, NOT the deterministic output order — callers that
+// expose results must sort with sortVisible (ObserveFrom does).
 func (ix *SnapshotIndex) query(obs astro.Geodetic, minElevDeg float64, visit func(st *SatState, la astro.LookAngles)) {
 	o := astro.NewObserver(obs)
 	scan := func(cell []int32) {
@@ -207,22 +211,15 @@ func (ix *SnapshotIndex) query(obs astro.Geodetic, minElevDeg float64, visit fun
 // AppendObserveFrom answers the same question as the package-level
 // AppendObserveFrom over this index's snapshot — identical set,
 // identical order, identical floats — in near-O(visible), appending
-// into dst so callers can reuse a scratch slice across queries.
+// into dst so callers can reuse a scratch slice across queries. Like
+// SharedSnapshot.AppendObserveFrom, it panics on a query the snapshot's
+// sights do not cover.
 func (ix *SnapshotIndex) AppendObserveFrom(dst []Visible, obs astro.Geodetic, minElevDeg float64) []Visible {
+	ix.cover.check(obs, minElevDeg)
 	base := len(dst)
 	ix.query(obs, minElevDeg, func(st *SatState, la astro.LookAngles) {
-		dst = append(dst, Visible{Sat: st.Sat, Look: la, Sunlit: st.Sunlit})
+		dst = append(dst, Visible{Sat: st.Sat, Look: la, Sunlit: st.Sunlit, ECEF: st.ECEF})
 	})
 	sortVisible(dst[base:])
 	return dst
-}
-
-// MarkVisible sets visible[s.Pos()] = true for every satellite s at or
-// above minElevDeg from obs; visible needs one entry per satellite of
-// the constellation. Order-free (it fills a set), so no sort is paid;
-// used for the scheduler's gateway-visibility pass.
-func (ix *SnapshotIndex) MarkVisible(obs astro.Geodetic, minElevDeg float64, visible []bool) {
-	ix.query(obs, minElevDeg, func(st *SatState, _ astro.LookAngles) {
-		visible[st.Sat.pos] = true
-	})
 }

@@ -123,29 +123,6 @@ func TestIndexMatchesLinearScanWalker(t *testing.T) {
 	}
 }
 
-// TestMarkVisibleIDsMatchesScan checks the set-only query, which marks
-// satellites by constellation position, against the brute-force
-// definition.
-func TestMarkVisibleIDsMatchesScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	snap := randomSnapshot(rng, 800)
-	ix := NewSnapshotIndex(snap)
-	obs := astro.Geodetic{LatDeg: 33, LonDeg: -97}
-
-	got := make([]bool, len(snap))
-	ix.MarkVisible(obs, 25, got)
-
-	want := make([]bool, len(snap))
-	n := 0
-	for _, v := range ObserveFrom(obs, snap, 25) {
-		want[v.Sat.Pos()] = true
-		n++
-	}
-	if n == 0 || !reflect.DeepEqual(got, want) {
-		t.Fatalf("MarkVisible and the scan disagree (scan sees %d sats)", n)
-	}
-}
-
 // TestAppendObserveFromPreservesPrefix checks that the scratch-reuse
 // entry point sorts only its own suffix.
 func TestAppendObserveFromPreservesPrefix(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/astro"
 	"repro/internal/telemetry"
 )
 
@@ -30,11 +31,20 @@ type snapKey struct {
 // cache never evicts the entry, so the slice is stable for the
 // holder's lifetime.
 type SharedSnapshot struct {
-	// States is the propagated snapshot, in constellation order.
+	// States holds the satellites this snapshot propagated, in
+	// constellation order: every satellite any of the cache's sights
+	// can see, and others whose validity windows lapsed (see windows).
+	// A cache with no sights propagates every satellite.
 	States []SatState
+	// Sunlit is every satellite's sunlit state, indexed by
+	// Satellite.Pos: the exact state of each propagated satellite, the
+	// state a carried one provably keeps, and true for one whose
+	// propagation failed.
+	Sunlit []bool
 
 	skipped int
 	cache   *SnapshotCache
+	cover   coverage
 	key     snapKey
 	refs    int // guarded by cache.mu; 0 while unpinned
 	elem    *list.Element
@@ -67,6 +77,7 @@ func (s *SharedSnapshot) Index() *SnapshotIndex {
 			ix = &SnapshotIndex{}
 		}
 		ix.Rebuild(s.States)
+		ix.cover = s.cover
 		s.idx = ix
 		if s.cache != nil && s.cache.metrics != nil {
 			s.cache.metrics.indexBuilds.Inc()
@@ -74,6 +85,20 @@ func (s *SharedSnapshot) Index() *SnapshotIndex {
 		}
 	})
 	return s.idx
+}
+
+// AppendObserveFrom appends the satellites at or above minElevDeg from
+// obs, sorted as ObserveFrom sorts them, through the spatial index, or
+// through the linear scan of States when linear is set; both give the
+// same set, order and floats. It panics when obs at minElevDeg is not
+// covered by the cache's sights: the snapshot may lack satellites such
+// a query would see.
+func (s *SharedSnapshot) AppendObserveFrom(dst []Visible, obs astro.Geodetic, minElevDeg float64, linear bool) []Visible {
+	if linear {
+		s.cover.check(obs, minElevDeg)
+		return AppendObserveFrom(dst, obs, s.States, minElevDeg)
+	}
+	return s.Index().AppendObserveFrom(dst, obs, minElevDeg)
 }
 
 // Release returns the holder's reference. The entry stays cached (LRU,
@@ -94,6 +119,7 @@ type cacheMetrics struct {
 	indexBuilds             *telemetry.Counter
 	indexBuildMs            *telemetry.FloatGauge
 	bufferReuses            *telemetry.Counter
+	propagated, carried     *telemetry.Counter
 }
 
 // snapPoolCap bounds each recycle pool (state slices and index
@@ -108,6 +134,11 @@ const snapPoolCap = 8
 // only to unpinned entries, so a holder's States slice is never
 // yanked. Safe for concurrent use; concurrent Acquires of the same key
 // propagate once (late arrivals block until the winner finishes).
+//
+// A cache built with sights propagates only what they can see: each
+// constellation keeps per-satellite validity windows (see windows),
+// and a sweep carries every satellite inside its window. Sweeps of one
+// constellation take turns on its windows.
 type SnapshotCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -119,18 +150,28 @@ type SnapshotCache struct {
 	// SetSnapshotWorkers); 0 defers to the constellation's own knob.
 	workers int
 
+	// sights is the fixed set of fields of view the snapshots answer
+	// (nil: all of them); windows holds each constellation's validity
+	// windows, by fingerprint, when there are sights.
+	sights  []Sight
+	cover   coverage
+	windows map[uint64]*windows
+
 	// Recycle pools, fed exclusively by eviction — the one point where
 	// refs == 0 is guaranteed (only unpinned entries sit on the LRU), so
 	// a pooled buffer can never alias a snapshot a holder still sees.
-	statePool [][]SatState
-	idxPool   []*SnapshotIndex
+	statePool  [][]SatState
+	sunlitPool [][]bool
+	idxPool    []*SnapshotIndex
 }
 
 // NewSnapshotCache builds a cache retaining up to capacity unpinned
-// snapshots (<= 0 selects DefaultSnapshotCacheCap). A non-nil registry
-// wires hit/miss/eviction counters, the propagation-skip counter, and
-// the index build-time gauge; nil disables telemetry.
-func NewSnapshotCache(capacity int, reg *telemetry.Registry) *SnapshotCache {
+// snapshots (<= 0 selects DefaultSnapshotCacheCap) whose fields of view
+// from the given sights are exact; with no sights every snapshot holds
+// every satellite. A non-nil registry wires hit/miss/eviction counters,
+// the propagation-skip and sweep counters, and the index build-time
+// gauge; nil disables telemetry.
+func NewSnapshotCache(capacity int, reg *telemetry.Registry, sights ...Sight) *SnapshotCache {
 	if capacity <= 0 {
 		capacity = DefaultSnapshotCacheCap
 	}
@@ -138,6 +179,11 @@ func NewSnapshotCache(capacity int, reg *telemetry.Registry) *SnapshotCache {
 		cap:     capacity,
 		entries: make(map[snapKey]*SharedSnapshot),
 		lru:     list.New(),
+	}
+	if len(sights) > 0 {
+		c.sights = append([]Sight(nil), sights...)
+		c.cover = newCoverage(sights)
+		c.windows = make(map[uint64]*windows)
 	}
 	if reg != nil {
 		c.metrics = &cacheMetrics{
@@ -149,6 +195,8 @@ func NewSnapshotCache(capacity int, reg *telemetry.Registry) *SnapshotCache {
 			indexBuilds:  reg.Counter("snapshot_index_builds_total", "spatial indexes built over snapshots"),
 			indexBuildMs: reg.FloatGauge("snapshot_index_build_ms", "build time of the most recent spatial index"),
 			bufferReuses: reg.Counter("snapshot_buffer_reuses_total", "snapshot state buffers recycled from evicted entries"),
+			propagated:   reg.Counter("snapshot_sats_propagated_total", "satellites snapshot sweeps propagated exactly"),
+			carried:      reg.Counter("snapshot_sats_carried_total", "satellites snapshot sweeps carried inside their validity windows"),
 		}
 	}
 	return c
@@ -168,13 +216,7 @@ func (c *SnapshotCache) SetSnapshotWorkers(n int) {
 func (c *SnapshotCache) popIndex() *SnapshotIndex {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n := len(c.idxPool); n > 0 {
-		ix := c.idxPool[n-1]
-		c.idxPool[n-1] = nil
-		c.idxPool = c.idxPool[:n-1]
-		return ix
-	}
-	return nil
+	return popPool(&c.idxPool)
 }
 
 // Acquire returns the shared snapshot of cons at time t, propagating it
@@ -196,18 +238,25 @@ func (c *SnapshotCache) Acquire(cons *Constellation, t time.Time) *SharedSnapsho
 		}
 		return s
 	}
-	s := &SharedSnapshot{cache: c, key: key, refs: 1, ready: make(chan struct{})}
+	s := &SharedSnapshot{cache: c, key: key, refs: 1, ready: make(chan struct{}), cover: c.cover}
 	c.entries[key] = s
 	if c.metrics != nil {
 		c.metrics.entries.Set(int64(len(c.entries)))
 	}
-	// Claim a recycled state buffer and the worker knob while still
-	// under the lock.
-	var buf []SatState
-	if n := len(c.statePool); n > 0 {
-		buf = c.statePool[n-1]
-		c.statePool[n-1] = nil
-		c.statePool = c.statePool[:n-1]
+	// Claim recycled buffers, the constellation's windows and the
+	// worker knob while still under the lock.
+	buf := popPool(&c.statePool)
+	n := cons.Len()
+	sunlit := popPool(&c.sunlitPool)
+	if cap(sunlit) < n {
+		sunlit = make([]bool, n)
+	}
+	var w *windows
+	if c.sights != nil {
+		if w = c.windows[key.fp]; w == nil {
+			w = newWindows(c.sights, n)
+			c.windows[key.fp] = w
+		}
 	}
 	workers := c.workers
 	c.mu.Unlock()
@@ -217,7 +266,14 @@ func (c *SnapshotCache) Acquire(cons *Constellation, t time.Time) *SharedSnapsho
 
 	// Propagate outside the lock: other keys stay acquirable, and late
 	// acquirers of this key wait on the ready channel.
-	s.States, s.skipped = cons.SnapshotInto(buf, t, workers)
+	s.Sunlit = sunlit[:n]
+	if w != nil {
+		w.mu.Lock() // sweeps of one constellation take turns on its windows
+	}
+	s.States, s.skipped = cons.sweep(buf, s.Sunlit, t, workers, w)
+	if w != nil {
+		w.mu.Unlock()
+	}
 	close(s.ready)
 	if c.metrics != nil {
 		c.metrics.misses.Inc()
@@ -227,8 +283,25 @@ func (c *SnapshotCache) Acquire(cons *Constellation, t time.Time) *SharedSnapsho
 		if s.skipped > 0 {
 			c.metrics.propSkips.Add(int64(s.skipped))
 		}
+		swept := len(s.States) + s.skipped
+		c.metrics.propagated.Add(int64(swept))
+		c.metrics.carried.Add(int64(n - swept))
 	}
 	return s
+}
+
+// popPool pops a recycled value, or the zero value when the pool is
+// empty.
+func popPool[T any](pool *[]T) (v T) {
+	p := *pool
+	if len(p) == 0 {
+		return v
+	}
+	v = p[len(p)-1]
+	var zero T
+	p[len(p)-1] = zero
+	*pool = p[:len(p)-1]
+	return v
 }
 
 // release drops one reference; the last release parks the entry on the
@@ -258,10 +331,13 @@ func (c *SnapshotCache) release(s *SharedSnapshot) {
 		if len(c.statePool) < snapPoolCap && old.States != nil {
 			c.statePool = append(c.statePool, old.States[:0])
 		}
+		if len(c.sunlitPool) < snapPoolCap && old.Sunlit != nil {
+			c.sunlitPool = append(c.sunlitPool, old.Sunlit)
+		}
 		if len(c.idxPool) < snapPoolCap && old.idx != nil {
 			c.idxPool = append(c.idxPool, old.idx)
 		}
-		old.States, old.idx = nil, nil
+		old.States, old.Sunlit, old.idx = nil, nil, nil
 		if c.metrics != nil {
 			c.metrics.evictions.Inc()
 		}

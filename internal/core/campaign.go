@@ -220,11 +220,7 @@ func (sc *slotScratch) framesFor(slotStart time.Time, step time.Duration) []astr
 func runSlotTerminal(cfg *CampaignConfig, term scheduler.Terminal, m *obstruction.Map,
 	matcher *dtw.Matcher, scratch *slotScratch, slotStart time.Time, shared *constellation.SharedSnapshot,
 	alloc scheduler.Allocation, attempted, correct, failed *int) SlotRecord {
-	if cfg.DisableIndex {
-		scratch.fov = constellation.AppendObserveFrom(scratch.fov[:0], term.VantagePoint.Location, shared.States, cfg.Identifier.MinElevationDeg)
-	} else {
-		scratch.fov = shared.Index().AppendObserveFrom(scratch.fov[:0], term.VantagePoint.Location, cfg.Identifier.MinElevationDeg)
-	}
+	scratch.fov = shared.AppendObserveFrom(scratch.fov[:0], term.VantagePoint.Location, cfg.Identifier.MinElevationDeg, cfg.DisableIndex)
 	avail := availFromFov(scratch.fov, slotStart)
 	rec := SlotRecord{
 		Observation: Observation{

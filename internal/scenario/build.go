@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"repro/internal/astro"
 	"repro/internal/constellation"
@@ -89,7 +90,23 @@ func (s *Spec) Build(opt BuildOptions) (*Built, error) {
 	for _, g := range sc.GroundStations {
 		gs = append(gs, astro.Geodetic{LatDeg: g.LatDeg, LonDeg: g.LonDeg, AltKm: g.AltKm})
 	}
-	snaps := constellation.NewSnapshotCache(0, opt.Telemetry)
+	ident, err := core.NewIdentifier(cons)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
+	}
+	schedMask := scheduler.DefaultMinElevationDeg
+	if sc.MinElevationDeg != 0 {
+		schedMask = sc.MinElevationDeg
+		ident.MinElevationDeg = sc.MinElevationDeg
+	}
+	// The snapshots must answer every terminal's field of view at both
+	// the scheduler's and the identifier's mask, so the cache sees each
+	// terminal at the lower of the two.
+	sights := make([]constellation.Sight, len(vps))
+	for i, vp := range vps {
+		sights[i] = constellation.Sight{Site: vp.Location, MinElevDeg: math.Min(schedMask, ident.MinElevationDeg)}
+	}
+	snaps := constellation.NewSnapshotCache(0, opt.Telemetry, sights...)
 	snaps.SetSnapshotWorkers(s.Campaign.SnapshotWorkers)
 	sched, err := scheduler.NewGlobal(scheduler.Config{
 		Constellation:     cons,
@@ -107,13 +124,6 @@ func (s *Spec) Build(opt BuildOptions) (*Built, error) {
 	})
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: build scheduler: %w", s.Name, err)
-	}
-	ident, err := core.NewIdentifier(cons)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
-	}
-	if sc.MinElevationDeg != 0 {
-		ident.MinElevationDeg = sc.MinElevationDeg
 	}
 	metrics := core.NewCampaignMetrics(opt.Telemetry)
 	if opt.TraceDecisions > 0 {

@@ -56,6 +56,10 @@ func SlotIndex(t time.Time) int64 {
 	return EpochStart(t).Unix() / int64(Period/time.Second)
 }
 
+// DefaultMinElevationDeg is the hardware visibility mask a zero
+// Config.MinElevationDeg selects.
+const DefaultMinElevationDeg = 25.0
+
 // Terminal is a scheduled user terminal.
 type Terminal struct {
 	geo.VantagePoint
@@ -122,7 +126,8 @@ type Config struct {
 	Constellation *constellation.Constellation
 	Terminals     []Terminal
 	Weights       Weights // zero value => DefaultWeights
-	// MinElevationDeg is the hardware visibility mask. Default 25.
+	// MinElevationDeg is the hardware visibility mask. Default
+	// DefaultMinElevationDeg.
 	MinElevationDeg float64
 	// GSOProtectionDeg is the exclusion half-angle. Default
 	// geo.DefaultGSOProtectionDeg. Negative disables the exclusion
@@ -179,15 +184,17 @@ type Global struct {
 	loadOrder []int // positions in ascending-ID order: the RNG draw order
 
 	// fleet is the hidden satellite energy state (nil when the battery
-	// model is disabled); sunlit is its per-slot input.
-	fleet  *power.Fleet
-	sunlit []bool
+	// model is disabled), stepped with each slot's sunlit states.
+	fleet *power.Fleet
 
-	// Bent-pipe constraint state: gsVisible marks the satellites that
-	// see a gateway this slot (unused when there are no gateways).
-	groundStations []astro.Geodetic
-	gsMinElev      float64
-	gsVisible      []bool
+	// Bent-pipe constraint: a candidate must be seen by one of the
+	// gateways (none: the constraint is off). A satellite's eligibility
+	// is decided on its first candidacy in a slot and kept for the
+	// slot's other terminals: gwSees[p] holds it for slot gwSlot[p].
+	gateways  []astro.Observer
+	gsMinElev float64
+	gwSlot    []int64
+	gwSees    []bool
 
 	// slot is the slot the state above was last advanced to (-1 before
 	// the first).
@@ -221,7 +228,7 @@ func NewGlobal(cfg Config) (*Global, error) {
 	}
 	minElev := cfg.MinElevationDeg
 	if minElev == 0 {
-		minElev = 25
+		minElev = DefaultMinElevationDeg
 	}
 	g := &Global{
 		cons:    cfg.Constellation,
@@ -271,22 +278,27 @@ func NewGlobal(cfg Config) (*Global, error) {
 			return nil, fmt.Errorf("scheduler: battery fleet: %w", err)
 		}
 		g.fleet = fleet
-		g.sunlit = make([]bool, len(sats))
 	}
 	g.slot = -1
-	if cfg.GroundStations == nil {
+	gs := cfg.GroundStations
+	if gs == nil {
 		for _, p := range geo.StudyPoPs() {
-			g.groundStations = append(g.groundStations, p.Location)
+			gs = append(gs, p.Location)
 		}
-	} else {
-		g.groundStations = append(g.groundStations, cfg.GroundStations...)
+	}
+	for _, site := range gs {
+		g.gateways = append(g.gateways, astro.NewObserver(site))
+	}
+	if len(g.gateways) > 0 {
+		g.gwSlot = make([]int64, len(sats))
+		for i := range g.gwSlot {
+			g.gwSlot[i] = math.MinInt64
+		}
+		g.gwSees = make([]bool, len(sats))
 	}
 	g.gsMinElev = cfg.GSMinElevationDeg
 	if g.gsMinElev == 0 {
 		g.gsMinElev = 25
-	}
-	if len(g.groundStations) > 0 {
-		g.gsVisible = make([]bool, len(sats))
 	}
 	return g, nil
 }
@@ -295,9 +307,9 @@ func NewGlobal(cfg Config) (*Global, error) {
 func (g *Global) Terminals() []Terminal { return g.terms }
 
 // advance moves the hidden per-satellite state to the given slot: the
-// load walk, then the battery fleet and the gateway-visibility set
-// from the slot's snapshot. Every caller reaches a slot through here,
-// so whichever comes first steps all of it exactly once.
+// load walk, then the battery fleet from the slot's sunlit states.
+// Every caller reaches a slot through here, so whichever comes first
+// steps all of it exactly once.
 func (g *Global) advance(slot int64, shared *constellation.SharedSnapshot) {
 	if slot == g.slot {
 		return
@@ -316,17 +328,8 @@ func (g *Global) advance(slot int64, shared *constellation.SharedSnapshot) {
 		}
 	}
 	if g.fleet != nil {
-		// A satellite missing from the snapshot (failed propagation)
-		// steps as sunlit.
-		for i := range g.sunlit {
-			g.sunlit[i] = true
-		}
-		for i := range shared.States {
-			g.sunlit[shared.States[i].Sat.Pos()] = shared.States[i].Sunlit
-		}
-		g.fleet.Step(Period, g.sunlit, g.load)
+		g.fleet.Step(Period, shared.Sunlit, g.load)
 	}
-	g.markGatewayVisible(shared)
 }
 
 // Candidate is one eligible satellite with its observables and the
@@ -378,35 +381,23 @@ func (g *Global) Allocate(t time.Time) []Allocation {
 	return out
 }
 
-// markGatewayVisible recomputes which satellites currently see a
-// ground station (bent-pipe eligibility).
-func (g *Global) markGatewayVisible(shared *constellation.SharedSnapshot) {
-	if len(g.groundStations) == 0 {
-		return // constraint disabled
+// seesGateway reports whether some gateway sees the satellite at
+// position pos, at ecef in the current slot, at or above the gateway
+// mask (bent-pipe eligibility). The gateways are walked once per
+// satellite and slot.
+func (g *Global) seesGateway(pos int, ecef units.Vec3) bool {
+	if g.gwSlot[pos] == g.slot {
+		return g.gwSees[pos]
 	}
-	clear(g.gsVisible)
-	if !g.noIndex {
-		// Set semantics make per-gateway index queries equivalent to the
-		// satellite-outer scan: a satellite is marked iff some gateway
-		// sees it above the mask.
-		ix := shared.Index()
-		for _, gs := range g.groundStations {
-			ix.MarkVisible(gs, g.gsMinElev, g.gsVisible)
-		}
-		return
-	}
-	observers := make([]astro.Observer, len(g.groundStations))
-	for i, gs := range g.groundStations {
-		observers[i] = astro.NewObserver(gs)
-	}
-	for _, st := range shared.States {
-		for i := range observers {
-			if observers[i].Observe(st.ECEF).ElevationDeg >= g.gsMinElev {
-				g.gsVisible[st.Sat.Pos()] = true
-				break
-			}
+	sees := false
+	for i := range g.gateways {
+		if g.gateways[i].Observe(ecef).ElevationDeg >= g.gsMinElev {
+			sees = true
+			break
 		}
 	}
+	g.gwSlot[pos], g.gwSees[pos] = g.slot, sees
+	return sees
 }
 
 // appendCandidates computes the eligible, scored satellites for one
@@ -417,12 +408,7 @@ func (g *Global) markGatewayVisible(shared *constellation.SharedSnapshot) {
 // whatever buffers are passed, so scores are bit-identical.
 func (g *Global) appendCandidates(fovBuf []constellation.Visible, cands []Candidate,
 	term Terminal, shared *constellation.SharedSnapshot) ([]constellation.Visible, []Candidate) {
-	var fov []constellation.Visible
-	if g.noIndex {
-		fov = constellation.AppendObserveFrom(fovBuf[:0], term.Location, shared.States, g.minElev)
-	} else {
-		fov = shared.Index().AppendObserveFrom(fovBuf[:0], term.Location, g.minElev)
-	}
+	fov := shared.AppendObserveFrom(fovBuf[:0], term.Location, g.minElev, g.noIndex)
 	recencyDen := g.newest.Sub(g.oldest).Hours()
 	if recencyDen <= 0 {
 		recencyDen = 1
@@ -433,7 +419,7 @@ func (g *Global) appendCandidates(fovBuf []constellation.Visible, cands []Candid
 	}
 	for _, v := range fov {
 		pos := v.Sat.Pos()
-		if g.gsVisible != nil && !g.gsVisible[pos] {
+		if len(g.gateways) > 0 && !g.seesGateway(pos, v.ECEF) {
 			continue // bent-pipe: no gateway in view
 		}
 		if term.Mask.Blocked(v.Look.AzimuthDeg, v.Look.ElevationDeg) {

@@ -71,19 +71,6 @@ func TestEpochBoundariesAreAtPaperSeconds(t *testing.T) {
 	}
 }
 
-func TestNextEpoch(t *testing.T) {
-	at := time.Date(2023, 3, 1, 5, 38, 13, 0, time.UTC)
-	want := time.Date(2023, 3, 1, 5, 38, 27, 0, time.UTC)
-	if got := NextEpoch(at); !got.Equal(want) {
-		t.Errorf("NextEpoch = %v, want %v", got, want)
-	}
-	// A time exactly on a boundary advances to the next one.
-	at = want
-	if got := NextEpoch(at); !got.Equal(want.Add(Period)) {
-		t.Errorf("NextEpoch(boundary) = %v", got)
-	}
-}
-
 func TestSlotIndexStableWithinSlot(t *testing.T) {
 	a := time.Date(2023, 3, 1, 5, 38, 27, 0, time.UTC)
 	for off := time.Duration(0); off < Period; off += time.Second {
@@ -466,11 +453,6 @@ func TestBentPipeConstraint(t *testing.T) {
 	if sumRemote > sumOff/4 {
 		t.Errorf("pacific gateway left %d of %d candidates; constraint looks inert", sumRemote, sumOff)
 	}
-}
-
-// NextEpoch returns the first slot boundary strictly after t.
-func NextEpoch(t time.Time) time.Time {
-	return EpochStart(t).Add(Period)
 }
 
 // CandidatesAt exposes the scored candidate set for ablation tests.

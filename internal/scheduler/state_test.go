@@ -147,3 +147,67 @@ func TestAllocateWarmPathAllocs(t *testing.T) {
 		t.Fatalf("Allocate warm path: %v allocs per slot, want at most 1 (the returned slice)", allocs)
 	}
 }
+
+// markGatewaysLinear is the bent-pipe marking by linear scan: for every
+// satellite of the full snapshot, by position, whether some gateway
+// sees it at or above the mask.
+func markGatewaysLinear(snap []constellation.SatState, gateways []astro.Geodetic, mask float64, n int) []bool {
+	observers := make([]astro.Observer, len(gateways))
+	for i, gs := range gateways {
+		observers[i] = astro.NewObserver(gs)
+	}
+	marked := make([]bool, n)
+	for _, st := range snap {
+		for i := range observers {
+			if observers[i].Observe(st.ECEF).ElevationDeg >= mask {
+				marked[st.Sat.Pos()] = true
+				break
+			}
+		}
+	}
+	return marked
+}
+
+// TestGatewayEligibilityMatchesMarking: deciding bent-pipe eligibility
+// per candidate, for the satellites in a terminal's field of view only
+// and once per satellite and slot, agrees with the linear marking over
+// the whole snapshot on every satellite any terminal sees, for the
+// default gateways and for a sparse custom set, with both outcomes
+// represented.
+func TestGatewayEligibilityMatchesMarking(t *testing.T) {
+	cons := testConstellation(t)
+	var pops []astro.Geodetic
+	for _, p := range geo.StudyPoPs() {
+		pops = append(pops, p.Location)
+	}
+	for _, gateways := range [][]astro.Geodetic{pops, {{LatDeg: 30, LonDeg: -100}, {LatDeg: 52, LonDeg: -60}}} {
+		cfg := Config{Constellation: cons, Terminals: testTerminals(), Seed: 7, GSMinElevationDeg: 30}
+		if len(gateways) != len(pops) {
+			cfg.GroundStations = gateways
+		}
+		g, err := NewGlobal(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[bool]int{}
+		for slot := 0; slot < 40; slot++ {
+			at := EpochStart(cons.Epoch.Add(time.Duration(slot*9) * Period))
+			snap := cons.Snapshot(at)
+			marked := markGatewaysLinear(snap, gateways, g.gsMinElev, cons.Len())
+			g.slot = SlotIndex(at)
+			for _, term := range g.Terminals() {
+				for _, v := range constellation.ObserveFrom(term.Location, snap, g.minElev) {
+					got := g.seesGateway(v.Sat.Pos(), v.ECEF)
+					if got != marked[v.Sat.Pos()] {
+						t.Fatalf("slot %d, %s, satellite %d: per-candidate eligibility %v, linear marking %v",
+							slot, term.Name, v.Sat.ID, got, marked[v.Sat.Pos()])
+					}
+					seen[got]++
+				}
+			}
+		}
+		if seen[true] == 0 || seen[false] == 0 {
+			t.Fatalf("gateways %v: eligibility outcomes %v; the comparison is one-sided", gateways, seen)
+		}
+	}
+}

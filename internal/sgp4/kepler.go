@@ -178,6 +178,16 @@ func speedBound(a, e float64) float64 {
 // bound holds at every t.
 func (k *KeplerJ2) SpeedBoundKmS(time.Time) float64 { return speedBound(k.a, k.ecc) }
 
+// radiusRoundoff covers the rounding of a computed position's length
+// against the exact radius a bound derives.
+const radiusRoundoff = 1e-9
+
+// RadiusBoundKm returns lo <= |PropagateAt(t).Pos| <= hi, in km: the
+// perigee and apogee radii, which hold at every t.
+func (k *KeplerJ2) RadiusBoundKm(time.Time) (lo, hi float64) {
+	return k.a * (1 - k.ecc) * earthRadiusKm * (1 - radiusRoundoff), k.a * (1 + k.ecc) * earthRadiusKm * (1 + radiusRoundoff)
+}
+
 var (
 	_ Ephemeris        = (*Propagator)(nil)
 	_ Ephemeris        = (*KeplerJ2)(nil)

@@ -241,12 +241,12 @@ func (p *Propagator) PropagateAtInto(t time.Time, st *State) error {
 	return nil
 }
 
-// SpeedBoundKmS returns an upper bound, in km/s, on the speed of the
-// satellite's Earth-fixed position over the minutes around t, or +Inf
-// when the mean orbit at t has decayed. The bound uses the
-// drag-decayed semi-major axis at t and the largest eccentricity the
-// drag and the long-period J3 terms can reach.
-func (p *Propagator) SpeedBoundKmS(t time.Time) float64 {
+// meanBound bounds the mean elements Propagate uses at t: the
+// drag-decayed semi-major axis am (earth radii) and the range
+// [eLo, eHi] of the mean eccentricity, widened by the drag and
+// long-period terms that vary within a revolution. ok is false when
+// the mean orbit at t has decayed.
+func (p *Propagator) meanBound(t time.Time) (am, eLo, eHi float64, ok bool) {
 	ts := t.Sub(p.epoch).Minutes()
 	tempa := 1 - p.c1*ts
 	de := math.Abs(p.bstar * p.c4 * ts)
@@ -255,14 +255,47 @@ func (p *Propagator) SpeedBoundKmS(t time.Time) float64 {
 		de += 2 * math.Abs(p.bstar*p.c5)
 	}
 	if !(tempa > 0) {
-		return math.Inf(1) // the mean orbit has decayed
+		return 0, 0, 0, false
 	}
-	am := p.ao * tempa * tempa
-	em := p.ecco + de
-	if !(em < 1) {
+	return p.ao * tempa * tempa, p.ecco - de, p.ecco + de, true
+}
+
+// SpeedBoundKmS returns an upper bound, in km/s, on the speed of the
+// satellite's Earth-fixed position over the minutes around t, or +Inf
+// when the mean orbit at t has decayed. The bound uses the
+// drag-decayed semi-major axis at t and the largest eccentricity the
+// drag and the long-period J3 terms can reach.
+func (p *Propagator) SpeedBoundKmS(t time.Time) float64 {
+	am, _, em, ok := p.meanBound(t)
+	if !ok || !(em < 1) {
 		return math.Inf(1)
 	}
 	return speedBound(am, em+math.Abs(p.aycof)/(am*(1-em*em)))
+}
+
+// RadiusBoundKm returns lo <= |PropagateAt(t).Pos| <= hi, in km. It
+// bounds the radius Propagate computes term by term: the osculating
+// eccentricity (mean eccentricity plus the long-period J3 term), then
+// the two J2 short-period terms at their largest. When propagation at
+// t could fail (a decayed mean orbit, an eccentricity out of range, a
+// radius below the surface) it returns 0, +Inf.
+func (p *Propagator) RadiusBoundKm(t time.Time) (lo, hi float64) {
+	am, eLo, eHi, ok := p.meanBound(t)
+	if !ok || !(eHi < 1) || eLo < -0.001 {
+		return 0, math.Inf(1)
+	}
+	em := math.Max(eHi, 1e-6) // Propagate raises em to at least 1e-6
+	el := em + math.Abs(p.aycof)/(am*(1-em*em))
+	if !(el < 1) {
+		return 0, math.Inf(1)
+	}
+	pl := am * (1 - el*el)
+	sp := 0.75*j2*math.Abs(p.x3thm1)*am*(1+el)/(pl*pl) + 0.25*j2*math.Abs(p.x1mth2)/pl
+	lo, hi = am*(1-el)-sp, am*(1+el)+sp
+	if !(lo >= 1) {
+		return 0, math.Inf(1) // Propagate reports decay below one earth radius
+	}
+	return lo * earthRadiusKm * (1 - radiusRoundoff), hi * earthRadiusKm * (1 + radiusRoundoff)
 }
 
 // pow15 returns math.Pow(x, 1.5) bit for bit, without Pow's Modf,

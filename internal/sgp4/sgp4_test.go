@@ -664,3 +664,66 @@ func TestSpeedBoundCoversState(t *testing.T) {
 		t.Errorf("decayed orbit: bound %v, want +Inf", b)
 	}
 }
+
+// TestRadiusBoundCoversState: both propagators' RadiusBoundKm brackets
+// the radius of every state they return, sampled each minute over four
+// hours at the epoch and ten days on, for a Starlink orbit, the same
+// orbit under heavy drag, an eccentric orbit and the ISS; and the
+// bracket is at most 20 km wider on either side than the radii the
+// states reach, so it is not vacuous. An orbit that may have decayed
+// gives 0, +Inf.
+func TestRadiusBoundCoversState(t *testing.T) {
+	draggy := starlinkTLE()
+	draggy.BStar = 0.01
+	iss, err := tle.Parse(
+		"1 25544U 98067A   08264.51782528 -.00002182  00000-0 -11606-4 0  2927",
+		"2 25544  51.6416 247.4627 0006703 130.5360 325.0288 15.72125391563537")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, el := range map[string]*tle.TLE{
+		"starlink": starlinkTLE(), "drag": draggy, "eccentric": mustTLE(63.4, 40, 0.1, 270, 0, 13.0, 0), "iss": iss,
+	} {
+		sgp, err := New(el)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kep, err := NewKeplerJ2(el)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, eph := range []interface {
+			Ephemeris
+			RadiusBoundKm(time.Time) (float64, float64)
+		}{sgp, kep} {
+			for _, start := range []float64{0, 10 * 1440} {
+				lowest, highest := math.Inf(1), 0.0
+				loosestLo, loosestHi := math.Inf(1), 0.0
+				for m := start; m < start+240; m++ {
+					at := el.Epoch.Add(time.Duration(m * float64(time.Minute)))
+					st, err := eph.PropagateAt(at)
+					if err != nil {
+						t.Fatal(err)
+					}
+					r := st.Pos.Norm()
+					lo, hi := eph.RadiusBoundKm(at)
+					if r < lo || r > hi {
+						t.Fatalf("%s %T at %v min: radius %v km outside the bound [%v, %v]", name, eph, m, r, lo, hi)
+					}
+					lowest, highest = math.Min(lowest, r), math.Max(highest, r)
+					loosestLo, loosestHi = math.Min(loosestLo, lo), math.Max(loosestHi, hi)
+				}
+				if lowest-loosestLo > 20 || loosestHi-highest > 20 {
+					t.Errorf("%s %T from %v min: bound [%v, %v] km, states reach [%v, %v]", name, eph, start, loosestLo, loosestHi, lowest, highest)
+				}
+			}
+		}
+	}
+	p, err := New(draggy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lo, hi := p.RadiusBoundKm(draggy.Epoch.AddDate(10, 0, 0)); lo != 0 || !math.IsInf(hi, 1) {
+		t.Errorf("decayed orbit: bound [%v, %v], want [0, +Inf]", lo, hi)
+	}
+}

@@ -28,17 +28,6 @@ func TestWrapDeg360(t *testing.T) {
 	}
 }
 
-func TestWrapDeg180(t *testing.T) {
-	cases := []struct{ in, want float64 }{
-		{0, 0}, {180, -180}, {-180, -180}, {190, -170}, {-190, 170}, {90, 90},
-	}
-	for _, c := range cases {
-		if got := WrapDeg180(c.in); !almostEqual(got, c.want, 1e-9) {
-			t.Errorf("WrapDeg180(%v) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
 func TestWrapDeg360PropertyRange(t *testing.T) {
 	f := func(x float64) bool {
 		if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e12 {
@@ -128,13 +117,4 @@ func TestVec3Unit(t *testing.T) {
 	if zero.Unit() != zero {
 		t.Error("unit of zero should be zero")
 	}
-}
-
-// WrapDeg180 wraps an angle in degrees into [-180, 180).
-func WrapDeg180(deg float64) float64 {
-	d := WrapDeg360(deg)
-	if d >= 180.0 {
-		d -= 360.0
-	}
-	return d
 }
