@@ -566,7 +566,7 @@ func benchFleetTerminals(n int) []scheduler.Terminal {
 			Name:           fmt.Sprintf("fleet-%06d", i),
 			Location:       astro.Geodetic{LatDeg: -60 + 120*frac, LonDeg: lon},
 			UTCOffsetHours: int(lon / 15),
-		}, Priority: 1})
+		}})
 	}
 	return terms
 }

@@ -189,12 +189,6 @@ type Constellation struct {
 	byID  map[int]*Satellite
 	Epoch time.Time // TLE epoch shared by all satellites
 
-	// SnapshotWorkers is the default fan-out for Snapshot /
-	// SnapshotSkipped (see SnapshotInto): 0 selects GOMAXPROCS, 1
-	// forces the serial sweep. Output is byte-identical at every
-	// value. Set before concurrent use.
-	SnapshotWorkers int
-
 	// Fingerprint cache (see Fingerprint).
 	fpOnce sync.Once
 	fp     uint64
@@ -213,13 +207,6 @@ type Constellation struct {
 type Config struct {
 	Shells []Shell   // shells to build; default StarlinkShells()
 	Epoch  time.Time // TLE epoch; default 2023-03-01
-	// LaunchStart/LaunchEnd bound the synthetic launch-batch dates
-	// assigned round-robin across planes. Defaults: 2019-05 .. 2023-02.
-	LaunchStart time.Time
-	LaunchEnd   time.Time
-	// BatchSize is the number of satellites per launch batch
-	// (Falcon 9 Starlink launches carry ~60). Default 60.
-	BatchSize int
 	// Seed drives the small random perturbations applied to mean
 	// anomaly and RAAN so planes are not perfectly regular.
 	Seed int64
@@ -227,17 +214,24 @@ type Config struct {
 	JitterDeg float64
 	// UseKeplerJ2 selects the ablation propagator instead of SGP4.
 	UseKeplerJ2 bool
-	// SnapshotWorkers is the default snapshot fan-out (see
-	// Constellation.SnapshotWorkers): 0 selects GOMAXPROCS, 1 forces
-	// the serial sweep. Byte-identical output at every value.
-	SnapshotWorkers int
-	// FirstCatalogNum numbers satellites sequentially from here.
-	// Default 44714 (the first Starlink v1.0 catalog number).
-	FirstCatalogNum int
 	// NamePrefix names satellites "<prefix>-<n>". Default "STARLINK",
 	// matching the CelesTrak catalog names the paper's tooling keys on.
 	NamePrefix string
 }
+
+// The synthetic launch history: batches of launchBatchSize satellites
+// (a Falcon 9 Starlink launch carries about 60) dated monthly from
+// launchStart to launchEnd, and catalog numbers counted up from
+// firstCatalogNum, the first Starlink v1.0 catalog number.
+var (
+	launchStart = time.Date(2019, 5, 1, 0, 0, 0, 0, time.UTC)
+	launchEnd   = time.Date(2023, 2, 1, 0, 0, 0, 0, time.UTC)
+)
+
+const (
+	launchBatchSize = 60
+	firstCatalogNum = 44714
+)
 
 func (c *Config) applyDefaults() {
 	if len(c.Shells) == 0 {
@@ -246,20 +240,8 @@ func (c *Config) applyDefaults() {
 	if c.Epoch.IsZero() {
 		c.Epoch = time.Date(2023, 3, 1, 0, 0, 0, 0, time.UTC)
 	}
-	if c.LaunchStart.IsZero() {
-		c.LaunchStart = time.Date(2019, 5, 1, 0, 0, 0, 0, time.UTC)
-	}
-	if c.LaunchEnd.IsZero() {
-		c.LaunchEnd = time.Date(2023, 2, 1, 0, 0, 0, 0, time.UTC)
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 60
-	}
 	if c.JitterDeg == 0 {
 		c.JitterDeg = 0.15
-	}
-	if c.FirstCatalogNum == 0 {
-		c.FirstCatalogNum = 44714
 	}
 	if c.NamePrefix == "" {
 		c.NamePrefix = "STARLINK"
@@ -278,13 +260,10 @@ func meanMotionRevDay(altKm float64) float64 {
 // gaps across planes), so every plane holds a mix of ages.
 func New(cfg Config) (*Constellation, error) {
 	cfg.applyDefaults()
-	if cfg.LaunchEnd.Before(cfg.LaunchStart) {
-		return nil, fmt.Errorf("constellation: launch window ends (%v) before it starts (%v)", cfg.LaunchEnd, cfg.LaunchStart)
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	var all []*Satellite
-	catalog := cfg.FirstCatalogNum
+	catalog := firstCatalogNum
 	for _, sh := range cfg.Shells {
 		if err := sh.Validate(); err != nil {
 			return nil, fmt.Errorf("constellation: %w", err)
@@ -299,7 +278,7 @@ func New(cfg Config) (*Constellation, error) {
 					360.0*float64(sh.PhasingF)*float64(plane)/float64(total)
 				t := &tle.TLE{
 					CatalogNum:     catalog,
-					IntlDesig:      fmt.Sprintf("%02d%03dA", cfg.LaunchStart.Year()%100, 1+catalog%999),
+					IntlDesig:      fmt.Sprintf("%02d%03dA", launchStart.Year()%100, 1+catalog%999),
 					Epoch:          cfg.Epoch,
 					BStar:          0.0001,
 					InclinationDeg: sh.InclinationDeg,
@@ -321,7 +300,7 @@ func New(cfg Config) (*Constellation, error) {
 				}
 				all = append(all, &Satellite{
 					ID:         catalog,
-					Name:       fmt.Sprintf("%s-%d", cfg.NamePrefix, catalog-cfg.FirstCatalogNum+1000),
+					Name:       fmt.Sprintf("%s-%d", cfg.NamePrefix, catalog-firstCatalogNum+1000),
 					Shell:      sh.Name,
 					TLE:        t,
 					Propagator: eph,
@@ -331,10 +310,9 @@ func New(cfg Config) (*Constellation, error) {
 		}
 	}
 
-	assignLaunchBatches(all, cfg, rng)
+	assignLaunchBatches(all, rng)
 
-	c := &Constellation{Sats: all, Epoch: cfg.Epoch, byID: make(map[int]*Satellite, len(all)),
-		SnapshotWorkers: cfg.SnapshotWorkers}
+	c := &Constellation{Sats: all, Epoch: cfg.Epoch, byID: make(map[int]*Satellite, len(all))}
 	for _, s := range all {
 		c.byID[s.ID] = s
 	}
@@ -356,17 +334,17 @@ func (c *Constellation) assignPositions() {
 // Satellites are shuffled, then filled batch by batch with
 // monthly-spaced dates, mimicking how real launches interleave new
 // hardware into existing planes.
-func assignLaunchBatches(sats []*Satellite, cfg Config, rng *rand.Rand) {
+func assignLaunchBatches(sats []*Satellite, rng *rand.Rand) {
 	order := rng.Perm(len(sats))
-	nBatches := (len(sats) + cfg.BatchSize - 1) / cfg.BatchSize
-	window := cfg.LaunchEnd.Sub(cfg.LaunchStart)
+	nBatches := (len(sats) + launchBatchSize - 1) / launchBatchSize
+	window := launchEnd.Sub(launchStart)
 	for i, idx := range order {
-		batch := i / cfg.BatchSize
+		batch := i / launchBatchSize
 		var frac float64
 		if nBatches > 1 {
 			frac = float64(batch) / float64(nBatches-1)
 		}
-		date := cfg.LaunchStart.Add(time.Duration(frac * float64(window)))
+		date := launchStart.Add(time.Duration(frac * float64(window)))
 		// Snap to the first day of the month, matching the paper's
 		// year-month binning.
 		date = time.Date(date.Year(), date.Month(), 1, 0, 0, 0, 0, time.UTC)
@@ -414,7 +392,7 @@ func (c *Constellation) Snapshot(t time.Time) []SatState {
 // SnapshotSkipped is Snapshot plus the number of satellites dropped
 // from this snapshot because their propagation failed.
 func (c *Constellation) SnapshotSkipped(t time.Time) ([]SatState, int) {
-	return c.SnapshotInto(nil, t, c.SnapshotWorkers)
+	return c.SnapshotInto(nil, t, 0)
 }
 
 // snapshotChunk is the unit of work a snapshot worker claims at a

@@ -62,14 +62,13 @@ func TestFullStarlinkCounts(t *testing.T) {
 
 func TestLaunchDatesSpanWindow(t *testing.T) {
 	cfg := smallConfig()
-	cfg.LaunchStart = time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
-	cfg.LaunchEnd = time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC)
-	cfg.BatchSize = 10
+	cfg.Shells[0].Planes, cfg.Shells[0].SatsPerPlane = 24, 30
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var minD, maxD time.Time
+	batches := map[int]int{}
 	for i, s := range c.Sats {
 		if i == 0 || s.Launch.Before(minD) {
 			minD = s.Launch
@@ -77,29 +76,19 @@ func TestLaunchDatesSpanWindow(t *testing.T) {
 		if i == 0 || s.Launch.After(maxD) {
 			maxD = s.Launch
 		}
-	}
-	if minD.Year() != 2020 {
-		t.Errorf("oldest launch %v, want 2020", minD)
-	}
-	if maxD.Year() != 2023 && !(maxD.Year() == 2022 && maxD.Month() == 12) {
-		t.Errorf("newest launch %v, want near end of window", maxD)
-	}
-	// 120 sats / batch 10 => 12 distinct batches.
-	batches := map[int]int{}
-	for _, s := range c.Sats {
 		batches[s.LaunchIdx]++
 	}
+	if !minD.Equal(launchStart) || !maxD.Equal(launchEnd) {
+		t.Errorf("launches span %v .. %v, want %v .. %v", minD, maxD, launchStart, launchEnd)
+	}
+	// 720 sats / batch 60 => 12 full batches.
 	if len(batches) != 12 {
 		t.Errorf("distinct batches = %d, want 12", len(batches))
 	}
-}
-
-func TestLaunchWindowValidation(t *testing.T) {
-	cfg := smallConfig()
-	cfg.LaunchStart = time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC)
-	cfg.LaunchEnd = time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
-	if _, err := New(cfg); err == nil {
-		t.Fatal("expected error for inverted launch window")
+	for b, n := range batches {
+		if n != launchBatchSize {
+			t.Errorf("batch %d holds %d satellites, want %d", b, n, launchBatchSize)
+		}
 	}
 }
 

@@ -147,7 +147,7 @@ type SnapshotCache struct {
 	metrics *cacheMetrics
 
 	// workers is the snapshot fan-out Acquire propagates with (see
-	// SetSnapshotWorkers); 0 defers to the constellation's own knob.
+	// SetSnapshotWorkers).
 	workers int
 
 	// sights is the fixed set of fields of view the snapshots answer
@@ -203,9 +203,9 @@ func NewSnapshotCache(capacity int, reg *telemetry.Registry, sights ...Sight) *S
 }
 
 // SetSnapshotWorkers sets the fan-out Acquire uses when propagating a
-// missed snapshot: 0 defers to the constellation's SnapshotWorkers
-// field, <0 selects GOMAXPROCS, 1 forces the serial sweep. Output is
-// byte-identical at every value, so this is purely a throughput knob.
+// missed snapshot: <= 0 selects GOMAXPROCS, 1 forces the serial sweep.
+// It is the one snapshot fan-out setting. Output is byte-identical at
+// every value, so this is purely a throughput knob.
 func (c *SnapshotCache) SetSnapshotWorkers(n int) {
 	c.mu.Lock()
 	c.workers = n
@@ -260,9 +260,6 @@ func (c *SnapshotCache) Acquire(cons *Constellation, t time.Time) *SharedSnapsho
 	}
 	workers := c.workers
 	c.mu.Unlock()
-	if workers == 0 {
-		workers = cons.SnapshotWorkers
-	}
 
 	// Propagate outside the lock: other keys stay acquirable, and late
 	// acquirers of this key wait on the ready channel.

@@ -3,7 +3,9 @@ package coord
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -398,5 +400,99 @@ func TestCoordinatorRejectsInvalidSpec(t *testing.T) {
 		if _, err := os.Stat(journal); !os.IsNotExist(err) {
 			t.Errorf("%s: journal dir created (stat err %v)", name, err)
 		}
+	}
+}
+
+// TestFetchStaysWithinFrame: a finished shard whose queue holds more
+// than 128 large records (a full-density constellation at a 15° mask,
+// about 14 KB a record) is handed out in fetches whose response frames
+// all fit in dishrpc.MaxFrame, and the fetched records are the serial
+// stream.
+func TestFetchStaysWithinFrame(t *testing.T) {
+	scn, err := scenario.Starlink("full", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scn.Scheduler.MinElevationDeg = 15
+	if err := scn.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	spec := CampaignSpec{Scenario: scn, Slots: 40, Oracle: true}
+	golden := serialBytes(t, spec)
+
+	w := &Worker{}
+	start, err := json.Marshal(startParams{Shard: 0, Lo: 0, Hi: 4, Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Handle("coord_start", start); err != nil {
+		t.Fatal(err)
+	}
+	for finished := false; !finished; time.Sleep(10 * time.Millisecond) {
+		w.mu.Lock()
+		run := w.shards[0]
+		w.mu.Unlock()
+		run.mu.Lock()
+		finished = run.done
+		run.mu.Unlock()
+	}
+
+	var out bytes.Buffer
+	enc := traceio.NewRecordEncoder(&out)
+	fetches, records := 0, 0
+	for {
+		res, err := w.Handle("coord_fetch", json.RawMessage(`{"shard":0}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The response envelope dishrpc wraps the result in, at its
+		// widest request id.
+		frame, err := json.Marshal(struct {
+			ID     uint64          `json:"id"`
+			Result json.RawMessage `json:"result"`
+		}{math.MaxUint64, body})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(frame) > dishrpc.MaxFrame {
+			t.Errorf("fetch %d: response frame of %d bytes exceeds dishrpc.MaxFrame", fetches, len(frame))
+		}
+		var fr struct {
+			Records []core.SlotRecord `json:"records"`
+			Done    bool              `json:"done"`
+			Error   string            `json:"error"`
+		}
+		if err := json.Unmarshal(body, &fr); err != nil {
+			t.Fatal(err)
+		}
+		if fr.Error != "" {
+			t.Fatal(fr.Error)
+		}
+		if fr.Done {
+			break
+		}
+		fetches++
+		records += len(fr.Records)
+		for i := range fr.Records {
+			if err := enc.Encode(&fr.Records[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := enc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if records <= 128 || len(golden) <= dishrpc.MaxFrame {
+		t.Fatalf("%d records in %d bytes: too few to need more than one frame", records, len(golden))
+	}
+	if fetches < 2 {
+		t.Errorf("%d records in %d bytes came in %d fetch", records, len(golden), fetches)
+	}
+	if !bytes.Equal(out.Bytes(), golden) {
+		t.Errorf("fetched stream differs from serial (%d vs %d bytes)", out.Len(), len(golden))
 	}
 }

@@ -2,6 +2,7 @@ package coord
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -40,16 +41,12 @@ type Coordinator struct {
 	// Backoff is the first retry delay, doubling per attempt. 0 uses
 	// 100ms.
 	Backoff time.Duration
-	// FetchMax caps records per fetch (frame-size guard). 0 uses 128.
-	FetchMax int
 	// Registry, when non-nil, exposes per-shard queue-depth and lag
 	// gauges (coord_shard_queue_depth, coord_shard_lag_slots).
 	Registry *telemetry.Registry
 	// Out, when non-nil, receives the merged record stream as JSONL —
 	// byte-identical to a single-process run's traceio encoding.
 	Out io.Writer
-	// Emit, when non-nil, receives every merged record in order.
-	Emit core.EmitFunc
 
 	// resMu guards the Result fields shard goroutines touch.
 	resMu sync.Mutex
@@ -159,10 +156,6 @@ func (c *Coordinator) Run(ctx context.Context) (*Result, error) {
 	if backoff <= 0 {
 		backoff = 100 * time.Millisecond
 	}
-	fetchMax := c.FetchMax
-	if fetchMax <= 0 {
-		fetchMax = 128
-	}
 	nShards := c.Shards
 	if nShards <= 0 {
 		nShards = len(c.Workers)
@@ -205,7 +198,7 @@ func (c *Coordinator) Run(ctx context.Context) (*Result, error) {
 		wg.Add(1)
 		go func(s *shardState) {
 			defer wg.Done()
-			if err := c.runShard(ctx, s, callTimeout, maxAttempts, backoff, fetchMax, res); err != nil {
+			if err := c.runShard(ctx, s, callTimeout, maxAttempts, backoff, res); err != nil {
 				s.fail(err)
 			}
 		}(s)
@@ -226,11 +219,6 @@ func (c *Coordinator) Run(ctx context.Context) (*Result, error) {
 			for i := range recs {
 				if enc != nil {
 					if err := enc.Encode(&recs[i]); err != nil {
-						return nil, err
-					}
-				}
-				if c.Emit != nil {
-					if err := c.Emit(recs[i]); err != nil {
 						return nil, err
 					}
 				}
@@ -356,8 +344,7 @@ func (s *shardState) err() error {
 // ping-responsive survivor — replaying from the journal's last
 // complete slot.
 func (c *Coordinator) runShard(ctx context.Context, s *shardState,
-	callTimeout time.Duration, maxAttempts int, backoff time.Duration,
-	fetchMax int, res *Result) error {
+	callTimeout time.Duration, maxAttempts int, backoff time.Duration, res *Result) error {
 	defer func() {
 		if s.client != nil {
 			s.client.Close()
@@ -380,7 +367,7 @@ func (c *Coordinator) runShard(ctx context.Context, s *shardState,
 			s.worker = c.pickWorker(s.worker, callTimeout)
 			c.noteReassign(res)
 		}
-		err := c.driveShard(ctx, s, callTimeout, fetchMax)
+		err := c.driveShard(ctx, s, callTimeout)
 		if err == nil {
 			return nil
 		}
@@ -401,8 +388,7 @@ func (c *Coordinator) noteReassign(res *Result) {
 // driveShard runs one attempt: connect (Redial if poisoned), start the
 // worker past the acked slots, then fetch, journal, ack, and push
 // until the worker reports done.
-func (c *Coordinator) driveShard(ctx context.Context, s *shardState,
-	callTimeout time.Duration, fetchMax int) error {
+func (c *Coordinator) driveShard(ctx context.Context, s *shardState, callTimeout time.Duration) error {
 	addr := c.Workers[s.worker]
 	switch {
 	case s.client == nil:
@@ -437,11 +423,17 @@ func (c *Coordinator) driveShard(ctx context.Context, s *shardState,
 			return err
 		}
 		var fr fetchResult
-		if err := s.client.Call("coord_fetch", fetchParams{Shard: s.id, Max: fetchMax}, &fr); err != nil {
+		if err := s.client.Call("coord_fetch", fetchParams{Shard: s.id}, &fr); err != nil {
 			return err
 		}
 		if len(fr.Records) > 0 {
-			if err := s.ack(fr.Records); err != nil {
+			recs := make([]core.SlotRecord, len(fr.Records))
+			for i, raw := range fr.Records {
+				if err := json.Unmarshal(raw, &recs[i]); err != nil {
+					return fmt.Errorf("coord: shard %d: bad record: %w", s.id, err)
+				}
+			}
+			if err := s.ack(recs); err != nil {
 				return err
 			}
 		}

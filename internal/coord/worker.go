@@ -80,11 +80,18 @@ type startParams struct {
 
 type fetchParams struct {
 	Shard int `json:"shard"`
-	Max   int `json:"max"`
 }
 
+// fetchBudget bounds the encoded records one fetch hands out. The
+// rest of a response frame, its JSON envelope and the commas between
+// records, fits in the 1 KiB left over, so a fetch never builds a frame
+// over dishrpc.MaxFrame unless a single record is that large.
+const fetchBudget = dishrpc.MaxFrame - 1<<10
+
 type fetchResult struct {
-	Records []core.SlotRecord `json:"records,omitempty"`
+	// Records are JSON-encoded core.SlotRecords in production order:
+	// as many as fit in fetchBudget bytes, and at least one.
+	Records []json.RawMessage `json:"records,omitempty"`
 	// Done means the campaign finished and every record has been
 	// handed out; Stats carries the worker's whole-campaign summary.
 	Done  bool                `json:"done,omitempty"`
@@ -109,16 +116,21 @@ type shardRun struct {
 	cancel context.CancelFunc
 
 	mu    sync.Mutex
-	queue []core.SlotRecord
+	queue []json.RawMessage // encoded once, when produced
 	done  bool
 	err   string
 	stats *core.CampaignStats
 }
 
-func (r *shardRun) push(rec core.SlotRecord) {
+func (r *shardRun) push(rec *core.SlotRecord) error {
+	raw, err := json.Marshal(rec)
+	if err != nil {
+		return err
+	}
 	r.mu.Lock()
-	r.queue = append(r.queue, rec)
+	r.queue = append(r.queue, raw)
 	r.mu.Unlock()
+	return nil
 }
 
 func (r *shardRun) finish(stats *core.CampaignStats, err error) {
@@ -184,18 +196,18 @@ func (w *Worker) start(p startParams) error {
 			if w.RecordDelay > 0 {
 				time.Sleep(w.RecordDelay)
 			}
-			run.push(rec)
-			return nil
+			return run.push(&rec)
 		})
 		run.finish(stats, err)
 	}()
 	return nil
 }
 
-// fetch hands out up to Max queued records, waiting briefly when the
-// queue is empty so the coordinator's poll loop is not a hot spin.
-// Done is only reported once the campaign has finished AND the queue
-// has drained, so Done implies "no record left behind".
+// fetch hands out the queued records that fit in fetchBudget, at least
+// one, waiting briefly when the queue is empty so the coordinator's
+// poll loop is not a hot spin. Done is only reported once the campaign
+// has finished AND the queue has drained, so Done implies "no record
+// left behind".
 func (w *Worker) fetch(p fetchParams) fetchResult {
 	w.mu.Lock()
 	run := w.shards[p.Shard]
@@ -203,16 +215,14 @@ func (w *Worker) fetch(p fetchParams) fetchResult {
 	if run == nil {
 		return fetchResult{Error: fmt.Sprintf("shard %d not started", p.Shard)}
 	}
-	if p.Max <= 0 {
-		p.Max = 128
-	}
 	deadline := time.Now().Add(200 * time.Millisecond)
 	for {
 		run.mu.Lock()
 		if len(run.queue) > 0 {
-			n := len(run.queue)
-			if n > p.Max {
-				n = p.Max
+			n, size := 1, len(run.queue[0])
+			for n < len(run.queue) && size+1+len(run.queue[n]) <= fetchBudget {
+				size += 1 + len(run.queue[n])
+				n++
 			}
 			recs := run.queue[:n:n]
 			run.queue = run.queue[n:]

@@ -34,7 +34,7 @@ func fleetTerminals(n int) []scheduler.Terminal {
 			Name:           fmt.Sprintf("fleet-%06d", i),
 			Location:       astro.Geodetic{LatDeg: lat, LonDeg: lon},
 			UTCOffsetHours: int(lon / 15),
-		}, Priority: 1})
+		}})
 	}
 	return terms
 }

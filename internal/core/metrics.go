@@ -14,22 +14,22 @@ import (
 // bundle — the default — disables everything at the cost of one branch
 // per call site, so the uninstrumented engine stays at Nop speed.
 type CampaignMetrics struct {
-	Slots       *telemetry.Counter
-	Records     *telemetry.Counter
-	Served      *telemetry.Counter
-	Skips       *telemetry.CounterVec
-	SlotsPerSec *telemetry.FloatGauge
-	Matcher     *dtw.Metrics
+	slots       *telemetry.Counter
+	records     *telemetry.Counter
+	served      *telemetry.Counter
+	skips       *telemetry.CounterVec
+	slotsPerSec *telemetry.FloatGauge
+	matcher     *dtw.Metrics
 
 	// Trace, when non-nil, records one Decision per emitted record —
 	// the chosen satellite plus the top rejected candidates — into a
 	// bounded ring for §5-style offline audits. Recording happens on the
 	// engine goroutine in deterministic (slot, terminal) order.
 	Trace *telemetry.DecisionTrace
-	// TraceRejects bounds the rejected candidates kept per decision.
-	// 0 selects 3.
-	TraceRejects int
 }
+
+// traceRejects bounds the rejected candidates kept per decision.
+const traceRejects = 3
 
 // NewCampaignMetrics registers the campaign metric families. Returns
 // nil on a nil registry; every method is safe on a nil bundle.
@@ -38,12 +38,12 @@ func NewCampaignMetrics(reg *telemetry.Registry) *CampaignMetrics {
 		return nil
 	}
 	return &CampaignMetrics{
-		Slots:       reg.Counter("campaign_slots_total", "slots dispatched by the campaign engine"),
-		Records:     reg.Counter("campaign_records_total", "slot x terminal records emitted"),
-		Served:      reg.Counter("campaign_served_total", "emitted records with a valid chosen satellite"),
-		Skips:       reg.CounterVec("campaign_skips_total", "emitted records skipped, by reason", "reason"),
-		SlotsPerSec: reg.FloatGauge("campaign_slots_per_second", "slot throughput of the most recent campaign"),
-		Matcher:     dtw.NewMetrics(reg),
+		slots:       reg.Counter("campaign_slots_total", "slots dispatched by the campaign engine"),
+		records:     reg.Counter("campaign_records_total", "slot x terminal records emitted"),
+		served:      reg.Counter("campaign_served_total", "emitted records with a valid chosen satellite"),
+		skips:       reg.CounterVec("campaign_skips_total", "emitted records skipped, by reason", "reason"),
+		slotsPerSec: reg.FloatGauge("campaign_slots_per_second", "slot throughput of the most recent campaign"),
+		matcher:     dtw.NewMetrics(reg),
 	}
 }
 
@@ -52,7 +52,7 @@ func (m *CampaignMetrics) slotDispatched() {
 	if m == nil {
 		return
 	}
-	m.Slots.Inc()
+	m.slots.Inc()
 }
 
 // observeRecord folds one emitted record in. Called on the engine
@@ -62,15 +62,15 @@ func (m *CampaignMetrics) observeRecord(rec *SlotRecord) {
 	if m == nil {
 		return
 	}
-	m.Records.Inc()
+	m.records.Inc()
 	if rec.ChosenIdx >= 0 {
-		m.Served.Inc()
+		m.served.Inc()
 	}
 	if rec.SkipReason != "" {
-		m.Skips.With(rec.SkipReason).Inc()
+		m.skips.With(rec.SkipReason).Inc()
 	}
 	if m.Trace != nil {
-		m.Trace.Record(m.decision(rec))
+		m.Trace.Record(decision(rec))
 	}
 }
 
@@ -78,7 +78,7 @@ func (m *CampaignMetrics) observeRecord(rec *SlotRecord) {
 // satellite's observables plus the top rejected candidates by
 // elevation — the scheduler's dominant preference, so these are the
 // most informative non-picks.
-func (m *CampaignMetrics) decision(rec *SlotRecord) telemetry.Decision {
+func decision(rec *SlotRecord) telemetry.Decision {
 	d := telemetry.Decision{
 		SlotStart:  rec.SlotStart,
 		Terminal:   rec.Terminal,
@@ -88,10 +88,6 @@ func (m *CampaignMetrics) decision(rec *SlotRecord) telemetry.Decision {
 		c := rec.Available[rec.ChosenIdx]
 		d.ChosenID = c.ID
 		d.ChosenAOE = c.ElevationDeg
-	}
-	k := m.TraceRejects
-	if k <= 0 {
-		k = 3
 	}
 	rejected := make([]telemetry.RejectedCandidate, 0, len(rec.Available))
 	for i, s := range rec.Available {
@@ -112,8 +108,8 @@ func (m *CampaignMetrics) decision(rec *SlotRecord) telemetry.Decision {
 		}
 		return rejected[i].SatID < rejected[j].SatID
 	})
-	if len(rejected) > k {
-		rejected = rejected[:k]
+	if len(rejected) > traceRejects {
+		rejected = rejected[:traceRejects]
 	}
 	d.Rejected = rejected
 	return d
@@ -125,7 +121,7 @@ func (m *CampaignMetrics) flushMatcher(s dtw.MatcherStats) {
 	if m == nil {
 		return
 	}
-	m.Matcher.AddStats(s)
+	m.matcher.AddStats(s)
 }
 
 // campaignDone publishes the end-to-end throughput of a completed run.
@@ -133,5 +129,5 @@ func (m *CampaignMetrics) campaignDone(slots int, elapsed time.Duration) {
 	if m == nil || elapsed <= 0 {
 		return
 	}
-	m.SlotsPerSec.Set(float64(slots) / elapsed.Seconds())
+	m.slotsPerSec.Set(float64(slots) / elapsed.Seconds())
 }

@@ -84,21 +84,22 @@ func BaselineRanker() ml.Ranker {
 	})
 }
 
+// The §6 protocol's fixed values: a 0.2 validation split, grid-search
+// configurations picked on top-5 accuracy (the paper's headline k), and
+// top-k curves for k = 1..9 (Figure 8's x-axis).
+const (
+	holdoutFrac = 0.2
+	gridTopK    = 5
+	maxK        = 9
+)
+
 // ModelConfig controls the §6 training protocol.
 type ModelConfig struct {
-	// HoldoutFrac is the validation split (paper: 0.2).
-	HoldoutFrac float64
 	// Folds for cross-validated grid search (paper: 5).
 	Folds int
 	// Grid lists candidate forest configurations; nil uses a default
 	// grid over tree count and depth.
 	Grid []ml.ForestConfig
-	// GridTopK is the accuracy metric used to pick a configuration.
-	// Default 5 (the paper's headline k).
-	GridTopK int
-	// MaxK bounds the reported top-k curves. Default 9 (Figure 8's
-	// x-axis).
-	MaxK int
 	// Seed drives splits and training.
 	Seed int64
 	// Workers bounds the training worker pool shared by the grid
@@ -111,17 +112,8 @@ type ModelConfig struct {
 }
 
 func (c *ModelConfig) applyDefaults() {
-	if c.HoldoutFrac == 0 {
-		c.HoldoutFrac = 0.2
-	}
 	if c.Folds == 0 {
 		c.Folds = 5
-	}
-	if c.GridTopK == 0 {
-		c.GridTopK = 5
-	}
-	if c.MaxK == 0 {
-		c.MaxK = 9
 	}
 	if len(c.Grid) == 0 {
 		c.Grid = []ml.ForestConfig{
@@ -146,7 +138,7 @@ type ModelResult struct {
 	// BestConfig is the grid-search winner and its CV score.
 	BestConfig ml.GridPoint
 	// ModelTopK[k-1] and BaselineTopK[k-1] are holdout top-k accuracy
-	// for k = 1..MaxK — exactly Figure 8's two series.
+	// for k = 1..9 — exactly Figure 8's two series.
 	ModelTopK    []float64
 	BaselineTopK []float64
 	// Importances are the named gini importances, descending.
@@ -173,7 +165,7 @@ func TrainModelCtx(ctx context.Context, d *ml.Dataset, cfg ModelConfig) (*ModelR
 	cfg.applyDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	trainIdx, testIdx, err := ml.TrainTestSplit(len(d.X), cfg.HoldoutFrac, rng)
+	trainIdx, testIdx, err := ml.TrainTestSplit(len(d.X), holdoutFrac, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -188,7 +180,7 @@ func TrainModelCtx(ctx context.Context, d *ml.Dataset, cfg ModelConfig) (*ModelR
 		g.Metrics = cfg.Metrics
 		grid[i] = g
 	}
-	points, err := ml.GridSearchCtx(ctx, train, grid, cfg.Folds, cfg.GridTopK, cfg.Seed, cfg.Workers)
+	points, err := ml.GridSearchCtx(ctx, train, grid, cfg.Folds, gridTopK, cfg.Seed, cfg.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("core: grid search: %w", err)
 	}
@@ -199,11 +191,11 @@ func TrainModelCtx(ctx context.Context, d *ml.Dataset, cfg ModelConfig) (*ModelR
 		return nil, fmt.Errorf("core: final fit: %w", err)
 	}
 
-	modelCurve, err := ml.TopKCurve(ml.ForestRanker{Forest: forest}, test, cfg.MaxK)
+	modelCurve, err := ml.TopKCurve(ml.ForestRanker{Forest: forest}, test, maxK)
 	if err != nil {
 		return nil, fmt.Errorf("core: model eval: %w", err)
 	}
-	baseCurve, err := ml.TopKCurve(BaselineRanker(), test, cfg.MaxK)
+	baseCurve, err := ml.TopKCurve(BaselineRanker(), test, maxK)
 	if err != nil {
 		return nil, fmt.Errorf("core: baseline eval: %w", err)
 	}

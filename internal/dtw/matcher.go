@@ -82,16 +82,6 @@ type MatcherStats struct {
 // use. A Matcher is not safe for concurrent use — the campaign engine
 // holds one per worker.
 type Matcher struct {
-	// Band, when > 0, restricts the DTW recurrence to a Sakoe–Chiba
-	// band of radius max(Band, |n−m|) around the scaled diagonal (the
-	// widening keeps the corner-to-corner path feasible for unequal
-	// track lengths). A banded distance is computed over fewer warping
-	// paths, so it is >= the unconstrained distance: exact whenever
-	// the optimal path stays inside the band — guaranteed for
-	// Band >= max(n, m) — and a documented approximation otherwise.
-	// Band == 0 (the default, and what the identification pipeline
-	// uses) evaluates the full matrix and is always exact.
-	Band int
 	// Stats accumulates pruning counters across calls.
 	Stats MatcherStats
 	// Scratch rows for the DTW recurrence, grown on demand.
@@ -411,10 +401,8 @@ func boxDist(p, lo, hi Point) float64 {
 // (this holds in float arithmetic too — the accumulation is monotone).
 // The returned bool is false when the pass was abandoned.
 //
-// With Band == 0 the inner loop performs operation-for-operation the
-// same arithmetic as Distance, so a completed pass is bit-identical to
-// the brute force. With Band > 0 the recurrence is restricted to a
-// Sakoe–Chiba band (see the Band field for its exactness contract).
+// The inner loop performs operation-for-operation the same arithmetic
+// as Distance, so a completed pass is bit-identical to the brute force.
 func (mt *Matcher) abandoningDistance(a, b []Point, bar float64) (raw float64, ok bool) {
 	n, m := len(a), len(b)
 	if cap(mt.prev) < m+1 {
@@ -427,45 +415,19 @@ func (mt *Matcher) abandoningDistance(a, b []Point, bar float64) (raw float64, o
 	for j := 1; j <= m; j++ {
 		prev[j] = inf
 	}
-	radius := 0
-	if mt.Band > 0 {
-		radius = mt.Band
-		if d := n - m; d > radius {
-			radius = d
-		} else if -d > radius {
-			radius = -d
-		}
-	}
 	nm := float64(n + m)
 	mt.Stats.PassesRun++
 	for i := 1; i <= n; i++ {
-		lo, hi := 1, m
-		if radius > 0 {
-			center := 1
-			if n > 1 {
-				center = 1 + (i-1)*(m-1)/(n-1)
-			}
-			if c := center - radius; c > lo {
-				lo = c
-			}
-			if c := center + radius; c < hi {
-				hi = c
-			}
-			cur[lo-1] = inf // the in-band recurrence must not see a stale cell
-		}
 		cur[0] = inf
 		rowMin := inf
-		mt.Stats.Cells += int64(hi - lo + 1)
-		for j := lo; j <= hi; j++ {
+		mt.Stats.Cells += int64(m)
+		for j := 1; j <= m; j++ {
 			d := dist(a[i-1], b[j-1])
 			v := d + math.Min(prev[j], math.Min(cur[j-1], prev[j-1]))
 			cur[j] = v
 			if v < rowMin {
 				rowMin = v
 			}
-		}
-		for j := hi + 1; j <= m; j++ {
-			cur[j] = inf // out-of-band cells must not leak into the next row
 		}
 		if rowMin/nm > bar {
 			mt.Stats.PassesAbandoned++

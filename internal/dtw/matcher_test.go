@@ -145,40 +145,6 @@ func TestMatcherMarginSemantics(t *testing.T) {
 	}
 }
 
-// TestMatcherBandWideIsExact: a band at least as wide as the longer
-// track admits every warping path, so the banded matcher must stay
-// bit-identical to the brute force.
-func TestMatcherBandWideIsExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	mt := &Matcher{Band: 1000}
-	for i := 0; i < 500; i++ {
-		obs, cands := randCase(rng)
-		assertIdentical(t, "banded", obs, cands, mt)
-	}
-}
-
-// TestMatcherBandIsRestriction: a narrow band minimizes over fewer
-// warping paths, so a banded distance can only be >= the exact one.
-func TestMatcherBandIsRestriction(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 200; i++ {
-		obs := randWalkTrack(rng, 4+rng.Intn(16))
-		cand := Candidate{ID: 1, Track: randWalkTrack(rng, 4+rng.Intn(16))}
-		exactBest, _, err := Identify(obs, []Candidate{cand})
-		if err != nil {
-			t.Fatal(err)
-		}
-		banded := &Matcher{Band: 1 + rng.Intn(3)}
-		gotBest, _, err := banded.Identify(obs, []Candidate{cand})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotBest.Distance < exactBest.Distance*(1-1e-12) {
-			t.Fatalf("banded distance %v below exact %v", gotBest.Distance, exactBest.Distance)
-		}
-	}
-}
-
 // TestMatcherPrunes is the perf contract in miniature: once the
 // winner and runner-up are both plausible (small distances), the bar
 // is tight and the cascade must prune every distant candidate without

@@ -107,10 +107,8 @@ type Server struct {
 	conn  *net.UDPConn
 	delay DelayFunc
 
-	mu      sync.Mutex
-	served  uint64
-	dropped uint64
-	closed  bool
+	mu     sync.Mutex
+	closed bool
 	// timers tracks replies held by a DelayFunc so Close can stop them
 	// before they write to a closed socket; held counts the same set
 	// for Close to wait on.
@@ -163,9 +161,6 @@ func (s *Server) Serve(ctx context.Context) error {
 			var lost bool
 			hold, lost = s.delay(arrival)
 			if lost {
-				s.mu.Lock()
-				s.dropped++
-				s.mu.Unlock()
 				continue
 			}
 		}
@@ -175,22 +170,16 @@ func (s *Server) Serve(ctx context.Context) error {
 		if hold > 0 {
 			s.holdReply(reply, peer, hold)
 		} else {
-			if _, err := s.conn.WriteToUDP(reply, peer); err != nil {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				continue // failed echo: not served
+			// A failed echo is a lost probe, which the client counts.
+			if _, err := s.conn.WriteToUDP(reply, peer); err != nil && ctx.Err() != nil {
+				return ctx.Err()
 			}
-			s.mu.Lock()
-			s.served++
-			s.mu.Unlock()
 		}
 	}
 }
 
 // holdReply schedules a delayed echo without blocking the receive
-// loop. The timer is tracked so Close can stop it; served counts only
-// when the write actually succeeds.
+// loop. The timer is tracked so Close can stop it.
 func (s *Server) holdReply(reply []byte, peer *net.UDPAddr, hold time.Duration) {
 	cp := append([]byte(nil), reply...)
 	peerCopy := *peer
@@ -212,11 +201,8 @@ func (s *Server) holdReply(reply []byte, peer *net.UDPAddr, hold time.Duration) 
 		if closed {
 			return
 		}
-		if _, err := s.conn.WriteToUDP(cp, &peerCopy); err == nil {
-			s.mu.Lock()
-			s.served++
-			s.mu.Unlock()
-		}
+		// A failed echo is a lost probe, which the client counts.
+		_, _ = s.conn.WriteToUDP(cp, &peerCopy)
 	})
 	s.timers[timer] = struct{}{}
 }

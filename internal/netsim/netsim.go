@@ -38,24 +38,14 @@ type Config struct {
 	Constellation *constellation.Constellation
 	Scheduler     *scheduler.Global
 	Terminal      scheduler.Terminal
-	// PoP overrides the terminal's PoP lookup; zero value uses
-	// geo.PoPByName(Terminal.PoP).
-	PoP geo.PoP
-	// BaseDelayMs is the fixed processing + backbone overhead added to
-	// every RTT. Default 12 ms (typical Starlink floor after removing
-	// propagation).
-	BaseDelayMs float64
 	// JitterStdMs is the per-packet Gaussian jitter. Default 0.4 ms.
 	JitterStdMs float64
 	// LossProb is the steady-state packet loss probability. Default
 	// 0.005.
 	LossProb float64
 	// HandoverLossProb is the loss probability during the first
-	// HandoverWindow after a slot boundary. Default 0.08.
+	// 300 ms (handoverWindow) after a slot boundary. Default 0.08.
 	HandoverLossProb float64
-	// HandoverWindow is how long the elevated loss lasts. Default
-	// 300 ms.
-	HandoverWindow time.Duration
 	// CoTerminalsMin/Max bound how many other terminals share the
 	// serving satellite's MAC ring in a slot (drives the band count).
 	// Defaults 4 and 12.
@@ -64,22 +54,20 @@ type Config struct {
 	Seed int64
 }
 
+// baseDelayMs is the fixed processing + backbone overhead added to
+// every RTT: the typical Starlink floor after removing propagation.
+const baseDelayMs = 12
+
+// handoverWindow is how long the elevated loss after a slot boundary
+// lasts.
+const handoverWindow = 300 * time.Millisecond
+
 func (c *Config) applyDefaults() error {
 	if c.Constellation == nil {
 		return fmt.Errorf("netsim: nil constellation")
 	}
 	if c.Scheduler == nil {
 		return fmt.Errorf("netsim: nil scheduler")
-	}
-	if c.PoP.Name == "" {
-		pop, ok := geo.PoPByName(c.Terminal.PoP)
-		if !ok {
-			return fmt.Errorf("netsim: terminal %q homes to unknown PoP %q", c.Terminal.Name, c.Terminal.PoP)
-		}
-		c.PoP = pop
-	}
-	if c.BaseDelayMs == 0 {
-		c.BaseDelayMs = 12
 	}
 	if c.JitterStdMs == 0 {
 		c.JitterStdMs = 0.4
@@ -89,9 +77,6 @@ func (c *Config) applyDefaults() error {
 	}
 	if c.HandoverLossProb == 0 {
 		c.HandoverLossProb = 0.08
-	}
-	if c.HandoverWindow == 0 {
-		c.HandoverWindow = 300 * time.Millisecond
 	}
 	if c.CoTerminalsMin == 0 {
 		c.CoTerminalsMin = 4
@@ -108,6 +93,7 @@ func (c *Config) applyDefaults() error {
 // Path is the delay oracle for one terminal.
 type Path struct {
 	cfg Config
+	pop geo.PoP // the terminal's home PoP
 	rng *rand.Rand
 
 	// Per-slot cache.
@@ -121,7 +107,11 @@ func NewPath(cfg Config) (*Path, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
-	return &Path{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), slot: -1}, nil
+	pop, ok := geo.PoPByName(cfg.Terminal.PoP)
+	if !ok {
+		return nil, fmt.Errorf("netsim: terminal %q homes to unknown PoP %q", cfg.Terminal.Name, cfg.Terminal.PoP)
+	}
+	return &Path{cfg: cfg, pop: pop, rng: rand.New(rand.NewSource(cfg.Seed)), slot: -1}, nil
 }
 
 // refreshSlot advances the cached allocation to the slot containing t.
@@ -153,7 +143,7 @@ func (p *Path) refreshSlot(t time.Time) {
 			VantagePoint: geo.VantagePoint{Name: fmt.Sprintf("co-%d", i)},
 		})
 	}
-	p.slotMAC = scheduler.NewMAC(0, terms)
+	p.slotMAC = scheduler.NewMAC(terms)
 }
 
 // Probe returns the RTT a probe sent at t would measure and whether it
@@ -167,7 +157,7 @@ func (p *Path) Probe(t time.Time) (Sample, error) {
 
 	// Loss: elevated immediately after a handover.
 	lossP := p.cfg.LossProb
-	if t.Sub(p.slotAlloc.SlotStart) < p.cfg.HandoverWindow {
+	if t.Sub(p.slotAlloc.SlotStart) < handoverWindow {
 		lossP = p.cfg.HandoverLossProb
 	}
 	if p.rng.Float64() < lossP {
@@ -183,13 +173,13 @@ func (p *Path) Probe(t time.Time) (Sample, error) {
 	satECEF := astro.FrameAt(t).ToECEF(st.Pos)
 
 	upKm := satECEF.Sub(p.cfg.Terminal.Location.ToECEF()).Norm()
-	downKm := satECEF.Sub(p.cfg.PoP.Location.ToECEF()).Norm()
+	downKm := satECEF.Sub(p.pop.Location.ToECEF()).Norm()
 	propMs := 2 * (upKm + downKm) / units.SpeedOfLightKmPerSec * 1000
 
 	macMs := float64(p.slotMAC.FrameDelay(p.cfg.Terminal.Name, t)) / float64(time.Millisecond)
 	jitter := p.rng.NormFloat64() * p.cfg.JitterStdMs
 
-	s.RTTms = propMs + macMs + 2*p.cfg.PoP.WiredDelayMs + p.cfg.BaseDelayMs + jitter
+	s.RTTms = propMs + macMs + 2*p.pop.WiredDelayMs + baseDelayMs + jitter
 	if s.RTTms < 0 {
 		s.RTTms = 0
 	}

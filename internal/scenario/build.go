@@ -76,7 +76,7 @@ func (s *Spec) Build(opt BuildOptions) (*Built, error) {
 	}
 	terms := make([]scheduler.Terminal, len(vps))
 	for i, vp := range vps {
-		terms[i] = scheduler.Terminal{VantagePoint: vp, Priority: 1}
+		terms[i] = scheduler.Terminal{VantagePoint: vp}
 	}
 	sc := &s.Scheduler
 	gsoProtection := sc.GSOProtectionDeg

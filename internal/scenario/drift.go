@@ -40,12 +40,9 @@ type DriftConfig struct {
 	// phase builds a copy of it with only the weights replaced. Nil
 	// uses Starlink("small", 1).
 	Spec *Spec
-	// Slots is the total campaign length; FlipAt is the slot index at
-	// which the scheduler weights change (defaults 600, Slots/2).
-	Slots  int
-	FlipAt int
-	// PostWeights are the weights after the flip (nil = FlippedWeights).
-	PostWeights *scheduler.Weights
+	// Slots is the total campaign length (default 600). The scheduler
+	// weights change to FlippedWeights at slot Slots/2.
+	Slots int
 	// Scorer is the online service under test (required). Use a
 	// Synchronous predict.Service for deterministic output, or a
 	// predict.RemoteScorer to drive a live predictd.
@@ -141,7 +138,7 @@ func (d *driftTracker) observe(rec *core.SlotRecord) error {
 
 // RunDrift executes the two-phase campaign against cfg.Scorer. Both
 // phases share one constellation (same spec), and phase two
-// starts exactly FlipAt periods after phase one's epoch, so the stream
+// starts exactly Slots/2 periods after phase one's epoch, so the stream
 // the scorer sees is one continuous campaign whose only discontinuity
 // is the scheduler's weights. (The post-flip scheduler restarts its
 // load/recency bookkeeping — the real analogue is a scheduler redeploy,
@@ -160,20 +157,15 @@ func RunDrift(ctx context.Context, cfg DriftConfig) (*DriftResult, error) {
 	if cfg.Slots == 0 {
 		cfg.Slots = 600
 	}
-	if cfg.FlipAt == 0 {
-		cfg.FlipAt = cfg.Slots / 2
-	}
-	if cfg.FlipAt <= 0 || cfg.FlipAt >= cfg.Slots {
-		return nil, fmt.Errorf("scenario: flip slot %d outside campaign of %d slots", cfg.FlipAt, cfg.Slots)
+	flipAt := cfg.Slots / 2
+	if flipAt <= 0 {
+		return nil, fmt.Errorf("scenario: drift campaign of %d slots has no slot to flip at", cfg.Slots)
 	}
 	flipped, err := cfg.Spec.clone()
 	if err != nil {
 		return nil, err
 	}
 	flipped.setWeights(FlippedWeights())
-	if cfg.PostWeights != nil {
-		flipped.setWeights(*cfg.PostWeights)
-	}
 	opt := BuildOptions{Telemetry: cfg.Telemetry}
 	pre, err := cfg.Spec.Build(opt)
 	if err != nil {
@@ -186,7 +178,7 @@ func RunDrift(ctx context.Context, cfg DriftConfig) (*DriftResult, error) {
 	pre.Env.Ctx, post.Env.Ctx = ctx, ctx
 
 	res := &DriftResult{
-		Slots: cfg.Slots, FlipAt: cfg.FlipAt,
+		Slots: cfg.Slots, FlipAt: flipAt,
 		MinPostTop1: 1, DetectSlots: -1, ClearSlots: -1,
 	}
 	tr := &driftTracker{res: res, sc: cfg.Scorer}
@@ -205,7 +197,7 @@ func RunDrift(ctx context.Context, cfg DriftConfig) (*DriftResult, error) {
 	}
 
 	// Phase one: learn the default policy.
-	res.PreStats, err = core.RunCampaignStream(ctx, pre.Env.CampaignConfig(cfg.FlipAt, true), emit)
+	res.PreStats, err = core.RunCampaignStream(ctx, pre.Env.CampaignConfig(flipAt, true), emit)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: drift pre-flip phase: %w", err)
 	}
@@ -215,8 +207,8 @@ func RunDrift(ctx context.Context, cfg DriftConfig) (*DriftResult, error) {
 	tr.post = true
 	tr.lastSlot = time.Time{}
 	tr.slotIdx = 0
-	postCfg := post.Env.CampaignConfig(cfg.Slots-cfg.FlipAt, true)
-	postCfg.Start = pre.Env.Start().Add(time.Duration(cfg.FlipAt) * scheduler.Period)
+	postCfg := post.Env.CampaignConfig(cfg.Slots-flipAt, true)
+	postCfg.Start = pre.Env.Start().Add(time.Duration(flipAt) * scheduler.Period)
 	res.PostStats, err = core.RunCampaignStream(ctx, postCfg, emit)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: drift post-flip phase: %w", err)

@@ -31,7 +31,7 @@ func TestRunDrift(t *testing.T) {
 	}
 	spec.Campaign.Workers = 4
 	res, err := RunDrift(context.Background(), DriftConfig{
-		Spec: spec, Slots: 600, FlipAt: 300,
+		Spec: spec, Slots: 600,
 		Scorer:  svc,
 		Offline: true,
 	})
@@ -92,8 +92,8 @@ func TestRunDriftValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunDrift(context.Background(), DriftConfig{Scorer: svc, Slots: 10, FlipAt: 10}); err == nil {
-		t.Error("flip at campaign end accepted")
+	if _, err := RunDrift(context.Background(), DriftConfig{Scorer: svc, Slots: 1}); err == nil {
+		t.Error("flip at campaign start accepted")
 	}
 }
 
@@ -118,7 +118,7 @@ func TestDriftFeedsScorer(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := &fakeScorer{up: predict.ScoreUpdate{Scored: true, Rank: 2, RecentTop1: 0.5, Refits: 3}}
-	res, err := RunDrift(context.Background(), DriftConfig{Spec: spec, Slots: 20, FlipAt: 10, Scorer: sc})
+	res, err := RunDrift(context.Background(), DriftConfig{Spec: spec, Slots: 20, Scorer: sc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestDriftScorerErrorStops(t *testing.T) {
 	}
 	boom := errors.New("model exploded")
 	sc := &fakeScorer{err: boom}
-	if _, err := RunDrift(context.Background(), DriftConfig{Spec: spec, Slots: 8, FlipAt: 4, Scorer: sc}); !errors.Is(err, boom) {
+	if _, err := RunDrift(context.Background(), DriftConfig{Spec: spec, Slots: 8, Scorer: sc}); !errors.Is(err, boom) {
 		t.Errorf("RunDrift = %v, want the scorer's error", err)
 	}
 	if len(sc.seen) != 1 {
@@ -184,7 +184,7 @@ func TestRunDriftHonoursCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DriftConfig{Spec: spec, Slots: 20, FlipAt: 10}
+	cfg := DriftConfig{Spec: spec, Slots: 20}
 	full := &fakeScorer{}
 	cfg.Scorer = full
 	if _, err := RunDrift(context.Background(), cfg); err != nil {

@@ -63,8 +63,6 @@ const DefaultMinElevationDeg = 25.0
 // Terminal is a scheduled user terminal.
 type Terminal struct {
 	geo.VantagePoint
-	// Priority weights MAC frame allocation (1 = standard user).
-	Priority int
 }
 
 // Allocation is one terminal's assignment for one 15-second slot.
@@ -472,43 +470,31 @@ func (g *Global) appendCandidates(fovBuf []constellation.Visible, cands []Candid
 }
 
 // MAC is the on-satellite medium access control scheduler: terminals
-// attached to a satellite receive radio frames round-robin, weighted
-// by priority. The visible artifact — which the paper's Figure 2
-// shows as parallel RTT bands a few milliseconds apart — is that a
-// packet waits for its terminal's next frame, so queueing delay
+// attached to a satellite receive radio frames round-robin, one frame
+// each per cycle (§3). The visible artifact — which the paper's
+// Figure 2 shows as parallel RTT bands a few milliseconds apart — is
+// that a packet waits for its terminal's next frame, so queueing delay
 // cycles deterministically through the frame ring.
 type MAC struct {
-	frame    time.Duration // one radio frame
-	ring     []string      // terminal name per frame slot
-	slotOf   map[string][]int
-	ringSpan time.Duration
+	ring   []string       // terminal name per frame, in name order
+	slotOf map[string]int // each terminal's frame in the ring
 }
 
 // DefaultFrameDuration mirrors Starlink's published ~1.33 ms frame.
 const DefaultFrameDuration = 4 * time.Millisecond / 3
 
-// NewMAC builds the frame ring for a satellite's attached terminals.
-// A terminal with priority p receives p slots per cycle. Frame <= 0
-// selects DefaultFrameDuration.
-func NewMAC(frame time.Duration, terminals []Terminal) *MAC {
-	if frame <= 0 {
-		frame = DefaultFrameDuration
+// NewMAC builds the frame ring for a satellite's attached terminals:
+// one DefaultFrameDuration frame per terminal, ordered by name so the
+// assignment is deterministic.
+func NewMAC(terminals []Terminal) *MAC {
+	m := &MAC{ring: make([]string, len(terminals)), slotOf: make(map[string]int, len(terminals))}
+	for i, t := range terminals {
+		m.ring[i] = t.Name
 	}
-	m := &MAC{frame: frame, slotOf: make(map[string][]int)}
-	// Sort by name for deterministic slot assignment.
-	ts := append([]Terminal(nil), terminals...)
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Name < ts[j].Name })
-	for _, t := range ts {
-		p := t.Priority
-		if p <= 0 {
-			p = 1
-		}
-		for i := 0; i < p; i++ {
-			m.slotOf[t.Name] = append(m.slotOf[t.Name], len(m.ring))
-			m.ring = append(m.ring, t.Name)
-		}
+	sort.Strings(m.ring)
+	for i, name := range m.ring {
+		m.slotOf[name] = i
 	}
-	m.ringSpan = time.Duration(len(m.ring)) * frame
 	return m
 }
 
@@ -516,23 +502,16 @@ func NewMAC(frame time.Duration, terminals []Terminal) *MAC {
 // time t waits until the owning terminal's next frame. The satellite
 // cycles through the ring continuously.
 func (m *MAC) FrameDelay(terminal string, t time.Time) time.Duration {
-	slots := m.slotOf[terminal]
-	if len(slots) == 0 || m.ringSpan == 0 {
+	slot, ok := m.slotOf[terminal]
+	if !ok {
 		return 0
 	}
-	pos := time.Duration(t.UnixNano()) % m.ringSpan
-	best := m.ringSpan
-	for _, s := range slots {
-		slotStart := time.Duration(s) * m.frame
-		wait := slotStart - pos
-		if wait < 0 {
-			wait += m.ringSpan
-		}
-		if wait < best {
-			best = wait
-		}
+	span := time.Duration(len(m.ring)) * DefaultFrameDuration
+	wait := time.Duration(slot)*DefaultFrameDuration - time.Duration(t.UnixNano())%span
+	if wait < 0 {
+		wait += span
 	}
-	return best
+	return wait
 }
 
 // Fleet exposes the satellite energy model for telemetry and tests

@@ -30,7 +30,7 @@ func testTerminals() []Terminal {
 	vps := geo.StudyVantagePoints()
 	ts := make([]Terminal, len(vps))
 	for i, vp := range vps {
-		ts[i] = Terminal{VantagePoint: vp, Priority: 1}
+		ts[i] = Terminal{VantagePoint: vp}
 	}
 	return ts
 }
@@ -244,28 +244,20 @@ func TestMaskReducesCandidates(t *testing.T) {
 
 func TestMACRoundRobinBands(t *testing.T) {
 	terms := testTerminals()
-	m := NewMAC(0, terms)
+	m := NewMAC(terms)
 	if m.RingSize() != 4 {
 		t.Fatalf("ring size = %d", m.RingSize())
 	}
-	bands := m.Bands("Iowa")
-	if len(bands) != 1 {
-		t.Fatalf("Iowa bands = %v", bands)
-	}
-	// Priority 3 gets three slots.
-	terms[0].Priority = 3
-	m = NewMAC(0, terms)
-	if m.RingSize() != 6 {
-		t.Fatalf("ring size with priority = %d", m.RingSize())
-	}
-	if got := len(m.Bands(terms[0].Name)); got != 3 {
-		t.Errorf("priority-3 terminal has %d bands", got)
+	for _, term := range terms {
+		if bands := m.Bands(term.Name); len(bands) != 1 {
+			t.Fatalf("%s bands = %v", term.Name, bands)
+		}
 	}
 }
 
 func TestMACFrameDelayBounded(t *testing.T) {
-	m := NewMAC(2*time.Millisecond, testTerminals())
-	span := time.Duration(m.RingSize()) * 2 * time.Millisecond
+	m := NewMAC(testTerminals())
+	span := time.Duration(m.RingSize()) * DefaultFrameDuration
 	base := time.Date(2023, 3, 1, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < 1000; i++ {
 		d := m.FrameDelay("Madrid", base.Add(time.Duration(i)*137*time.Microsecond))
@@ -276,8 +268,8 @@ func TestMACFrameDelayBounded(t *testing.T) {
 }
 
 func TestMACFrameDelayPeriodic(t *testing.T) {
-	m := NewMAC(2*time.Millisecond, testTerminals())
-	span := time.Duration(m.RingSize()) * 2 * time.Millisecond
+	m := NewMAC(testTerminals())
+	span := time.Duration(m.RingSize()) * DefaultFrameDuration
 	base := time.Date(2023, 3, 1, 0, 0, 0, 123456, time.UTC)
 	d0 := m.FrameDelay("Iowa", base)
 	d1 := m.FrameDelay("Iowa", base.Add(span))
@@ -287,7 +279,7 @@ func TestMACFrameDelayPeriodic(t *testing.T) {
 }
 
 func TestMACUnknownTerminal(t *testing.T) {
-	m := NewMAC(0, testTerminals())
+	m := NewMAC(testTerminals())
 	if d := m.FrameDelay("nobody", time.Now()); d != 0 {
 		t.Errorf("unknown terminal delay = %v", d)
 	}
@@ -469,21 +461,13 @@ func (g *Global) CandidatesAt(term Terminal, t time.Time) []Candidate {
 // RingSize returns the number of frame slots per cycle.
 func (m *MAC) RingSize() int { return len(m.ring) }
 
-// Bands returns the set of distinct frame-delay offsets (in
-// milliseconds) a terminal can observe — the parallel latency bands of
-// Figure 2.
+// Bands returns the frame offsets (in milliseconds) a terminal owns in
+// the ring: one per terminal, since every terminal gets one frame per
+// cycle.
 func (m *MAC) Bands(terminal string) []float64 {
-	slots := m.slotOf[terminal]
-	if len(slots) == 0 {
+	slot, ok := m.slotOf[terminal]
+	if !ok {
 		return nil
 	}
-	// A packet arriving uniformly at random waits anywhere in
-	// [0, ringSpan); sampled at a fixed probing cadence the delays
-	// cluster at multiples of the frame duration up to the gap between
-	// owned slots. Report the per-slot offsets.
-	out := make([]float64, 0, len(slots))
-	for _, s := range slots {
-		out = append(out, float64(time.Duration(s)*m.frame)/float64(time.Millisecond))
-	}
-	return out
+	return []float64{float64(time.Duration(slot)*DefaultFrameDuration) / float64(time.Millisecond)}
 }

@@ -73,7 +73,7 @@ func TestAllocateSkippedSatelliteStaysSunlit(t *testing.T) {
 		{ID: 100, Launch: epoch, Propagator: failingEph{epoch: epoch}},
 		{ID: 200, Launch: epoch, Propagator: fixedEph{pos: pos, epoch: epoch}},
 	}
-	cons := &constellation.Constellation{Sats: sats, Epoch: epoch, SnapshotWorkers: 1}
+	cons := &constellation.Constellation{Sats: sats, Epoch: epoch}
 	ecef := astro.FrameAt(start).ToECEF(pos)
 	// pos lies in the equatorial plane, so the sub-satellite point has
 	// latitude 0 and the longitude of ecef.
@@ -81,7 +81,7 @@ func TestAllocateSkippedSatelliteStaysSunlit(t *testing.T) {
 	term := Terminal{VantagePoint: geo.VantagePoint{
 		Name:     "term",
 		Location: astro.Geodetic{LatDeg: sub.LatDeg, LonDeg: sub.LonDeg},
-	}, Priority: 1}
+	}}
 	g, err := NewGlobal(Config{
 		Constellation:    cons,
 		Terminals:        []Terminal{term},
@@ -120,8 +120,8 @@ func TestAllocateSkippedSatelliteStaysSunlit(t *testing.T) {
 // dense per-satellite buffers.
 func TestAllocateWarmPathAllocs(t *testing.T) {
 	cons := testConstellation(t)
-	cons.SnapshotWorkers = 1 // no snapshot fan-out goroutines
 	cache := constellation.NewSnapshotCache(64, nil)
+	cache.SetSnapshotWorkers(1) // no snapshot fan-out goroutines
 	g, err := NewGlobal(Config{Constellation: cons, Terminals: testTerminals(), Seed: 7, Snapshots: cache})
 	if err != nil {
 		t.Fatal(err)

@@ -59,7 +59,7 @@ func TestAllocateScoreTieBreak(t *testing.T) {
 		term := Terminal{VantagePoint: geo.VantagePoint{
 			Name:     "tie-term",
 			Location: astro.Geodetic{LatDeg: sub.LatDeg, LonDeg: sub.LonDeg},
-		}, Priority: 1}
+		}}
 
 		g, err := NewGlobal(Config{
 			Constellation:    cons,

@@ -58,11 +58,10 @@ func flushSync(bw *bufio.Writer, w io.Writer) error {
 // Errors are sticky: after any failure the stream position is
 // untrustworthy, so every later next repeats the error.
 type jsonlReader struct {
-	br        *bufio.Reader
-	off       int64 // end of the last fully consumed line
-	tolerant  bool
-	truncated bool
-	err       error
+	br       *bufio.Reader
+	off      int64 // end of the last fully consumed line
+	tolerant bool
+	err      error
 }
 
 func newJSONLReader(r io.Reader) *jsonlReader {
@@ -92,7 +91,6 @@ func (r *jsonlReader) next() ([]byte, error) {
 			return nil, io.EOF
 		case err == io.EOF:
 			// Partial final line: a crash mid-append cut the stream here.
-			r.truncated = true
 			if r.tolerant {
 				r.err = io.EOF
 				return nil, io.EOF

@@ -166,8 +166,8 @@ func TestTolerantTailReplay(t *testing.T) {
 		if len(got) != 4 {
 			t.Fatalf("cut=%d: replayed %d records, want 4", cut, len(got))
 		}
-		if !dec.Truncated() {
-			t.Errorf("cut=%d: truncation not reported", cut)
+		if dec.Offset() >= int64(cut) {
+			t.Errorf("cut=%d: offset %d did not stop before the partial tail", cut, dec.Offset())
 		}
 		if dec.Offset() != int64(complete) {
 			t.Errorf("cut=%d: offset = %d, want %d", cut, dec.Offset(), complete)
@@ -200,8 +200,8 @@ func TestTolerantTailReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if dec.Truncated() || dec.Offset() != int64(len(whole)) {
-		t.Errorf("clean journal: truncated=%v offset=%d (size %d)", dec.Truncated(), dec.Offset(), len(whole))
+	if dec.Offset() != int64(len(whole)) {
+		t.Errorf("clean journal: offset=%d (size %d)", dec.Offset(), len(whole))
 	}
 
 	// Strict mode must refuse the same truncated input with
@@ -270,16 +270,11 @@ func TestAllocationWriterMatchesBatch(t *testing.T) {
 
 // TolerateTruncatedTail switches the decoder to crash-replay mode: a
 // truncated final line ends the stream cleanly instead of failing.
-// After io.EOF, Truncated reports whether a tail was dropped and
-// Offset the byte position replay can resume appending from.
+// After io.EOF, Offset is the byte position replay can resume
+// appending from; it is short of the input's size when a tail was
+// dropped.
 func (d *ObservationDecoder) TolerateTruncatedTail() { d.r.tolerant = true }
-
-// Truncated reports whether the stream ended in a partial line.
-func (d *ObservationDecoder) Truncated() bool { return d.r.truncated }
 
 // Offset returns the byte offset just past the last complete line
 // consumed — the resumable append point of a truncated journal.
 func (d *ObservationDecoder) Offset() int64 { return d.r.off }
-
-// Truncated reports whether the stream ended in a partial line.
-func (d *RecordDecoder) Truncated() bool { return d.r.truncated }

@@ -9,6 +9,7 @@ import (
 	"go/types"
 	"io/fs"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -60,6 +61,119 @@ func TestEveryFunctionReachable(t *testing.T) {
 			t.Errorf("allowlist entry %s (%s) names no function", name, why)
 		}
 	}
+}
+
+// knobAllowlist names the exported fields that no production code
+// outside their package reads or writes, but that a test or an open
+// ROADMAP item sets to a second value. Each entry says which.
+var knobAllowlist = map[string]string{
+	"coord.Coordinator.CallTimeout":  "coord TestCoordinatorWorkerDeath, TestCoordinatorAllWorkersDead: 200 ms to 2 s timers",
+	"coord.Coordinator.MaxAttempts":  "coord TestCoordinatorAllWorkersDead: two attempts",
+	"coord.Coordinator.Backoff":      "coord TestCoordinatorWorkerDeath, TestCoordinatorAllWorkersDead: 10-20 ms backoff",
+	"ml.TreeConfig.MaxFeatures":      "ml TestFitTreePresortIdentical, TestForestGoldenFingerprint sweep it against the oracle",
+	"ml.TreeConfig.MinSamplesSplit":  "ml TestFitTreePresortIdentical, TestForestGoldenFingerprint sweep it against the oracle",
+	"netsim.Config.JitterStdMs":      "netsim TestMACBandsVisible pins the RTT arithmetic at near-zero jitter",
+	"netsim.Config.LossProb":         "netsim TestMACBandsVisible, TestHandoverLossElevated",
+	"netsim.Config.HandoverLossProb": "netsim TestMACBandsVisible, TestHandoverLossElevated",
+	"netsim.Config.CoTerminalsMin":   "ROADMAP item 12: the single-band control asks for no co-terminals",
+	"netsim.Config.CoTerminalsMax":   "ROADMAP item 12: the single-band control asks for no co-terminals",
+	"scheduler.Config.Battery":       "scheduler TestConstrainedSatellitesExcluded: the battery-floor eligibility test",
+	"tle.TLE.ClassClass":             "TLE format column: tle TestParseISS, TestFormatRoundTripRandom parse and write real values",
+	"tle.TLE.MeanMotionDot":          "TLE format column: tle TestParseISS, TestFormatRoundTripRandom parse and write real values",
+	"tle.TLE.MeanMotionDDot":         "TLE format column: tle TestParseISS, TestFormatRoundTripRandom parse and write real values",
+	"tle.TLE.ElementSetNum":          "TLE format column: tle TestParseISS, TestFormatRoundTripRandom parse and write real values",
+	"tle.TLE.RevNumber":              "TLE format column: tle TestParseISS, TestFormatRoundTripRandom parse and write real values",
+}
+
+// TestEveryKnobSet checks every exported struct type that production
+// code outside its package builds with a composite literal. Each of its
+// exported fields without a json tag must be read or written by
+// production code outside that package: a module binary, an example or
+// perfbench. A field nobody outside touches is a knob held at its
+// default: make the default a constant or an unexported field, or, when
+// a test or a ROADMAP item needs a second value, add it to
+// knobAllowlist. A json field is part of a file format and is not
+// checked.
+func TestEveryKnobSet(t *testing.T) {
+	m, err := loadModule(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := map[*types.TypeName]*types.Struct{}
+	touched := map[*types.Var]bool{}
+	for _, p := range m.pkgs {
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					tn, st := namedStruct(p.info.TypeOf(n))
+					if st == nil || tn.Pkg() == p.pkg {
+						break
+					}
+					built[tn] = st
+					if len(n.Elts) > 0 {
+						if _, keyed := n.Elts[0].(*ast.KeyValueExpr); !keyed {
+							for i := 0; i < st.NumFields(); i++ {
+								touched[st.Field(i)] = true
+							}
+						}
+					}
+				case *ast.Ident:
+					if v, ok := p.info.Uses[n].(*types.Var); ok && v.IsField() && v.Pkg() != p.pkg {
+						touched[v.Origin()] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	var unset []string
+	seen := map[string]bool{}
+	for tn, st := range built {
+		if _, ours := m.pkgs[tn.Pkg().Path()]; !ours || !tn.Exported() {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			v := st.Field(i)
+			if !v.Exported() || reflect.StructTag(st.Tag(i)).Get("json") != "" {
+				continue
+			}
+			name := tn.Pkg().Name() + "." + tn.Name() + "." + v.Name()
+			seen[name] = true
+			why, listed := knobAllowlist[name]
+			switch {
+			case touched[v] && listed:
+				t.Errorf("allowlist entry %s (%s) is set outside its package now: drop it", name, why)
+			case !touched[v] && !listed:
+				unset = append(unset, m.fset.Position(v.Pos()).String()+": "+name)
+			}
+		}
+	}
+	sort.Strings(unset)
+	for _, u := range unset {
+		t.Errorf("no production code outside its package reads or writes %s", u)
+	}
+	for name, why := range knobAllowlist {
+		if !seen[name] {
+			t.Errorf("allowlist entry %s (%s) names no checked field", name, why)
+		}
+	}
+	t.Logf("%d fields checked, %d allowlisted", len(seen), len(knobAllowlist))
+}
+
+// namedStruct returns the declared type and struct of t, when t is a
+// named struct type, and nil otherwise.
+func namedStruct(t types.Type) (*types.TypeName, *types.Struct) {
+	n, ok := types.Unalias(t).(*types.Named)
+	if !ok {
+		return nil, nil
+	}
+	n = n.Origin()
+	st, ok := n.Underlying().(*types.Struct)
+	if !ok {
+		return nil, nil
+	}
+	return n.Obj(), st
 }
 
 // funcName renders fn as pkg.Func or pkg.Recv.Method.
@@ -161,7 +275,11 @@ func (m *module) Import(path string) (*types.Package, error) {
 	}
 	if !p.done {
 		p.done = true
-		p.info = &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}}
+		p.info = &types.Info{
+			Uses:  map[*ast.Ident]types.Object{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+		}
 		conf := types.Config{Importer: m}
 		p.pkg, p.err = conf.Check(path, m.fset, p.files, p.info)
 	}

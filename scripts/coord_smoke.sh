@@ -13,6 +13,12 @@
 # recovery); the script retries a few times until the coordinator
 # reports at least one shard reassignment. A hash mismatch at any
 # point is an immediate failure.
+#
+# First, a dense spec runs through two healthy workers: the
+# full-density constellation at a 15° mask makes records of about
+# 14 KB, so a shard's queue holds far more than one dishrpc frame
+# (1 MiB) of them. Every fetch must stay within the frame, so the run
+# must restart no shard and hash like its single-process golden.
 set -eu
 
 repro=${1:-./repro}
@@ -34,6 +40,45 @@ if [ ! -x "$repro" ]; then
     go build -o "$work/repro" ./cmd/repro
     repro=$work/repro
 fi
+
+# The dense spec and its single-process golden.
+cat > "$work/dense.json" <<'SPEC'
+{
+  "version": 1,
+  "name": "dense",
+  "seed": 7,
+  "constellation": { "preset": "starlink-full" },
+  "terminals": { "preset": "study" },
+  "scheduler": { "min_elevation_deg": 15 },
+  "campaign": { "slots": 200, "oracle": true }
+}
+SPEC
+"$repro" -scenario "$work/dense.json" dist > "$work/dense-golden.log"
+dense_golden=$(awk '/^sha256 /{print $2}' "$work/dense-golden.log")
+[ -n "$dense_golden" ] || { echo "coord_smoke: no dense golden hash"; cat "$work/dense-golden.log"; exit 1; }
+
+"$repro" -worker-listen 127.0.0.1:9773 > "$work/d1.log" 2>&1 &
+d1=$!
+"$repro" -worker-listen 127.0.0.1:9774 > "$work/d2.log" 2>&1 &
+d2=$!
+pids="$d1 $d2"
+sleep 1
+if ! "$repro" -scenario "$work/dense.json" \
+    -coord-workers 127.0.0.1:9773,127.0.0.1:9774 \
+    -coord-journal "$work/dense-journals" dist > "$work/dense.log" 2>&1; then
+    echo "coord_smoke: dense coordinator failed"; cat "$work/dense.log"; exit 1
+fi
+kill "$d1" "$d2" 2>/dev/null || true
+wait "$d1" "$d2" 2>/dev/null || true
+pids=""
+got=$(awk '/^sha256 /{print $2}' "$work/dense.log")
+restarts=$(awk '/shard reassignments/{print $(NF-2)}' "$work/dense.log")
+if [ "$got" != "$dense_golden" ] || [ "${restarts:-1}" -ne 0 ]; then
+    echo "coord_smoke: dense run: sha256 $got (golden $dense_golden), $restarts shard reassignment(s), want 0"
+    cat "$work/dense.log"
+    exit 1
+fi
+echo "coord_smoke: dense spec PASS — sha256 $got, no shard restarted" >&2
 
 # The golden: the identical campaign single-process. `repro dist`
 # without -coord-workers runs it through the same encoder.
