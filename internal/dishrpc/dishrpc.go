@@ -156,6 +156,11 @@ func writeFrame(w io.Writer, v any) error {
 	if err != nil {
 		return fmt.Errorf("dishrpc: marshal: %w", err)
 	}
+	return writeBody(w, body)
+}
+
+// writeBody sends one already-encoded message body behind its length.
+func writeBody(w io.Writer, body []byte) error {
 	if len(body) > MaxFrame {
 		return fmt.Errorf("%w: frame of %d bytes exceeds limit", ErrProtocol, len(body))
 	}
@@ -323,7 +328,18 @@ func (s *Server) handle(conn net.Conn) {
 				resp.Result = body
 			}
 		}
-		if err := writeFrame(bw, resp); err != nil {
+		body, err := json.Marshal(resp)
+		if err == nil && len(body) > MaxFrame {
+			// Nothing is on the wire yet: answer with an error that
+			// fits, so the client stays in sync instead of reading a
+			// dropped connection as a dead server.
+			body, err = json.Marshal(response{ID: req.ID, Error: fmt.Sprintf(
+				"response of %d bytes exceeds the %d-byte frame limit", len(body), MaxFrame)})
+		}
+		if err != nil {
+			return
+		}
+		if err := writeBody(bw, body); err != nil {
 			return
 		}
 		if err := bw.Flush(); err != nil {

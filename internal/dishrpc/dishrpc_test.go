@@ -10,6 +10,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -515,6 +516,47 @@ func TestHandlerServerErrorMidStream(t *testing.T) {
 	}
 	if err := c.Call("add", args{40, 2}, &sum); err != nil || sum != 42 {
 		t.Fatalf("add after handler error = %d, %v (stream desynced?)", sum, err)
+	}
+}
+
+// TestOversizeResultRepliesWithError: a handler result too large for
+// one frame comes back as a server error naming its size, and the
+// connection stays usable: the next call on the same client succeeds.
+func TestOversizeResultRepliesWithError(t *testing.T) {
+	srv, err := NewHandlerServer("127.0.0.1:0", func(method string, _ json.RawMessage) (any, error) {
+		if method == "big" {
+			return strings.Repeat("x", MaxFrame), nil
+		}
+		return "ok", nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	go srv.Serve(ctx)
+	t.Cleanup(func() { cancel(); srv.Close() })
+
+	c, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	var got string
+	err = c.Call("big", nil, &got)
+	if err == nil {
+		t.Fatal("oversized result returned no error")
+	}
+	size := len(`{"id":1,"result":""}`) + MaxFrame // the reply the server could not send
+	want := fmt.Sprintf("dishrpc: server: response of %d bytes exceeds the %d-byte frame limit", size, MaxFrame)
+	if err.Error() != want {
+		t.Fatalf("error %q, want %q", err, want)
+	}
+	if c.Err() != nil {
+		t.Fatalf("oversized result poisoned the client: %v", c.Err())
+	}
+	if err := c.Call("small", nil, &got); err != nil || got != "ok" {
+		t.Fatalf("call after the oversized one = %q, %v", got, err)
 	}
 }
 

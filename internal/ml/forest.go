@@ -181,9 +181,12 @@ func (f *Forest) PredictProbaInto(x []float64, out []float64) error {
 	for i := range out {
 		out[i] = 0
 	}
+	// A tree adds only its leaf's non-zero entries: the classes it
+	// omits would add +0, which leaves every sum bit-identical.
 	for _, t := range f.trees {
-		for i, v := range t.leaf(x).probs {
-			out[i] += v
+		nd := t.leaf(x)
+		for i := nd.left; i < nd.right; i++ {
+			out[t.leafCls[i]] += t.leafP[i]
 		}
 	}
 	for i := range out {

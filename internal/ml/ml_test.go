@@ -550,7 +550,9 @@ func (t *Tree) PredictProba(x []float64) ([]float64, error) {
 	if len(x) != t.numFeatures {
 		return nil, fmt.Errorf("ml: input has %d features, tree trained on %d", len(x), t.numFeatures)
 	}
-	return t.leaf(x).probs, nil
+	p := make([]float64, t.numClasses)
+	t.denseLeaf(t.leaf(x), p)
+	return p, nil
 }
 
 // Predict returns the most probable class.

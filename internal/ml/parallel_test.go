@@ -63,7 +63,7 @@ func (b *refBuilder) grow(idx []int, depth int) int32 {
 		for i, c := range counts {
 			probs[i] = c / n
 		}
-		b.t.nodes = append(b.t.nodes, node{feature: -1, probs: probs})
+		b.t.addLeaf(probs)
 		return int32(len(b.t.nodes) - 1)
 	}
 
@@ -208,14 +208,20 @@ func treesEqual(t *testing.T, got, want *Tree) {
 	if len(got.nodes) != len(want.nodes) {
 		t.Fatalf("node count %d, want %d", len(got.nodes), len(want.nodes))
 	}
+	gp, wp := make([]float64, got.numClasses), make([]float64, want.numClasses)
 	for i := range got.nodes {
 		g, w := &got.nodes[i], &want.nodes[i]
+		if g.feature < 0 && w.feature < 0 {
+			got.denseLeaf(g, gp)
+			want.denseLeaf(w, wp)
+			if !reflect.DeepEqual(gp, wp) {
+				t.Fatalf("leaf %d probs %v, want %v", i, gp, wp)
+			}
+			continue
+		}
 		if g.feature != w.feature || g.threshold != w.threshold || g.left != w.left || g.right != w.right {
 			t.Fatalf("node %d: {f:%d t:%v l:%d r:%d}, want {f:%d t:%v l:%d r:%d}",
 				i, g.feature, g.threshold, g.left, g.right, w.feature, w.threshold, w.left, w.right)
-		}
-		if g.feature < 0 && !reflect.DeepEqual(g.probs, w.probs) {
-			t.Fatalf("leaf %d probs %v, want %v", i, g.probs, w.probs)
 		}
 	}
 	if !reflect.DeepEqual(got.importance, want.importance) {
@@ -224,7 +230,7 @@ func treesEqual(t *testing.T, got, want *Tree) {
 }
 
 // TestBestSplitPresortIdentical holds the rank-bucket split finder
-// (ranks from the once-per-fit presort, one counting sort per node and
+// (ranks from the once-per-fit presort, one histogram pass per node and
 // feature) to the sort-per-node reference at the root of randomized,
 // tie-heavy datasets: same (feature, threshold, gain) bit for bit.
 func TestBestSplitPresortIdentical(t *testing.T) {
@@ -246,7 +252,6 @@ func TestBestSplitPresortIdentical(t *testing.T) {
 
 		b := &treeBuilder{}
 		b.fc, b.cfg, b.t = newFitContext(d), cfg, &Tree{numFeatures: nf}
-		b.n, b.total = n, float64(n)
 		b.reset(nil)
 		gf, gt, gg := b.bestSplit(0, int32(n), counts, float64(n))
 
@@ -541,7 +546,7 @@ func TestArgsortDescMatchesStableSort(t *testing.T) {
 }
 
 // TestFitTreeExtractionIdentical pins wide data — feature counts far
-// above MaxFeatures, the §6 regime, where each node counting-sorts only
+// above MaxFeatures, the §6 regime, where each node histograms only
 // the few features it samples — to the sort-per-node reference, over
 // the whole mix of node sizes inside each tree.
 func TestFitTreeExtractionIdentical(t *testing.T) {
@@ -704,12 +709,15 @@ func (s *fuzzStream) next() int {
 var nearOne = []float64{1 - 0x1p-53, 1, 1 + 0x1p-52, 0, math.Copysign(0, -1)}
 
 // FuzzFitTreeMatchesReference decodes a small dataset — each column low
-// cardinality, high cardinality or rounding-prone — plus a TreeConfig,
-// and requires FitTree to grow the reference engine's tree.
+// cardinality, high cardinality or rounding-prone — plus a TreeConfig
+// and, when the byte after the dataset is odd, a bootstrap of n draws
+// (repeated rows and undrawn rows both), and requires the builder to
+// grow the reference engine's tree on the drawn rows.
 func FuzzFitTreeMatchesReference(f *testing.F) {
 	f.Add([]byte{40, 3, 2, 0, 0, 0, 0, 1, 2}, int64(1))
 	f.Add([]byte{90, 7, 4, 5, 1, 2, 2, 2, 2, 0, 1}, int64(7))
 	f.Add([]byte{200, 5, 250, 9, 3, 5, 1, 0, 2}, int64(42))
+	f.Add([]byte{100, 2, 1, 8, 2, 3, 3, 0, 2}, int64(10))
 	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
 		s := &fuzzStream{data: data, rng: rand.New(rand.NewSource(seed))}
 		n := 2 + s.next()%120
@@ -746,11 +754,19 @@ func FuzzFitTreeMatchesReference(f *testing.F) {
 			d.X = append(d.X, row)
 			d.Y = append(d.Y, s.next()%nc)
 		}
-		want, err := refFitTree(d, cfg, rand.New(rand.NewSource(seed)))
+		sub, boot := d, []int(nil) // nil: every row once
+		if s.next()%2 == 1 {
+			boot = make([]int, n)
+			for j := range boot {
+				boot[j] = (s.next()<<8 | s.next()) % n
+			}
+			sub = d.Subset(boot)
+		}
+		want, err := refFitTree(sub, cfg, rand.New(rand.NewSource(seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := FitTree(d, cfg, rand.New(rand.NewSource(seed)))
+		got, err := (&treeBuilder{}).fitTree(newFitContext(d), cfg, rand.New(rand.NewSource(seed)), boot)
 		if err != nil {
 			t.Fatal(err)
 		}

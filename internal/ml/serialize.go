@@ -43,11 +43,18 @@ func (f *Forest) Save(w io.Writer) error {
 	}
 	for _, t := range f.trees {
 		td := treeDTO{Importance: t.importance}
-		for _, n := range t.nodes {
-			td.Nodes = append(td.Nodes, nodeDTO{
-				Feature: n.feature, Threshold: n.threshold,
-				Left: n.left, Right: n.right, Probs: n.probs,
-			})
+		for i := range t.nodes {
+			n := &t.nodes[i]
+			nd := nodeDTO{Feature: n.feature, Threshold: n.threshold}
+			if n.feature < 0 {
+				// Format version 1 holds every leaf dense, one
+				// probability per class.
+				nd.Probs = make([]float64, t.numClasses)
+				t.denseLeaf(n, nd.Probs)
+			} else {
+				nd.Left, nd.Right = n.left, n.right
+			}
+			td.Nodes = append(td.Nodes, nd)
 		}
 		dto.Trees = append(dto.Trees, td)
 	}
@@ -120,10 +127,14 @@ func LoadForestFor(r io.Reader, wantFeatures, wantClasses int) (*Forest, error) 
 			} else if len(nd.Probs) != dto.NumClasses {
 				return nil, fmt.Errorf("ml: tree %d leaf %d has %d probs, want %d", ti, ni, len(nd.Probs), dto.NumClasses)
 			}
-			t.nodes = append(t.nodes, node{
-				feature: nd.Feature, threshold: nd.Threshold,
-				left: nd.Left, right: nd.Right, probs: nd.Probs,
-			})
+			if nd.Feature < 0 {
+				t.addLeaf(nd.Probs)
+			} else {
+				t.nodes = append(t.nodes, node{
+					feature: nd.Feature, threshold: nd.Threshold,
+					left: nd.Left, right: nd.Right,
+				})
+			}
 		}
 		f.trees = append(f.trees, t)
 	}

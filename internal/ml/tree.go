@@ -7,11 +7,13 @@
 //
 // Training is built for throughput without giving up reproducibility:
 // forests train on a bounded worker pool with every random draw made
-// serially up front, each column is ranked once per fit so a node's
-// split search is a counting sort over ranks instead of a comparison
-// sort, and the batch prediction path is allocation-free. All of
-// it is bit-identical to the straightforward serial implementation —
-// see README "Learning engine internals".
+// serially up front; a tree folds its bootstrap into one weighted
+// member per distinct drawn row; each column is ranked once per fit,
+// so a node's split search is one histogram pass over ranks instead
+// of a comparison sort; leaves store only their non-zero class
+// probabilities; and the batch prediction path is allocation-free.
+// All of it is bit-identical to the straightforward serial
+// implementation — see README "Learning engine internals".
 package ml
 
 import (
@@ -108,13 +110,14 @@ func (c TreeConfig) normalized(numFeatures int) TreeConfig {
 	return c
 }
 
-// node is one tree node; leaves carry the class distribution.
+// node is one tree node. A leaf (feature -1) stores its class
+// distribution sparsely: left and right bound its non-zero entries,
+// leafCls[left:right] and leafP[left:right] of its Tree.
 type node struct {
 	feature   int // -1 for leaf
 	threshold float64
 	left      int32
 	right     int32
-	probs     []float64 // leaf class distribution (view into Tree.leafProbs)
 }
 
 // Tree is a trained CART classifier.
@@ -123,15 +126,40 @@ type Tree struct {
 	numClasses  int
 	numFeatures int
 	importance  []float64 // unnormalized gini-decrease per feature
-	// leafProbs is the single backing array every leaf's probs slice
-	// points into: one numClasses-wide block per leaf in node order.
-	leafProbs []float64
+	// leafCls and leafP hold every leaf's non-zero class probabilities
+	// (class ascending within a leaf, leaves in node order). A class a
+	// leaf omits has probability +0, which adds nothing to a sum.
+	leafCls []int32
+	leafP   []float64
+}
+
+// denseLeaf writes leaf nd's class distribution into p (length
+// numClasses), zeros included.
+func (t *Tree) denseLeaf(nd *node, p []float64) {
+	clear(p)
+	for i := nd.left; i < nd.right; i++ {
+		p[t.leafCls[i]] = t.leafP[i]
+	}
+}
+
+// addLeaf appends a leaf node holding the dense distribution p. Every
+// entry but +0 is kept (a -0 too), so denseLeaf gives p back bit for
+// bit.
+func (t *Tree) addLeaf(p []float64) {
+	lo := int32(len(t.leafCls))
+	for c, v := range p {
+		if math.Float64bits(v) != 0 {
+			t.leafCls = append(t.leafCls, int32(c))
+			t.leafP = append(t.leafP, v)
+		}
+	}
+	t.nodes = append(t.nodes, node{feature: -1, left: lo, right: int32(len(t.leafCls))})
 }
 
 // fitContext is the per-dataset presort shared by every tree of a fit.
 // Each varying column is reduced to ranks: rank[f][row] is the row's
 // index among the column's distinct values vals[f] (ascending), so a
-// node can bucket its samples by value in O(node + distinct values),
+// node can bin its members by value in O(members + distinct values),
 // and vals[f][rank[f][row]] reads the row's value back exactly.
 // Columns that are constant across the dataset (most of the §6
 // cluster-count features are) can never host a split; they have no
@@ -143,7 +171,7 @@ type fitContext struct {
 	y           []int32     // y[row] = d.Y[row]
 	rank        [][]int32   // rank[f][row]; nil when column f is constant
 	vals        [][]float64 // distinct values of column f, ascending; nil when constant
-	maxDistinct int         // longest vals[f]: the bin count of one counting sort
+	maxDistinct int         // longest vals[f]: the bin count of one split histogram
 }
 
 // newFitContext sorts each varying column once — O(active features *
@@ -247,9 +275,12 @@ func sortIdxByKey(key []float64, idx []int32) {
 	}
 }
 
-// sample is one sample position of a tree: its dataset row (the
-// bootstrap draw) and that row's label.
-type sample struct{ row, y int32 }
+// sample is one member of a tree's sample: a distinct dataset row the
+// bootstrap drew, its label, and w, the number of times it was drawn.
+// Every count a tree takes — node sizes, class counts, the leaf-size
+// and split-size limits, importance weights — sums w, so each equals
+// the count over the bootstrap with its repeats.
+type sample struct{ row, y, w int32 }
 
 // treeBuilder grows trees from a fitContext. All of its buffers are
 // reused across trees, so a worker that fits many trees allocates the
@@ -260,34 +291,37 @@ type treeBuilder struct {
 	cfg   TreeConfig
 	rng   *rand.Rand
 	t     *Tree
-	n     int
-	total float64
+	total float64 // the tree's sample size, repeats included
 
-	members []sample // sample positions; each node owns a range, partitioned in place
-	sorted  []int32  // one (node, feature)'s labels in ascending value order
-	bins    []int32  // counting-sort bin offsets by rank; all zero between uses
+	members []sample // one per distinct drawn row; each node owns a range, partitioned in place
+	drawn   []int32  // times the bootstrap drew each dataset row; all zero between uses
 
 	classes    []int32   // classes present in the tree's sample, ascending
 	present    []int32   // classes present in the current node, ascending
-	counts     []float64 // class counts of the current node
-	leftCounts []float64 // class counts left of the scanned boundary
+	slot       []int32   // slot[class] = the class's index in present
+	counts     []float64 // class counts of the current node, by class
+	nodeCounts []float64 // the same counts, by index in present
+	leftCounts []float64 // counts left of the scanned boundary, by index in present
 
-	leafProbs   []float64 // the growing tree's leaf distributions, in node order
-	features    []int     // sampleFeatures' draw buffer
-	allFeatures []int     // identity feature list when MaxFeatures >= numFeatures
+	binW []int32 // one (node, feature)'s weight per rank bin; all zero between uses
+	hist []int32 // its weight per (rank bin, index in present); all zero between uses
+
+	// The growing tree's nodes and sparse leaves, laid out as in Tree.
+	nodes   []node
+	leafCls []int32
+	leafP   []float64
+
+	features    []int // sampleFeatures' draw buffer
+	allFeatures []int // identity feature list when MaxFeatures >= numFeatures
 }
 
-// fitTree grows one tree over the sample positions boot (nil = the
-// identity sample, i.e. the whole dataset). The result is bit-identical
-// to growing on d.Subset(boot) with the sort-per-node engine.
+// fitTree grows one tree over the bootstrap boot (nil = the identity
+// sample, i.e. the whole dataset). The result is bit-identical to
+// growing on d.Subset(boot) with the sort-per-node engine.
 func (b *treeBuilder) fitTree(fc *fitContext, cfg TreeConfig, rng *rand.Rand, boot []int) (*Tree, error) {
 	cfg = cfg.normalized(fc.numFeatures)
 	if cfg.MaxFeatures < fc.numFeatures && rng == nil {
 		return nil, fmt.Errorf("ml: feature subsampling requires an rng")
-	}
-	n := len(boot)
-	if boot == nil {
-		n = len(fc.d.X)
 	}
 	t := &Tree{
 		numClasses:  fc.d.NumClasses,
@@ -295,51 +329,50 @@ func (b *treeBuilder) fitTree(fc *fitContext, cfg TreeConfig, rng *rand.Rand, bo
 		importance:  make([]float64, fc.numFeatures),
 	}
 	b.fc, b.cfg, b.rng, b.t = fc, cfg, rng, t
-	b.n, b.total = n, float64(n)
 	b.reset(boot)
-	b.grow(0, int32(n), 0)
-	// One exact-size copy of the leaves grown in reused scratch; every
-	// leaf views its numClasses-wide block in node (= DFS) order.
-	t.leafProbs = slices.Clone(b.leafProbs)
-	off := 0
-	for i := range t.nodes {
-		if t.nodes[i].feature < 0 {
-			t.nodes[i].probs = t.leafProbs[off : off+t.numClasses : off+t.numClasses]
-			off += t.numClasses
-		}
-	}
+	b.grow(0, int32(len(b.members)), 0)
+	// One exact-size copy of what grew in reused scratch.
+	t.nodes = slices.Clone(b.nodes)
+	t.leafCls, t.leafP = slices.Clone(b.leafCls), slices.Clone(b.leafP)
 	return t, nil
 }
 
-// reset sizes the scratch for the current (fc, boot) pair, lays out the
-// sample positions and lists the classes the sample holds.
+// reset folds boot into one weighted member per distinct drawn row, in
+// row order, sizes the scratch and lists the classes the sample holds.
 func (b *treeBuilder) reset(boot []int) {
-	n, nc := b.n, b.fc.d.NumClasses
-	if cap(b.members) < n {
-		b.members = make([]sample, n)
-		b.sorted = make([]int32, n)
+	y, nc := b.fc.y, b.fc.d.NumClasses
+	b.members = b.members[:0]
+	if boot == nil {
+		for r, c := range y {
+			b.members = append(b.members, sample{row: int32(r), y: c, w: 1})
+		}
+		b.total = float64(len(y))
+	} else {
+		if len(b.drawn) != len(y) {
+			b.drawn = make([]int32, len(y))
+		}
+		for _, r := range boot {
+			b.drawn[r]++
+		}
+		for r, w := range b.drawn {
+			if w > 0 {
+				b.members = append(b.members, sample{row: int32(r), y: y[r], w: w})
+				b.drawn[r] = 0
+			}
+		}
+		b.total = float64(len(boot))
 	}
-	b.members, b.sorted = b.members[:n], b.sorted[:n]
-	b.leafProbs = b.leafProbs[:0]
-	if len(b.bins) < b.fc.maxDistinct {
-		b.bins = make([]int32, b.fc.maxDistinct)
+	b.nodes, b.leafCls, b.leafP = b.nodes[:0], b.leafCls[:0], b.leafP[:0]
+	if len(b.binW) < b.fc.maxDistinct {
+		b.binW = make([]int32, b.fc.maxDistinct)
 	}
 	if len(b.counts) != nc {
 		b.counts = make([]float64, nc)
-		b.leftCounts = make([]float64, nc)
-	}
-	if boot == nil {
-		for r := range b.members {
-			b.members[r] = sample{row: int32(r), y: b.fc.y[r]}
-		}
-	} else {
-		for pos, r := range boot {
-			b.members[pos] = sample{row: int32(r), y: b.fc.y[r]}
-		}
+		b.slot = make([]int32, nc)
 	}
 	clear(b.counts)
 	for _, s := range b.members {
-		b.counts[s.y]++
+		b.counts[s.y] += float64(s.w)
 	}
 	b.classes = b.classes[:0]
 	for c, k := range b.counts {
@@ -347,60 +380,53 @@ func (b *treeBuilder) reset(boot []int) {
 			b.classes = append(b.classes, int32(c))
 		}
 	}
+	if k := len(b.classes); len(b.nodeCounts) < k {
+		b.nodeCounts = make([]float64, k)
+		b.leftCounts = make([]float64, k)
+	}
 }
 
 // gini is the impurity of a node holding counts over n > 0 samples.
-// Only the listed classes (ascending) may be non-zero; an absent class
-// would subtract an exact zero, so the sum equals the all-classes one
-// bit for bit.
-func gini(counts []float64, classes []int32, n float64) float64 {
+// Callers pass only the classes the node holds, ascending; an absent
+// class would subtract an exact zero, so the sum equals the
+// all-classes one bit for bit.
+func gini(counts []float64, n float64) float64 {
 	g := 1.0
-	for _, c := range classes {
-		p := counts[c] / n
+	for _, k := range counts {
+		p := k / n
 		g -= p * p
 	}
 	return g
 }
 
-// giniSplit is gini of both sides of a boundary: left holds nl of the
-// node's samples, and the right side's counts are node - left (exact:
-// the counts are integers).
-func giniSplit(node, left []float64, classes []int32, nl, nr float64) (gl, gr float64) {
-	gl, gr = 1.0, 1.0
-	for _, c := range classes {
-		l := left[c]
-		pl, pr := l/nl, (node[c]-l)/nr
-		gl -= pl * pl
-		gr -= pr * pr
-	}
-	return gl, gr
-}
-
-// grow builds the subtree over the sample positions [lo, hi) and
-// returns its node index.
+// grow builds the subtree over the members [lo, hi) and returns its
+// node index.
 func (b *treeBuilder) grow(lo, hi int32, depth int) int32 {
 	seg := b.members[lo:hi]
 	counts := b.counts
 	for _, c := range b.classes {
 		counts[c] = 0
 	}
+	var m int32
 	for _, s := range seg {
-		counts[s.y]++
+		counts[s.y] += float64(s.w)
+		m += s.w
 	}
-	n := float64(hi - lo)
+	n := float64(m)
 
 	makeLeaf := func() int32 {
-		off := len(b.leafProbs)
-		b.leafProbs = append(b.leafProbs, make([]float64, b.t.numClasses)...)
-		probs := b.leafProbs[off:]
+		off := int32(len(b.leafCls))
 		for _, c := range b.classes {
-			probs[c] = counts[c] / n
+			if counts[c] > 0 {
+				b.leafCls = append(b.leafCls, c)
+				b.leafP = append(b.leafP, counts[c]/n)
+			}
 		}
-		b.t.nodes = append(b.t.nodes, node{feature: -1})
-		return int32(len(b.t.nodes) - 1)
+		b.nodes = append(b.nodes, node{feature: -1, left: off, right: int32(len(b.leafCls))})
+		return int32(len(b.nodes) - 1)
 	}
 
-	if int(hi-lo) < b.cfg.MinSamplesSplit ||
+	if int(m) < b.cfg.MinSamplesSplit ||
 		(b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth) ||
 		counts[seg[0].y] == n { // pure
 		return makeLeaf()
@@ -413,21 +439,21 @@ func (b *treeBuilder) grow(lo, hi int32, depth int) int32 {
 
 	// Partition by the real value, never the rank: the midpoint
 	// threshold can round onto the upper value, which then goes left.
-	// The order within each side is irrelevant — every scan below
-	// counting-sorts its node afresh.
+	// The order within each side is irrelevant — every split search
+	// below histograms its node afresh.
 	rank, vals := b.fc.rank[feature], b.fc.vals[feature]
 	i, j := 0, len(seg)
+	var mLeft int32
 	for i < j {
 		if vals[rank[seg[i].row]] <= threshold {
+			mLeft += seg[i].w
 			i++
 		} else {
 			j--
 			seg[i], seg[j] = seg[j], seg[i]
 		}
 	}
-	nLeft := int32(i)
-	nRight := (hi - lo) - nLeft
-	if int(nLeft) < b.cfg.MinSamplesLeaf || int(nRight) < b.cfg.MinSamplesLeaf {
+	if int(mLeft) < b.cfg.MinSamplesLeaf || int(m-mLeft) < b.cfg.MinSamplesLeaf {
 		return makeLeaf()
 	}
 
@@ -436,75 +462,83 @@ func (b *treeBuilder) grow(lo, hi int32, depth int) int32 {
 	b.t.importance[feature] += n / b.total * gain
 
 	// Reserve this node's slot before growing children.
-	me := int32(len(b.t.nodes))
-	b.t.nodes = append(b.t.nodes, node{feature: feature, threshold: threshold})
-	l := b.grow(lo, lo+nLeft, depth+1)
-	r := b.grow(lo+nLeft, hi, depth+1)
-	b.t.nodes[me].left = l
-	b.t.nodes[me].right = r
+	me := int32(len(b.nodes))
+	b.nodes = append(b.nodes, node{feature: feature, threshold: threshold})
+	l := b.grow(lo, lo+int32(i), depth+1)
+	r := b.grow(lo+int32(i), hi, depth+1)
+	b.nodes[me].left = l
+	b.nodes[me].right = r
 	return me
 }
 
 // bestSplit searches the sampled features for the gini-optimal
 // threshold. Returns feature -1 when no split improves impurity.
 //
-// Each feature counting-sorts the node's labels into one bin per
-// distinct value, O(node + distinct values), then scans the bins in
-// value order. A candidate sits between two consecutive non-empty bins,
-// with threshold (vals[r] + vals[next non-empty])/2: exactly the
-// boundaries, class counts and midpoints a sorted (value, label) scan
-// visits, in the same order, so the chosen split is bit-identical to
-// the sort-per-node engine's (TestBestSplitPresortIdentical).
+// Each feature makes one pass over the node's members, adding each
+// member's weight to its rank bin and to its (rank bin, present class)
+// cell of a histogram. A scan of the bins in value order then scores
+// the boundary before each non-empty bin, adds the bin's row to the
+// left counts and zeroes what the pass touched. A candidate sits
+// between two consecutive non-empty bins, with threshold (vals[r] +
+// vals[next non-empty])/2: exactly the boundaries, class counts and
+// midpoints a sorted (value, label) scan of the bootstrap visits, in
+// the same order, so the chosen split is bit-identical to the
+// sort-per-node engine's (TestBestSplitPresortIdentical).
 func (b *treeBuilder) bestSplit(lo, hi int32, parentCounts []float64, n float64) (int, float64, float64) {
 	present := b.present[:0]
 	for _, c := range b.classes {
 		if parentCounts[c] > 0 {
+			b.slot[c] = int32(len(present))
 			present = append(present, c)
 		}
 	}
 	b.present = present
-	parentGini := gini(parentCounts, present, n)
+	k := len(present)
+	node, left := b.nodeCounts[:k], b.leftCounts[:k]
+	for j, c := range present {
+		node[j] = parentCounts[c]
+	}
+	parentGini := gini(node, n)
 	bestFeature := -1
 	bestThreshold := 0.0
 	bestGain := 1e-12 // require a strictly positive gain
 
-	seg, m := b.members[lo:hi], hi-lo
+	seg := b.members[lo:hi]
 	minLeaf := b.cfg.MinSamplesLeaf
-	leftCounts := b.leftCounts
 	for _, f := range b.sampleFeatures() {
 		vals := b.fc.vals[f]
 		if vals == nil {
 			continue // constant across the dataset
 		}
 		rank := b.fc.rank[f]
-		bins := b.bins[:len(vals)]
-		for _, s := range seg {
-			bins[rank[s.row]]++
+		binW := b.binW[:len(vals)]
+		if need := len(vals) * k; len(b.hist) < need {
+			b.hist = make([]int32, need)
 		}
-		var acc int32
-		for r, c := range bins {
-			bins[r] = acc
-			acc += c
-		}
+		hist := b.hist
 		for _, s := range seg {
 			r := rank[s.row]
-			b.sorted[bins[r]] = s.y
-			bins[r]++
+			binW[r] += s.w
+			hist[int(r)*k+int(b.slot[s.y])] += s.w
 		}
-		// bins[r] is now the end of bin r in sorted.
-		for _, c := range present {
-			leftCounts[c] = 0
-		}
+		clear(left)
 		done, prev := int32(0), 0
-		for r, end := range bins {
-			if end == done {
+		for r, w := range binW {
+			if w == 0 {
 				continue // empty bin
 			}
 			if done > 0 {
 				nl := float64(done)
 				nr := n - nl
 				if int(nl) >= minLeaf && int(nr) >= minLeaf {
-					gl, gr := giniSplit(parentCounts, leftCounts, present, nl, nr)
+					// Gini of both sides; the right side's counts are
+					// node - left (exact: the counts are integers).
+					gl, gr := 1.0, 1.0
+					for j, l := range left {
+						pl, pr := l/nl, (node[j]-l)/nr
+						gl -= pl * pl
+						gr -= pr * pr
+					}
 					g := parentGini - (nl/n)*gl - (nr/n)*gr
 					if g > bestGain {
 						bestGain = g
@@ -513,15 +547,18 @@ func (b *treeBuilder) bestSplit(lo, hi int32, parentCounts []float64, n float64)
 					}
 				}
 			}
-			if end == m {
+			binW[r] = 0
+			row := hist[r*k : r*k+k]
+			if float64(done+w) == n {
+				clear(row)
 				break // last non-empty bin
 			}
-			for _, y := range b.sorted[done:end] {
-				leftCounts[y]++
+			for j, c := range row {
+				left[j] += float64(c)
+				row[j] = 0
 			}
-			done, prev = end, r
+			done, prev = done+w, r
 		}
-		clear(bins)
 	}
 	return bestFeature, bestThreshold, bestGain
 }

@@ -147,16 +147,6 @@ func TestXORPropertySymmetric(t *testing.T) {
 	}
 }
 
-func TestUnion(t *testing.T) {
-	a, b := New(), New()
-	a.Set(1, 1)
-	b.Set(2, 2)
-	u := Union(a, b)
-	if !u.At(1, 1) || !u.At(2, 2) || u.Count() != 2 {
-		t.Error("union wrong")
-	}
-}
-
 func TestTrackOrdering(t *testing.T) {
 	// Paint a straight-ish arc and verify Track returns points in
 	// along-track order (monotone elevation for this arc).
@@ -318,15 +308,6 @@ func angularDistDeg(a, b float64) float64 {
 
 // Equal reports pixel-exact equality.
 func (m *Map) Equal(o *Map) bool { return m.pix == o.pix }
-
-// Union returns the overlay of two snapshots.
-func Union(a, b *Map) *Map {
-	out := &Map{}
-	for i := range out.pix {
-		out.pix[i] = a.pix[i] || b.pix[i]
-	}
-	return out
-}
 
 // DecodePNG reads a map from PNG data produced by EncodePNG (or any
 // image of the right size; pixels with luma >= 128 count as painted).

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -252,61 +251,6 @@ func TestECDFMonotone(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, skipped, err := Histogram([]float64{0, 1, 2, 3, 4, 5, 9, 10, -3}, 0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skipped != 0 {
-		t.Errorf("skipped = %d for NaN-free input", skipped)
-	}
-	// bins: [0,2) [2,4) [4,6) [6,8) [8,10]; -3 clamps low, 10 clamps high.
-	want := []int{3, 2, 2, 0, 2}
-	for i := range want {
-		if h[i] != want[i] {
-			t.Errorf("bin %d = %d, want %d (h=%v)", i, h[i], want[i], h)
-		}
-	}
-	if _, _, err := Histogram(nil, 0, 10, 0); err == nil {
-		t.Error("zero bins accepted")
-	}
-	if _, _, err := Histogram(nil, 5, 5, 3); err == nil {
-		t.Error("empty range accepted")
-	}
-}
-
-// TestHistogramNaN pins the NaN contract: int(NaN) is
-// implementation-defined (it lands in bin 0 on amd64), so NaN samples
-// must be skipped and counted, never binned.
-func TestHistogramNaN(t *testing.T) {
-	nan := math.NaN()
-	h, skipped, err := Histogram([]float64{nan, 1, nan, 9, nan}, 0, 10, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skipped != 3 {
-		t.Errorf("skipped = %d, want 3", skipped)
-	}
-	total := 0
-	for _, c := range h {
-		total += c
-	}
-	if total != 2 {
-		t.Errorf("binned %d values, want 2 (h=%v)", total, h)
-	}
-	if h[0] != 1 || h[1] != 1 {
-		t.Errorf("h = %v, want [1 1]", h)
-	}
-	// All-NaN input: every sample skipped, no error, empty bins.
-	h, skipped, err = Histogram([]float64{nan, nan}, 0, 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skipped != 2 || h[0]+h[1]+h[2] != 0 {
-		t.Errorf("all-NaN: skipped=%d h=%v", skipped, h)
-	}
-}
-
 func TestProportion(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	if p := Proportion(xs, func(v float64) bool { return v > 2 }); p != 0.5 {
@@ -329,36 +273,4 @@ func Variance(xs []float64) float64 {
 		s += d * d
 	}
 	return s / float64(len(xs)-1)
-}
-
-// Histogram bins values into equal-width bins over [lo, hi]; values
-// outside the range clamp into the edge bins. NaN values carry no
-// ordering information and float→int conversion of NaN is
-// implementation-defined in Go (bin 0 on amd64, unspecified
-// elsewhere), so they are never binned; the second return value
-// reports how many were skipped.
-func Histogram(xs []float64, lo, hi float64, bins int) (counts []int, skipped int, err error) {
-	if bins <= 0 {
-		return nil, 0, fmt.Errorf("stats: non-positive bin count %d", bins)
-	}
-	if hi <= lo {
-		return nil, 0, fmt.Errorf("stats: histogram range [%v, %v) is empty", lo, hi)
-	}
-	counts = make([]int, bins)
-	w := (hi - lo) / float64(bins)
-	for _, x := range xs {
-		if math.IsNaN(x) {
-			skipped++
-			continue
-		}
-		i := int((x - lo) / w)
-		if i < 0 {
-			i = 0
-		}
-		if i >= bins {
-			i = bins - 1
-		}
-		counts[i]++
-	}
-	return counts, skipped, nil
 }
