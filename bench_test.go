@@ -67,11 +67,14 @@ func benchSetup(b *testing.B) (*experiments.Env, []core.Observation, *ml.Dataset
 	benchOnce.Do(func() {
 		bBuilt = starlinkBuilt(b, "medium", 7, nil)
 		bEnv = bBuilt.Env
-		bObs, benchErr = bEnv.Observations(400)
-		if benchErr != nil {
+		ds := core.NewDatasetBuilder()
+		if _, benchErr = bEnv.StreamObservations(400, ds.Add, func(o core.Observation) error {
+			bObs = append(bObs, o)
+			return nil
+		}); benchErr != nil {
 			return
 		}
-		if bData, benchErr = core.BuildDataset(bObs); benchErr != nil {
+		if bData, benchErr = ds.Finalize(); benchErr != nil {
 			return
 		}
 		bFig3, benchErr = bEnv.Fig3("Iowa")
@@ -290,14 +293,28 @@ func BenchmarkCampaignParallelTelemetry(b *testing.B) {
 	b.ReportMetric(acc*100, "acc%")
 }
 
+// fold feeds the shared observation set through an accumulator's Add
+// and finalizes it: one figure regenerated the way repro's campaign
+// consumers build it.
+func fold[T any](obs []core.Observation, add func(core.Observation) error, finalize func() (T, error)) (T, error) {
+	for _, o := range obs {
+		if err := add(o); err != nil {
+			var zero T
+			return zero, err
+		}
+	}
+	return finalize()
+}
+
 // BenchmarkFig4AOECDF regenerates Figure 4 and reports the median AOE
 // lift of chosen over available satellites (paper: 22.9 deg).
 func BenchmarkFig4AOECDF(b *testing.B) {
-	env, obs, _ := benchSetup(b)
+	_, obs, _ := benchSetup(b)
 	b.ReportAllocs()
 	var lift float64
 	for i := 0; i < b.N; i++ {
-		a, err := env.Fig4(obs)
+		acc := core.NewAOEAccumulator(27)
+		a, err := fold(obs, acc.Add, acc.Finalize)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -309,11 +326,12 @@ func BenchmarkFig4AOECDF(b *testing.B) {
 // BenchmarkFig5AzimuthCDF regenerates Figure 5 and reports the mean
 // north-pick fraction over unobstructed sites (paper: 82%).
 func BenchmarkFig5AzimuthCDF(b *testing.B) {
-	env, obs, _ := benchSetup(b)
+	_, obs, _ := benchSetup(b)
 	b.ReportAllocs()
 	var north float64
 	for i := 0; i < b.N; i++ {
-		a, err := env.Fig5(obs)
+		acc := core.NewAzimuthAccumulator(27)
+		a, err := fold(obs, acc.Add, acc.Finalize)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -335,11 +353,12 @@ func BenchmarkFig5AzimuthCDF(b *testing.B) {
 // Pearson correlation between launch date and pick probability
 // (paper: 0.41).
 func BenchmarkFig6LaunchCorr(b *testing.B) {
-	env, obs, _ := benchSetup(b)
+	_, obs, _ := benchSetup(b)
 	b.ReportAllocs()
 	var r float64
 	for i := 0; i < b.N; i++ {
-		a, err := env.Fig6(obs)
+		acc := core.NewLaunchAccumulator("New York")
+		a, err := fold(obs, acc.Add, acc.Finalize)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -351,11 +370,12 @@ func BenchmarkFig6LaunchCorr(b *testing.B) {
 // BenchmarkFig7SunlitAOE regenerates Figure 7 / §5.3 and reports the
 // sunlit pick rate in mixed slots (paper: 72.3%).
 func BenchmarkFig7SunlitAOE(b *testing.B) {
-	env, obs, _ := benchSetup(b)
+	_, obs, _ := benchSetup(b)
 	b.ReportAllocs()
 	var rate float64
 	for i := 0; i < b.N; i++ {
-		a, err := env.Fig7(obs)
+		acc := core.NewSunlitAccumulator(27)
+		a, err := fold(obs, acc.Add, acc.Finalize)
 		if err != nil {
 			b.Fatal(err)
 		}

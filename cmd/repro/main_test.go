@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/scenario"
@@ -148,6 +149,70 @@ func TestOneDriverOneDescription(t *testing.T) {
 	}
 }
 
+// section returns the body of one analysis's "---- name ----" section
+// in a run's stdout: up to the next section, or the end.
+func section(t *testing.T, out []byte, name string) []byte {
+	t.Helper()
+	head := []byte("\n---- " + name + " ----\n")
+	i := bytes.Index(out, head)
+	if i < 0 {
+		t.Fatalf("no %s section in:\n%s", name, out)
+	}
+	body := out[i+len(head):]
+	if j := bytes.Index(body, []byte("\n---- ")); j >= 0 {
+		body = body[:j]
+	}
+	return body
+}
+
+// TestOneCampaignFeedsEveryAnalysis: the analyses of one spec read one
+// oracle campaign, and each prints what it prints alone. A spec naming
+// aoe, sunlit and model runs the campaign once, and its three sections
+// equal fig4's, fig7's and fig8's; the model trained from a -load-obs
+// replay equals the one trained from the campaign that saved it.
+func TestOneCampaignFeedsEveryAnalysis(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs six campaigns")
+	}
+	dir := t.TempDir()
+	spec, err := scenario.LoadPreset("starlink-baseline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Outputs.Analyses = []string{"aoe", "sunlit", "model"}
+	b, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "three.json"), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run := func(args ...string) []byte {
+		t.Helper()
+		out, stderr, code := repro(t, dir, args...)
+		if code != 0 {
+			t.Fatalf("repro %v: exit %d, stderr:\n%s", args, code, stderr)
+		}
+		return out
+	}
+	all := run("-scenario", "three.json", "-slots", "12")
+	if n := bytes.Count(all, []byte("-slot oracle campaign\n")); n != 1 {
+		t.Fatalf("%d oracle campaign banners, want 1:\n%s", n, all)
+	}
+	for _, tc := range []struct{ fig, name string }{{"fig4", "aoe"}, {"fig7", "sunlit"}, {"fig8", "model"}} {
+		alone := run("-scale", "medium", "-slots", "12", tc.fig)
+		if got, want := section(t, all, tc.name), section(t, alone, tc.name); !bytes.Equal(got, want) {
+			t.Errorf("%s section differs from %s alone; %s", tc.name, tc.fig, firstDiff(got, want))
+		}
+	}
+
+	saved := run("-scale", "small", "-slots", "60", "-save-obs", "obs.jsonl", "fig8")
+	loaded := run("-scale", "small", "-slots", "60", "-load-obs", "obs.jsonl", "fig8")
+	if got, want := section(t, loaded, "model"), section(t, saved, "model"); !bytes.Equal(got, want) {
+		t.Errorf("model from -load-obs differs from the campaign's; %s", firstDiff(got, want))
+	}
+}
+
 // TestAnalysisOnForeignSpecFails: an analysis that names a study
 // terminal fails cleanly on a spec without that terminal.
 func TestAnalysisOnForeignSpecFails(t *testing.T) {
@@ -187,18 +252,22 @@ func TestLoadObsCorruptTrace(t *testing.T) {
 }
 
 // TestStageTable checks that every analysis a spec can name has a
-// stage, that every stage reading the observation set reads the
-// -load-obs that replaces it, and that the CLI shorthands name
-// analyses.
+// stage, that the stages reading -load-obs (and so the shared
+// observation campaign) are the ones observe has consumers for, and
+// that the CLI shorthands name analyses.
 func TestStageTable(t *testing.T) {
+	var campaign []string
 	for _, name := range scenario.Analyses {
 		st := stages[name]
 		if st.run == nil {
 			t.Errorf("analysis %q has no stage", name)
 		}
-		if st.obs && !slices.Contains(st.flags, "load-obs") {
-			t.Errorf("analysis %q reads the observation set but not -load-obs", name)
+		if slices.Contains(st.flags, "load-obs") {
+			campaign = append(campaign, name)
 		}
+	}
+	if got, want := strings.Join(campaign, " "), "aoe azimuth launch sunlit model recovery"; got != want {
+		t.Errorf("stages reading the observation campaign: %s, want %s", got, want)
 	}
 	if len(stages) != len(scenario.Analyses) {
 		t.Errorf("%d stages for %d analyses", len(stages), len(scenario.Analyses))
@@ -263,7 +332,7 @@ func TestFlagConflicts(t *testing.T) {
 		{"save-model without model", "aoe", func(o *options) { o.saveMdl, o.set = "m.json", given("save-model") }, true},
 		{"save-model with a spec without model", "", func(o *options) { o.scenario, o.saveMdl, o.set = "smoke", "m.json", given("save-model") }, true},
 		{"save-model with fig8", "fig8", func(o *options) { o.saveMdl, o.set = "m.json", given("save-model") }, false},
-		{"full-grid without model", "stream", func(o *options) { o.fullGrid, o.set = true, given("full-grid") }, true},
+		{"full-grid without model", "ext", func(o *options) { o.fullGrid, o.set = true, given("full-grid") }, true},
 		{"full-grid with all", "all", func(o *options) { o.fullGrid, o.set = true, given("full-grid") }, false},
 		{"predict-addr without drift", "ext", func(o *options) { o.predictAddr, o.set = "127.0.0.1:1", given("predict-addr") }, true},
 		{"predict-addr with drift", "drift", func(o *options) { o.predictAddr, o.set = "127.0.0.1:1", given("predict-addr") }, false},

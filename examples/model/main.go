@@ -26,39 +26,36 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	env := built.Env
-	fmt.Printf("constellation: %d satellites\n", env.Cons.Len())
+	fmt.Printf("constellation: %d satellites\n", built.Env.Cons.Len())
 
 	fmt.Println("collecting observations (350 slots x 4 terminals)...")
-	obs, err := env.Observations(350)
+	ds := core.NewDatasetBuilder()
+	var o *core.Observation // the first usable one, to show what a row is made of
+	st, err := built.Env.StreamObservations(350, ds.Add, func(obs core.Observation) error {
+		if o == nil {
+			o = &obs
+		}
+		return nil
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%d usable slot observations\n\n", len(obs))
-
-	// Peek at one observation's features: the model sees the local hour
-	// plus how many available satellites fall in each z-score cluster.
-	o := obs[0]
-	sats := make([]features.Sat, len(o.Available))
-	for i, a := range o.Available {
-		sats[i] = features.Sat{AzimuthDeg: a.AzimuthDeg, ElevationDeg: a.ElevationDeg, AgeYears: a.AgeYears, Sunlit: a.Sunlit}
-	}
-	var slot features.Slot
-	if err := features.ClusterInto(&slot, sats); err != nil {
+	fmt.Printf("%d usable slot observations\n\n", st.Served)
+	d, err := ds.Finalize()
+	if err != nil {
 		log.Fatal(err)
 	}
+
+	// Peek at that observation's row: the model sees the local hour plus
+	// how many available satellites fall in each z-score cluster, and
+	// learns the chosen satellite's cluster.
 	chosen, _ := o.Chosen()
-	key, _ := slot.KeyOf(o.ChosenIdx)
-	fmt.Printf("example slot at %s, local hour %d: %d available satellites\n",
-		o.Terminal, o.LocalHour, len(o.Available))
+	key, _ := features.KeyFromIndex(d.Y[0])
+	fmt.Printf("example slot at %s, local hour %d: %d available satellites\n", o.Terminal, o.LocalHour, len(o.Available))
 	fmt.Printf("chosen satellite %d at elevation %.1f -> cluster %s\n\n", chosen.ID, chosen.ElevationDeg, key)
 
 	// Train with the paper's protocol: 80/20 split, grid search with
 	// cross-validation, holdout evaluation.
-	d, err := core.BuildDataset(obs)
-	if err != nil {
-		log.Fatal(err)
-	}
 	res, err := core.TrainModel(d, experiments.QuickModelConfig(21))
 	if err != nil {
 		log.Fatal(err)
@@ -78,10 +75,10 @@ func main() {
 	fmt.Println("\n(paper: 65% top-5 vs 22% baseline; high-AOE clusters and local_hour dominate)")
 
 	// Use the trained model the way a downstream system would: predict
-	// the characteristics of the next allocation for a fresh slot.
-	pred, err := core.PredictAllocation(res.Forest, &obs[len(obs)-1])
+	// the characteristics of the allocation from the available set.
+	pred, err := core.PredictAllocation(res.Forest, o)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\npredicted top-3 clusters for a fresh slot: %s %s %s\n", pred[0], pred[1], pred[2])
+	fmt.Printf("\npredicted top-3 clusters for the example slot: %s %s %s (chosen: %s)\n", pred[0], pred[1], pred[2], key)
 }

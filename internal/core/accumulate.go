@@ -12,8 +12,8 @@ import (
 // analysis and the §6 feature builder: observations are pushed one at
 // a time (in stream order) instead of materialized as a slice, so a
 // streaming campaign can analyze itself as it runs. Each concrete
-// accumulator pairs Add with a Finalize method producing the same
-// result type — and bit-identical values — as its batch counterpart.
+// accumulator pairs Add with a Finalize method producing its figure's
+// result type.
 type ObservationConsumer interface {
 	// Add folds one observation in. Implementations only read o and
 	// the slices it carries during the call; nothing is retained, so
@@ -22,11 +22,10 @@ type ObservationConsumer interface {
 	Add(o Observation) error
 }
 
-// terminalSeries collects per-terminal float series while preserving
-// the order guarantees the batch analyzers rely on: values append in
+// terminalSeries collects per-terminal float series: values append in
 // stream order per terminal, and finalization visits terminals in
-// sorted-name order — exactly the iteration order of the batch path's
-// splitByTerminal, so downstream float arithmetic reproduces bitwise.
+// sorted-name order, so the float arithmetic downstream never depends
+// on map iteration order.
 type terminalSeries struct {
 	seen  int // observations added, with or without a chosen satellite
 	terms map[string]*termSlot
@@ -42,7 +41,7 @@ func newTerminalSeries() terminalSeries {
 
 // add records one chosen value and the full available series for the
 // observation's terminal; observations without a chosen satellite only
-// bump the seen counter (the batch path drops them the same way).
+// bump the seen counter.
 func (ts *terminalSeries) add(o *Observation, value func(*SatObs) float64) {
 	ts.seen++
 	c, ok := o.Chosen()
@@ -60,8 +59,8 @@ func (ts *terminalSeries) add(o *Observation, value func(*SatObs) float64) {
 	}
 }
 
-// names returns the terminals in sorted order, or the batch path's
-// historical errors when nothing usable accumulated.
+// names returns the terminals in sorted order, or an error when
+// nothing usable accumulated.
 func (ts *terminalSeries) names() ([]string, error) {
 	if ts.seen == 0 {
 		return nil, fmt.Errorf("core: no observations")
@@ -78,9 +77,7 @@ func (ts *terminalSeries) names() ([]string, error) {
 }
 
 // AOEAccumulator builds the Figure 4 analysis incrementally. Feed it
-// observations with Add, then call Finalize once; the result is
-// bit-identical to AnalyzeAOE over the same observations in the same
-// order.
+// observations with Add, then call Finalize once.
 type AOEAccumulator struct {
 	points int
 	series terminalSeries
@@ -124,8 +121,7 @@ func (a *AOEAccumulator) Finalize() (*AOEAnalysis, error) {
 	return out, nil
 }
 
-// AzimuthAccumulator builds the Figure 5 analysis incrementally;
-// Finalize is bit-identical to AnalyzeAzimuth.
+// AzimuthAccumulator builds the Figure 5 analysis incrementally.
 type AzimuthAccumulator struct {
 	points int
 	series terminalSeries
@@ -169,8 +165,7 @@ func (a *AzimuthAccumulator) Finalize() (*AzimuthAnalysis, error) {
 	return out, nil
 }
 
-// LaunchAccumulator builds the Figure 6 analysis incrementally;
-// Finalize is bit-identical to AnalyzeLaunch. Unlike the CDF
+// LaunchAccumulator builds the Figure 6 analysis incrementally. Unlike the CDF
 // accumulators its state is O(terminals × launch months) — genuinely
 // constant for campaigns of any length.
 type LaunchAccumulator struct {
@@ -273,8 +268,7 @@ type sunlitTermAcc struct {
 	dc, sc, da, sa []float64
 }
 
-// SunlitAccumulator builds the §5.3 / Figure 7 analysis incrementally;
-// Finalize is bit-identical to AnalyzeSunlit.
+// SunlitAccumulator builds the §5.3 / Figure 7 analysis incrementally.
 type SunlitAccumulator struct {
 	points       int
 	seen         int
@@ -351,7 +345,7 @@ func (a *SunlitAccumulator) Finalize() (*SunlitAnalysis, error) {
 	sort.Strings(names)
 	out := &SunlitAnalysis{MixedSlots: a.mixedSlots, MinDarkShareWhenDarkPicked: a.minDarkShare}
 	// The global chosen series concatenate per terminal in sorted-name
-	// order, matching the batch path's append order bit for bit.
+	// order.
 	var darkChosenAll, sunlitChosenAll []float64
 	for _, name := range names {
 		acc := a.terms[name]

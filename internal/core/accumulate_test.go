@@ -4,11 +4,14 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/ml"
 )
 
-// TestAccumulatorsMatchBatch proves each incremental accumulator,
-// fed one observation at a time, reproduces the batch analyzer's
-// output exactly (reflect.DeepEqual covers every float bit).
+// TestAccumulatorsMatchBatch: each accumulator, fed one observation
+// at a time alongside the others (as a campaign's consumer list feeds
+// them), finalizes to exactly what it does fed the slice alone
+// (reflect.DeepEqual covers every float bit).
 func TestAccumulatorsMatchBatch(t *testing.T) {
 	setupFixture(t)
 	obs := fixture.obs
@@ -118,4 +121,50 @@ func TestAccumulatorErrorParity(t *testing.T) {
 	if err := b.Add(Observation{Terminal: "x", ChosenIdx: 0}); err != nil {
 		t.Error("ChosenIdx beyond empty available should be skipped (Chosen() is false), got", err)
 	}
+}
+
+// The slice-fed analyses this package's tests use: each feeds a fixture
+// slice through the matching accumulator.
+
+func AnalyzeAOE(obs []Observation, cdfPoints int) (*AOEAnalysis, error) {
+	acc := NewAOEAccumulator(cdfPoints)
+	feedAll(acc, obs)
+	return acc.Finalize()
+}
+
+func AnalyzeAzimuth(obs []Observation, cdfPoints int) (*AzimuthAnalysis, error) {
+	acc := NewAzimuthAccumulator(cdfPoints)
+	feedAll(acc, obs)
+	return acc.Finalize()
+}
+
+func AnalyzeLaunch(obs []Observation, excluded ...string) (*LaunchAnalysis, error) {
+	acc := NewLaunchAccumulator(excluded...)
+	feedAll(acc, obs)
+	return acc.Finalize()
+}
+
+func AnalyzeSunlit(obs []Observation, cdfPoints int) (*SunlitAnalysis, error) {
+	acc := NewSunlitAccumulator(cdfPoints)
+	feedAll(acc, obs)
+	return acc.Finalize()
+}
+
+// feedAll pushes a slice through a §5 accumulator, whose Add never
+// errors.
+func feedAll(acc ObservationConsumer, obs []Observation) {
+	for i := range obs {
+		_ = acc.Add(obs[i])
+	}
+}
+
+// BuildDataset feeds a slice through a DatasetBuilder.
+func BuildDataset(obs []Observation) (*ml.Dataset, error) {
+	b := NewDatasetBuilder()
+	for i := range obs {
+		if err := b.Add(obs[i]); err != nil {
+			return nil, err
+		}
+	}
+	return b.Finalize()
 }

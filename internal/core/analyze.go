@@ -7,14 +7,10 @@ import (
 	"repro/internal/stats"
 )
 
-// The §5 analyses come in two shapes: incremental accumulators (see
-// accumulate.go) that consume a stream of observations one at a time,
-// and the batch functions below, which are thin wrappers feeding a
-// slice through the matching accumulator. The wrappers exist for
-// callers that already hold all observations; anything operating at
-// campaign scale should push into the accumulators directly (from
-// RunCampaignStream's emit, as experiments.StreamAnalyses does) and
-// never materialize the slice.
+// The §5 analyses' result types. Each is built by the matching
+// accumulator (accumulate.go), fed one observation at a time from
+// RunCampaignStream's emit or a -load-obs replay, so no analysis ever
+// needs the campaign's observations as a slice.
 
 // TerminalCDF pairs the available-vs-chosen empirical CDFs for one
 // terminal — the solid and dotted line of one color in Figures 4/5/7.
@@ -39,14 +35,6 @@ type AOEAnalysis struct {
 	HighBandAvailableFrac float64
 }
 
-// AnalyzeAOE computes the Figure 4 series (batch wrapper over
-// AOEAccumulator).
-func AnalyzeAOE(obs []Observation, cdfPoints int) (*AOEAnalysis, error) {
-	acc := NewAOEAccumulator(cdfPoints)
-	feedAll(acc, obs)
-	return acc.Finalize()
-}
-
 // AzimuthAnalysis reproduces Figure 5: chosen azimuths skew north
 // except where local obstructions intervene.
 type AzimuthAnalysis struct {
@@ -60,14 +48,6 @@ type AzimuthAnalysis struct {
 	// northwest quadrant per terminal; the paper's Ithaca terminal
 	// shows 9.7% vs 55.4% elsewhere.
 	NWChosenFrac map[string]float64
-}
-
-// AnalyzeAzimuth computes the Figure 5 series (batch wrapper over
-// AzimuthAccumulator).
-func AnalyzeAzimuth(obs []Observation, cdfPoints int) (*AzimuthAnalysis, error) {
-	acc := NewAzimuthAccumulator(cdfPoints)
-	feedAll(acc, obs)
-	return acc.Finalize()
 }
 
 // LaunchBin is one year-month launch batch's pick statistics.
@@ -89,15 +69,6 @@ type LaunchAnalysis struct {
 	MeanPearson float64
 	// Excluded lists terminals left out of the mean (obstructed sites).
 	Excluded []string
-}
-
-// AnalyzeLaunch computes the Figure 6 series (batch wrapper over
-// LaunchAccumulator). excluded names terminals to keep out of the mean
-// correlation (the paper excludes New York).
-func AnalyzeLaunch(obs []Observation, excluded ...string) (*LaunchAnalysis, error) {
-	acc := NewLaunchAccumulator(excluded...)
-	feedAll(acc, obs)
-	return acc.Finalize()
 }
 
 func monthOf(t time.Time) time.Time {
@@ -134,23 +105,6 @@ type SunlitAnalysis struct {
 	// DarkChosenAOELiftDeg is the median chosen-dark AOE minus median
 	// chosen-sunlit AOE (paper: ~29° averaged over locations).
 	DarkChosenAOELiftDeg float64
-}
-
-// AnalyzeSunlit computes the Figure 7 series over mixed slots (batch
-// wrapper over SunlitAccumulator).
-func AnalyzeSunlit(obs []Observation, cdfPoints int) (*SunlitAnalysis, error) {
-	acc := NewSunlitAccumulator(cdfPoints)
-	feedAll(acc, obs)
-	return acc.Finalize()
-}
-
-// feedAll pushes a slice through a consumer. The §5 accumulators never
-// return Add errors, so none can surface here; consumers that do error
-// (e.g. DatasetBuilder) are fed explicitly by their wrappers.
-func feedAll(acc ObservationConsumer, obs []Observation) {
-	for i := range obs {
-		_ = acc.Add(obs[i])
-	}
 }
 
 func buildCDF(name string, avail, chosen []float64, points int) (TerminalCDF, error) {

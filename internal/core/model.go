@@ -65,17 +65,6 @@ func (b *DatasetBuilder) Finalize() (*ml.Dataset, error) {
 	return b.d, nil
 }
 
-// BuildDataset is the batch wrapper over DatasetBuilder.
-func BuildDataset(obs []Observation) (*ml.Dataset, error) {
-	b := NewDatasetBuilder()
-	for i := range obs {
-		if err := b.Add(obs[i]); err != nil {
-			return nil, err
-		}
-	}
-	return b.Finalize()
-}
-
 // BaselineRanker is the paper's baseline: predict the cluster(s) with
 // the most available satellites, straight from the feature vector.
 func BaselineRanker() ml.Ranker {

@@ -150,15 +150,6 @@ func (d *Dish) Status() DishStatus {
 	}
 }
 
-// writeFrame sends one length-prefixed JSON message.
-func writeFrame(w io.Writer, v any) error {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("dishrpc: marshal: %w", err)
-	}
-	return writeBody(w, body)
-}
-
 // writeBody sends one already-encoded message body behind its length.
 func writeBody(w io.Writer, body []byte) error {
 	if len(body) > MaxFrame {
@@ -457,7 +448,14 @@ func (c *Client) Call(method string, params, out any) error {
 		}
 		req.Params = raw
 	}
-	if err := writeFrame(c.bw, &req); err != nil {
+	body, err := json.Marshal(&req)
+	if err != nil {
+		return fmt.Errorf("dishrpc: marshal: %w", err)
+	}
+	if err := writeBody(c.bw, body); err != nil {
+		if len(body) > MaxFrame {
+			return err // rejected before a byte was written: still in sync
+		}
 		return c.poison(err)
 	}
 	if err := c.bw.Flush(); err != nil {

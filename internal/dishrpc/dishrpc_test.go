@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"reflect"
 	"runtime"
@@ -16,6 +17,16 @@ import (
 
 	"repro/internal/obstruction"
 )
+
+// writeFrame sends one length-prefixed JSON message: a test peer's
+// side of the wire.
+func writeFrame(w io.Writer, v any) error {
+	body, err := json.Marshal(v)
+	if err != nil {
+		return fmt.Errorf("dishrpc: marshal: %w", err)
+	}
+	return writeBody(w, body)
+}
 
 func startServer(t *testing.T, dish *Dish) *Server {
 	t.Helper()
@@ -557,6 +568,35 @@ func TestOversizeResultRepliesWithError(t *testing.T) {
 	}
 	if err := c.Call("small", nil, &got); err != nil || got != "ok" {
 		t.Fatalf("call after the oversized one = %q, %v", got, err)
+	}
+}
+
+// TestOversizeRequestKeepsClient: a request over MaxFrame is rejected
+// before a byte is written, so the client stays usable.
+func TestOversizeRequestKeepsClient(t *testing.T) {
+	srv, err := NewHandlerServer("127.0.0.1:0", func(string, json.RawMessage) (any, error) { return "ok", nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	go srv.Serve(ctx)
+	t.Cleanup(func() { cancel(); srv.Close() })
+
+	c, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	var got string
+	if err := c.Call("big", strings.Repeat("x", MaxFrame), &got); !errors.Is(err, ErrProtocol) {
+		t.Fatalf("oversized request: %v, want an error wrapping ErrProtocol", err)
+	}
+	if c.Err() != nil {
+		t.Fatalf("oversized request poisoned the client: %v", c.Err())
+	}
+	if err := c.Call("small", nil, &got); err != nil || got != "ok" {
+		t.Fatalf("call after the oversized request = %q, %v", got, err)
 	}
 }
 

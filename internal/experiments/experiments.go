@@ -323,107 +323,6 @@ func (e *Env) StreamObservations(slots int, consumers ...func(core.Observation) 
 	})
 }
 
-// Observations runs an oracle campaign and returns the §5/§6 inputs
-// (batch wrapper over StreamObservations).
-func (e *Env) Observations(slots int) ([]core.Observation, error) {
-	var obs []core.Observation
-	if _, err := e.StreamObservations(slots, func(o core.Observation) error {
-		obs = append(obs, o)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return obs, nil
-}
-
-// StreamResult is one single-pass run of every §5 analysis and the §6
-// dataset build over a streaming campaign: no record or observation
-// slice ever materializes, so the campaign length is bounded by time,
-// not memory.
-type StreamResult struct {
-	Stats   *core.CampaignStats
-	AOE     *core.AOEAnalysis
-	Azimuth *core.AzimuthAnalysis
-	Launch  *core.LaunchAnalysis
-	Sunlit  *core.SunlitAnalysis
-	Dataset *ml.Dataset
-}
-
-// StreamAnalyses runs one oracle campaign and computes every §5
-// analysis plus the §6 dataset in a single streaming pass. The outputs
-// are bit-identical to running Observations and the batch analyzers
-// over a campaign from the same scheduler state
-// (TestStreamMatchesBatchGolden holds this), at O(1) memory in the
-// slot count.
-func (e *Env) StreamAnalyses(slots int) (*StreamResult, error) {
-	aoe := core.NewAOEAccumulator(27)
-	az := core.NewAzimuthAccumulator(27)
-	la := core.NewLaunchAccumulator("New York")
-	su := core.NewSunlitAccumulator(27)
-	ds := core.NewDatasetBuilder()
-	st, err := e.StreamObservations(slots, aoe.Add, az.Add, la.Add, su.Add, ds.Add)
-	if err != nil {
-		return nil, err
-	}
-	out := &StreamResult{Stats: st}
-	if out.AOE, err = aoe.Finalize(); err != nil {
-		return nil, err
-	}
-	if out.Azimuth, err = az.Finalize(); err != nil {
-		return nil, err
-	}
-	if out.Launch, err = la.Finalize(); err != nil {
-		return nil, err
-	}
-	if out.Sunlit, err = su.Finalize(); err != nil {
-		return nil, err
-	}
-	if out.Dataset, err = ds.Finalize(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Fig4 computes the angle-of-elevation analysis.
-func (e *Env) Fig4(obs []core.Observation) (*core.AOEAnalysis, error) {
-	return core.AnalyzeAOE(obs, 27)
-}
-
-// Fig5 computes the azimuth analysis.
-func (e *Env) Fig5(obs []core.Observation) (*core.AzimuthAnalysis, error) {
-	return core.AnalyzeAzimuth(obs, 27)
-}
-
-// Fig6 computes the launch-date analysis, excluding the obstructed
-// New York site from the mean as the paper does.
-func (e *Env) Fig6(obs []core.Observation) (*core.LaunchAnalysis, error) {
-	return core.AnalyzeLaunch(obs, "New York")
-}
-
-// Fig7 computes the sunlit analysis.
-func (e *Env) Fig7(obs []core.Observation) (*core.SunlitAnalysis, error) {
-	return core.AnalyzeSunlit(obs, 27)
-}
-
-// Fig8 trains and evaluates the §6 model on the environment's worker
-// pool (Env.Workers; results are bit-identical at any pool size).
-func (e *Env) Fig8(obs []core.Observation, cfg core.ModelConfig) (*core.ModelResult, error) {
-	d, err := core.BuildDataset(obs)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = e.Seed + 1
-	}
-	if cfg.Workers == 0 {
-		cfg.Workers = e.Workers
-	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = ml.NewMetrics(e.Telemetry)
-	}
-	return core.TrainModelCtx(e.ctx(), d, cfg)
-}
-
 // QuickModelConfig is a reduced grid for tests and benches.
 func QuickModelConfig(seed int64) core.ModelConfig {
 	return core.ModelConfig{

@@ -38,12 +38,13 @@ func smallEnv(t testing.TB) (*experiments.Env, []core.Observation) {
 	t.Helper()
 	envOnce.Do(func() {
 		e := starlinkEnv(t, "small", 3, nil)
-		obs, err := e.Observations(200)
-		if err != nil {
+		if _, err := e.StreamObservations(200, func(o core.Observation) error {
+			envObs = append(envObs, o)
+			return nil
+		}); err != nil {
 			panic(err)
 		}
 		envS = e
-		envObs = obs
 	})
 	return envS, envObs
 }
@@ -156,42 +157,53 @@ func TestIdentValidationDTWBeatsNaive(t *testing.T) {
 }
 
 func TestFigs4Through7(t *testing.T) {
-	e, obs := smallEnv(t)
+	_, obs := smallEnv(t)
 	if len(obs) == 0 {
 		t.Skip("no observations at small scale")
 	}
-	f4, err := e.Fig4(obs)
+	aoe := core.NewAOEAccumulator(27)
+	az := core.NewAzimuthAccumulator(27)
+	la := core.NewLaunchAccumulator("New York")
+	su := core.NewSunlitAccumulator(27)
+	feed(t, obs, aoe, az, la, su)
+	f4, err := aoe.Finalize()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f4.MedianLiftDeg <= 0 {
 		t.Errorf("fig4 lift %v", f4.MedianLiftDeg)
 	}
-	f5, err := e.Fig5(obs)
+	f5, err := az.Finalize()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(f5.PerTerminal) == 0 {
 		t.Error("fig5 empty")
 	}
-	f6, err := e.Fig6(obs)
+	f6, err := la.Finalize()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(f6.PerTerminal) == 0 {
 		t.Error("fig6 empty")
 	}
-	if _, err := e.Fig7(obs); err != nil {
+	if _, err := su.Finalize(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestFig8QuickModel(t *testing.T) {
-	e, obs := smallEnv(t)
+	_, obs := smallEnv(t)
 	if len(obs) < 100 {
 		t.Skip("not enough observations")
 	}
-	res, err := e.Fig8(obs, experiments.QuickModelConfig(5))
+	ds := core.NewDatasetBuilder()
+	feed(t, obs, ds)
+	d, err := ds.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.TrainModel(d, experiments.QuickModelConfig(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,11 +218,11 @@ func TestFig8QuickModel(t *testing.T) {
 func TestAblationEnvs(t *testing.T) {
 	// The ablation switches must produce working environments.
 	kep := starlinkEnv(t, "small", 4, func(s *scenario.Spec) { s.Constellation.UseKeplerJ2 = true })
-	if _, err := kep.Observations(10); err != nil {
+	if _, err := kep.StreamObservations(10); err != nil {
 		t.Fatal(err)
 	}
 	noGSO := starlinkEnv(t, "small", 4, func(s *scenario.Spec) { s.Scheduler.DisableGSO = true })
-	if _, err := noGSO.Observations(10); err != nil {
+	if _, err := noGSO.StreamObservations(10); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -34,9 +34,9 @@ func goldenEnv(t *testing.T, workers int) *experiments.Env {
 // TestStreamMatchesBatchGolden is the gate for the streaming consumers:
 // on a fixed seed, at worker counts 1 and 4, in oracle and measured
 // mode, the record stream the engine emits, the incremental analyzers
-// fed from it, StreamAnalyses, StreamObservations and IdentValidation
-// must all be bit-identical to the batch path (core.RunCampaign
-// followed by the slice analyzers) over a campaign from the same
+// fed from it, StreamObservations and IdentValidation must all be
+// bit-identical to the batch path (core.RunCampaign, its served rows
+// fed to the same analyzers in a loop) over a campaign from the same
 // scheduler state. Run under -race in CI.
 func TestStreamMatchesBatchGolden(t *testing.T) {
 	ctx := context.Background()
@@ -91,11 +91,17 @@ func TestStreamMatchesBatchGolden(t *testing.T) {
 				}
 				streams[workers] = recs
 				assertStatsMatch(t, st, batch)
-				assertMatches(t, "AOE", aoe.Finalize, func() (any, error) { return core.AnalyzeAOE(obs, 9) })
-				assertMatches(t, "azimuth", az.Finalize, func() (any, error) { return core.AnalyzeAzimuth(obs, 9) })
-				assertMatches(t, "launch", la.Finalize, func() (any, error) { return core.AnalyzeLaunch(obs, "New York") })
-				assertMatches(t, "sunlit", su.Finalize, func() (any, error) { return core.AnalyzeSunlit(obs, 9) })
-				assertMatches(t, "dataset", ds.Finalize, func() (any, error) { return core.BuildDataset(obs) })
+				bAOE := core.NewAOEAccumulator(9)
+				bAz := core.NewAzimuthAccumulator(9)
+				bLa := core.NewLaunchAccumulator("New York")
+				bSu := core.NewSunlitAccumulator(9)
+				bDs := core.NewDatasetBuilder()
+				feed(t, obs, bAOE, bAz, bLa, bSu, bDs)
+				assertMatches(t, "AOE", aoe.Finalize, bAOE.Finalize)
+				assertMatches(t, "azimuth", az.Finalize, bAz.Finalize)
+				assertMatches(t, "launch", la.Finalize, bLa.Finalize)
+				assertMatches(t, "sunlit", su.Finalize, bSu.Finalize)
+				assertMatches(t, "dataset", ds.Finalize, bDs.Finalize)
 
 				if !tc.oracle {
 					// The measured stream's consumer: identification
@@ -119,17 +125,6 @@ func TestStreamMatchesBatchGolden(t *testing.T) {
 					}
 					return
 				}
-
-				res, err := goldenEnv(t, workers).StreamAnalyses(tc.slots)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertStatsMatch(t, res.Stats, batch)
-				assertMatches(t, "StreamAnalyses AOE", value(res.AOE), func() (any, error) { return core.AnalyzeAOE(obs, 27) })
-				assertMatches(t, "StreamAnalyses azimuth", value(res.Azimuth), func() (any, error) { return core.AnalyzeAzimuth(obs, 27) })
-				assertMatches(t, "StreamAnalyses launch", value(res.Launch), func() (any, error) { return core.AnalyzeLaunch(obs, "New York") })
-				assertMatches(t, "StreamAnalyses sunlit", value(res.Sunlit), func() (any, error) { return core.AnalyzeSunlit(obs, 27) })
-				assertMatches(t, "StreamAnalyses dataset", value(res.Dataset), func() (any, error) { return core.BuildDataset(obs) })
 
 				// StreamObservations hands every consumer the chosen rows
 				// in stream order.
@@ -170,12 +165,22 @@ func assertStatsMatch(t *testing.T, st *core.CampaignStats, batch *core.Campaign
 	}
 }
 
-// value wraps an already-computed result as a finalize function.
-func value[T any](v T) func() (T, error) { return func() (T, error) { return v, nil } }
+// feed folds a slice of rows into consumers in a local loop: the batch
+// side of a stream-vs-batch comparison.
+func feed(t *testing.T, obs []core.Observation, consumers ...core.ObservationConsumer) {
+	t.Helper()
+	for _, o := range obs {
+		for _, c := range consumers {
+			if err := c.Add(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
 
 // assertMatches compares a streamed result with the batch analyzer's,
 // bit for bit, including error parity.
-func assertMatches[T any](t *testing.T, name string, finalize func() (T, error), batch func() (any, error)) {
+func assertMatches[T any](t *testing.T, name string, finalize, batch func() (T, error)) {
 	t.Helper()
 	got, gerr := finalize()
 	want, werr := batch()
@@ -188,7 +193,7 @@ func assertMatches[T any](t *testing.T, name string, finalize func() (T, error),
 		}
 		return
 	}
-	if !reflect.DeepEqual(any(got), want) {
+	if !reflect.DeepEqual(got, want) {
 		t.Errorf("%s: streamed analysis diverges from batch", name)
 	}
 }
@@ -265,7 +270,7 @@ func TestStreamObservationsConsumerErrorAborts(t *testing.T) {
 
 // TestStreamObservationsFeedsAccumulator: an accumulator's Add method
 // value is a StreamObservations consumer as it stands, and what it
-// folds equals the batch analyzer over the same campaign's rows.
+// folds equals the same accumulator fed the batch campaign's rows.
 func TestStreamObservationsFeedsAccumulator(t *testing.T) {
 	batch, err := core.RunCampaign(context.Background(), goldenEnv(t, 1).CampaignConfig(40, true))
 	if err != nil {
@@ -275,7 +280,9 @@ func TestStreamObservationsFeedsAccumulator(t *testing.T) {
 	if _, err := goldenEnv(t, 1).StreamObservations(40, acc.Add); err != nil {
 		t.Fatal(err)
 	}
-	assertMatches(t, "fed AOE", acc.Finalize, func() (any, error) { return core.AnalyzeAOE(servedObservations(batch), 5) })
+	want := core.NewAOEAccumulator(5)
+	feed(t, servedObservations(batch), want)
+	assertMatches(t, "fed AOE", acc.Finalize, want.Finalize)
 }
 
 // servedObservations extracts the observations of the records with a

@@ -31,12 +31,11 @@ type BuildOptions struct {
 type Built struct {
 	Spec *Spec
 	Env  *experiments.Env
-	// Slots/Oracle shape the main campaign; IdentSlots bounds the §4
+	// Slots is the main campaign's length; IdentSlots bounds the §4
 	// identification-validation run. ResetEvery is the spec's reset
 	// cadence, which Env.CampaignConfig applies to every campaign.
 	Slots      int
 	IdentSlots int
-	Oracle     bool
 	ResetEvery int
 	// opt is what Build was given; the §8 siblings reuse its index
 	// setting.
@@ -148,7 +147,6 @@ func (s *Spec) Build(opt BuildOptions) (*Built, error) {
 		},
 		Slots:      s.Campaign.Slots,
 		IdentSlots: identSlots,
-		Oracle:     s.Campaign.Oracle,
 		ResetEvery: s.Campaign.ResetEvery,
 		opt:        opt,
 	}, nil
@@ -157,7 +155,7 @@ func (s *Spec) Build(opt BuildOptions) (*Built, error) {
 // CampaignConfig lowers the built scenario's main campaign into the
 // campaign engine's config.
 func (b *Built) CampaignConfig() core.CampaignConfig {
-	return b.Env.CampaignConfig(b.Slots, b.Oracle)
+	return b.Env.CampaignConfig(b.Slots, b.Spec.Campaign.Oracle)
 }
 
 // clone returns a deep copy of s. The JSON form is the whole spec (the

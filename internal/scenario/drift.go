@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/ml"
 	"repro/internal/predict"
 	"repro/internal/scheduler"
 	"repro/internal/telemetry"
@@ -184,14 +185,17 @@ func RunDrift(ctx context.Context, cfg DriftConfig) (*DriftResult, error) {
 	tr := &driftTracker{res: res, sc: cfg.Scorer}
 
 	// Both phases feed the scorer every record with a chosen
-	// satellite; phase one also keeps them for the offline cross-check.
-	var offline []core.Observation
+	// satellite; phase one also builds the offline cross-check's §6
+	// dataset from them.
+	offline := core.NewDatasetBuilder()
 	emit := func(rec core.SlotRecord) error {
 		if rec.ChosenIdx < 0 {
 			return nil
 		}
 		if cfg.Offline && !tr.post {
-			offline = append(offline, rec.Observation)
+			if err := offline.Add(rec.Observation); err != nil {
+				return err
+			}
 		}
 		return tr.observe(&rec)
 	}
@@ -215,7 +219,13 @@ func RunDrift(ctx context.Context, cfg DriftConfig) (*DriftResult, error) {
 	}
 
 	if cfg.Offline {
-		mres, err := pre.Env.Fig8(offline, experiments.QuickModelConfig(cfg.Spec.Seed))
+		d, err := offline.Finalize()
+		if err != nil {
+			return nil, fmt.Errorf("scenario: drift offline comparison: %w", err)
+		}
+		mc := experiments.QuickModelConfig(cfg.Spec.Seed)
+		mc.Workers, mc.Metrics = pre.Env.Workers, ml.NewMetrics(pre.Env.Telemetry)
+		mres, err := core.TrainModelCtx(ctx, d, mc)
 		if err != nil {
 			return nil, fmt.Errorf("scenario: drift offline comparison: %w", err)
 		}

@@ -107,21 +107,18 @@ func (b *Built) HemisphereComparison(slots int) (*HemisphereResult, error) {
 		env *experiments.Env
 		out *[]HemisphereSite
 	}{{b.Env, &res.Northern}, {south.Env, &res.Southern}} {
-		obs, err := pair.env.Observations(slots)
-		if err != nil {
-			return nil, err
-		}
 		chosenByTerm := map[string][]float64{}
 		availByTerm := map[string][]float64{}
-		for _, o := range obs {
-			c, ok := o.Chosen()
-			if !ok {
-				continue
+		if _, err := pair.env.StreamObservations(slots, func(o core.Observation) error {
+			if c, ok := o.Chosen(); ok {
+				chosenByTerm[o.Terminal] = append(chosenByTerm[o.Terminal], c.AzimuthDeg)
+				for _, a := range o.Available {
+					availByTerm[o.Terminal] = append(availByTerm[o.Terminal], a.AzimuthDeg)
+				}
 			}
-			chosenByTerm[o.Terminal] = append(chosenByTerm[o.Terminal], c.AzimuthDeg)
-			for _, a := range o.Available {
-				availByTerm[o.Terminal] = append(availByTerm[o.Terminal], a.AzimuthDeg)
-			}
+			return nil
+		}); err != nil {
+			return nil, err
 		}
 		for _, t := range pair.env.Terminals {
 			az := chosenByTerm[t.Name]
@@ -190,11 +187,11 @@ func (b *Built) LoadSensitivity(slots int) (*LoadSensitivityResult, error) {
 		{quiet.Env, &out.WithoutHiddenLoad, &out.WithoutHiddenLoadTop1},
 		{det.Env, &out.Deterministic, &out.DeterministicTop1},
 	} {
-		obs, err := pair.env.Observations(slots)
-		if err != nil {
+		ds := core.NewDatasetBuilder()
+		if _, err := pair.env.StreamObservations(slots, ds.Add); err != nil {
 			return nil, err
 		}
-		d, err := core.BuildDataset(obs)
+		d, err := ds.Finalize()
 		if err != nil {
 			return nil, err
 		}
@@ -237,15 +234,14 @@ func (b *Built) GSOAblation(slots int) (*GSOAblationResult, error) {
 		env  *experiments.Env
 		frac *float64
 	}{{b.Env, &out.NorthFracWithGSO}, {noGSO.Env, &out.NorthFracWithoutGSO}} {
-		obs, err := pair.env.Observations(slots)
-		if err != nil {
-			return nil, err
-		}
 		var az []float64
-		for _, o := range obs {
+		if _, err := pair.env.StreamObservations(slots, func(o core.Observation) error {
 			if c, ok := o.Chosen(); ok {
 				az = append(az, c.AzimuthDeg)
 			}
+			return nil
+		}); err != nil {
+			return nil, err
 		}
 		if len(az) == 0 {
 			return nil, fmt.Errorf("scenario: no picks in GSO ablation")

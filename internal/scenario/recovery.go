@@ -102,50 +102,50 @@ func (a *rankAccum) effect() float64 {
 	return 2*(a.sum/float64(a.n)) - 1
 }
 
-// observedEffects computes the behavioral per-axis effects from raw
-// observations.
-func observedEffects(obs []core.Observation) (map[string]float64, int) {
-	var elev, sun, rec rankAccum
-	rows := 0
-	for i := range obs {
-		o := &obs[i]
-		c, ok := o.Chosen()
-		if !ok || len(o.Available) < 2 {
-			continue
-		}
-		rows++
-		var elevBelow, elevEq, sunBelow, sunEq, recBelow, recEq float64
-		for _, a := range o.Available {
-			switch {
-			case a.ElevationDeg < c.ElevationDeg:
-				elevBelow++
-			case a.ElevationDeg == c.ElevationDeg:
-				elevEq++
-			}
-			switch {
-			case !a.Sunlit && c.Sunlit:
-				sunBelow++
-			case a.Sunlit == c.Sunlit:
-				sunEq++
-			}
-			// Recency prefers newer hardware: smaller age ranks higher.
-			switch {
-			case a.AgeYears > c.AgeYears:
-				recBelow++
-			case a.AgeYears == c.AgeYears:
-				recEq++
-			}
-		}
-		n := float64(len(o.Available))
-		elev.add(elevBelow, elevEq, n)
-		sun.add(sunBelow, sunEq, n)
-		rec.add(recBelow, recEq, n)
+// RecoveryRanks folds the behavioral side of the recovery from the
+// campaign's observation stream: per axis, the chosen satellite's rank
+// within each slot's available set. Add it to the stream's consumers;
+// the zero value is ready.
+type RecoveryRanks struct {
+	elev, sun, rec rankAccum
+	rows           int
+}
+
+// Add folds in one observation; slots without a choice (no chosen
+// satellite, or fewer than two available) carry no ranks.
+func (r *RecoveryRanks) Add(o core.Observation) error {
+	c, ok := o.Chosen()
+	if !ok || len(o.Available) < 2 {
+		return nil
 	}
-	return map[string]float64{
-		"elevation": elev.effect(),
-		"sunlit":    sun.effect(),
-		"recency":   rec.effect(),
-	}, rows
+	r.rows++
+	var elevBelow, elevEq, sunBelow, sunEq, recBelow, recEq float64
+	for _, a := range o.Available {
+		switch {
+		case a.ElevationDeg < c.ElevationDeg:
+			elevBelow++
+		case a.ElevationDeg == c.ElevationDeg:
+			elevEq++
+		}
+		switch {
+		case !a.Sunlit && c.Sunlit:
+			sunBelow++
+		case a.Sunlit == c.Sunlit:
+			sunEq++
+		}
+		// Recency prefers newer hardware: smaller age ranks higher.
+		switch {
+		case a.AgeYears > c.AgeYears:
+			recBelow++
+		case a.AgeYears == c.AgeYears:
+			recEq++
+		}
+	}
+	n := float64(len(o.Available))
+	r.elev.add(elevBelow, elevEq, n)
+	r.sun.add(sunBelow, sunEq, n)
+	r.rec.add(recBelow, recEq, n)
+	return nil
 }
 
 // axisValue extracts one axis's scalar from a cluster key (recency is
@@ -229,21 +229,21 @@ func sameOrder(a, b []string) bool {
 }
 
 // RunPreferenceRecovery executes the inference side of the planted-
-// preference experiment on an already-collected observation set:
-// behavioral effects, §6 forest training (with the given model
+// preference experiment on one campaign, given its behavioral ranks
+// and its §6 dataset: §6 forest training (with the given model
 // config), and the planted-vs-recovered order comparison.
-func RunPreferenceRecovery(ctx context.Context, obs []core.Observation, planted scheduler.Weights, mcfg core.ModelConfig) (*RecoveryResult, error) {
+func RunPreferenceRecovery(ctx context.Context, ranks *RecoveryRanks, d *ml.Dataset, planted scheduler.Weights, mcfg core.ModelConfig) (*RecoveryResult, error) {
 	want, err := plantedOrder(planted)
 	if err != nil {
 		return nil, err
 	}
-	observed, rows := observedEffects(obs)
-	if rows == 0 {
+	if ranks.rows == 0 {
 		return nil, fmt.Errorf("scenario: no served observations with choice to recover preferences from")
 	}
-	d, err := core.BuildDataset(obs)
-	if err != nil {
-		return nil, err
+	observed := map[string]float64{
+		"elevation": ranks.elev.effect(),
+		"sunlit":    ranks.sun.effect(),
+		"recency":   ranks.rec.effect(),
 	}
 	res, err := core.TrainModelCtx(ctx, d, mcfg)
 	if err != nil {
@@ -262,7 +262,7 @@ func RunPreferenceRecovery(ctx context.Context, obs []core.Observation, planted 
 		ForestOrder:     orderOf(forestFx),
 		ModelTop1:       res.ModelTopK[0],
 		BaselineTop1:    res.BaselineTopK[0],
-		Rows:            rows,
+		Rows:            ranks.rows,
 	}
 	r.OrderRecovered = sameOrder(r.ForestOrder, want)
 	r.ObservedOrderRecovered = sameOrder(r.ObservedOrder, want)

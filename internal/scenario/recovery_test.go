@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/scenario"
 )
@@ -28,7 +29,12 @@ func TestPlantedPreferenceRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs, err := built.Env.Observations(built.Slots)
+	var ranks scenario.RecoveryRanks
+	ds := core.NewDatasetBuilder()
+	if _, err := built.Env.StreamObservations(built.Slots, ranks.Add, ds.Add); err != nil {
+		t.Fatal(err)
+	}
+	d, err := ds.Finalize()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +42,7 @@ func TestPlantedPreferenceRecovery(t *testing.T) {
 	if !ok {
 		t.Fatal("oneweb-star preset lost its planted weights")
 	}
-	res, err := scenario.RunPreferenceRecovery(context.Background(), obs,
+	res, err := scenario.RunPreferenceRecovery(context.Background(), &ranks, d,
 		planted, experiments.QuickModelConfig(spec.Seed))
 	if err != nil {
 		t.Fatal(err)

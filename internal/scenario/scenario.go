@@ -255,14 +255,14 @@ type OutputsSpec struct {
 	Observations string `json:"observations,omitempty"`
 	// Analyses selects what `repro` runs, by the names in Analyses
 	// (fig2, stats, fig3, ident, aoe, azimuth, launch, sunlit, model,
-	// recovery, stream, ext, drift); they run in that order whatever
+	// recovery, ext, drift); they run in that order whatever
 	// the order listed. Empty runs ident, aoe, azimuth, launch, sunlit
 	// and model, plus recovery when weights are planted.
 	Analyses []string `json:"analyses,omitempty"`
 }
 
 // Analyses lists every valid Outputs.Analyses entry in run order.
-var Analyses = []string{"fig2", "stats", "fig3", "ident", "aoe", "azimuth", "launch", "sunlit", "model", "recovery", "stream", "ext", "drift"}
+var Analyses = []string{"fig2", "stats", "fig3", "ident", "aoe", "azimuth", "launch", "sunlit", "model", "recovery", "ext", "drift"}
 
 // defaultAnalyses is what a spec that lists none runs.
 var defaultAnalyses = []string{"ident", "aoe", "azimuth", "launch", "sunlit", "model", "recovery"}
@@ -281,10 +281,10 @@ func (s *Spec) AnalysisEnabled(name string) bool {
 	return slices.Contains(list, name)
 }
 
-// Parse reads one spec from r. Decoding is strict — unknown or
+// parse reads one spec from r. Decoding is strict — unknown or
 // misspelled fields are errors, not silent no-ops — and the spec is
 // validated before being returned.
-func Parse(r io.Reader) (*Spec, error) {
+func parse(r io.Reader) (*Spec, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var s Spec
@@ -301,19 +301,6 @@ func Parse(r io.Reader) (*Spec, error) {
 	return &s, nil
 }
 
-// Load reads and validates a spec from a file.
-func Load(path string) (*Spec, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	s, err := Parse(bytes.NewReader(b))
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
-}
-
 // LoadPreset reads an embedded preset by name (without the .json
 // suffix).
 func LoadPreset(name string) (*Spec, error) {
@@ -321,7 +308,7 @@ func LoadPreset(name string) (*Spec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario: no preset %q (have %s)", name, strings.Join(PresetNames(), ", "))
 	}
-	s, err := Parse(bytes.NewReader(b))
+	s, err := parse(bytes.NewReader(b))
 	if err != nil {
 		return nil, fmt.Errorf("preset %s: %w", name, err)
 	}
@@ -348,10 +335,18 @@ func Starlink(scale string, seed int64) (*Spec, error) {
 // preset name (with or without the .json suffix) when no such file
 // exists. This is what `repro -scenario` accepts.
 func Resolve(arg string) (*Spec, error) {
-	if _, err := os.Stat(arg); err == nil {
-		return Load(arg)
+	if _, err := os.Stat(arg); err != nil {
+		return LoadPreset(strings.TrimSuffix(arg, ".json"))
 	}
-	return LoadPreset(strings.TrimSuffix(arg, ".json"))
+	b, err := os.ReadFile(arg)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
+	}
+	s, err := parse(bytes.NewReader(b))
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", arg, err)
+	}
+	return s, nil
 }
 
 // PresetNames lists the embedded presets, sorted.

@@ -28,13 +28,3 @@ func FuzzParse(f *testing.F) {
 		_, _ = f1, f2
 	})
 }
-
-// FuzzParseFile checks the multi-set reader on arbitrary text.
-func FuzzParseFile(f *testing.F) {
-	f.Add("ISS (ZARYA)\n" + issLine1 + "\n" + issLine2 + "\n")
-	f.Add(issLine1 + "\n" + issLine2)
-	f.Add("\n\n\n")
-	f.Fuzz(func(t *testing.T, data string) {
-		ParseFile(data) // must not panic
-	})
-}

@@ -1,10 +1,8 @@
 package tle
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 )
@@ -87,36 +85,6 @@ func TestParseCatalogMismatch(t *testing.T) {
 	l2 = l2[:68] + string(rune('0'+Checksum(l2)))
 	if _, err := Parse(issLine1, l2); err == nil {
 		t.Fatal("expected catalog mismatch error")
-	}
-}
-
-func TestParseLinesWithName(t *testing.T) {
-	tl, err := ParseLines([]string{"ISS (ZARYA)", issLine1, issLine2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tl.Name != "ISS (ZARYA)" {
-		t.Errorf("name = %q", tl.Name)
-	}
-}
-
-func TestParseFileMulti(t *testing.T) {
-	data := strings.Join([]string{"ISS (ZARYA)", issLine1, issLine2, issLine1, issLine2, ""}, "\n")
-	sets, err := ParseFile(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sets) != 2 {
-		t.Fatalf("got %d sets, want 2", len(sets))
-	}
-	if sets[0].Name != "ISS (ZARYA)" || sets[1].Name != "" {
-		t.Errorf("names = %q, %q", sets[0].Name, sets[1].Name)
-	}
-}
-
-func TestParseFileTrailingGarbage(t *testing.T) {
-	if _, err := ParseFile(issLine1); err == nil {
-		t.Fatal("expected trailing-lines error")
 	}
 }
 
@@ -275,57 +243,6 @@ func TestEpochYearWindow(t *testing.T) {
 	if y := epochToTime(8, 1).Year(); y != 2008 {
 		t.Errorf("yy=08 -> %d", y)
 	}
-}
-
-// ParseLines decodes a TLE from a 2- or 3-line block (optional name
-// line first).
-func ParseLines(lines []string) (*TLE, error) {
-	var cleaned []string
-	for _, l := range lines {
-		if strings.TrimSpace(l) != "" {
-			cleaned = append(cleaned, l)
-		}
-	}
-	switch len(cleaned) {
-	case 2:
-		return Parse(cleaned[0], cleaned[1])
-	case 3:
-		t, err := Parse(cleaned[1], cleaned[2])
-		if err != nil {
-			return nil, err
-		}
-		t.Name = strings.TrimSpace(cleaned[0])
-		return t, nil
-	default:
-		return nil, fmt.Errorf("tle: want 2 or 3 non-empty lines, got %d", len(cleaned))
-	}
-}
-
-// ParseFile decodes a concatenation of 3-line (name + two lines) or
-// 2-line element sets, as distributed by CelesTrak-style feeds.
-func ParseFile(data string) ([]*TLE, error) {
-	var out []*TLE
-	var pending []string
-	lines := strings.Split(data, "\n")
-	for _, raw := range lines {
-		l := strings.TrimRight(raw, " \r")
-		if strings.TrimSpace(l) == "" {
-			continue
-		}
-		pending = append(pending, l)
-		if len(l) >= 1 && l[0] == '2' && len(pending) >= 2 {
-			t, err := ParseLines(pending)
-			if err != nil {
-				return out, fmt.Errorf("tle: element set %d: %w", len(out)+1, err)
-			}
-			out = append(out, t)
-			pending = pending[:0]
-		}
-	}
-	if len(pending) != 0 {
-		return out, fmt.Errorf("tle: %d trailing lines do not form an element set", len(pending))
-	}
-	return out, nil
 }
 
 // TimeFromJulian converts a Julian date back to a time.Time (UTC).

@@ -114,18 +114,24 @@ func TestEndToEndReanalysis(t *testing.T) {
 			ChosenIdx: 1,
 		})
 	}
-	a1, err := core.AnalyzeAOE(in, 11)
-	if err != nil {
-		t.Fatal(err)
+	aoe := func(obs []core.Observation) *core.AOEAnalysis {
+		acc := core.NewAOEAccumulator(11)
+		for _, o := range obs {
+			if err := acc.Add(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a, err := acc.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
 	}
 	out, err := decodeObservations(bytes.NewReader(encodeObservations(t, in)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := core.AnalyzeAOE(out, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a1, a2 := aoe(in), aoe(out)
 	if a1.MedianLiftDeg != a2.MedianLiftDeg {
 		t.Errorf("analysis changed after round trip: %v != %v", a1.MedianLiftDeg, a2.MedianLiftDeg)
 	}
