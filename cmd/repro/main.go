@@ -644,7 +644,9 @@ func (r *runner) recovery() error {
 	if err != nil {
 		return err
 	}
-	res, err := scenario.RunPreferenceRecovery(r.ctx, &r.ranks, d, planted, experiments.QuickModelConfig(spec.Seed))
+	cfg := experiments.QuickModelConfig(spec.Seed)
+	cfg.Workers, cfg.Metrics = r.env.Workers, ml.NewMetrics(r.env.Telemetry)
+	res, err := scenario.RunPreferenceRecovery(r.ctx, &r.ranks, d, planted, cfg)
 	if err != nil {
 		return err
 	}

@@ -57,6 +57,7 @@ func TestGoldenOutput(t *testing.T) {
 		{"scenario-smoke", [][]string{{"-scenario", "smoke"}}},
 		{"fig4", [][]string{{"-scale", "small", "-slots", "60", "fig4"}}},
 		{"fig8", [][]string{{"-scale", "small", "-slots", "60", "fig8"}}},
+		{"recovery", [][]string{{"-scenario", "oneweb-star", "-slots", "40", "-workers", "3", "recovery"}}},
 		{"obs-roundtrip", [][]string{
 			{"-scale", "small", "-slots", "60", "-save-obs", "obs.jsonl", "fig4"},
 			{"-scale", "small", "-slots", "60", "-load-obs", "obs.jsonl", "fig4"},
@@ -210,6 +211,18 @@ func TestOneCampaignFeedsEveryAnalysis(t *testing.T) {
 	loaded := run("-scale", "small", "-slots", "60", "-load-obs", "obs.jsonl", "fig8")
 	if got, want := section(t, loaded, "model"), section(t, saved, "model"); !bytes.Equal(got, want) {
 		t.Errorf("model from -load-obs differs from the campaign's; %s", firstDiff(got, want))
+	}
+}
+
+// TestRecoveryReportsFitMetrics: recovery trains its forests with the
+// run's telemetry, as model does, so -v prints their fit counters.
+func TestRecoveryReportsFitMetrics(t *testing.T) {
+	out, stderr, code := repro(t, t.TempDir(), "-scenario", "oneweb-star", "-slots", "40", "-v", "recovery")
+	if code != 0 {
+		t.Fatalf("repro -v recovery: exit %d, stderr:\n%s", code, stderr)
+	}
+	if !regexp.MustCompile(`(?m)^ml_trees_fitted_total +[1-9][0-9]*$`).Match(out) {
+		t.Fatalf("repro -v recovery prints no ml_trees_fitted_total:\n%s", out)
 	}
 }
 

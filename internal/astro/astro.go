@@ -217,24 +217,44 @@ func (sh *Shadow) Sunlit(sat units.Vec3) bool {
 	return perp > (sh.apexDist-behind)*sh.tanAlpha
 }
 
+// SunlitBand is a radius bound [rLoKm, rHiKm] together with the
+// angles asin(R⊕/r) at its two ends, which SunlitGapRad's boundary
+// band is made of. They depend only on the radii, so a caller that
+// asks about many shadows for one bound computes them once, with
+// NewSunlitBand.
+type SunlitBand struct {
+	rLoKm, rHiKm float64
+	asinLo       float64 // asin(R⊕/rLoKm)
+	asinHi       float64 // asin(R⊕/rHiKm)
+}
+
+// NewSunlitBand returns the band for radii in [rLoKm, rHiKm].
+func NewSunlitBand(rLoKm, rHiKm float64) SunlitBand {
+	return SunlitBand{
+		rLoKm: rLoKm, rHiKm: rHiKm,
+		asinLo: math.Asin(units.EarthRadiusKm / rLoKm),
+		asinHi: math.Asin(units.EarthRadiusKm / rHiKm),
+	}
+}
+
 // SunlitGapRad returns how far, in radians of arc, the direction of a
 // satellite at sat must turn about the Earth's center before Sunlit
-// could change, for any radius in [rLoKm, rHiKm]; 0 when no such
-// margin is proven. Sunlit's cone test is, in angles, "the angle ψ
-// between sat and the anti-solar axis is at most asin(R⊕/r) − α"
-// (r·sin(ψ+α) ≤ R⊕, for ψ < 90° and r short of the apex), so the
-// boundary sweeps [asin(R⊕/rHi) − α, asin(R⊕/rLo) − α] as the radius
-// varies, and the gap is the distance from ψ to the near end of that
-// band. Radii at or inside the umbra's radius at the Earth's center
-// (R⊕/cos α) or beyond its apex give 0.
-func (sh *Shadow) SunlitGapRad(sat units.Vec3, rLoKm, rHiKm float64) float64 {
+// could change, for any radius in the band b; 0 when no such margin is
+// proven. Sunlit's cone test is, in angles, "the angle ψ between sat
+// and the anti-solar axis is at most asin(R⊕/r) − α" (r·sin(ψ+α) ≤ R⊕,
+// for ψ < 90° and r short of the apex), so the boundary sweeps
+// [asin(R⊕/rHi) − α, asin(R⊕/rLo) − α] as the radius varies, and the
+// gap is the distance from ψ to the near end of that band. Radii at or
+// inside the umbra's radius at the Earth's center (R⊕/cos α) or beyond
+// its apex give 0.
+func (sh *Shadow) SunlitGapRad(sat units.Vec3, b *SunlitBand) float64 {
 	r := sat.Norm()
-	if !(rLoKm > sh.apexDist*sh.tanAlpha) || !(rHiKm < sh.apexDist) || r == 0 {
+	if !(b.rLoKm > sh.apexDist*sh.tanAlpha) || !(b.rHiKm < sh.apexDist) || r == 0 {
 		return 0
 	}
 	psi := math.Acos(units.Clamp(-sat.Dot(sh.sunDir)/r, -1, 1))
-	inner := math.Asin(units.EarthRadiusKm/rHiKm) - sh.alpha
-	outer := math.Asin(units.EarthRadiusKm/rLoKm) - sh.alpha
+	inner := b.asinHi - sh.alpha
+	outer := b.asinLo - sh.alpha
 	gap := inner - psi // in the umbra: distance to its smallest edge
 	if sh.Sunlit(sat) {
 		gap = psi - outer

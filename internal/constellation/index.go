@@ -2,6 +2,7 @@ package constellation
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/astro"
 	"repro/internal/units"
@@ -33,12 +34,21 @@ import (
 // Masks low enough that minElev − margin drops below 0° (where the cap
 // bound degenerates) fall back to scanning every cell; the result is
 // still exact, just no faster than ObserveFrom.
+//
+// Layout. The cells are two flat arrays in compressed sparse row form,
+// offsets and satellite indices, so an index costs a few kilobytes
+// however many cells the grid has, and a recycled index rebuilds
+// without allocating.
 type SnapshotIndex struct {
 	snap []SatState
 
 	latCellDeg, lonCellDeg float64
 	latCells, lonCells     int
-	cells                  [][]int32 // snapshot indices per cell, snapshot order
+	// The cells in compressed sparse row form: cell c lists the
+	// snapshot indices idx[start[c]:start[c+1]], in snapshot order,
+	// so start has one offset per cell plus one and idx one entry per
+	// satellite. cell is Rebuild's scratch: each satellite's cell.
+	start, idx, cell []int32
 
 	maxRadiusKm float64 // largest geocentric satellite radius in the snapshot
 
@@ -55,12 +65,13 @@ const indexMaskRefDeg = 25.0
 // geocentric vertical deflection (≤ ~0.2°); generously padded.
 const indexMarginDeg = 1.5
 
-// Rebuild re-points the index at a new snapshot, reusing the per-cell
-// backing arrays from the previous build when the grid dimensions
-// match (they do whenever the highest shell is unchanged, i.e. every
-// steady-state slot). This is what lets the SnapshotCache recycle a
-// released slot's index for the next slot without reallocating
-// thousands of small cell slices.
+// Rebuild re-points the index at a new snapshot, reusing the previous
+// build's arrays when they are large enough (the offsets always are
+// when the grid dimensions match, as they do whenever the highest
+// shell is unchanged, i.e. every steady-state slot). This is what lets
+// the SnapshotCache recycle a released slot's index for the next slot
+// without allocating. The cells are filled by a stable counting sort,
+// so each lists its satellites in snapshot order.
 func (ix *SnapshotIndex) Rebuild(snap []SatState) {
 	ix.snap = snap
 	ix.maxRadiusKm = 0
@@ -77,23 +88,34 @@ func (ix *SnapshotIndex) Rebuild(snap []SatState) {
 	if lam, ok := capRadiusDeg(units.EarthRadiusKm, ix.maxRadiusKm, indexMaskRefDeg-indexMarginDeg); ok {
 		cell = units.Clamp(lam, 2, 30)
 	}
-	latCells := int(math.Ceil(180 / cell))
-	lonCells := int(math.Ceil(360 / cell))
-	if latCells == ix.latCells && lonCells == ix.lonCells && ix.cells != nil {
-		for i := range ix.cells {
-			ix.cells[i] = ix.cells[i][:0]
-		}
-	} else {
-		ix.latCells = latCells
-		ix.latCellDeg = 180 / float64(latCells)
-		ix.lonCells = lonCells
-		ix.lonCellDeg = 360 / float64(lonCells)
-		ix.cells = make([][]int32, latCells*lonCells)
-	}
+	ix.latCells = int(math.Ceil(180 / cell))
+	ix.latCellDeg = 180 / float64(ix.latCells)
+	ix.lonCells = int(math.Ceil(360 / cell))
+	ix.lonCellDeg = 360 / float64(ix.lonCells)
+	cells := ix.latCells * ix.lonCells
+	// Grown with append's headroom, so a recycled index rarely grows.
+	ix.start = slices.Grow(ix.start[:0], cells+1)[:cells+1]
+	clear(ix.start)
+	ix.idx = slices.Grow(ix.idx[:0], len(snap))[:len(snap)]
+	ix.cell = slices.Grow(ix.cell[:0], len(snap))[:len(snap)]
+	// Count each cell's satellites into start[c+1], sum the counts so
+	// start[c] is where cell c begins, then place every satellite at
+	// its cell's cursor. That leaves start[c] at cell c's end, the next
+	// cell's beginning, so shifting by one restores the offsets.
 	for i := range snap {
-		ci := ix.cellOf(snap[i].ECEF)
-		ix.cells[ci] = append(ix.cells[ci], int32(i))
+		c := int32(ix.cellOf(snap[i].ECEF))
+		ix.cell[i] = c
+		ix.start[c+1]++
 	}
+	for c := 1; c <= cells; c++ {
+		ix.start[c] += ix.start[c-1]
+	}
+	for i, c := range ix.cell {
+		ix.idx[ix.start[c]] = int32(i)
+		ix.start[c]++
+	}
+	copy(ix.start[1:], ix.start[:cells])
+	ix.start[0] = 0
 }
 
 // Len returns the number of satellites indexed.
@@ -144,8 +166,8 @@ func (ix *SnapshotIndex) cellAt(latDeg, lonDeg float64) int {
 // expose results must sort with sortVisible (ObserveFrom does).
 func (ix *SnapshotIndex) query(obs astro.Geodetic, minElevDeg float64, visit func(st *SatState, la astro.LookAngles)) {
 	o := astro.NewObserver(obs)
-	scan := func(cell []int32) {
-		for _, i := range cell {
+	scan := func(idx []int32) {
+		for _, i := range idx {
 			st := &ix.snap[i]
 			la := o.Observe(st.ECEF)
 			if la.ElevationDeg < minElevDeg {
@@ -161,9 +183,7 @@ func (ix *SnapshotIndex) query(obs astro.Geodetic, minElevDeg float64, visit fun
 	if !ok {
 		// Degenerate geometry (mask near/below the horizon, or satellites
 		// at the observer's radius): correct but unaccelerated.
-		for _, cell := range ix.cells {
-			scan(cell)
-		}
+		scan(ix.idx)
 		return
 	}
 
@@ -202,8 +222,8 @@ func (ix *SnapshotIndex) query(obs astro.Geodetic, minElevDeg float64, visit fun
 	for lb := latLo; lb <= latHi; lb++ {
 		row := lb * ix.lonCells
 		for k := 0; k < cols; k++ {
-			lc := ((lonLo+k)%ix.lonCells + ix.lonCells) % ix.lonCells
-			scan(ix.cells[row+lc])
+			c := row + ((lonLo+k)%ix.lonCells+ix.lonCells)%ix.lonCells
+			scan(ix.idx[ix.start[c]:ix.start[c+1]])
 		}
 	}
 }

@@ -179,15 +179,115 @@ func TestIndexCellGeometry(t *testing.T) {
 	if latN < 6 || lonN < 12 {
 		t.Fatalf("grid %dx%d implausibly coarse", latN, lonN)
 	}
-	total := 0
-	for _, cell := range ix.cells {
-		total += len(cell)
-	}
-	if total != len(snap) {
-		t.Fatalf("cells hold %d entries, want %d", total, len(snap))
-	}
+	checkCells(t, ix, snap)
 	if ix.Len() != len(snap) {
 		t.Fatalf("Len = %d, want %d", ix.Len(), len(snap))
+	}
+}
+
+// checkCells checks the index's CSR layout over snap: one offset per
+// cell plus one, non-decreasing from 0 to len(snap), every satellite
+// listed exactly once, in the cell its position falls in, and each
+// cell in snapshot order.
+func checkCells(t *testing.T, ix *SnapshotIndex, snap []SatState) {
+	t.Helper()
+	latN, lonN := ix.Cells()
+	if len(ix.start) != latN*lonN+1 || ix.start[0] != 0 || int(ix.start[latN*lonN]) != len(snap) {
+		t.Fatalf("%d offsets from %d to %d, want %d from 0 to %d", len(ix.start), ix.start[0], ix.start[len(ix.start)-1], latN*lonN+1, len(snap))
+	}
+	seen := make([]bool, len(snap))
+	for c := 0; c < latN*lonN; c++ {
+		members := ix.idx[ix.start[c]:ix.start[c+1]]
+		for k, i := range members {
+			if seen[i] {
+				t.Fatalf("satellite %d listed twice", i)
+			}
+			seen[i] = true
+			if got := ix.cellOf(snap[i].ECEF); got != c {
+				t.Fatalf("satellite %d listed in cell %d, falls in %d", i, c, got)
+			}
+			if k > 0 && members[k-1] >= i {
+				t.Fatalf("cell %d lists %d after %d: not snapshot order", c, i, members[k-1])
+			}
+		}
+	}
+	for i, ok := range seen {
+		if !ok {
+			t.Fatalf("satellite %d in no cell", i)
+		}
+	}
+}
+
+// TestIndexOneCell: when every satellite falls in one cell, that
+// cell lists them all in snapshot order, every other cell is empty,
+// and queries match the linear scan.
+func TestIndexOneCell(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var snap []SatState
+	for i := 0; i < 40; i++ {
+		// Within a fraction of a degree of (10°N, 20°E), at LEO radii.
+		lat, lon := units.Deg2Rad(10+rng.Float64()*0.5), units.Deg2Rad(20+rng.Float64()*0.5)
+		r := units.EarthRadiusKm + 500 + rng.Float64()*100
+		snap = append(snap, SatState{
+			Sat: &Satellite{ID: 500 - i, pos: i},
+			ECEF: units.Vec3{
+				X: r * math.Cos(lat) * math.Cos(lon),
+				Y: r * math.Cos(lat) * math.Sin(lon),
+				Z: r * math.Sin(lat),
+			},
+		})
+	}
+	ix := NewSnapshotIndex(snap)
+	checkCells(t, ix, snap)
+	c := ix.cellOf(snap[0].ECEF)
+	if n := ix.start[c+1] - ix.start[c]; int(n) != len(snap) {
+		t.Fatalf("cell %d holds %d of %d satellites", c, n, len(snap))
+	}
+	seen := 0
+	for _, obs := range []astro.Geodetic{{LatDeg: 10, LonDeg: 20}, {LatDeg: 12, LonDeg: 23}, {LatDeg: -40, LonDeg: -100}} {
+		for _, mask := range []float64{1, 25} {
+			got, want := ix.ObserveFrom(obs, mask), ObserveFrom(obs, snap, mask)
+			if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+				t.Fatalf("obs %+v mask %v: index %d sats, linear %d", obs, mask, len(got), len(want))
+			}
+			seen += len(want)
+		}
+	}
+	if seen == 0 {
+		t.Fatal("no query saw a satellite; the comparison is vacuous")
+	}
+}
+
+// TestIndexEmptyEndCells: with the first cell (south pole, first
+// column) and the last (north pole, last column) empty, the offsets
+// still run from 0 to the satellite count and queries at both poles
+// match the linear scan.
+func TestIndexEmptyEndCells(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	var snap []SatState
+	for _, st := range randomSnapshot(rng, 800) {
+		if lat := math.Abs(math.Asin(st.ECEF.Z / st.ECEF.Norm())); units.Rad2Deg(lat) < 70 {
+			snap = append(snap, st)
+		}
+	}
+	ix := NewSnapshotIndex(snap)
+	checkCells(t, ix, snap)
+	last := len(ix.start) - 2
+	if ix.start[1] != 0 || ix.start[last] != ix.start[last+1] {
+		t.Fatalf("end cells hold %d and %d satellites, want none", ix.start[1], ix.start[last+1]-ix.start[last])
+	}
+	seen := 0
+	for _, obs := range []astro.Geodetic{{LatDeg: 90}, {LatDeg: -90}, {LatDeg: 60, LonDeg: 179.9}, {LatDeg: -60, LonDeg: -179.9}} {
+		for _, mask := range []float64{1, 10, 25} {
+			got, want := ix.ObserveFrom(obs, mask), ObserveFrom(obs, snap, mask)
+			if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+				t.Fatalf("obs %+v mask %v: index %d sats, linear %d", obs, mask, len(got), len(want))
+			}
+			seen += len(want)
+		}
+	}
+	if seen == 0 {
+		t.Fatal("no query saw a satellite; the comparison is vacuous")
 	}
 }
 

@@ -12,7 +12,8 @@ import (
 // DefaultSnapshotCacheCap bounds the number of unpinned snapshots a
 // SnapshotCache retains. Snapshot keys advance monotonically during a
 // campaign, so a modest window of recent slots covers every consumer;
-// at Starlink scale one snapshot is a few hundred kilobytes.
+// at Starlink scale one snapshot of every satellite is a few hundred
+// kilobytes, and one of a cache with sights a few tens.
 const DefaultSnapshotCacheCap = 32
 
 // snapKey identifies one propagated snapshot: which constellation
@@ -34,7 +35,10 @@ type SharedSnapshot struct {
 	// States holds the satellites this snapshot propagated, in
 	// constellation order: every satellite any of the cache's sights
 	// can see, and others whose validity windows lapsed (see windows).
-	// A cache with no sights propagates every satellite.
+	// Its buffer is the entry's own, sized to that count (at most
+	// twice it), so a cached snapshot costs what its sweep propagated,
+	// not the whole constellation. A cache with no sights propagates
+	// every satellite.
 	States []SatState
 	// Sunlit is every satellite's sunlit state, indexed by
 	// Satellite.Pos: the exact state of each propagated satellite, the
@@ -126,6 +130,11 @@ type cacheMetrics struct {
 // shells). Steady-state campaigns cycle one or two buffers; anything
 // beyond the bound is dropped to the GC rather than hoarded.
 const snapPoolCap = 8
+
+// statesHeadroom sizes a new bounded-sweep state buffer at
+// 1 + 1/statesHeadroom of the states it first holds, so a later slot
+// that propagates a few more satellites can still reuse it.
+const statesHeadroom = 8
 
 // SnapshotCache shares propagated constellation snapshots — and their
 // spatial indexes — across every consumer of a slot: the scheduler's
@@ -264,17 +273,28 @@ func (c *SnapshotCache) Acquire(cons *Constellation, t time.Time) *SharedSnapsho
 	// Propagate outside the lock: other keys stay acquirable, and late
 	// acquirers of this key wait on the ready channel.
 	s.Sunlit = sunlit[:n]
-	if w != nil {
-		w.mu.Lock() // sweeps of one constellation take turns on its windows
-	}
-	s.States, s.skipped = cons.sweep(buf, s.Sunlit, t, workers, w)
-	if w != nil {
+	reused := buf != nil
+	if w == nil {
+		s.States, s.skipped = cons.sweep(buf, s.Sunlit, t, workers, nil)
+	} else {
+		// Sweeps of one constellation take turns on its windows and
+		// their full-size scratch; the entry keeps a copy of what the
+		// sweep propagated, in a buffer sized to it.
+		w.mu.Lock()
+		var swept []SatState
+		swept, s.skipped = cons.sweep(w.scratch, s.Sunlit, t, workers, w)
+		w.scratch = swept[:0]
+		if k := len(swept); cap(buf) < k || cap(buf) > 2*k {
+			// A pooled buffer more than twice the need goes to the GC.
+			buf, reused = make([]SatState, 0, k+k/statesHeadroom), false
+		}
+		s.States = append(buf[:0], swept...)
 		w.mu.Unlock()
 	}
 	close(s.ready)
 	if c.metrics != nil {
 		c.metrics.misses.Inc()
-		if buf != nil {
+		if reused {
 			c.metrics.bufferReuses.Inc()
 		}
 		if s.skipped > 0 {

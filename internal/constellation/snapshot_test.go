@@ -2,10 +2,12 @@ package constellation
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/astro"
+	"repro/internal/geo"
 	"repro/internal/telemetry"
 )
 
@@ -150,21 +152,28 @@ func TestSnapshotCachePoolRecycle(t *testing.T) {
 }
 
 // TestSnapshotIndexRebuildReusesCells: Rebuild over a new snapshot of
-// the same constellation keeps the cell table's backing arrays (the
-// grid dims are unchanged) and answers queries identically to a fresh
-// build.
+// the same constellation keeps the backing arrays of the CSR offsets
+// and satellite list (the grid dims and the satellite count are
+// unchanged), and answers queries identically to a fresh build.
 func TestSnapshotIndexRebuildReusesCells(t *testing.T) {
 	cons := testCons(t)
 	t0 := cons.Epoch.Add(time.Hour)
 	snap1 := cons.Snapshot(t0)
 	ix := NewSnapshotIndex(snap1)
-	cellsBefore := &ix.cells[0]
+	startBefore, idxBefore := &ix.start[0], &ix.idx[0]
 
 	snap2 := cons.Snapshot(t0.Add(5 * time.Minute))
 	ix.Rebuild(snap2)
-	if &ix.cells[0] != cellsBefore {
-		t.Fatal("Rebuild with unchanged grid dims reallocated the cell table")
+	if &ix.start[0] != startBefore {
+		t.Fatal("Rebuild with unchanged grid dims reallocated the cell offsets")
 	}
+	if &ix.idx[0] != idxBefore {
+		t.Fatal("Rebuild over as many satellites reallocated the satellite list")
+	}
+	if allocs := testing.AllocsPerRun(5, func() { ix.Rebuild(snap1) }); allocs != 0 {
+		t.Fatalf("warm Rebuild allocates %v per run, want 0", allocs)
+	}
+	ix.Rebuild(snap2)
 
 	fresh := NewSnapshotIndex(snap2)
 	for _, obs := range []astro.Geodetic{
@@ -204,6 +213,102 @@ func TestSatellitePositions(t *testing.T) {
 	for i, st := range hand.Snapshot(built.Epoch) {
 		if st.Sat.Pos() != i {
 			t.Fatalf("hand-built: satellite %d at index %d has Pos %d", st.Sat.ID, i, st.Sat.Pos())
+		}
+	}
+}
+
+// TestBoundedSnapshotRetainedMemory: a cache with sights keeps, per
+// entry, a state buffer sized to what its sweep propagated. After 64
+// slots of the full Starlink constellation under the study sites' 25°
+// sights, the cached entries' state capacity is at most twice their
+// length plus one constellation's worth (the first slots, before any
+// window opens, propagate every satellite).
+func TestBoundedSnapshotRetainedMemory(t *testing.T) {
+	cons, err := New(Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sights []Sight
+	for _, vp := range geo.StudyVantagePoints() {
+		sights = append(sights, Sight{Site: vp.Location, MinElevDeg: 25})
+	}
+	cache := NewSnapshotCache(0, nil, sights...)
+	start := cons.Epoch.Add(time.Hour)
+	for k := 0; k < 64; k++ {
+		cache.Acquire(cons, start.Add(time.Duration(k)*15*time.Second)).Release()
+	}
+	capSum, lenSum := 0, 0
+	for _, s := range cache.entries {
+		capSum += cap(s.States)
+		lenSum += len(s.States)
+	}
+	if len(cache.entries) != DefaultSnapshotCacheCap {
+		t.Fatalf("%d cached entries, want %d", len(cache.entries), DefaultSnapshotCacheCap)
+	}
+	if lenSum >= len(cache.entries)*cons.Len()/2 {
+		t.Fatalf("cached entries hold %d states over %d entries; the sweeps carried almost nothing", lenSum, len(cache.entries))
+	}
+	if capSum > 2*lenSum+cons.Len() {
+		t.Fatalf("cached entries retain %d states of capacity for %d states, want at most %d", capSum, lenSum, 2*lenSum+cons.Len())
+	}
+	t.Logf("%d entries: %d states, capacity %d (a full-size buffer each would be %d)", len(cache.entries), lenSum, capSum, len(cache.entries)*cons.Len())
+}
+
+// TestBoundedSweepWorkerIdentity: a cache with sights hands out the
+// same states (set, order, float bits), sunlit states and skip counts
+// at every snapshot fan-out, slot after slot, so the windows the
+// sweeps open agree too. Run under -race.
+func TestBoundedSweepWorkerIdentity(t *testing.T) {
+	sights := []Sight{
+		{Site: astro.Geodetic{LatDeg: 41.7, LonDeg: -91.5}, MinElevDeg: 25},
+		{Site: astro.Geodetic{LatDeg: -33.9, LonDeg: 151.2}, MinElevDeg: 10},
+	}
+	failIdx := []int{5, 300, 640}
+	type slot struct {
+		states  []SatState
+		sunlit  []bool
+		skipped int
+	}
+	run := func(workers int) []slot {
+		cons, err := New(parallelConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range failIdx {
+			cons.Sats[i].Propagator = failEph{epoch: cons.Epoch}
+		}
+		cache := NewSnapshotCache(2, nil, sights...)
+		cache.SetSnapshotWorkers(workers)
+		var out []slot
+		for k := 0; k < 40; k++ {
+			s := cache.Acquire(cons, cons.Epoch.Add(time.Duration(k)*15*time.Second))
+			out = append(out, slot{append([]SatState(nil), s.States...), append([]bool(nil), s.Sunlit...), s.Skipped()})
+			s.Release()
+		}
+		return out
+	}
+	serial := run(1)
+	if n, all := len(serial[len(serial)-1].states), len(serial[0].states); n >= all {
+		t.Fatalf("the last slot propagated %d satellites, the first %d: the sweeps carried nothing", n, all)
+	}
+	for _, workers := range []int{2, 3, 8} {
+		got := run(workers)
+		for k := range serial {
+			g, w := got[k], serial[k]
+			if g.skipped != w.skipped || !reflect.DeepEqual(g.sunlit, w.sunlit) || len(g.states) != len(w.states) {
+				t.Fatalf("workers=%d slot %d: %d states, %d skipped; serial %d, %d (or sunlit states differ)",
+					workers, k, len(g.states), g.skipped, len(w.states), w.skipped)
+			}
+			for i := range g.states {
+				a, b := g.states[i], w.states[i]
+				if a.Sat.ID != b.Sat.ID || a.Sunlit != b.Sunlit ||
+					math.Float64bits(a.ECEF.X) != math.Float64bits(b.ECEF.X) ||
+					math.Float64bits(a.ECEF.Y) != math.Float64bits(b.ECEF.Y) ||
+					math.Float64bits(a.ECEF.Z) != math.Float64bits(b.ECEF.Z) {
+					t.Fatalf("workers=%d slot %d: state %d = {%d %v %v}, serial {%d %v %v}",
+						workers, k, i, a.Sat.ID, a.ECEF, a.Sunlit, b.Sat.ID, b.ECEF, b.Sunlit)
+				}
+			}
 		}
 	}
 }

@@ -100,9 +100,10 @@ const boundSpan = 6 * time.Hour
 // instant of one boundSpan bucket, so over the bucket widened by
 // maxWindow on both sides.
 type satBounds struct {
-	bucket   int64   // the bucket these bounds are for (noBucket: none yet)
-	rLo, rHi float64 // radius bounds, km; rLo == 0 when a propagation could fail
-	rate     float64 // bound on the turn rate of the satellite's direction, rad/s
+	bucket int64            // the bucket these bounds are for (noBucket: none yet)
+	rLo    float64          // lower radius bound, km; 0 when a propagation could fail
+	rate   float64          // bound on the turn rate of the satellite's direction, rad/s
+	band   astro.SunlitBand // the radius bounds as the shadow gap reads them
 }
 
 const noBucket = math.MinInt64
@@ -124,6 +125,10 @@ type windows struct {
 	// radius for the satellite's bounds (satellite i's at
 	// i*len(groups)+k).
 	capRad []float64
+	// scratch is the sweep's one entry per satellite, written by
+	// index; a cache entry keeps a copy of only the states the sweep
+	// propagated (see SnapshotCache.Acquire).
+	scratch []SatState
 }
 
 // newWindows returns n shut windows for the sights' caps.
@@ -235,7 +240,8 @@ func (w *windows) boundsAt(i int, s *Satellite, unix int64) *satBounds {
 	if !(rLo > 0) || math.IsInf(rHi, 1) || math.IsInf(speed, 1) {
 		return sb // a propagation in the bucket could fail
 	}
-	sb.rLo, sb.rHi, sb.rate = rLo, rHi, speed/rLo // the rate holds inertial or Earth-fixed alike
+	sb.rLo, sb.rate = rLo, speed/rLo // the rate holds inertial or Earth-fixed alike
+	sb.band = astro.NewSunlitBand(rLo, rHi)
 	caps := w.capRad[i*len(w.groups) : (i+1)*len(w.groups)]
 	for k, g := range w.groups {
 		lamDeg, ok := capRadiusDeg(g.roKm, rHi, g.elevDeg)
@@ -260,7 +266,7 @@ func (w *windows) halfWidth(i int, s *Satellite, unix int64, pos, ecef units.Vec
 		return 0
 	}
 	half := maxWindow.Seconds()
-	half = math.Min(half, (shadow.SunlitGapRad(pos, sb.rLo, sb.rHi)-gapMarginRad)/(sb.rate+sunDriftRadS+umbraDriftRadS))
+	half = math.Min(half, (shadow.SunlitGapRad(pos, &sb.band)-gapMarginRad)/(sb.rate+sunDriftRadS+umbraDriftRadS))
 	r := ecef.Norm()
 	caps := w.capRad[i*len(w.groups) : (i+1)*len(w.groups)]
 	for k, g := range w.groups {

@@ -168,3 +168,101 @@ func BuildDataset(obs []Observation) (*ml.Dataset, error) {
 	}
 	return b.Finalize()
 }
+
+// TestAccumulatorsHandWorked feeds the §5 accumulators a small
+// observation set whose figures are worked out by hand below, so a
+// wrong figure fails here and not only in the goldens. Each satellite
+// is (elevation°, azimuth°, sunlit); * marks the chosen one.
+//
+//	A1: (30, 10, lit) (50, 100, dark) *(70, 200, lit)   mixed, lit pick
+//	A2: (40, 350, lit) *(60, 80, lit)                   all lit
+//	A3: *(20, 300, dark) (45, 150, lit)                 mixed, dark pick, dark share 1/2
+//	A4: (35, 0, lit), nothing chosen                    counted as seen only
+//	B1: (25, 45, dark) *(55, 270, lit)                  mixed, lit pick
+//	B2: (35, 10, dark) (65, 190, dark) *(80, 359, dark) all dark
+//
+// AOE: A chose 70, 60, 20 (median 60) of 20 30 40 45 50 60 70 (median
+// 45), a lift of 15°; B chose 55, 80 (median 67.5) of 25 35 55 65 80
+// (median 55), a lift of 12.5°. The lift averages the terminals:
+// 13.75°. At or above 45°: 4 of the 5 chosen (70, 60, 55, 80) and 7 of
+// the 12 available (50, 70, 60, 45, 55, 65, 80).
+//
+// Azimuth: north is NE (below 90°) or NW (270° and up). A chose 200,
+// 80, 300: 2 of 3 north, 1 of 3 NW; of its 7 available 10, 350, 80, 300
+// are north. B chose 270 and 359: both north and NW; of its 5 available
+// all but 190 are north.
+//
+// Sunlit: A1, A3 and B1 are the mixed slots with a choice (A4 chose
+// nothing); 2 of their 3 picks are sunlit. The one dark pick, A3, had
+// half its satellites dark. Dark picks in mixed slots: 20 (median 20);
+// sunlit: 70, 55 (median 62.5), so dark picks sit 42.5° lower; above
+// 60°: none of the dark, one of the two sunlit.
+func TestAccumulatorsHandWorked(t *testing.T) {
+	type sat struct {
+		el, az float64
+		lit    bool
+	}
+	slot := func(term string, chosen int, sats ...sat) Observation {
+		o := Observation{Terminal: term, ChosenIdx: chosen}
+		for i, s := range sats {
+			o.Available = append(o.Available, SatObs{ID: 100 + i, ElevationDeg: s.el, AzimuthDeg: s.az, Sunlit: s.lit})
+		}
+		return o
+	}
+	obs := []Observation{
+		slot("A", 2, sat{30, 10, true}, sat{50, 100, false}, sat{70, 200, true}),
+		slot("A", 1, sat{40, 350, true}, sat{60, 80, true}),
+		slot("A", 0, sat{20, 300, false}, sat{45, 150, true}),
+		slot("A", -1, sat{35, 0, true}),
+		slot("B", 1, sat{25, 45, false}, sat{55, 270, true}),
+		slot("B", 2, sat{35, 10, false}, sat{65, 190, false}, sat{80, 359, false}),
+	}
+	aoeAcc, azAcc, suAcc := NewAOEAccumulator(5), NewAzimuthAccumulator(5), NewSunlitAccumulator(5)
+	for _, o := range obs {
+		for _, acc := range []ObservationConsumer{aoeAcc, azAcc, suAcc} {
+			if err := acc.Add(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(what string, got, want float64) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s = %v, want %v", what, got, want)
+		}
+	}
+
+	aoe, err := aoeAcc.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("A median chosen AOE", aoe.PerTerminal[0].MedianChosen, 60)
+	check("A median available AOE", aoe.PerTerminal[0].MedianAvailable, 45)
+	check("B median chosen AOE", aoe.PerTerminal[1].MedianChosen, 67.5)
+	check("B median available AOE", aoe.PerTerminal[1].MedianAvailable, 55)
+	check("median AOE lift", aoe.MedianLiftDeg, 13.75)
+	check("chosen at or above 45°", aoe.HighBandChosenFrac, 4.0/5)
+	check("available at or above 45°", aoe.HighBandAvailableFrac, 7.0/12)
+
+	az, err := azAcc.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("A north share chosen", az.NorthChosenFrac["A"], 2.0/3)
+	check("A north share available", az.NorthAvailableFrac["A"], 4.0/7)
+	check("A NW share chosen", az.NWChosenFrac["A"], 1.0/3)
+	check("B north share chosen", az.NorthChosenFrac["B"], 1)
+	check("B north share available", az.NorthAvailableFrac["B"], 4.0/5)
+	check("B NW share chosen", az.NWChosenFrac["B"], 1)
+
+	su, err := suAcc.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("mixed slots", float64(su.MixedSlots), 3)
+	check("sunlit share of mixed-slot picks", su.SunlitPickRate, 2.0/3)
+	check("smallest dark share with a dark pick", su.MinDarkShareWhenDarkPicked, 0.5)
+	check("dark-pick AOE lift", su.DarkChosenAOELiftDeg, -42.5)
+	check("dark picks above 60°", su.HighAOEFracDark, 0)
+	check("sunlit picks above 60°", su.HighAOEFracSunlit, 0.5)
+}

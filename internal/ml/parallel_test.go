@@ -687,6 +687,42 @@ func TestSampleFeaturesMatchesPerm(t *testing.T) {
 	}
 }
 
+// topSource is a rand.Source whose Int31 draws all fall in the top 512
+// values below 2^31. Int31n(n) rejects the top 2^31 mod n < n of them,
+// so for n below 512 this tests rejection at and next to each bound,
+// which a uniform source reaches about once in 2^31/n draws, and still
+// accepts half the draws or more.
+type topSource struct{ rng *rand.Rand }
+
+func (s topSource) Int63() int64 {
+	return (1<<31-1-s.rng.Int63n(512))<<32 | s.rng.Int63n(1<<32)
+}
+func (s topSource) Seed(seed int64) { s.rng.Seed(seed) }
+
+// TestSampleFeaturesRejectsAsPerm: drawing from a source that makes
+// Int31n reject often, the in-place draw still returns Perm's prefix
+// and leaves the rng where Perm leaves it, so its tabled rejection
+// bounds are Int31n's.
+func TestSampleFeaturesRejectsAsPerm(t *testing.T) {
+	for _, tc := range []struct{ nf, k int }{{3, 2}, {9, 3}, {251, 15}} {
+		want := rand.New(topSource{rand.New(rand.NewSource(int64(tc.nf)))})
+		b := &treeBuilder{
+			fc:  &fitContext{numFeatures: tc.nf},
+			cfg: TreeConfig{MaxFeatures: tc.k},
+			rng: rand.New(topSource{rand.New(rand.NewSource(int64(tc.nf)))}),
+		}
+		for round := 0; round < 20; round++ {
+			perm := want.Perm(tc.nf)[:tc.k]
+			if got := b.sampleFeatures(); !reflect.DeepEqual(got, perm) {
+				t.Fatalf("nf=%d k=%d round %d: sampled %v, Perm prefix %v", tc.nf, tc.k, round, got, perm)
+			}
+			if g, w := b.rng.Int63(), want.Int63(); g != w {
+				t.Fatalf("nf=%d k=%d round %d: next rng value %d, after Perm %d", tc.nf, tc.k, round, g, w)
+			}
+		}
+	}
+}
+
 // fuzzStream hands out the fuzz input byte by byte, then bytes from a
 // seeded rng once the input runs out.
 type fuzzStream struct {

@@ -311,8 +311,9 @@ type treeBuilder struct {
 	leafCls []int32
 	leafP   []float64
 
-	features    []int // sampleFeatures' draw buffer
-	allFeatures []int // identity feature list when MaxFeatures >= numFeatures
+	features    []int   // sampleFeatures' draw buffer
+	drawMax     []int32 // Int31n's rejection bound for i+1 at i; -1 for a power of two
+	allFeatures []int   // identity feature list when MaxFeatures >= numFeatures
 }
 
 // fitTree grows one tree over the bootstrap boot (nil = the identity
@@ -565,7 +566,9 @@ func (b *treeBuilder) bestSplit(lo, hi int32, parentCounts []float64, n float64)
 
 // sampleFeatures picks cfg.MaxFeatures distinct feature indices: the
 // prefix of rng.Perm(numFeatures), drawn with Perm's exact sequence into
-// a reused buffer.
+// a reused buffer. Perm's rng.Intn(i+1) is Int31n's draw, made here on
+// the rng's Int63 with Int31n's rejection bound for each i+1 tabled
+// once per builder, so the rng advances exactly as under Perm.
 func (b *treeBuilder) sampleFeatures() []int {
 	nf := b.fc.numFeatures
 	if b.cfg.MaxFeatures >= nf {
@@ -577,14 +580,31 @@ func (b *treeBuilder) sampleFeatures() []int {
 		}
 		return b.allFeatures
 	}
-	if cap(b.features) < nf {
+	if len(b.drawMax) != nf {
 		b.features = make([]int, nf)
+		b.drawMax = make([]int32, nf)
+		for i := range b.drawMax {
+			n := uint32(i + 1)
+			b.drawMax[i] = -1 // a power of two is masked, not rejected
+			if n&(n-1) != 0 {
+				b.drawMax[i] = int32((1 << 31) - 1 - (1<<31)%n)
+			}
+		}
 	}
-	m := b.features[:nf]
+	m := b.features
 	for i := range m {
-		j := b.rng.Intn(i + 1)
-		m[i] = m[j]
-		m[j] = i
+		n := int32(i + 1)
+		v := int32(b.rng.Int63() >> 32) // rng.Int31()
+		if bound := b.drawMax[i]; bound < 0 {
+			v &= n - 1
+		} else {
+			for v > bound {
+				v = int32(b.rng.Int63() >> 32)
+			}
+			v %= n
+		}
+		m[i] = m[v]
+		m[v] = i
 	}
 	return m[:b.cfg.MaxFeatures]
 }
