@@ -69,7 +69,7 @@ func benchSetup(b *testing.B) (*experiments.Env, []core.Observation, *ml.Dataset
 		bEnv = bBuilt.Env
 		ds := core.NewDatasetBuilder()
 		if _, benchErr = bEnv.StreamObservations(400, ds.Add, func(o core.Observation) error {
-			bObs = append(bObs, o)
+			bObs = append(bObs, o.Clone())
 			return nil
 		}); benchErr != nil {
 			return
@@ -538,6 +538,7 @@ func BenchmarkCampaignMemory(b *testing.B) {
 						sampleLiveHeap(base.HeapAlloc, &peak)
 					}
 					if tc.mode == "batch" {
+						rec = rec.Clone()
 						recs = append(recs, rec)
 						if rec.ChosenIdx >= 0 {
 							obs = append(obs, rec.Observation)

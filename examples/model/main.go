@@ -33,7 +33,9 @@ func main() {
 	var o *core.Observation // the first usable one, to show what a row is made of
 	st, err := built.Env.StreamObservations(350, ds.Add, func(obs core.Observation) error {
 		if o == nil {
-			o = &obs
+			// The campaign reuses obs.Available after this call returns.
+			c := obs.Clone()
+			o = &c
 		}
 		return nil
 	})

@@ -93,19 +93,12 @@ type LookAngles struct {
 	RangeKm      float64 // slant range, km
 }
 
-// Observe computes the look angles from an observer (geodetic) to a
-// satellite position in ECEF km.
-func Observe(obs Geodetic, satECEF units.Vec3) LookAngles {
-	o := NewObserver(obs)
-	return o.Observe(satECEF)
-}
-
 // Observer is a ground observer with its ECEF position and local-frame
 // rotation precomputed. Construct once per site and reuse when many
-// satellites are observed from the same point: Observer.Observe is
-// bit-identical to the package-level Observe (same operations in the
-// same order) at a fraction of the cost — the geodetic→ECEF conversion
-// and the four trig calls are hoisted out of the per-satellite loop.
+// satellites are observed from the same point: the geodetic→ECEF
+// conversion and the four trig calls are hoisted out of the
+// per-satellite loop, and the look angles are the same whichever
+// Observer of the site computes them.
 type Observer struct {
 	ecef                           units.Vec3
 	sinLat, cosLat, sinLon, cosLon float64

@@ -9,6 +9,13 @@ import (
 	"repro/internal/units"
 )
 
+// Observe computes the look angles from an observer (geodetic) to a
+// satellite position in ECEF km, building the observer afresh.
+func Observe(obs Geodetic, satECEF units.Vec3) LookAngles {
+	o := NewObserver(obs)
+	return o.Observe(satECEF)
+}
+
 func TestGMSTKnownValue(t *testing.T) {
 	// Vallado example 3-5: 1992 Aug 20 12:14 UT1 -> GMST 152.578787810 deg.
 	tm := time.Date(1992, 8, 20, 12, 14, 0, 0, time.UTC)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -22,6 +23,47 @@ type ObservationConsumer interface {
 	Add(o Observation) error
 }
 
+// floatSeries is an append-only float64 series kept in blocks that
+// double from minBlock up to maxBlock values, so growing it never
+// copies what it already holds. values copies it out once, in
+// insertion order.
+type floatSeries struct {
+	blocks [][]float64
+	n      int
+}
+
+const (
+	minBlock = 8
+	maxBlock = 256
+)
+
+func (s *floatSeries) add(v float64) {
+	n := len(s.blocks)
+	if n == 0 || len(s.blocks[n-1]) == cap(s.blocks[n-1]) {
+		size := minBlock
+		if n > 0 {
+			size = min(2*cap(s.blocks[n-1]), maxBlock)
+		}
+		s.blocks = append(s.blocks, make([]float64, 0, size))
+		n++
+	}
+	s.blocks[n-1] = append(s.blocks[n-1], v)
+	s.n++
+}
+
+// appendTo appends the series to dst in insertion order.
+func (s *floatSeries) appendTo(dst []float64) []float64 {
+	for _, b := range s.blocks {
+		dst = append(dst, b...)
+	}
+	return dst
+}
+
+// values returns the series as one exact-size slice the caller owns.
+func (s *floatSeries) values() []float64 {
+	return s.appendTo(make([]float64, 0, s.n))
+}
+
 // terminalSeries collects per-terminal float series: values append in
 // stream order per terminal, and finalization visits terminals in
 // sorted-name order, so the float arithmetic downstream never depends
@@ -32,7 +74,7 @@ type terminalSeries struct {
 }
 
 type termSlot struct {
-	chosen, avail []float64
+	chosen, avail floatSeries
 }
 
 func newTerminalSeries() terminalSeries {
@@ -53,10 +95,18 @@ func (ts *terminalSeries) add(o *Observation, value func(*SatObs) float64) {
 		slot = &termSlot{}
 		ts.terms[o.Terminal] = slot
 	}
-	slot.chosen = append(slot.chosen, value(&c))
+	slot.chosen.add(value(&c))
 	for i := range o.Available {
-		slot.avail = append(slot.avail, value(&o.Available[i]))
+		slot.avail.add(value(&o.Available[i]))
 	}
+}
+
+// cdf builds the terminal's CDFs from one sorted copy of each series
+// and returns those sorted values too.
+func (slot *termSlot) cdf(name string, points int) (tc TerminalCDF, avail, chosen []float64, err error) {
+	avail, chosen = slot.avail.values(), slot.chosen.values()
+	tc, err = buildCDF(name, avail, chosen, points)
+	return tc, avail, chosen, err
 }
 
 // names returns the terminals in sorted order, or an error when
@@ -102,23 +152,43 @@ func (a *AOEAccumulator) Finalize() (*AOEAnalysis, error) {
 		return nil, err
 	}
 	out := &AOEAnalysis{}
-	var allChosen, allAvail []float64
+	// The high-band shares pool every terminal's values: count them
+	// per terminal and divide once.
+	high := func(v float64) bool { return v >= 45 }
+	var nChosen, nAvail, highChosen, highAvail int
 	for _, name := range names {
-		slot := a.series.terms[name]
-		tc, err := buildCDF(name, slot.avail, slot.chosen, a.points)
+		tc, avail, chosen, err := a.series.terms[name].cdf(name, a.points)
 		if err != nil {
 			return nil, err
 		}
 		out.PerTerminal = append(out.PerTerminal, tc)
 		out.MedianLiftDeg += tc.MedianChosen - tc.MedianAvailable
-		allChosen = append(allChosen, slot.chosen...)
-		allAvail = append(allAvail, slot.avail...)
+		nChosen, highChosen = nChosen+len(chosen), highChosen+countIf(chosen, high)
+		nAvail, highAvail = nAvail+len(avail), highAvail+countIf(avail, high)
 	}
 	out.MedianLiftDeg /= float64(len(out.PerTerminal))
-	high := func(v float64) bool { return v >= 45 }
-	out.HighBandChosenFrac = stats.Proportion(allChosen, high)
-	out.HighBandAvailableFrac = stats.Proportion(allAvail, high)
+	out.HighBandChosenFrac = share(highChosen, nChosen)
+	out.HighBandAvailableFrac = share(highAvail, nAvail)
 	return out, nil
+}
+
+// countIf counts the values for which pred holds.
+func countIf(xs []float64, pred func(float64) bool) int {
+	n := 0
+	for _, x := range xs {
+		if pred(x) {
+			n++
+		}
+	}
+	return n
+}
+
+// share is k/n, NaN when n is 0 (stats.Proportion of a pooled series).
+func share(k, n int) float64 {
+	if n == 0 {
+		return math.NaN()
+	}
+	return float64(k) / float64(n)
 }
 
 // AzimuthAccumulator builds the Figure 5 analysis incrementally.
@@ -151,16 +221,14 @@ func (a *AzimuthAccumulator) Finalize() (*AzimuthAnalysis, error) {
 		NWChosenFrac:       map[string]float64{},
 	}
 	for _, name := range names {
-		slot := a.series.terms[name]
-		tc, err := buildCDF(name, slot.avail, slot.chosen, a.points)
+		tc, avail, chosen, err := a.series.terms[name].cdf(name, a.points)
 		if err != nil {
 			return nil, err
 		}
 		out.PerTerminal = append(out.PerTerminal, tc)
-		north := func(az float64) bool { return isNorth(az) }
-		out.NorthChosenFrac[name] = stats.Proportion(slot.chosen, north)
-		out.NorthAvailableFrac[name] = stats.Proportion(slot.avail, north)
-		out.NWChosenFrac[name] = stats.Proportion(slot.chosen, func(az float64) bool { return quadrant(az) == "NW" })
+		out.NorthChosenFrac[name] = stats.Proportion(chosen, isNorth)
+		out.NorthAvailableFrac[name] = stats.Proportion(avail, isNorth)
+		out.NWChosenFrac[name] = stats.Proportion(chosen, func(az float64) bool { return quadrant(az) == "NW" })
 	}
 	return out, nil
 }
@@ -263,9 +331,10 @@ func (a *LaunchAccumulator) Finalize() (*LaunchAnalysis, error) {
 	return out, nil
 }
 
-// sunlitTermAcc is one terminal's accumulated Figure 7 series.
+// sunlitTermAcc is one terminal's accumulated Figure 7 series: dark
+// and sunlit chosen, dark and sunlit available.
 type sunlitTermAcc struct {
-	dc, sc, da, sa []float64
+	dc, sc, da, sa floatSeries
 }
 
 // SunlitAccumulator builds the §5.3 / Figure 7 analysis incrementally.
@@ -311,17 +380,17 @@ func (a *SunlitAccumulator) Add(o Observation) error {
 	a.mixedSlots++
 	for _, s := range o.Available {
 		if s.Sunlit {
-			acc.sa = append(acc.sa, s.ElevationDeg)
+			acc.sa.add(s.ElevationDeg)
 		} else {
-			acc.da = append(acc.da, s.ElevationDeg)
+			acc.da.add(s.ElevationDeg)
 		}
 	}
 	if c.Sunlit {
 		a.sunlitPicks++
-		acc.sc = append(acc.sc, c.ElevationDeg)
+		acc.sc.add(c.ElevationDeg)
 	} else {
 		a.darkPicked = true
-		acc.dc = append(acc.dc, c.ElevationDeg)
+		acc.dc.add(c.ElevationDeg)
 		share := float64(nDark) / float64(nDark+nSunlit)
 		if share < a.minDarkShare {
 			a.minDarkShare = share
@@ -344,29 +413,28 @@ func (a *SunlitAccumulator) Finalize() (*SunlitAnalysis, error) {
 	}
 	sort.Strings(names)
 	out := &SunlitAnalysis{MixedSlots: a.mixedSlots, MinDarkShareWhenDarkPicked: a.minDarkShare}
+	// Some series can legitimately be empty (a terminal may never pick
+	// a dark satellite); only build the non-empty ones.
+	cdf := func(s *floatSeries) [][2]float64 {
+		if e, err := stats.NewECDF(s.values()); err == nil {
+			return e.Points(a.points)
+		}
+		return nil
+	}
 	// The global chosen series concatenate per terminal in sorted-name
 	// order.
 	var darkChosenAll, sunlitChosenAll []float64
 	for _, name := range names {
 		acc := a.terms[name]
-		cdfs := SunlitCDFs{Terminal: name}
-		// Some series can legitimately be empty (a terminal may never
-		// pick a dark satellite); only build the non-empty ones.
-		if e, err := stats.NewECDF(acc.dc); err == nil {
-			cdfs.DarkChosen = e.Points(a.points)
-		}
-		if e, err := stats.NewECDF(acc.sc); err == nil {
-			cdfs.SunlitChosen = e.Points(a.points)
-		}
-		if e, err := stats.NewECDF(acc.da); err == nil {
-			cdfs.DarkAvail = e.Points(a.points)
-		}
-		if e, err := stats.NewECDF(acc.sa); err == nil {
-			cdfs.SunlitAvail = e.Points(a.points)
-		}
-		out.PerTerminal = append(out.PerTerminal, cdfs)
-		darkChosenAll = append(darkChosenAll, acc.dc...)
-		sunlitChosenAll = append(sunlitChosenAll, acc.sc...)
+		out.PerTerminal = append(out.PerTerminal, SunlitCDFs{
+			Terminal:     name,
+			DarkChosen:   cdf(&acc.dc),
+			SunlitChosen: cdf(&acc.sc),
+			DarkAvail:    cdf(&acc.da),
+			SunlitAvail:  cdf(&acc.sa),
+		})
+		darkChosenAll = acc.dc.appendTo(darkChosenAll)
+		sunlitChosenAll = acc.sc.appendTo(sunlitChosenAll)
 	}
 	if out.MixedSlots > 0 {
 		out.SunlitPickRate = float64(a.sunlitPicks) / float64(out.MixedSlots)

@@ -1,11 +1,16 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/ml"
+	"repro/internal/stats"
 )
 
 // TestAccumulatorsMatchBatch: each accumulator, fed one observation
@@ -265,4 +270,237 @@ func TestAccumulatorsHandWorked(t *testing.T) {
 	check("dark-pick AOE lift", su.DarkChosenAOELiftDeg, -42.5)
 	check("dark picks above 60°", su.HighAOEFracDark, 0)
 	check("sunlit picks above 60°", su.HighAOEFracSunlit, 0.5)
+}
+
+// TestFinalizeMatchesSliceReference holds the §5 accumulators, which
+// keep each series in blocks and sort one copy at Finalize, to
+// slice-fed references that collect plain appended slices and finalize
+// the way the accumulators did before: refBuildCDF, whose ECDF and
+// median each sort their own copy, and pooled shares and medians over
+// concatenated series. Every float is compared bit for bit. The
+// synthetic stream has series longer than several blocks and a
+// terminal that never picks a dark satellite.
+func TestFinalizeMatchesSliceReference(t *testing.T) {
+	setupFixture(t)
+	streams := map[string][]Observation{"fixture": fixture.obs, "synthetic": syntheticObservations(3000)}
+	for name, obs := range streams {
+		aoe, az, su := NewAOEAccumulator(27), NewAzimuthAccumulator(27), NewSunlitAccumulator(27)
+		for _, o := range obs {
+			for _, acc := range []ObservationConsumer{aoe, az, su} {
+				if err := acc.Add(o); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		gotAOE, err := aoe.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotAz, err := az.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotSu, err := su.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			what      string
+			got, want any
+		}{
+			{"AOE", gotAOE, refAOE(obs, 27)},
+			{"azimuth", gotAz, refAzimuth(obs, 27)},
+			{"sunlit", gotSu, refSunlit(obs, 27)},
+		} {
+			// %v prints each float in its shortest round-trip form, so
+			// equal strings mean equal bits (NaN and -0 included).
+			if g, w := fmt.Sprintf("%v", c.got), fmt.Sprintf("%v", c.want); g != w {
+				t.Errorf("%s: %s Finalize differs from the slice-fed reference:\n got %s\nwant %s", name, c.what, g, w)
+			}
+		}
+	}
+}
+
+// syntheticObservations draws n observations over three terminals;
+// "dawn" never picks a dark satellite.
+func syntheticObservations(n int) []Observation {
+	rng := rand.New(rand.NewSource(3))
+	terms := []string{"dusk", "dawn", "noon"}
+	obs := make([]Observation, n)
+	for i := range obs {
+		o := Observation{Terminal: terms[i%len(terms)], ChosenIdx: -1}
+		for k := 0; k < 5+rng.Intn(30); k++ {
+			o.Available = append(o.Available, SatObs{
+				ID:           k + 1,
+				ElevationDeg: 25 + 65*rng.Float64(),
+				AzimuthDeg:   360 * rng.Float64(),
+				Sunlit:       rng.Intn(3) > 0,
+			})
+		}
+		if rng.Intn(8) > 0 {
+			o.ChosenIdx = rng.Intn(len(o.Available))
+			if o.Terminal == "dawn" {
+				o.Available[o.ChosenIdx].Sunlit = true
+			}
+		}
+		obs[i] = o
+	}
+	return obs
+}
+
+// refBuildCDF is buildCDF fed plain slices, with an ECDF and a median
+// that each sort their own copy.
+func refBuildCDF(name string, avail, chosen []float64, points int) TerminalCDF {
+	ea, err := stats.NewECDF(slices.Clone(avail))
+	if err != nil {
+		panic(err)
+	}
+	ec, err := stats.NewECDF(slices.Clone(chosen))
+	if err != nil {
+		panic(err)
+	}
+	return TerminalCDF{
+		Terminal:        name,
+		Available:       ea.Points(points),
+		Chosen:          ec.Points(points),
+		MedianAvailable: stats.Median(avail),
+		MedianChosen:    stats.Median(chosen),
+	}
+}
+
+// refSeries collects each terminal's chosen and available values as
+// plain slices, and returns the terminals in sorted order.
+func refSeries(obs []Observation, value func(SatObs) float64) (names []string, chosen, avail map[string][]float64) {
+	chosen, avail = map[string][]float64{}, map[string][]float64{}
+	for _, o := range obs {
+		c, ok := o.Chosen()
+		if !ok {
+			continue
+		}
+		chosen[o.Terminal] = append(chosen[o.Terminal], value(c))
+		for _, a := range o.Available {
+			avail[o.Terminal] = append(avail[o.Terminal], value(a))
+		}
+	}
+	for n := range chosen {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names, chosen, avail
+}
+
+func refAOE(obs []Observation, points int) *AOEAnalysis {
+	names, chosen, avail := refSeries(obs, func(s SatObs) float64 { return s.ElevationDeg })
+	out := &AOEAnalysis{}
+	var allChosen, allAvail []float64
+	for _, name := range names {
+		tc := refBuildCDF(name, avail[name], chosen[name], points)
+		out.PerTerminal = append(out.PerTerminal, tc)
+		out.MedianLiftDeg += tc.MedianChosen - tc.MedianAvailable
+		allChosen = append(allChosen, chosen[name]...)
+		allAvail = append(allAvail, avail[name]...)
+	}
+	out.MedianLiftDeg /= float64(len(out.PerTerminal))
+	high := func(v float64) bool { return v >= 45 }
+	out.HighBandChosenFrac = stats.Proportion(allChosen, high)
+	out.HighBandAvailableFrac = stats.Proportion(allAvail, high)
+	return out
+}
+
+func refAzimuth(obs []Observation, points int) *AzimuthAnalysis {
+	names, chosen, avail := refSeries(obs, func(s SatObs) float64 { return s.AzimuthDeg })
+	out := &AzimuthAnalysis{
+		NorthChosenFrac:    map[string]float64{},
+		NorthAvailableFrac: map[string]float64{},
+		NWChosenFrac:       map[string]float64{},
+	}
+	for _, name := range names {
+		out.PerTerminal = append(out.PerTerminal, refBuildCDF(name, avail[name], chosen[name], points))
+		out.NorthChosenFrac[name] = stats.Proportion(chosen[name], isNorth)
+		out.NorthAvailableFrac[name] = stats.Proportion(avail[name], isNorth)
+		out.NWChosenFrac[name] = stats.Proportion(chosen[name], func(az float64) bool { return quadrant(az) == "NW" })
+	}
+	return out
+}
+
+func refSunlit(obs []Observation, points int) *SunlitAnalysis {
+	type series struct{ dc, sc, da, sa []float64 }
+	terms := map[string]*series{}
+	out := &SunlitAnalysis{MinDarkShareWhenDarkPicked: 1}
+	sunlitPicks, darkPicked := 0, false
+	for _, o := range obs {
+		c, ok := o.Chosen()
+		if !ok {
+			continue
+		}
+		acc := terms[o.Terminal]
+		if acc == nil {
+			acc = &series{}
+			terms[o.Terminal] = acc
+		}
+		nDark, nSunlit := 0, 0
+		for _, s := range o.Available {
+			if s.Sunlit {
+				nSunlit++
+			} else {
+				nDark++
+			}
+		}
+		if nDark == 0 || nSunlit == 0 {
+			continue
+		}
+		out.MixedSlots++
+		for _, s := range o.Available {
+			if s.Sunlit {
+				acc.sa = append(acc.sa, s.ElevationDeg)
+			} else {
+				acc.da = append(acc.da, s.ElevationDeg)
+			}
+		}
+		if c.Sunlit {
+			sunlitPicks++
+			acc.sc = append(acc.sc, c.ElevationDeg)
+		} else {
+			darkPicked = true
+			acc.dc = append(acc.dc, c.ElevationDeg)
+			out.MinDarkShareWhenDarkPicked = min(out.MinDarkShareWhenDarkPicked, float64(nDark)/float64(nDark+nSunlit))
+		}
+	}
+	var names []string
+	for n := range terms {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	points2 := func(xs []float64) [][2]float64 {
+		if e, err := stats.NewECDF(slices.Clone(xs)); err == nil {
+			return e.Points(points)
+		}
+		return nil
+	}
+	var darkAll, sunlitAll []float64
+	for _, name := range names {
+		acc := terms[name]
+		out.PerTerminal = append(out.PerTerminal, SunlitCDFs{
+			Terminal:     name,
+			DarkChosen:   points2(acc.dc),
+			SunlitChosen: points2(acc.sc),
+			DarkAvail:    points2(acc.da),
+			SunlitAvail:  points2(acc.sa),
+		})
+		darkAll = append(darkAll, acc.dc...)
+		sunlitAll = append(sunlitAll, acc.sc...)
+	}
+	if out.MixedSlots > 0 {
+		out.SunlitPickRate = float64(sunlitPicks) / float64(out.MixedSlots)
+	}
+	if !darkPicked {
+		out.MinDarkShareWhenDarkPicked = 0
+	}
+	high60 := func(v float64) bool { return v > 60 }
+	out.HighAOEFracDark = stats.Proportion(darkAll, high60)
+	out.HighAOEFracSunlit = stats.Proportion(sunlitAll, high60)
+	if len(darkAll) > 0 && len(sunlitAll) > 0 {
+		out.DarkChosenAOELiftDeg = stats.Median(darkAll) - stats.Median(sunlitAll)
+	}
+	return out
 }

@@ -107,6 +107,8 @@ type SunlitAnalysis struct {
 	DarkChosenAOELiftDeg float64
 }
 
+// buildCDF renders a terminal's available and chosen CDFs and their
+// medians. It sorts avail and chosen in place: the ECDFs keep them.
 func buildCDF(name string, avail, chosen []float64, points int) (TerminalCDF, error) {
 	ea, err := stats.NewECDF(avail)
 	if err != nil {
@@ -120,7 +122,7 @@ func buildCDF(name string, avail, chosen []float64, points int) (TerminalCDF, er
 		Terminal:        name,
 		Available:       ea.Points(points),
 		Chosen:          ec.Points(points),
-		MedianAvailable: stats.Median(avail),
-		MedianChosen:    stats.Median(chosen),
+		MedianAvailable: ea.Median(),
+		MedianChosen:    ec.Median(),
 	}, nil
 }

@@ -161,7 +161,7 @@ func RunCampaign(ctx context.Context, cfg CampaignConfig) (*CampaignResult, erro
 		res.Records = make([]SlotRecord, 0, cfg.Slots*len(cfg.Scheduler.Terminals()))
 	}
 	stats, err := RunCampaignStream(ctx, cfg, func(rec SlotRecord) error {
-		res.Records = append(res.Records, rec)
+		res.Records = append(res.Records, rec.Clone())
 		return nil
 	})
 	if err != nil {
@@ -174,12 +174,27 @@ func RunCampaign(ctx context.Context, cfg CampaignConfig) (*CampaignResult, erro
 	return res, nil
 }
 
+// Clone returns a copy of r that owns its Available array, for a
+// consumer that keeps a record past its emit call.
+func (r SlotRecord) Clone() SlotRecord {
+	r.Observation = r.Observation.Clone()
+	return r
+}
+
 // slotScratch is per-worker reusable buffer space for the slot loop:
 // the field-of-view sweep appends into fov instead of growing a fresh
-// slice per (slot, terminal) cell, and the candidate-track kernel
-// samples into the remaining buffers. Owned by exactly one goroutine.
+// slice per (slot, terminal) cell, the §4 extraction traces the XOR
+// diff into tracker, track and observed, and the candidate-track
+// kernel samples into the remaining buffers. Owned by exactly one
+// goroutine.
 type slotScratch struct {
 	fov []constellation.Visible
+
+	// track and observed are the XOR diff's trajectory in sky and
+	// plot-plane coordinates.
+	tracker  obstruction.Tracker
+	track    []obstruction.PolarPoint
+	observed []dtw.Point
 
 	// frames holds the TEME→ECEF frame at every sample instant of the
 	// slot starting at framesAt, spaced framesStep apart.
@@ -211,23 +226,26 @@ func (sc *slotScratch) framesFor(slotStart time.Time, step time.Duration) []astr
 	return sc.frames
 }
 
-// runSlotTerminal produces the record for one (slot, terminal) cell.
-// m is the terminal's dish state; the caller guarantees exclusive
-// ownership. matcher and scratch are the caller's reusable per-worker
-// buffers, likewise owned exclusively; results are bit-identical at
-// any matcher because pruning is exact, and the fov scratch never
-// escapes (availFromFov copies into the record).
-func runSlotTerminal(cfg *CampaignConfig, term scheduler.Terminal, m *obstruction.Map,
-	matcher *dtw.Matcher, scratch *slotScratch, slotStart time.Time, shared *constellation.SharedSnapshot,
-	alloc scheduler.Allocation, attempted, correct, failed *int) SlotRecord {
+// runSlotTerminal fills rec, the record of the terminal's previous
+// slot, with the record for one (slot, terminal) cell, writing the
+// available set into rec's Available array. m is the terminal's dish
+// state; the caller guarantees exclusive ownership of m and wk.
+// Results are bit-identical at any matcher because pruning is exact,
+// and none of wk's scratch escapes into the record.
+func (wk *campaignWorker) runSlotTerminal(cfg *CampaignConfig, term scheduler.Terminal, m *obstruction.Map,
+	rec *SlotRecord, slotStart time.Time, shared *constellation.SharedSnapshot, alloc scheduler.Allocation) {
+	scratch := &wk.scratch
 	scratch.fov = shared.AppendObserveFrom(scratch.fov[:0], term.VantagePoint.Location, cfg.Identifier.MinElevationDeg, cfg.DisableIndex)
-	avail := availFromFov(scratch.fov, slotStart)
-	rec := SlotRecord{
+	avail := rec.Available[:0]
+	if avail == nil {
+		avail = make([]SatObs, 0, len(scratch.fov)) // Available is never nil
+	}
+	*rec = SlotRecord{
 		Observation: Observation{
 			Terminal:  term.Name,
 			SlotStart: slotStart,
 			LocalHour: LocalHour(term.VantagePoint, slotStart),
-			Available: avail,
+			Available: appendAvail(avail, scratch.fov, slotStart),
 			ChosenIdx: -1,
 		},
 		TrueID: alloc.SatID,
@@ -243,7 +261,7 @@ func runSlotTerminal(cfg *CampaignConfig, term scheduler.Terminal, m *obstructio
 			rec.SkipReason = "allocated satellite not in public available set"
 		}
 	default:
-		prev := m.Clone()
+		wk.prev = *m
 		if err := cfg.Identifier.paintServingTrack(scratch, m, alloc.SatID, term.VantagePoint, slotStart); err != nil {
 			rec.SkipReason = err.Error()
 			break
@@ -251,24 +269,24 @@ func runSlotTerminal(cfg *CampaignConfig, term scheduler.Terminal, m *obstructio
 		// Identify over the field of view already in scratch.fov: by
 		// the SnapshotIndex contract it is IdentifyFromMaps's
 		// linear scan of shared.States, set, order and floats.
-		ident, err := cfg.Identifier.identify(scratch, prev, m, term.VantagePoint, slotStart, matcher)
+		diff := obstruction.XORInto(&wk.diff, &wk.prev, m)
+		ident, err := cfg.Identifier.identify(scratch, diff, term.VantagePoint, slotStart, &wk.matcher)
 		if err != nil {
 			rec.SkipReason = err.Error()
-			*failed++
+			wk.failed++
 			break
 		}
-		*attempted++
+		wk.attempted++
 		rec.IdentifiedID = ident.SatID
 		rec.Margin = ident.Margin
 		if ident.SatID == alloc.SatID {
-			*correct++
+			wk.correct++
 		}
 		rec.ChosenIdx = indexOf(rec.Available, ident.SatID)
 		if rec.ChosenIdx < 0 {
 			rec.SkipReason = "identified satellite not in public available set"
 		}
 	}
-	return rec
 }
 
 // allocFor picks terminal ti's allocation from a slot's Allocate

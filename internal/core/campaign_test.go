@@ -5,6 +5,9 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/obstruction"
+	"repro/internal/scheduler"
 )
 
 // campaignCfg builds a campaign over the shared fixture constellation
@@ -100,4 +103,48 @@ func TestCampaignMidRunCancellation(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("campaign did not stop after cancel")
 	}
+}
+
+// TestSlotStepZeroAlloc pins the measured (non-oracle) engine's warm
+// path: once a worker's scratch and the record's Available array have
+// grown, one identified (slot, terminal) step — available set, paint,
+// XOR, track, candidate sampling and matching — allocates nothing.
+func TestSlotStepZeroAlloc(t *testing.T) {
+	setupFixture(t)
+	cfg := campaignCfg(t, 41, 1, false)
+	terms, _, _, err := prepareCampaign(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	term := terms[0]
+	var wk campaignWorker
+	dish := obstruction.New()
+	var rec SlotRecord
+	start := scheduler.EpochStart(cfg.Start)
+	for slot := 0; slot < cfg.Slots; slot++ {
+		slotStart := start.Add(time.Duration(slot) * scheduler.Period)
+		snap := cfg.Snapshots.Acquire(cfg.Identifier.cons, slotStart)
+		alloc := allocFor(cfg.Scheduler.Allocate(slotStart), 0, term.Name)
+		before := *dish
+		wk.runSlotTerminal(&cfg, term, dish, &rec, slotStart, snap, alloc)
+		if slot == 0 || rec.SkipReason != "" || rec.IdentifiedID == 0 {
+			snap.Release()
+			continue
+		}
+		want := rec.Clone()
+		step := func() {
+			*dish = before
+			wk.runSlotTerminal(&cfg, term, dish, &rec, slotStart, snap, alloc)
+		}
+		allocs := testing.AllocsPerRun(50, step)
+		snap.Release()
+		if !reflect.DeepEqual(rec, want) {
+			t.Fatalf("slot %d: a repeated step gave a different record", slot)
+		}
+		if allocs != 0 {
+			t.Errorf("slot %d: identified slot step = %v allocs/op, want 0", slot, allocs)
+		}
+		return
+	}
+	t.Fatal("no identified slot in the campaign")
 }

@@ -16,6 +16,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/astro"
@@ -57,11 +58,18 @@ func (o *Observation) Chosen() (SatObs, bool) {
 	return o.Available[o.ChosenIdx], true
 }
 
-// availFromFov converts a sorted field-of-view into the observation
-// rows: every satellite above the mask with its look angles, age, and
-// sunlit state.
-func availFromFov(fov []constellation.Visible, slotStart time.Time) []SatObs {
-	out := make([]SatObs, 0, len(fov))
+// Clone returns a copy of o that owns its Available array. A consumer
+// that keeps an observation past its call keeps a clone: the campaign
+// engine reuses the array the next slot.
+func (o Observation) Clone() Observation {
+	o.Available = slices.Clone(o.Available)
+	return o
+}
+
+// appendAvail appends the observation rows of a sorted field of view
+// to out: every satellite above the mask with its look angles, age,
+// and sunlit state.
+func appendAvail(out []SatObs, fov []constellation.Visible, slotStart time.Time) []SatObs {
 	for _, v := range fov {
 		out = append(out, SatObs{
 			ID:           v.Sat.ID,

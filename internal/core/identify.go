@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/astro"
@@ -123,10 +124,7 @@ type candidateSampler struct {
 func (id *Identifier) newSampler(sc *slotScratch, vp geo.VantagePoint, slotStart time.Time) *candidateSampler {
 	step := id.sampleStep()
 	frames := sc.framesFor(slotStart, step)
-	if need := len(sc.fov) * len(frames); cap(sc.points) < need {
-		sc.points = make([]dtw.Point, 0, need)
-	}
-	sc.points = sc.points[:0]
+	sc.points = slices.Grow(sc.points[:0], len(sc.fov)*len(frames))
 	sc.sampler = candidateSampler{id: id, sc: sc, o: astro.NewObserver(vp.Location), frames: frames, slotStart: slotStart, step: step}
 	return &sc.sampler
 }
@@ -313,19 +311,24 @@ func (id *Identifier) IdentifyFromMaps(prev, cur *obstruction.Map, vp geo.Vantag
 		snap = id.cons.Snapshot(slotStart)
 	}
 	sc := slotScratch{fov: constellation.ObserveFrom(vp.Location, snap, id.MinElevationDeg)}
-	return id.identify(&sc, prev, cur, vp, slotStart, matcher)
+	return id.identify(&sc, obstruction.XOR(prev, cur), vp, slotStart, matcher)
 }
 
 // identify is the §4 pipeline over the slot's field of view, sc.fov:
-// the XOR-isolated track is matched against the candidate tracks the
-// kernel samples through sc.
-func (id *Identifier) identify(sc *slotScratch, prev, cur *obstruction.Map, vp geo.VantagePoint, slotStart time.Time, matcher *dtw.Matcher) (Identification, error) {
-	track := obstruction.XOR(prev, cur).Track()
+// the track of diff, the XOR of two consecutive snapshots, is matched
+// against the candidate tracks the kernel samples through sc.
+func (id *Identifier) identify(sc *slotScratch, diff *obstruction.Map, vp geo.VantagePoint, slotStart time.Time, matcher *dtw.Matcher) (Identification, error) {
+	track := sc.tracker.AppendTrack(sc.track[:0], diff)
+	sc.track = track
 	if len(track) < 2 {
 		return Identification{}, fmt.Errorf("core: slot %v at %s: XOR diff has %d points (satellite unchanged or overlapping trajectory)",
 			slotStart, vp.Name, len(track))
 	}
-	observed := dtw.FromPolarTrack(track)
+	observed := sc.observed[:0]
+	for _, p := range track {
+		observed = append(observed, dtw.FromPolar(p))
+	}
+	sc.observed = observed
 	out := Identification{Terminal: vp.Name, SlotStart: slotStart, TrackLen: len(track)}
 	var best dtw.Match
 	var err error

@@ -245,7 +245,7 @@ func TestDroppedCandidatesSurfaced(t *testing.T) {
 // replaced, kept as its bit-identity oracle: every sample instant,
 // dt = 0 included, is propagated afresh, rotated by its own
 // astro.FrameAt (one GMST per call) and observed by the
-// package-level astro.Observe (one observer per call).
+// an astro.Observer built afresh for each sample.
 func oracleSky(sat *constellation.Satellite, obs astro.Geodetic, slotStart time.Time, step time.Duration) ([]obstruction.PolarPoint, error) {
 	var pts []obstruction.PolarPoint
 	for dt := time.Duration(0); dt <= scheduler.Period; dt += step {
@@ -255,7 +255,8 @@ func oracleSky(sat *constellation.Satellite, obs astro.Geodetic, slotStart time.
 			return nil, err
 		}
 		posECEF := astro.FrameAt(t).ToECEF(st.Pos)
-		la := astro.Observe(obs, posECEF)
+		o := astro.NewObserver(obs)
+		la := o.Observe(posECEF)
 		pts = append(pts, obstruction.PolarPoint{ElevationDeg: la.ElevationDeg, AzimuthDeg: la.AzimuthDeg})
 	}
 	return pts, nil

@@ -13,8 +13,9 @@ import (
 )
 
 // EmitFunc receives one campaign record. Implementations must not
-// retain rec's slices past the call; copy what outlives it. Returning
-// an error aborts the campaign and surfaces the error from
+// retain rec's slices past the call: the engine writes the terminal's
+// next available set into the same array. Keep rec.Clone() instead.
+// Returning an error aborts the campaign and surfaces the error from
 // RunCampaignStream.
 type EmitFunc func(rec SlotRecord) error
 
@@ -83,7 +84,8 @@ func (s *CampaignStats) observe(rec *SlotRecord) {
 // and emits slot s's records in terminal order. With one worker the
 // pool runs inline and the campaign uses one goroutine. Live memory is
 // one slot's records plus two pinned snapshots, however many slots the
-// campaign has.
+// campaign has: each terminal's record keeps its Available array from
+// slot to slot, and a warm identified step allocates nothing.
 //
 // On ctx cancellation or an emit error the partial stream stops,
 // already-emitted records stand, and the error is returned with nil
@@ -100,7 +102,7 @@ func RunCampaignStream(ctx context.Context, cfg CampaignConfig, emit EmitFunc) (
 	shard := terms[lo:hi]
 	workers := cfg.resolveWorkers(len(shard))
 	// Dish maps exist only for the identification path; oracle-mode
-	// fleets (100k terminals) must not pay ~15 KB per terminal for maps
+	// fleets (100k terminals) must not pay ~1.9 KB per terminal for maps
 	// nothing reads. A shard owns maps only for its own range — the
 	// scheduler's allocations for other terminals never touch a dish.
 	maps := make([]*obstruction.Map, len(shard))
@@ -130,8 +132,7 @@ func RunCampaignStream(ctx context.Context, cfg CampaignConfig, emit EmitFunc) (
 		wk := &pool[w]
 		for i := w; i < len(shard); i += workers {
 			t := shard[i]
-			recs[i] = runSlotTerminal(&cfg, t, maps[i], &wk.matcher, &wk.scratch, p.start, p.snap,
-				allocFor(p.allocs, lo+i, t.Name), &wk.attempted, &wk.correct, &wk.failed)
+			wk.runSlotTerminal(&cfg, t, maps[i], &recs[i], p.start, p.snap, allocFor(p.allocs, lo+i, t.Name))
 		}
 	}
 
@@ -206,10 +207,13 @@ type preparedSlot struct {
 
 // campaignWorker is one pool member's private state. Worker w runs the
 // shard's terminals w, w+W, w+2W, … every slot, so its matcher, scratch
-// and tallies are only ever touched by one goroutine at a time.
+// and tallies are only ever touched by one goroutine at a time. prev
+// holds a dish map as it was before the slot's paint and diff its XOR
+// with the painted map.
 type campaignWorker struct {
 	matcher                    dtw.Matcher
 	scratch                    slotScratch
+	prev, diff                 obstruction.Map
 	attempted, correct, failed int
 }
 

@@ -24,7 +24,7 @@ func TestStreamMatchesBatch(t *testing.T) {
 			var streamed []SlotRecord
 			stats, err := RunCampaignStream(context.Background(), campaignCfg(t, 41, workers, oracle),
 				func(rec SlotRecord) error {
-					streamed = append(streamed, rec)
+					streamed = append(streamed, rec.Clone())
 					return nil
 				})
 			if err != nil {
@@ -92,7 +92,7 @@ func TestShardedCampaignMatchesSerial(t *testing.T) {
 				cfg := campaignCfg(t, 77, workers, oracle)
 				cfg.Shard = ShardRange{Lo: lo, Hi: hi}
 				stats, err := RunCampaignStream(context.Background(), cfg, func(rec SlotRecord) error {
-					perShard[s] = append(perShard[s], rec)
+					perShard[s] = append(perShard[s], rec.Clone())
 					return nil
 				})
 				if err != nil {
@@ -156,7 +156,7 @@ func TestEmitFromSlotResume(t *testing.T) {
 			cfg.EmitFromSlot = resume
 			var got []SlotRecord
 			stats, err := RunCampaignStream(context.Background(), cfg, func(rec SlotRecord) error {
-				got = append(got, rec)
+				got = append(got, rec.Clone())
 				return nil
 			})
 			if err != nil {
@@ -191,7 +191,7 @@ func TestEmitFromSlotResume(t *testing.T) {
 			cfg.EmitFromSlot = 7
 			var got []SlotRecord
 			if _, err := RunCampaignStream(context.Background(), cfg, func(rec SlotRecord) error {
-				got = append(got, rec)
+				got = append(got, rec.Clone())
 				return nil
 			}); err != nil {
 				t.Fatal(err)

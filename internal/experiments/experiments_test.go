@@ -39,7 +39,7 @@ func smallEnv(t testing.TB) (*experiments.Env, []core.Observation) {
 	envOnce.Do(func() {
 		e := starlinkEnv(t, "small", 3, nil)
 		if _, err := e.StreamObservations(200, func(o core.Observation) error {
-			envObs = append(envObs, o)
+			envObs = append(envObs, o.Clone())
 			return nil
 		}); err != nil {
 			panic(err)

@@ -72,7 +72,7 @@ func TestStreamMatchesBatchGolden(t *testing.T) {
 				consumers := []core.ObservationConsumer{aoe, az, la, su, ds}
 				st, err := core.RunCampaignStream(ctx, goldenEnv(t, workers).CampaignConfig(tc.slots, tc.oracle),
 					func(rec core.SlotRecord) error {
-						recs = append(recs, rec)
+						recs = append(recs, rec.Clone())
 						if rec.ChosenIdx < 0 {
 							return nil
 						}
@@ -130,8 +130,8 @@ func TestStreamMatchesBatchGolden(t *testing.T) {
 				// in stream order.
 				var first, second []core.Observation
 				st, err = goldenEnv(t, workers).StreamObservations(tc.slots,
-					func(o core.Observation) error { first = append(first, o); return nil },
-					func(o core.Observation) error { second = append(second, o); return nil })
+					func(o core.Observation) error { first = append(first, o.Clone()); return nil },
+					func(o core.Observation) error { second = append(second, o.Clone()); return nil })
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -213,7 +213,7 @@ func TestStreamObservationsConsumerOrder(t *testing.T) {
 			t.Errorf("row without a chosen satellite delivered")
 		}
 		calls = append(calls, "first")
-		rows = append(rows, o)
+		rows = append(rows, o.Clone())
 		return nil
 	}
 	second := func(core.Observation) error {

@@ -8,6 +8,7 @@ package geo
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/astro"
 	"repro/internal/units"
@@ -176,6 +177,16 @@ type GSOExclusion struct {
 	beltNorms []float64
 }
 
+// gsoBelt is the GSO belt sampled every degree of longitude from
+// -180°, as ECEF points, built once per process.
+var gsoBelt = sync.OnceValue(func() []units.Vec3 {
+	belt := make([]units.Vec3, 0, 360)
+	for lon := -180.0; lon < 180; lon++ {
+		belt = append(belt, astro.Geodetic{LatDeg: 0, LonDeg: lon, AltKm: GSOAltKm}.ToECEF())
+	}
+	return belt
+})
+
 // NewGSOExclusion samples the GSO belt as seen from obs. protectionDeg
 // <= 0 selects DefaultGSOProtectionDeg.
 func NewGSOExclusion(obs astro.Geodetic, protectionDeg float64) *GSOExclusion {
@@ -183,12 +194,11 @@ func NewGSOExclusion(obs astro.Geodetic, protectionDeg float64) *GSOExclusion {
 		protectionDeg = DefaultGSOProtectionDeg
 	}
 	g := &GSOExclusion{protectionDeg: protectionDeg}
-	// Sample the belt every degree of longitude; keep points above the
-	// horizon.
+	// Keep the belt points above the horizon.
+	o := astro.NewObserver(obs)
 	var dirs []units.Vec3
-	for lon := -180.0; lon < 180; lon++ {
-		beltPoint := astro.Geodetic{LatDeg: 0, LonDeg: lon, AltKm: GSOAltKm}
-		la := astro.Observe(obs, beltPoint.ToECEF())
+	for _, p := range gsoBelt() {
+		la := o.Observe(p)
 		if la.ElevationDeg < 0 {
 			continue
 		}

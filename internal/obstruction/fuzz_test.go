@@ -14,6 +14,11 @@ func FuzzUnmarshalBinary(f *testing.F) {
 	f.Add(raw)
 	f.Add([]byte{})
 	f.Add(make([]byte, 100))
+	// A full-length payload whose last byte sets a padding bit past the
+	// last pixel: MarshalBinary never writes one, so it must be refused.
+	pad := make([]byte, len(raw))
+	pad[len(pad)-1] = 0x80
+	f.Add(pad)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got := New()
 		if err := got.UnmarshalBinary(data); err != nil {

@@ -14,13 +14,15 @@ package obstruction
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"image"
 	"image/color"
 	"image/png"
 	"io"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/units"
 )
@@ -42,10 +44,25 @@ const (
 // 62×62 counting pixels from 1; 0-indexed that is (61, 61).
 const center = (Size - 1) / 2
 
-// Map is one obstruction map snapshot. Pixels are addressed [y][x]
-// with y growing downward (image convention); north is up.
+// Bitset layout: pixel (x, y) is bit y·Size+x, so walking the set bits
+// in ascending order is the image's row-major scan order. The bits past
+// Size·Size in the last word are always zero.
+const (
+	numPixels = Size * Size
+	numWords  = (numPixels + 63) / 64
+	// wireBytes is the MarshalBinary length: the words' little-endian
+	// bytes, cut after the byte holding the last pixel.
+	wireBytes = (numPixels + 7) / 8
+	// tailBits is how many bits of the last wire byte are pixels.
+	tailBits = numPixels - 8*(wireBytes-1)
+)
+
+// Map is one obstruction map snapshot, one bit per pixel. Pixels are
+// addressed (x, y) with y growing downward (image convention); north
+// is up. A Map is a plain value of about 1.9 KB: copying one copies the
+// image.
 type Map struct {
-	pix [Size * Size]bool
+	w [numWords]uint64
 }
 
 // New returns an empty map (fresh after terminal reset).
@@ -53,20 +70,20 @@ func New() *Map { return &Map{} }
 
 // Clone returns a deep copy.
 func (m *Map) Clone() *Map {
-	out := &Map{}
-	out.pix = m.pix
-	return out
+	out := *m
+	return &out
 }
 
 // Reset clears every pixel, as a terminal reboot does.
-func (m *Map) Reset() { m.pix = [Size * Size]bool{} }
+func (m *Map) Reset() { m.w = [numWords]uint64{} }
 
 // At reports whether pixel (x, y) is set. Out-of-range is false.
 func (m *Map) At(x, y int) bool {
 	if x < 0 || x >= Size || y < 0 || y >= Size {
 		return false
 	}
-	return m.pix[y*Size+x]
+	i := y*Size + x
+	return m.w[i/64]&(1<<(i%64)) != 0
 }
 
 // Set marks pixel (x, y). Out-of-range is ignored.
@@ -74,18 +91,28 @@ func (m *Map) Set(x, y int) {
 	if x < 0 || x >= Size || y < 0 || y >= Size {
 		return
 	}
-	m.pix[y*Size+x] = true
+	i := y*Size + x
+	m.w[i/64] |= 1 << (i % 64)
 }
 
 // Count returns the number of set pixels.
 func (m *Map) Count() int {
 	n := 0
-	for _, p := range m.pix {
-		if p {
-			n++
-		}
+	for _, w := range m.w {
+		n += bits.OnesCount64(w)
 	}
 	return n
+}
+
+// eachPixel calls f with every set pixel, in scan order.
+func (m *Map) eachPixel(f func(x, y int)) {
+	for wi, w := range m.w {
+		for w != 0 {
+			i := wi*64 + bits.TrailingZeros64(w)
+			f(i%Size, i/Size)
+			w &= w - 1
+		}
+	}
 }
 
 // PolarPoint is a sky direction in terminal-topocentric coordinates.
@@ -192,25 +219,15 @@ func abs(v int) int {
 // dish only ever adds pixels between resets, XOR(prev, cur) isolates
 // exactly the pixels painted since prev — the trajectory of the
 // satellite serving the terminal in the newest slot (paper Fig. 3d).
-func XOR(prev, cur *Map) *Map {
-	out := &Map{}
-	for i := range out.pix {
-		out.pix[i] = prev.pix[i] != cur.pix[i]
-	}
-	return out
-}
+func XOR(prev, cur *Map) *Map { return XORInto(&Map{}, prev, cur) }
 
-// Pixels returns the coordinates of all set pixels in scan order.
-func (m *Map) Pixels() [][2]int {
-	var out [][2]int
-	for y := 0; y < Size; y++ {
-		for x := 0; x < Size; x++ {
-			if m.pix[y*Size+x] {
-				out = append(out, [2]int{x, y})
-			}
-		}
+// XORInto stores XOR(prev, cur) in dst and returns dst. dst may be
+// prev or cur.
+func XORInto(dst, prev, cur *Map) *Map {
+	for i := range dst.w {
+		dst.w[i] = prev.w[i] ^ cur.w[i]
 	}
-	return out
+	return dst
 }
 
 // Track converts the set pixels to sky directions ordered along the
@@ -219,23 +236,45 @@ func (m *Map) Pixels() [][2]int {
 // recovers the along-track order for the short, nearly straight arcs
 // a 15-second slot paints.
 func (m *Map) Track() []PolarPoint {
-	px := m.Pixels()
-	if len(px) == 0 {
-		return nil
+	var t Tracker
+	return t.AppendTrack(nil, m)
+}
+
+// Tracker holds Track's working memory, so a caller that extracts a
+// track every slot allocates nothing once its buffers have grown. The
+// zero value is ready to use; a Tracker is not safe for concurrent
+// use.
+type Tracker struct {
+	ps []proj
+}
+
+// proj is one set pixel and its position along the principal axis.
+type proj struct {
+	t    float64
+	x, y int
+}
+
+// AppendTrack appends m's Track to dst and returns the extended slice.
+func (tr *Tracker) AppendTrack(dst []PolarPoint, m *Map) []PolarPoint {
+	ps := tr.ps[:0]
+	m.eachPixel(func(x, y int) { ps = append(ps, proj{x: x, y: y}) })
+	tr.ps = ps
+	if len(ps) == 0 {
+		return dst
 	}
 	// Principal axis via the 2x2 covariance eigenvector.
 	var mx, my float64
-	for _, p := range px {
-		mx += float64(p[0])
-		my += float64(p[1])
+	for _, p := range ps {
+		mx += float64(p.x)
+		my += float64(p.y)
 	}
-	n := float64(len(px))
+	n := float64(len(ps))
 	mx /= n
 	my /= n
 	var sxx, sxy, syy float64
-	for _, p := range px {
-		dx := float64(p[0]) - mx
-		dy := float64(p[1]) - my
+	for _, p := range ps {
+		dx := float64(p.x) - mx
+		dy := float64(p.y) - my
 		sxx += dx * dx
 		sxy += dx * dy
 		syy += dy * dy
@@ -243,27 +282,21 @@ func (m *Map) Track() []PolarPoint {
 	// Leading eigenvector of [[sxx sxy][sxy syy]].
 	theta := 0.5 * math.Atan2(2*sxy, sxx-syy)
 	ux, uy := math.Cos(theta), math.Sin(theta)
-
-	type proj struct {
-		t float64
-		p [2]int
+	for i := range ps {
+		ps[i].t = (float64(ps[i].x)-mx)*ux + (float64(ps[i].y)-my)*uy
 	}
-	ps := make([]proj, len(px))
-	for i, p := range px {
-		ps[i] = proj{
-			t: (float64(p[0])-mx)*ux + (float64(p[1])-my)*uy,
-			p: p,
+	// Tied projections keep the order the sort itself gives them. They
+	// are finite, so cmp.Compare orders them as < does, and SortFunc
+	// makes the comparisons and swaps of the sort.Slice call that the
+	// recorded goldens came from (TestTrackTiesMatchOracle).
+	slices.SortFunc(ps, func(a, b proj) int { return cmp.Compare(a.t, b.t) })
+
+	for _, p := range ps {
+		if sky, ok := SkyOf(p.x, p.y); ok {
+			dst = append(dst, sky)
 		}
 	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].t < ps[j].t })
-
-	out := make([]PolarPoint, 0, len(ps))
-	for _, pr := range ps {
-		if sky, ok := SkyOf(pr.p[0], pr.p[1]); ok {
-			out = append(out, sky)
-		}
-	}
-	return out
+	return dst
 }
 
 // Params are the polar-plot parameters recovered from a filled map —
@@ -281,24 +314,10 @@ type Params struct {
 func RecoverParams(m *Map) (Params, error) {
 	minX, minY := Size, Size
 	maxX, maxY := -1, -1
-	for y := 0; y < Size; y++ {
-		for x := 0; x < Size; x++ {
-			if m.pix[y*Size+x] {
-				if x < minX {
-					minX = x
-				}
-				if x > maxX {
-					maxX = x
-				}
-				if y < minY {
-					minY = y
-				}
-				if y > maxY {
-					maxY = y
-				}
-			}
-		}
-	}
+	m.eachPixel(func(x, y int) {
+		minX, maxX = min(minX, x), max(maxX, x)
+		minY, maxY = min(minY, y), max(maxY, y)
+	})
 	if maxX < 0 {
 		return Params{}, fmt.Errorf("obstruction: empty map")
 	}
@@ -313,13 +332,7 @@ func RecoverParams(m *Map) (Params, error) {
 // same rendering the dish returns over gRPC.
 func (m *Map) Image() *image.Gray {
 	img := image.NewGray(image.Rect(0, 0, Size, Size))
-	for y := 0; y < Size; y++ {
-		for x := 0; x < Size; x++ {
-			if m.pix[y*Size+x] {
-				img.SetGray(x, y, color.Gray{Y: 255})
-			}
-		}
-	}
+	m.eachPixel(func(x, y int) { img.SetGray(x, y, color.Gray{Y: 255}) })
 	return img
 }
 
@@ -332,25 +345,29 @@ func (m *Map) EncodePNG(w io.Writer) error {
 }
 
 // MarshalBinary implements a compact 1-bit wire encoding used by the
-// dishrpc protocol.
+// dishrpc protocol: pixel i = y·Size+x is bit i%8 of byte i/8, which is
+// the map's words in little-endian byte order.
 func (m *Map) MarshalBinary() ([]byte, error) {
-	out := make([]byte, (Size*Size+7)/8)
-	for i, p := range m.pix {
-		if p {
-			out[i/8] |= 1 << (i % 8)
-		}
+	out := make([]byte, wireBytes)
+	for i := range out {
+		out[i] = byte(m.w[i/8] >> (8 * (i % 8)))
 	}
 	return out, nil
 }
 
-// UnmarshalBinary decodes the MarshalBinary format.
+// UnmarshalBinary decodes the MarshalBinary format. It rejects a
+// payload that sets any padding bit after the last pixel, which
+// MarshalBinary never writes.
 func (m *Map) UnmarshalBinary(data []byte) error {
-	want := (Size*Size + 7) / 8
-	if len(data) != want {
-		return fmt.Errorf("obstruction: binary map is %d bytes, want %d", len(data), want)
+	if len(data) != wireBytes {
+		return fmt.Errorf("obstruction: binary map is %d bytes, want %d", len(data), wireBytes)
 	}
-	for i := range m.pix {
-		m.pix[i] = data[i/8]&(1<<(i%8)) != 0
+	if data[wireBytes-1]>>tailBits != 0 {
+		return fmt.Errorf("obstruction: binary map sets padding bits (last byte %#02x)", data[wireBytes-1])
+	}
+	m.Reset()
+	for i, b := range data {
+		m.w[i/8] |= uint64(b) << (8 * (i % 8))
 	}
 	return nil
 }

@@ -178,13 +178,6 @@ func TestTrackOrdering(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func TestRecoverParams(t *testing.T) {
 	// Fill the full plot disk (two days of tracks) and recover.
 	m := New()
@@ -307,7 +300,14 @@ func angularDistDeg(a, b float64) float64 {
 }
 
 // Equal reports pixel-exact equality.
-func (m *Map) Equal(o *Map) bool { return m.pix == o.pix }
+func (m *Map) Equal(o *Map) bool { return m.w == o.w }
+
+// Pixels returns the coordinates of all set pixels in scan order.
+func (m *Map) Pixels() [][2]int {
+	var out [][2]int
+	m.eachPixel(func(x, y int) { out = append(out, [2]int{x, y}) })
+	return out
+}
 
 // DecodePNG reads a map from PNG data produced by EncodePNG (or any
 // image of the right size; pixels with luma >= 128 count as painted).

@@ -52,6 +52,11 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
+	return quantileSorted(s, q)
+}
+
+// quantileSorted is Quantile over ascending, non-empty s.
+func quantileSorted(s []float64, q float64) float64 {
 	if q <= 0 {
 		return s[0]
 	}
@@ -179,15 +184,18 @@ type ECDF struct {
 	sorted []float64
 }
 
-// NewECDF builds an ECDF from a sample (which it copies and sorts).
+// NewECDF builds an ECDF from a sample. It sorts xs in place and keeps
+// it: the caller hands the sample over.
 func NewECDF(xs []float64) (*ECDF, error) {
 	if len(xs) == 0 {
 		return nil, fmt.Errorf("%w: ecdf of empty sample", ErrTooFewSamples)
 	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return &ECDF{sorted: s}, nil
+	sort.Float64s(xs)
+	return &ECDF{sorted: xs}, nil
 }
+
+// Median returns the sample's median, as Median of the sample does.
+func (e *ECDF) Median() float64 { return quantileSorted(e.sorted, 0.5) }
 
 // At returns P(X <= x).
 func (e *ECDF) At(x float64) float64 {

@@ -207,9 +207,12 @@ func TestMannWhitneyUStatisticRange(t *testing.T) {
 }
 
 func TestECDF(t *testing.T) {
-	e, err := NewECDF([]float64{1, 2, 2, 3})
+	e, err := NewECDF([]float64{3, 2, 1, 2})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := e.Median(); got != 2 {
+		t.Errorf("Median = %v, want 2", got)
 	}
 	cases := []struct{ x, want float64 }{
 		{0.5, 0}, {1, 0.25}, {1.5, 0.25}, {2, 0.75}, {3, 1}, {9, 1},
@@ -236,6 +239,9 @@ func TestECDFMonotone(t *testing.T) {
 		}
 		e, err := NewECDF(xs)
 		if err != nil {
+			return false
+		}
+		if e.Median() != Median(xs) {
 			return false
 		}
 		pts := e.Points(30)
