@@ -172,7 +172,8 @@ func benchIdentifySlot(b *testing.B, brute bool) {
 		}
 	}
 	slotStart := env.Start().Add(scheduler.Period)
-	snap := env.Cons.Snapshot(slotStart)
+	snap := env.Snaps.Acquire(env.Cons, slotStart)
+	defer snap.Release()
 	matcher := &dtw.Matcher{}
 	orig := env.Ident.DisablePruning
 	env.Ident.DisablePruning = brute
@@ -216,12 +217,13 @@ func BenchmarkCandidateTracks(b *testing.B) {
 		}
 	}
 	slotStart := env.Start().Add(scheduler.Period)
-	snap := env.Cons.Snapshot(slotStart)
+	snap := env.Snaps.Acquire(env.Cons, slotStart)
+	defer snap.Release()
 	b.ReportAllocs()
 	b.ResetTimer()
 	var cands []dtw.Candidate
 	for i := 0; i < b.N; i++ {
-		cands, _ = env.Ident.CandidateTracksFromSnapshot(snap, vp, slotStart)
+		cands, _ = env.Ident.CandidateTracksFromSnapshot(snap.States, vp, slotStart)
 	}
 	samples := 0
 	for _, c := range cands {
@@ -238,13 +240,13 @@ func benchCampaign(b *testing.B, workers int) {
 	b.ReportAllocs()
 	var acc float64
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunCampaign(context.Background(), core.CampaignConfig{
+		res, err := core.RunCampaignStream(context.Background(), core.CampaignConfig{
 			Scheduler:  env.Sched,
 			Identifier: env.Ident,
 			Start:      env.Start(),
 			Slots:      12,
 			Workers:    workers,
-		})
+		}, discardRecords)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -252,6 +254,9 @@ func benchCampaign(b *testing.B, workers int) {
 	}
 	b.ReportMetric(acc*100, "acc%")
 }
+
+// discardRecords is the emit of a campaign timed for its engine alone.
+func discardRecords(core.SlotRecord) error { return nil }
 
 // BenchmarkCampaignSerial is the single-worker baseline for the
 // campaign engine.
@@ -277,14 +282,14 @@ func BenchmarkCampaignParallelTelemetry(b *testing.B) {
 	b.ReportAllocs()
 	var acc float64
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunCampaign(context.Background(), core.CampaignConfig{
+		res, err := core.RunCampaignStream(context.Background(), core.CampaignConfig{
 			Scheduler:  env.Sched,
 			Identifier: env.Ident,
 			Start:      env.Start(),
 			Slots:      12,
 			Workers:    4,
 			Metrics:    m,
-		})
+		}, discardRecords)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -485,8 +490,8 @@ func sampleLiveHeap(base uint64, peak *uint64) {
 // core.RunCampaignStream at 60 slots and at 10× that, in two emit
 // configurations: "stream" encodes served observations
 // record-at-a-time to a discarded JSONL stream and keeps only the
-// engine's stats, "batch" materializes every record and observation
-// the way CampaignResult does. Both sample the live heap
+// engine's stats, "batch" keeps a copy of every record and served
+// observation. Both sample the live heap
 // (forced GC) at the same fixed cadence as records flow and once
 // after the run with results still reachable. final_live_MB is the
 // headline: flat across the 10× jump for stream — it holds one slot of
@@ -532,13 +537,13 @@ func BenchmarkCampaignMemory(b *testing.B) {
 				n := 0
 				var recs []core.SlotRecord
 				var obs []core.Observation
-				enc := traceio.NewObservationEncoder(io.Discard)
+				enc := traceio.NewEncoder[core.Observation](io.Discard)
 				st, err := core.RunCampaignStream(context.Background(), cfg, func(rec core.SlotRecord) error {
 					if n++; n%every == 0 {
 						sampleLiveHeap(base.HeapAlloc, &peak)
 					}
 					if tc.mode == "batch" {
-						rec = rec.Clone()
+						rec.Observation = rec.Observation.Clone()
 						recs = append(recs, rec)
 						if rec.ChosenIdx >= 0 {
 							obs = append(obs, rec.Observation)

@@ -136,7 +136,7 @@ func main() {
 	opt.set = make(map[string]bool)
 	flag.Visit(func(f *flag.Flag) { opt.set[f.Name] = true })
 	// Ctrl-C aborts the campaign loop cleanly: the context threads down
-	// into core.RunCampaign, which discards the partial run and returns.
+	// into core.RunCampaignStream, which stops the stream and returns.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	// A scenario carries its own analyses, so with -scenario the
@@ -229,7 +229,7 @@ func runDist(ctx context.Context, opt options, reg *telemetry.Registry, scn *sce
 			return err
 		}
 		cfg.Metrics = core.NewCampaignMetrics(reg)
-		enc := traceio.NewRecordEncoder(out)
+		enc := traceio.NewEncoder[core.SlotRecord](out)
 		stats, err := core.RunCampaignStream(ctx, cfg, func(rec core.SlotRecord) error {
 			return enc.Encode(&rec)
 		})
@@ -570,7 +570,7 @@ func (r *runner) observe() error {
 		defer f.Close()
 		// Replay the trace record by record: a multi-gigabyte capture
 		// decodes in O(1) memory beyond what the consumers gather.
-		dec := traceio.NewObservationDecoder(f)
+		dec := traceio.NewDecoder[core.Observation](f)
 		total, served := 0, 0
 		for {
 			if err := r.ctx.Err(); err != nil {
@@ -599,7 +599,7 @@ func (r *runner) observe() error {
 		return nil
 	}
 	var save *os.File
-	var enc *traceio.ObservationEncoder
+	var enc *traceio.Encoder[core.Observation]
 	if r.save != "" {
 		var err error
 		if save, err = os.Create(r.save); err != nil {
@@ -607,7 +607,7 @@ func (r *runner) observe() error {
 		}
 		defer save.Close() // error paths; the success path checks Close
 		// The file fills as the campaign runs, with no buffering.
-		enc = traceio.NewObservationEncoder(save)
+		enc = traceio.NewEncoder[core.Observation](save)
 		feed = append(feed, func(o core.Observation) error { return enc.Encode(&o) })
 	}
 	st, err := r.env.StreamObservations(r.built.Slots, feed...)
@@ -833,7 +833,9 @@ func (r *runner) ident() error {
 		if err != nil {
 			return err
 		}
-		cands := env.Ident.CandidatePolarTracks(term.VantagePoint, slot)
+		snap := env.Snaps.Acquire(env.Cons, slot)
+		cands, dropped := env.Ident.CandidatePolarTracks(snap, term.VantagePoint, slot)
+		snap.Release()
 		plot, err := skyplot.Validation(400, observed, cands, a.SatID)
 		if err != nil {
 			return err
@@ -843,6 +845,9 @@ func (r *runner) ident() error {
 			return err
 		}
 		fmt.Printf("wrote %s (%d candidate tracks, winner %d highlighted)\n", path, len(cands), a.SatID)
+		if dropped > 0 {
+			fmt.Printf("%d in-view candidates left out of the plot: propagation failed mid-slot\n", dropped)
+		}
 	}
 	res, err := env.IdentValidation(slots, false)
 	if err != nil {

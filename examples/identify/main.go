@@ -60,8 +60,12 @@ func main() {
 			log.Fatal(err)
 		}
 
-		// §4: XOR + pixel decode + DTW match, using only public data.
-		ident, err := env.Ident.IdentifyFromMaps(prev, dish, iowa.VantagePoint, slot, nil, nil)
+		// §4: XOR + pixel decode + DTW match, using only public data,
+		// against the slot's snapshot of the public TLEs (the one the
+		// scheduler just propagated, shared through the cache).
+		snap := env.Snaps.Acquire(env.Cons, slot)
+		ident, err := env.Ident.IdentifyFromMaps(prev, dish, iowa.VantagePoint, slot, snap, nil)
+		snap.Release()
 		if err != nil {
 			fmt.Printf("slot %2d: identification failed: %v\n", i, err)
 			continue
@@ -94,7 +98,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cands := env.Ident.CandidatePolarTracks(iowa.VantagePoint, slot)
+		snap := env.Snaps.Acquire(env.Cons, slot)
+		cands, dropped := env.Ident.CandidatePolarTracks(snap, iowa.VantagePoint, slot)
+		snap.Release()
+		if dropped > 0 {
+			fmt.Printf("%d in-view candidates left out: propagation failed mid-slot\n", dropped)
+		}
 		plot, err := skyplot.Validation(400, observed, cands, lastAlloc.SatID)
 		if err != nil {
 			log.Fatal(err)
@@ -114,7 +123,7 @@ func main() {
 	// resets, and reports the §4 validation numbers.
 	cfg := env.CampaignConfig(50, false)
 	cfg.Start = start.Add(time.Hour)
-	res, err := core.RunCampaign(context.Background(), cfg)
+	res, err := core.RunCampaignStream(context.Background(), cfg, func(core.SlotRecord) error { return nil })
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/features"
+	"repro/internal/predict"
 	"repro/internal/scenario"
 )
 
@@ -76,11 +77,25 @@ func main() {
 	}
 	fmt.Println("\n(paper: 65% top-5 vs 22% baseline; high-AOE clusters and local_hour dominate)")
 
-	// Use the trained model the way a downstream system would: predict
-	// the characteristics of the allocation from the available set.
-	pred, err := core.PredictAllocation(res.Forest, o)
+	// Use the trained model the way a downstream system would: serve
+	// it as predictd does and rank the clusters of the example slot's
+	// available set, most likely first.
+	svc, err := predict.NewService(predict.Config{})
 	if err != nil {
 		log.Fatal(err)
+	}
+	if err := svc.SetModel(res.Forest); err != nil {
+		log.Fatal(err)
+	}
+	sc := predict.NewScratch()
+	if _, err := svc.Rank(o.LocalHour, o.AppendSats(nil), sc); err != nil {
+		log.Fatal(err)
+	}
+	var pred [3]features.Key
+	for i := range pred {
+		if pred[i], err = features.KeyFromIndex(sc.Ranked()[i]); err != nil {
+			log.Fatal(err)
+		}
 	}
 	fmt.Printf("\npredicted top-3 clusters for the example slot: %s %s %s (chosen: %s)\n", pred[0], pred[1], pred[2], key)
 }

@@ -35,8 +35,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// A snapshot cache propagates the constellation once per instant
+	// and answers field-of-view queries from its spatial index.
 	at := cons.Epoch.Add(time.Hour)
-	fov := cons.FieldOfView(iowa.Location, at, 25)
+	snap := constellation.NewSnapshotCache(0, nil).Acquire(cons, at)
+	fov := snap.AppendObserveFrom(nil, iowa.Location, 25, false)
+	snap.Release()
 	fmt.Printf("satellites above 25 degrees at %s: %d\n", iowa.Name, len(fov))
 	if len(fov) > 0 {
 		best := fov[0]

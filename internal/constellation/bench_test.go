@@ -31,7 +31,7 @@ func benchCons(b *testing.B) *Constellation {
 // constellation. "fresh" allocates the state slice every iteration the
 // way a cold cache miss does; "warm" reuses the buffer the way the
 // pooled SnapshotCache steady state does — the warm variant is the
-// 0 allocs/op acceptance path (TestSnapshotIntoZeroAlloc proves the
+// 0 allocs/op acceptance path (TestSnapshotSweepZeroAlloc proves the
 // invariant on a small constellation; this records the cost at scale).
 func BenchmarkSnapshot(b *testing.B) {
 	cons := benchCons(b)
@@ -39,18 +39,18 @@ func BenchmarkSnapshot(b *testing.B) {
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if states, _ := cons.SnapshotInto(nil, at, 1); len(states) == 0 {
+			if states, _ := cons.sweep(nil, nil, at, 1, nil); len(states) == 0 {
 				b.Fatal("empty snapshot")
 			}
 		}
 		reportSatsPerSec(b, cons)
 	})
 	b.Run("warm", func(b *testing.B) {
-		buf, _ := cons.SnapshotInto(nil, at, 1)
+		buf, _ := cons.sweep(nil, nil, at, 1, nil)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			buf, _ = cons.SnapshotInto(buf, at, 1)
+			buf, _ = cons.sweep(buf, nil, at, 1, nil)
 		}
 		reportSatsPerSec(b, cons)
 	})
@@ -58,7 +58,7 @@ func BenchmarkSnapshot(b *testing.B) {
 
 // BenchmarkSnapshotParallel sweeps the worker-pool fan-out at several
 // widths against the same warm buffer; output is byte-identical to the
-// serial sweep at every width (TestSnapshotIntoWorkerIdentity).
+// serial sweep at every width (TestSnapshotSweepWorkerIdentity).
 // Compare ns/op against BenchmarkSnapshot/warm for the speedup — on a
 // single-core host the wider variants only add coordination overhead,
 // so record the sweep on a multi-core machine for the real curve.
@@ -67,11 +67,11 @@ func BenchmarkSnapshotParallel(b *testing.B) {
 	at := cons.Epoch.Add(45 * time.Minute)
 	for _, workers := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			buf, _ := cons.SnapshotInto(nil, at, workers)
+			buf, _ := cons.sweep(nil, nil, at, workers, nil)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				buf, _ = cons.SnapshotInto(buf, at, workers)
+				buf, _ = cons.sweep(buf, nil, at, workers, nil)
 			}
 			reportSatsPerSec(b, cons)
 		})
@@ -89,7 +89,7 @@ func reportSatsPerSec(b *testing.B, cons *Constellation) {
 // reused) — the steady-state slot path through SharedSnapshot.Index.
 func BenchmarkSnapshotIndexRebuild(b *testing.B) {
 	cons := benchCons(b)
-	snap := cons.Snapshot(cons.Epoch.Add(45 * time.Minute))
+	snap := fullSnapshot(cons, cons.Epoch.Add(45*time.Minute))
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

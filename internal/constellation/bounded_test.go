@@ -127,10 +127,12 @@ func TestBoundedSnapshotMatchesFullSweep(t *testing.T) {
 			if name == "starlink-full" {
 				runLen = 10
 			}
+			fullCache := constellation.NewSnapshotCache(1, nil)
 			propagated, total := 0, 0
 			for _, at := range boundedInstants(bounded.Epoch.Add(time.Hour), runLen) {
 				shared := cache.Acquire(bounded, at)
-				ref, refSkipped := full.SnapshotSkipped(at)
+				fullSnap := fullCache.Acquire(full, at)
+				ref, refSkipped := fullSnap.States, fullSnap.Skipped()
 				if shared.Skipped() != refSkipped {
 					t.Fatalf("%s kepler=%v %v: skipped %d, full sweep %d", name, kepler, at, shared.Skipped(), refSkipped)
 				}
@@ -163,6 +165,7 @@ func TestBoundedSnapshotMatchesFullSweep(t *testing.T) {
 				propagated += len(shared.States) + shared.Skipped()
 				total += bounded.Len()
 				shared.Release()
+				fullSnap.Release()
 			}
 			gotTotal, gotBy := bounded.PropagationSkips()
 			wantTotal, wantBy := full.PropagationSkips()
@@ -252,11 +255,13 @@ func TestSnapshotCacheConcurrentAcquire(t *testing.T) {
 	start := bounded.Epoch.Add(time.Hour)
 	const goroutines, slots = 4, 30
 	want := make([][][]constellation.Visible, slots)
+	fullCache := constellation.NewSnapshotCache(1, nil)
 	for k := range want {
-		ref := full.Snapshot(start.Add(time.Duration(k) * 15 * time.Second))
+		ref := fullCache.Acquire(full, start.Add(time.Duration(k)*15*time.Second))
 		for _, s := range sights {
-			want[k] = append(want[k], constellation.ObserveFrom(s.Site, ref, s.MinElevDeg))
+			want[k] = append(want[k], constellation.ObserveFrom(s.Site, ref.States, s.MinElevDeg))
 		}
+		ref.Release()
 	}
 	cache := constellation.NewSnapshotCache(2, nil, sights...)
 	var wg sync.WaitGroup

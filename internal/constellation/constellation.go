@@ -195,7 +195,7 @@ type Constellation struct {
 
 	posOnce sync.Once // see assignPositions
 
-	// Propagation-skip accounting (see Snapshot / PropagationSkips).
+	// Propagation-skip accounting (see PropagationSkips).
 	// Touched only on the failure path, so healthy constellations never
 	// contend on the mutex.
 	skipMu    sync.Mutex
@@ -376,25 +376,6 @@ type SatState struct {
 	Sunlit bool
 }
 
-// Snapshot propagates the whole constellation once for time t.
-// Satellites whose propagation fails (decayed/stale elements) are
-// skipped, mirroring how a TLE pipeline tolerates bad elements — but
-// counted, not silently dropped: SnapshotSkipped returns the per-call
-// skip count and PropagationSkips accumulates the running total plus
-// the first error per distinct failing satellite. Use ObserveFrom to
-// query the same snapshot from several observers without
-// re-propagating.
-func (c *Constellation) Snapshot(t time.Time) []SatState {
-	out, _ := c.SnapshotSkipped(t)
-	return out
-}
-
-// SnapshotSkipped is Snapshot plus the number of satellites dropped
-// from this snapshot because their propagation failed.
-func (c *Constellation) SnapshotSkipped(t time.Time) ([]SatState, int) {
-	return c.SnapshotInto(nil, t, 0)
-}
-
 // snapshotChunk is the unit of work a snapshot worker claims at a
 // time: large enough that the atomic claim is noise, small enough that
 // the tail of the sweep stays balanced across workers.
@@ -444,14 +425,6 @@ type snapSkip struct {
 	idx int
 	id  int
 	msg string
-}
-
-// SnapshotInto is SnapshotSkipped writing into dst (grown as needed —
-// pass a recycled slice to make the steady-state slot loop
-// allocation-free) with an explicit worker count. It is the sweep with
-// no validity windows: every satellite is propagated.
-func (c *Constellation) SnapshotInto(dst []SatState, t time.Time, workers int) ([]SatState, int) {
-	return c.sweep(dst, nil, t, workers, nil)
 }
 
 // sweepJob is one snapshot sweep's inputs: the slot-invariant work —
@@ -506,10 +479,16 @@ func (j *sweepJob) run(lo, hi int, skips []snapSkip) []snapSkip {
 	return skips
 }
 
-// sweep is the one snapshot loop. Every satellite the windows w cannot
-// vouch for at t is propagated and lands in the returned states, in
-// constellation order; a nil w propagates all of them. sunlit, when
-// non-nil, receives every satellite's sunlit state. With workers > 1
+// sweep is the one snapshot loop, run by SnapshotCache.Acquire. Every
+// satellite the windows w cannot vouch for at t is propagated and
+// lands in the returned states, in constellation order; a nil w
+// propagates all of them. A satellite whose propagation fails
+// (decayed or stale elements) is left out, as a TLE pipeline tolerates
+// bad elements, but counted: the second return is the number left out,
+// and PropagationSkips keeps the running total and each satellite's
+// first error. dst is grown as needed; a recycled dst keeps the
+// steady-state sweep allocation-free. sunlit, when non-nil, receives
+// every satellite's sunlit state. With workers > 1
 // the sweep fans out over a bounded pool that writes by satellite
 // index, so states, order, windows, skip counts and per-satellite
 // first-error text are byte-identical at every worker count.
@@ -713,12 +692,6 @@ func sortVisible(out []Visible) {
 		}
 		return a.Sat.ID - b.Sat.ID
 	})
-}
-
-// FieldOfView returns all satellites above minElevDeg for the observer
-// at time t, sorted by descending elevation.
-func (c *Constellation) FieldOfView(obs astro.Geodetic, t time.Time, minElevDeg float64) []Visible {
-	return ObserveFrom(obs, c.Snapshot(t), minElevDeg)
 }
 
 // ExportTLEs renders the whole constellation in CelesTrak 3-line

@@ -127,8 +127,9 @@ func TestFieldOfViewBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	obs := astro.Geodetic{LatDeg: 41.66, LonDeg: -91.53, AltKm: 0.2} // Iowa
-	when := c.Epoch.Add(2 * time.Hour)
-	fov := c.FieldOfView(obs, when, 25)
+	snap := NewSnapshotCache(0, nil).Acquire(c, c.Epoch.Add(2*time.Hour))
+	defer snap.Release()
+	fov := snap.AppendObserveFrom(nil, obs, 25, false)
 	for i, v := range fov {
 		if v.Look.ElevationDeg < 25 {
 			t.Errorf("entry %d below mask: %v", i, v.Look.ElevationDeg)
@@ -142,7 +143,7 @@ func TestFieldOfViewBasics(t *testing.T) {
 	}
 	// A 120-sat mini constellation: typically 0-4 in view. Lowering the
 	// mask must not shrink the set.
-	fov0 := c.FieldOfView(obs, when, 0)
+	fov0 := snap.AppendObserveFrom(nil, obs, 0, false)
 	if len(fov0) < len(fov) {
 		t.Errorf("mask 0 gives %d < mask 25 gives %d", len(fov0), len(fov))
 	}
@@ -157,11 +158,13 @@ func TestFieldOfViewFullConstellationAverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	obs := astro.Geodetic{LatDeg: 41.66, LonDeg: -91.53, AltKm: 0.2}
+	cache := NewSnapshotCache(0, nil)
 	total := 0
 	n := 0
 	for i := 0; i < 8; i++ {
-		when := c.Epoch.Add(time.Duration(i) * 13 * time.Minute)
-		total += len(c.FieldOfView(obs, when, 25))
+		snap := cache.Acquire(c, c.Epoch.Add(time.Duration(i)*13*time.Minute))
+		total += len(snap.AppendObserveFrom(nil, obs, 25, false))
+		snap.Release()
 		n++
 	}
 	avg := float64(total) / float64(n)

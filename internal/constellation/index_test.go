@@ -99,7 +99,7 @@ func TestIndexMatchesLinearScanWalker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := c.Snapshot(c.Epoch.Add(30 * time.Minute))
+	snap := fullSnapshot(c, c.Epoch.Add(30*time.Minute))
 	ix := NewSnapshotIndex(snap)
 	observers := []astro.Geodetic{
 		{LatDeg: 47.6, LonDeg: -122.3},
@@ -337,7 +337,7 @@ func TestIndexNonStarlinkShellAltitudes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap := c.Snapshot(c.Epoch.Add(45 * time.Minute))
+		snap := fullSnapshot(c, c.Epoch.Add(45*time.Minute))
 		if len(snap) != c.Len() {
 			t.Fatalf("%s: snapshot dropped satellites (%d of %d)", d.name, len(snap), c.Len())
 		}

@@ -62,7 +62,7 @@ type SharedSnapshot struct {
 }
 
 // Skipped returns how many satellites this snapshot dropped because
-// propagation failed (see Constellation.SnapshotSkipped).
+// propagation failed (see Constellation.PropagationSkips).
 func (s *SharedSnapshot) Skipped() int { return s.skipped }
 
 // Index returns the snapshot's spatial index, building it on first use

@@ -12,7 +12,7 @@ import (
 )
 
 // parallelConfig builds a constellation spanning several worker chunks
-// (648 satellites > 2 × snapshotChunk), so SnapshotInto's fan-out path
+// (648 satellites > 2 × snapshotChunk), so the sweep's fan-out path
 // actually engages — smallConfig's 120 satellites resolve to a serial
 // sweep at any worker count.
 func parallelConfig() Config {
@@ -23,6 +23,13 @@ func parallelConfig() Config {
 		},
 		Seed: 3,
 	}
+}
+
+// fullSnapshot propagates every satellite of c at t: the sweep a
+// SnapshotCache with no sights runs on a miss.
+func fullSnapshot(c *Constellation, t time.Time) []SatState {
+	states, _ := c.sweep(nil, nil, t, 1, nil)
+	return states
 }
 
 // snapshotRun is one worker count's observable output: the states plus
@@ -43,16 +50,16 @@ func runSnapshot(t *testing.T, workers int, at time.Duration, failIdx []int) sna
 	for _, i := range failIdx {
 		cons.Sats[i].Propagator = failEph{epoch: cons.Epoch}
 	}
-	states, skipped := cons.SnapshotInto(nil, cons.Epoch.Add(at), workers)
+	states, skipped := cons.sweep(nil, nil, cons.Epoch.Add(at), workers, nil)
 	total, bySat := cons.PropagationSkips()
 	return snapshotRun{states: states, skipped: skipped, total: total, bySat: bySat}
 }
 
-// TestSnapshotIntoWorkerIdentity is the golden byte-identity check:
+// TestSnapshotSweepWorkerIdentity is the golden byte-identity check:
 // states (values, order, float bits), skip totals, and per-satellite
 // first-error text must be identical at every worker count, including
 // with failing propagators scattered across chunks.
-func TestSnapshotIntoWorkerIdentity(t *testing.T) {
+func TestSnapshotSweepWorkerIdentity(t *testing.T) {
 	failIdx := []int{5, 300, 640}
 	golden := runSnapshot(t, 1, 30*time.Minute, failIdx)
 	if golden.skipped != len(failIdx) || golden.total != int64(len(failIdx)) {
@@ -88,24 +95,24 @@ func TestSnapshotIntoWorkerIdentity(t *testing.T) {
 	}
 }
 
-// TestSnapshotIntoZeroAlloc: the steady-state serial slot path — a
+// TestSnapshotSweepZeroAlloc: the steady-state serial slot path — a
 // warm reused buffer, scratch-capable propagators — allocates nothing.
-func TestSnapshotIntoZeroAlloc(t *testing.T) {
+func TestSnapshotSweepZeroAlloc(t *testing.T) {
 	cons, err := New(smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	at := cons.Epoch.Add(time.Hour)
-	buf, _ := cons.SnapshotInto(nil, at, 1)
+	buf, _ := cons.sweep(nil, nil, at, 1, nil)
 	first := &buf[0]
 	allocs := testing.AllocsPerRun(10, func() {
-		buf, _ = cons.SnapshotInto(buf, at, 1)
+		buf, _ = cons.sweep(buf, nil, at, 1, nil)
 	})
 	if allocs != 0 {
-		t.Fatalf("warm serial SnapshotInto allocates %v per run, want 0", allocs)
+		t.Fatalf("warm serial sweep allocates %v per run, want 0", allocs)
 	}
 	if &buf[0] != first {
-		t.Fatal("warm SnapshotInto abandoned its reusable backing array")
+		t.Fatal("warm sweep abandoned its reusable backing array")
 	}
 }
 
@@ -158,11 +165,11 @@ func TestSnapshotCachePoolRecycle(t *testing.T) {
 func TestSnapshotIndexRebuildReusesCells(t *testing.T) {
 	cons := testCons(t)
 	t0 := cons.Epoch.Add(time.Hour)
-	snap1 := cons.Snapshot(t0)
+	snap1 := fullSnapshot(cons, t0)
 	ix := NewSnapshotIndex(snap1)
 	startBefore, idxBefore := &ix.start[0], &ix.idx[0]
 
-	snap2 := cons.Snapshot(t0.Add(5 * time.Minute))
+	snap2 := fullSnapshot(cons, t0.Add(5*time.Minute))
 	ix.Rebuild(snap2)
 	if &ix.start[0] != startBefore {
 		t.Fatal("Rebuild with unchanged grid dims reallocated the cell offsets")
@@ -210,7 +217,7 @@ func TestSatellitePositions(t *testing.T) {
 		sats = append(sats, &Satellite{ID: id, Propagator: built.Sats[0].Propagator})
 	}
 	hand := &Constellation{Sats: sats, Epoch: built.Epoch}
-	for i, st := range hand.Snapshot(built.Epoch) {
+	for i, st := range fullSnapshot(hand, built.Epoch) {
 		if st.Sat.Pos() != i {
 			t.Fatalf("hand-built: satellite %d at index %d has Pos %d", st.Sat.ID, i, st.Sat.Pos())
 		}

@@ -39,7 +39,7 @@ func serialBytes(t *testing.T, spec CampaignSpec) []byte {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	enc := traceio.NewRecordEncoder(&buf)
+	enc := traceio.NewEncoder[core.SlotRecord](&buf)
 	if _, err := core.RunCampaignStream(context.Background(), cfg, func(rec core.SlotRecord) error {
 		return enc.Encode(&rec)
 	}); err != nil {
@@ -206,7 +206,7 @@ func TestCoordinatorWorkerDeath(t *testing.T) {
 
 func decodeAll(t *testing.T, r io.Reader) []core.SlotRecord {
 	t.Helper()
-	dec := traceio.NewRecordDecoder(r)
+	dec := traceio.NewDecoder[core.SlotRecord](r)
 	var out []core.SlotRecord
 	for {
 		rec, err := dec.Next()
@@ -438,7 +438,7 @@ func TestFetchStaysWithinFrame(t *testing.T) {
 	}
 
 	var out bytes.Buffer
-	enc := traceio.NewRecordEncoder(&out)
+	enc := traceio.NewEncoder[core.SlotRecord](&out)
 	fetches, records := 0, 0
 	for {
 		res, err := w.Handle("coord_fetch", json.RawMessage(`{"shard":0}`))

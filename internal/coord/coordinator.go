@@ -80,7 +80,7 @@ type shardState struct {
 	// becomes visible to the merger — "acked" means durable.
 	file        *os.File
 	cw          *countingWriter
-	enc         *traceio.RecordEncoder
+	enc         *traceio.Encoder[core.SlotRecord]
 	boundaryOff int64 // byte offset at the last complete-slot boundary
 
 	mu     sync.Mutex
@@ -206,9 +206,9 @@ func (c *Coordinator) Run(ctx context.Context) (*Result, error) {
 	defer wg.Wait()
 	defer cancel() // on a merge error, release shard goroutines first
 
-	var enc *traceio.RecordEncoder
+	var enc *traceio.Encoder[core.SlotRecord]
 	if c.Out != nil {
-		enc = traceio.NewRecordEncoder(c.Out)
+		enc = traceio.NewEncoder[core.SlotRecord](c.Out)
 	}
 	for slot := 0; slot < c.Spec.Slots; slot++ {
 		for _, s := range shards {
@@ -262,7 +262,7 @@ func (c *Coordinator) openJournal(s *shardState, res *Result) error {
 	if err != nil {
 		return fmt.Errorf("coord: open journal: %w", err)
 	}
-	dec := traceio.NewRecordDecoder(f)
+	dec := traceio.NewDecoder[core.SlotRecord](f)
 	dec.TolerateTruncatedTail()
 	var recs []core.SlotRecord
 	var boundary int64
@@ -291,7 +291,7 @@ func (c *Coordinator) openJournal(s *shardState, res *Result) error {
 	}
 	s.file = f
 	s.cw = &countingWriter{f: f, n: boundary}
-	s.enc = traceio.NewRecordEncoder(s.cw)
+	s.enc = traceio.NewEncoder[core.SlotRecord](s.cw)
 	s.boundaryOff = boundary
 	s.queue = recs[:acked]
 	s.pushed = acked
@@ -510,7 +510,7 @@ func (s *shardState) trimToBoundary() {
 		s.file.Truncate(s.boundaryOff)
 		s.file.Seek(s.boundaryOff, io.SeekStart)
 		s.cw.n = s.boundaryOff
-		s.enc = traceio.NewRecordEncoder(s.cw)
+		s.enc = traceio.NewEncoder[core.SlotRecord](s.cw)
 	}
 }
 

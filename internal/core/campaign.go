@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -132,55 +131,6 @@ type SlotRecord struct {
 	SkipReason string
 }
 
-// CampaignResult aggregates a run.
-type CampaignResult struct {
-	Records []SlotRecord
-	// Identification validation (non-oracle runs).
-	Attempted, Correct, Failed int
-	// Skips histograms the non-empty SkipReasons across Records.
-	Skips map[string]int
-}
-
-// Accuracy returns the identification accuracy over attempted slots.
-func (r *CampaignResult) Accuracy() float64 {
-	if r.Attempted == 0 {
-		return 0
-	}
-	return float64(r.Correct) / float64(r.Attempted)
-}
-
-// RunCampaign executes the campaign and materializes every record —
-// the batch entry point, now a thin wrapper over RunCampaignStream
-// (which long campaigns should use directly: it runs in O(1) memory
-// in the slot count). Long campaigns are cancellable through ctx; on
-// cancellation the partial result is discarded and ctx's error
-// returned.
-func RunCampaign(ctx context.Context, cfg CampaignConfig) (*CampaignResult, error) {
-	res := &CampaignResult{}
-	if cfg.Slots > 0 && cfg.Scheduler != nil {
-		res.Records = make([]SlotRecord, 0, cfg.Slots*len(cfg.Scheduler.Terminals()))
-	}
-	stats, err := RunCampaignStream(ctx, cfg, func(rec SlotRecord) error {
-		res.Records = append(res.Records, rec.Clone())
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Attempted = stats.Attempted
-	res.Correct = stats.Correct
-	res.Failed = stats.Failed
-	res.Skips = stats.Skips
-	return res, nil
-}
-
-// Clone returns a copy of r that owns its Available array, for a
-// consumer that keeps a record past its emit call.
-func (r SlotRecord) Clone() SlotRecord {
-	r.Observation = r.Observation.Clone()
-	return r
-}
-
 // slotScratch is per-worker reusable buffer space for the slot loop:
 // the field-of-view sweep appends into fov instead of growing a fresh
 // slice per (slot, terminal) cell, the §4 extraction traces the XOR
@@ -266,9 +216,8 @@ func (wk *campaignWorker) runSlotTerminal(cfg *CampaignConfig, term scheduler.Te
 			rec.SkipReason = err.Error()
 			break
 		}
-		// Identify over the field of view already in scratch.fov: by
-		// the SnapshotIndex contract it is IdentifyFromMaps's
-		// linear scan of shared.States, set, order and floats.
+		// Identify over the field of view already in scratch.fov, the
+		// one IdentifyFromMaps queries from the same snapshot.
 		diff := obstruction.XORInto(&wk.diff, &wk.prev, m)
 		ident, err := cfg.Identifier.identify(scratch, diff, term.VantagePoint, slotStart, &wk.matcher)
 		if err != nil {

@@ -35,12 +35,12 @@ func campaignCfg(t *testing.T, seed int64, workers int, oracle bool) CampaignCon
 func TestParallelCampaignMatchesSerial(t *testing.T) {
 	setupFixture(t)
 	for _, oracle := range []bool{true, false} {
-		serial, err := RunCampaign(context.Background(), campaignCfg(t, 99, 1, oracle))
+		serial, err := runCampaign(context.Background(), campaignCfg(t, 99, 1, oracle))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 3, 4, 8} {
-			par, err := RunCampaign(context.Background(), campaignCfg(t, 99, workers, oracle))
+			par, err := runCampaign(context.Background(), campaignCfg(t, 99, workers, oracle))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,7 +71,7 @@ func TestCampaignCancellation(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		res, err := RunCampaign(ctx, campaignCfg(t, 5, workers, true))
+		res, err := runCampaign(ctx, campaignCfg(t, 5, workers, true))
 		if err != context.Canceled {
 			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
@@ -90,7 +90,7 @@ func TestCampaignMidRunCancellation(t *testing.T) {
 	cfg.Slots = 200
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunCampaign(ctx, cfg)
+		_, err := runCampaign(ctx, cfg)
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond)
@@ -131,7 +131,7 @@ func TestSlotStepZeroAlloc(t *testing.T) {
 			snap.Release()
 			continue
 		}
-		want := rec.Clone()
+		want := keep(rec)
 		step := func() {
 			*dish = before
 			wk.runSlotTerminal(&cfg, term, dish, &rec, slotStart, snap, alloc)

@@ -58,7 +58,7 @@ func setupFixture(t testing.TB) {
 		if err != nil {
 			panic(err)
 		}
-		res, err := RunCampaign(context.Background(), CampaignConfig{
+		res, err := runCampaign(context.Background(), CampaignConfig{
 			Scheduler:  sched,
 			Identifier: ident,
 			Start:      cons.Epoch.Add(time.Hour),
@@ -80,13 +80,13 @@ func setupFixture(t testing.TB) {
 
 func TestCampaignValidation(t *testing.T) {
 	setupFixture(t)
-	if _, err := RunCampaign(context.Background(), CampaignConfig{}); err == nil {
+	if _, err := runCampaign(context.Background(), CampaignConfig{}); err == nil {
 		t.Error("nil scheduler accepted")
 	}
-	if _, err := RunCampaign(context.Background(), CampaignConfig{Scheduler: fixture.sched}); err == nil {
+	if _, err := runCampaign(context.Background(), CampaignConfig{Scheduler: fixture.sched}); err == nil {
 		t.Error("nil identifier accepted")
 	}
-	if _, err := RunCampaign(context.Background(), CampaignConfig{Scheduler: fixture.sched, Identifier: fixture.ident}); err == nil {
+	if _, err := runCampaign(context.Background(), CampaignConfig{Scheduler: fixture.sched, Identifier: fixture.ident}); err == nil {
 		t.Error("zero slots accepted")
 	}
 }
@@ -124,7 +124,7 @@ func TestOracleObservationsShape(t *testing.T) {
 // (the paper's pilot study agreed with manual inspection >99%).
 func TestIdentificationAccuracy(t *testing.T) {
 	setupFixture(t)
-	res, err := RunCampaign(context.Background(), CampaignConfig{
+	res, err := runCampaign(context.Background(), CampaignConfig{
 		Scheduler:  mustScheduler(t, fixture.cons, 77),
 		Identifier: fixture.ident,
 		Start:      fixture.cons.Epoch.Add(2 * time.Hour),
@@ -287,8 +287,11 @@ func TestModelBeatsBaseline(t *testing.T) {
 func TestCandidatePolarTracks(t *testing.T) {
 	setupFixture(t)
 	vp := fixture.sched.Terminals()[0].VantagePoint
-	start := fixture.cons.Epoch.Add(3 * time.Hour)
-	tracks := fixture.ident.CandidatePolarTracks(vp, scheduler.EpochStart(start))
+	start := scheduler.EpochStart(fixture.cons.Epoch.Add(3 * time.Hour))
+	tracks, dropped := fixture.ident.CandidatePolarTracks(snapshotAt(fixture.cons, start), vp, start)
+	if dropped != 0 {
+		t.Fatalf("healthy constellation dropped %d tracks", dropped)
+	}
 	if len(tracks) == 0 {
 		t.Fatal("no candidate tracks")
 	}
@@ -304,44 +307,37 @@ func TestCandidatePolarTracks(t *testing.T) {
 	}
 }
 
-func TestPredictAllocation(t *testing.T) {
-	setupFixture(t)
-	d, err := BuildDataset(fixture.obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := TrainModel(d, ModelConfig{
-		Folds: 3,
-		Grid:  []ml.ForestConfig{{NumTrees: 10, Tree: ml.TreeConfig{MaxDepth: 8}}},
-		Seed:  5,
+// campaignRun is a campaign's records, each kept past its emit call,
+// and the engine's stats.
+type campaignRun struct {
+	Records []SlotRecord
+	*CampaignStats
+}
+
+// runCampaign runs cfg through RunCampaignStream and keeps every
+// record.
+func runCampaign(ctx context.Context, cfg CampaignConfig) (*campaignRun, error) {
+	res := &campaignRun{}
+	st, err := RunCampaignStream(ctx, cfg, func(rec SlotRecord) error {
+		res.Records = append(res.Records, keep(rec))
+		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	keys, err := PredictAllocation(res.Forest, &fixture.obs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) == 0 {
-		t.Fatal("no predicted clusters")
-	}
-	// The ranking must enumerate distinct clusters.
-	seen := map[string]bool{}
-	for _, k := range keys {
-		if seen[k.String()] {
-			t.Fatalf("duplicate cluster %s in ranking", k)
-		}
-		seen[k.String()] = true
-	}
-	// Empty available set: error, not panic.
-	if _, err := PredictAllocation(res.Forest, &Observation{}); err == nil {
-		t.Error("empty observation accepted")
-	}
+	res.CampaignStats = st
+	return res, nil
+}
+
+// keep returns a copy of rec that owns its Available array.
+func keep(rec SlotRecord) SlotRecord {
+	rec.Observation = rec.Observation.Clone()
+	return rec
 }
 
 // servedObservations extracts the observations of the records with a
-// valid chosen satellite: the §5/§6 inputs of a batch run.
-func servedObservations(res *CampaignResult) []Observation {
+// valid chosen satellite: the §5/§6 inputs of a campaign.
+func servedObservations(res *campaignRun) []Observation {
 	var out []Observation
 	for _, rec := range res.Records {
 		if rec.ChosenIdx >= 0 {

@@ -253,19 +253,24 @@ func sampleSky(dst []obstruction.PolarPoint, sat *constellation.Satellite, o *as
 // CandidatePolarTracks returns every in-view satellite's sky-track
 // over the slot in polar form, keyed by satellite ID and sampled by the
 // same sampler as the candidate tracks — the input for
-// skyplot.Validation, the §4 manual-check rendering.
-func (id *Identifier) CandidatePolarTracks(vp geo.VantagePoint, slotStart time.Time) map[int][]obstruction.PolarPoint {
-	fov := constellation.ObserveFrom(vp.Location, id.cons.Snapshot(slotStart), id.MinElevationDeg)
+// skyplot.Validation, the §4 manual-check rendering. snap is the
+// constellation snapshot for slotStart. The second return is the
+// number of in-view satellites left out because propagation failed
+// mid-slot.
+func (id *Identifier) CandidatePolarTracks(snap *constellation.SharedSnapshot, vp geo.VantagePoint, slotStart time.Time) (map[int][]obstruction.PolarPoint, int) {
+	fov := snap.AppendObserveFrom(nil, vp.Location, id.MinElevationDeg, false)
 	step := id.sampleStep()
 	var sc slotScratch
 	frames := sc.framesFor(slotStart, step)
 	o := astro.NewObserver(vp.Location)
 	out := make(map[int][]obstruction.PolarPoint, len(fov))
+	dropped := 0
 	for i := range fov {
 		v := &fov[i]
 		pts, err := sampleSky(sc.sky[:0], v.Sat, &o, frames, slotStart, step, &v.Look)
 		sc.sky = pts
 		if err != nil {
+			dropped++
 			continue
 		}
 		var masked []obstruction.PolarPoint
@@ -278,7 +283,7 @@ func (id *Identifier) CandidatePolarTracks(vp geo.VantagePoint, slotStart time.T
 			out[v.Sat.ID] = masked
 		}
 	}
-	return out
+	return out, dropped
 }
 
 // Identification is the outcome of one slot's §4 matching.
@@ -301,16 +306,13 @@ type Identification struct {
 
 // IdentifyFromMaps runs the full §4 pipeline on two consecutive
 // obstruction-map snapshots. snap is the constellation snapshot for
-// slotStart (nil propagates one internally) and matcher a reusable
-// dtw.Matcher (nil uses a fresh one), so callers that identify many
-// slots amortize propagation and the matcher's scratch buffers and
-// pruning bars. Results are bit-identical at every choice of either,
-// including the brute-force path selected by DisablePruning.
-func (id *Identifier) IdentifyFromMaps(prev, cur *obstruction.Map, vp geo.VantagePoint, slotStart time.Time, snap []constellation.SatState, matcher *dtw.Matcher) (Identification, error) {
-	if snap == nil {
-		snap = id.cons.Snapshot(slotStart)
-	}
-	sc := slotScratch{fov: constellation.ObserveFrom(vp.Location, snap, id.MinElevationDeg)}
+// slotStart and matcher a reusable dtw.Matcher (nil uses a fresh one),
+// so callers that identify many slots amortize the matcher's scratch
+// buffers and pruning bars. Results are bit-identical at every choice
+// of matcher, including the brute-force path selected by
+// DisablePruning.
+func (id *Identifier) IdentifyFromMaps(prev, cur *obstruction.Map, vp geo.VantagePoint, slotStart time.Time, snap *constellation.SharedSnapshot, matcher *dtw.Matcher) (Identification, error) {
+	sc := slotScratch{fov: snap.AppendObserveFrom(nil, vp.Location, id.MinElevationDeg, false)}
 	return id.identify(&sc, obstruction.XOR(prev, cur), vp, slotStart, matcher)
 }
 

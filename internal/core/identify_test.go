@@ -33,9 +33,9 @@ func TestCampaignMatcherBruteIdentical(t *testing.T) {
 	}
 	brute.DisablePruning = true
 
-	run := func(ident *Identifier, workers int) *CampaignResult {
+	run := func(ident *Identifier, workers int) *campaignRun {
 		t.Helper()
-		res, err := RunCampaign(context.Background(), CampaignConfig{
+		res, err := runCampaign(context.Background(), CampaignConfig{
 			Scheduler:  mustScheduler(t, fixture.cons, 123),
 			Identifier: ident,
 			Start:      fixture.cons.Epoch.Add(4 * time.Hour),
@@ -71,23 +71,25 @@ func TestCampaignMatcherBruteIdentical(t *testing.T) {
 	}
 }
 
-// TestCandidateTracksSnapshotReuse: feeding a precomputed snapshot
-// must be indistinguishable from letting the identifier propagate the
-// constellation itself. The polar candidate tracks, which propagate
-// their own snapshot, must be the Cartesian candidate tracks of the
-// given snapshot point for point, and IdentifyFromMaps must return the
-// same identification with and without the snapshot and matcher.
+// TestCandidateTracksSnapshotReuse: the polar candidate tracks and
+// the Cartesian candidate tracks of one snapshot must agree point for
+// point, and IdentifyFromMaps must return the same identification with
+// a reused matcher and with a fresh one.
 func TestCandidateTracksSnapshotReuse(t *testing.T) {
 	setupFixture(t)
 	vp := fixture.sched.Terminals()[0].VantagePoint
 	start := scheduler.EpochStart(fixture.cons.Epoch.Add(3 * time.Hour))
-	snap := fixture.cons.Snapshot(start)
+	shared := snapshotAt(fixture.cons, start)
+	snap := shared.States
 
 	cands, _ := fixture.ident.CandidateTracksFromSnapshot(snap, vp, start)
 	if len(cands) == 0 {
 		t.Fatal("no candidates in view at the probe slot")
 	}
-	polar := fixture.ident.CandidatePolarTracks(vp, start)
+	polar, dropped := fixture.ident.CandidatePolarTracks(shared, vp, start)
+	if dropped != 0 {
+		t.Fatalf("healthy constellation dropped %d polar tracks", dropped)
+	}
 	if len(polar) != len(cands) {
 		t.Fatalf("%d polar tracks, %d candidate tracks", len(polar), len(cands))
 	}
@@ -107,17 +109,27 @@ func TestCandidateTracksSnapshotReuse(t *testing.T) {
 	if err := fixture.ident.PaintServingTrack(cur, cands[0].ID, vp, start); err != nil {
 		t.Fatal(err)
 	}
-	reused, err := fixture.ident.IdentifyFromMaps(prev, cur, vp, start, snap, &dtw.Matcher{})
+	matcher := &dtw.Matcher{}
+	if _, err := fixture.ident.IdentifyFromMaps(prev, cur, vp, start, shared, matcher); err != nil {
+		t.Fatal(err)
+	}
+	reused, err := fixture.ident.IdentifyFromMaps(prev, cur, vp, start, shared, matcher)
 	if err != nil {
 		t.Fatal(err)
 	}
-	own, err := fixture.ident.IdentifyFromMaps(prev, cur, vp, start, nil, nil)
+	own, err := fixture.ident.IdentifyFromMaps(prev, cur, vp, start, shared, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(reused, own) {
-		t.Errorf("identification with a precomputed snapshot %+v, without %+v", reused, own)
+		t.Errorf("identification with a reused matcher %+v, with a fresh one %+v", reused, own)
 	}
+}
+
+// snapshotAt is the snapshot of every satellite of cons at t, from a
+// cache of its own.
+func snapshotAt(cons *constellation.Constellation, t time.Time) *constellation.SharedSnapshot {
+	return constellation.NewSnapshotCache(1, nil).Acquire(cons, t)
 }
 
 // failingEphemeris propagates successfully before failFrom and returns
@@ -166,11 +178,13 @@ func TestDroppedCandidatesSurfaced(t *testing.T) {
 
 	// Find a slot with at least one candidate in view.
 	var slotStart time.Time
+	var shared *constellation.SharedSnapshot
 	var snap []constellation.SatState
 	var inView []constellation.Visible
 	for slot := 0; slot < 240; slot++ {
 		slotStart = scheduler.EpochStart(cons.Epoch.Add(time.Hour)).Add(time.Duration(slot) * scheduler.Period)
-		snap = cons.Snapshot(slotStart)
+		shared = snapshotAt(cons, slotStart)
+		snap = shared.States
 		inView = constellation.ObserveFrom(vp.Location, snap, ident.MinElevationDeg)
 		if len(inView) > 0 {
 			break
@@ -203,6 +217,11 @@ func TestDroppedCandidatesSurfaced(t *testing.T) {
 			t.Errorf("failed satellite %d still in candidate set", sat.ID)
 		}
 	}
+	// The polar tracks of the sky plot count the failure too.
+	polar, dropped := ident.CandidatePolarTracks(shared, vp, slotStart)
+	if _, ok := polar[sat.ID]; ok || dropped != 1 {
+		t.Errorf("polar tracks: failed satellite %d plotted %v, dropped %d; want not plotted, 1 dropped", sat.ID, ok, dropped)
+	}
 
 	// With every in-view propagator failing there are no candidates at
 	// all; the error must say how many were dropped rather than claim
@@ -219,6 +238,9 @@ func TestDroppedCandidatesSurfaced(t *testing.T) {
 	if len(cands) != 0 || dropped != len(inView) {
 		t.Errorf("all-failing: %d candidates, dropped %d, want 0 and %d", len(cands), dropped, len(inView))
 	}
+	if polar, dropped := ident.CandidatePolarTracks(shared, vp, slotStart); len(polar) != 0 || dropped != len(inView) {
+		t.Errorf("all-failing: %d polar tracks, dropped %d, want 0 and %d", len(polar), dropped, len(inView))
+	}
 
 	// The full identify path must report the drops, not claim nothing
 	// was in view: paint a synthetic trajectory so the XOR stage
@@ -232,7 +254,7 @@ func TestDroppedCandidatesSurfaced(t *testing.T) {
 		})
 	}
 	cur.PaintTrack(fake)
-	_, err = ident.IdentifyFromMaps(prev, cur, vp, slotStart, snap, nil)
+	_, err = ident.IdentifyFromMaps(prev, cur, vp, slotStart, shared, nil)
 	if err == nil {
 		t.Fatal("identification succeeded with every candidate dropped")
 	}
@@ -360,7 +382,8 @@ func TestCandidateTracksMatchOracle(t *testing.T) {
 		slotStart := start.Add(time.Duration(slot) * 7 * scheduler.Period)
 		step := steps[slot%len(steps)]
 		id := &Identifier{cons: cons, MinElevationDeg: 25, SampleStep: step}
-		snap := cons.Snapshot(slotStart)
+		shared := snapshotAt(cons, slotStart)
+		snap := shared.States
 		ix := new(constellation.SnapshotIndex)
 		ix.Rebuild(snap)
 
@@ -416,11 +439,13 @@ func TestCandidateTracksMatchOracle(t *testing.T) {
 		}
 
 		// The polar candidate tracks of the fused site.
-		gotPolar := id.CandidatePolarTracks(fused, slotStart)
+		gotPolar, gotPolarDropped := id.CandidatePolarTracks(shared, fused, slotStart)
 		wantPolar := map[int][]obstruction.PolarPoint{}
+		wantPolarDropped := 0
 		for _, v := range constellation.ObserveFrom(fused.Location, snap, id.MinElevationDeg) {
 			pts, err := oracleSky(v.Sat, fused.Location, slotStart, step)
 			if err != nil {
+				wantPolarDropped++
 				continue
 			}
 			var masked []obstruction.PolarPoint
@@ -433,8 +458,9 @@ func TestCandidateTracksMatchOracle(t *testing.T) {
 				wantPolar[v.Sat.ID] = masked
 			}
 		}
-		if len(gotPolar) != len(wantPolar) {
-			t.Fatalf("slot %d at %s: %d polar tracks, oracle %d", slot, fused.Name, len(gotPolar), len(wantPolar))
+		if len(gotPolar) != len(wantPolar) || gotPolarDropped != wantPolarDropped {
+			t.Fatalf("slot %d at %s: %d polar tracks, %d dropped; oracle %d, %d",
+				slot, fused.Name, len(gotPolar), gotPolarDropped, len(wantPolar), wantPolarDropped)
 		}
 		for satID, want := range wantPolar {
 			if d := polarDiff(gotPolar[satID], want); d != "" {
@@ -461,8 +487,8 @@ func TestCandidateTracksZeroAlloc(t *testing.T) {
 	vp := fixture.sched.Terminals()[0].VantagePoint
 	slotA := scheduler.EpochStart(fixture.cons.Epoch.Add(3 * time.Hour))
 	slotB := slotA.Add(scheduler.Period)
-	fovA := constellation.ObserveFrom(vp.Location, fixture.cons.Snapshot(slotA), id.MinElevationDeg)
-	fovB := constellation.ObserveFrom(vp.Location, fixture.cons.Snapshot(slotB), id.MinElevationDeg)
+	fovA := constellation.ObserveFrom(vp.Location, snapshotAt(fixture.cons, slotA).States, id.MinElevationDeg)
+	fovB := constellation.ObserveFrom(vp.Location, snapshotAt(fixture.cons, slotB).States, id.MinElevationDeg)
 	if len(fovA) == 0 || len(fovB) == 0 {
 		t.Fatal("no satellites in view at the probe slots")
 	}
@@ -501,7 +527,7 @@ func TestSampleStepNonPositiveDefaults(t *testing.T) {
 	setupFixture(t)
 	vp := fixture.sched.Terminals()[0].VantagePoint
 	slotStart := scheduler.EpochStart(fixture.cons.Epoch.Add(3 * time.Hour))
-	snap := fixture.cons.Snapshot(slotStart)
+	snap := snapshotAt(fixture.cons, slotStart).States
 	want, wantDropped := fixture.ident.CandidateTracksFromSnapshot(snap, vp, slotStart)
 	if len(want) == 0 {
 		t.Fatal("no candidates in view at the probe slot")

@@ -90,7 +90,7 @@ func TestDecisionTraceContent(t *testing.T) {
 	cfg.Metrics.Trace = telemetry.NewDecisionTrace(4096)
 	var recs []SlotRecord
 	if _, err := RunCampaignStream(context.Background(), cfg, func(rec SlotRecord) error {
-		recs = append(recs, rec.Clone())
+		recs = append(recs, keep(rec))
 		return nil
 	}); err != nil {
 		t.Fatal(err)

@@ -32,29 +32,30 @@ func (b *DatasetBuilder) Add(o Observation) error {
 	if _, ok := o.Chosen(); !ok {
 		return nil
 	}
-	b.sats = b.sats[:0]
+	b.sats = o.AppendSats(b.sats[:0])
+	x := make([]float64, features.VectorLen) // the row the dataset keeps
+	label, err := features.RowInto(&b.slot, b.sats, o.LocalHour, o.ChosenIdx, x)
+	if err != nil {
+		return fmt.Errorf("core: slot %v at %s: %w", o.SlotStart, o.Terminal, err)
+	}
+	b.d.X = append(b.d.X, x)
+	b.d.Y = append(b.d.Y, label)
+	return nil
+}
+
+// AppendSats appends the §6 features of o's available set to dst, in
+// order: the one conversion from an observation to the model's
+// satellites.
+func (o *Observation) AppendSats(dst []features.Sat) []features.Sat {
 	for _, a := range o.Available {
-		b.sats = append(b.sats, features.Sat{
+		dst = append(dst, features.Sat{
 			AzimuthDeg:   a.AzimuthDeg,
 			ElevationDeg: a.ElevationDeg,
 			AgeYears:     a.AgeYears,
 			Sunlit:       a.Sunlit,
 		})
 	}
-	if err := features.ClusterInto(&b.slot, b.sats); err != nil {
-		return fmt.Errorf("core: slot %v at %s: %w", o.SlotStart, o.Terminal, err)
-	}
-	key, err := b.slot.KeyOf(o.ChosenIdx)
-	if err != nil {
-		return fmt.Errorf("core: slot %v at %s: %w", o.SlotStart, o.Terminal, err)
-	}
-	x := make([]float64, features.VectorLen) // the row the dataset keeps
-	if err := b.slot.VectorInto(o.LocalHour, x); err != nil {
-		return err
-	}
-	b.d.X = append(b.d.X, x)
-	b.d.Y = append(b.d.Y, key.Index())
-	return nil
+	return dst
 }
 
 // Finalize returns the dataset. The builder must not be reused after.
@@ -205,41 +206,4 @@ func TrainModelCtx(ctx context.Context, d *ml.Dataset, cfg ModelConfig) (*ModelR
 		TrainRows:    len(trainIdx),
 		HoldoutRows:  len(testIdx),
 	}, nil
-}
-
-// PredictAllocation applies a trained model to a fresh slot: given the
-// available set and local hour, it returns the predicted cluster
-// indices in descending likelihood, so a caller can check whether the
-// eventually chosen satellite's cluster is in the top k.
-func PredictAllocation(forest *ml.Forest, o *Observation) ([]features.Key, error) {
-	sats := make([]features.Sat, len(o.Available))
-	for i, a := range o.Available {
-		sats[i] = features.Sat{
-			AzimuthDeg:   a.AzimuthDeg,
-			ElevationDeg: a.ElevationDeg,
-			AgeYears:     a.AgeYears,
-			Sunlit:       a.Sunlit,
-		}
-	}
-	var slot features.Slot
-	if err := features.ClusterInto(&slot, sats); err != nil {
-		return nil, err
-	}
-	x := make([]float64, features.VectorLen)
-	if err := slot.VectorInto(o.LocalHour, x); err != nil {
-		return nil, err
-	}
-	ranked, err := ml.ForestRanker{Forest: forest}.RankClasses(x)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]features.Key, 0, len(ranked))
-	for _, c := range ranked {
-		k, err := features.KeyFromIndex(c)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, k)
-	}
-	return out, nil
 }

@@ -46,7 +46,7 @@ func TestDiscRadiusBoundsEverySample(t *testing.T) {
 			worst := 0.0 // largest sample distance as a share of its radius
 			for slot := 0; slot < 12; slot++ {
 				slotStart := scheduler.EpochStart(cons.Epoch.Add(time.Duration(slot) * 6 * time.Hour))
-				snap := cons.Snapshot(slotStart)
+				snap := snapshotAt(cons, slotStart).States
 				for si, vp := range sites {
 					step := steps[(slot+si)%len(steps)]
 					id := &Identifier{cons: cons, MinElevationDeg: 25, SampleStep: step}
@@ -109,9 +109,9 @@ func TestCampaignMatcherBruteIdenticalHalfSecond(t *testing.T) {
 		id.DisablePruning = brute
 		return id
 	}
-	run := func(ident *Identifier, workers int, reg *telemetry.Registry) *CampaignResult {
+	run := func(ident *Identifier, workers int, reg *telemetry.Registry) *campaignRun {
 		t.Helper()
-		res, err := RunCampaign(context.Background(), CampaignConfig{
+		res, err := runCampaign(context.Background(), CampaignConfig{
 			Scheduler:  mustScheduler(t, fixture.cons, 123),
 			Identifier: ident,
 			Start:      fixture.cons.Epoch.Add(4 * time.Hour),
@@ -212,8 +212,8 @@ func TestPrunedDroppedCountsSampledOnly(t *testing.T) {
 	brute.DisablePruning = true
 	vp := geo.StudyVantagePoints()[0]
 	slotStart := scheduler.EpochStart(cons.Epoch.Add(2 * time.Hour))
-	snap := cons.Snapshot(slotStart)
-	fov := constellation.ObserveFrom(vp.Location, snap, pruned.MinElevationDeg)
+	snap := snapshotAt(cons, slotStart)
+	fov := constellation.ObserveFrom(vp.Location, snap.States, pruned.MinElevationDeg)
 	if len(fov) < 3 {
 		t.Fatalf("%d satellites in view, want a crowd", len(fov))
 	}
@@ -292,14 +292,14 @@ func TestCampaignWithFailingCandidatesMatchesBrute(t *testing.T) {
 			sat.Propagator = gridFailing{sat.Propagator}
 		}
 	}
-	run := func(brute bool) *CampaignResult {
+	run := func(brute bool) *campaignRun {
 		t.Helper()
 		id, err := NewIdentifier(cons)
 		if err != nil {
 			t.Fatal(err)
 		}
 		id.DisablePruning = brute
-		res, err := RunCampaign(context.Background(), CampaignConfig{
+		res, err := runCampaign(context.Background(), CampaignConfig{
 			Scheduler:  mustScheduler(t, cons, 7),
 			Identifier: id,
 			Start:      cons.Epoch.Add(time.Hour),
@@ -332,7 +332,7 @@ func TestPrunedScanZeroAlloc(t *testing.T) {
 	id := fixture.ident
 	vp := fixture.sched.Terminals()[0].VantagePoint
 	slot := scheduler.EpochStart(fixture.cons.Epoch.Add(3 * time.Hour))
-	snap := fixture.cons.Snapshot(slot)
+	snap := snapshotAt(fixture.cons, slot).States
 	sc := slotScratch{fov: constellation.ObserveFrom(vp.Location, snap, id.MinElevationDeg)}
 	cands, _ := id.candidateTracks(&sc, vp, slot)
 	if len(cands) < 2 {

@@ -14,7 +14,8 @@ import (
 
 // EmitFunc receives one campaign record. Implementations must not
 // retain rec's slices past the call: the engine writes the terminal's
-// next available set into the same array. Keep rec.Clone() instead.
+// next available set into the same array. Keep
+// rec.Observation.Clone() instead.
 // Returning an error aborts the campaign and surfaces the error from
 // RunCampaignStream.
 type EmitFunc func(rec SlotRecord) error
@@ -29,11 +30,9 @@ type CampaignStats struct {
 	// Served counts records with a valid chosen satellite — the rows
 	// the §5/§6 analyses consume.
 	Served int
-	// Identification validation counters (non-oracle runs), identical
-	// to the batch CampaignResult's.
+	// Identification validation counters (non-oracle runs).
 	Attempted, Correct, Failed int
-	// Skips histograms every non-empty SkipReason, surfacing what the
-	// batch path used to discard silently.
+	// Skips histograms every non-empty SkipReason.
 	Skips map[string]int
 	// PropagationSkips counts satellites dropped from snapshots by
 	// propagation failures, summed over slots (a persistently failing
@@ -69,8 +68,8 @@ func (s *CampaignStats) observe(rec *SlotRecord) {
 }
 
 // RunCampaignStream executes the campaign, pushing each SlotRecord to
-// emit in deterministic (slot, terminal) order — the exact sequence
-// the batch RunCampaign materializes — without retaining records.
+// emit in deterministic (slot, terminal) order without retaining
+// records. It is the one campaign entry point.
 //
 // The engine is slot-synchronous. The scheduler is one stateful global
 // controller (hidden load walk, score-noise RNG), so Allocate runs on

@@ -35,9 +35,9 @@ func goldenEnv(t *testing.T, workers int) *experiments.Env {
 // on a fixed seed, at worker counts 1 and 4, in oracle and measured
 // mode, the record stream the engine emits, the incremental analyzers
 // fed from it, StreamObservations and IdentValidation must all be
-// bit-identical to the batch path (core.RunCampaign, its served rows
-// fed to the same analyzers in a loop) over a campaign from the same
-// scheduler state. Run under -race in CI.
+// bit-identical to the batch path (a campaign's records kept, its
+// served rows fed to the same analyzers in a loop afterwards) over a
+// campaign from the same scheduler state. Run under -race in CI.
 func TestStreamMatchesBatchGolden(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -52,7 +52,7 @@ func TestStreamMatchesBatchGolden(t *testing.T) {
 		streams := map[int][]core.SlotRecord{}
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("oracle=%v/workers=%d", tc.oracle, workers), func(t *testing.T) {
-				batch, err := core.RunCampaign(ctx, goldenEnv(t, workers).CampaignConfig(tc.slots, tc.oracle))
+				batch, err := runCampaign(ctx, goldenEnv(t, workers).CampaignConfig(tc.slots, tc.oracle))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -72,7 +72,7 @@ func TestStreamMatchesBatchGolden(t *testing.T) {
 				consumers := []core.ObservationConsumer{aoe, az, la, su, ds}
 				st, err := core.RunCampaignStream(ctx, goldenEnv(t, workers).CampaignConfig(tc.slots, tc.oracle),
 					func(rec core.SlotRecord) error {
-						recs = append(recs, rec.Clone())
+						recs = append(recs, keepRecord(rec))
 						if rec.ChosenIdx < 0 {
 							return nil
 						}
@@ -87,7 +87,7 @@ func TestStreamMatchesBatchGolden(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(recs, batch.Records) {
-					t.Fatal("streamed records diverge from batch RunCampaign")
+					t.Fatal("streamed records diverge from the kept batch")
 				}
 				streams[workers] = recs
 				assertStatsMatch(t, st, batch)
@@ -150,7 +150,7 @@ func TestStreamMatchesBatchGolden(t *testing.T) {
 
 // assertStatsMatch compares a streamed campaign's summary with the
 // batch result's counters.
-func assertStatsMatch(t *testing.T, st *core.CampaignStats, batch *core.CampaignResult) {
+func assertStatsMatch(t *testing.T, st *core.CampaignStats, batch *campaignRun) {
 	t.Helper()
 	if st.Attempted != batch.Attempted || st.Correct != batch.Correct || st.Failed != batch.Failed {
 		t.Errorf("stream counters %d/%d/%d, batch %d/%d/%d",
@@ -202,7 +202,7 @@ func assertMatches[T any](t *testing.T, name string, finalize, batch func() (T, 
 // served rows — reaches the consumers in their listed order, in the
 // engine's stream order.
 func TestStreamObservationsConsumerOrder(t *testing.T) {
-	want, err := core.RunCampaign(context.Background(), goldenEnv(t, 4).CampaignConfig(40, true))
+	want, err := runCampaign(context.Background(), goldenEnv(t, 4).CampaignConfig(40, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestStreamObservationsConsumerErrorAborts(t *testing.T) {
 // value is a StreamObservations consumer as it stands, and what it
 // folds equals the same accumulator fed the batch campaign's rows.
 func TestStreamObservationsFeedsAccumulator(t *testing.T) {
-	batch, err := core.RunCampaign(context.Background(), goldenEnv(t, 1).CampaignConfig(40, true))
+	batch, err := runCampaign(context.Background(), goldenEnv(t, 1).CampaignConfig(40, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,9 +285,38 @@ func TestStreamObservationsFeedsAccumulator(t *testing.T) {
 	assertMatches(t, "fed AOE", acc.Finalize, want.Finalize)
 }
 
+// campaignRun is a campaign's records, each kept past its emit call,
+// and the engine's stats: the batch side of a stream-vs-batch
+// comparison.
+type campaignRun struct {
+	Records []core.SlotRecord
+	*core.CampaignStats
+}
+
+// runCampaign runs cfg through core.RunCampaignStream and keeps every
+// record.
+func runCampaign(ctx context.Context, cfg core.CampaignConfig) (*campaignRun, error) {
+	res := &campaignRun{}
+	st, err := core.RunCampaignStream(ctx, cfg, func(rec core.SlotRecord) error {
+		res.Records = append(res.Records, keepRecord(rec))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	res.CampaignStats = st
+	return res, nil
+}
+
+// keepRecord returns a copy of rec that owns its Available array.
+func keepRecord(rec core.SlotRecord) core.SlotRecord {
+	rec.Observation = rec.Observation.Clone()
+	return rec
+}
+
 // servedObservations extracts the observations of the records with a
 // valid chosen satellite: the §5/§6 inputs of a batch run.
-func servedObservations(res *core.CampaignResult) []core.Observation {
+func servedObservations(res *campaignRun) []core.Observation {
 	var out []core.Observation
 	for _, rec := range res.Records {
 		if rec.ChosenIdx >= 0 {

@@ -33,12 +33,13 @@ const NumClusters = zLevels * zLevels * zLevels * 2
 // per cluster.
 const VectorLen = 1 + NumClusters
 
-// Sat holds the publicly observable per-satellite features.
+// Sat holds the publicly observable per-satellite features. Its JSON
+// form is the satellite of predictd's wire messages.
 type Sat struct {
-	AzimuthDeg   float64
-	ElevationDeg float64
-	AgeYears     float64
-	Sunlit       bool
+	AzimuthDeg   float64 `json:"az"`
+	ElevationDeg float64 `json:"el"`
+	AgeYears     float64 `json:"age_years"`
+	Sunlit       bool    `json:"sunlit"`
 }
 
 // Key is a cluster identity.
@@ -110,8 +111,8 @@ type Slot struct {
 	AgeMean, AgeStd float64
 }
 
-// KeyOf returns the cluster key of input satellite i.
-func (sl *Slot) KeyOf(i int) (Key, error) {
+// keyOf returns the cluster key of input satellite i.
+func (sl *Slot) keyOf(i int) (Key, error) {
 	if i < 0 || i >= len(sl.Keys) {
 		return Key{}, fmt.Errorf("features: satellite index %d out of range", i)
 	}

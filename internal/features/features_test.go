@@ -164,15 +164,15 @@ func TestVector(t *testing.T) {
 	if n != 1 {
 		t.Errorf("total count = %v", n)
 	}
-	k, err := sl.KeyOf(0)
+	k, err := sl.keyOf(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v[1+k.Index()] != 1 {
 		t.Error("count not at the satellite's cluster")
 	}
-	if _, err := sl.KeyOf(5); err == nil {
-		t.Error("out-of-range KeyOf accepted")
+	if _, err := sl.keyOf(5); err == nil {
+		t.Error("out-of-range keyOf accepted")
 	}
 }
 
@@ -203,7 +203,7 @@ func TestVectorCountsProperty(t *testing.T) {
 		}
 		// Every satellite's key must be counted.
 		for i := range sats {
-			k, err := sl.KeyOf(i)
+			k, err := sl.keyOf(i)
 			if err != nil || v[1+k.Index()] < 1 {
 				return false
 			}

@@ -70,3 +70,21 @@ func (sl *Slot) VectorInto(localHour int, v []float64) error {
 	}
 	return nil
 }
+
+// RowInto is the labelled §6 row of one slot: it clusters sats into sl,
+// renders the model input for localHour into x (length VectorLen) and
+// returns the cluster index of sats[chosen], the row's label. The
+// dataset builder and the online observe path both build rows here.
+func RowInto(sl *Slot, sats []Sat, localHour, chosen int, x []float64) (int, error) {
+	if err := ClusterInto(sl, sats); err != nil {
+		return 0, err
+	}
+	key, err := sl.keyOf(chosen)
+	if err != nil {
+		return 0, err
+	}
+	if err := sl.VectorInto(localHour, x); err != nil {
+		return 0, err
+	}
+	return key.Index(), nil
+}

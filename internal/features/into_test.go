@@ -139,3 +139,37 @@ func TestClusterIntoZeroAlloc(t *testing.T) {
 		t.Errorf("ClusterInto+VectorInto = %v allocs/op, want 0", allocs)
 	}
 }
+
+// TestRowIntoMatchesReference: the labelled row is the reference
+// featurizer's vector for the slot and the reference cluster index of
+// the chosen satellite, and an empty set or an out-of-range choice is
+// an error.
+func TestRowIntoMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var sl Slot
+	x := make([]float64, VectorLen)
+	for trial := 0; trial < 50; trial++ {
+		sats := randomSats(rng, 1+rng.Intn(40))
+		chosen := rng.Intn(len(sats))
+		label, err := RowInto(&sl, sats, trial%24, chosen, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := referenceCluster(sats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := ref.Keys[chosen].Index(); label != want {
+			t.Fatalf("trial %d: label %d, reference %d", trial, label, want)
+		}
+		if want := referenceVector(ref, trial%24); !reflect.DeepEqual(x, want) {
+			t.Fatalf("trial %d: row vector differs from the reference", trial)
+		}
+	}
+	if _, err := RowInto(&sl, nil, 0, 0, x); err == nil {
+		t.Error("empty available set accepted")
+	}
+	if _, err := RowInto(&sl, randomSats(rng, 3), 0, 3, x); err == nil {
+		t.Error("out-of-range chosen index accepted")
+	}
+}

@@ -41,27 +41,6 @@ func (c *Client) Observe(req ObserveRequest) (ObserveResult, error) {
 	return res, err
 }
 
-// observeRecord rebuilds the campaign record an ObserveRequest
-// describes, so the RPC path and the in-process path share one
-// ObserveRecord implementation.
-func observeRecord(req *ObserveRequest) *core.SlotRecord {
-	rec := &core.SlotRecord{Observation: core.Observation{
-		Terminal:  req.Terminal,
-		LocalHour: req.LocalHour,
-		ChosenIdx: req.ChosenIdx,
-		Available: make([]core.SatObs, len(req.Sats)),
-	}}
-	for i, p := range req.Sats {
-		rec.Available[i] = core.SatObs{
-			AzimuthDeg:   p.AzimuthDeg,
-			ElevationDeg: p.ElevationDeg,
-			AgeYears:     p.AgeYears,
-			Sunlit:       p.Sunlit,
-		}
-	}
-	return rec
-}
-
 // RemoteScorer adapts a predictd endpoint to scenario.OnlineScorer:
 // campaigns stream revealed slots to a shared service over the wire
 // instead of holding the model in-process (cmd/repro -predict-addr).
@@ -73,35 +52,12 @@ type RemoteScorer struct {
 func NewRemoteScorer(c *Client) *RemoteScorer { return &RemoteScorer{c: c} }
 
 // ObserveRecord ships the record's observation to the remote service
-// and maps the answer back onto a ScoreUpdate.
+// and returns its answer.
 func (r *RemoteScorer) ObserveRecord(rec *core.SlotRecord) (ScoreUpdate, error) {
-	req := ObserveRequest{
+	return r.c.Observe(ObserveRequest{
 		Terminal:  rec.Terminal,
 		LocalHour: rec.LocalHour,
+		Sats:      rec.AppendSats(nil),
 		ChosenIdx: rec.ChosenIdx,
-		Sats:      make([]SatParam, len(rec.Available)),
-	}
-	for i, a := range rec.Available {
-		req.Sats[i] = SatParam{
-			AzimuthDeg:   a.AzimuthDeg,
-			ElevationDeg: a.ElevationDeg,
-			AgeYears:     a.AgeYears,
-			Sunlit:       a.Sunlit,
-		}
-	}
-	res, err := r.c.Observe(req)
-	if err != nil {
-		return ScoreUpdate{}, err
-	}
-	return ScoreUpdate{
-		Scored:       res.Scored,
-		Rank:         res.Rank,
-		RecentTop1:   res.RecentTop1,
-		RecentTopK:   res.RecentTopK,
-		RefTop1:      res.RefTop1,
-		Drift:        res.Drift,
-		DriftEvents:  res.DriftEvents,
-		Refits:       res.Refits,
-		ModelVersion: res.ModelVersion,
-	}, nil
+	})
 }

@@ -21,13 +21,9 @@ import (
 // few dozen, so anything huge is a corrupt or adversarial frame.
 const maxSats = 4096
 
-// SatParam is one available satellite in a request.
-type SatParam struct {
-	AzimuthDeg   float64 `json:"az"`
-	ElevationDeg float64 `json:"el"`
-	AgeYears     float64 `json:"age_years"`
-	Sunlit       bool    `json:"sunlit"`
-}
+// SatParam is one available satellite in a request: the §6 features
+// the service ranks, passed to it as they arrive.
+type SatParam = features.Sat
 
 // PredictRequest asks for a ranking of one slot's available set.
 type PredictRequest struct {
@@ -83,18 +79,8 @@ func (o *ObserveRequest) validate() error {
 	return nil
 }
 
-// ObserveResult mirrors ScoreUpdate across the wire.
-type ObserveResult struct {
-	Scored       bool    `json:"scored"`
-	Rank         int     `json:"rank"`
-	RecentTop1   float64 `json:"recent_top1"`
-	RecentTopK   float64 `json:"recent_topk"`
-	RefTop1      float64 `json:"ref_top1"`
-	Drift        bool    `json:"drift"`
-	DriftEvents  int     `json:"drift_events"`
-	Refits       int     `json:"refits"`
-	ModelVersion int64   `json:"model_version"`
-}
+// ObserveResult is the answer to observe: the ScoreUpdate itself.
+type ObserveResult = ScoreUpdate
 
 // ModelInfo describes the serving model.
 type ModelInfo struct {
@@ -105,19 +91,6 @@ type ModelInfo struct {
 	Refits       int   `json:"refits"`
 	WindowRows   int   `json:"window_rows"`
 	TopK         int   `json:"top_k"`
-}
-
-func satsInto(dst []features.Sat, src []SatParam) []features.Sat {
-	dst = dst[:0]
-	for _, p := range src {
-		dst = append(dst, features.Sat{
-			AzimuthDeg:   p.AzimuthDeg,
-			ElevationDeg: p.ElevationDeg,
-			AgeYears:     p.AgeYears,
-			Sunlit:       p.Sunlit,
-		})
-	}
-	return dst
 }
 
 // Handle dispatches one RPC. It has the dishrpc.Handler signature;
@@ -161,8 +134,7 @@ func (s *Service) handleRank(params json.RawMessage, forceK int) (any, error) {
 	start := time.Now()
 	sc := s.pool.Get().(*Scratch)
 	defer s.pool.Put(sc)
-	sc.sats = satsInto(sc.sats, req.Sats)
-	version, err := s.Rank(req.LocalHour, sc.sats, sc)
+	version, err := s.Rank(req.LocalHour, req.Sats, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -188,22 +160,13 @@ func (s *Service) handleObserve(params json.RawMessage) (any, error) {
 	if err := req.validate(); err != nil {
 		return nil, err
 	}
-	rec := observeRecord(&req)
-	up, err := s.ObserveRecord(rec)
+	sc := s.pool.Get().(*Scratch)
+	defer s.pool.Put(sc)
+	up, err := s.observe(req.LocalHour, req.Sats, req.ChosenIdx, sc)
 	if err != nil {
 		return nil, err
 	}
-	return ObserveResult{
-		Scored:       up.Scored,
-		Rank:         up.Rank,
-		RecentTop1:   up.RecentTop1,
-		RecentTopK:   up.RecentTopK,
-		RefTop1:      up.RefTop1,
-		Drift:        up.Drift,
-		DriftEvents:  up.DriftEvents,
-		Refits:       up.Refits,
-		ModelVersion: up.ModelVersion,
-	}, nil
+	return up, nil
 }
 
 func (s *Service) handleModelInfo() ModelInfo {

@@ -269,23 +269,23 @@ func (s *Service) Rank(localHour int, sats []features.Sat, sc *Scratch) (int64, 
 type ScoreUpdate struct {
 	// Scored reports whether a prediction was made and ranked against
 	// the revealed allocation.
-	Scored bool
+	Scored bool `json:"scored"`
 	// Rank is the 1-based position of the true cluster in the model's
 	// ranking (1 = top-1 hit). 0 when !Scored.
-	Rank int
+	Rank int `json:"rank"`
 	// RecentTop1/RecentTopK are the short-window accuracies; RefTop1 is
 	// the long reference window the drift detector compares against.
-	RecentTop1 float64
-	RecentTopK float64
-	RefTop1    float64
+	RecentTop1 float64 `json:"recent_top1"`
+	RecentTopK float64 `json:"recent_topk"`
+	RefTop1    float64 `json:"ref_top1"`
 	// Drift reports whether the detector currently considers the model
 	// stale; DriftEvents counts rising edges so far.
-	Drift       bool
-	DriftEvents int
+	Drift       bool `json:"drift"`
+	DriftEvents int  `json:"drift_events"`
 	// Refits counts models trained so far; ModelVersion is the serving
 	// model's publication number (0 = still on baseline/none).
-	Refits       int
-	ModelVersion int64
+	Refits       int   `json:"refits"`
+	ModelVersion int64 `json:"model_version"`
 }
 
 // ObserveRecord folds one revealed slot into the service: rank ahead
@@ -293,37 +293,28 @@ type ScoreUpdate struct {
 // the scheduler's actual choice, slide the window, and refit on
 // cadence or drift. Implements scenario.OnlineScorer.
 func (s *Service) ObserveRecord(rec *core.SlotRecord) (ScoreUpdate, error) {
+	sc := s.pool.Get().(*Scratch)
+	defer s.pool.Put(sc)
+	sc.sats = rec.AppendSats(sc.sats[:0])
+	return s.observe(rec.LocalHour, sc.sats, rec.ChosenIdx, sc)
+}
+
+// observe is ObserveRecord on a slot's §6 features: sats is the
+// available set and chosen indexes the scheduler's pick in it (a
+// record without one is counted but not scored). sc holds the row.
+// The observe RPC calls it with the request's satellites as decoded.
+func (s *Service) observe(localHour int, sats []features.Sat, chosen int, sc *Scratch) (ScoreUpdate, error) {
 	s.m.observed.Add(1)
-	obs := &rec.Observation
-	if _, ok := obs.Chosen(); !ok {
+	if chosen < 0 || chosen >= len(sats) {
 		s.mu.Lock()
 		s.observed++
 		up := s.snapshotLocked(ScoreUpdate{})
 		s.mu.Unlock()
 		return up, nil
 	}
-
-	sc := s.pool.Get().(*Scratch)
-	defer s.pool.Put(sc)
-	sc.sats = sc.sats[:0]
-	for _, a := range obs.Available {
-		sc.sats = append(sc.sats, features.Sat{
-			AzimuthDeg:   a.AzimuthDeg,
-			ElevationDeg: a.ElevationDeg,
-			AgeYears:     a.AgeYears,
-			Sunlit:       a.Sunlit,
-		})
-	}
-	if err := features.ClusterInto(&sc.slot, sc.sats); err != nil {
-		return ScoreUpdate{}, fmt.Errorf("predict: slot %v at %s: %w", obs.SlotStart, obs.Terminal, err)
-	}
-	key, err := sc.slot.KeyOf(obs.ChosenIdx)
+	label, err := features.RowInto(&sc.slot, sats, localHour, chosen, sc.vec)
 	if err != nil {
-		return ScoreUpdate{}, fmt.Errorf("predict: slot %v at %s: %w", obs.SlotStart, obs.Terminal, err)
-	}
-	label := key.Index()
-	if err := sc.slot.VectorInto(obs.LocalHour, sc.vec); err != nil {
-		return ScoreUpdate{}, err
+		return ScoreUpdate{}, fmt.Errorf("predict: %w", err)
 	}
 
 	// Predict before learning: the model must not see the answer first.

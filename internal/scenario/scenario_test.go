@@ -154,7 +154,7 @@ func TestResolveFileAndPreset(t *testing.T) {
 func streamBytes(t *testing.T, cfg core.CampaignConfig) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	enc := traceio.NewRecordEncoder(&buf)
+	enc := traceio.NewEncoder[core.SlotRecord](&buf)
 	if _, err := core.RunCampaignStream(context.Background(), cfg, func(rec core.SlotRecord) error {
 		return enc.Encode(&rec)
 	}); err != nil {

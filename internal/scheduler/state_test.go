@@ -192,7 +192,8 @@ func TestGatewayEligibilityMatchesMarking(t *testing.T) {
 		seen := map[bool]int{}
 		for slot := 0; slot < 40; slot++ {
 			at := EpochStart(cons.Epoch.Add(time.Duration(slot*9) * Period))
-			snap := cons.Snapshot(at)
+			shared := constellation.NewSnapshotCache(1, nil).Acquire(cons, at)
+			snap := shared.States
 			marked := markGatewaysLinear(snap, gateways, g.gsMinElev, cons.Len())
 			g.slot = SlotIndex(at)
 			for _, term := range g.Terminals() {

@@ -20,7 +20,7 @@ func FuzzRecordDecoder(f *testing.F) {
 	f.Add([]byte("\x00\xff\xfe"))
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := NewRecordDecoder(bytes.NewReader(data))
+		dec := NewDecoder[core.SlotRecord](bytes.NewReader(data))
 		const maxRecords = 1 << 12 // arbitrary input must not loop forever
 		for i := 0; i < maxRecords; i++ {
 			rec, err := dec.Next()
@@ -38,14 +38,14 @@ func FuzzRecordDecoder(f *testing.F) {
 				t.Fatalf("validation let chosen index %d through (%d available)", rec.ChosenIdx, len(rec.Available))
 			}
 			var buf bytes.Buffer
-			enc := NewRecordEncoder(&buf)
+			enc := NewEncoder[core.SlotRecord](&buf)
 			if err := enc.Encode(&rec); err != nil {
 				t.Fatalf("re-encode of accepted record failed: %v", err)
 			}
 			if err := enc.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			again, err := NewRecordDecoder(&buf).Next()
+			again, err := NewDecoder[core.SlotRecord](&buf).Next()
 			if err != nil {
 				t.Fatalf("re-decode of accepted record failed: %v", err)
 			}
@@ -70,7 +70,7 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add([]byte("{broken"))
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := NewRecordDecoder(bytes.NewReader(data))
+		dec := NewDecoder[core.SlotRecord](bytes.NewReader(data))
 		dec.TolerateTruncatedTail()
 		var replayed []core.SlotRecord
 		const maxRecords = 1 << 12
@@ -101,7 +101,7 @@ func FuzzJournalReplay(f *testing.F) {
 		}
 		// Strict re-read of the trimmed journal: identical records, no
 		// truncation, same offset.
-		again := NewRecordDecoder(bytes.NewReader(data[:off]))
+		again := NewDecoder[core.SlotRecord](bytes.NewReader(data[:off]))
 		var second []core.SlotRecord
 		for {
 			rec, err := again.Next()
@@ -129,7 +129,7 @@ func FuzzObservationDecoder(f *testing.F) {
 	f.Add([]byte(`{"ChosenIdx":7,"Available":[]}`))
 	f.Add([]byte("]["))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := NewObservationDecoder(bytes.NewReader(data))
+		dec := NewDecoder[core.Observation](bytes.NewReader(data))
 		const maxRecords = 1 << 12
 		for i := 0; i < maxRecords; i++ {
 			o, err := dec.Next()

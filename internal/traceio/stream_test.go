@@ -60,7 +60,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		in = append(in, rec)
 	}
 	var buf bytes.Buffer
-	enc := NewRecordEncoder(&buf)
+	enc := NewEncoder[core.SlotRecord](&buf)
 	for i := range in {
 		if err := enc.Encode(&in[i]); err != nil {
 			t.Fatal(err)
@@ -69,7 +69,7 @@ func TestRecordRoundTrip(t *testing.T) {
 	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	dec := NewRecordDecoder(&buf)
+	dec := NewDecoder[core.SlotRecord](&buf)
 	var out []core.SlotRecord
 	for {
 		rec, err := dec.Next()
@@ -98,22 +98,29 @@ func TestStreamDecoderErrors(t *testing.T) {
 		`[1,2,3`,
 	}
 	for i, c := range cases {
-		if _, err := NewObservationDecoder(strings.NewReader(c)).Next(); err == nil || err == io.EOF {
+		if _, err := NewDecoder[core.Observation](strings.NewReader(c)).Next(); err == nil || err == io.EOF {
 			t.Errorf("observation case %d: err = %v, want decode error", i, err)
 		}
-		if _, err := NewRecordDecoder(strings.NewReader(c)).Next(); err == nil || err == io.EOF {
+		if _, err := NewDecoder[core.SlotRecord](strings.NewReader(c)).Next(); err == nil || err == io.EOF {
 			t.Errorf("record case %d: err = %v, want decode error", i, err)
 		}
 	}
 	// A valid record followed by a truncated one: the first decodes,
 	// the second errors with its 1-based index.
 	input := `{"Terminal":"x","Available":[{"ID":1}],"ChosenIdx":0}` + "\n" + `{"Terminal":`
-	dec := NewObservationDecoder(strings.NewReader(input))
+	dec := NewDecoder[core.Observation](strings.NewReader(input))
 	if _, err := dec.Next(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := dec.Next(); err == nil || !strings.Contains(err.Error(), "observation 2") {
 		t.Errorf("truncated tail error = %v, want observation 2 decode error", err)
+	}
+	recs := NewDecoder[core.SlotRecord](strings.NewReader(input))
+	if _, err := recs.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := recs.Next(); err == nil || !strings.Contains(err.Error(), "record 2") {
+		t.Errorf("truncated tail error = %v, want record 2 decode error", err)
 	}
 }
 
@@ -121,7 +128,7 @@ func TestStreamDecoderErrors(t *testing.T) {
 func encodeRecords(t *testing.T, recs []core.SlotRecord) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	enc := NewRecordEncoder(&buf)
+	enc := NewEncoder[core.SlotRecord](&buf)
 	for i := range recs {
 		if err := enc.Encode(&recs[i]); err != nil {
 			t.Fatal(err)
@@ -150,7 +157,7 @@ func TestTolerantTailReplay(t *testing.T) {
 	lines := bytes.SplitAfter(whole, []byte("\n"))
 	complete := len(whole) - len(lines[4])
 	for _, cut := range []int{complete + 1, complete + len(lines[4])/2, len(whole) - 1} {
-		dec := NewRecordDecoder(bytes.NewReader(whole[:cut]))
+		dec := NewDecoder[core.SlotRecord](bytes.NewReader(whole[:cut]))
 		dec.TolerateTruncatedTail()
 		var got []core.SlotRecord
 		for {
@@ -175,7 +182,7 @@ func TestTolerantTailReplay(t *testing.T) {
 		// Resume: append a fresh record at the offset; the journal must
 		// replay strictly to 5 records.
 		resumed := append(append([]byte(nil), whole[:dec.Offset()]...), encodeRecords(t, recs[4:])...)
-		strict := NewRecordDecoder(bytes.NewReader(resumed))
+		strict := NewDecoder[core.SlotRecord](bytes.NewReader(resumed))
 		n := 0
 		for {
 			if _, err := strict.Next(); err == io.EOF {
@@ -191,7 +198,7 @@ func TestTolerantTailReplay(t *testing.T) {
 	}
 
 	// A clean journal in tolerant mode: no truncation, offset = size.
-	dec := NewRecordDecoder(bytes.NewReader(whole))
+	dec := NewDecoder[core.SlotRecord](bytes.NewReader(whole))
 	dec.TolerateTruncatedTail()
 	for {
 		if _, err := dec.Next(); err == io.EOF {
@@ -206,7 +213,7 @@ func TestTolerantTailReplay(t *testing.T) {
 
 	// Strict mode must refuse the same truncated input with
 	// ErrTruncatedTail.
-	strict := NewRecordDecoder(bytes.NewReader(whole[:len(whole)-1]))
+	strict := NewDecoder[core.SlotRecord](bytes.NewReader(whole[:len(whole)-1]))
 	var err error
 	for err == nil {
 		_, err = strict.Next()
@@ -218,7 +225,7 @@ func TestTolerantTailReplay(t *testing.T) {
 	// Garbage mid-stream stays a hard error even in tolerant mode.
 	bad := append(append([]byte(nil), lines[0]...), []byte("{garbage}\n")...)
 	bad = append(bad, lines[1]...)
-	tol := NewRecordDecoder(bytes.NewReader(bad))
+	tol := NewDecoder[core.SlotRecord](bytes.NewReader(bad))
 	tol.TolerateTruncatedTail()
 	if _, err := tol.Next(); err != nil {
 		t.Fatal(err)
@@ -267,14 +274,3 @@ func TestAllocationWriterMatchesBatch(t *testing.T) {
 		}
 	}
 }
-
-// TolerateTruncatedTail switches the decoder to crash-replay mode: a
-// truncated final line ends the stream cleanly instead of failing.
-// After io.EOF, Offset is the byte position replay can resume
-// appending from; it is short of the input's size when a tail was
-// dropped.
-func (d *ObservationDecoder) TolerateTruncatedTail() { d.r.tolerant = true }
-
-// Offset returns the byte offset just past the last complete line
-// consumed — the resumable append point of a truncated journal.
-func (d *ObservationDecoder) Offset() int64 { return d.r.off }

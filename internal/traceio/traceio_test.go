@@ -15,7 +15,7 @@ import (
 func encodeObservations(t *testing.T, obs []core.Observation) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	enc := NewObservationEncoder(&buf)
+	enc := NewEncoder[core.Observation](&buf)
 	for i := range obs {
 		if err := enc.Encode(&obs[i]); err != nil {
 			t.Fatal(err)
@@ -30,7 +30,7 @@ func encodeObservations(t *testing.T, obs []core.Observation) []byte {
 // decodeObservations drains an observation decoder over r, the way
 // `repro -load-obs` does.
 func decodeObservations(r io.Reader) ([]core.Observation, error) {
-	dec := NewObservationDecoder(r)
+	dec := NewDecoder[core.Observation](r)
 	var out []core.Observation
 	for {
 		o, err := dec.Next()
