@@ -28,6 +28,13 @@ func writeFrame(w io.Writer, v any) error {
 	return writeBody(w, body)
 }
 
+// readFrame receives one length-prefixed JSON message into v: a test
+// peer's side of the wire.
+func readFrame(r io.Reader, v any) error {
+	var fb frameBuffers
+	return fb.read(r, v)
+}
+
 func startServer(t *testing.T, dish *Dish) *Server {
 	t.Helper()
 	srv, err := NewServer("127.0.0.1:0", dish)

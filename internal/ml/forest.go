@@ -70,26 +70,33 @@ func FitForestCtx(ctx context.Context, d *Dataset, cfg ForestConfig) (*Forest, e
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
+	return fitForest(ctx, newFitContext(d), cfg)
+}
+
+// fitForest trains the ensemble over a validated, presorted table:
+// FitForestCtx's dataset or a WindowFit's window. Each builder reuses
+// one rng, re-seeded per tree: Seed(s) leaves it in the state
+// rand.New(rand.NewSource(s)) starts in.
+func fitForest(ctx context.Context, fc *fitContext, cfg ForestConfig) (*Forest, error) {
 	cfg = cfg.normalized()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	n := len(d.X)
-	boots := make([][]int, cfg.NumTrees)
+	n := len(fc.y)
+	// Tree i's bootstrap is boots[i*n : (i+1)*n]; Intn(n) < 2^31 fits
+	// an int32.
+	boots := make([]int32, cfg.NumTrees*n)
 	seeds := make([]int64, cfg.NumTrees)
-	bootFlat := make([]int, cfg.NumTrees*n)
-	for i := range boots {
-		boot := bootFlat[i*n : (i+1)*n : (i+1)*n]
-		for j := range boot {
-			boot[j] = rng.Intn(n)
+	for i := range seeds {
+		for j := i * n; j < (i+1)*n; j++ {
+			boots[j] = int32(rng.Intn(n))
 		}
-		boots[i] = boot
 		seeds[i] = rng.Int63()
 	}
+	boot := func(i int) []int32 { return boots[i*n : (i+1)*n : (i+1)*n] }
 
-	fc := newFitContext(d)
 	f := &Forest{
 		trees:       make([]*Tree, cfg.NumTrees),
-		numClasses:  d.NumClasses,
-		numFeatures: len(d.X[0]),
+		numClasses:  fc.numClasses,
+		numFeatures: fc.numFeatures,
 	}
 
 	var fitStart time.Time
@@ -98,12 +105,13 @@ func FitForestCtx(ctx context.Context, d *Dataset, cfg ForestConfig) (*Forest, e
 	}
 	workers := resolveWorkers(cfg.Workers, cfg.NumTrees)
 	if workers == 1 {
-		b := &treeBuilder{}
-		for i := range boots {
+		b, treeRng := &treeBuilder{}, rand.New(rand.NewSource(0))
+		for i, seed := range seeds {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			t, err := b.fitTree(fc, cfg.Tree, rand.New(rand.NewSource(seeds[i])), boots[i])
+			treeRng.Seed(seed)
+			t, err := b.fitTree(fc, cfg.Tree, treeRng, boot(i))
 			if err != nil {
 				return nil, fmt.Errorf("ml: tree %d: %w", i, err)
 			}
@@ -123,13 +131,15 @@ func FitForestCtx(ctx context.Context, d *Dataset, cfg ForestConfig) (*Forest, e
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			b := &treeBuilder{} // scratch reused across this worker's trees
+			// Scratch and rng reused across this worker's trees.
+			b, treeRng := &treeBuilder{}, rand.New(rand.NewSource(0))
 			for {
 				i := int(next.Add(1) - 1)
 				if i >= cfg.NumTrees || ctx.Err() != nil {
 					return
 				}
-				t, err := b.fitTree(fc, cfg.Tree, rand.New(rand.NewSource(seeds[i])), boots[i])
+				treeRng.Seed(seeds[i])
+				t, err := b.fitTree(fc, cfg.Tree, treeRng, boot(i))
 				if err != nil {
 					errs[i] = err
 					return

@@ -790,13 +790,15 @@ func FuzzFitTreeMatchesReference(f *testing.F) {
 			d.X = append(d.X, row)
 			d.Y = append(d.Y, s.next()%nc)
 		}
-		sub, boot := d, []int(nil) // nil: every row once
+		sub, boot := d, []int32(nil) // nil: every row once
 		if s.next()%2 == 1 {
-			boot = make([]int, n)
-			for j := range boot {
-				boot[j] = (s.next()<<8 | s.next()) % n
+			idx := make([]int, n)
+			boot = make([]int32, n)
+			for j := range idx {
+				idx[j] = (s.next()<<8 | s.next()) % n
+				boot[j] = int32(idx[j])
 			}
-			sub = d.Subset(boot)
+			sub = d.Subset(idx)
 		}
 		want, err := refFitTree(sub, cfg, rand.New(rand.NewSource(seed)))
 		if err != nil {

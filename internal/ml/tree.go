@@ -156,60 +156,72 @@ func (t *Tree) addLeaf(p []float64) {
 	t.nodes = append(t.nodes, node{feature: -1, left: lo, right: int32(len(t.leafCls))})
 }
 
-// fitContext is the per-dataset presort shared by every tree of a fit.
+// fitContext is the per-fit presort shared by every tree of a fit.
 // Each varying column is reduced to ranks: rank[f][row] is the row's
 // index among the column's distinct values vals[f] (ascending), so a
 // node can bin its members by value in O(members + distinct values),
 // and vals[f][rank[f][row]] reads the row's value back exactly.
-// Columns that are constant across the dataset (most of the §6
-// cluster-count features are) can never host a split; they have no
-// ranks and no values. Immutable after construction; concurrent tree
-// builders share one instance.
+// Columns that are constant across the table can never host a split;
+// they have no ranks and no values. Few §6 columns are: on
+// online-learn's windows (256–2,048 rows) 177–232 of the 251 vary, so
+// the presort sorts most of them. Immutable after construction;
+// concurrent tree builders share one instance.
 type fitContext struct {
-	d           *Dataset
 	numFeatures int
-	y           []int32     // y[row] = d.Y[row]
+	numClasses  int
+	y           []int32     // y[row]: the row's label
 	rank        [][]int32   // rank[f][row]; nil when column f is constant
 	vals        [][]float64 // distinct values of column f, ascending; nil when constant
 	maxDistinct int         // longest vals[f]: the bin count of one split histogram
 }
 
-// newFitContext sorts each varying column once — O(active features *
-// n log n), paid once per FitForestCtx call — and keeps only the
-// ranks and distinct values the sort yields.
+// newFitContext presorts a validated dataset.
 func newFitContext(d *Dataset) *fitContext {
-	n := len(d.X)
 	nf := len(d.X[0])
-	fc := &fitContext{
-		d:           d,
-		numFeatures: nf,
-		y:           make([]int32, n),
-		rank:        make([][]int32, nf),
-		vals:        make([][]float64, nf),
-	}
+	fc := &fitContext{numFeatures: nf, numClasses: d.NumClasses, y: make([]int32, len(d.X))}
 	for r, y := range d.Y {
 		fc.y[r] = int32(y)
 	}
 	varying := make([]bool, nf)
-	active := 0
 	for _, row := range d.X {
 		for f, v := range row {
-			if v != d.X[0][f] && !varying[f] {
+			if v != d.X[0][f] {
 				varying[f] = true
-				active++
 			}
 		}
 	}
+	fc.presort(varying, func(f int, col []float64) {
+		for r, row := range d.X {
+			col[r] = row[f]
+		}
+	})
+	return fc
+}
+
+// presort sorts each varying column once — O(active features * n log
+// n), paid once per fit — and keeps only the ranks and distinct values
+// the sort yields. fill copies column f, in row order, into col (one
+// scratch reused for every column). fc.y must be set.
+func (fc *fitContext) presort(varying []bool, fill func(f int, col []float64)) {
+	n := len(fc.y)
+	active := 0
+	for _, vary := range varying {
+		if vary {
+			active++
+		}
+	}
+	fc.rank = make([][]int32, fc.numFeatures)
+	fc.vals = make([][]float64, fc.numFeatures)
 	rankFlat := make([]int32, active*n)
 	col := make([]float64, n)
 	ord := make([]int32, n)
 	var distinct []float64
-	for f := 0; f < nf; f++ {
-		if !varying[f] {
+	for f, vary := range varying {
+		if !vary {
 			continue
 		}
-		for r, row := range d.X {
-			col[r] = row[f]
+		fill(f, col)
+		for r := range ord {
 			ord[r] = int32(r)
 		}
 		sortIdxByKey(col, ord)
@@ -225,7 +237,6 @@ func newFitContext(d *Dataset) *fitContext {
 		fc.rank[f], fc.vals[f] = rank, slices.Clone(distinct)
 		fc.maxDistinct = max(fc.maxDistinct, len(distinct))
 	}
-	return fc
 }
 
 // sortIdxByKey sorts idx ascending by key[idx[i]] with a fat-pivot
@@ -319,13 +330,13 @@ type treeBuilder struct {
 // fitTree grows one tree over the bootstrap boot (nil = the identity
 // sample, i.e. the whole dataset). The result is bit-identical to
 // growing on d.Subset(boot) with the sort-per-node engine.
-func (b *treeBuilder) fitTree(fc *fitContext, cfg TreeConfig, rng *rand.Rand, boot []int) (*Tree, error) {
+func (b *treeBuilder) fitTree(fc *fitContext, cfg TreeConfig, rng *rand.Rand, boot []int32) (*Tree, error) {
 	cfg = cfg.normalized(fc.numFeatures)
 	if cfg.MaxFeatures < fc.numFeatures && rng == nil {
 		return nil, fmt.Errorf("ml: feature subsampling requires an rng")
 	}
 	t := &Tree{
-		numClasses:  fc.d.NumClasses,
+		numClasses:  fc.numClasses,
 		numFeatures: fc.numFeatures,
 		importance:  make([]float64, fc.numFeatures),
 	}
@@ -340,8 +351,8 @@ func (b *treeBuilder) fitTree(fc *fitContext, cfg TreeConfig, rng *rand.Rand, bo
 
 // reset folds boot into one weighted member per distinct drawn row, in
 // row order, sizes the scratch and lists the classes the sample holds.
-func (b *treeBuilder) reset(boot []int) {
-	y, nc := b.fc.y, b.fc.d.NumClasses
+func (b *treeBuilder) reset(boot []int32) {
+	y, nc := b.fc.y, b.fc.numClasses
 	b.members = b.members[:0]
 	if boot == nil {
 		for r, c := range y {
