@@ -55,7 +55,6 @@ func NewRemoteScorer(c *Client) *RemoteScorer { return &RemoteScorer{c: c} }
 // and returns its answer.
 func (r *RemoteScorer) ObserveRecord(rec *core.SlotRecord) (ScoreUpdate, error) {
 	return r.c.Observe(ObserveRequest{
-		Terminal:  rec.Terminal,
 		LocalHour: rec.LocalHour,
 		Sats:      rec.AppendSats(nil),
 		ChosenIdx: rec.ChosenIdx,

@@ -60,7 +60,6 @@ type PredictResult struct {
 // ObserveRequest folds one revealed slot into the model remotely.
 // ChosenIdx indexes Sats, mirroring core.Observation.
 type ObserveRequest struct {
-	Terminal  string     `json:"terminal,omitempty"`
 	LocalHour int        `json:"local_hour"`
 	Sats      []SatParam `json:"sats"`
 	ChosenIdx int        `json:"chosen_idx"`

@@ -23,9 +23,9 @@ func TestWireBytes(t *testing.T) {
 			`{"local_hour":7,"sats":` + satsJSON + `,"k":3}`},
 		{"predict request, default k", PredictRequest{LocalHour: 7, Sats: sats},
 			`{"local_hour":7,"sats":` + satsJSON + `}`},
-		{"observe request", ObserveRequest{Terminal: "iowa", LocalHour: 23, Sats: sats, ChosenIdx: 1},
-			`{"terminal":"iowa","local_hour":23,"sats":` + satsJSON + `,"chosen_idx":1}`},
-		{"observe request, no terminal", ObserveRequest{LocalHour: 0, Sats: sats, ChosenIdx: -1},
+		{"observe request", ObserveRequest{LocalHour: 23, Sats: sats, ChosenIdx: 1},
+			`{"local_hour":23,"sats":` + satsJSON + `,"chosen_idx":1}`},
+		{"observe request, unserved slot", ObserveRequest{LocalHour: 0, Sats: sats, ChosenIdx: -1},
 			`{"local_hour":0,"sats":` + satsJSON + `,"chosen_idx":-1}`},
 		{"observe result", ObserveResult{Scored: true, Rank: 2, RecentTop1: 0.25, RecentTopK: 0.75, RefTop1: 0.5,
 			Drift: true, DriftEvents: 1, Refits: 3, ModelVersion: 4},
@@ -41,13 +41,16 @@ func TestWireBytes(t *testing.T) {
 		}
 	}
 
-	// Decoding the pinned bytes gives the messages back.
-	var req ObserveRequest
-	if err := json.Unmarshal([]byte(cases[2].want), &req); err != nil {
-		t.Fatal(err)
-	}
-	if req.Terminal != "iowa" || req.LocalHour != 23 || req.ChosenIdx != 1 || len(req.Sats) != 2 || req.Sats[0] != sats[0] || req.Sats[1] != sats[1] {
-		t.Errorf("observe request round trip: %+v", req)
+	// Decoding the pinned bytes gives the messages back. A client that
+	// still sends the retired "terminal" field is read the same way.
+	for _, raw := range []string{cases[2].want, `{"terminal":"iowa",` + cases[2].want[1:]} {
+		var req ObserveRequest
+		if err := json.Unmarshal([]byte(raw), &req); err != nil {
+			t.Fatal(err)
+		}
+		if req.LocalHour != 23 || req.ChosenIdx != 1 || len(req.Sats) != 2 || req.Sats[0] != sats[0] || req.Sats[1] != sats[1] {
+			t.Errorf("observe request round trip of %s: %+v", raw, req)
+		}
 	}
 	var res ObserveResult
 	if err := json.Unmarshal([]byte(cases[4].want), &res); err != nil {
