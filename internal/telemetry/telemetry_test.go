@@ -484,17 +484,6 @@ func TestDecisionTraceWriteJSONL(t *testing.T) {
 	}
 }
 
-func TestDecisionDecoderSkipsBlankAndReportsLine(t *testing.T) {
-	out, err := ReadDecisions(strings.NewReader("\n{\"terminal\":\"x\"}\n\n"))
-	if err != nil || len(out) != 1 || out[0].Terminal != "x" {
-		t.Fatalf("out=%+v err=%v", out, err)
-	}
-	_, err = ReadDecisions(strings.NewReader("{\"terminal\":\"x\"}\nnot json\n"))
-	if err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Fatalf("want line-numbered error, got %v", err)
-	}
-}
-
 func TestServerServesAndShutsDown(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("campaign_slots_total", "slots").Add(9)
@@ -632,50 +621,15 @@ func (h HistogramSnapshot) Quantile(q float64) float64 {
 	return h.Bounds[len(h.Bounds)-1]
 }
 
-// DecisionDecoder reads a JSONL decision trace record by record.
-type DecisionDecoder struct {
-	sc   *bufio.Scanner
-	line int
-}
-
-// NewDecisionDecoder wraps r.
-func NewDecisionDecoder(r io.Reader) *DecisionDecoder {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	return &DecisionDecoder{sc: sc}
-}
-
-// Next returns the next decision, io.EOF at end of stream.
-func (d *DecisionDecoder) Next() (Decision, error) {
-	for d.sc.Scan() {
-		d.line++
-		b := bytes.TrimSpace(d.sc.Bytes())
-		if len(b) == 0 {
-			continue
-		}
-		var dec Decision
-		if err := json.Unmarshal(b, &dec); err != nil {
-			return Decision{}, fmt.Errorf("telemetry: decisions line %d: %w", d.line, err)
-		}
-		return dec, nil
-	}
-	if err := d.sc.Err(); err != nil {
-		return Decision{}, fmt.Errorf("telemetry: read decisions: %w", err)
-	}
-	return Decision{}, io.EOF
-}
-
-// ReadDecisions decodes a whole JSONL trace (batch wrapper over
-// DecisionDecoder).
+// ReadDecisions decodes a whole JSONL decision trace.
 func ReadDecisions(r io.Reader) ([]Decision, error) {
-	dec := NewDecisionDecoder(r)
+	dec := json.NewDecoder(r)
 	var out []Decision
 	for {
-		d, err := dec.Next()
-		if err == io.EOF {
+		var d Decision
+		if err := dec.Decode(&d); err == io.EOF {
 			return out, nil
-		}
-		if err != nil {
+		} else if err != nil {
 			return nil, err
 		}
 		out = append(out, d)
