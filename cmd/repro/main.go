@@ -205,13 +205,8 @@ func runWorker(ctx context.Context, opt options) error {
 // it runs the identical campaign single-process — producing the golden
 // hash a distributed run must match. Workers rebuild the environment —
 // constellation geometry, terminal placement, scheduler config — from
-// the spec shipped inside the campaign description.
+// the spec the coordinator ships them.
 func runDist(ctx context.Context, opt options, reg *telemetry.Registry, scn *scenario.Spec) error {
-	spec := coord.CampaignSpec{
-		Scenario: scn,
-		Slots:    scn.Campaign.Slots,
-		Oracle:   scn.Campaign.Oracle,
-	}
 	h := sha256.New()
 	var out io.Writer = h
 	if opt.coordOut != "" {
@@ -224,10 +219,11 @@ func runDist(ctx context.Context, opt options, reg *telemetry.Registry, scn *sce
 	}
 	start := time.Now()
 	if opt.coordWorkers == "" {
-		cfg, err := coord.BuildCampaign(spec)
+		built, err := scn.Build(scenario.BuildOptions{})
 		if err != nil {
 			return err
 		}
+		cfg := built.CampaignConfig()
 		cfg.Metrics = core.NewCampaignMetrics(reg)
 		enc := traceio.NewEncoder[core.SlotRecord](out)
 		stats, err := core.RunCampaignStream(ctx, cfg, func(rec core.SlotRecord) error {
@@ -255,7 +251,7 @@ func runDist(ctx context.Context, opt options, reg *telemetry.Registry, scn *sce
 		}
 		c := &coord.Coordinator{
 			Workers:    strings.Split(opt.coordWorkers, ","),
-			Spec:       spec,
+			Spec:       scn,
 			Shards:     opt.coordShards,
 			JournalDir: journal,
 			Registry:   reg,

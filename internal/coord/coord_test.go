@@ -21,26 +21,28 @@ import (
 
 // testSpec is small and oracle-mode so a full campaign runs in
 // milliseconds per worker while still exercising every layer.
-func testSpec(slots int) CampaignSpec {
+func testSpec(slots int) *scenario.Spec {
 	scn, err := scenario.Starlink("small", 41)
 	if err != nil {
 		panic(err)
 	}
-	return CampaignSpec{Scenario: scn, Slots: slots, Oracle: true}
+	scn.Campaign.Slots = slots
+	scn.Campaign.Oracle = true
+	return scn
 }
 
 // serialBytes runs the spec single-process and returns the traceio
 // JSONL encoding — the golden stream every distributed run must match
 // byte for byte.
-func serialBytes(t *testing.T, spec CampaignSpec) []byte {
+func serialBytes(t *testing.T, spec *scenario.Spec) []byte {
 	t.Helper()
-	cfg, err := BuildCampaign(spec)
+	built, err := spec.Build(scenario.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	enc := traceio.NewEncoder[core.SlotRecord](&buf)
-	if _, err := core.RunCampaignStream(context.Background(), cfg, func(rec core.SlotRecord) error {
+	if _, err := core.RunCampaignStream(context.Background(), built.CampaignConfig(), func(rec core.SlotRecord) error {
 		return enc.Encode(&rec)
 	}); err != nil {
 		t.Fatal(err)
@@ -103,8 +105,8 @@ func TestCoordinatorMatchesSerial(t *testing.T) {
 			t.Fatalf("workers=%d shards=%d: merged stream differs from serial (%d vs %d bytes)",
 				tc.workers, tc.shards, out.Len(), len(golden))
 		}
-		if res.Records != res.Terminals*spec.Slots {
-			t.Errorf("records = %d, want %d", res.Records, res.Terminals*spec.Slots)
+		if res.Records != res.Terminals*spec.Campaign.Slots {
+			t.Errorf("records = %d, want %d", res.Records, res.Terminals*spec.Campaign.Slots)
 		}
 		if res.Reassigned != 0 {
 			t.Errorf("healthy run reassigned %d shards", res.Reassigned)
@@ -187,7 +189,7 @@ func TestCoordinatorWorkerDeath(t *testing.T) {
 		got := decodeAll(t, f)
 		f.Close()
 		var want []core.SlotRecord
-		for slot := 0; slot < spec.Slots; slot++ {
+		for slot := 0; slot < spec.Campaign.Slots; slot++ {
 			want = append(want, goldenRecs[slot*nTerms+lo:slot*nTerms+hi]...)
 		}
 		if len(got) != len(want) {
@@ -302,8 +304,8 @@ func TestCoordinatorAllWorkersDead(t *testing.T) {
 
 // TestCoordinatorScenarioSpec: the coordinator runs a non-Starlink
 // scenario — workers rebuild a Walker-star constellation and
-// grid-placed terminals from the spec carried in CampaignSpec, not
-// from the baked-in Starlink shells — and the distributed merge is
+// grid-placed terminals from the spec the coordinator ships, not from
+// the baked-in Starlink shells — and the distributed merge is
 // byte-identical to the serial scenario run.
 func TestCoordinatorScenarioSpec(t *testing.T) {
 	scn := &scenario.Spec{
@@ -329,8 +331,7 @@ func TestCoordinatorScenarioSpec(t *testing.T) {
 	if err := scn.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	spec := CampaignSpec{Scenario: scn, Slots: scn.Campaign.Slots, Oracle: true}
-	golden := serialBytes(t, spec)
+	golden := serialBytes(t, scn)
 	if len(golden) == 0 {
 		t.Fatal("empty golden scenario stream")
 	}
@@ -352,7 +353,7 @@ func TestCoordinatorScenarioSpec(t *testing.T) {
 	var out bytes.Buffer
 	c := &Coordinator{
 		Workers:    addrs(servers),
-		Spec:       spec,
+		Spec:       scn,
 		Shards:     2,
 		JournalDir: t.TempDir(),
 		Out:        &out,
@@ -374,9 +375,9 @@ func TestCoordinatorScenarioSpec(t *testing.T) {
 // receives a shard and no journal directory is created.
 func TestCoordinatorRejectsInvalidSpec(t *testing.T) {
 	bad := testSpec(2)
-	bad.Scenario.Version = 0
-	for name, spec := range map[string]CampaignSpec{
-		"no scenario": {Slots: 2, Oracle: true},
+	bad.Version = 0
+	for name, spec := range map[string]*scenario.Spec{
+		"no scenario": nil,
 		"invalid":     bad,
 	} {
 		w := &Worker{}
@@ -417,11 +418,11 @@ func TestFetchStaysWithinFrame(t *testing.T) {
 	if err := scn.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	spec := CampaignSpec{Scenario: scn, Slots: 40, Oracle: true}
-	golden := serialBytes(t, spec)
+	scn.Campaign.Slots = 40
+	golden := serialBytes(t, scn)
 
 	w := &Worker{}
-	start, err := json.Marshal(startParams{Shard: 0, Lo: 0, Hi: 4, Spec: spec})
+	start, err := json.Marshal(startParams{Shard: 0, Lo: 0, Hi: 4, Spec: scn})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,47 +35,14 @@ import (
 	"repro/internal/scenario"
 )
 
-// CampaignSpec is the campaign description the coordinator sends to
-// every worker. Workers rebuild the identical environment from it, so
-// the spec must pin everything determinism depends on.
-type CampaignSpec struct {
-	// Scenario is the declarative environment — constellation design
-	// (including non-Starlink Walker-star geometry), seed, terminal
-	// placement, scheduler config, reset cadence and worker counts —
-	// each worker rebuilds. The coordinator-level campaign shape
-	// (Slots, Oracle) stays authoritative here: the merge loop and
-	// shard journals are keyed on it.
-	Scenario *scenario.Spec `json:"scenario"`
-	Slots    int            `json:"slots"`
-	// Oracle labels slots with scheduler ground truth instead of running
-	// obstruction-map identification.
-	Oracle bool `json:"oracle"`
-}
-
-// BuildCampaign turns a spec into a runnable campaign config: a full
-// experiments environment lowered from the scenario spec — exactly
-// what cmd/repro runs single-process. Every call builds afresh: the
-// scheduler is stateful, and a reassigned shard restarts it from
-// slot 0.
-func BuildCampaign(spec CampaignSpec) (cfg core.CampaignConfig, err error) {
-	if spec.Scenario == nil {
-		return cfg, fmt.Errorf("coord: campaign spec has no scenario")
-	}
-	built, err := spec.Scenario.Build(scenario.BuildOptions{})
-	if err != nil {
-		return cfg, err
-	}
-	return built.Env.CampaignConfig(spec.Slots, spec.Oracle), nil
-}
-
 // Protocol messages. The transport is the dishrpc length-prefixed
 // framing; methods are dispatched by name through a Handler server.
 type startParams struct {
-	Shard int          `json:"shard"`
-	Lo    int          `json:"lo"`
-	Hi    int          `json:"hi"`
-	From  int          `json:"from"` // EmitFromSlot: first unacked slot
-	Spec  CampaignSpec `json:"spec"`
+	Shard int            `json:"shard"`
+	Lo    int            `json:"lo"`
+	Hi    int            `json:"hi"`
+	From  int            `json:"from"` // EmitFromSlot: first unacked slot
+	Spec  *scenario.Spec `json:"spec"`
 }
 
 type fetchParams struct {
@@ -170,10 +137,16 @@ func (w *Worker) Handle(method string, params json.RawMessage) (any, error) {
 // restarts a shard it has given up on, and stale records must not mix
 // with the replay.
 func (w *Worker) start(p startParams) error {
-	cfg, err := BuildCampaign(p.Spec)
+	if p.Spec == nil {
+		return fmt.Errorf("coord: start without a scenario spec")
+	}
+	// Every start builds afresh: the scheduler is stateful, and a
+	// reassigned shard restarts it from slot 0.
+	built, err := p.Spec.Build(scenario.BuildOptions{})
 	if err != nil {
 		return err
 	}
+	cfg := built.CampaignConfig()
 	cfg.Shard = core.ShardRange{Lo: p.Lo, Hi: p.Hi}
 	cfg.EmitFromSlot = p.From
 
