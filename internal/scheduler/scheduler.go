@@ -73,11 +73,7 @@ type Allocation struct {
 	// Observables of the chosen satellite at slot start.
 	ElevationDeg float64
 	AzimuthDeg   float64
-	RangeKm      float64
 	Sunlit       bool
-	LaunchDate   time.Time
-	// Candidates is the number of eligible satellites considered.
-	Candidates int
 }
 
 // Weights are the global controller's scoring preferences. The
@@ -355,7 +351,7 @@ func (g *Global) Allocate(t time.Time) []Allocation {
 		var cands []Candidate
 		g.fovScratch, cands = g.appendCandidates(g.fovScratch, g.candScratch[:0], term, shared)
 		g.candScratch = cands
-		alloc := Allocation{Terminal: term.Name, SlotStart: slotStart, Candidates: len(cands)}
+		alloc := Allocation{Terminal: term.Name, SlotStart: slotStart}
 		g.metrics.observe(len(cands), len(cands) > 0)
 		if len(cands) > 0 {
 			best := cands[0]
@@ -370,9 +366,7 @@ func (g *Global) Allocate(t time.Time) []Allocation {
 			alloc.SatID = best.Sat.ID
 			alloc.ElevationDeg = best.Look.ElevationDeg
 			alloc.AzimuthDeg = best.Look.AzimuthDeg
-			alloc.RangeKm = best.Look.RangeKm
 			alloc.Sunlit = best.Sunlit
-			alloc.LaunchDate = best.Sat.Launch
 		}
 		out = append(out, alloc)
 	}

@@ -97,9 +97,10 @@ func TestAllocateSkippedSatelliteStaysSunlit(t *testing.T) {
 		t.Fatal(err)
 	}
 	for slot := 0; slot < 8; slot++ {
-		allocs := g.Allocate(start.Add(time.Duration(slot) * Period))
-		if allocs[0].Candidates != 2 {
-			t.Fatalf("slot %d: %d candidates, want the 2 healthy satellites", slot, allocs[0].Candidates)
+		at := start.Add(time.Duration(slot) * Period)
+		g.Allocate(at)
+		if n := len(g.CandidatesAt(term, at)); n != 2 {
+			t.Fatalf("slot %d: %d candidates, want the 2 healthy satellites", slot, n)
 		}
 		// The load the fleet stepped with is the walk's value for this
 		// slot, which Allocate leaves in place.

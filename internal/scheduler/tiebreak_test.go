@@ -77,8 +77,8 @@ func TestAllocateScoreTieBreak(t *testing.T) {
 		if len(allocs) != 1 {
 			t.Fatalf("got %d allocations, want 1", len(allocs))
 		}
-		if allocs[0].Candidates != 2 {
-			t.Fatalf("candidates = %d, want 2 (order %v)", allocs[0].Candidates, ids)
+		if n := len(g.CandidatesAt(term, slot)); n != 2 {
+			t.Fatalf("candidates = %d, want 2 (order %v)", n, ids)
 		}
 		if allocs[0].SatID != 44000 {
 			t.Fatalf("tie broken to sat %d, want lowest ID 44000 (order %v)", allocs[0].SatID, ids)

@@ -1,14 +1,13 @@
 // Package traceio persists and reloads the reproduction's data
-// artifacts — allocation logs, slot observations and full campaign
-// records — so campaigns can be captured once and re-analyzed offline,
-// mirroring the paper's released model-and-data bundle.
+// artifacts — slot observations and full campaign records — so
+// campaigns can be captured once and re-analyzed offline, mirroring
+// the paper's released model-and-data bundle.
 //
 // Every codec is record-at-a-time: each encoder/decoder holds O(1)
 // state, so a multi-million-slot campaign can be persisted while it
-// runs and replayed without ever materializing the trace. Allocation
-// logs are TSV with a header row (they are flat and meant for shell
-// tooling); observations and records are JSON Lines (each slot
-// carries a nested available-satellite list).
+// runs and replayed without ever materializing the trace. Both row
+// types are JSON Lines (each slot carries a nested available-satellite
+// list).
 package traceio
 
 import (
@@ -18,14 +17,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/scheduler"
 )
-
-// timeLayout is RFC3339 with nanoseconds, lossless for our clocks.
-const timeLayout = time.RFC3339Nano
 
 // ErrTruncatedTail reports a JSONL stream whose final line is
 // incomplete — the signature a crash mid-append leaves behind. Strict
@@ -219,47 +213,4 @@ func observationOf[T row](v *T) *core.Observation {
 		return &v.Observation
 	}
 	panic("traceio: unreachable row type")
-}
-
-// AllocationWriter streams an allocation log as TSV one row at a
-// time. The header row is emitted on construction; Flush finishes the
-// stream (buffered write errors, including the header's, surface
-// there or on the first Write after they occur).
-type AllocationWriter struct {
-	bw *bufio.Writer
-	n  int
-}
-
-// NewAllocationWriter wraps w and buffers the header row.
-func NewAllocationWriter(w io.Writer) *AllocationWriter {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "slot_start\tterminal\tsat_id\televation_deg\tazimuth_deg\trange_km\tsunlit\tlaunch\tcandidates")
-	return &AllocationWriter{bw: bw}
-}
-
-// Write appends one allocation row.
-func (w *AllocationWriter) Write(a scheduler.Allocation) error {
-	sunlit := 0
-	if a.Sunlit {
-		sunlit = 1
-	}
-	launch := ""
-	if !a.LaunchDate.IsZero() {
-		launch = a.LaunchDate.UTC().Format(timeLayout)
-	}
-	if _, err := fmt.Fprintf(w.bw, "%s\t%s\t%d\t%g\t%g\t%g\t%d\t%s\t%d\n",
-		a.SlotStart.UTC().Format(timeLayout), a.Terminal, a.SatID,
-		a.ElevationDeg, a.AzimuthDeg, a.RangeKm, sunlit, launch, a.Candidates); err != nil {
-		return fmt.Errorf("traceio: write allocation: %w", err)
-	}
-	w.n++
-	return nil
-}
-
-// Flush drains the buffer to the underlying writer.
-func (w *AllocationWriter) Flush() error {
-	if err := w.bw.Flush(); err != nil {
-		return fmt.Errorf("traceio: flush allocations: %w", err)
-	}
-	return nil
 }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/scheduler"
 )
 
 // randObservation draws a structurally valid observation from rng —
@@ -232,45 +231,5 @@ func TestTolerantTailReplay(t *testing.T) {
 	}
 	if _, err := tol.Next(); err == nil || err == io.EOF {
 		t.Errorf("mid-stream garbage tolerated: %v", err)
-	}
-}
-
-// TestAllocationWriterMatchesBatch pins the allocation log's TSV byte
-// for byte: the header alone for an empty log, then one row with a
-// launch date and one outage row without (its launch column empty).
-func TestAllocationWriterMatchesBatch(t *testing.T) {
-	const header = "slot_start\tterminal\tsat_id\televation_deg\tazimuth_deg\trange_km\tsunlit\tlaunch\tcandidates\n"
-	t0 := time.Date(2023, 3, 1, 1, 0, 12, 0, time.UTC)
-	rows := []scheduler.Allocation{
-		{
-			Terminal: "Iowa", SlotStart: t0, SatID: 44714,
-			ElevationDeg: 63.25, AzimuthDeg: 342.1, RangeKm: 612.4,
-			Sunlit: true, LaunchDate: time.Date(2021, 5, 1, 0, 0, 0, 0, time.UTC),
-			Candidates: 17,
-		},
-		{Terminal: "Madrid", SlotStart: t0}, // outage row
-	}
-	for _, tc := range []struct {
-		allocs []scheduler.Allocation
-		want   string
-	}{
-		{nil, header},
-		{rows, header +
-			"2023-03-01T01:00:12Z\tIowa\t44714\t63.25\t342.1\t612.4\t1\t2021-05-01T00:00:00Z\t17\n" +
-			"2023-03-01T01:00:12Z\tMadrid\t0\t0\t0\t0\t0\t\t0\n"},
-	} {
-		var buf bytes.Buffer
-		aw := NewAllocationWriter(&buf)
-		for _, a := range tc.allocs {
-			if err := aw.Write(a); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := aw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if got := buf.String(); got != tc.want {
-			t.Errorf("%d rows: TSV\n%q\nwant\n%q", len(tc.allocs), got, tc.want)
-		}
 	}
 }
