@@ -172,11 +172,17 @@ func writeBody(w io.Writer, body []byte) error {
 // that frame, so a connection never holds MaxFrame for good.
 const maxKeptBuffer = 64 << 10
 
-// frameBuffers are one connection end's reused frame buffers: the body
-// of the last frame read, and the encodings of a payload (params or
-// result) and of the envelope around it. Not safe for concurrent use.
+// frameBuffers are one connection end's reused frame state: the body
+// of the last frame read and the decoder that reads it, the request
+// and response envelopes, and the encodings of a payload (params or
+// result) and of the envelope around it. The end that receives
+// requests decodes into req and encodes resp; the other end does the
+// reverse. Not safe for concurrent use.
 type frameBuffers struct {
 	body         []byte
+	dec          Decoder
+	req          request
+	resp         response
 	payload, env jsonBuffer
 }
 
@@ -202,17 +208,75 @@ func (fb *frameBuffers) read(r io.Reader, v any) error {
 	if _, err := io.ReadFull(r, body); err != nil {
 		return fmt.Errorf("dishrpc: read body: %w", err)
 	}
-	if err := json.Unmarshal(body, v); err != nil {
+	if err := fb.dec.Decode(body, v); err != nil {
 		return fmt.Errorf("%w: bad json: %v", ErrProtocol, err)
 	}
 	return nil
 }
 
-// trim drops the encode buffers that grew past maxKeptBuffer; read
-// drops its own.
+// trim drops the buffers that grew past maxKeptBuffer for this frame;
+// read drops the body, and the decoder drops its own.
 func (fb *frameBuffers) trim() {
 	fb.payload.trim()
 	fb.env.trim()
+	if cap(fb.req.Params) > maxKeptBuffer {
+		fb.req.Params = nil
+	}
+	if cap(fb.resp.Result) > maxKeptBuffer {
+		fb.resp.Result = nil
+	}
+}
+
+// Decoder decodes JSON documents as json.Unmarshal does, through one
+// reused json.Decoder, so a warm Decoder allocates only what the
+// decoded value keeps. It drops its decoder after a document over half
+// of maxKeptBuffer (the decoder's buffer grows to about twice the
+// document) and after a rejected one. The zero value is ready to use.
+// Not safe for concurrent use, and not to be copied once used: its
+// decoder reads from r.
+type Decoder struct {
+	r    bytes.Reader
+	dec  *json.Decoder
+	read int64 // bytes dec has read from r, over every document so far
+}
+
+// Decode stores the JSON document data in v and returns
+// json.Unmarshal's error, text for text. v then holds what Unmarshal
+// would store, except that a document with data after its first value
+// may leave that value in v. Nothing keeps data after Decode returns.
+func (d *Decoder) Decode(data []byte, v any) error {
+	if d.dec == nil {
+		d.dec, d.read = json.NewDecoder(&d.r), 0
+	}
+	d.r.Reset(data)
+	err := d.dec.Decode(v)
+	// The decoder's offsets run over every byte it has read. What it
+	// read of earlier documents and left unparsed is whitespace, so
+	// data[0] is at offset d.read and the value ends at data[end].
+	end := d.dec.InputOffset() - d.read
+	d.read += int64(len(data) - d.r.Len())
+	d.r.Reset(nil)
+	if err != nil || !onlySpace(data[end:]) {
+		// A json.Decoder reports empty and truncated documents as
+		// io.EOF and stops after the first value; Unmarshal has the
+		// error. A decoder that failed keeps failing, so drop it.
+		d.dec = nil
+		return json.Unmarshal(data, v)
+	}
+	if len(data) > maxKeptBuffer/2 {
+		d.dec = nil
+	}
+	return nil
+}
+
+// onlySpace reports whether b is all JSON whitespace.
+func onlySpace(b []byte) bool {
+	for _, c := range b {
+		if c != ' ' && c != '\t' && c != '\n' && c != '\r' {
+			return false
+		}
+	}
+	return true
 }
 
 // jsonBuffer encodes values into one reused buffer. Not to be copied
@@ -245,7 +309,10 @@ func (j *jsonBuffer) trim() {
 // Handler answers one request: it receives the method name and raw
 // params and returns the result value (marshalled into the response)
 // or an error (sent to the client as a server-side error string, which
-// does not poison the connection). Handlers are called from one
+// does not poison the connection). The params are valid until the
+// handler returns: the connection reuses their buffer for the next
+// frame, so a handler decodes them (a Decoder does it without
+// allocating) or copies what it keeps. Handlers are called from one
 // goroutine per connection; shared state must be synchronized.
 type Handler func(method string, params json.RawMessage) (any, error)
 
@@ -363,15 +430,20 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// serveFrame answers one request frame from br on bw.
+// serveFrame answers one request frame from br on bw. The request
+// envelope and its params are reused for the next frame: the handler
+// may keep nothing of them past its return.
 func (s *Server) serveFrame(br io.Reader, bw *bufio.Writer, fb *frameBuffers) error {
 	defer fb.trim()
-	// A fresh request per frame: the handler owns its params.
-	var req request
-	if err := fb.read(br, &req); err != nil {
+	// Zeroed but for its params buffer, the reused request reads a
+	// field the frame omits as a fresh one would.
+	req := &fb.req
+	*req = request{Params: req.Params[:0]}
+	if err := fb.read(br, req); err != nil {
 		return err
 	}
-	resp := response{ID: req.ID}
+	resp := &fb.resp
+	*resp = response{ID: req.ID}
 	result, err := s.handler(req.Method, req.Params)
 	if err != nil {
 		resp.Error = err.Error()
@@ -386,13 +458,14 @@ func (s *Server) serveFrame(br io.Reader, bw *bufio.Writer, fb *frameBuffers) er
 			resp.Result = body
 		}
 	}
-	body, err := fb.env.marshal(&resp)
+	body, err := fb.env.marshal(resp)
 	if err == nil && len(body) > MaxFrame {
 		// Nothing is on the wire yet: answer with an error that
 		// fits, so the client stays in sync instead of reading a
 		// dropped connection as a dead server.
-		body, err = fb.env.marshal(&response{ID: req.ID, Error: fmt.Sprintf(
-			"response of %d bytes exceeds the %d-byte frame limit", len(body), MaxFrame)})
+		*resp = response{ID: req.ID, Error: fmt.Sprintf(
+			"response of %d bytes exceeds the %d-byte frame limit", len(body), MaxFrame)}
+		body, err = fb.env.marshal(resp)
 	}
 	if err != nil {
 		return err
@@ -435,7 +508,6 @@ type Client struct {
 	br      *bufio.Reader
 	bw      *bufio.Writer
 	fb      frameBuffers
-	result  json.RawMessage // the last reply's result, reused
 	next    uint64
 	timeout time.Duration
 	// broken poisons the client: once any call fails below the protocol
@@ -506,7 +578,8 @@ func (c *Client) Call(method string, params, out any) error {
 	}
 	defer c.fb.trim()
 	c.next++
-	req := request{ID: c.next, Method: method}
+	req := &c.fb.req
+	*req = request{ID: c.next, Method: method}
 	if params != nil {
 		raw, err := c.fb.payload.marshal(params)
 		if err != nil {
@@ -515,7 +588,7 @@ func (c *Client) Call(method string, params, out any) error {
 		}
 		req.Params = raw
 	}
-	body, err := c.fb.env.marshal(&req)
+	body, err := c.fb.env.marshal(req)
 	if err != nil {
 		return fmt.Errorf("dishrpc: marshal: %w", err)
 	}
@@ -528,18 +601,17 @@ func (c *Client) Call(method string, params, out any) error {
 	if err := c.bw.Flush(); err != nil {
 		return c.poison(fmt.Errorf("dishrpc: flush: %w", err))
 	}
-	// Decoding the result appends to the reused buffer.
-	resp := response{Result: c.result[:0]}
-	if err := c.fb.read(c.br, &resp); err != nil {
+	// Zeroed as serveFrame zeroes its request; decoding the result
+	// appends to the reused buffer.
+	resp := &c.fb.resp
+	*resp = response{Result: resp.Result[:0]}
+	if err := c.fb.read(c.br, resp); err != nil {
 		return c.poison(fmt.Errorf("dishrpc: read response: %w", err))
 	}
-	if cap(resp.Result) <= maxKeptBuffer {
-		c.result = resp.Result
-	}
-	if resp.ID != req.ID {
+	if resp.ID != c.next {
 		// A reply numbered for another call means the stream is already
 		// desynced (e.g. the late answer to a timed-out call).
-		return c.poison(fmt.Errorf("%w: response id %d for request %d", ErrProtocol, resp.ID, req.ID))
+		return c.poison(fmt.Errorf("%w: response id %d for request %d", ErrProtocol, resp.ID, c.next))
 	}
 	if resp.Error != "" {
 		if resp.ErrorKind == errorKindUnknownMethod {
@@ -550,7 +622,7 @@ func (c *Client) Call(method string, params, out any) error {
 		return fmt.Errorf("dishrpc: server: %s", resp.Error)
 	}
 	if out != nil {
-		if err := json.Unmarshal(resp.Result, out); err != nil {
+		if err := c.fb.dec.Decode(resp.Result, out); err != nil {
 			return fmt.Errorf("%w: bad result: %v", ErrProtocol, err)
 		}
 	}

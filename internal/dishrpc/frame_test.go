@@ -157,23 +157,64 @@ func TestFrameBytes(t *testing.T) {
 	})
 }
 
-// checkKept fails when fb keeps a buffer above maxKeptBuffer.
-func checkKept(t *testing.T, end string, fb *frameBuffers) {
+// checkKept fails when fb keeps a buffer above maxKeptBuffer, or,
+// after a frame over it (big), the decoder that read that frame.
+func checkKept(t *testing.T, end string, fb *frameBuffers, big bool) {
 	t.Helper()
-	for name, c := range map[string]int{"body": cap(fb.body), "payload": fb.payload.buf.Cap(), "envelope": fb.env.buf.Cap()} {
+	for name, c := range map[string]int{
+		"body": cap(fb.body), "payload": fb.payload.buf.Cap(), "envelope": fb.env.buf.Cap(),
+		"params": cap(fb.req.Params), "result": cap(fb.resp.Result),
+	} {
 		if c > maxKeptBuffer {
 			t.Errorf("%s keeps a %d-byte %s buffer, bound %d", end, c, name, maxKeptBuffer)
 		}
 	}
+	if big && fb.dec.dec != nil {
+		t.Errorf("%s keeps the decoder that read a frame over %d bytes", end, maxKeptBuffer)
+	}
 }
 
-// echoHandler returns each request's params as its result.
+// kept is what one small frame leaves for the next to reuse: the
+// decoder, and the first byte of the body and of the decoded payload
+// (the request's params at the server, the reply's result at the
+// client).
+type kept struct {
+	dec           *json.Decoder
+	body, payload *byte
+}
+
+func keptBy(fb *frameBuffers, payload []byte) kept {
+	k := kept{dec: fb.dec.dec}
+	if cap(fb.body) > 0 {
+		k.body = &fb.body[:1][0]
+	}
+	if cap(payload) > 0 {
+		k.payload = &payload[:1][0]
+	}
+	return k
+}
+
+// checkReused fails unless the second of two consecutive small frames
+// reused the first's decoder and buffers.
+func checkReused(t *testing.T, end string, first, second kept) {
+	t.Helper()
+	if first.dec == nil || first.body == nil || first.payload == nil {
+		t.Errorf("%s kept no decoder or buffer after a small frame: %+v", end, first)
+	}
+	if first != second {
+		t.Errorf("%s read consecutive small frames with different state: %+v, then %+v", end, first, second)
+	}
+}
+
+// echoHandler returns each request's params as its result: the server
+// marshals the result before it reads the next frame into the params'
+// buffer.
 func echoHandler(_ string, params json.RawMessage) (any, error) { return params, nil }
 
 // TestFrameBuffersBounded: a ~900 KiB request answered by a ~900 KiB
 // reply grows every reused buffer past maxKeptBuffer for one frame;
-// afterwards neither end keeps one above the bound, and small frames
-// reuse what they keep.
+// afterwards neither end keeps one above the bound, nor the decoder
+// that read it, and small frames reuse what they keep.
 func TestFrameBuffersBounded(t *testing.T) {
 	big := strings.Repeat("x", 900<<10)
 
@@ -192,33 +233,25 @@ func TestFrameBuffersBounded(t *testing.T) {
 		defer c.Close()
 
 		var got string
-		if err := c.Call("echo", "small", &got); err != nil || got != "small" {
-			t.Fatalf("small call = %q, %v", got, err)
-		}
-		if err := c.Call("echo", big, &got); err != nil || got != big {
-			t.Fatalf("big call: %d bytes back, %v", len(got), err)
-		}
-		checkKept(t, "client", &c.fb)
-		if cap(c.result) > maxKeptBuffer {
-			t.Errorf("client keeps a %d-byte result buffer, bound %d", cap(c.result), maxKeptBuffer)
-		}
-		var body *byte
-		for i := 0; i < 2; i++ {
-			if err := c.Call("echo", "small", &got); err != nil || got != "small" {
-				t.Fatalf("small call after the big one = %q, %v", got, err)
+		var prev kept
+		for i, params := range []string{"small", "small", big, "small", "small"} {
+			if err := c.Call("echo", params, &got); err != nil || got != params {
+				t.Fatalf("call %d: %d bytes back for %d, %v", i, len(got), len(params), err)
 			}
-			if i == 0 {
-				body = &c.fb.body[0]
-			} else if &c.fb.body[0] != body {
-				t.Error("consecutive small replies were read into different buffers")
+			checkKept(t, "client", &c.fb, params == big)
+			k := keptBy(&c.fb, c.fb.resp.Result)
+			if i == 1 || i == 4 {
+				checkReused(t, "client", prev, k)
 			}
+			prev = k
 		}
 	})
 
 	t.Run("server", func(t *testing.T) {
 		s := &Server{handler: echoHandler}
 		var fb frameBuffers
-		for _, params := range []string{"small", big, "small"} {
+		var prev kept
+		for i, params := range []string{"small", "small", big, "small", "small"} {
 			raw, err := json.Marshal(params)
 			if err != nil {
 				t.Fatal(err)
@@ -243,10 +276,15 @@ func TestFrameBuffersBounded(t *testing.T) {
 			if err := json.Unmarshal(resp.Result, &got); err != nil || got != params {
 				t.Fatalf("echo of %d bytes: %d back, %v (error %q)", len(params), len(got), err, resp.Error)
 			}
-			checkKept(t, "server", &fb)
+			checkKept(t, "server", &fb, params == big)
+			k := keptBy(&fb, fb.req.Params)
+			if i == 1 || i == 4 {
+				checkReused(t, "server", prev, k)
+			}
+			prev = k
 		}
-		if cap(fb.body) == 0 || fb.payload.buf.Cap() == 0 || fb.env.buf.Cap() == 0 {
-			t.Error("server kept no buffer after a small frame")
+		if fb.payload.buf.Cap() == 0 || fb.env.buf.Cap() == 0 {
+			t.Error("server kept no encode buffer after a small frame")
 		}
 	})
 }
@@ -274,12 +312,15 @@ type predictResult struct {
 
 // BenchmarkCallRoundTrip is one Call over loopback with predict-sized
 // params (about 600 bytes) and a top-5 result; allocs/op counts both
-// ends.
+// ends. The handler decodes into a reused request through a Decoder,
+// as predict's do.
 func BenchmarkCallRoundTrip(b *testing.B) {
 	res := predictResult{Clusters: []int{17, 3, 120, 64, 9}, Probs: []float64{0.31, 0.2, 0.13, 0.066, 0.0333}, ModelVersion: 12}
+	var dec Decoder // the benchmark's one connection calls the handler serially
+	var p predictParams
 	srv, err := NewHandlerServer("127.0.0.1:0", func(_ string, params json.RawMessage) (any, error) {
-		var p predictParams
-		if err := json.Unmarshal(params, &p); err != nil {
+		p = predictParams{Sats: p.Sats[:0]}
+		if err := dec.Decode(params, &p); err != nil {
 			return nil, err
 		}
 		return &res, nil

@@ -17,8 +17,9 @@ type ForestConfig struct {
 	// Seed drives bootstrap sampling and feature subsampling.
 	Seed int64
 	// Workers bounds the training worker pool: 0 means GOMAXPROCS,
-	// 1 forces the serial path. The trained forest is bit-identical at
-	// any worker count — every random draw happens serially up front.
+	// 1 fits one tree at a time. The trained forest is bit-identical at
+	// any worker count — every random draw happens serially, in tree
+	// order.
 	Workers int
 	// Metrics, when non-nil, receives training counters and timings.
 	// Observational only; the fitted forest is unaffected.
@@ -61,9 +62,9 @@ type Forest struct {
 // worker pool (cfg.Workers), honouring ctx cancellation between trees.
 //
 // Determinism scheme: every tree's bootstrap indices and subsampling
-// seed are drawn serially from cfg.Seed — in exactly the order the
-// serial loop draws them — before any tree fits. Workers then claim
-// tree indices and write each finished tree into its slot, so the
+// seed are drawn serially from cfg.Seed, in tree order (per tree: n
+// bootstrap draws, then the seed), each just before its tree goes to
+// a worker. Workers write each finished tree into its slot, so the
 // ensemble (and everything downstream: probabilities, rankings,
 // importances, serialized bytes) is bit-identical at any worker count.
 func FitForestCtx(ctx context.Context, d *Dataset, cfg ForestConfig) (*Forest, error) {
@@ -74,25 +75,16 @@ func FitForestCtx(ctx context.Context, d *Dataset, cfg ForestConfig) (*Forest, e
 }
 
 // fitForest trains the ensemble over a validated, presorted table:
-// FitForestCtx's dataset or a WindowFit's window. Each builder reuses
-// one rng, re-seeded per tree: Seed(s) leaves it in the state
+// FitForestCtx's dataset or a WindowFit's window. The caller's
+// goroutine draws tree i's bootstrap and seed, in tree order, into a
+// free n-row buffer just before handing the tree to a worker, which
+// returns the buffer when the tree is grown: one buffer per worker,
+// however many trees. Each worker reuses one builder and one rng,
+// re-seeded per tree: Seed(s) leaves it in the state
 // rand.New(rand.NewSource(s)) starts in.
 func fitForest(ctx context.Context, fc *fitContext, cfg ForestConfig) (*Forest, error) {
 	cfg = cfg.normalized()
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := len(fc.y)
-	// Tree i's bootstrap is boots[i*n : (i+1)*n]; Intn(n) < 2^31 fits
-	// an int32.
-	boots := make([]int32, cfg.NumTrees*n)
-	seeds := make([]int64, cfg.NumTrees)
-	for i := range seeds {
-		for j := i * n; j < (i+1)*n; j++ {
-			boots[j] = int32(rng.Intn(n))
-		}
-		seeds[i] = rng.Int63()
-	}
-	boot := func(i int) []int32 { return boots[i*n : (i+1)*n : (i+1)*n] }
-
 	f := &Forest{
 		trees:       make([]*Tree, cfg.NumTrees),
 		numClasses:  fc.numClasses,
@@ -103,52 +95,51 @@ func fitForest(ctx context.Context, fc *fitContext, cfg ForestConfig) (*Forest, 
 	if cfg.Metrics != nil {
 		fitStart = time.Now()
 	}
-	workers := resolveWorkers(cfg.Workers, cfg.NumTrees)
-	if workers == 1 {
-		b, treeRng := &treeBuilder{}, rand.New(rand.NewSource(0))
-		for i, seed := range seeds {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			treeRng.Seed(seed)
-			t, err := b.fitTree(fc, cfg.Tree, treeRng, boot(i))
-			if err != nil {
-				return nil, fmt.Errorf("ml: tree %d: %w", i, err)
-			}
-			cfg.Metrics.treeFitted()
-			f.trees[i] = t
-		}
-		if cfg.Metrics != nil {
-			cfg.Metrics.observeFit(time.Since(fitStart))
-		}
-		return f, nil
+	type job struct {
+		i    int
+		seed int64
+		boot []int32
 	}
-
-	var next atomic.Int64
+	workers := resolveWorkers(cfg.Workers, cfg.NumTrees)
+	jobs := make(chan job)
+	// free holds every bootstrap buffer not lent to a worker, so
+	// handing one back never blocks.
+	free := make(chan []int32, workers)
 	errs := make([]error, cfg.NumTrees)
+	var failed atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
+		free <- make([]int32, n)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Scratch and rng reused across this worker's trees.
 			b, treeRng := &treeBuilder{}, rand.New(rand.NewSource(0))
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= cfg.NumTrees || ctx.Err() != nil {
-					return
-				}
-				treeRng.Seed(seeds[i])
-				t, err := b.fitTree(fc, cfg.Tree, treeRng, boot(i))
+			for j := range jobs {
+				treeRng.Seed(j.seed)
+				t, err := b.fitTree(fc, cfg.Tree, treeRng, j.boot)
 				if err != nil {
-					errs[i] = err
-					return
+					errs[j.i] = err
+					failed.Store(true)
+				} else {
+					cfg.Metrics.treeFitted()
+					f.trees[j.i] = t
 				}
-				cfg.Metrics.treeFitted()
-				f.trees[i] = t
+				free <- j.boot
 			}
 		}()
 	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	for i := 0; i < cfg.NumTrees; i++ {
+		boot := <-free
+		if ctx.Err() != nil || failed.Load() {
+			break
+		}
+		for j := range boot {
+			boot[j] = int32(rng.Intn(n)) // Intn(n) < 2^31 fits an int32
+		}
+		jobs <- job{i, rng.Int63(), boot}
+	}
+	close(jobs)
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err

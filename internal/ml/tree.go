@@ -7,7 +7,7 @@
 //
 // Training is built for throughput without giving up reproducibility:
 // forests train on a bounded worker pool with every random draw made
-// serially up front; a tree folds its bootstrap into one weighted
+// serially, in tree order; a tree folds its bootstrap into one weighted
 // member per distinct drawn row; each column is ranked once per fit,
 // so a node's split search is one histogram pass over ranks instead
 // of a comparison sort; leaves store only their non-zero class

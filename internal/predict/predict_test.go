@@ -4,8 +4,11 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -331,6 +334,94 @@ func TestRPCRoundTrip(t *testing.T) {
 	if _, err := c.Predict(12, nil); err == nil {
 		t.Error("empty available set accepted")
 	}
+}
+
+// TestReusedRequestsReadFresh: the RPC handlers decode into requests
+// that their pooled scratch reuses, and every decode must read as a
+// fresh json.Unmarshal would: no field a frame omits keeps the last
+// frame's value, neither in the request nor in its satellites.
+func TestReusedRequestsReadFresh(t *testing.T) {
+	s, _, _ := benchService(t)
+	sats := func(n int) string {
+		b := []byte("[")
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = fmt.Appendf(b, `{"az":%d,"el":%d,"age_years":3,"sunlit":true}`, 30*i, 25+5*i)
+		}
+		return string(append(b, ']'))
+	}
+	twelve, three := sats(12), sats(3)
+	bare := `[{"az":10,"el":40},{"el":70},{}]` // fields the twelve set, omitted
+
+	t.Run("topk", func(t *testing.T) {
+		for _, tc := range []struct {
+			params string
+			want   int
+		}{
+			{`{"local_hour":12,"sats":` + twelve + `,"k":3}`, 3},
+			{`{"local_hour":12,"sats":` + three + `}`, s.cfg.TopK},
+		} {
+			res, err := s.Handle("topk", json.RawMessage(tc.params))
+			if err != nil {
+				t.Fatalf("topk %s: %v", tc.params, err)
+			}
+			if got := len(res.(PredictResult).Clusters); got != tc.want {
+				t.Errorf("topk %s returned %d clusters, want %d", tc.params, got, tc.want)
+			}
+		}
+	})
+
+	t.Run("observe", func(t *testing.T) {
+		for _, tc := range []struct{ params, err string }{
+			{`{"local_hour":12,"sats":` + twelve + `,"chosen_idx":10}`, ""},
+			{`{"local_hour":12,"sats":` + three + `}`, ""},
+			{`{"local_hour":12,"sats":` + three + `,"chosen_idx":3}`, "predict: chosen index 3 out of range for 3 satellites"},
+			{`{"local_hour":12}`, "predict: chosen index 0 out of range for 0 satellites"},
+		} {
+			_, err := s.Handle("observe", json.RawMessage(tc.params))
+			if got := fmt.Sprint(err); (err == nil) != (tc.err == "") || err != nil && got != tc.err {
+				t.Errorf("observe %s: error %s, want %q", tc.params, got, tc.err)
+			}
+		}
+	})
+
+	t.Run("satellites", func(t *testing.T) {
+		sc := NewScratch()
+		for _, raw := range []string{
+			`{"local_hour":12,"sats":` + twelve + `,"k":3}`,
+			`{"local_hour":5,"sats":` + bare + `}`,
+		} {
+			var want PredictRequest
+			if err := json.Unmarshal([]byte(raw), &want); err != nil {
+				t.Fatal(err)
+			}
+			got, err := sc.decodeRank(json.RawMessage(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(*got, want) {
+				t.Errorf("decoded %s as %+v, want %+v", raw, *got, want)
+			}
+		}
+		for _, raw := range []string{
+			`{"local_hour":12,"sats":` + twelve + `,"chosen_idx":10}`,
+			`{"local_hour":5,"sats":` + bare + `}`,
+		} {
+			var want ObserveRequest
+			if err := json.Unmarshal([]byte(raw), &want); err != nil {
+				t.Fatal(err)
+			}
+			got, err := sc.decodeObserve(json.RawMessage(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(*got, want) {
+				t.Errorf("decoded %s as %+v, want %+v", raw, *got, want)
+			}
+		}
+	})
 }
 
 func satFromObs(a core.SatObs) features.Sat {

@@ -112,14 +112,47 @@ func (s *Service) Handle(method string, params json.RawMessage) (any, error) {
 	}
 }
 
+// reuseSats empties a decoded request's satellites for the next
+// decode. The backing array is zeroed, since decoding into it sets only
+// the fields each satellite carries, and dropped once a request has
+// grown it past maxSats.
+func reuseSats(sats []SatParam) []SatParam {
+	if cap(sats) > maxSats {
+		return nil
+	}
+	clear(sats)
+	return sats[:0]
+}
+
+// decodeRank decodes and validates a predict or topk request into sc's
+// reused PredictRequest, zeroed first so that it reads as a fresh one.
+// The request is valid until sc's next decode.
+func (sc *Scratch) decodeRank(params json.RawMessage) (*PredictRequest, error) {
+	req := &sc.rankReq
+	*req = PredictRequest{Sats: reuseSats(req.Sats)}
+	if err := sc.dec.Decode(params, req); err != nil {
+		return nil, fmt.Errorf("predict: bad request: %w", err)
+	}
+	return req, req.validate()
+}
+
+// decodeObserve is decodeRank for an observe request.
+func (sc *Scratch) decodeObserve(params json.RawMessage) (*ObserveRequest, error) {
+	req := &sc.observeReq
+	*req = ObserveRequest{Sats: reuseSats(req.Sats)}
+	if err := sc.dec.Decode(params, req); err != nil {
+		return nil, fmt.Errorf("predict: bad request: %w", err)
+	}
+	return req, req.validate()
+}
+
 // handleRank serves predict (forceK=1) and topk (forceK=0 → request K
 // or the configured TopK).
 func (s *Service) handleRank(params json.RawMessage, forceK int) (any, error) {
-	var req PredictRequest
-	if err := json.Unmarshal(params, &req); err != nil {
-		return nil, fmt.Errorf("predict: bad request: %w", err)
-	}
-	if err := req.validate(); err != nil {
+	sc := s.pool.Get().(*Scratch)
+	defer s.pool.Put(sc)
+	req, err := sc.decodeRank(params)
+	if err != nil {
 		return nil, err
 	}
 	k := forceK
@@ -131,8 +164,6 @@ func (s *Service) handleRank(params json.RawMessage, forceK int) (any, error) {
 	}
 
 	start := time.Now()
-	sc := s.pool.Get().(*Scratch)
-	defer s.pool.Put(sc)
 	version, err := s.Rank(req.LocalHour, req.Sats, sc)
 	if err != nil {
 		return nil, err
@@ -152,15 +183,12 @@ func (s *Service) handleRank(params json.RawMessage, forceK int) (any, error) {
 }
 
 func (s *Service) handleObserve(params json.RawMessage) (any, error) {
-	var req ObserveRequest
-	if err := json.Unmarshal(params, &req); err != nil {
-		return nil, fmt.Errorf("predict: bad request: %w", err)
-	}
-	if err := req.validate(); err != nil {
-		return nil, err
-	}
 	sc := s.pool.Get().(*Scratch)
 	defer s.pool.Put(sc)
+	req, err := sc.decodeObserve(params)
+	if err != nil {
+		return nil, err
+	}
 	up, err := s.observe(req.LocalHour, req.Sats, req.ChosenIdx, sc)
 	if err != nil {
 		return nil, err

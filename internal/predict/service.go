@@ -16,6 +16,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/dishrpc"
 	"repro/internal/features"
 	"repro/internal/ml"
 	"repro/internal/telemetry"
@@ -219,6 +220,11 @@ type Scratch struct {
 	vec   []float64
 	probs []float64
 	idx   []int
+
+	// The RPC handlers decode their params into these.
+	dec        dishrpc.Decoder
+	rankReq    PredictRequest
+	observeReq ObserveRequest
 }
 
 // NewScratch returns serve scratch sized for the §6 schema.
