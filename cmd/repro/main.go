@@ -821,7 +821,7 @@ func (r *runner) ident() error {
 	// view): observed trajectory over all candidates, winner highlighted.
 	term := env.Terminals[0]
 	slot := env.Start().Add(7 * 15 * time.Second)
-	for _, a := range env.Sched.Allocate(slot) {
+	for _, a := range env.Sched.AppendAllocate(nil, slot) {
 		if a.Terminal != term.Name || a.SatID == 0 {
 			continue
 		}

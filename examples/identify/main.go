@@ -39,12 +39,14 @@ func main() {
 	dish := obstruction.New()
 	start := env.Start()
 	correct, attempted := 0, 0
+	var allocs []scheduler.Allocation // reused slot to slot
 	for i := 0; i < 12; i++ {
 		slot := start.Add(time.Duration(i) * scheduler.Period)
 
 		// Ground truth (what the real network knows, and we don't).
 		var alloc scheduler.Allocation
-		for _, a := range env.Sched.Allocate(slot) {
+		allocs = env.Sched.AppendAllocate(allocs[:0], slot)
+		for _, a := range allocs {
 			if a.Terminal == iowa.Name {
 				alloc = a
 			}
@@ -88,7 +90,7 @@ func main() {
 	// with the DTW winner highlighted.
 	slot := start.Add(11 * scheduler.Period)
 	var lastAlloc scheduler.Allocation
-	for _, a := range env.Sched.Allocate(slot) {
+	for _, a := range env.Sched.AppendAllocate(allocs[:0], slot) {
 		if a.Terminal == iowa.Name {
 			lastAlloc = a
 		}

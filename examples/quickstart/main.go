@@ -63,9 +63,11 @@ func main() {
 	prev := 0
 	changes := 0
 	var elevs []float64
+	var allocs []scheduler.Allocation // reused slot to slot
 	for i := 0; i < 20; i++ {
 		slot := start.Add(time.Duration(i) * scheduler.Period)
-		for _, a := range sched.Allocate(slot) {
+		allocs = sched.AppendAllocate(allocs[:0], slot)
+		for _, a := range allocs {
 			marker := " "
 			if a.SatID != prev && prev != 0 {
 				marker = "*"

@@ -10,11 +10,17 @@ import (
 )
 
 // DefaultSnapshotCacheCap bounds the number of unpinned snapshots a
-// SnapshotCache retains. Snapshot keys advance monotonically during a
-// campaign, so a modest window of recent slots covers every consumer;
-// at Starlink scale one snapshot of every satellite is a few hundred
-// kilobytes, and one of a cache with sights a few tens.
-const DefaultSnapshotCacheCap = 32
+// SnapshotCache retains. A campaign looks at each slot once: the
+// engine pins the slot its pool runs and the lookahead slot, and the
+// scheduler's Allocate of a slot hits the engine's pin. A consumer
+// that re-reads a window pins it (Env.WindowStats). Past that,
+// retention buys little reuse: `repro -v all` hits 582 times
+// retaining 32 snapshots and 516 retaining 2 at -scale small -slots
+// 60, 702 and 696 times at -scale medium -slots 120, in the same wall
+// time within run-to-run noise. Each retained snapshot is a state
+// buffer, a sunlit slice and an index shell that a fresh cache
+// allocates before eviction starts recycling them, so the bound is 2.
+const DefaultSnapshotCacheCap = 2
 
 // snapKey identifies one propagated snapshot: which constellation
 // (by fingerprint) at which instant. Both the scheduler's Allocate path
@@ -57,8 +63,8 @@ type SharedSnapshot struct {
 	idx     *SnapshotIndex
 
 	// ready gates late acquirers while the winning goroutine propagates
-	// outside the cache lock.
-	ready chan struct{}
+	// outside the cache lock: one count, done when States is set.
+	ready sync.WaitGroup
 }
 
 // Skipped returns how many satellites this snapshot dropped because
@@ -133,8 +139,11 @@ const snapPoolCap = 8
 
 // statesHeadroom sizes a new bounded-sweep state buffer at
 // 1 + 1/statesHeadroom of the states it first holds, so a later slot
-// that propagates a few more satellites can still reuse it.
-const statesHeadroom = 8
+// that propagates a few more satellites can still reuse it. While
+// starlink-full's windows warm up at the study sites (about 250
+// satellites propagated at the second slot, 600 by the sixtieth), an
+// eighth regrew 11 buffers over 200 slots and a quarter 7, 52 KB less.
+const statesHeadroom = 4
 
 // SnapshotCache shares propagated constellation snapshots — and their
 // spatial indexes — across every consumer of a slot: the scheduler's
@@ -241,13 +250,14 @@ func (c *SnapshotCache) Acquire(cons *Constellation, t time.Time) *SharedSnapsho
 			s.elem = nil
 		}
 		c.mu.Unlock()
-		<-s.ready
+		s.ready.Wait()
 		if c.metrics != nil {
 			c.metrics.hits.Inc()
 		}
 		return s
 	}
-	s := &SharedSnapshot{cache: c, key: key, refs: 1, ready: make(chan struct{}), cover: c.cover}
+	s := &SharedSnapshot{cache: c, key: key, refs: 1, cover: c.cover}
+	s.ready.Add(1)
 	c.entries[key] = s
 	if c.metrics != nil {
 		c.metrics.entries.Set(int64(len(c.entries)))
@@ -271,7 +281,7 @@ func (c *SnapshotCache) Acquire(cons *Constellation, t time.Time) *SharedSnapsho
 	c.mu.Unlock()
 
 	// Propagate outside the lock: other keys stay acquirable, and late
-	// acquirers of this key wait on the ready channel.
+	// acquirers of this key wait on ready.
 	s.Sunlit = sunlit[:n]
 	reused := buf != nil
 	if w == nil {
@@ -291,7 +301,7 @@ func (c *SnapshotCache) Acquire(cons *Constellation, t time.Time) *SharedSnapsho
 		s.States = append(buf[:0], swept...)
 		w.mu.Unlock()
 	}
-	close(s.ready)
+	s.ready.Done()
 	if c.metrics != nil {
 		c.metrics.misses.Inc()
 		if reused {

@@ -23,10 +23,10 @@ type ObservationConsumer interface {
 	Add(o Observation) error
 }
 
-// floatSeries is an append-only float64 series kept in blocks that
-// double from minBlock up to maxBlock values, so growing it never
-// copies what it already holds. values copies it out once, in
-// insertion order.
+// floatSeries is a float64 series kept in blocks that double from
+// minBlock up to maxBlock values, so growing it never copies what it
+// already holds. Finalize reads it in place: ecdf sorts each block
+// where it lies, so the series keeps its values but not their order.
 type floatSeries struct {
 	blocks [][]float64
 	n      int
@@ -51,17 +51,38 @@ func (s *floatSeries) add(v float64) {
 	s.n++
 }
 
-// appendTo appends the series to dst in insertion order.
-func (s *floatSeries) appendTo(dst []float64) []float64 {
-	for _, b := range s.blocks {
-		dst = append(dst, b...)
-	}
-	return dst
+// pool adds o's blocks to s without copying their values. A pooled
+// series is read, never added to: its last block may be o's.
+func (s *floatSeries) pool(o *floatSeries) {
+	s.blocks = append(s.blocks, o.blocks...)
+	s.n += o.n
 }
 
-// values returns the series as one exact-size slice the caller owns.
-func (s *floatSeries) values() []float64 {
-	return s.appendTo(make([]float64, 0, s.n))
+// ecdf is the series' ECDF over its blocks, each sorted in place.
+func (s *floatSeries) ecdf() (*stats.ECDF, error) {
+	return stats.NewECDF(s.blocks...)
+}
+
+// count counts the values for which pred holds.
+func (s *floatSeries) count(pred func(float64) bool) int {
+	n := 0
+	for _, b := range s.blocks {
+		for _, v := range b {
+			if pred(v) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// share is the fraction of the series for which pred holds, NaN when
+// it is empty (stats.Proportion of the series).
+func (s *floatSeries) share(pred func(float64) bool) float64 {
+	if s.n == 0 {
+		return math.NaN()
+	}
+	return float64(s.count(pred)) / float64(s.n)
 }
 
 // terminalSeries collects per-terminal float series: values append in
@@ -86,8 +107,7 @@ func newTerminalSeries() terminalSeries {
 // bump the seen counter.
 func (ts *terminalSeries) add(o *Observation, value func(*SatObs) float64) {
 	ts.seen++
-	c, ok := o.Chosen()
-	if !ok {
+	if o.ChosenIdx < 0 || o.ChosenIdx >= len(o.Available) {
 		return
 	}
 	slot := ts.terms[o.Terminal]
@@ -95,18 +115,30 @@ func (ts *terminalSeries) add(o *Observation, value func(*SatObs) float64) {
 		slot = &termSlot{}
 		ts.terms[o.Terminal] = slot
 	}
-	slot.chosen.add(value(&c))
+	slot.chosen.add(value(&o.Available[o.ChosenIdx]))
 	for i := range o.Available {
 		slot.avail.add(value(&o.Available[i]))
 	}
 }
 
-// cdf builds the terminal's CDFs from one sorted copy of each series
-// and returns those sorted values too.
-func (slot *termSlot) cdf(name string, points int) (tc TerminalCDF, avail, chosen []float64, err error) {
-	avail, chosen = slot.avail.values(), slot.chosen.values()
-	tc, err = buildCDF(name, avail, chosen, points)
-	return tc, avail, chosen, err
+// cdf renders the terminal's available and chosen CDFs and their
+// medians, sorting each series' blocks in place.
+func (slot *termSlot) cdf(name string, points int) (TerminalCDF, error) {
+	ea, err := slot.avail.ecdf()
+	if err != nil {
+		return TerminalCDF{}, fmt.Errorf("core: %s available: %w", name, err)
+	}
+	ec, err := slot.chosen.ecdf()
+	if err != nil {
+		return TerminalCDF{}, fmt.Errorf("core: %s chosen: %w", name, err)
+	}
+	return TerminalCDF{
+		Terminal:        name,
+		Available:       ea.Points(points),
+		Chosen:          ec.Points(points),
+		MedianAvailable: ea.Median(),
+		MedianChosen:    ec.Median(),
+	}, nil
 }
 
 // names returns the terminals in sorted order, or an error when
@@ -152,43 +184,24 @@ func (a *AOEAccumulator) Finalize() (*AOEAnalysis, error) {
 		return nil, err
 	}
 	out := &AOEAnalysis{}
-	// The high-band shares pool every terminal's values: count them
-	// per terminal and divide once.
-	high := func(v float64) bool { return v >= 45 }
-	var nChosen, nAvail, highChosen, highAvail int
+	// The high-band shares pool every terminal's values.
+	var allChosen, allAvail floatSeries
 	for _, name := range names {
-		tc, avail, chosen, err := a.series.terms[name].cdf(name, a.points)
+		slot := a.series.terms[name]
+		tc, err := slot.cdf(name, a.points)
 		if err != nil {
 			return nil, err
 		}
 		out.PerTerminal = append(out.PerTerminal, tc)
 		out.MedianLiftDeg += tc.MedianChosen - tc.MedianAvailable
-		nChosen, highChosen = nChosen+len(chosen), highChosen+countIf(chosen, high)
-		nAvail, highAvail = nAvail+len(avail), highAvail+countIf(avail, high)
+		allChosen.pool(&slot.chosen)
+		allAvail.pool(&slot.avail)
 	}
 	out.MedianLiftDeg /= float64(len(out.PerTerminal))
-	out.HighBandChosenFrac = share(highChosen, nChosen)
-	out.HighBandAvailableFrac = share(highAvail, nAvail)
+	high := func(v float64) bool { return v >= 45 }
+	out.HighBandChosenFrac = allChosen.share(high)
+	out.HighBandAvailableFrac = allAvail.share(high)
 	return out, nil
-}
-
-// countIf counts the values for which pred holds.
-func countIf(xs []float64, pred func(float64) bool) int {
-	n := 0
-	for _, x := range xs {
-		if pred(x) {
-			n++
-		}
-	}
-	return n
-}
-
-// share is k/n, NaN when n is 0 (stats.Proportion of a pooled series).
-func share(k, n int) float64 {
-	if n == 0 {
-		return math.NaN()
-	}
-	return float64(k) / float64(n)
 }
 
 // AzimuthAccumulator builds the Figure 5 analysis incrementally.
@@ -221,14 +234,15 @@ func (a *AzimuthAccumulator) Finalize() (*AzimuthAnalysis, error) {
 		NWChosenFrac:       map[string]float64{},
 	}
 	for _, name := range names {
-		tc, avail, chosen, err := a.series.terms[name].cdf(name, a.points)
+		slot := a.series.terms[name]
+		tc, err := slot.cdf(name, a.points)
 		if err != nil {
 			return nil, err
 		}
 		out.PerTerminal = append(out.PerTerminal, tc)
-		out.NorthChosenFrac[name] = stats.Proportion(chosen, isNorth)
-		out.NorthAvailableFrac[name] = stats.Proportion(avail, isNorth)
-		out.NWChosenFrac[name] = stats.Proportion(chosen, func(az float64) bool { return quadrant(az) == "NW" })
+		out.NorthChosenFrac[name] = slot.chosen.share(isNorth)
+		out.NorthAvailableFrac[name] = slot.avail.share(isNorth)
+		out.NWChosenFrac[name] = slot.chosen.share(func(az float64) bool { return quadrant(az) == "NW" })
 	}
 	return out, nil
 }
@@ -416,14 +430,13 @@ func (a *SunlitAccumulator) Finalize() (*SunlitAnalysis, error) {
 	// Some series can legitimately be empty (a terminal may never pick
 	// a dark satellite); only build the non-empty ones.
 	cdf := func(s *floatSeries) [][2]float64 {
-		if e, err := stats.NewECDF(s.values()); err == nil {
+		if e, err := s.ecdf(); err == nil {
 			return e.Points(a.points)
 		}
 		return nil
 	}
-	// The global chosen series concatenate per terminal in sorted-name
-	// order.
-	var darkChosenAll, sunlitChosenAll []float64
+	// The pooled chosen series hold every terminal's blocks.
+	var darkChosenAll, sunlitChosenAll floatSeries
 	for _, name := range names {
 		acc := a.terms[name]
 		out.PerTerminal = append(out.PerTerminal, SunlitCDFs{
@@ -433,8 +446,8 @@ func (a *SunlitAccumulator) Finalize() (*SunlitAnalysis, error) {
 			DarkAvail:    cdf(&acc.da),
 			SunlitAvail:  cdf(&acc.sa),
 		})
-		darkChosenAll = acc.dc.appendTo(darkChosenAll)
-		sunlitChosenAll = acc.sc.appendTo(sunlitChosenAll)
+		darkChosenAll.pool(&acc.dc)
+		sunlitChosenAll.pool(&acc.sc)
 	}
 	if out.MixedSlots > 0 {
 		out.SunlitPickRate = float64(a.sunlitPicks) / float64(out.MixedSlots)
@@ -443,10 +456,12 @@ func (a *SunlitAccumulator) Finalize() (*SunlitAnalysis, error) {
 		out.MinDarkShareWhenDarkPicked = 0
 	}
 	high60 := func(v float64) bool { return v > 60 }
-	out.HighAOEFracDark = stats.Proportion(darkChosenAll, high60)
-	out.HighAOEFracSunlit = stats.Proportion(sunlitChosenAll, high60)
-	if len(darkChosenAll) > 0 && len(sunlitChosenAll) > 0 {
-		out.DarkChosenAOELiftDeg = stats.Median(darkChosenAll) - stats.Median(sunlitChosenAll)
+	out.HighAOEFracDark = darkChosenAll.share(high60)
+	out.HighAOEFracSunlit = sunlitChosenAll.share(high60)
+	if dark, err := darkChosenAll.ecdf(); err == nil {
+		if sunlit, err := sunlitChosenAll.ecdf(); err == nil {
+			out.DarkChosenAOELiftDeg = dark.Median() - sunlit.Median()
+		}
 	}
 	return out, nil
 }

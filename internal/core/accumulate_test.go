@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -273,10 +272,10 @@ func TestAccumulatorsHandWorked(t *testing.T) {
 }
 
 // TestFinalizeMatchesSliceReference holds the §5 accumulators, which
-// keep each series in blocks and sort one copy at Finalize, to
-// slice-fed references that collect plain appended slices and finalize
-// the way the accumulators did before: refBuildCDF, whose ECDF and
-// median each sort their own copy, and pooled shares and medians over
+// keep each series in blocks and finalize them in place, to slice-fed
+// references that collect plain appended slices and finalize by
+// copying and sorting: refBuildCDF, whose ECDF (sortedECDF) and median
+// each sort their own copy, and pooled shares and medians over
 // concatenated series. Every float is compared bit for bit. The
 // synthetic stream has series longer than several blocks and a
 // terminal that never picks a dark satellite.
@@ -348,21 +347,13 @@ func syntheticObservations(n int) []Observation {
 	return obs
 }
 
-// refBuildCDF is buildCDF fed plain slices, with an ECDF and a median
-// that each sort their own copy.
+// refBuildCDF is termSlot.cdf fed plain slices, with an ECDF and a
+// median that each sort their own copy.
 func refBuildCDF(name string, avail, chosen []float64, points int) TerminalCDF {
-	ea, err := stats.NewECDF(slices.Clone(avail))
-	if err != nil {
-		panic(err)
-	}
-	ec, err := stats.NewECDF(slices.Clone(chosen))
-	if err != nil {
-		panic(err)
-	}
 	return TerminalCDF{
 		Terminal:        name,
-		Available:       ea.Points(points),
-		Chosen:          ec.Points(points),
+		Available:       newSortedECDF(avail).points(points),
+		Chosen:          newSortedECDF(chosen).points(points),
 		MedianAvailable: stats.Median(avail),
 		MedianChosen:    stats.Median(chosen),
 	}
@@ -472,10 +463,10 @@ func refSunlit(obs []Observation, points int) *SunlitAnalysis {
 	}
 	sort.Strings(names)
 	points2 := func(xs []float64) [][2]float64 {
-		if e, err := stats.NewECDF(slices.Clone(xs)); err == nil {
-			return e.Points(points)
+		if len(xs) == 0 {
+			return nil
 		}
-		return nil
+		return newSortedECDF(xs).points(points)
 	}
 	var darkAll, sunlitAll []float64
 	for _, name := range names {

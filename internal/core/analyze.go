@@ -1,11 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"time"
-
-	"repro/internal/stats"
-)
+import "time"
 
 // The §5 analyses' result types. Each is built by the matching
 // accumulator (accumulate.go), fed one observation at a time from
@@ -105,24 +100,4 @@ type SunlitAnalysis struct {
 	// DarkChosenAOELiftDeg is the median chosen-dark AOE minus median
 	// chosen-sunlit AOE (paper: ~29° averaged over locations).
 	DarkChosenAOELiftDeg float64
-}
-
-// buildCDF renders a terminal's available and chosen CDFs and their
-// medians. It sorts avail and chosen in place: the ECDFs keep them.
-func buildCDF(name string, avail, chosen []float64, points int) (TerminalCDF, error) {
-	ea, err := stats.NewECDF(avail)
-	if err != nil {
-		return TerminalCDF{}, fmt.Errorf("core: %s available: %w", name, err)
-	}
-	ec, err := stats.NewECDF(chosen)
-	if err != nil {
-		return TerminalCDF{}, fmt.Errorf("core: %s chosen: %w", name, err)
-	}
-	return TerminalCDF{
-		Terminal:        name,
-		Available:       ea.Points(points),
-		Chosen:          ec.Points(points),
-		MedianAvailable: ea.Median(),
-		MedianChosen:    ec.Median(),
-	}, nil
 }

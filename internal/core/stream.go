@@ -120,11 +120,17 @@ func RunCampaignStream(ctx context.Context, cfg CampaignConfig, emit EmitFunc) (
 	stats := &CampaignStats{Slots: cfg.Slots, Terminals: len(shard)}
 
 	start := scheduler.EpochStart(cfg.Start)
+	// Two allocation buffers, one for the slot the pool runs and one
+	// for the lookahead slot: slot s writes into allocBufs[s%2], which
+	// slot s-2 was done with before slot s is prepared.
+	var allocBufs [2][]scheduler.Allocation
 	prepare := func(slot int) preparedSlot {
 		p := preparedSlot{start: start.Add(time.Duration(slot) * scheduler.Period)}
 		p.snap = cfg.Snapshots.Acquire(cfg.Identifier.cons, p.start)
 		stats.PropagationSkips += p.snap.Skipped()
-		p.allocs = cfg.Scheduler.Allocate(p.start)
+		buf := &allocBufs[slot%2]
+		*buf = cfg.Scheduler.AppendAllocate((*buf)[:0], p.start)
+		p.allocs = *buf
 		return p
 	}
 	run := func(w int, p preparedSlot) {

@@ -102,9 +102,11 @@ func (e *Env) trace(term scheduler.Terminal, dur time.Duration) ([]netsim.Sample
 }
 
 // allocation is the scheduler's allocation for the named terminal in
-// the slot at t (SatID 0 when unserved).
-func (e *Env) allocation(name string, t time.Time) scheduler.Allocation {
-	for _, a := range e.Sched.Allocate(t) {
+// the slot at t (SatID 0 when unserved). The slot's allocations go
+// into *buf, whose array a caller walking slots reuses.
+func (e *Env) allocation(buf *[]scheduler.Allocation, name string, t time.Time) scheduler.Allocation {
+	*buf = e.Sched.AppendAllocate((*buf)[:0], t)
+	for _, a := range *buf {
 		if a.Terminal == name {
 			return a
 		}
@@ -162,6 +164,14 @@ type WindowStatsResult struct {
 // WindowStats runs the §3 test over a trace of the given duration for
 // every terminal.
 func (e *Env) WindowStats(dur time.Duration) ([]WindowStatsResult, error) {
+	// Every terminal's trace walks the same slots, and allocating a
+	// slot reads its snapshot: hold the window's snapshots across the
+	// terminals so that each slot propagates once, not once per
+	// terminal.
+	start := e.Start()
+	for t := scheduler.EpochStart(start); t.Before(start.Add(dur)); t = t.Add(scheduler.Period) {
+		defer e.Snaps.Acquire(e.Cons, t).Release()
+	}
 	var out []WindowStatsResult
 	for _, term := range e.Terminals {
 		samples, err := e.trace(term, dur)
@@ -213,9 +223,10 @@ func (e *Env) Fig3(terminalName string) (*Fig3Result, error) {
 	// Slot t-1 and t: paint the true serving satellite's track.
 	m := obstruction.New()
 	var maps [2]*obstruction.Map
+	var allocs []scheduler.Allocation
 	for i := range maps {
 		t := e.Start().Add(time.Duration(i) * scheduler.Period)
-		a := e.allocation(term.Name, t)
+		a := e.allocation(&allocs, term.Name, t)
 		if a.SatID == 0 {
 			return nil, fmt.Errorf("experiments: no allocation for %s in slot %d", term.Name, i+1)
 		}

@@ -138,12 +138,13 @@ func (e *Env) MotionVsReallocation(terminalName string, slots int) (*MotionResul
 	}
 
 	var drifts, jumps []float64
+	var allocs []scheduler.Allocation
 	prevID := 0
 	prevEndRTT := 0.0
 	start := e.Start()
 	for i := 0; i < slots; i++ {
 		slotStart := start.Add(time.Duration(i) * scheduler.Period)
-		alloc := e.allocation(term.Name, slotStart)
+		alloc := e.allocation(&allocs, term.Name, slotStart)
 		if alloc.SatID == 0 {
 			prevID = 0
 			continue

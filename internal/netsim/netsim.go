@@ -96,10 +96,12 @@ type Path struct {
 	pop geo.PoP // the terminal's home PoP
 	rng *rand.Rand
 
-	// Per-slot cache.
+	// Per-slot cache; allocs is the scheduler's last slot of
+	// allocations, its array reused the next slot.
 	slot      int64
 	slotAlloc scheduler.Allocation
 	slotMAC   *scheduler.MAC
+	allocs    []scheduler.Allocation
 }
 
 // NewPath builds the oracle.
@@ -124,7 +126,8 @@ func (p *Path) refreshSlot(t time.Time) {
 	}
 	p.slot = slot
 	p.slotAlloc = scheduler.Allocation{}
-	for _, a := range p.cfg.Scheduler.Allocate(t) {
+	p.allocs = p.cfg.Scheduler.AppendAllocate(p.allocs[:0], t)
+	for _, a := range p.allocs {
 		if a.Terminal == p.cfg.Terminal.Name {
 			p.slotAlloc = a
 			break

@@ -336,17 +336,25 @@ type Candidate struct {
 	Score  float64
 }
 
-// Allocate computes every terminal's assignment for the slot
-// containing t. Results are deterministic given the seed and call
-// sequence: callers should invoke Allocate once per slot in order
-// (the load walk advances per slot).
+// Allocate returns AppendAllocate(nil, t): every terminal's
+// assignment for the slot containing t, in a new slice.
 func (g *Global) Allocate(t time.Time) []Allocation {
+	return g.AppendAllocate(nil, t)
+}
+
+// AppendAllocate appends every terminal's assignment for the slot
+// containing t to dst, one per terminal in Terminals() order, and
+// returns the extended slice; a caller that passes its previous
+// result[:0] allocates nothing. Results are deterministic given the
+// seed and call sequence: callers should allocate once per slot in
+// order (the load walk advances per slot).
+func (g *Global) AppendAllocate(dst []Allocation, t time.Time) []Allocation {
 	slotStart := EpochStart(t)
 	shared := g.snaps.Acquire(g.cons, slotStart)
 	defer shared.Release()
 	g.advance(SlotIndex(t), shared)
 
-	out := make([]Allocation, 0, len(g.terms))
+	out := slices.Grow(dst, len(g.terms))
 	for _, term := range g.terms {
 		var cands []Candidate
 		g.fovScratch, cands = g.appendCandidates(g.fovScratch, g.candScratch[:0], term, shared)

@@ -114,11 +114,12 @@ func TestAllocateSkippedSatelliteStaysSunlit(t *testing.T) {
 	}
 }
 
-// TestAllocateWarmPathAllocs pins Allocate's steady state, the slot's
-// snapshot already held and indexed by the caller as the campaign
-// engine holds it, to the one allocation of the returned slice: the
-// load walk, battery step, gateway set and candidate sweep all reuse
-// dense per-satellite buffers.
+// TestAllocateWarmPathAllocs pins AppendAllocate's steady state, the
+// slot's snapshot already held and indexed by the caller as the
+// campaign engine holds it, appending into the previous slot's
+// allocations: nothing is allocated. The load walk, battery step,
+// gateway set and candidate sweep all reuse dense per-satellite
+// buffers.
 func TestAllocateWarmPathAllocs(t *testing.T) {
 	cons := testConstellation(t)
 	cache := constellation.NewSnapshotCache(64, nil)
@@ -136,16 +137,20 @@ func TestAllocateWarmPathAllocs(t *testing.T) {
 		shared.Index()
 		slots = append(slots, at)
 	}
+	var buf []Allocation
 	for _, at := range slots[:warm] {
-		g.Allocate(at)
+		buf = g.AppendAllocate(buf[:0], at)
 	}
 	next := warm
 	allocs := testing.AllocsPerRun(runs, func() {
-		g.Allocate(slots[next])
+		buf = g.AppendAllocate(buf[:0], slots[next])
 		next++
 	})
-	if allocs > 1 {
-		t.Fatalf("Allocate warm path: %v allocs per slot, want at most 1 (the returned slice)", allocs)
+	if allocs != 0 {
+		t.Fatalf("AppendAllocate warm path: %v allocs per slot, want 0", allocs)
+	}
+	if len(buf) != len(testTerminals()) {
+		t.Fatalf("%d allocations, want one per terminal", len(buf))
 	}
 }
 

@@ -179,33 +179,118 @@ func normalCDF(x float64) float64 {
 	return 0.5 * math.Erfc(-x/math.Sqrt2)
 }
 
-// ECDF is an empirical cumulative distribution function.
+// ECDF is an empirical cumulative distribution function over a sample
+// held in one or more runs, each sorted in place. A sample kept in
+// blocks is read where it lies: nothing is copied into one slice.
 type ECDF struct {
-	sorted []float64
+	runs [][]float64
+	n    int
 }
 
-// NewECDF builds an ECDF from a sample. It sorts xs in place and keeps
-// it: the caller hands the sample over.
-func NewECDF(xs []float64) (*ECDF, error) {
-	if len(xs) == 0 {
+// NewECDF builds an ECDF over the sample held in runs. It sorts each
+// run in place and keeps them: the caller hands the sample over.
+func NewECDF(runs ...[]float64) (*ECDF, error) {
+	n := 0
+	for _, r := range runs {
+		sort.Float64s(r)
+		n += len(r)
+	}
+	if n == 0 {
 		return nil, fmt.Errorf("%w: ecdf of empty sample", ErrTooFewSamples)
 	}
-	sort.Float64s(xs)
-	return &ECDF{sorted: xs}, nil
+	return &ECDF{runs: runs, n: n}, nil
 }
 
-// Median returns the sample's median, as Median of the sample does.
-func (e *ECDF) Median() float64 { return quantileSorted(e.sorted, 0.5) }
+// floatLess is sort.Float64s's order: NaN before every other value.
+func floatLess(a, b float64) bool { return a < b || (a != a && b == b) }
 
-// At returns P(X <= x).
+// Median returns the sample's median, as Median of the sample does:
+// quantileSorted's interpolation between the two middle order
+// statistics, which merging the runs finds.
+func (e *ECDF) Median() float64 {
+	pos := 0.5 * float64(e.n-1)
+	lo := int(math.Floor(pos))
+	a, b := e.orderPair(lo)
+	if lo+1 >= e.n {
+		return a
+	}
+	frac := pos - float64(lo)
+	return a*(1-frac) + b*frac
+}
+
+// orderPair returns the sample's k-th smallest value (from 0) in
+// sort.Float64s's order and the one after it (a again when k is the
+// last). It merges the runs through a min-heap of their heads.
+func (e *ECDF) orderPair(k int) (a, b float64) {
+	h := make(runHeap, 0, len(e.runs))
+	for _, r := range e.runs {
+		if len(r) > 0 {
+			h = append(h, r)
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	for ; k > 0; k-- {
+		h.pop()
+	}
+	a = h.pop()
+	if len(h) == 0 {
+		return a, a
+	}
+	return a, h[0][0]
+}
+
+// runHeap is a min-heap of non-empty sorted runs, keyed by each run's
+// head in floatLess's order.
+type runHeap [][]float64
+
+// pop removes and returns the smallest head.
+func (h *runHeap) pop() float64 {
+	r := (*h)[0]
+	v := r[0]
+	if len(r) > 1 {
+		(*h)[0] = r[1:]
+	} else {
+		last := len(*h) - 1
+		(*h)[0] = (*h)[last]
+		*h = (*h)[:last]
+	}
+	h.down(0)
+	return v
+}
+
+// down restores the heap order below i.
+func (h runHeap) down(i int) {
+	for {
+		m := 2*i + 1
+		if m >= len(h) {
+			return
+		}
+		if r := m + 1; r < len(h) && floatLess(h[r][0], h[m][0]) {
+			m = r
+		}
+		if !floatLess(h[m][0], h[i][0]) {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+}
+
+// At returns P(X <= x), counting through every run.
 func (e *ECDF) At(x float64) float64 {
-	// Index of first element > x.
-	i := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(e.sorted))
+	// Each run's index of its first element > x.
+	y := math.Nextafter(x, math.Inf(1))
+	i := 0
+	for _, r := range e.runs {
+		i += sort.SearchFloat64s(r, y)
+	}
+	return float64(i) / float64(e.n)
 }
 
 // Len returns the sample size.
-func (e *ECDF) Len() int { return len(e.sorted) }
+func (e *ECDF) Len() int { return e.n }
 
 // Points renders the ECDF as n evenly spaced (x, F(x)) pairs spanning
 // the sample range — the series the figure reproductions print.
@@ -213,8 +298,22 @@ func (e *ECDF) Points(n int) [][2]float64 {
 	if n < 2 {
 		n = 2
 	}
-	lo := e.sorted[0]
-	hi := e.sorted[len(e.sorted)-1]
+	// The sample's first and last values in sort order: the least
+	// run head and the greatest run tail.
+	var lo, hi float64
+	first := true
+	for _, r := range e.runs {
+		if len(r) == 0 {
+			continue
+		}
+		if first || floatLess(r[0], lo) {
+			lo = r[0]
+		}
+		if first || floatLess(hi, r[len(r)-1]) {
+			hi = r[len(r)-1]
+		}
+		first = false
+	}
 	out := make([][2]float64, n)
 	for i := 0; i < n; i++ {
 		x := lo + (hi-lo)*float64(i)/float64(n-1)
